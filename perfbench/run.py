@@ -1,16 +1,17 @@
 """edgelearn benchmark: one workload per invocation, from the repo root.
 
-    python3 perfbench/run.py --workload bench3|cycle|serve|sim \\
+    python3 perfbench/run.py --workload bench3|serve|sim \\
         --seed N --seconds S --trace 0|1
 
 ``--trace 0`` repeats rounds (set-up + timed phase on fresh state) until
 the next one would end past ``--seconds``, and reports the end-to-end
-metrics. ``--trace 1`` runs one untraced and one traced round on the same
-inputs, checks that both give the same output digest, and reports the
-per-layer metrics and the tracing overhead. Human-readable lines come
-first; the last line of stdout is the JSON result. Everything the run
-writes lives under ``.perfbench_work/`` (removed at exit) and
-``.perfbench_out/`` (span dumps of traced runs) in the repo root.
+metrics. ``--trace 1`` runs one untraced, one traced and one tracemalloc'd
+round on the same inputs, checks that all three give the same output
+digest, and reports the per-layer metrics, the tracing overhead and the
+round's peak heap. Human-readable lines come first; the last line of
+stdout is the JSON result. Everything the run writes lives under
+``.perfbench_work/`` (removed at exit) and ``.perfbench_out/`` (span dumps
+of traced runs) in the repo root.
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ import argparse
 import json
 import math
 import os
-import resource
 import shutil
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-WORKLOADS = ("bench3", "cycle", "serve", "sim")
+WORKLOADS = ("bench3", "serve", "sim")
 MIN_SETUPS = 3
 TAIL_BEYOND = 10        # samples that must lie beyond the reported tail
 TAIL_CAP = 99.0         # never report a percentile above p99
@@ -41,7 +42,6 @@ END_TO_END = (
     ("round_s", "s"),
     ("op_p50_ms", "ms"),
     ("op_tail_ms", "ms"),
-    ("peak_rss_mb", "MB"),
 )
 
 
@@ -61,10 +61,6 @@ def median(values):
     return statistics.median(values) if values else 0.0
 
 
-def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def metric(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
@@ -73,8 +69,8 @@ def metric(value: float, unit: str) -> dict:
 # per-layer metrics from a traced round
 # ---------------------------------------------------------------------------
 
-# share of the traced round's wall time: (metric, span or hot names, "incl"|"self")
-SHARES = (
+# time in a layer per traced round: (metric, span or hot names, "incl"|"self")
+LAYER_TIMES = (
     ("data.load_csv", ("data.load_csv",), "incl"),
     ("data.validate", ("data.validate_sample",), "incl"),
     ("tasks.mine", ("tasks.mine_tasks",), "incl"),
@@ -86,7 +82,6 @@ SHARES = (
     ("learners.serialize", ("learners.serialize_model",), "incl"),
     ("kb.commit", ("kb.upsert_task", "kb.record_eval", "kb.set_fallback"), "incl"),
     ("kb.open", ("kb.open",), "incl"),
-    ("kb.snapshot_encode", ("kb.serialize_snapshot",), "incl"),
     ("kb.snapshot_decode", ("kb.deserialize_snapshot",), "incl"),
     ("job.holdout", ("job.holdout_split",), "incl"),
     ("job.train_self", ("job.run_train",), "self"),
@@ -112,7 +107,6 @@ COUNTS = (
     ("learners.predict_calls", "count", "lower"),
     ("learners.serialize_calls", "count", "lower"),
     ("kb.commits", "count", "lower"),
-    ("kb.snapshot_bytes", "bytes", "lower"),
     ("kb.manifest_bytes", "bytes", "lower"),
     ("kb.disk_bytes", "bytes", "lower"),
     ("kb.model_files", "count", "lower"),
@@ -140,14 +134,14 @@ HOT_CALLS = {
 SPAN_CALLS = {"tasks.mine_calls": "tasks.mine_tasks", "learners.fit_calls": "learners.fit"}
 
 
-def per_layer_metrics(tracer, wall_ns: int, rnd, store: Path | None, overhead_pct: float):
-    """Returns (metrics for the JSON line, absolute ms per round to print)."""
+def per_layer_metrics(tracer, rnd, store: Path | None, overhead_pct: float, heap_mb: float):
+    """Returns (metrics for the JSON line, ms per layer in the round)."""
     inclusive, own = tracer.totals()
     spans = tracer.finished_spans()
     calls = Counter(s.name for s in spans)
 
     absolute_ms = {}
-    for name, sources, kind in SHARES:
+    for name, sources, kind in LAYER_TIMES:
         table = inclusive if kind == "incl" else own
         absolute_ms[name] = sum(table[src] for src in sources) / 1e6
     # sim: time inside update cycles run by a tick, and the rest of the tick
@@ -180,20 +174,21 @@ def per_layer_metrics(tracer, wall_ns: int, rnd, store: Path | None, overhead_pc
     for key in ("sim.updates", "sim.events", "sim.messages_sent", "sim.samples_replayed"):
         counts[key] = rnd.outputs.get(key.split(".", 1)[1], 0)
 
-    metrics = {f"{name}_pct": metric(100.0 * ms * 1e6 / wall_ns, "%")
-               for name, ms in absolute_ms.items()}
+    metrics = {f"{name}_ms": metric(ms, "ms") for name, ms in absolute_ms.items()}
     for name, unit, _ in COUNTS:
         metrics[name] = metric(counts.get(name, 0), unit)
     metrics["trace.overhead_pct"] = metric(overhead_pct, "%")
+    metrics["mem.peak_heap_mb"] = metric(heap_mb, "MB")
     return metrics, absolute_ms
 
 
 def per_layer_spec() -> list[dict]:
     """The per_layer entries of BENCHMARK.json, in output order."""
-    names = [name for name, _, _ in SHARES] + ["sim.update", "sim.serve"]
-    spec = [{"name": f"{n}_pct", "unit": "%", "better": "lower"} for n in names]
+    names = [name for name, _, _ in LAYER_TIMES] + ["sim.update", "sim.serve"]
+    spec = [{"name": f"{n}_ms", "unit": "ms", "better": "lower"} for n in names]
     spec += [{"name": n, "unit": u, "better": b} for n, u, b in COUNTS]
     spec.append({"name": "trace.overhead_pct", "unit": "%", "better": "lower"})
+    spec.append({"name": "mem.peak_heap_mb", "unit": "MB", "better": "lower"})
     return spec
 
 
@@ -221,9 +216,6 @@ def print_named_metrics(name: str, tags, ops) -> None:
     lines = []
     if name == "bench3":
         lines.append(("bench_s", median(ops), "s"))
-    elif name == "cycle":
-        lines.append(("bootstrap_s", ops[tags.index("bootstrap")], "s"))
-        lines.append(("update_s", median([op for op, t in zip(ops, tags) if t == "update"]), "s"))
     elif name == "serve":
         def us(routes):
             return [op * 1e6 for op, t in zip(ops, tags) if t in routes]
@@ -270,13 +262,26 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
 
+def heap_round(workload, rdir: Path):
+    """One round under tracemalloc: (its Round, the peak MB of Python heap
+    that set-up and round allocate). The inputs the benchmark generated
+    beforehand are allocated before tracing starts and do not count."""
+    tracemalloc.start()
+    try:
+        rnd, _, _ = run_round(workload, rdir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rnd, peak / 2**20
+
+
 def untraced_run(args, workload, work: Path) -> int:
     """Rounds repeat identical work on fresh state (the digest check holds
     them to that), so each operation's time is its best over the rounds:
     load from other tenants of a shared machine inflates some repetitions,
     never the best one, unless it lasts the whole run."""
     deadline = time.perf_counter() + args.seconds
-    first, best, rss, rounds = None, [], 0.0, 0
+    first, best, rounds = None, [], 0
     setups, digests = [], set()
     attempted = failed = 0
     while True:
@@ -284,7 +289,7 @@ def untraced_run(args, workload, work: Path) -> int:
         rnd, setup_s, round_s = run_round(workload, rdir)
         shutil.rmtree(rdir)
         if first is None:
-            first, best, rss = rnd, list(rnd.ops), peak_rss_mb()
+            first, best = rnd, list(rnd.ops)
         elif len(rnd.ops) == len(best):
             best = [min(a, b) for a, b in zip(best, rnd.ops)]
         setups.append(setup_s)
@@ -313,7 +318,6 @@ def untraced_run(args, workload, work: Path) -> int:
         "round_s": sum(best),
         "op_p50_ms": median(best) * 1e3,
         "op_tail_ms": tail_value * 1e3,
-        "peak_rss_mb": rss,
     }
     metrics = {name: metric(values[name], unit) for name, unit in END_TO_END}
     print(f"workload {args.workload} seed {args.seed}: {rounds} round(s) of "
@@ -342,16 +346,18 @@ def traced_run(args, workload, work: Path) -> int:
         wall_ns = time.perf_counter_ns() - start
     finally:
         tracer.uninstall()
+    heap, heap_mb = heap_round(workload, work / "heap")
     plain_s = plain_setup + plain_round
     overhead_pct = 100.0 * (wall_ns / 1e9 - plain_s) / plain_s
-    attempted = plain.attempted + traced.attempted + 1
-    failed = plain.failed + traced.failed + (plain.digest != traced.digest)
+    attempted = plain.attempted + traced.attempted + heap.attempted + 1
+    failed = plain.failed + traced.failed + heap.failed
+    failed += len({plain.digest, traced.digest, heap.digest}) != 1
 
     store = work / "traced" / "kb"
     if args.workload == "bench3":
         store = work / "traced" / "reports" / "lifelong_kb"
-    metrics, absolute_ms = per_layer_metrics(
-        tracer, wall_ns, traced, store if store.is_dir() else None, overhead_pct)
+    metrics, layer_ms = per_layer_metrics(
+        tracer, traced, store if store.is_dir() else None, overhead_pct, heap_mb)
 
     out = ROOT / ".perfbench_out"
     out.mkdir(exist_ok=True)
@@ -362,12 +368,11 @@ def traced_run(args, workload, work: Path) -> int:
     print(f"workload {args.workload} seed {args.seed}: traced round "
           f"{wall_ns / 1e9:.3f} s vs untraced {plain_s:.3f} s "
           f"(overhead {overhead_pct:+.1f}%), {len(tracer.spans)} spans")
-    print(f"  digests: untraced {plain.digest} traced {traced.digest}")
-    for name, ms in absolute_ms.items():
-        print(f"  {name + '_ms':<36} {ms:>14.3f} ms   "
-              f"{metrics[name + '_pct']['value']:>7.2f} %")
+    print(f"  digests: untraced {plain.digest} traced {traced.digest} heap {heap.digest}")
+    for name, ms in layer_ms.items():
+        print(f"  {name + '_ms':<36} {ms:>14.3f} ms   {100 * ms * 1e6 / wall_ns:>6.2f} % of round")
     for name, m in metrics.items():
-        if not name.endswith("_pct"):
+        if name.removesuffix("_ms") not in layer_ms:
             print(f"  {name:<36} {m['value']:>14} {m['unit']}")
     print(f"  {'error_rate':<36} {failed / attempted:>14.4f} ratio ({failed}/{attempted})")
     print(json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,

@@ -1,4 +1,4 @@
-"""The four workloads: set-up, one timed round, and the output checks.
+"""The workloads: set-up, one timed round, and the output checks.
 
 A round is a fixed amount of work on fresh state, so its cost does not
 depend on how many rounds fit in the run. Each workload times its own
@@ -110,77 +110,10 @@ class Bench3:
         return rnd
 
 
-class Cycle:
-    """Knowledge growth: a 40-task bootstrap, then update batches of old
-    and new tasks, each as ``edgelearn job update`` runs it."""
-
-    unit = "update cycle"
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.job_text = W.job_json()
-
-    def setup(self, rdir: Path):
-        inputs = W.cycle_inputs(self.seed)
-        D.write_csv(inputs.initial, rdir / "initial.csv")
-        for i, batch in enumerate(inputs.batches):
-            D.write_csv(batch, rdir / f"batch{i}.csv")
-        (rdir / "schema.json").write_text(D.schema_to_json(inputs.schema), encoding="utf-8")
-        return rdir, inputs.batch_keys
-
-    def _open(self, rdir: Path, phase: J.Phase, version: int):
-        schema = D.parse_schema((rdir / "schema.json").read_text(encoding="utf-8"))
-        cfg = J.parse_job_config(self.job_text, schema)
-        kb = K.kb_open(rdir / "kb")
-        job = J.LifelongJob(cfg, kb)
-        job.state = J.JobState(phase=phase, snapshot_version=version)
-        return schema, kb, job
-
-    def run(self, state, tracer) -> Round:
-        rdir, batch_keys = state
-        rnd = Round()
-
-        def bootstrap():
-            schema, kb, job = self._open(rdir, J.Phase.IDLE, 0)
-            snapshot = job.bootstrap(D.load_csv(rdir / "initial.csv", schema))
-            (rdir / "snap.json").write_bytes(K.serialize_snapshot(snapshot))
-            return kb
-
-        try:
-            kb = _run_op(rnd, tracer, "bootstrap", bootstrap)
-        except EdgeLearnError as exc:
-            rnd.fail(f"bootstrap raised {exc}")
-            return rnd
-        version = kb.kb_version
-        seen = set(kb.records)
-
-        for i, keys in enumerate(batch_keys):
-            def update():
-                schema, kb, job = self._open(rdir, J.Phase.DEPLOYED, version)
-                snapshot = job.run_update_cycle(D.load_csv(rdir / f"batch{i}.csv", schema))
-                payload = K.serialize_snapshot(snapshot)
-                (rdir / "snap.json").write_bytes(payload)
-                return kb, payload
-
-            try:
-                kb, payload = _run_op(rnd, tracer, "update", update)
-            except EdgeLearnError as exc:
-                rnd.fail(f"update {i} raised {exc}")
-                return rnd
-            version = kb.kb_version
-            rnd.check(keys <= kb.records.keys(), f"update {i}: batch keys in the KB")
-            rnd.check(seen <= kb.records.keys(), f"update {i}: no task disappeared")
-            seen = set(kb.records)
-            again = K.serialize_snapshot(K.deserialize_snapshot(payload))
-            rnd.check(again == payload, f"update {i}: snapshot round-trips byte for byte")
-        rnd.outputs["tasks"] = len(kb.records)
-        rnd.digest = sha(payload + kb.fingerprint().encode())
-        return rnd
-
-
 class Serve:
     """The edge read path: one 100-task snapshot, a fixed request stream of
-    60% known, 30% similar and 10% fallback routes, one closed-loop client."""
+    60% known, 30% similar and 10% fallback routes whose unknown keys
+    hardly repeat, one closed-loop client."""
 
     unit = "request"
 
@@ -272,4 +205,4 @@ class Sim:
         return rnd
 
 
-WORKLOADS = {"bench3": Bench3, "cycle": Cycle, "serve": Serve, "sim": Sim}
+WORKLOADS = {"bench3": Bench3, "serve": Serve, "sim": Sim}

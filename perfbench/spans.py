@@ -7,7 +7,7 @@ imported it by name (``edgelearn.job.fit`` is the same object as
 :meth:`Tracer.uninstall` restores the originals.
 
 A span records name, start, end, parent and root (the outermost span it
-runs under: one bench run, cycle, request or tick). Functions called
+runs under: one bench run, request or tick). Functions called
 10^4 times or more per run are *hot*: they only add to a call count and a
 summed time, and that time is charged to the enclosing span so its self
 time stays right. Hot functions never call each other.
@@ -42,7 +42,6 @@ TARGETS = (
     ("kb", kb.KnowledgeBase, "record_eval", False),
     ("kb", kb.KnowledgeBase, "set_fallback", False),
     ("kb", kb.KnowledgeBase, "snapshot", False),
-    ("kb", kb, "serialize_snapshot", False),
     ("kb", kb, "deserialize_snapshot", False),
     ("job", job, "holdout_split", False),
     ("job", job.LifelongJob, "bootstrap", False),
@@ -101,7 +100,6 @@ class Tracer:
             "kb.upsert_task": (self._kb_version, self._count_commit),
             "kb.record_eval": (self._kb_version, self._count_commit),
             "kb.set_fallback": (self._kb_version, self._count_commit),
-            "kb.serialize_snapshot": (None, self._count_snapshot_bytes),
             "tasks.sample_transfer": (None, self._count_borrowed),
             "learners.fit": (None, self._count_fit_rows),
             "job.run_eval": (None, self._count_gate),
@@ -120,9 +118,6 @@ class Tracer:
 
     def _count_commit(self, args, result, before):
         self.counts["kb.commits"] += result != before
-
-    def _count_snapshot_bytes(self, args, result, before):
-        self.counts["kb.snapshot_bytes"] += len(result)
 
     def _count_borrowed(self, args, result, before):
         self.counts["tasks.transfer_borrowed_rows"] += sum(n for _, n in result.provenance)
@@ -218,7 +213,7 @@ class Tracer:
 
     def root(self, name: str, body):
         """Run ``body()`` under a span the benchmark opens itself: one
-        operation (bench run, cycle, request, tick) or one set-up."""
+        operation (bench run, request, tick) or one set-up."""
         return self._span_wrapper(name, body)()
 
     def finished_spans(self) -> list[Span]:

@@ -26,9 +26,7 @@ import spans  # noqa: E402
 import workloads as W  # noqa: E402
 
 TINY = {
-    "CYCLE_SITES": 3, "CYCLE_BANDS": 2, "CYCLE_ROWS": 20,
-    "CYCLE_UPDATES": 2, "CYCLE_OLD": 2, "CYCLE_BATCH_ROWS": 10,
-    "SERVE_SITES": 3, "SERVE_BANDS": 2, "SERVE_ROWS": 10, "SERVE_REQUESTS": 100,
+    "SERVE_SITES": 3, "SERVE_BANDS": 1, "SERVE_ROWS": 10, "SERVE_REQUESTS": 100,
     "SIM_SITES": 3, "SIM_BANDS": 2, "SIM_ROWS": 10, "SIM_TICKS": 16,
     "SIM_READS": 5, "SIM_LABELED": 2, "SIM_TRIGGER_TICKS": 4,
 }
@@ -81,9 +79,6 @@ def test_tracer_patches_every_binding_and_restores_them():
 def _input_bytes(workload: str, seed: int, tmp: Path) -> bytes:
     if workload == "bench3":
         datasets = [W.B.gen_synthetic(W.bench3_spec(seed))]
-    elif workload == "cycle":
-        inputs = W.cycle_inputs(seed)
-        datasets = [inputs.initial, *inputs.batches]
     elif workload == "serve":
         inputs = W.serve_inputs(seed)
         datasets = [D.Dataset(inputs.schema, inputs.requests)]
@@ -97,7 +92,7 @@ def _input_bytes(workload: str, seed: int, tmp: Path) -> bytes:
     return b"".join(p.read_bytes() for p in sorted(tmp.iterdir()))
 
 
-@pytest.mark.parametrize("workload", ["bench3", "cycle", "serve", "sim"])
+@pytest.mark.parametrize("workload", ["bench3", "serve", "sim"])
 def test_generator_is_deterministic_per_seed(tiny, tmp_path, workload):
     first, again, other = (tmp_path / n for n in ("first", "again", "other"))
     for d in (first, again, other):
@@ -114,6 +109,18 @@ def test_serve_stream_has_the_exact_route_mix_and_takes_those_routes(tiny):
     assert [runtime.infer(s).route for s in inputs.requests] == list(inputs.routes)
 
 
+def test_serve_unknown_keys_repeat_only_once_the_key_space_is_used_up(tiny):
+    inputs = W.serve_inputs(3)
+    bucketing = T.BucketingConfig.from_schema(inputs.schema)
+    keys = {"similar": [], "fallback": []}
+    for sample, route in zip(inputs.requests, inputs.routes):
+        if route in keys:
+            keys[route].append(T.task_key(T.bucket_attributes(sample.attributes, bucketing)))
+    assert len(set(keys["fallback"])) == len(keys["fallback"]) == 10
+    # 3 sites with one band each leave at least 3 x 19 unseen bands in reach
+    assert len(set(keys["similar"])) == len(keys["similar"]) == 30
+
+
 def _declared(kind: str) -> list[str]:
     doc = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     return [m["name"] for m in doc[kind]]
@@ -127,7 +134,7 @@ def test_benchmark_json_matches_what_the_runner_emits():
 
 
 @pytest.mark.parametrize("trace", [0, 1])
-@pytest.mark.parametrize("workload", ["bench3", "cycle", "serve", "sim"])
+@pytest.mark.parametrize("workload", ["bench3", "serve", "sim"])
 def test_smoke_every_metric_present_and_no_errors(tiny, capsys, workload, trace):
     assert run.main(["--workload", workload, "--seed", "5", "--seconds", "0",
                      "--trace", str(trace)]) == 0
