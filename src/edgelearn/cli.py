@@ -28,7 +28,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .data import load_csv, parse_schema, schema_to_json, write_csv
 from .edge import DEFAULT_SIMILARITY_THRESHOLD, EdgeRuntime
-from .errors import EdgeLearnError, NoModelError
+from .errors import CorruptStoreError, EdgeLearnError, NoModelError
 from .job import JobState, LifelongJob, Phase, parse_job_config
 from .kb import KnowledgeBase, deserialize_snapshot, serialize_snapshot
 from .sim import parse_sim_config, start_sim
@@ -137,12 +137,15 @@ def _load_job(args) -> tuple:
     job = LifelongJob(cfg, kb)
     state_path = kb_path / _JOB_STATE_FILE
     if state_path.exists():
-        doc = json.loads(state_path.read_text(encoding="utf-8"))
-        job.state = JobState(
-            phase=Phase(doc["phase"]),
-            snapshot_version=doc["snapshot_version"],
-            history=[tuple(entry) for entry in doc["history"]],
-        )
+        try:
+            doc = json.loads(state_path.read_text(encoding="utf-8"))
+            job.state = JobState(
+                phase=Phase(doc["phase"]),
+                snapshot_version=doc["snapshot_version"],
+                history=[tuple(entry) for entry in doc["history"]],
+            )
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON, key or phase
+            raise CorruptStoreError(f"corrupt job state {state_path}: {exc}") from exc
     return schema, cfg, kb, job, state_path
 
 

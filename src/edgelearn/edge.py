@@ -76,7 +76,6 @@ class EdgeRuntime:
         self.similarity_threshold = similarity_threshold
         self.unseen_cap = unseen_cap
         self.active: DeploySnapshot | None = None
-        self.pending: DeploySnapshot | None = None
         self._unseen: list[Sample] = []
         self._feedback: list[Sample] = []
         self.counters = {
@@ -100,9 +99,7 @@ class EdgeRuntime:
                 and snapshot.snapshot_version <= self.active.snapshot_version
             ):
                 return "rejected-stale"
-            self.pending = snapshot
-            self.active = self.pending
-            self.pending = None
+            self.active = snapshot
             return "applied"
 
     @property

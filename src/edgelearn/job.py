@@ -28,7 +28,7 @@ from .kb import (
     sample_stats,
 )
 from .learners import EstimatorSpec, EvalMetrics, evaluate, fit
-from .tasks import BucketingConfig, mine_tasks, sample_transfer, task_similarity
+from .tasks import BucketingConfig, mine_tasks, sample_transfer
 
 REASON_BELOW_THRESHOLD = "below-threshold"
 REASON_TOO_FEW_SAMPLES = "too-few-samples"
@@ -175,30 +175,18 @@ class LifelongJob:
 
         cfg = self.cfg
         partition = mine_tasks(train, cfg.bucketing)
-        known_attrs = {key: rec.attributes for key, rec in self.kb.records.items()}
-        for key in partition.keys:
-            known_attrs[key] = partition.attributes[key]
-
         stored: list[TaskRecord] = []
         for key in partition.keys:
             transfer = sample_transfer(
                 key, partition, cfg.transfer.min_samples, cfg.transfer.cap
             )
             artifact = fit(cfg.learner, transfer.dataset, cfg.seed)
-            relations = []
-            for other_key in sorted(known_attrs):
-                if other_key == key:
-                    continue
-                sim = task_similarity(partition.attributes[key], known_attrs[other_key])
-                if sim > 0.0:
-                    relations.append((other_key, sim))
             record = TaskRecord(
                 key=key,
                 attributes=partition.attributes[key],
                 model=artifact,
                 spec=cfg.learner,
                 sample_stats=sample_stats(partition.parts[key]),
-                relations=tuple(relations),
                 status=STATUS_TRAINED,
             )
             self.kb.upsert_task(record)

@@ -7,8 +7,8 @@ Store layout (one directory per KB)::
     models/<key>.<v>.bin  one file per model artifact, CRC32-checked
 
 The manifest body carries the schema fingerprint, the KB version counter,
-and per-task metadata (key, version, status, stats, relations, eval,
-model file + checksum). Every mutation writes model files first, then
+and per-task metadata (key, version, status, stats, eval, model file +
+checksum). A mutation writes only the model file it adds, if any, then
 replaces the manifest atomically (temp file + rename), so a crash at any
 point leaves the previous consistent state intact. Superseded model files
 stay on disk but are no longer referenced; only the latest version per
@@ -104,7 +104,6 @@ class TaskRecord:
     model: ModelArtifact
     spec: EstimatorSpec
     sample_stats: SampleStats
-    relations: tuple[tuple[str, float], ...] = ()
     status: str = STATUS_TRAINED
     version: int = 1
     eval: EvalMetrics | None = None
@@ -116,8 +115,6 @@ class TaskRecord:
             raise StoreError("record version must be >= 1")
         if self.status == STATUS_DEPLOYABLE and self.eval is None:
             raise StoreError("deployable records must carry eval metrics")
-        if any(key == self.key for key, _ in self.relations):
-            raise StoreError("relations must exclude the record's own key")
         if self.spec != self.model.spec:
             raise StoreError("record spec must match the model's spec")
 
@@ -170,23 +167,17 @@ def _stats_from_json(doc: dict) -> SampleStats:
     )
 
 
-_metrics_to_json = metrics_to_json
-_metrics_from_json = metrics_from_json
-
-
-def _record_content_digest(record: TaskRecord) -> str:
-    """Content hash of everything except the version (used for idempotent
-    upserts: re-storing identical content must not bump versions)."""
-    doc = {
+def _record_metadata(record: TaskRecord) -> bytes:
+    """Canonical bytes of everything but the model and the version; with
+    the model bytes this decides idempotent upserts (re-storing identical
+    content must not bump versions)."""
+    return canonical_json_bytes({
         "key": record.key,
         "attributes": _attrs_to_json(record.attributes),
         "stats": _stats_to_json(record.sample_stats),
-        "relations": [[k, s] for k, s in record.relations],
         "status": record.status,
-        "eval": _metrics_to_json(record.eval),
-        "model": serialize_model(record.model).decode("utf-8"),
-    }
-    return sha256(canonical_json_bytes(doc)).hexdigest()
+        "eval": metrics_to_json(record.eval),
+    })
 
 
 def serialize_snapshot(snapshot: DeploySnapshot) -> bytes:
@@ -264,6 +255,9 @@ class KnowledgeBase:
     Mutations are persisted before the in-memory state is updated, so an
     I/O failure never leaves memory ahead of disk. Single-writer: callers
     serialize mutations; snapshots are immutable values safe to share.
+    The manifest entry of each live model file comes from ``open`` or from
+    the write that created it, so a commit never re-serializes or reads
+    back a model it did not change.
     """
 
     def __init__(self, path: Path):
@@ -272,7 +266,8 @@ class KnowledgeBase:
         self.kb_version = 0
         self.schema_fingerprint: str | None = None
         self.fallback: ModelArtifact | None = None
-        self._fallback_rev = 0
+        self._model_files: dict[str, tuple[str, int]] = {}  # key -> (file, crc32)
+        self._fallback_entry: dict | None = None  # manifest entry of the fallback
 
     # -- opening ------------------------------------------------------------
 
@@ -309,17 +304,17 @@ class KnowledgeBase:
                 model=model,
                 spec=model.spec,
                 sample_stats=_stats_from_json(entry["stats"]),
-                relations=tuple((k, s) for k, s in entry["relations"]),
                 status=entry["status"],
                 version=entry["version"],
-                eval=_metrics_from_json(entry["eval"]),
+                eval=metrics_from_json(entry["eval"]),
             )
             kb.records[record.key] = record
+            kb._model_files[record.key] = (entry["model_file"], entry["crc32"])
         if body["fallback"] is not None:
             kb.fallback = kb._read_model_file(
                 body["fallback"]["model_file"], body["fallback"]["crc32"]
             )
-            kb._fallback_rev = body["fallback"]["revision"]
+            kb._fallback_entry = body["fallback"]
         return kb
 
     def _read_model_file(self, name: str, expected_crc: int) -> ModelArtifact:
@@ -387,8 +382,7 @@ class KnowledgeBase:
                     "version": rec.version,
                     "status": rec.status,
                     "stats": _stats_to_json(rec.sample_stats),
-                    "relations": [[k, s] for k, s in rec.relations],
-                    "eval": _metrics_to_json(rec.eval),
+                    "eval": metrics_to_json(rec.eval),
                     "model": sha256(serialize_model(rec.model)).hexdigest(),
                 }
                 for key, rec in sorted(self.records.items())
@@ -417,18 +411,24 @@ class KnowledgeBase:
         model file stays on disk unreferenced.
         """
         pin = self._check_schema(record.model.schema_fingerprint)
+        data = serialize_model(record.model)
         existing = self.records.get(record.key)
         if existing is not None:
-            if _record_content_digest(existing) == _record_content_digest(record):
+            if (
+                _record_metadata(existing) == _record_metadata(record)
+                and serialize_model(existing.model) == data
+            ):
                 return self.kb_version
             version = existing.version + 1
         else:
             version = 1
         stored = replace(record, version=version)
-        new_records = dict(self.records)
-        new_records[stored.key] = stored
-        self._persist(new_records, self.fallback, self._fallback_rev, self.kb_version + 1, pin)
+        model_file = self._write_model(_model_file_name(stored.key, version), data)
+        new_records = {**self.records, stored.key: stored}
+        new_files = {**self._model_files, stored.key: model_file}
+        self._persist(new_records, new_files, self._fallback_entry, self.kb_version + 1, pin)
         self.records = new_records
+        self._model_files = new_files
         self.kb_version += 1
         self.schema_fingerprint = pin
         return self.kb_version
@@ -440,10 +440,9 @@ class KnowledgeBase:
         if existing is None:
             raise StoreError(f"cannot record eval for unknown task {key!r}")
         updated = replace(existing, status=status, eval=metrics)
-        new_records = dict(self.records)
-        new_records[key] = updated
+        new_records = {**self.records, key: updated}
         self._persist(
-            new_records, self.fallback, self._fallback_rev,
+            new_records, self._model_files, self._fallback_entry,
             self.kb_version + 1, self.schema_fingerprint,
         )
         self.records = new_records
@@ -453,70 +452,55 @@ class KnowledgeBase:
     def set_fallback(self, model: ModelArtifact) -> int:
         """Replace the unknown-task fallback model; returns the new kb_version."""
         pin = self._check_schema(model.schema_fingerprint)
-        revision = self._fallback_rev + 1
-        self._persist(self.records, model, revision, self.kb_version + 1, pin)
+        revision = self._fallback_entry["revision"] + 1 if self._fallback_entry else 1
+        name, crc = self._write_model(_fallback_file_name(revision), serialize_model(model))
+        entry = {"model_file": name, "crc32": crc, "revision": revision}
+        self._persist(self.records, self._model_files, entry, self.kb_version + 1, pin)
         self.fallback = model
-        self._fallback_rev = revision
+        self._fallback_entry = entry
         self.kb_version += 1
         self.schema_fingerprint = pin
         return self.kb_version
 
     def save(self) -> None:
-        """Rewrite the store from the current in-memory state."""
+        """Rewrite the manifest from the current in-memory state."""
         self._persist(
-            self.records, self.fallback, self._fallback_rev,
+            self.records, self._model_files, self._fallback_entry,
             self.kb_version, self.schema_fingerprint,
         )
 
     # -- persistence --------------------------------------------------------
 
+    def _write_model(self, name: str, data: bytes) -> tuple[str, int]:
+        """Write one new model file; returns its (name, crc32) manifest pair."""
+        models_dir = self.path / _MODELS_DIR
+        models_dir.mkdir(parents=True, exist_ok=True)
+        # a crashed earlier mutation may have left a stale file under this
+        # name; always overwrite it or the index checksum would lie
+        _atomic_write_bytes(models_dir / name, data)
+        return name, zlib.crc32(data)
+
     def _persist(
         self,
         records: dict[str, TaskRecord],
-        fallback: ModelArtifact | None,
-        fallback_rev: int,
+        model_files: dict[str, tuple[str, int]],
+        fallback_entry: dict | None,
         kb_version: int,
         schema_fingerprint: str | None,
     ) -> None:
-        models_dir = self.path / _MODELS_DIR
-        models_dir.mkdir(parents=True, exist_ok=True)
-
-        tasks = []
-        for key, rec in sorted(records.items()):
-            data = serialize_model(rec.model)
-            name = _model_file_name(key, rec.version)
-            target = models_dir / name
-            # a crashed earlier mutation may have left a stale file under
-            # this name; content must match or the index checksum would lie
-            if not target.exists() or target.read_bytes() != data:
-                _atomic_write_bytes(target, data)
-            tasks.append(
-                {
-                    "key": key,
-                    "version": rec.version,
-                    "status": rec.status,
-                    "attributes": _attrs_to_json(rec.attributes),
-                    "stats": _stats_to_json(rec.sample_stats),
-                    "relations": [[k, s] for k, s in rec.relations],
-                    "eval": _metrics_to_json(rec.eval),
-                    "model_file": name,
-                    "crc32": zlib.crc32(data),
-                }
-            )
-
-        fallback_entry = None
-        if fallback is not None:
-            data = serialize_model(fallback)
-            name = _fallback_file_name(fallback_rev)
-            target = models_dir / name
-            if not target.exists() or target.read_bytes() != data:
-                _atomic_write_bytes(target, data)
-            fallback_entry = {
-                "model_file": name,
-                "crc32": zlib.crc32(data),
-                "revision": fallback_rev,
+        tasks = [
+            {
+                "key": key,
+                "version": rec.version,
+                "status": rec.status,
+                "attributes": _attrs_to_json(rec.attributes),
+                "stats": _stats_to_json(rec.sample_stats),
+                "eval": metrics_to_json(rec.eval),
+                "model_file": model_files[key][0],
+                "crc32": model_files[key][1],
             }
-
+            for key, rec in sorted(records.items())
+        ]
         body = {
             "schema_fingerprint": schema_fingerprint,
             "kb_version": kb_version,

@@ -133,7 +133,6 @@ class Simulation:
         self.cfg = cfg
         self.now = 0
         self.events: list[str] = []
-        self._seq = 0
         self._next_message_id = 1
         self._processed_ids: set[int] = set()
         self._acked_ids: set[int] = set()
@@ -182,7 +181,6 @@ class Simulation:
 
     def _log(self, node: str, kind: str, detail: str) -> None:
         self.events.append(f"{self.now},{node},{kind},{detail}")
-        self._seq += 1
 
     # -- message plumbing --------------------------------------------------------
 

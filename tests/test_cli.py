@@ -116,6 +116,24 @@ def test_wrong_phase_is_runtime_error(workdir):
     assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 2
 
 
+@pytest.mark.parametrize("state_text", [
+    '{"phase": "Dep',                                                    # truncated
+    '{"snapshot_version": 0, "history": []}',                            # missing key
+    '{"phase": "Frozen", "snapshot_version": 0, "history": []}',         # unknown phase
+])
+def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, state_text):
+    kb_dir = workdir / "kb"
+    base = [
+        "--kb", str(kb_dir),
+        "--schema", str(workdir / "schema.json"),
+        "--config", str(workdir / "job.json"),
+    ]
+    assert cli_main(["kb", "init", "--kb", str(kb_dir)]) == 0
+    (kb_dir / "job_state.json").write_text(state_text, encoding="utf-8")
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 2
+    assert "corrupt job state" in capsys.readouterr().err
+
+
 def test_edge_infer_and_status(workdir, capsys):
     kb_dir = str(workdir / "kb")
     base = [

@@ -95,38 +95,6 @@ def test_train_fallback_disabled(tmp_path):
     assert kb.kb_version == 2
 
 
-def test_train_records_relations_between_similar_tasks(tmp_path):
-    schema = banded_schema()
-    cfg = majority_config(bucketing=BucketingConfig.from_schema(schema))
-    kb = kb_open(tmp_path / "kb")
-    job = LifelongJob(cfg, kb)
-    rows = [((1.0,), ("p", 5.0), "a")] * 3 + [((2.0,), ("p", 25.0), "b")] * 3
-    rows += [((3.0,), ("q", 45.0), "a")] * 3
-    job.run_train(Dataset(schema, make_samples(rows)))
-    key_low = next(k for k in kb.records if k.startswith("p|0"))
-    record = kb.lookup(key_low)
-    related = dict(record.relations)
-    assert any(k.startswith("p|1") for k in related)
-    assert all(k != key_low for k in related)
-    assert all(sim > 0.0 for sim in related.values())
-
-
-def test_update_relates_new_task_to_existing_kb_tasks(tmp_path):
-    schema = banded_schema((10.0, 20.0, 30.0, 40.0))
-    cfg = majority_config(bucketing=BucketingConfig.from_schema(schema))
-    kb = kb_open(tmp_path / "kb")
-    job = LifelongJob(cfg, kb)
-    first = Dataset(schema, make_samples([((1.0,), ("p", 5.0), "a")] * 10))
-    job.bootstrap(first)
-    old_key = next(iter(kb.records))
-
-    second = Dataset(schema, make_samples([((2.0,), ("p", 15.0), "b")] * 10))
-    job.run_update_cycle(second)
-    new_key = next(k for k in kb.records if k != old_key)
-    related = dict(kb.lookup(new_key).relations)
-    assert related == {old_key: 0.875}  # city equal, adjacent band of B=5
-
-
 def test_train_small_task_augmented_by_transfer(tmp_path):
     schema = banded_schema()
     cfg = majority_config(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import zlib
 from hashlib import sha256
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from edgelearn.kb import (
 from edgelearn.learners import (
     EstimatorSpec,
     EvalMetrics,
+    canonical_json_bytes,
     fit,
     predict,
     serialize_model,
@@ -38,7 +41,7 @@ from conftest import city_dataset
 
 
 def make_record(city: str, label: str = "a", status: str = STATUS_TRAINED,
-                n: int = 3, eval_metrics=None, relations=()) -> TaskRecord:
+                n: int = 3, eval_metrics=None) -> TaskRecord:
     ds = city_dataset([(float(i), city, label) for i in range(n)])
     model = fit(EstimatorSpec("majority"), ds, seed=0)
     if status == STATUS_DEPLOYABLE and eval_metrics is None:
@@ -49,7 +52,6 @@ def make_record(city: str, label: str = "a", status: str = STATUS_TRAINED,
         model=model,
         spec=model.spec,
         sample_stats=sample_stats(ds),
-        relations=tuple(relations),
         status=status,
         eval=eval_metrics,
     )
@@ -182,6 +184,88 @@ def test_failed_save_does_not_mutate_memory(tmp_path, monkeypatch):
         kb.upsert_task(make_record("tokyo"))
     assert kb.kb_version == version
     assert "tokyo" not in kb.records
+
+
+# -- commits write only what they change --------------------------------------------
+
+def _watch_writes(monkeypatch) -> tuple[list[str], list[object]]:
+    """Records the name of every file the KB replaces and every model it
+    serializes from now on."""
+    replaced: list[str] = []
+    serialized: list[object] = []
+    real_replace = kb_mod._replace_file
+    real_serialize = kb_mod.serialize_model
+
+    def counting_replace(src, dst):
+        replaced.append(dst.name)
+        real_replace(src, dst)
+
+    def counting_serialize(model):
+        serialized.append(model)
+        return real_serialize(model)
+
+    monkeypatch.setattr(kb_mod, "_replace_file", counting_replace)
+    monkeypatch.setattr(kb_mod, "serialize_model", counting_serialize)
+    return replaced, serialized
+
+
+def test_record_eval_and_save_replace_only_the_index(tmp_path, monkeypatch):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    kb.upsert_task(make_record("tokyo"))
+    kb.set_fallback(make_fallback())
+    replaced, serialized = _watch_writes(monkeypatch)
+    metrics = EvalMetrics.from_counts(("a", "b"), ((3, 0), (0, 0)))
+    kb.record_eval("athens", STATUS_DEPLOYABLE, metrics)
+    kb.save()
+    assert replaced == ["index.json", "index.json"]
+    assert serialized == []
+
+
+def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    kb.set_fallback(make_fallback())
+    replaced, serialized = _watch_writes(monkeypatch)
+    tokyo = make_record("tokyo")
+    athens = make_record("athens", label="b", n=4)
+    kb.upsert_task(tokyo)
+    kb.upsert_task(athens)
+    assert replaced == ["tokyo.1.bin", "index.json", "athens.2.bin", "index.json"]
+    assert serialized == [tokyo.model, athens.model]
+
+
+def test_set_fallback_replaces_one_fallback_file_and_the_index(tmp_path, monkeypatch):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    kb.upsert_task(make_record("tokyo"))
+    kb.set_fallback(make_fallback("a"))
+    replaced, serialized = _watch_writes(monkeypatch)
+    fallback = make_fallback("b")
+    kb.set_fallback(fallback)
+    assert replaced == ["_fallback.2.bin", "index.json"]
+    assert serialized == [fallback]
+
+
+def test_reopen_store_whose_manifest_carries_relations(tmp_path):
+    # older stores wrote a "relations" list into every task entry
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    kb.upsert_task(make_record("tokyo", status=STATUS_DEPLOYABLE))
+    kb.set_fallback(make_fallback())
+    index = tmp_path / "kb" / "index.json"
+    manifest = json.loads(index.read_text(encoding="utf-8"))
+    body = manifest["body"]
+    assert all("relations" not in entry for entry in body["tasks"])
+    body["tasks"][0]["relations"] = [["tokyo", 0.5]]
+    body["tasks"][1]["relations"] = [["athens", 0.5]]
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))
+    index.write_bytes(canonical_json_bytes(manifest))
+
+    reopened = kb_open(tmp_path / "kb")
+    assert reopened.records == kb.records
+    assert reopened.kb_version == kb.kb_version
+    assert reopened.fingerprint() == kb.fingerprint()
 
 
 # -- upsert ----------------------------------------------------------------------
@@ -374,11 +458,6 @@ def test_record_deployable_requires_eval():
             spec=base.spec, sample_stats=base.sample_stats,
             status=STATUS_DEPLOYABLE, eval=None,
         )
-
-
-def test_record_relations_exclude_self():
-    with pytest.raises(StoreError, match="own key"):
-        make_record("athens", relations=(("athens", 1.0),))
 
 
 def test_record_eval_updates_status_not_record_version(tmp_path):
