@@ -6,10 +6,10 @@ Subcommands::
 
     kb init|show            create / inspect a knowledge base directory
     job train|eval|deploy|update
-                            operate a lifelong job against a KB; job phase
-                            persists in <kb>/job_state.json between calls
+                            operate a lifelong job against a KB; each call
+                            commits its stage and the job phase together
     edge infer|status       one-shot inference against a snapshot file
-    sim run                 run a SimConfig, write events.log + report.json
+    sim run                 simulate on a fresh KB: events.log + report.json
     bench gen|run|report    synthetic data, the 3-arm comparison, reports
 
 The flags --seed, --config, and --kb may be given before or after the
@@ -28,12 +28,10 @@ from pathlib import Path
 from . import bench as bench_mod
 from .data import load_csv, parse_schema, schema_to_json, write_csv
 from .edge import DEFAULT_SIMILARITY_THRESHOLD, EdgeRuntime
-from .errors import CorruptStoreError, EdgeLearnError, NoModelError
-from .job import JobState, LifelongJob, Phase, parse_job_config
-from .kb import KnowledgeBase, deserialize_snapshot, serialize_snapshot
+from .errors import EdgeLearnError, NoModelError
+from .job import JobState, LifelongJob, parse_job_config
+from .kb import KnowledgeBase, atomic_write_bytes, deserialize_snapshot, serialize_snapshot
 from .sim import parse_sim_config, start_sim
-
-_JOB_STATE_FILE = "job_state.json"
 
 
 class _UsageError(Exception):
@@ -132,30 +130,7 @@ def _load_job(args) -> tuple:
     cfg = parse_job_config(_read(_require(args, "config")), schema)
     if _opt(args, "seed") is not None:
         cfg = replace(cfg, seed=args.seed)
-    kb_path = Path(_require(args, "kb"))
-    kb = KnowledgeBase.open(kb_path)
-    job = LifelongJob(cfg, kb)
-    state_path = kb_path / _JOB_STATE_FILE
-    if state_path.exists():
-        try:
-            doc = json.loads(state_path.read_text(encoding="utf-8"))
-            job.state = JobState(
-                phase=Phase(doc["phase"]),
-                snapshot_version=doc["snapshot_version"],
-                history=[tuple(entry) for entry in doc["history"]],
-            )
-        except (ValueError, KeyError, TypeError) as exc:  # bad JSON, key or phase
-            raise CorruptStoreError(f"corrupt job state {state_path}: {exc}") from exc
-    return schema, cfg, kb, job, state_path
-
-
-def _save_job_state(job: LifelongJob, state_path: Path) -> None:
-    doc = {
-        "phase": job.state.phase.value,
-        "snapshot_version": job.state.snapshot_version,
-        "history": [list(entry) for entry in job.state.history],
-    }
-    state_path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    return schema, LifelongJob(cfg, KnowledgeBase.open(_require(args, "kb")))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +146,10 @@ def _cmd_kb(args) -> int:
         return 0
     if args.action == "show":
         kb = KnowledgeBase.open(kb_path)
+        phase = JobState.from_json(kb.job).phase.value
         if _opt(args, "json"):
             doc = {
+                "job_phase": phase,
                 "kb_version": kb.kb_version,
                 "schema_fingerprint": kb.schema_fingerprint,
                 "fallback_present": kb.fallback is not None,
@@ -185,7 +162,7 @@ def _cmd_kb(args) -> int:
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             print(f"knowledge base {kb_path}: version {kb.kb_version}, "
-                  f"{len(kb.records)} tasks, "
+                  f"job phase {phase}, {len(kb.records)} tasks, "
                   f"fallback {'present' if kb.fallback is not None else 'absent'}")
             for key, rec in sorted(kb.records.items()):
                 acc = f" acc={rec.eval.accuracy:.4f}" if rec.eval is not None else ""
@@ -198,10 +175,10 @@ def _cmd_kb(args) -> int:
 def _cmd_job(args) -> int:
     if args.action not in ("train", "eval", "deploy", "update"):
         raise _UsageError("job needs an action: train | eval | deploy | update")
-    schema, cfg, kb, job, state_path = _load_job(args)
+    schema, job = _load_job(args)
     if args.action == "train":
         records = job.run_train(load_csv(_require(args, "data"), schema))
-        print(f"trained {len(records)} task models (kb version {kb.kb_version})")
+        print(f"trained {len(records)} task models (kb version {job.kb.kb_version})")
         for rec in records:
             print(f"  {rec.key}: v{rec.version} n={rec.sample_stats.count}")
     elif args.action == "eval":
@@ -212,19 +189,16 @@ def _cmd_job(args) -> int:
             print(f"  {outcome.key}: {verdict}{acc}")
         if report.fallback_metrics is not None:
             print(f"  fallback: acc={report.fallback_metrics.accuracy:.4f}")
-    elif args.action == "deploy":
-        snapshot = job.run_deploy()
+    else:  # deploy | update; a failed --out write rolls the stage back
         out = Path(_require(args, "out"))
-        out.write_bytes(serialize_snapshot(snapshot))
-        print(f"deployed snapshot v{snapshot.snapshot_version} "
+        with job.kb.transaction():
+            if args.action == "deploy":
+                snapshot = job.run_deploy()
+            else:
+                snapshot = job.run_update_cycle(load_csv(_require(args, "data"), schema))
+            atomic_write_bytes(out, serialize_snapshot(snapshot))
+        print(f"{args.action}: snapshot v{snapshot.snapshot_version} "
               f"({len(snapshot.tasks)} tasks) to {out}")
-    else:  # update
-        snapshot = job.run_update_cycle(load_csv(_require(args, "data"), schema))
-        out = Path(_require(args, "out"))
-        out.write_bytes(serialize_snapshot(snapshot))
-        print(f"updated: snapshot v{snapshot.snapshot_version} "
-              f"({len(snapshot.tasks)} tasks) to {out}")
-    _save_job_state(job, state_path)
     return 0
 
 

@@ -160,10 +160,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def fully_labeled(self) -> bool:
-        return all(s.label is not None for s in self.samples)
-
     def require_labeled(self) -> None:
         for i, s in enumerate(self.samples):
             if s.label is None:

@@ -6,18 +6,22 @@ Raw training data is never retained in the KB; retraining an existing task
 uses only the newly arrived data (augmented by sample transfer within the
 new batch). The fallback model is refit on each cycle's pooled training
 data.
+
+The job's phase lives in the KB manifest. Each stage, and each whole cycle,
+commits phase and KB in one KB transaction; one that raises changes neither.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .data import Dataset, DatasetSchema, split_dataset
-from .errors import ConfigError, DataError, PhaseError
+from .errors import ConfigError, CorruptStoreError, DataError, PhaseError
 from .kb import (
     STATUS_DEPLOYABLE,
     STATUS_EVAL_FAILED,
@@ -106,6 +110,25 @@ class JobState:
     snapshot_version: int = 0
     history: list[tuple[str, str, float]] = field(default_factory=list)
 
+    @classmethod
+    def from_json(cls, doc: dict | None) -> "JobState":
+        """Decode the manifest's job document; a store without one is Idle."""
+        if doc is None:
+            return cls()
+        try:
+            history = [(start, end, at) for start, end, at in doc["history"]]
+            return cls(Phase(doc["phase"]), doc["snapshot_version"], history)
+        except (ValueError, KeyError, TypeError) as exc:  # bad key, phase or entry
+            raise CorruptStoreError(f"corrupt job state in the KB manifest: {exc}") from exc
+
+
+def _one_commit(stage):
+    """Run a job stage as one KB transaction (phase and KB commit together)."""
+    def run(self, *args):
+        with self.kb.transaction():
+            return stage(self, *args)
+    return functools.wraps(stage)(run)
+
 
 @dataclass(frozen=True)
 class TaskEvalOutcome:
@@ -139,30 +162,33 @@ class LifelongJob:
     def __init__(self, cfg: JobConfig, kb: KnowledgeBase, clock=None):
         self.cfg = cfg
         self.kb = kb
-        self.state = JobState()
         self._clock = clock if clock is not None else time.time
 
     # -- phase machine -------------------------------------------------------
 
-    def _transition(self, target: Phase) -> None:
-        if target not in _LEGAL_TRANSITIONS[self.state.phase]:
-            raise PhaseError(
-                f"illegal transition {self.state.phase.value} -> {target.value}"
-            )
-        self.state.history.append(
-            (self.state.phase.value, target.value, float(self._clock()))
-        )
-        self.state.phase = target
+    @property
+    def state(self) -> JobState:
+        return JobState.from_json(self.kb.job)
+
+    def _transition(self, target: Phase, snapshot_version: int | None = None) -> None:
+        state = self.state
+        if target not in _LEGAL_TRANSITIONS[state.phase]:
+            raise PhaseError(f"illegal transition {state.phase.value} -> {target.value}")
+        state.history.append((state.phase.value, target.value, float(self._clock())))
+        state.phase = target
+        if snapshot_version is not None:
+            state.snapshot_version = snapshot_version
+        self.kb.job = {**asdict(state), "phase": target.value}  # JobState.from_json reads it
 
     def _require_phase(self, *phases: Phase) -> None:
-        if self.state.phase not in phases:
+        current = self.state.phase
+        if current not in phases:
             allowed = " or ".join(p.value for p in phases)
-            raise PhaseError(
-                f"operation requires phase {allowed}, current is {self.state.phase.value}"
-            )
+            raise PhaseError(f"operation requires phase {allowed}, current is {current.value}")
 
     # -- stages ---------------------------------------------------------------
 
+    @_one_commit
     def run_train(self, train: Dataset) -> list[TaskRecord]:
         """Mine tasks, fit one model per task (sample transfer topping up
         small tasks), fit the fallback on the full set, and upsert everything.
@@ -198,6 +224,7 @@ class LifelongJob:
         self._transition(Phase.EVALUATING)
         return stored
 
+    @_one_commit
     def run_eval(self, eval_set: Dataset) -> EvalReport:
         """Gate every freshly trained record against the eval policy using
         its own slice of the eval set; tasks with too few eval samples fail.
@@ -237,14 +264,15 @@ class LifelongJob:
         self._transition(Phase.DEPLOYING)
         return EvalReport(tuple(outcomes), fallback_metrics)
 
+    @_one_commit
     def run_deploy(self) -> DeploySnapshot:
         """Freeze the deployable records into a snapshot. Ends Deployed."""
         self._require_phase(Phase.DEPLOYING)
         snapshot = self.kb.snapshot()
-        self._transition(Phase.DEPLOYED)
-        self.state.snapshot_version = snapshot.snapshot_version
+        self._transition(Phase.DEPLOYED, snapshot.snapshot_version)
         return snapshot
 
+    @_one_commit
     def run_update_cycle(self, new_labeled: Dataset) -> DeploySnapshot:
         """Full retrain cycle on newly labeled data: per-task 80/20 holdout
         split, train, evaluate, deploy. A task key present in the new data
@@ -252,6 +280,7 @@ class LifelongJob:
         self._require_phase(Phase.DEPLOYED)
         return self._run_cycle(new_labeled)
 
+    @_one_commit
     def bootstrap(self, initial: Dataset) -> DeploySnapshot:
         """Initial cycle from the Idle phase (same split protocol as updates)."""
         self._require_phase(Phase.IDLE)

@@ -7,12 +7,13 @@ Store layout (one directory per KB)::
     models/<key>.<v>.bin  one file per model artifact, CRC32-checked
 
 The manifest body carries the schema fingerprint, the KB version counter,
-and per-task metadata (key, version, status, stats, eval, model file +
-checksum). A mutation writes only the model file it adds, if any, then
-replaces the manifest atomically (temp file + rename), so a crash at any
-point leaves the previous consistent state intact. Superseded model files
-stay on disk but are no longer referenced; only the latest version per
-task is retrievable.
+per-task metadata (key, version, status, stats, eval, model file +
+checksum) and ``job``, the job's phase document, stored uninterpreted. A
+transaction writes only the model files it adds, then replaces the
+manifest atomically (fsynced temp file + rename), so a crash at any point
+leaves the previous consistent state intact. Superseded model files stay
+on disk but are no longer referenced; only the latest version per task is
+retrievable.
 
 There is no delete operation: task knowledge only accumulates.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from hashlib import sha256
 from pathlib import Path
@@ -235,10 +237,20 @@ def _replace_file(src: Path, dst: Path) -> None:
     os.replace(src, dst)
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Replace *path* with *data* so that a crash leaves the old or the new
+    bytes: fsync a temp file, rename it over *path*, fsync the directory."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
     _replace_file(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _model_file_name(key: str, version: int) -> str:
@@ -252,9 +264,10 @@ def _fallback_file_name(revision: int) -> str:
 class KnowledgeBase:
     """Versioned persistent index of task records plus the fallback model.
 
-    Mutations are persisted before the in-memory state is updated, so an
-    I/O failure never leaves memory ahead of disk. Single-writer: callers
-    serialize mutations; snapshots are immutable values safe to share.
+    Every mutation runs in a :meth:`transaction` (alone, it is a
+    transaction of one), so an I/O failure or a raise never leaves memory
+    ahead of disk. Single-writer: callers serialize mutations; snapshots
+    are immutable values safe to share.
     The manifest entry of each live model file comes from ``open`` or from
     the write that created it, so a commit never re-serializes or reads
     back a model it did not change.
@@ -268,6 +281,8 @@ class KnowledgeBase:
         self.fallback: ModelArtifact | None = None
         self._model_files: dict[str, tuple[str, int]] = {}  # key -> (file, crc32)
         self._fallback_entry: dict | None = None  # manifest entry of the fallback
+        self.job: dict | None = None  # the job's phase document; set it in a transaction
+        self._in_transaction = False
 
     # -- opening ------------------------------------------------------------
 
@@ -315,6 +330,7 @@ class KnowledgeBase:
                 body["fallback"]["model_file"], body["fallback"]["crc32"]
             )
             kb._fallback_entry = body["fallback"]
+        kb.job = body.get("job")
         return kb
 
     def _read_model_file(self, name: str, expected_crc: int) -> ModelArtifact:
@@ -392,16 +408,35 @@ class KnowledgeBase:
 
     # -- mutations ----------------------------------------------------------
 
-    def _check_schema(self, fingerprint: str) -> str | None:
-        """Returns the fingerprint to pin when this mutation commits."""
+    @contextmanager
+    def transaction(self):
+        """Group mutations into one commit: the block ends with one manifest
+        replace (new model files are written as they come, under names the
+        committed manifest does not use). A raise writes no manifest and
+        restores memory to its state at entry. Nested blocks join the outermost."""
+        if self._in_transaction:
+            yield
+            return
+        entry = dict(vars(self))
+        self.records, self._model_files = dict(self.records), dict(self._model_files)
+        self._in_transaction = True
+        try:
+            yield
+            self._persist()
+        except BaseException:
+            vars(self).update(entry)
+            raise
+        finally:
+            self._in_transaction = False
+
+    def _pin_schema(self, fingerprint: str) -> None:
         if self.schema_fingerprint is None:
-            return fingerprint
-        if self.schema_fingerprint != fingerprint:
+            self.schema_fingerprint = fingerprint
+        elif self.schema_fingerprint != fingerprint:
             raise SchemaMismatchError(
                 f"record schema {fingerprint} does not match KB schema "
                 f"{self.schema_fingerprint}"
             )
-        return self.schema_fingerprint
 
     def upsert_task(self, record: TaskRecord) -> int:
         """Insert or supersede a task record; returns the new kb_version.
@@ -410,7 +445,6 @@ class KnowledgeBase:
         An existing key gets its record version incremented; the superseded
         model file stays on disk unreferenced.
         """
-        pin = self._check_schema(record.model.schema_fingerprint)
         data = serialize_model(record.model)
         existing = self.records.get(record.key)
         if existing is not None:
@@ -422,15 +456,13 @@ class KnowledgeBase:
             version = existing.version + 1
         else:
             version = 1
-        stored = replace(record, version=version)
-        model_file = self._write_model(_model_file_name(stored.key, version), data)
-        new_records = {**self.records, stored.key: stored}
-        new_files = {**self._model_files, stored.key: model_file}
-        self._persist(new_records, new_files, self._fallback_entry, self.kb_version + 1, pin)
-        self.records = new_records
-        self._model_files = new_files
-        self.kb_version += 1
-        self.schema_fingerprint = pin
+        with self.transaction():
+            self._pin_schema(record.model.schema_fingerprint)
+            self._model_files[record.key] = self._write_model(
+                _model_file_name(record.key, version), data
+            )
+            self.records[record.key] = replace(record, version=version)
+            self.kb_version += 1
         return self.kb_version
 
     def record_eval(self, key: str, status: str, metrics: EvalMetrics | None) -> int:
@@ -439,35 +471,26 @@ class KnowledgeBase:
         existing = self.records.get(key)
         if existing is None:
             raise StoreError(f"cannot record eval for unknown task {key!r}")
-        updated = replace(existing, status=status, eval=metrics)
-        new_records = {**self.records, key: updated}
-        self._persist(
-            new_records, self._model_files, self._fallback_entry,
-            self.kb_version + 1, self.schema_fingerprint,
-        )
-        self.records = new_records
-        self.kb_version += 1
+        with self.transaction():
+            self.records[key] = replace(existing, status=status, eval=metrics)
+            self.kb_version += 1
         return self.kb_version
 
     def set_fallback(self, model: ModelArtifact) -> int:
         """Replace the unknown-task fallback model; returns the new kb_version."""
-        pin = self._check_schema(model.schema_fingerprint)
         revision = self._fallback_entry["revision"] + 1 if self._fallback_entry else 1
-        name, crc = self._write_model(_fallback_file_name(revision), serialize_model(model))
-        entry = {"model_file": name, "crc32": crc, "revision": revision}
-        self._persist(self.records, self._model_files, entry, self.kb_version + 1, pin)
-        self.fallback = model
-        self._fallback_entry = entry
-        self.kb_version += 1
-        self.schema_fingerprint = pin
+        with self.transaction():
+            self._pin_schema(model.schema_fingerprint)
+            name, crc = self._write_model(_fallback_file_name(revision), serialize_model(model))
+            self._fallback_entry = {"model_file": name, "crc32": crc, "revision": revision}
+            self.fallback = model
+            self.kb_version += 1
         return self.kb_version
 
     def save(self) -> None:
         """Rewrite the manifest from the current in-memory state."""
-        self._persist(
-            self.records, self._model_files, self._fallback_entry,
-            self.kb_version, self.schema_fingerprint,
-        )
+        with self.transaction():
+            pass
 
     # -- persistence --------------------------------------------------------
 
@@ -477,17 +500,10 @@ class KnowledgeBase:
         models_dir.mkdir(parents=True, exist_ok=True)
         # a crashed earlier mutation may have left a stale file under this
         # name; always overwrite it or the index checksum would lie
-        _atomic_write_bytes(models_dir / name, data)
+        atomic_write_bytes(models_dir / name, data)
         return name, zlib.crc32(data)
 
-    def _persist(
-        self,
-        records: dict[str, TaskRecord],
-        model_files: dict[str, tuple[str, int]],
-        fallback_entry: dict | None,
-        kb_version: int,
-        schema_fingerprint: str | None,
-    ) -> None:
+    def _persist(self) -> None:
         tasks = [
             {
                 "key": key,
@@ -496,19 +512,20 @@ class KnowledgeBase:
                 "attributes": _attrs_to_json(rec.attributes),
                 "stats": _stats_to_json(rec.sample_stats),
                 "eval": metrics_to_json(rec.eval),
-                "model_file": model_files[key][0],
-                "crc32": model_files[key][1],
+                "model_file": self._model_files[key][0],
+                "crc32": self._model_files[key][1],
             }
-            for key, rec in sorted(records.items())
+            for key, rec in sorted(self.records.items())
         ]
         body = {
-            "schema_fingerprint": schema_fingerprint,
-            "kb_version": kb_version,
-            "fallback": fallback_entry,
+            "schema_fingerprint": self.schema_fingerprint,
+            "kb_version": self.kb_version,
+            "fallback": self._fallback_entry,
             "tasks": tasks,
+            "job": self.job,
         }
         manifest = {"format": 1, "crc32": zlib.crc32(canonical_json_bytes(body)), "body": body}
-        _atomic_write_bytes(self.path / _INDEX_NAME, canonical_json_bytes(manifest))
+        atomic_write_bytes(self.path / _INDEX_NAME, canonical_json_bytes(manifest))
 
 
 def kb_open(path: str | Path) -> KnowledgeBase:

@@ -189,10 +189,6 @@ def get_learner(kind: str) -> Learner:
         raise LearnerError(f"unknown learner kind {kind!r}") from None
 
 
-def registered_kinds() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 # ---------------------------------------------------------------------------
 # Built-in learners
 # ---------------------------------------------------------------------------

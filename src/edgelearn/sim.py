@@ -135,7 +135,6 @@ class Simulation:
         self.events: list[str] = []
         self._next_message_id = 1
         self._processed_ids: set[int] = set()
-        self._acked_ids: set[int] = set()
         self._pending_trains: list[tuple[int, int, str]] = []  # (ready, edge, reason)
         self._labeled_pool: list[Sample] = []
         self.unseen_escalated: list[Sample] = []
@@ -203,10 +202,6 @@ class Simulation:
             raise ConfigError(f"unknown edge id {edge_id}")
         return self.edges[edge_id]
 
-    def set_link(self, edge_id: int, up: bool) -> None:
-        """Manually flip a link (also used by the scheduled link events)."""
-        self._apply_link(edge_id, up)
-
     def _push_snapshot(self, snapshot: DeploySnapshot) -> None:
         for edge in self.edges:
             msg = self._send(MSG_SNAPSHOT_PUSH, "cloud", edge.name, snapshot)
@@ -226,7 +221,6 @@ class Simulation:
                 ack = self._send(MSG_ACK, edge.name, "cloud", msg.id)
                 edge.to_cloud.append(ack)
             elif msg.kind == MSG_ACK:
-                self._acked_ids.add(msg.payload)
                 self.stats["acked"] += 1
                 self._log(edge.name, "ack_received", f"of={msg.payload}")
 
@@ -234,7 +228,6 @@ class Simulation:
         while edge.to_cloud:
             msg = edge.to_cloud.popleft()
             if msg.kind == MSG_ACK:
-                self._acked_ids.add(msg.payload)
                 self.stats["acked"] += 1
                 self._log("cloud", "ack_received", f"of={msg.payload}")
                 continue

@@ -46,12 +46,6 @@ class BucketingConfig:
             )
         )
 
-    def bucket_count(self, column: int) -> int:
-        col_edges = self.edges[column]
-        if col_edges is None:
-            return 0
-        return len(col_edges) + 1
-
 
 @dataclass(frozen=True)
 class BucketedAttributes:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 
+import edgelearn.kb as kb_mod
 from edgelearn.cli import cli_main
 from edgelearn.data import load_csv, parse_schema, write_csv
+from edgelearn.learners import canonical_json_bytes
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
@@ -116,22 +119,90 @@ def test_wrong_phase_is_runtime_error(workdir):
     assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 2
 
 
-@pytest.mark.parametrize("state_text", [
-    '{"phase": "Dep',                                                    # truncated
-    '{"snapshot_version": 0, "history": []}',                            # missing key
-    '{"phase": "Frozen", "snapshot_version": 0, "history": []}',         # unknown phase
-])
-def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, state_text):
+@pytest.mark.parametrize("corrupt", ["missing-key", "unknown-phase", "truncated-index"])
+def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
     base = [
         "--kb", str(kb_dir),
         "--schema", str(workdir / "schema.json"),
         "--config", str(workdir / "job.json"),
     ]
-    assert cli_main(["kb", "init", "--kb", str(kb_dir)]) == 0
-    (kb_dir / "job_state.json").write_text(state_text, encoding="utf-8")
-    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 2
-    assert "corrupt job state" in capsys.readouterr().err
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    index = kb_dir / "index.json"
+    raw = index.read_bytes()
+    if corrupt == "truncated-index":
+        index.write_bytes(raw[: len(raw) // 2])
+    else:
+        manifest = json.loads(raw)
+        body = manifest["body"]
+        if corrupt == "missing-key":
+            del body["job"]["snapshot_version"]
+        else:
+            body["job"]["phase"] = "Frozen"
+        manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))  # a valid checksum
+        index.write_bytes(canonical_json_bytes(manifest))
+    capsys.readouterr()
+    assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 2
+    assert "corrupt" in capsys.readouterr().err
+    assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
+
+
+def test_kb_show_prints_the_job_phase(workdir, capsys):
+    kb_dir = str(workdir / "kb")
+    assert cli_main(["kb", "init", "--kb", kb_dir]) == 0
+    assert cli_main(["kb", "show", "--kb", kb_dir]) == 0
+    assert "job phase Idle" in capsys.readouterr().out
+    assert cli_main(["job", "train", "--kb", kb_dir,
+                     "--schema", str(workdir / "schema.json"),
+                     "--config", str(workdir / "job.json"),
+                     "--data", str(workdir / "train.csv")]) == 0
+    capsys.readouterr()
+    assert cli_main(["kb", "show", "--kb", kb_dir]) == 0
+    assert "job phase Evaluating" in capsys.readouterr().out
+    assert cli_main(["kb", "show", "--kb", kb_dir, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["job_phase"] == "Evaluating"
+
+
+def test_job_writes_only_the_manifest_models_and_a_synced_snapshot(workdir, monkeypatch):
+    kb_dir = workdir / "kb"
+    base = [
+        "--kb", str(kb_dir),
+        "--schema", str(workdir / "schema.json"),
+        "--config", str(workdir / "job.json"),
+    ]
+    replaced: list[str] = []
+    real_replace = kb_mod._replace_file
+
+    def watching_replace(src, dst):
+        replaced.append(dst.name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(kb_mod, "_replace_file", watching_replace)
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 0
+    assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
+    assert cli_main(["job", "update", *base, "--data", str(workdir / "train.csv"),
+                     "--out", str(workdir / "snap2.json")]) == 0
+    assert sorted(p.name for p in kb_dir.iterdir()) == ["index.json", "models"]
+    assert replaced.count("snap.json") == 1 and replaced.count("snap2.json") == 1
+    assert replaced.count("index.json") == 4
+
+
+def test_failed_snapshot_write_leaves_the_job_deploying(workdir, capsys):
+    kb_dir = str(workdir / "kb")
+    base = [
+        "--kb", kb_dir,
+        "--schema", str(workdir / "schema.json"),
+        "--config", str(workdir / "job.json"),
+    ]
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 0
+    missing_dir = workdir / "missing" / "snap.json"
+    assert cli_main(["job", "deploy", *base, "--out", str(missing_dir)]) == 2
+    capsys.readouterr()
+    assert cli_main(["kb", "show", "--kb", kb_dir, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["job_phase"] == "Deploying"
+    assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
 
 
 def test_edge_infer_and_status(workdir, capsys):
@@ -211,6 +282,22 @@ def test_sim_run_writes_outputs(workdir, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["kb_summary"]["kb_version"] >= 1
     assert any(t["key"] == "oslo" for t in report["kb_summary"]["tasks"])
+
+
+def test_sim_run_on_a_used_kb_is_phase_error_exit_2(workdir, capsys):
+    sim_config = {
+        "edges": 1, "max_ticks": 2, "schema": "schema.json", "job": "job.json",
+        "initial_data": "train.csv",
+    }
+    (workdir / "sim.json").write_text(json.dumps(sim_config), encoding="utf-8")
+    args = ["sim", "run", "--config", str(workdir / "sim.json"),
+            "--kb", str(workdir / "simkb"), "--out-dir", str(workdir / "simout")]
+    assert cli_main(args) == 0
+    index = (workdir / "simkb" / "index.json").read_bytes()
+    capsys.readouterr()
+    assert cli_main(args) == 2
+    assert "requires phase Idle, current is Deployed" in capsys.readouterr().err
+    assert (workdir / "simkb" / "index.json").read_bytes() == index
 
 
 def test_bench_gen_run_report_pipeline(workdir, tmp_path, capsys):

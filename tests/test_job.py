@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import pytest
 
 from edgelearn.data import Dataset
-from edgelearn.errors import NothingDeployableError, PhaseError
+from edgelearn.errors import LearnerError, NothingDeployableError, PhaseError
 from edgelearn.job import (
     EvalPolicy,
     JobConfig,
+    JobState,
     LifelongJob,
     Phase,
     TransferPolicy,
@@ -20,6 +24,7 @@ from edgelearn.kb import STATUS_DEPLOYABLE, STATUS_EVAL_FAILED, kb_open
 from edgelearn.learners import (
     EstimatorSpec,
     Learner,
+    canonical_json_bytes,
     predict,
     register_learner,
     serialize_model,
@@ -27,6 +32,7 @@ from edgelearn.learners import (
 from edgelearn.tasks import BucketingConfig, mine_tasks
 
 from conftest import banded_schema, city_dataset, make_samples
+from test_kb import _watch_writes
 
 
 def majority_config(**overrides) -> JobConfig:
@@ -340,6 +346,101 @@ def test_gate_soundness_no_failed_model_in_snapshot(tmp_path):
     snapshot = job.run_deploy()
     failed = {k for k, r in kb.records.items() if r.status == STATUS_EVAL_FAILED}
     assert failed and not (failed & set(snapshot.tasks))
+
+
+# -- one commit per stage; a stage that raises changes nothing ----------------------------
+
+def _noisy_cities() -> Dataset:
+    rows = [(float(i), city, "ab"[i % 2]) for city in ("athens", "tokyo") for i in range(20)]
+    return city_dataset(rows)
+
+
+def test_failed_bootstrap_leaves_job_idle_and_kb_empty(tmp_path):
+    cfg = majority_config(eval_policy=EvalPolicy(1.0, 1), fallback_enabled=False)
+    job, kb = new_job(tmp_path, cfg)
+    with pytest.raises(NothingDeployableError):
+        job.bootstrap(_noisy_cities())
+    for store in (kb, kb_open(tmp_path / "kb")):
+        assert LifelongJob(cfg, store).state.phase is Phase.IDLE
+        assert store.kb_version == 0
+        assert store.records == {}
+    snapshot = job.bootstrap(two_city_data(10))
+    assert set(snapshot.tasks) == {"athens", "tokyo"}
+    assert job.state.phase is Phase.DEPLOYED
+
+
+class _FailsOnLabelB(Learner):
+    """Test-only plugin: raises while fitting any task that has a "b" label."""
+
+    kind = "fails-on-b"
+    task_kinds = frozenset({"classification"})
+    hyperparameter_defaults: dict = {}
+
+    def fit(self, spec, train, seed):
+        if any(s.label == "b" for s in train.samples):
+            raise LearnerError("injected fit failure")
+        return {"label": train.samples[0].label}
+
+    def predict(self, params, features):
+        return params["label"]
+
+
+def test_learner_error_mid_train_leaves_phase_and_kb_unchanged(tmp_path):
+    job, kb = new_job(tmp_path)
+    job.bootstrap(two_city_data(10))
+    phase, fingerprint = job.state, kb.fingerprint()
+
+    register_learner(_FailsOnLabelB())
+    failing = LifelongJob(majority_config(learner=EstimatorSpec("fails-on-b")), kb)
+    # athens ("a") fits and is upserted before tokyo ("b") raises
+    with pytest.raises(LearnerError, match="injected"):
+        failing.run_train(two_city_data(10))
+    with pytest.raises(LearnerError, match="injected"):
+        failing.run_update_cycle(two_city_data(10))
+    for store in (kb, kb_open(tmp_path / "kb")):
+        assert LifelongJob(majority_config(), store).state == phase
+        assert store.fingerprint() == fingerprint
+
+    snapshot = job.run_update_cycle(city_dataset([(float(i), "oslo", "a") for i in range(10)]))
+    assert "oslo" in snapshot.tasks
+    assert job.state.phase is Phase.DEPLOYED
+
+
+def test_each_stage_and_cycle_replaces_the_manifest_once(tmp_path, monkeypatch):
+    job, _ = new_job(tmp_path)
+    replaced, _ = _watch_writes(monkeypatch)
+    data = two_city_data(10)
+    for stage, args in (
+        (job.run_train, (data,)),
+        (job.run_eval, (data,)),
+        (job.run_deploy, ()),
+        (job.run_update_cycle, (data,)),
+    ):
+        replaced.clear()
+        stage(*args)
+        assert replaced.count("index.json") == 1, stage.__name__
+
+    other, _ = new_job(tmp_path, name="kb2")
+    replaced.clear()
+    other.bootstrap(data)
+    assert replaced.count("index.json") == 1
+
+
+def test_manifest_without_job_document_opens_idle(tmp_path):
+    job, kb = new_job(tmp_path)
+    job.bootstrap(two_city_data(10))
+    index = tmp_path / "kb" / "index.json"
+    manifest = json.loads(index.read_text(encoding="utf-8"))
+    del manifest["body"]["job"]
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
+    index.write_bytes(canonical_json_bytes(manifest))
+
+    reopened = kb_open(tmp_path / "kb")
+    assert reopened.fingerprint() == kb.fingerprint()
+    job = LifelongJob(majority_config(), reopened)
+    assert job.state == JobState()
+    job.run_train(two_city_data(10))
+    assert job.state.phase is Phase.EVALUATING
 
 
 # -- holdout split -----------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import zlib
 from hashlib import sha256
 from pathlib import Path
@@ -245,6 +247,75 @@ def test_set_fallback_replaces_one_fallback_file_and_the_index(tmp_path, monkeyp
     kb.set_fallback(fallback)
     assert replaced == ["_fallback.2.bin", "index.json"]
     assert serialized == [fallback]
+
+
+def test_every_write_fsyncs_the_file_before_the_rename_and_the_directory_after(
+    tmp_path, monkeypatch
+):
+    kb = kb_open(tmp_path / "kb")
+    events: list[str] = []
+    real_fsync = os.fsync
+    real_replace = kb_mod._replace_file
+
+    def watching_fsync(fd):
+        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def watching_replace(src, dst):
+        events.append(dst.name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", watching_fsync)
+    monkeypatch.setattr(kb_mod, "_replace_file", watching_replace)
+    kb.upsert_task(make_record("athens"))
+    assert events == [
+        "fsync file", "athens.1.bin", "fsync dir",
+        "fsync file", "index.json", "fsync dir",
+    ]
+
+
+# -- transactions ----------------------------------------------------------------
+
+def test_transaction_commits_once_and_nested_blocks_join_it(tmp_path, monkeypatch):
+    kb = kb_open(tmp_path / "kb")
+    replaced, _ = _watch_writes(monkeypatch)
+    with kb.transaction():
+        kb.upsert_task(make_record("athens"))
+        with kb.transaction():
+            kb.upsert_task(make_record("tokyo"))
+            kb.set_fallback(make_fallback())
+        kb.job = {"phase": "anything"}
+        assert replaced == ["athens.1.bin", "tokyo.1.bin", "_fallback.1.bin"]
+    assert replaced[-1] == "index.json" and replaced.count("index.json") == 1
+    assert kb.kb_version == 3
+    reopened = kb_open(tmp_path / "kb")
+    assert reopened.fingerprint() == kb.fingerprint()
+    assert reopened.job == {"phase": "anything"}
+
+
+def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path, monkeypatch):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    kb.set_fallback(make_fallback("a"))
+    before = kb.fingerprint()
+    replaced, _ = _watch_writes(monkeypatch)
+    with pytest.raises(RuntimeError, match="abort"):
+        with kb.transaction():
+            kb.upsert_task(make_record("athens", label="b"))
+            kb.upsert_task(make_record("tokyo"))
+            kb.set_fallback(make_fallback("b"))
+            kb.job = {"phase": "anything"}
+            raise RuntimeError("abort")
+    assert "index.json" not in replaced
+    assert kb.fingerprint() == before
+    assert kb.job is None
+    assert set(kb.records) == {"athens"}
+    assert kb_open(tmp_path / "kb").fingerprint() == before
+    # the next commit reuses the file names the aborted one wrote
+    kb.upsert_task(make_record("tokyo", label="b"))
+    reopened = kb_open(tmp_path / "kb")
+    assert set(reopened.records) == {"athens", "tokyo"}
+    assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
 
 
 def test_reopen_store_whose_manifest_carries_relations(tmp_path):
