@@ -239,7 +239,7 @@ def _cmd_edge(args) -> int:
         text = runtime.status_json()
         out = _opt(args, "out")
         if out:
-            Path(out).write_text(text + "\n", encoding="utf-8")
+            atomic_write_bytes(Path(out), (text + "\n").encode("utf-8"))
         print(text)
     return 0
 
@@ -255,8 +255,8 @@ def _cmd_sim(args) -> int:
     report = sim.run_to_completion()
     out_dir = Path(_require(args, "out_dir", flag="out-dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "events.log").write_text(report.events_text(), encoding="utf-8")
-    (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    atomic_write_bytes(out_dir / "events.log", report.events_text().encode("utf-8"))
+    atomic_write_bytes(out_dir / "report.json", (report.to_json() + "\n").encode("utf-8"))
     print(f"simulated {cfg.max_ticks} ticks over {cfg.edges} edge(s): "
           f"{len(report.events)} events, kb version {report.kb_summary['kb_version']}")
     return 0

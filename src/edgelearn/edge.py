@@ -5,11 +5,16 @@ Inference never talks to the cloud. A sample whose bucketed attribute key
 exists in the active snapshot routes to that task's model; otherwise it is
 an unknown task and falls back to (a) the most similar snapshot task at or
 above the similarity threshold, else (b) the global fallback model.
-Unknown samples are buffered for upload; labeled feedback accumulates
-until the trigger policy fires a retrain request.
+Applying a snapshot builds a :class:`~edgelearn.tasks.TaskIndex` over its
+tasks once, so finding (a) scores only the tasks that can reach the
+threshold (those sharing the sample's categorical values, at the default
+threshold) instead of every snapshot task. Unknown samples are buffered
+for upload; labeled feedback accumulates until the trigger policy fires a
+retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
-buffer drains, and snapshot swaps never observe partial state.
+buffer drains, and snapshot swaps never observe partial state. Snapshots
+and their indexes are immutable, so routing and prediction run outside it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import DataError, NoModelError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot
 from .learners import predict
-from .tasks import BucketingConfig, bucket_attributes, task_key, task_similarity
+from .tasks import BucketingConfig, TaskIndex, bucket_attributes, task_key
 
 ROUTE_KNOWN = "known"
 ROUTE_SIMILAR = "similar"
@@ -76,6 +81,7 @@ class EdgeRuntime:
         self.similarity_threshold = similarity_threshold
         self.unseen_cap = unseen_cap
         self.active: DeploySnapshot | None = None
+        self._index: TaskIndex | None = None  # over self.active's tasks
         self._unseen: list[Sample] = []
         self._feedback: list[Sample] = []
         self.counters = {
@@ -93,13 +99,14 @@ class EdgeRuntime:
     def apply_snapshot(self, snapshot: DeploySnapshot) -> str:
         """Swap in a newer snapshot atomically. Returns "applied" or
         "rejected-stale" (strictly newer versions only)."""
+        index = TaskIndex({key: entry.attributes for key, entry in snapshot.tasks.items()})
         with self._lock:
             if (
                 self.active is not None
                 and snapshot.snapshot_version <= self.active.snapshot_version
             ):
                 return "rejected-stale"
-            self.active = snapshot
+            self.active, self._index = snapshot, index
             return "applied"
 
     @property
@@ -123,56 +130,55 @@ class EdgeRuntime:
         key = task_key(bucketed)
         with self._lock:
             self.counters["inferences"] += 1
-            snapshot = self.active
+            snapshot, index = self.active, self._index
             if snapshot is None:
                 self.counters["no_model_errors"] += 1
                 raise NoModelError("no snapshot applied yet")
-            if key in snapshot.tasks:
+            entry = snapshot.tasks.get(key)
+            if entry is not None:
                 self.counters["known_hits"] += 1
-                entry = snapshot.tasks[key]
-                return Prediction(
-                    label=predict(entry.model, sample.features),
-                    route=ROUTE_KNOWN,
-                    task_key=key,
-                    similarity=None,
-                    snapshot_version=snapshot.snapshot_version,
-                )
+            else:  # unknown task: buffer for upload
+                self.counters["unknown_hits"] += 1
+                self._unseen.append(sample)
+                if len(self._unseen) > self.unseen_cap:
+                    del self._unseen[0]
+                    self.counters["unseen_dropped"] += 1
 
-            # unknown task: buffer for upload, then walk the fallback chain
-            self.counters["unknown_hits"] += 1
-            self._unseen.append(sample)
-            if len(self._unseen) > self.unseen_cap:
-                del self._unseen[0]
-                self.counters["unseen_dropped"] += 1
-
-            best_key = None
-            best_sim = 0.0
-            for task, entry in sorted(snapshot.tasks.items()):
-                sim = task_similarity(bucketed, entry.attributes)
-                if sim > best_sim:
-                    best_key, best_sim = task, sim
-            if best_key is not None and best_sim >= self.similarity_threshold:
-                entry = snapshot.tasks[best_key]
-                return Prediction(
-                    label=predict(entry.model, sample.features),
-                    route=ROUTE_SIMILAR,
-                    task_key=best_key,
-                    similarity=best_sim,
-                    snapshot_version=snapshot.snapshot_version,
-                )
-            if snapshot.fallback is not None:
-                return Prediction(
-                    label=predict(snapshot.fallback, sample.features),
-                    route=ROUTE_FALLBACK,
-                    task_key=None,
-                    similarity=None,
-                    snapshot_version=snapshot.snapshot_version,
-                )
-            self.counters["no_model_errors"] += 1
-            raise NoModelError(
-                f"no model for unknown task {key!r}: best similarity {best_sim} "
-                f"below threshold {self.similarity_threshold} and no fallback"
+        # snapshot and index are immutable: predict and route outside the lock
+        if entry is not None:
+            return Prediction(
+                label=predict(entry.model, sample.features),
+                route=ROUTE_KNOWN,
+                task_key=key,
+                similarity=None,
+                snapshot_version=snapshot.snapshot_version,
             )
+        nearest = index.nearest(bucketed, self.similarity_threshold)
+        if nearest is not None:
+            task, sim = nearest
+            return Prediction(
+                label=predict(snapshot.tasks[task].model, sample.features),
+                route=ROUTE_SIMILAR,
+                task_key=task,
+                similarity=sim,
+                snapshot_version=snapshot.snapshot_version,
+            )
+        if snapshot.fallback is not None:
+            return Prediction(
+                label=predict(snapshot.fallback, sample.features),
+                route=ROUTE_FALLBACK,
+                task_key=None,
+                similarity=None,
+                snapshot_version=snapshot.snapshot_version,
+            )
+        nearest = index.nearest(bucketed, 0.0)
+        best_sim = nearest[1] if nearest is not None else 0.0
+        with self._lock:
+            self.counters["no_model_errors"] += 1
+        raise NoModelError(
+            f"no model for unknown task {key!r}: best similarity {best_sim} "
+            f"below threshold {self.similarity_threshold} and no fallback"
+        )
 
     # -- feedback and upload ------------------------------------------------------
 

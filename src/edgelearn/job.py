@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import functools
 import json
-import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .data import Dataset, DatasetSchema, split_dataset
@@ -97,28 +96,29 @@ _LEGAL_TRANSITIONS = {
     Phase.IDLE: (Phase.TRAINING,),
     Phase.TRAINING: (Phase.EVALUATING,),
     Phase.EVALUATING: (Phase.DEPLOYING,),
-    Phase.DEPLOYING: (Phase.DEPLOYED,),
+    # Training: a deploy with nothing deployable must not wedge the job
+    Phase.DEPLOYING: (Phase.DEPLOYED, Phase.TRAINING),
     Phase.DEPLOYED: (Phase.TRAINING,),
 }
 
 
 @dataclass
 class JobState:
-    """Phase machine with an append-only, replayable transition history."""
+    """Phase machine state: the current phase and the last deployed
+    snapshot version."""
 
     phase: Phase = Phase.IDLE
     snapshot_version: int = 0
-    history: list[tuple[str, str, float]] = field(default_factory=list)
 
     @classmethod
     def from_json(cls, doc: dict | None) -> "JobState":
-        """Decode the manifest's job document; a store without one is Idle."""
+        """Decode the manifest's job document; a store without one is Idle.
+        Other keys (the ``history`` older stores carry) are ignored."""
         if doc is None:
             return cls()
         try:
-            history = [(start, end, at) for start, end, at in doc["history"]]
-            return cls(Phase(doc["phase"]), doc["snapshot_version"], history)
-        except (ValueError, KeyError, TypeError) as exc:  # bad key, phase or entry
+            return cls(Phase(doc["phase"]), doc["snapshot_version"])
+        except (ValueError, KeyError, TypeError) as exc:  # bad key or phase
             raise CorruptStoreError(f"corrupt job state in the KB manifest: {exc}") from exc
 
 
@@ -159,10 +159,9 @@ class LifelongJob:
     in sorted key order so results are deterministic.
     """
 
-    def __init__(self, cfg: JobConfig, kb: KnowledgeBase, clock=None):
+    def __init__(self, cfg: JobConfig, kb: KnowledgeBase):
         self.cfg = cfg
         self.kb = kb
-        self._clock = clock if clock is not None else time.time
 
     # -- phase machine -------------------------------------------------------
 
@@ -174,11 +173,10 @@ class LifelongJob:
         state = self.state
         if target not in _LEGAL_TRANSITIONS[state.phase]:
             raise PhaseError(f"illegal transition {state.phase.value} -> {target.value}")
-        state.history.append((state.phase.value, target.value, float(self._clock())))
-        state.phase = target
-        if snapshot_version is not None:
-            state.snapshot_version = snapshot_version
-        self.kb.job = {**asdict(state), "phase": target.value}  # JobState.from_json reads it
+        if snapshot_version is None:
+            snapshot_version = state.snapshot_version
+        # JobState.from_json reads it
+        self.kb.job = {"phase": target.value, "snapshot_version": snapshot_version}
 
     def _require_phase(self, *phases: Phase) -> None:
         current = self.state.phase
@@ -192,8 +190,9 @@ class LifelongJob:
     def run_train(self, train: Dataset) -> list[TaskRecord]:
         """Mine tasks, fit one model per task (sample transfer topping up
         small tasks), fit the fallback on the full set, and upsert everything.
-        Ends in the Evaluating phase."""
-        self._require_phase(Phase.IDLE, Phase.DEPLOYED)
+        Starts from Idle, Deployed, or Deploying (a deploy that found nothing
+        deployable); ends in the Evaluating phase."""
+        self._require_phase(Phase.IDLE, Phase.DEPLOYED, Phase.DEPLOYING)
         if len(train) == 0:
             raise DataError("training dataset is empty")
         train.require_labeled()

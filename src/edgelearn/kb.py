@@ -45,6 +45,8 @@ from .learners import (
     deserialize_model,
     metrics_from_json,
     metrics_to_json,
+    model_from_json,
+    model_to_json,
     serialize_model,
 )
 from .tasks import BucketedAttributes, task_similarity
@@ -191,32 +193,35 @@ def serialize_snapshot(snapshot: DeploySnapshot) -> bytes:
         "tasks": {
             key: {
                 "attributes": _attrs_to_json(entry.attributes),
-                "model": json.loads(serialize_model(entry.model).decode("utf-8")),
+                "model": model_to_json(entry.model),
             }
             for key, entry in snapshot.tasks.items()
         },
         "fallback": (
-            json.loads(serialize_model(snapshot.fallback).decode("utf-8"))
-            if snapshot.fallback is not None
-            else None
+            model_to_json(snapshot.fallback) if snapshot.fallback is not None else None
         ),
     }
     return canonical_json_bytes(doc)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def deserialize_snapshot(data: bytes) -> DeploySnapshot:
     try:
-        doc = json.loads(data.decode("utf-8"))
+        # serialize_snapshot never writes NaN or Infinity
+        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
         tasks = {
             key: SnapshotEntry(
-                model=deserialize_model(canonical_json_bytes(entry["model"])),
+                model=model_from_json(entry["model"]),
                 attributes=_attrs_from_json(entry["attributes"]),
             )
             for key, entry in doc["tasks"].items()
         }
         fallback = None
         if doc["fallback"] is not None:
-            fallback = deserialize_model(canonical_json_bytes(doc["fallback"]))
+            fallback = model_from_json(doc["fallback"])
         return DeploySnapshot(
             snapshot_version=doc["snapshot_version"],
             schema_fingerprint=doc["schema_fingerprint"],

@@ -598,9 +598,9 @@ def metrics_from_json(doc: dict | None) -> EvalMetrics | None:
     )
 
 
-def serialize_model(model: ModelArtifact) -> bytes:
-    """Canonical, versioned byte encoding of a model artifact."""
-    payload = {
+def model_to_json(model: ModelArtifact) -> dict:
+    """The payload dict that :func:`serialize_model` encodes."""
+    return {
         "format_version": FORMAT_VERSION,
         "kind": model.spec.kind,
         "schema_fingerprint": model.schema_fingerprint,
@@ -612,15 +612,10 @@ def serialize_model(model: ModelArtifact) -> bytes:
         },
         "parameters": model.parameters,
     }
-    return canonical_json_bytes(payload)
 
 
-def deserialize_model(data: bytes) -> ModelArtifact:
-    """Inverse of :func:`serialize_model`; exact parameter round-trip."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"corrupt model payload: {exc}") from exc
+def model_from_json(payload) -> ModelArtifact:
+    """Inverse of :func:`model_to_json`; checks the decoded payload."""
     if not isinstance(payload, dict):
         raise SerializationError("corrupt model payload: not an object")
     missing = {
@@ -651,3 +646,17 @@ def deserialize_model(data: bytes) -> ModelArtifact:
         )
     except (KeyError, TypeError, LearnerError) as exc:
         raise SerializationError(f"corrupt model payload: {exc}") from exc
+
+
+def serialize_model(model: ModelArtifact) -> bytes:
+    """Canonical, versioned byte encoding of a model artifact."""
+    return canonical_json_bytes(model_to_json(model))
+
+
+def deserialize_model(data: bytes) -> ModelArtifact:
+    """Inverse of :func:`serialize_model`; exact parameter round-trip."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SerializationError(f"corrupt model payload: {exc}") from exc
+    return model_from_json(payload)

@@ -149,7 +149,7 @@ class Simulation:
             self._streams_by_tick.setdefault(ev.tick, []).append(ev)
 
         self.kb = KnowledgeBase.open(kb_path)
-        self.job = LifelongJob(cfg.job, self.kb, clock=lambda: self.now)
+        self.job = LifelongJob(cfg.job, self.kb)
         self.edges = [
             _EdgeNode(
                 i,

@@ -126,6 +126,74 @@ def task_similarity(a: BucketedAttributes, b: BucketedAttributes) -> float:
     return total / len(a.values)
 
 
+def _categorical(attrs: BucketedAttributes) -> tuple:
+    return tuple(v for v, count in zip(attrs.values, attrs.bucket_counts) if count == 0)
+
+
+def _shape(attrs: BucketedAttributes) -> tuple:
+    """What :func:`task_similarity` requires two tuples to share."""
+    return attrs.bucket_counts, tuple(type(v) for v in _categorical(attrs))
+
+
+class TaskIndex:
+    """Nearest-task lookup over a fixed set of tasks, grouped by their
+    categorical values.
+
+    A categorical mismatch scores exactly 0 and every column at most 1, so
+    a task whose categorical values differ from the query's in m of n
+    columns scores at most ``(n-m)/n`` (exactly so in floats: rounded
+    addition and division are monotone). A lookup scores, with
+    :func:`task_similarity` and in key order, only the groups whose bound
+    reaches the threshold; with the query's own group alone that is one
+    dict probe. Results equal a scan of every task in key order.
+    """
+
+    def __init__(self, tasks: dict[str, BucketedAttributes]):
+        self._shapes: dict[tuple, BucketedAttributes] = {}
+        self._groups: dict[tuple, list[tuple[str, BucketedAttributes]]] = {}
+        for key in sorted(tasks):
+            attrs = tasks[key]
+            self._shapes.setdefault(_shape(attrs), attrs)
+            self._groups.setdefault(_categorical(attrs), []).append((key, attrs))
+
+    def nearest(self, query: BucketedAttributes, threshold: float) -> tuple[str, float] | None:
+        """(key, similarity) of the most similar task whose similarity is
+        above 0 and at least *threshold*, ties to the smaller key; None if
+        no task is. Raises SchemaMismatchError, as a scan would, if any
+        task's attributes are not comparable with *query*."""
+        shape = _shape(query)
+        for other, attrs in self._shapes.items():
+            if other != shape:
+                task_similarity(query, attrs)  # raises the scan's error
+        n = len(query.values)
+        cats = _categorical(query)
+        reach = -1  # most categorical mismatches a qualifying task can have
+        for m in range(len(cats) + 1):
+            bound = (n - m) / n if n else 1.0
+            if not (bound > 0.0 and bound >= threshold):
+                break
+            reach = m
+        if reach < 0:
+            return None
+        if reach == 0:
+            members = self._groups.get(cats, ())
+        else:
+            members = sorted(
+                member
+                for group, group_members in self._groups.items()
+                if sum(a != b for a, b in zip(cats, group)) <= reach
+                for member in group_members
+            )
+        best_key, best_sim = None, 0.0
+        for key, attrs in members:
+            sim = task_similarity(query, attrs)
+            if sim > best_sim:
+                best_key, best_sim = key, sim
+        if best_key is not None and best_sim >= threshold:
+            return best_key, best_sim
+        return None
+
+
 @dataclass(frozen=True)
 class TaskPartition:
     """Disjoint, exhaustive grouping of a dataset into per-task sub-datasets."""

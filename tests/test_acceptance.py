@@ -400,7 +400,7 @@ def test_criterion_7_gate_soundness(tmp_path):
             fallback_enabled=rng.random() < 0.7,
             seed=run,
         )
-        job = LifelongJob(cfg, kb, clock=lambda: 0.0)
+        job = LifelongJob(cfg, kb)
         n_cities = rng.randint(1, 3)
         used = rng.sample(cities, n_cities)
         train = city_dataset(
@@ -503,7 +503,7 @@ def test_criterion_8_oracle_equivalences(tmp_path):
     # lifelong arm: train covers every test task, so routed accuracy must
     # equal a direct evaluate against each task's own deployed model
     kb = kb_open(tmp_path / "bench_kb")
-    job = LifelongJob(cfg, kb, clock=lambda: 0.0)
+    job = LifelongJob(cfg, kb)
     job.run_train(train)
     job.run_eval(test)
     snapshot = job.run_deploy()

@@ -14,6 +14,7 @@ from edgelearn.learners import canonical_json_bytes
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
+from test_kb import _watch_writes
 
 
 SCHEMA_TEXT = """
@@ -205,7 +206,30 @@ def test_failed_snapshot_write_leaves_the_job_deploying(workdir, capsys):
     assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
 
 
-def test_edge_infer_and_status(workdir, capsys):
+def test_job_train_after_a_deploy_with_nothing_deployable(workdir, capsys):
+    strict = json.loads(JOB_TEXT)
+    strict.update(eval_policy={"min_accuracy": 0.999}, fallback_enabled=False)
+    (workdir / "strict.json").write_text(json.dumps(strict), encoding="utf-8")
+    mixed = workdir / "mixed.csv"
+    write_csv(city_dataset([(0.0, city, label) for city in ("athens", "tokyo")
+                            for label in "ab"]), mixed)
+    base = [
+        "--kb", str(workdir / "kb"),
+        "--schema", str(workdir / "schema.json"),
+        "--config", str(workdir / "strict.json"),
+    ]
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(mixed)]) == 0
+    capsys.readouterr()
+    assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 2
+    assert "nothing deployable" in capsys.readouterr().err
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 0
+    assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
+    assert "2 tasks" in capsys.readouterr().out
+
+
+def test_edge_infer_and_status(workdir, capsys, monkeypatch):
     kb_dir = str(workdir / "kb")
     base = [
         "--kb", kb_dir,
@@ -241,6 +265,7 @@ def test_edge_infer_and_status(workdir, capsys):
 
     capsys.readouterr()
     status_path = workdir / "status.json"
+    replaced, _ = _watch_writes(monkeypatch)
     code = cli_main([
         "edge", "status",
         "--snapshot", str(snap_path),
@@ -255,9 +280,10 @@ def test_edge_infer_and_status(workdir, capsys):
     assert doc["counters"]["known_hits"] == 2
     assert doc["counters"]["unknown_hits"] == 1
     assert json.loads(status_path.read_text()) == doc
+    assert replaced == ["status.json"]  # written atomically
 
 
-def test_sim_run_writes_outputs(workdir, capsys):
+def test_sim_run_writes_outputs(workdir, capsys, monkeypatch):
     stream = city_dataset([(float(i), "oslo", "b") for i in range(6)])
     write_csv(stream, workdir / "stream.csv")
     sim_config = {
@@ -271,6 +297,7 @@ def test_sim_run_writes_outputs(workdir, capsys):
     }
     (workdir / "sim.json").write_text(json.dumps(sim_config), encoding="utf-8")
     out_dir = workdir / "simout"
+    replaced, _ = _watch_writes(monkeypatch)
     code = cli_main([
         "sim", "run",
         "--config", str(workdir / "sim.json"),
@@ -282,6 +309,7 @@ def test_sim_run_writes_outputs(workdir, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["kb_summary"]["kb_version"] >= 1
     assert any(t["key"] == "oslo" for t in report["kb_summary"]["tasks"])
+    assert replaced[-2:] == ["events.log", "report.json"]  # written atomically
 
 
 def test_sim_run_on_a_used_kb_is_phase_error_exit_2(workdir, capsys):

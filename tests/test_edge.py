@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 
 import pytest
 
-from edgelearn.data import Sample
+from edgelearn.data import AttributeKind, DatasetSchema, Sample
 from edgelearn.edge import (
     ROUTE_FALLBACK,
     ROUTE_KNOWN,
@@ -16,11 +17,17 @@ from edgelearn.edge import (
     EdgeRuntime,
     allocate_task,
 )
-from edgelearn.errors import DataError, NoModelError
+from edgelearn.errors import DataError, NoModelError, SchemaMismatchError
 from edgelearn.job import TriggerPolicy
 from edgelearn.kb import DeploySnapshot, SnapshotEntry
-from edgelearn.learners import EstimatorSpec, fit
-from edgelearn.tasks import BucketedAttributes, BucketingConfig, bucket_attributes, task_key
+from edgelearn.learners import EstimatorSpec, fit, predict
+from edgelearn.tasks import (
+    BucketedAttributes,
+    BucketingConfig,
+    bucket_attributes,
+    task_key,
+    task_similarity,
+)
 
 from conftest import banded_schema, city_dataset, city_schema
 
@@ -146,6 +153,108 @@ def test_infer_no_model_error_counted():
     assert runtime.counters["no_model_errors"] == 1
     assert runtime.counters["unknown_hits"] == 1
     assert runtime.status()["unseen_buffer"] == 1  # still escalated for labeling
+
+
+def test_no_model_error_reports_the_best_similarity_over_every_task():
+    # the nearest task shares no categorical value with the query, so the
+    # similar-route lookup never scores it; the message still names it
+    schema = banded_schema((20.0, 30.0))
+    bucketing = BucketingConfig.from_schema(schema)
+    near = bucket_attributes(("q", 25.0), bucketing)    # sim to ("p", 25.0): (0+1)/2
+    far = bucket_attributes(("r", 35.0), bucketing)     # sim: (0+0.5)/2
+    snap = snapshot_of(1, {task_key(a): (constant_model("a"), a) for a in (near, far)})
+    runtime = EdgeRuntime(schema, bucketing, similarity_threshold=0.9)
+    runtime.apply_snapshot(snap)
+    with pytest.raises(NoModelError, match=r"best similarity 0\.5 below threshold 0\.9"):
+        runtime.infer(Sample((1.0,), ("p", 25.0)))
+    with pytest.raises(NoModelError, match=r"best similarity 0\.75 below threshold 0\.9"):
+        runtime.infer(Sample((1.0,), ("q", 35.0)))
+    with pytest.raises(NoModelError, match=r"best similarity 0\.0 below"):
+        city_runtime(city_snapshot(cities=("athens",)), sigma=0.9).infer(
+            Sample((1.0,), ("tokyo",)))
+    assert runtime.counters["no_model_errors"] == 2
+
+
+def test_unknown_route_on_a_snapshot_of_another_schema_raises():
+    foreign = BucketedAttributes(("athens", 1), (0, 3))
+    for entries in (
+        {"athens|1": (constant_model("a"), foreign)},
+        {"athens": (constant_model("a"), BucketedAttributes(("athens",), (0,))),
+         "athens|1": (constant_model("a"), foreign)},
+    ):
+        runtime = city_runtime(snapshot_of(1, entries, fallback=constant_model("b")))
+        with pytest.raises(SchemaMismatchError):
+            runtime.infer(Sample((1.0,), ("tokyo",)))
+        assert runtime.counters["unknown_hits"] == 1
+
+
+def _scan_route(snapshot, bucketed, threshold):
+    """Route by scoring every snapshot task in key order: the reference the
+    runtime's task index must agree with."""
+    key = task_key(bucketed)
+    if key in snapshot.tasks:
+        return ROUTE_KNOWN, key, None
+    best_key, best_sim = None, 0.0
+    for task, entry in sorted(snapshot.tasks.items()):
+        sim = task_similarity(bucketed, entry.attributes)
+        if sim > best_sim:
+            best_key, best_sim = task, sim
+    if best_key is not None and best_sim >= threshold:
+        return ROUTE_SIMILAR, best_key, best_sim
+    return ROUTE_FALLBACK, None, None
+
+
+def test_task_index_routes_exactly_like_a_full_scan():
+    rng = random.Random(2024)
+    models = {label: constant_model(label) for label in "ab"}
+    ties = cross_group = 0
+    for _ in range(60):
+        kinds = [AttributeKind("categorical")] * rng.randint(1, 3) + [
+            AttributeKind("numeric", tuple(float(e) for e in range(1, rng.randint(1, 6))))
+            for _ in range(rng.randint(1, 2))
+        ]
+        rng.shuffle(kinds)
+        schema = DatasetSchema(
+            feature_columns=("x",), label_column="y", label_classes=("a", "b"),
+            attribute_columns=tuple(f"c{i}" for i in range(len(kinds))),
+            attribute_kinds=tuple(kinds),
+        )
+        bucketing = BucketingConfig.from_schema(schema)
+
+        def raw(alphabet):
+            # small alphabets and bucket ranges make equal similarities common
+            return tuple(
+                rng.choice(alphabet) if kind.kind == "categorical"
+                else rng.randint(0, len(kind.edges)) + 0.5
+                for kind in kinds
+            )
+
+        entries = {}
+        for _ in range(rng.randint(1, 25)):
+            attrs = bucket_attributes(raw("pq"), bucketing)
+            entries[task_key(attrs)] = (models[rng.choice("ab")], attrs)
+        snap = snapshot_of(1, entries, fallback=constant_model("b"))
+        queries = [raw("pqz") for _ in range(30)]
+        for threshold in (0.0, 0.3, 0.5, 0.75, 0.9, 1.0):
+            runtime = EdgeRuntime(schema, bucketing, similarity_threshold=threshold)
+            runtime.apply_snapshot(snap)
+            for attrs in queries:
+                bucketed = bucket_attributes(attrs, bucketing)
+                route, key, sim = _scan_route(snap, bucketed, threshold)
+                pred = runtime.infer(Sample((0.0,), attrs))
+                assert (pred.route, pred.task_key, repr(pred.similarity)) == (
+                    route, key, repr(sim)
+                ), (attrs, threshold)
+                model = snap.tasks[key].model if key is not None else snap.fallback
+                assert pred.label == predict(model, (0.0,))
+                if route == ROUTE_SIMILAR:
+                    scores = [task_similarity(bucketed, e.attributes) for e in snap.tasks.values()]
+                    ties += scores.count(sim) > 1
+                    shared = [a == b for a, b, count in zip(
+                        bucketed.values, snap.tasks[key].attributes.values,
+                        bucketed.bucket_counts) if count == 0]
+                    cross_group += not all(shared)
+    assert ties > 0 and cross_group > 0  # both cases were exercised
 
 
 def test_infer_before_any_snapshot_errors():
@@ -283,6 +392,48 @@ def test_drain_concurrent_with_infer_conserves_unknowns():
     assert not errors
     assert runtime.counters["unknown_hits"] == total
     assert len(drained) + runtime.counters["unseen_dropped"] == total
+
+
+def test_snapshot_swaps_under_concurrent_infer_route_within_one_snapshot():
+    # each version's only task sits in another band; a route taken with one
+    # snapshot's index and another's tasks would name the wrong task
+    schema = banded_schema((10.0, 20.0, 30.0, 40.0))
+    bucketing = BucketingConfig.from_schema(schema)
+    model = constant_model("a")
+    snapshots, expected = [], {}
+    for version in range(1, 301):
+        attrs = bucket_attributes(("p", 5.0 + 10.0 * (version % 4)), bucketing)
+        snapshots.append(snapshot_of(version, {task_key(attrs): (model, attrs)}))
+        expected[version] = task_key(attrs)
+    runtime = EdgeRuntime(schema, bucketing, similarity_threshold=0.5)
+    runtime.apply_snapshot(snapshots[0])
+    seen, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(300):
+                pred = runtime.infer(Sample((0.0,), ("p", 45.0)))
+                seen.append((pred.snapshot_version, pred.task_key, pred.route))
+        except Exception as exc:  # pragma: no cover - failure diagnostics
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for snapshot in snapshots[1:]:
+            runtime.apply_snapshot(snapshot)
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(seen) == 1200
+    assert all(route == ROUTE_SIMILAR and key == expected[version]
+               for version, key, route in seen)
 
 
 def test_unseen_buffer_cap_drops_oldest():

@@ -58,7 +58,7 @@ def two_city_data(n_per_city: int = 6) -> Dataset:
 def new_job(tmp_path, cfg=None, name="kb"):
     cfg = cfg or majority_config()
     kb = kb_open(tmp_path / name)
-    return LifelongJob(cfg, kb, clock=lambda: 0.0), kb
+    return LifelongJob(cfg, kb), kb
 
 
 # -- run_train ----------------------------------------------------------------
@@ -228,23 +228,25 @@ def test_deploy_all_failed_no_fallback_errors(tmp_path):
     ))
     with pytest.raises(NothingDeployableError):
         job.run_deploy()
+    # the job is not wedged in Deploying: it can train again
+    assert job.state.phase is Phase.DEPLOYING
+    job.run_train(two_city_data())
+    job.run_eval(two_city_data())
+    snapshot = job.run_deploy()
+    assert set(snapshot.tasks) == {"athens", "tokyo"}
+    assert job.state == JobState(Phase.DEPLOYED, snapshot.snapshot_version)
 
 
 # -- phase machine --------------------------------------------------------------------
 
-def test_phase_history_is_replayable(tmp_path):
+def test_job_document_does_not_grow_across_cycles(tmp_path):
     job, _ = new_job(tmp_path)
-    data = two_city_data()
-    job.run_train(data)
-    job.run_eval(data)
-    job.run_deploy()
-    job.run_update_cycle(data)
-    transitions = [(a, b) for a, b, _ in job.state.history]
-    # replay: each transition starts where the previous ended
-    for (_, end), (start, _) in zip(transitions, transitions[1:]):
-        assert end == start
-    assert transitions[0][0] == "Idle"
-    assert job.state.phase is Phase.DEPLOYED
+    index = tmp_path / "kb" / "index.json"
+    for city in ("athens", "oslo", "lima", "rome"):
+        cycle = job.bootstrap if job.state.phase is Phase.IDLE else job.run_update_cycle
+        snapshot = cycle(city_dataset([(float(i), city, "a") for i in range(6)]))
+        job_doc = json.loads(index.read_text(encoding="utf-8"))["body"]["job"]
+        assert job_doc == {"phase": "Deployed", "snapshot_version": snapshot.snapshot_version}
 
 
 def test_illegal_phase_calls_rejected_everywhere(tmp_path):
@@ -441,6 +443,26 @@ def test_manifest_without_job_document_opens_idle(tmp_path):
     assert job.state == JobState()
     job.run_train(two_city_data(10))
     assert job.state.phase is Phase.EVALUATING
+
+
+def test_manifest_whose_job_document_carries_a_history_opens_unchanged(tmp_path):
+    job, kb = new_job(tmp_path)
+    snapshot = job.bootstrap(two_city_data(10))
+    index = tmp_path / "kb" / "index.json"
+    manifest = json.loads(index.read_text(encoding="utf-8"))
+    manifest["body"]["job"]["history"] = [
+        ["Idle", "Training", 0.0], ["Training", "Evaluating", 0.0],
+        ["Evaluating", "Deploying", 0.0], ["Deploying", "Deployed", 0.0],
+    ]
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
+    index.write_bytes(canonical_json_bytes(manifest))
+
+    reopened = kb_open(tmp_path / "kb")
+    assert reopened.fingerprint() == kb.fingerprint()
+    job = LifelongJob(majority_config(), reopened)
+    assert job.state == JobState(Phase.DEPLOYED, snapshot.snapshot_version)
+    job.run_update_cycle(two_city_data(10))
+    assert job.state.phase is Phase.DEPLOYED
 
 
 # -- holdout split -----------------------------------------------------------------------

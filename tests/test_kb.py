@@ -16,7 +16,9 @@ from edgelearn.errors import (
     CorruptStoreError,
     NothingDeployableError,
     SchemaMismatchError,
+    SerializationError,
     StoreError,
+    UnknownLearnerError,
 )
 from edgelearn.kb import (
     STATUS_DEPLOYABLE,
@@ -517,6 +519,34 @@ def test_snapshot_serialization_round_trip(tmp_path):
     assert serialize_snapshot(clone) == data
     assert clone.snapshot_version == snapshot.snapshot_version
     assert predict(clone.tasks["athens"].model, (0.0,)) == "a"
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    ("task-not-an-object", "not an object"),
+    ("task-missing-key", r"missing \['seed'\]"),
+    ("fallback-format-version", "unsupported model format version"),
+    ("fallback-unknown-kind", "unknown learner kind"),
+    ("task-nan-parameter", "corrupt snapshot payload"),
+])
+def test_snapshot_decode_checks_every_model_entry(tmp_path, corrupt, error):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens", status=STATUS_DEPLOYABLE))
+    kb.set_fallback(make_fallback())
+    doc = json.loads(serialize_snapshot(kb.snapshot()))
+    task, fallback = doc["tasks"]["athens"]["model"], doc["fallback"]
+    if corrupt == "task-not-an-object":
+        doc["tasks"]["athens"]["model"] = [task]
+    elif corrupt == "task-missing-key":
+        del task["seed"]
+    elif corrupt == "fallback-format-version":
+        fallback["format_version"] = 99
+    elif corrupt == "fallback-unknown-kind":
+        fallback["kind"] = "no-such-learner"
+    else:
+        task["parameters"]["nan"] = float("nan")
+    with pytest.raises(SerializationError, match=error) as raised:
+        deserialize_snapshot(json.dumps(doc).encode("utf-8"))
+    assert isinstance(raised.value, UnknownLearnerError) == (corrupt == "fallback-unknown-kind")
 
 
 # -- record invariants and eval updates ---------------------------------------------------
