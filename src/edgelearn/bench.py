@@ -209,18 +209,20 @@ def baseline_incremental(
     (key, train, test) entries. Each task's test is scored against the model
     trained on all previous tasks; its training data then joins the pool.
     The first task with training data bootstraps the model and is scored
-    after its own fit. Empty train or test parts are allowed and skipped."""
+    after its own fit. Empty train or test parts are allowed and skipped.
+    All parts share one schema; pooled fits do not re-check their samples."""
     if not task_stream:
         raise DataError("task stream is empty")
+    schema = task_stream[0][1].schema
     per_task: dict[str, EvalMetrics] = {}
     pool: list[Sample] = []
     model = None
-    schema = None
     for key, train_part, test_part in task_stream:
-        schema = train_part.schema if len(train_part) else test_part.schema
+        if train_part.schema != schema or test_part.schema != schema:
+            raise DataError(f"task {key!r} has another schema than the stream")
         if model is None and len(train_part) > 0:
             pool.extend(train_part.samples)
-            model = fit(learner, Dataset(schema, tuple(pool)), seed)
+            model = fit(learner, train_part.derive(pool), seed)
             if len(test_part) > 0:
                 per_task[key] = evaluate(model, test_part)
             continue
@@ -230,7 +232,7 @@ def baseline_incremental(
             per_task[key] = evaluate(model, test_part)
         if len(train_part) > 0:
             pool.extend(train_part.samples)
-            model = fit(learner, Dataset(schema, tuple(pool)), seed)
+            model = fit(learner, train_part.derive(pool), seed)
     return MethodResult.from_metrics(per_task)
 
 

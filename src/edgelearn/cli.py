@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -125,12 +126,13 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_job(args) -> tuple:
+def _load_config(args) -> tuple:
+    """(schema, job config) from --schema and --config, with --seed applied."""
     schema = parse_schema(_read(_require(args, "schema")))
     cfg = parse_job_config(_read(_require(args, "config")), schema)
     if _opt(args, "seed") is not None:
         cfg = replace(cfg, seed=args.seed)
-    return schema, LifelongJob(cfg, KnowledgeBase.open(_require(args, "kb")))
+    return schema, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,8 @@ def _cmd_kb(args) -> int:
 def _cmd_job(args) -> int:
     if args.action not in ("train", "eval", "deploy", "update"):
         raise _UsageError("job needs an action: train | eval | deploy | update")
-    schema, job = _load_job(args)
+    schema, cfg = _load_config(args)
+    job = LifelongJob(cfg, KnowledgeBase.open(_require(args, "kb")))
     if args.action == "train":
         records = job.run_train(load_csv(_require(args, "data"), schema))
         print(f"trained {len(records)} task models (kb version {job.kb.kb_version})")
@@ -205,8 +208,7 @@ def _cmd_job(args) -> int:
 def _cmd_edge(args) -> int:
     if args.action not in ("infer", "status"):
         raise _UsageError("edge needs an action: infer | status")
-    schema = parse_schema(_read(_require(args, "schema")))
-    cfg = parse_job_config(_read(_require(args, "config")), schema)
+    schema, cfg = _load_config(args)
     snapshot = deserialize_snapshot(Path(_require(args, "snapshot")).read_bytes())
     runtime = EdgeRuntime(schema, cfg.bucketing,
                           similarity_threshold=args.similarity_threshold)
@@ -230,10 +232,11 @@ def _cmd_edge(args) -> int:
 
     if args.action == "infer":
         out = Path(_require(args, "out"))
-        with out.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "label", "route", "task_key", "similarity", "error"])
-            writer.writerows(rows)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["index", "label", "route", "task_key", "similarity", "error"])
+        writer.writerows(rows)
+        atomic_write_bytes(out, text.getvalue().encode("utf-8"))
         print(f"wrote {len(rows)} predictions to {out}")
     else:
         text = runtime.status_json()
@@ -277,10 +280,7 @@ def _cmd_bench(args) -> int:
             )
         return 0
     if args.action == "run":
-        schema = parse_schema(_read(_require(args, "schema")))
-        cfg = parse_job_config(_read(_require(args, "config")), schema)
-        if _opt(args, "seed") is not None:
-            cfg = replace(cfg, seed=args.seed)
+        schema, cfg = _load_config(args)
         train = load_csv(_require(args, "train"), schema)
         test = load_csv(_require(args, "test"), schema)
         out_dir = _require(args, "out_dir", flag="out-dir")

@@ -145,7 +145,8 @@ class Sample:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable, schema-validated collection of samples."""
+    """An immutable, schema-validated collection of samples. The constructor
+    checks each sample; :meth:`derive` builds slices without re-checking."""
 
     schema: DatasetSchema
     samples: tuple[Sample, ...] = field(default_factory=tuple)
@@ -157,6 +158,12 @@ class Dataset:
             except DataError as exc:
                 raise DataError(f"sample {i}: {exc}") from exc
 
+    def derive(self, samples) -> "Dataset":
+        """A dataset of *samples* under this schema, built without validation.
+        Precondition: every sample already passed ``self.schema.validate_sample``,
+        e.g. because it was taken from a dataset of the same schema."""
+        return _checked(self.schema, tuple(samples))
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -164,6 +171,14 @@ class Dataset:
         for i, s in enumerate(self.samples):
             if s.label is None:
                 raise DataError(f"sample {i} has no label")
+
+
+def _checked(schema: DatasetSchema, samples: tuple[Sample, ...]) -> Dataset:
+    """A Dataset of already-validated samples: skips ``__post_init__``."""
+    dataset = object.__new__(Dataset)
+    object.__setattr__(dataset, "schema", schema)
+    object.__setattr__(dataset, "samples", samples)
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +278,9 @@ def schema_to_json(schema: DatasetSchema) -> str:
 def load_csv(path: str | Path, schema: DatasetSchema) -> Dataset:
     """Load a dataset from CSV. Column order comes from the header row.
 
-    An empty label cell means the row is unlabeled. Row numbers in error
-    messages count data rows from 1 (the header is row 0).
+    An empty label cell means the row is unlabeled. Each row is checked
+    once, by :meth:`DatasetSchema.validate_sample`; error messages name the
+    file and count data rows from 1 (the header is row 0).
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -305,10 +321,6 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> Dataset:
             if label_text == "":
                 label = None
             elif schema.is_classification:
-                if label_text not in schema.label_classes:
-                    raise DataError(
-                        f"{path}: row {row_num}: unknown class label {label_text!r}"
-                    )
                 label = label_text
             else:
                 try:
@@ -323,10 +335,6 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> Dataset:
             for name, kind in zip(schema.attribute_columns, schema.attribute_kinds):
                 text = cell(name)
                 if kind.kind == CATEGORICAL:
-                    if not text:
-                        raise DataError(
-                            f"{path}: row {row_num}: empty categorical attribute {name!r}"
-                        )
                     attrs.append(text)
                 else:
                     try:
@@ -336,9 +344,14 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> Dataset:
                             f"{path}: row {row_num}: unparseable numeric cell {text!r} in {name!r}"
                         ) from None
 
-            samples.append(Sample(tuple(features), tuple(attrs), label))
+            sample = Sample(tuple(features), tuple(attrs), label)
+            try:
+                schema.validate_sample(sample)
+            except DataError as exc:
+                raise DataError(f"{path}: row {row_num}: {exc}") from exc
+            samples.append(sample)
 
-    return Dataset(schema, tuple(samples))
+    return _checked(schema, tuple(samples))
 
 
 def _format_value(v: str | float | None) -> str:
@@ -385,6 +398,6 @@ def split_dataset(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset
     first = sorted(indices[:k])
     second = sorted(indices[k:])
     return (
-        Dataset(dataset.schema, tuple(dataset.samples[i] for i in first)),
-        Dataset(dataset.schema, tuple(dataset.samples[i] for i in second)),
+        dataset.derive(dataset.samples[i] for i in first),
+        dataset.derive(dataset.samples[i] for i in second),
     )

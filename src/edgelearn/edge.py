@@ -36,6 +36,7 @@ ROUTE_FALLBACK = "fallback"
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.75
 DEFAULT_UNSEEN_CAP = 10_000
+TRIGGER_COUNT_THRESHOLD = "count-threshold"  # the feedback buffer reached the policy's threshold
 
 
 @dataclass(frozen=True)
@@ -146,38 +147,23 @@ class EdgeRuntime:
 
         # snapshot and index are immutable: predict and route outside the lock
         if entry is not None:
-            return Prediction(
-                label=predict(entry.model, sample.features),
-                route=ROUTE_KNOWN,
-                task_key=key,
-                similarity=None,
-                snapshot_version=snapshot.snapshot_version,
-            )
-        nearest = index.nearest(bucketed, self.similarity_threshold)
-        if nearest is not None:
+            model, route, task, sim = entry.model, ROUTE_KNOWN, key, None
+        elif (nearest := index.nearest(bucketed, self.similarity_threshold)) is not None:
             task, sim = nearest
-            return Prediction(
-                label=predict(snapshot.tasks[task].model, sample.features),
-                route=ROUTE_SIMILAR,
-                task_key=task,
-                similarity=sim,
-                snapshot_version=snapshot.snapshot_version,
+            model, route = snapshot.tasks[task].model, ROUTE_SIMILAR
+        elif snapshot.fallback is not None:
+            model, route, task, sim = snapshot.fallback, ROUTE_FALLBACK, None, None
+        else:
+            nearest = index.nearest(bucketed, 0.0)
+            best_sim = nearest[1] if nearest is not None else 0.0
+            with self._lock:
+                self.counters["no_model_errors"] += 1
+            raise NoModelError(
+                f"no model for unknown task {key!r}: best similarity {best_sim} "
+                f"below threshold {self.similarity_threshold} and no fallback"
             )
-        if snapshot.fallback is not None:
-            return Prediction(
-                label=predict(snapshot.fallback, sample.features),
-                route=ROUTE_FALLBACK,
-                task_key=None,
-                similarity=None,
-                snapshot_version=snapshot.snapshot_version,
-            )
-        nearest = index.nearest(bucketed, 0.0)
-        best_sim = nearest[1] if nearest is not None else 0.0
-        with self._lock:
-            self.counters["no_model_errors"] += 1
-        raise NoModelError(
-            f"no model for unknown task {key!r}: best similarity {best_sim} "
-            f"below threshold {self.similarity_threshold} and no fallback"
+        return Prediction(
+            predict(model, sample.features), route, task, sim, snapshot.snapshot_version
         )
 
     # -- feedback and upload ------------------------------------------------------
@@ -201,30 +187,33 @@ class EdgeRuntime:
             self._feedback.extend(accepted)
         return IngestResult(accepted=len(accepted), rejected=tuple(rejected))
 
+    def _due(self, policy: TriggerPolicy) -> bool:  # the caller holds the lock
+        return len(self._feedback) >= policy.unseen_threshold
+
+    def _drain(self) -> tuple[list[Sample], list[Sample]]:  # the caller holds the lock
+        labeled, self._feedback = self._feedback, []
+        unseen, self._unseen = self._unseen, []
+        return labeled, unseen
+
     def should_trigger(self, policy: TriggerPolicy) -> tuple[bool, str | None]:
         """Pure check: retrain when the feedback buffer reaches the threshold."""
         with self._lock:
-            if len(self._feedback) >= policy.unseen_threshold:
-                return True, "count-threshold"
-        return False, None
+            due = self._due(policy)
+        return (True, TRIGGER_COUNT_THRESHOLD) if due else (False, None)
 
     def fire_trigger(self, policy: TriggerPolicy) -> tuple[list[Sample], list[Sample]] | None:
         """If the trigger condition holds, count the firing and drain both
         buffers for upload in one atomic step; otherwise None."""
         with self._lock:
-            if len(self._feedback) < policy.unseen_threshold:
+            if not self._due(policy):
                 return None
             self.counters["triggers_fired"] += 1
-            labeled, self._feedback = self._feedback, []
-            unseen, self._unseen = self._unseen, []
-        return labeled, unseen
+            return self._drain()
 
     def drain_for_upload(self) -> tuple[list[Sample], list[Sample]]:
         """Atomically return and clear (labeled feedback, unseen samples)."""
         with self._lock:
-            labeled, self._feedback = self._feedback, []
-            unseen, self._unseen = self._unseen, []
-        return labeled, unseen
+            return self._drain()
 
     # -- introspection ----------------------------------------------------------
 

@@ -314,10 +314,7 @@ def holdout_split(
         first, second = split_dataset(part, train_fraction, derived)
         train_samples.extend(first.samples)
         eval_samples.extend(second.samples)
-    return (
-        Dataset(data.schema, tuple(train_samples)),
-        Dataset(data.schema, tuple(eval_samples)),
-    )
+    return data.derive(train_samples), data.derive(eval_samples)
 
 
 # ---------------------------------------------------------------------------

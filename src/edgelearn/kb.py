@@ -49,7 +49,7 @@ from .learners import (
     model_to_json,
     serialize_model,
 )
-from .tasks import BucketedAttributes, task_similarity
+from .tasks import BucketedAttributes, rank_similar
 
 STATUS_TRAINED = "trained"
 STATUS_DEPLOYABLE = "deployable"
@@ -361,13 +361,8 @@ class KnowledgeBase:
         records are never returned."""
         if k < 1:
             raise StoreError("k must be >= 1")
-        scored = []
-        for key in sorted(self.records):
-            sim = task_similarity(attrs, self.records[key].attributes)
-            if sim > 0.0:
-                scored.append((-sim, key))
-        scored.sort()
-        return [(self.records[key], -neg) for neg, key in scored[:k]]
+        ranked = rank_similar(attrs, {key: rec.attributes for key, rec in self.records.items()})
+        return [(self.records[key], sim) for key, sim in ranked[:k]]
 
     def snapshot(self) -> DeploySnapshot:
         """Freeze the deployable records plus the fallback for push to edges."""

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .data import Dataset, FeatureVector
+from .data import Dataset, FeatureVector, _is_finite_number
 from .errors import (
     DataError,
     LearnerError,
@@ -42,20 +42,16 @@ def canonical_json_bytes(obj) -> bytes:
 # Hyperparameters and specs
 # ---------------------------------------------------------------------------
 
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 _HP_RULES = {
-    "learning_rate": ("a real > 0", lambda v: _is_real(v) and v > 0),
+    "learning_rate": ("a real > 0", lambda v: _is_finite_number(v) and v > 0),
     "epochs": ("an integer > 0", lambda v: _is_int(v) and v > 0),
     "max_depth": ("an integer > 0", lambda v: _is_int(v) and v > 0),
     "min_leaf": ("an integer > 0", lambda v: _is_int(v) and v > 0),
-    "l2": ("a real >= 0", lambda v: _is_real(v) and v >= 0),
+    "l2": ("a real >= 0", lambda v: _is_finite_number(v) and v >= 0),
 }
 
 

@@ -26,6 +26,7 @@ from .data import Dataset, DatasetSchema, Sample, load_csv, parse_schema
 from .edge import (
     DEFAULT_SIMILARITY_THRESHOLD,
     DEFAULT_UNSEEN_CAP,
+    TRIGGER_COUNT_THRESHOLD,
     EdgeRuntime,
 )
 from .errors import ConfigError, EdgeLearnError, NoModelError
@@ -137,9 +138,9 @@ class Simulation:
         self._processed_ids: set[int] = set()
         self._pending_trains: list[tuple[int, int, str]] = []  # (ready, edge, reason)
         self._labeled_pool: list[Sample] = []
-        self.unseen_escalated: list[Sample] = []
-        self._delivered_uploads: dict[int, Message] = {}
-        self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0, "acked": 0}
+        self._last_upload: dict[str, Message] = {}  # by source edge, for redelivery
+        self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0, "acked": 0,
+                      "unseen_escalated": 0}
 
         self._links_by_tick: dict[int, list[LinkEvent]] = {}
         for ev in sorted(cfg.links, key=lambda e: (e.tick, e.edge_id)):
@@ -246,8 +247,8 @@ class Simulation:
         if msg.kind == MSG_UPLOAD_BATCH:
             labeled, unseen = msg.payload
             self._labeled_pool.extend(labeled)
-            self.unseen_escalated.extend(unseen)
-            self._delivered_uploads[msg.id] = msg
+            self.stats["unseen_escalated"] += len(unseen)
+            self._last_upload[msg.source] = msg
             self._log("cloud", "upload_received",
                       f"id={msg.id} from={msg.source} labeled={len(labeled)} unseen={len(unseen)}")
         elif msg.kind == MSG_TRIGGER_TRAIN:
@@ -261,12 +262,11 @@ class Simulation:
         """Fault-injection hook: re-enqueue the most recent upload batch
         delivered from this edge, simulating at-least-once redelivery."""
         edge = self._edge(edge_id)
-        for msg_id in sorted(self._delivered_uploads, reverse=True):
-            msg = self._delivered_uploads[msg_id]
-            if msg.source == edge.name:
-                edge.to_cloud.append(msg)
-                return True
-        return False
+        msg = self._last_upload.get(edge.name)
+        if msg is None:
+            return False
+        edge.to_cloud.append(msg)
+        return True
 
     # -- the tick loop -------------------------------------------------------------
 
@@ -308,7 +308,7 @@ class Simulation:
                 labeled, unseen = batch
                 upload = self._send(MSG_UPLOAD_BATCH, edge.name, "cloud", (labeled, unseen))
                 trigger = self._send(MSG_TRIGGER_TRAIN, edge.name, "cloud",
-                                     (edge.id, "count-threshold"))
+                                     (edge.id, TRIGGER_COUNT_THRESHOLD))
                 edge.to_cloud.append(upload)
                 edge.to_cloud.append(trigger)
                 self._log(edge.name, "trigger",
@@ -365,7 +365,6 @@ class Simulation:
         stats["queued_at_end"] = sum(
             len(e.to_cloud) + len(e.from_cloud) for e in self.edges
         )
-        stats["unseen_escalated"] = len(self.unseen_escalated)
         return SimReport(tuple(self.events), per_edge, kb_summary, stats)
 
 

@@ -126,6 +126,20 @@ def task_similarity(a: BucketedAttributes, b: BucketedAttributes) -> float:
     return total / len(a.values)
 
 
+def rank_similar(
+    query: BucketedAttributes, tasks: dict[str, BucketedAttributes]
+) -> list[tuple[str, float]]:
+    """(key, similarity) of every task scoring above 0 against *query*,
+    most similar first, ties to the smaller key. Scores tasks in key order."""
+    scored = []
+    for key in sorted(tasks):
+        sim = task_similarity(query, tasks[key])
+        if sim > 0.0:
+            scored.append((-sim, key))
+    scored.sort()
+    return [(key, -neg) for neg, key in scored]
+
+
 def _categorical(attrs: BucketedAttributes) -> tuple:
     return tuple(v for v, count in zip(attrs.values, attrs.bucket_counts) if count == 0)
 
@@ -223,7 +237,7 @@ def mine_tasks(dataset: Dataset, bucketing: BucketingConfig) -> TaskPartition:
             groups[key] = []
             attrs_by_key[key] = bucketed
         groups[key].append(sample)
-    parts = {key: Dataset(dataset.schema, tuple(rows)) for key, rows in groups.items()}
+    parts = {key: dataset.derive(rows) for key, rows in groups.items()}
     return TaskPartition(parts, attrs_by_key)
 
 
@@ -257,20 +271,11 @@ def sample_transfer(
     if len(target) >= min_samples:
         return TransferResult(target)
 
-    target_attrs = partition.attributes[target_key]
-    donors = []
-    for key in sorted(partition.parts):
-        if key == target_key:
-            continue
-        sim = task_similarity(target_attrs, partition.attributes[key])
-        if sim > 0.0:
-            donors.append((-sim, key))
-    donors.sort()
-
+    others = {key: attrs for key, attrs in partition.attributes.items() if key != target_key}
     samples = list(target.samples)
     provenance: list[tuple[str, int]] = []
     borrowed = 0
-    for _, key in donors:
+    for key, _ in rank_similar(partition.attributes[target_key], others):
         if len(samples) >= min_samples:
             break
         part = partition.parts[key]
@@ -281,7 +286,7 @@ def sample_transfer(
         provenance.append((key, len(part)))
 
     return TransferResult(
-        Dataset(target.schema, tuple(samples)),
+        target.derive(samples),
         tuple(provenance),
         small_task=len(samples) < min_samples,
     )

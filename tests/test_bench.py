@@ -29,6 +29,8 @@ from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy
 from edgelearn.learners import EstimatorSpec, evaluate
 from edgelearn.tasks import BucketingConfig, mine_tasks
 
+from conftest import city_dataset
+
 SITE_SCHEMA = parse_schema("""
 {"features": ["temp"],
  "label": {"name": "pref", "classes": ["nochange", "cooler"]},
@@ -198,6 +200,13 @@ def test_incremental_deterministic():
     r1 = baseline_incremental(stream, EstimatorSpec("tree"), 0)
     r2 = baseline_incremental(stream, EstimatorSpec("tree"), 0)
     assert r1 == r2
+
+
+def test_incremental_rejects_a_stream_of_mixed_schemas():
+    p = city_dataset([(1.0, "p", "a")])
+    q = city_dataset([(2.0, "q", "c")], classes=("a", "c"))
+    with pytest.raises(DataError, match="another schema"):
+        baseline_incremental([("p", p, p), ("q", q, q)], EstimatorSpec("majority"), 0)
 
 
 def test_incremental_empty_stream_rejected():

@@ -248,6 +248,7 @@ def test_edge_infer_and_status(workdir, capsys, monkeypatch):
     probe_csv = workdir / "probe.csv"
     write_csv(probe, probe_csv)
     preds_csv = workdir / "preds.csv"
+    replaced, _ = _watch_writes(monkeypatch)
     code = cli_main([
         "edge", "infer",
         "--snapshot", str(snap_path),
@@ -262,10 +263,12 @@ def test_edge_infer_and_status(workdir, capsys, monkeypatch):
     assert len(lines) == 4
     assert "known" in lines[1] and "known" in lines[2]
     assert "fallback" in lines[3]
+    assert preds_csv.read_bytes().count(b"\r\n") == 4  # csv row ends kept
+    assert replaced == ["preds.csv"]  # written atomically
 
     capsys.readouterr()
     status_path = workdir / "status.json"
-    replaced, _ = _watch_writes(monkeypatch)
+    replaced.clear()
     code = cli_main([
         "edge", "status",
         "--snapshot", str(snap_path),

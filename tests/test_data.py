@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
 
+from edgelearn.bench import baseline_incremental
 from edgelearn.data import (
     AttributeKind,
     Dataset,
@@ -17,9 +19,13 @@ from edgelearn.data import (
     split_dataset,
     write_csv,
 )
+from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import DataError, SchemaError
+from edgelearn.job import holdout_split
+from edgelearn.learners import EstimatorSpec
+from edgelearn.tasks import BucketingConfig, mine_tasks, sample_transfer
 
-from conftest import city_dataset, city_schema, make_samples
+from conftest import banded_schema, city_dataset, city_schema, make_samples
 
 
 THERMAL_CONFIG = """
@@ -131,6 +137,60 @@ def test_dataset_fuzz_rejects_invariant_violations(rng):
             Dataset(schema, (sample,))
 
 
+def test_derived_dataset_equals_and_hashes_like_a_constructed_one():
+    ds = city_dataset([(1.0, "athens", "a"), (2.0, "tokyo", "b"), (3.0, "oslo", None)])
+    derived = ds.derive(s for s in ds.samples[1:])
+    built = Dataset(ds.schema, ds.samples[1:])
+    assert derived == built
+    assert hash(derived) == hash(built)
+    assert derived.schema is ds.schema and derived.samples == ds.samples[1:]
+
+
+# -- validate once -----------------------------------------------------------------
+
+@pytest.fixture
+def validate_calls(monkeypatch) -> list[Sample]:
+    """Records every sample DatasetSchema.validate_sample checks from now on."""
+    calls: list[Sample] = []
+    real = DatasetSchema.validate_sample
+
+    def counting(schema, sample):
+        calls.append(sample)
+        real(schema, sample)
+
+    monkeypatch.setattr(DatasetSchema, "validate_sample", counting)
+    return calls
+
+
+def test_each_sample_is_checked_once_where_it_enters(tmp_path, validate_calls):
+    schema = banded_schema()
+    rows = [((float(i),), ("athens", 10.0), "ab"[i % 2]) for i in range(12)]
+    rows += [((float(i),), ("athens", 25.0), "ab"[i % 2]) for i in range(3)]
+    built = Dataset(schema, make_samples(rows))
+    assert len(validate_calls) == 15
+    path = tmp_path / "banded.csv"
+    write_csv(built, path)
+    validate_calls.clear()
+    ds = load_csv(path, schema)
+    assert ds == built and len(validate_calls) == 15
+
+    validate_calls.clear()
+    bucketing = BucketingConfig.from_schema(schema)
+    split_dataset(ds, 0.7, seed=0)
+    partition = mine_tasks(ds, bucketing)
+    assert partition.keys == ["athens|0", "athens|1"]
+    transfer = sample_transfer("athens|1", partition, min_samples=10, cap=100)
+    assert transfer.provenance == (("athens|0", 12),)
+    holdout_split(ds, 0.8, 0, bucketing)
+    stream = [(key, partition.parts[key], partition.parts[key]) for key in partition.keys]
+    baseline_incremental(stream, EstimatorSpec("majority"), 0)
+    assert validate_calls == []
+
+    runtime = EdgeRuntime(schema, bucketing)
+    assert runtime.ingest_feedback(list(ds.samples)).accepted == 15
+    assert len(validate_calls) == 15
+
+
 # -- CSV ------------------------------------------------------------------------
 
 def _write(tmp_path, text):
@@ -176,6 +236,21 @@ def test_load_csv_unparseable_numeric_reports_row(tmp_path):
 def test_load_csv_unknown_class_reports_row(tmp_path):
     path = _write(tmp_path, "x,y,city\n1.0,zzz,athens\n")
     with pytest.raises(DataError, match="row 1.*unknown class label"):
+        load_csv(path, city_schema())
+
+
+@pytest.mark.parametrize("x, band", [
+    ("nan", "10"), ("inf", "10"), ("1.0", "nan"), ("1.0", "-inf"),
+])
+def test_load_csv_rejects_non_finite_cells_with_file_and_row(tmp_path, x, band):
+    path = _write(tmp_path, f"x,y,city,band\n1.0,a,athens,10\n{x},b,athens,{band}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: row 2: ") + "(feature|attribute)"):
+        load_csv(path, banded_schema())
+
+
+def test_load_csv_empty_categorical_reports_row(tmp_path):
+    path = _write(tmp_path, "x,y,city\n1.0,a,athens\n2.0,b,\n")
+    with pytest.raises(DataError, match="row 2.*'city'"):
         load_csv(path, city_schema())
 
 
