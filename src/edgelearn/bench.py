@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError
 from .job import JobConfig, LifelongJob
 from .kb import DeploySnapshot, KnowledgeBase
 from .learners import EstimatorSpec, EvalMetrics, evaluate, fit, metrics_from_json, metrics_to_json
-from .tasks import BucketingConfig, TaskPartition, mine_tasks
+from .tasks import BucketingConfig, TaskPartition, as_tasks, mine_tasks
 
 METHOD_CLOSED = "closed"
 METHOD_INCREMENTAL = "incremental"
@@ -178,26 +178,20 @@ def relative_improvement(accuracy: float, baseline: float) -> float:
     return 100.0 * (accuracy - baseline) / baseline
 
 
-def _evaluate_per_task(model, test_partition: TaskPartition) -> dict[str, EvalMetrics]:
-    return {
-        key: evaluate(model, test_partition.parts[key])
-        for key in test_partition.keys
-    }
-
-
 def baseline_closed(
     train: Dataset,
-    test: Dataset,
+    test: Dataset | TaskPartition,
     learner: EstimatorSpec,
     seed: int,
     bucketing: BucketingConfig | None = None,
 ) -> MethodResult:
     """One model fit on all training data, task structure ignored; scored
-    per task on the test set for comparability."""
+    per task on the test set (or its task partition) for comparability."""
     if bucketing is None:
         bucketing = BucketingConfig.from_schema(train.schema)
     model = fit(learner, train, seed)
-    return MethodResult.from_metrics(_evaluate_per_task(model, mine_tasks(test, bucketing)))
+    test = as_tasks(test, bucketing)
+    return MethodResult.from_metrics({key: evaluate(model, test.parts[key]) for key in test.keys})
 
 
 def baseline_incremental(
@@ -243,14 +237,15 @@ class LifelongBenchOutcome:
 
 
 def run_lifelong_bench(
-    train: Dataset,
-    test: Dataset,
+    train: Dataset | TaskPartition,
+    test: Dataset | TaskPartition,
     cfg: JobConfig,
     kb_path: str | Path | None = None,
 ) -> LifelongBenchOutcome:
-    """Full pipeline: train on the training set, gate on the test set's task
-    partition, deploy, then score every test sample through snapshot
-    inference (unknown test tasks route to similar models or the fallback)."""
+    """Full pipeline over two sets or their task partitions (a set is mined
+    once): train, gate on the test tasks, deploy, then score every test sample
+    through snapshot inference (unknown tasks route to similar or fallback)."""
+    train, test = as_tasks(train, cfg.bucketing), as_tasks(test, cfg.bucketing)
     if kb_path is None:
         with tempfile.TemporaryDirectory(prefix="edgelearn-bench-") as tmp:
             return run_lifelong_bench(train, test, cfg, tmp)
@@ -260,15 +255,14 @@ def run_lifelong_bench(
     job.run_eval(test)
     snapshot = job.run_deploy()
 
-    runtime = EdgeRuntime(train.schema, cfg.bucketing)
+    runtime = EdgeRuntime(train.dataset.schema, cfg.bucketing)
     runtime.apply_snapshot(snapshot)
-    classes = train.schema.label_classes
+    classes = train.dataset.schema.label_classes
     index = {c: i for i, c in enumerate(classes)}
     per_task: dict[str, EvalMetrics] = {}
-    partition = mine_tasks(test, cfg.bucketing)
-    for key in partition.keys:
+    for key in test.keys:
         counts = [[0] * len(classes) for _ in classes]
-        for sample in partition.parts[key].samples:
+        for sample in test.parts[key].samples:
             prediction = runtime.infer(sample)
             counts[index[sample.label]][index[prediction.label]] += 1
         per_task[key] = EvalMetrics.from_counts(
@@ -285,13 +279,11 @@ def run_bench(
 ) -> BenchResult:
     """Run all three arms on the same train/test pair and compute relative
     improvements of the lifelong arm over the baselines. The lifelong arm's
-    knowledge base lives under *work_dir* when given (a temp dir otherwise)."""
-    train.require_labeled()
-    test.require_labeled()
-    closed = baseline_closed(train, test, cfg.learner, cfg.seed, cfg.bucketing)
-
-    train_parts = mine_tasks(train, cfg.bucketing)
+    knowledge base lives under *work_dir* when given (a temp dir otherwise).
+    Each set is mined into tasks once, and the arms share the partitions."""
     test_parts = mine_tasks(test, cfg.bucketing)
+    closed = baseline_closed(train, test_parts, cfg.learner, cfg.seed, cfg.bucketing)
+    train_parts = mine_tasks(train, cfg.bucketing)
     empty = Dataset(train.schema)
     # training-backed tasks first; test-only tasks arrive as "future" tasks
     # scored with whatever model the stream has produced by then
@@ -306,7 +298,7 @@ def run_bench(
     ]
     incremental = baseline_incremental(stream, cfg.learner, cfg.seed)
     kb_path = Path(work_dir) / "lifelong_kb" if work_dir is not None else None
-    lifelong = run_lifelong_bench(train, test, cfg, kb_path).result
+    lifelong = run_lifelong_bench(train_parts, test_parts, cfg, kb_path).result
 
     improvements = {}
     for key, metrics in sorted(lifelong.per_task.items()):

@@ -5,7 +5,8 @@ back in so the next cycle knows one more task.
 Raw training data is never retained in the KB; retraining an existing task
 uses only the newly arrived data (augmented by sample transfer within the
 new batch). The fallback model is refit on each cycle's pooled training
-data.
+data. A cycle mines its batch into tasks once and hands the per-task train
+and eval halves (each a :class:`TaskPartition`) to the train and eval stages.
 
 The job's phase lives in the KB manifest. Each stage, and each whole cycle,
 commits phase and KB in one KB transaction; one that raises changes neither.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .data import Dataset, DatasetSchema, split_dataset
-from .errors import ConfigError, CorruptStoreError, DataError, PhaseError
+from .errors import ConfigError, CorruptStoreError, PhaseError
 from .kb import (
     STATUS_DEPLOYABLE,
     STATUS_EVAL_FAILED,
@@ -31,7 +32,7 @@ from .kb import (
     sample_stats,
 )
 from .learners import EstimatorSpec, EvalMetrics, evaluate, fit
-from .tasks import BucketingConfig, mine_tasks, sample_transfer
+from .tasks import BucketingConfig, TaskPartition, as_tasks, mine_tasks, sample_transfer
 
 REASON_BELOW_THRESHOLD = "below-threshold"
 REASON_TOO_FEW_SAMPLES = "too-few-samples"
@@ -82,6 +83,13 @@ class JobConfig:
     trigger: TriggerPolicy = TriggerPolicy()
     fallback_enabled: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.fallback_enabled) is not bool:
+            raise ConfigError(f"fallback_enabled must be true or false, "
+                              f"got {self.fallback_enabled!r}")
 
 
 class Phase(Enum):
@@ -187,19 +195,16 @@ class LifelongJob:
     # -- stages ---------------------------------------------------------------
 
     @_one_commit
-    def run_train(self, train: Dataset) -> list[TaskRecord]:
-        """Mine tasks, fit one model per task (sample transfer topping up
-        small tasks), fit the fallback on the full set, and upsert everything.
-        Starts from Idle, Deployed, or Deploying (a deploy that found nothing
-        deployable); ends in the Evaluating phase."""
+    def run_train(self, train: Dataset | TaskPartition) -> list[TaskRecord]:
+        """Fit one model per task (sample transfer topping up small tasks),
+        fit the fallback on the full set, and upsert everything; a dataset
+        is mined into tasks first. Starts from Idle, Deployed, or Deploying
+        (a deploy that found nothing deployable); ends in the Evaluating phase."""
         self._require_phase(Phase.IDLE, Phase.DEPLOYED, Phase.DEPLOYING)
-        if len(train) == 0:
-            raise DataError("training dataset is empty")
-        train.require_labeled()
+        cfg = self.cfg
+        partition = as_tasks(train, cfg.bucketing)
         self._transition(Phase.TRAINING)
 
-        cfg = self.cfg
-        partition = mine_tasks(train, cfg.bucketing)
         stored: list[TaskRecord] = []
         for key in partition.keys:
             transfer = sample_transfer(
@@ -218,24 +223,20 @@ class LifelongJob:
             stored.append(self.kb.lookup(key))
 
         if cfg.fallback_enabled:
-            self.kb.set_fallback(fit(cfg.learner, train, cfg.seed))
+            self.kb.set_fallback(fit(cfg.learner, partition.dataset, cfg.seed))
 
         self._transition(Phase.EVALUATING)
         return stored
 
     @_one_commit
-    def run_eval(self, eval_set: Dataset) -> EvalReport:
+    def run_eval(self, eval_set: Dataset | TaskPartition) -> EvalReport:
         """Gate every freshly trained record against the eval policy using
-        its own slice of the eval set; tasks with too few eval samples fail.
-        The fallback is evaluated on the whole set but never gated. Ends in
-        the Deploying phase."""
+        its own task of the eval set (a dataset is mined first); tasks with
+        too few eval samples fail. The fallback is evaluated on the whole
+        set but never gated. Ends in the Deploying phase."""
         self._require_phase(Phase.EVALUATING)
-        if len(eval_set) == 0:
-            raise DataError("eval dataset is empty")
-        eval_set.require_labeled()
-
         cfg = self.cfg
-        partition = mine_tasks(eval_set, cfg.bucketing)
+        partition = as_tasks(eval_set, cfg.bucketing)
         pending = sorted(
             key for key, rec in self.kb.records.items() if rec.status == STATUS_TRAINED
         )
@@ -258,7 +259,7 @@ class LifelongJob:
 
         fallback_metrics = None
         if self.kb.fallback is not None:
-            fallback_metrics = evaluate(self.kb.fallback, eval_set)
+            fallback_metrics = evaluate(self.kb.fallback, partition.dataset)
 
         self._transition(Phase.DEPLOYING)
         return EvalReport(tuple(outcomes), fallback_metrics)
@@ -286,35 +287,35 @@ class LifelongJob:
         return self._run_cycle(initial)
 
     def _run_cycle(self, data: Dataset) -> DeploySnapshot:
-        if len(data) == 0:
-            raise DataError("cycle dataset is empty")
-        data.require_labeled()
-        train_part, eval_part = holdout_split(data, 0.8, self.cfg.seed, self.cfg.bucketing)
+        tasks = mine_tasks(data, self.cfg.bucketing)
+        train_part, eval_part = holdout_split(tasks, 0.8, self.cfg.seed)
         self.run_train(train_part)
         self.run_eval(eval_part if len(eval_part) > 0 else train_part)
         return self.run_deploy()
 
 
 def holdout_split(
-    data: Dataset, train_fraction: float, seed: int, bucketing: BucketingConfig
-) -> tuple[Dataset, Dataset]:
-    """Split stratified by task so every incoming task key lands in the
-    training part (a task with a single sample contributes it to training).
-    Deterministic: each task uses a seed derived from the job seed and its key.
-    """
-    partition = mine_tasks(data, bucketing)
-    train_samples = []
-    eval_samples = []
+    partition: TaskPartition, train_fraction: float, seed: int
+) -> tuple[TaskPartition, TaskPartition]:
+    """Split each task, so (for ``train_fraction >= 0.5``) every key lands
+    in the training half. Each half is what mining its ``dataset`` (tasks in
+    key order) would give; keys with no eval rows are absent from the eval
+    half. Deterministic: each task's seed derives from *seed* and its key."""
+    halves: tuple[dict, dict] = ({}, {})
     for key in partition.keys:
-        part = partition.parts[key]
-        if len(part) == 1:
-            train_samples.extend(part.samples)
-            continue
         derived = (seed * 1000003 + zlib.crc32(key.encode("utf-8"))) & 0x7FFFFFFF
-        first, second = split_dataset(part, train_fraction, derived)
-        train_samples.extend(first.samples)
-        eval_samples.extend(second.samples)
-    return data.derive(train_samples), data.derive(eval_samples)
+        for half, rows in zip(halves, split_dataset(partition.parts[key], train_fraction, derived)):
+            if len(rows) > 0:
+                half[key] = rows
+    return tuple(
+        TaskPartition(
+            partition.dataset.derive(s for part in parts.values() for s in part.samples),
+            partition.bucketing,
+            parts,
+            {key: partition.attributes[key] for key in parts},
+        )
+        for parts in halves
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -314,28 +314,31 @@ class KnowledgeBase:
                 f"(declared {declared_crc}, actual {actual_crc})"
             )
 
-        kb.schema_fingerprint = body["schema_fingerprint"]
-        kb.kb_version = body["kb_version"]
-        for entry in body["tasks"]:
-            model = kb._read_model_file(entry["model_file"], entry["crc32"])
-            record = TaskRecord(
-                key=entry["key"],
-                attributes=_attrs_from_json(entry["attributes"]),
-                model=model,
-                spec=model.spec,
-                sample_stats=_stats_from_json(entry["stats"]),
-                status=entry["status"],
-                version=entry["version"],
-                eval=metrics_from_json(entry["eval"]),
-            )
-            kb.records[record.key] = record
-            kb._model_files[record.key] = (entry["model_file"], entry["crc32"])
-        if body["fallback"] is not None:
-            kb.fallback = kb._read_model_file(
-                body["fallback"]["model_file"], body["fallback"]["crc32"]
-            )
-            kb._fallback_entry = body["fallback"]
-        kb.job = body.get("job")
+        try:  # a body under a valid checksum can still lack keys or have wrong types
+            kb.schema_fingerprint = body["schema_fingerprint"]
+            kb.kb_version = body["kb_version"]
+            for entry in body["tasks"]:
+                model = kb._read_model_file(entry["model_file"], entry["crc32"])
+                record = TaskRecord(
+                    key=entry["key"],
+                    attributes=_attrs_from_json(entry["attributes"]),
+                    model=model,
+                    spec=model.spec,
+                    sample_stats=_stats_from_json(entry["stats"]),
+                    status=entry["status"],
+                    version=entry["version"],
+                    eval=metrics_from_json(entry["eval"]),
+                )
+                kb.records[record.key] = record
+                kb._model_files[record.key] = (entry["model_file"], entry["crc32"])
+            if body["fallback"] is not None:
+                kb.fallback = kb._read_model_file(
+                    body["fallback"]["model_file"], body["fallback"]["crc32"]
+                )
+                kb._fallback_entry = body["fallback"]
+            kb.job = body.get("job")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptStoreError(f"corrupt store index {index_path}: bad body: {exc!r}") from exc
         return kb
 
     def _read_model_file(self, name: str, expected_crc: int) -> ModelArtifact:

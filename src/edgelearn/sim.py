@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import Dataset, DatasetSchema, Sample, load_csv, parse_schema
+from .data import Dataset, DatasetSchema, Sample, _is_finite_number, load_csv, parse_schema
 from .edge import (
     DEFAULT_SIMILARITY_THRESHOLD,
     DEFAULT_UNSEEN_CAP,
@@ -80,6 +80,14 @@ class SimConfig:
             raise ConfigError("need at least one edge node")
         if self.max_ticks < 0:
             raise ConfigError("max_ticks must be non-negative")
+        if type(self.training_delay_ticks) is not int or self.training_delay_ticks < 0:
+            raise ConfigError(f"training_delay_ticks must be an integer >= 0, "
+                              f"got {self.training_delay_ticks!r}")
+        if type(self.unseen_cap) is not int or self.unseen_cap < 1:
+            raise ConfigError(f"unseen_cap must be an integer >= 1, got {self.unseen_cap!r}")
+        if not _is_finite_number(self.similarity_threshold):
+            raise ConfigError(f"similarity_threshold must be a finite number, "
+                              f"got {self.similarity_threshold!r}")
         for ev in self.streams:
             if ev.tick < 0:
                 raise ConfigError("stream ticks must be non-negative")

@@ -210,8 +210,12 @@ class TaskIndex:
 
 @dataclass(frozen=True)
 class TaskPartition:
-    """Disjoint, exhaustive grouping of a dataset into per-task sub-datasets."""
+    """Disjoint, exhaustive grouping of ``dataset`` into per-task
+    sub-datasets under ``bucketing``. Mined once where a dataset enters a
+    pipeline, it is what flows between the stages after that."""
 
+    dataset: Dataset
+    bucketing: BucketingConfig
     parts: dict[str, Dataset]
     attributes: dict[str, BucketedAttributes]
 
@@ -238,7 +242,17 @@ def mine_tasks(dataset: Dataset, bucketing: BucketingConfig) -> TaskPartition:
             attrs_by_key[key] = bucketed
         groups[key].append(sample)
     parts = {key: dataset.derive(rows) for key, rows in groups.items()}
-    return TaskPartition(parts, attrs_by_key)
+    return TaskPartition(dataset, bucketing, parts, attrs_by_key)
+
+
+def as_tasks(data: Dataset | TaskPartition, bucketing: BucketingConfig) -> TaskPartition:
+    """The task partition of a stage's input: a dataset is mined, a
+    partition mined under *bucketing* is returned as it is."""
+    if isinstance(data, Dataset):
+        return mine_tasks(data, bucketing)
+    if data.bucketing != bucketing:
+        raise SchemaMismatchError("task partition was mined under another bucketing")
+    return data
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,70 @@ def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, corrupt):
     assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
 
 
+@pytest.mark.parametrize("corrupt", ["no-tasks", "task-without-model-file", "tasks-not-a-list"])
+def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt):
+    kb_dir = workdir / "kb"
+    assert cli_main(["job", "train", "--kb", str(kb_dir), "--schema", str(workdir / "schema.json"),
+                     "--config", str(workdir / "job.json"),
+                     "--data", str(workdir / "train.csv")]) == 0
+    index = kb_dir / "index.json"
+    manifest = json.loads(index.read_bytes())
+    body = manifest["body"]
+    if corrupt == "no-tasks":
+        del body["tasks"]
+    elif corrupt == "task-without-model-file":
+        del body["tasks"][0]["model_file"]
+    else:
+        body["tasks"] = 5
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))  # a valid checksum
+    index.write_bytes(canonical_json_bytes(manifest))
+    capsys.readouterr()
+    assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "corrupt store index" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", "x"), ("seed", 1.5), ("seed", None), ("seed", [1]), ("seed", True),
+    ("fallback_enabled", "yes"), ("fallback_enabled", 0), ("fallback_enabled", None),
+])
+def test_mistyped_job_config_is_config_error_exit_2(workdir, capsys, field, value):
+    doc = json.loads(JOB_TEXT)
+    doc[field] = value
+    (workdir / "job.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["job", "train", "--kb", str(workdir / "kb"),
+                     "--schema", str(workdir / "schema.json"),
+                     "--config", str(workdir / "job.json"),
+                     "--data", str(workdir / "train.csv")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (workdir / "kb" / "index.json").exists()
+    (workdir / "sim.json").write_text(json.dumps({
+        "edges": 1, "max_ticks": 2, "schema": "schema.json", "job": "job.json",
+        "initial_data": "train.csv",
+    }), encoding="utf-8")
+    assert cli_main(["sim", "run", "--config", str(workdir / "sim.json"),
+                     "--kb", str(workdir / "simkb"), "--out-dir", str(workdir / "simout")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (workdir / "simkb" / "index.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("training_delay_ticks", "1"), ("training_delay_ticks", -1), ("training_delay_ticks", 1.0),
+    ("training_delay_ticks", True), ("unseen_cap", 0), ("unseen_cap", "5"), ("unseen_cap", 2.5),
+    ("similarity_threshold", "0.5"), ("similarity_threshold", None),
+    ("similarity_threshold", float("nan")), ("similarity_threshold", True),
+])
+def test_mistyped_sim_config_is_config_error_exit_2(workdir, capsys, field, value):
+    (workdir / "sim.json").write_text(json.dumps({
+        "edges": 1, "max_ticks": 2, "schema": "schema.json", "job": "job.json",
+        "initial_data": "train.csv", field: value,
+    }), encoding="utf-8")
+    assert cli_main(["sim", "run", "--config", str(workdir / "sim.json"),
+                     "--kb", str(workdir / "simkb"), "--out-dir", str(workdir / "simout")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (workdir / "simkb" / "index.json").exists()
+
+
 def test_kb_show_prints_the_job_phase(workdir, capsys):
     kb_dir = str(workdir / "kb")
     assert cli_main(["kb", "init", "--kb", kb_dir]) == 0

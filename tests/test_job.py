@@ -7,8 +7,9 @@ import zlib
 
 import pytest
 
+from edgelearn import bench, job as job_mod, tasks as tasks_mod
 from edgelearn.data import Dataset
-from edgelearn.errors import LearnerError, NothingDeployableError, PhaseError
+from edgelearn.errors import LearnerError, NothingDeployableError, PhaseError, SchemaMismatchError
 from edgelearn.job import (
     EvalPolicy,
     JobConfig,
@@ -31,7 +32,7 @@ from edgelearn.learners import (
 )
 from edgelearn.tasks import BucketingConfig, mine_tasks
 
-from conftest import banded_schema, city_dataset, make_samples
+from conftest import banded_schema, city_dataset, make_samples, random_city_dataset
 from test_kb import _watch_writes
 
 
@@ -474,16 +475,89 @@ def test_holdout_split_keeps_every_key_in_train(rng):
             rows.append((rng.random(), city, rng.choice("ab")))
     ds = city_dataset(rows)
     bucketing = BucketingConfig((None,))
-    train, evals = holdout_split(ds, 0.8, seed=3, bucketing=bucketing)
-    train_keys = set(mine_tasks(train, bucketing).parts)
+    train, evals = holdout_split(mine_tasks(ds, bucketing), 0.8, seed=3)
+    train_keys = set(mine_tasks(train.dataset, bucketing).parts)
     assert train_keys == {"a1", "b2", "c3", "d4"}
-    assert len(train) + len(evals) == len(ds)
+    assert len(train.dataset) + len(evals.dataset) == len(ds)
 
 
 def test_holdout_split_deterministic():
     ds = two_city_data(10)
     bucketing = BucketingConfig((None,))
-    assert holdout_split(ds, 0.8, 5, bucketing) == holdout_split(ds, 0.8, 5, bucketing)
+    assert holdout_split(mine_tasks(ds, bucketing), 0.8, 5) == holdout_split(
+        mine_tasks(ds, bucketing), 0.8, 5)
+
+
+def test_holdout_halves_are_the_partitions_re_mining_gives(rng):
+    schema = banded_schema()
+    bucketing = BucketingConfig.from_schema(schema)
+    empty_evals = 0
+    for case in range(300):
+        rows = []
+        for _task in range(rng.randint(1, 4)):
+            attrs = (rng.choice(["a|b", "c", "d\\"]), rng.uniform(10.0, 40.0))
+            for _ in range(rng.randint(1, rng.choice([2, 30]))):
+                rows.append(((rng.random(),), attrs, rng.choice("ab")))
+        rng.shuffle(rows)
+        ds = Dataset(schema, make_samples(rows))
+        partition = mine_tasks(ds, bucketing)
+        train, evals = holdout_split(partition, 0.8, case)
+        assert train == mine_tasks(train.dataset, bucketing)
+        assert set(train.parts) == set(partition.parts)
+        if len(evals.dataset) == 0:
+            empty_evals += 1
+            assert evals.parts == {} and evals.attributes == {}
+        else:
+            assert evals == mine_tasks(evals.dataset, bucketing)
+        for half in (train, evals):
+            key_ordered = [s for key in half.keys for s in half.parts[key].samples]
+            assert list(half.dataset.samples) == key_ordered
+        assert sorted(train.dataset.samples + evals.dataset.samples, key=repr) == sorted(
+            ds.samples, key=repr)
+    assert 0 < empty_evals < 300
+
+
+def test_stages_reject_a_partition_mined_under_another_bucketing(tmp_path):
+    cfg = majority_config(bucketing=BucketingConfig((None, (20.0, 30.0))))
+    job, kb = new_job(tmp_path, cfg)
+    ds = Dataset(banded_schema(), make_samples(
+        [((float(i),), ("athens", 10.0 * i), "ab"[i % 2]) for i in range(6)]))
+    other = mine_tasks(ds, BucketingConfig((None, (25.0,))))
+    before = job.state, kb.fingerprint()
+    with pytest.raises(SchemaMismatchError, match="another bucketing"):
+        job.run_train(other)
+    assert (job.state, kb.fingerprint()) == before
+
+    job.run_train(mine_tasks(ds, cfg.bucketing))
+    before = job.state, kb.fingerprint()
+    with pytest.raises(SchemaMismatchError, match="another bucketing"):
+        job.run_eval(other)
+    assert (job.state, kb.fingerprint()) == before
+    job.run_eval(ds)
+    assert job.state.phase is Phase.DEPLOYING
+
+
+def test_each_dataset_is_mined_once(tmp_path, monkeypatch, rng):
+    calls = []
+    real = tasks_mod.mine_tasks
+
+    def counting(dataset, bucketing):
+        calls.append(len(dataset))
+        return real(dataset, bucketing)
+
+    for module in (tasks_mod, job_mod, bench):
+        monkeypatch.setattr(module, "mine_tasks", counting)
+    job, _ = new_job(tmp_path)
+    data = random_city_dataset(rng, 60, ["athens", "tokyo", "oslo"])
+    job.bootstrap(data)
+    assert calls == [60]
+    calls.clear()
+    job.run_update_cycle(data)
+    assert calls == [60]
+    calls.clear()
+    test = random_city_dataset(rng, 30, ["athens", "tokyo", "lima"])
+    bench.run_bench(data, test, majority_config(), tmp_path / "bench")
+    assert sorted(calls) == [30, 60]
 
 
 # -- pluggable learner through the full pipeline --------------------------------------------
