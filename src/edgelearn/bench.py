@@ -258,16 +258,12 @@ def run_lifelong_bench(
     runtime = EdgeRuntime(train.dataset.schema, cfg.bucketing)
     runtime.apply_snapshot(snapshot)
     classes = train.dataset.schema.label_classes
-    index = {c: i for i, c in enumerate(classes)}
-    per_task: dict[str, EvalMetrics] = {}
-    for key in test.keys:
-        counts = [[0] * len(classes) for _ in classes]
-        for sample in test.parts[key].samples:
-            prediction = runtime.infer(sample)
-            counts[index[sample.label]][index[prediction.label]] += 1
-        per_task[key] = EvalMetrics.from_counts(
-            tuple(classes), tuple(tuple(row) for row in counts)
+    per_task = {
+        key: EvalMetrics.from_pairs(
+            classes, ((s.label, runtime.infer(s).label) for s in test.parts[key].samples)
         )
+        for key in test.keys
+    }
     return LifelongBenchOutcome(MethodResult.from_metrics(per_task), snapshot)
 
 

@@ -2,8 +2,9 @@
 
 Built-in kinds are ``majority`` (constant most-frequent-class model),
 ``logistic`` (multinomial logistic regression, full-batch gradient descent
-with a monotone-loss safeguard), and ``tree`` (gini decision tree for
-classification, variance-reduction tree with mean leaves for regression).
+with a monotone-loss safeguard), and ``tree`` (a decision tree grown by one
+split search under two impurities: gini for classification, squared error
+with mean leaves for regression).
 All three are deterministic: fitting the same spec on the same data with
 the same seed produces byte-identical serialized artifacts.
 
@@ -145,6 +146,15 @@ class EvalMetrics:
         n = sum(sum(row) for row in counts)
         trace = sum(counts[i][i] for i in range(len(classes)))
         return cls(accuracy=trace / n, classes=classes, counts=counts, n=n)
+
+    @classmethod
+    def from_pairs(cls, classes: tuple[str, ...], pairs) -> "EvalMetrics":
+        """Tally ``(true, predicted)`` class-name pairs into a confusion matrix."""
+        index = {c: i for i, c in enumerate(classes)}
+        counts = [[0] * len(classes) for _ in classes]
+        for true, predicted in pairs:
+            counts[index[true]][index[predicted]] += 1
+        return cls.from_counts(classes, tuple(tuple(row) for row in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +316,84 @@ class LogisticLearner(Learner):
         return tuple(_softmax(self._scores(params, features)))
 
 
+class _Gini:
+    """Classification impurity: ``n * gini`` as an exact integer rational,
+    so exhaustive-search oracles agree bit-for-bit."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def leaf(self, ys):
+        counts = [0] * self.k
+        for y in ys:
+            counts[y] += 1
+        best = max(range(self.k), key=lambda i: (counts[i], -i))
+        return {"kind": "leaf", "counts": counts, "label_index": best}
+
+    def pure(self, leaf):
+        return leaf["counts"].count(0) == self.k - 1
+
+    def node(self, ys, leaf):
+        return len(ys) ** 2 - sum(c * c for c in leaf["counts"]), len(ys)
+
+    def cuts(self, ys):
+        # sum over sides of m * gini(side), over the denominator n_left * n_right;
+        # the sums of squared counts move by +2c+1 on the left, -(2c-1) on the right
+        n = len(ys)
+        left = [0] * self.k
+        right = self.leaf(ys)["counts"]
+        left_sq, right_sq = 0, sum(c * c for c in right)
+        for n_left, y in enumerate(ys[:-1], 1):
+            c = left[y]
+            left[y] = c + 1
+            left_sq += 2 * c + 1
+            c = right[y]
+            right[y] = c - 1
+            right_sq -= 2 * c - 1
+            n_right = n - n_left
+            num = (n_left * n_left - left_sq) * n_right + (n_right * n_right - right_sq) * n_left
+            yield num, n_left * n_right
+
+
+class _SquaredError:
+    """Regression impurity: summed squared error about the mean, over 1."""
+
+    def leaf(self, ys):
+        return {"kind": "leaf", "mean": sum(ys) / len(ys), "n": len(ys)}
+
+    def pure(self, leaf):
+        return False  # the node's error is a float sum: only the cut scores decide
+
+    def node(self, ys, leaf):
+        return sum((y - leaf["mean"]) ** 2 for y in ys), 1
+
+    def cuts(self, ys):
+        n = len(ys)
+        total, total_sq = sum(ys), sum(y ** 2 for y in ys)
+        left_sum = left_sq = 0.0
+        for n_left, y in enumerate(ys[:-1], 1):
+            left_sum += y
+            left_sq += y * y
+            n_right = n - n_left
+            right_sum, right_sq = total - left_sum, total_sq - left_sq
+            sse = (left_sq - left_sum * left_sum / n_left) + (
+                right_sq - right_sum * right_sum / n_right
+            )
+            yield sse, 1
+
+
 class TreeLearner(Learner):
-    """Binary decision tree. Classification splits minimize weighted gini
-    impurity with exact integer arithmetic (so exhaustive-search oracles
-    agree bit-for-bit); regression splits minimize summed squared error with
-    mean-valued leaves. Candidate thresholds are midpoints between
+    """Binary decision tree grown by one greedy split search under two
+    impurities (CART): weighted gini for classification, summed squared
+    error with mean-valued leaves for regression. An impurity supplies the
+    leaf payload (``leaf``), the purity stop (``pure``), the node's score
+    (``node``) and the score of every cut of labels in sorted order
+    (``cuts``). Scores are ``(num, den)`` pairs compared by
+    cross-multiplication: gini's is an exact integer rational, squared
+    error's has ``den = 1``. Candidate thresholds are midpoints between
     consecutive distinct feature values; ties resolve to the lowest feature
-    index, then the lowest threshold.
+    index, then the lowest threshold. A node splits only if its best cut
+    strictly improves on the node's own score.
     """
 
     kind = "tree"
@@ -323,146 +404,46 @@ class TreeLearner(Learner):
         hp = spec.resolved()
         schema = train.schema
         if schema.is_classification:
-            labels = [schema.class_index(s.label) for s in train.samples]
-            tree = self._build_classification(
-                train, labels, list(range(len(train))), hp["max_depth"], hp["min_leaf"]
-            )
+            ys = [schema.class_index(s.label) for s in train.samples]
+            impurity = _Gini(len(schema.label_classes))
         else:
-            tree = self._build_regression(
-                train, list(range(len(train))), hp["max_depth"], hp["min_leaf"]
-            )
+            ys = [float(s.label) for s in train.samples]
+            impurity = _SquaredError()
+        columns = [[s.features[j] for s in train.samples] for j in range(schema.n_features)]
+        tree = self._grow(
+            columns, ys, list(range(len(train))), hp["max_depth"], hp["min_leaf"], impurity
+        )
         return {"tree": tree}
 
-    # -- classification ----------------------------------------------------
-
-    @staticmethod
-    def _class_counts(labels, indices, k):
-        counts = [0] * k
-        for i in indices:
-            counts[labels[i]] += 1
-        return counts
-
-    @staticmethod
-    def _node_impurity(counts) -> tuple[int, int]:
-        # n * gini as an exact rational (numerator, denominator)
-        n = sum(counts)
-        return n * n - sum(c * c for c in counts), n
-
-    @classmethod
-    def best_gini_split(cls, dataset: Dataset, labels, indices, min_leaf: int):
-        """Best (feature, threshold) by weighted gini over all midpoint
-        candidates, or None when no split strictly improves on the node.
-
-        Returns ``(feature, threshold, impurity_numerator, impurity_denominator)``
-        where the impurity rational is sum over sides of ``m * gini(side)``,
-        expressed over the common denominator ``n_left * n_right``.
-        """
-        k = len(dataset.schema.label_classes)
+    def _grow(self, columns, ys, indices, depth, min_leaf, impurity):
+        node_ys = [ys[i] for i in indices]
+        leaf = impurity.leaf(node_ys)
         n = len(indices)
-        parent_num, parent_den = cls._node_impurity(cls._class_counts(labels, indices, k))
+        if depth == 0 or n < 2 * min_leaf or impurity.pure(leaf):
+            return leaf
         best = None  # (num, den, feature, threshold)
-        for j in range(dataset.schema.n_features):
-            order = sorted(indices, key=lambda i: dataset.samples[i].features[j])
-            left = [0] * k
-            right = cls._class_counts(labels, order, k)
-            for pos in range(n - 1):
-                i = order[pos]
-                left[labels[i]] += 1
-                right[labels[i]] -= 1
-                v1 = dataset.samples[i].features[j]
-                v2 = dataset.samples[order[pos + 1]].features[j]
-                if v1 == v2:
+        for j, column in enumerate(columns):
+            order = sorted(indices, key=column.__getitem__)
+            values = [column[i] for i in order]
+            cuts = zip(values, values[1:], impurity.cuts([ys[i] for i in order]))
+            for n_left, (v1, v2, (num, den)) in enumerate(cuts, 1):
+                if v1 == v2 or n_left < min_leaf or n - n_left < min_leaf:
                     continue
-                n_left = pos + 1
-                n_right = n - n_left
-                if n_left < min_leaf or n_right < min_leaf:
-                    continue
-                num = (n_left * n_left - sum(c * c for c in left)) * n_right + (
-                    n_right * n_right - sum(c * c for c in right)
-                ) * n_left
-                den = n_left * n_right
                 if best is None or num * best[1] < best[0] * den:
                     best = (num, den, j, (v1 + v2) / 2.0)
-        if best is None:
-            return None
-        num, den, j, threshold = best
-        # keep the node a leaf unless the split strictly improves impurity
-        if num * parent_den >= parent_num * den:
-            return None
-        return j, threshold, num, den
-
-    def _build_classification(self, dataset, labels, indices, depth, min_leaf):
-        k = len(dataset.schema.label_classes)
-        counts = self._class_counts(labels, indices, k)
-        leaf = {
-            "kind": "leaf",
-            "counts": counts,
-            "label_index": max(range(k), key=lambda i: (counts[i], -i)),
-        }
-        if depth == 0 or len(indices) < 2 * min_leaf or counts.count(0) == k - 1:
+        parent_num, parent_den = impurity.node(node_ys, leaf)
+        if best is None or best[0] * parent_den >= parent_num * best[1]:
             return leaf
-        split = self.best_gini_split(dataset, labels, indices, min_leaf)
-        if split is None:
-            return leaf
-        j, threshold, _, _ = split
-        left = [i for i in indices if dataset.samples[i].features[j] < threshold]
-        right = [i for i in indices if dataset.samples[i].features[j] >= threshold]
+        _, _, j, threshold = best
+        column = columns[j]
+        left = [i for i in indices if column[i] < threshold]
+        right = [i for i in indices if column[i] >= threshold]
         return {
             "kind": "split",
             "feature": j,
             "threshold": threshold,
-            "left": self._build_classification(dataset, labels, left, depth - 1, min_leaf),
-            "right": self._build_classification(dataset, labels, right, depth - 1, min_leaf),
-        }
-
-    # -- regression ---------------------------------------------------------
-
-    def _build_regression(self, dataset, indices, depth, min_leaf):
-        ys = [float(dataset.samples[i].label) for i in indices]
-        n = len(ys)
-        mean = sum(ys) / n
-        leaf = {"kind": "leaf", "mean": mean, "n": n}
-        if depth == 0 or n < 2 * min_leaf:
-            return leaf
-        parent_sse = sum((y - mean) ** 2 for y in ys)
-        best = None  # (sse, feature, threshold)
-        for j in range(dataset.schema.n_features):
-            order = sorted(indices, key=lambda i: dataset.samples[i].features[j])
-            total = sum(float(dataset.samples[i].label) for i in order)
-            total_sq = sum(float(dataset.samples[i].label) ** 2 for i in order)
-            left_sum = 0.0
-            left_sq = 0.0
-            for pos in range(n - 1):
-                i = order[pos]
-                y = float(dataset.samples[i].label)
-                left_sum += y
-                left_sq += y * y
-                v1 = dataset.samples[i].features[j]
-                v2 = dataset.samples[order[pos + 1]].features[j]
-                if v1 == v2:
-                    continue
-                n_left = pos + 1
-                n_right = n - n_left
-                if n_left < min_leaf or n_right < min_leaf:
-                    continue
-                right_sum = total - left_sum
-                right_sq = total_sq - left_sq
-                sse = (left_sq - left_sum * left_sum / n_left) + (
-                    right_sq - right_sum * right_sum / n_right
-                )
-                if best is None or sse < best[0]:
-                    best = (sse, j, (v1 + v2) / 2.0)
-        if best is None or best[0] >= parent_sse:
-            return leaf
-        _, j, threshold = best
-        left = [i for i in indices if dataset.samples[i].features[j] < threshold]
-        right = [i for i in indices if dataset.samples[i].features[j] >= threshold]
-        return {
-            "kind": "split",
-            "feature": j,
-            "threshold": threshold,
-            "left": self._build_regression(dataset, left, depth - 1, min_leaf),
-            "right": self._build_regression(dataset, right, depth - 1, min_leaf),
+            "left": self._grow(columns, ys, left, depth - 1, min_leaf, impurity),
+            "right": self._grow(columns, ys, right, depth - 1, min_leaf, impurity),
         }
 
     # -- inference ----------------------------------------------------------
@@ -560,12 +541,9 @@ def evaluate(model: ModelArtifact, test: Dataset) -> EvalMetrics:
         raise LearnerError("evaluate requires a classification model")
     if test.schema.fingerprint() != model.schema_fingerprint:
         raise SchemaMismatchError("test set schema does not match the model")
-    classes = model.classes
-    index = {c: i for i, c in enumerate(classes)}
-    counts = [[0] * len(classes) for _ in classes]
-    for s in test.samples:
-        counts[index[s.label]][index[predict(model, s.features)]] += 1
-    return EvalMetrics.from_counts(classes, tuple(tuple(row) for row in counts))
+    return EvalMetrics.from_pairs(
+        model.classes, ((s.label, predict(model, s.features)) for s in test.samples)
+    )
 
 
 # ---------------------------------------------------------------------------

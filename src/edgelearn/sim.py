@@ -76,28 +76,22 @@ class SimConfig:
     unseen_cap: int = DEFAULT_UNSEEN_CAP
 
     def __post_init__(self):
-        if self.edges < 1:
-            raise ConfigError("need at least one edge node")
-        if self.max_ticks < 0:
-            raise ConfigError("max_ticks must be non-negative")
-        if type(self.training_delay_ticks) is not int or self.training_delay_ticks < 0:
-            raise ConfigError(f"training_delay_ticks must be an integer >= 0, "
-                              f"got {self.training_delay_ticks!r}")
-        if type(self.unseen_cap) is not int or self.unseen_cap < 1:
-            raise ConfigError(f"unseen_cap must be an integer >= 1, got {self.unseen_cap!r}")
+        if type(self.edges) is not int or self.edges < 1:
+            raise ConfigError(f"edges must be an integer, at least one edge node, "
+                              f"got {self.edges!r}")
+        for name, low in (("max_ticks", 0), ("training_delay_ticks", 0), ("unseen_cap", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if not _is_finite_number(self.similarity_threshold):
             raise ConfigError(f"similarity_threshold must be a finite number, "
                               f"got {self.similarity_threshold!r}")
-        for ev in self.streams:
-            if ev.tick < 0:
-                raise ConfigError("stream ticks must be non-negative")
-            if not 0 <= ev.edge_id < self.edges:
-                raise ConfigError(f"stream names unknown edge {ev.edge_id}")
-        for ev in self.links:
-            if ev.tick < 0:
-                raise ConfigError("link ticks must be non-negative")
-            if not 0 <= ev.edge_id < self.edges:
-                raise ConfigError(f"link event names unknown edge {ev.edge_id}")
+        for name, events in (("streams", self.streams), ("links", self.links)):
+            for ev in events:
+                if type(ev.tick) is not int or ev.tick < 0:
+                    raise ConfigError(f"{name}: tick must be an integer >= 0, got {ev.tick!r}")
+                if type(ev.edge_id) is not int or not 0 <= ev.edge_id < self.edges:
+                    raise ConfigError(f"{name}: unknown edge {ev.edge_id!r}")
 
 
 @dataclass

@@ -200,6 +200,11 @@ def test_mistyped_job_config_is_config_error_exit_2(workdir, capsys, field, valu
     ("training_delay_ticks", True), ("unseen_cap", 0), ("unseen_cap", "5"), ("unseen_cap", 2.5),
     ("similarity_threshold", "0.5"), ("similarity_threshold", None),
     ("similarity_threshold", float("nan")), ("similarity_threshold", True),
+    ("edges", 1.5), ("edges", True), ("max_ticks", 2.5), ("max_ticks", True),
+    ("streams", [{"tick": 1.5, "edge": 0, "data": "train.csv"}]),
+    ("streams", [{"tick": 0, "edge": True, "data": "train.csv"}]),
+    ("links", [{"tick": 1, "edge": 0.0, "state": "down"}]),
+    ("links", [{"tick": True, "edge": 0, "state": "down"}]),
 ])
 def test_mistyped_sim_config_is_config_error_exit_2(workdir, capsys, field, value):
     (workdir / "sim.json").write_text(json.dumps({

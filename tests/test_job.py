@@ -251,18 +251,36 @@ def test_job_document_does_not_grow_across_cycles(tmp_path):
 
 
 def test_illegal_phase_calls_rejected_everywhere(tmp_path):
-    job, _ = new_job(tmp_path)
     data = two_city_data()
-    with pytest.raises(PhaseError):
-        job.run_deploy()
-    with pytest.raises(PhaseError):
-        job.run_update_cycle(data)
-    job.run_train(data)
-    with pytest.raises(PhaseError):
-        job.run_deploy()
-    job.run_eval(data)
-    with pytest.raises(PhaseError):
-        job.run_eval(data)
+    reach = {  # each committed phase, from a fresh job
+        Phase.IDLE: lambda job: None,
+        Phase.EVALUATING: lambda job: job.run_train(data),
+        Phase.DEPLOYING: lambda job: (job.run_train(data), job.run_eval(data)),
+        Phase.DEPLOYED: lambda job: job.bootstrap(data),
+    }
+    calls = {  # each stage: its legal start phases and the phase it ends in
+        "bootstrap": ({Phase.IDLE}, Phase.DEPLOYED, lambda job: job.bootstrap(data)),
+        "run_train": ({Phase.IDLE, Phase.DEPLOYING, Phase.DEPLOYED}, Phase.EVALUATING,
+                      lambda job: job.run_train(data)),
+        "run_eval": ({Phase.EVALUATING}, Phase.DEPLOYING, lambda job: job.run_eval(data)),
+        "run_deploy": ({Phase.DEPLOYING}, Phase.DEPLOYED, lambda job: job.run_deploy()),
+        "run_update_cycle": ({Phase.DEPLOYED}, Phase.DEPLOYED,
+                             lambda job: job.run_update_cycle(data)),
+    }
+    for phase, setup in reach.items():
+        for name, (legal, end, call) in calls.items():
+            job, kb = new_job(tmp_path, name=f"{phase.value}-{name}")
+            setup(job)
+            assert job.state.phase is phase
+            if phase in legal:
+                call(job)
+                assert job.state.phase is end, (phase, name)
+                continue
+            fingerprint = kb.fingerprint()
+            with pytest.raises(PhaseError, match=f"current is {phase.value}"):
+                call(job)
+            assert kb.fingerprint() == fingerprint, (phase, name)
+            assert job.state.phase is phase
 
 
 # -- update cycle ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -67,6 +68,46 @@ def exhaustive_best_gini_split(dataset, min_leaf=1):
     if best is None or best[2] >= parent:
         return None
     return best
+
+
+def exact_sse(rows):
+    """Summed squared error of the rows' labels about their mean, exactly."""
+    ys = [Fraction(s.label) for s in rows]
+    mean = sum(ys) / len(ys)
+    return sum((y - mean) ** 2 for y in ys)
+
+
+def exhaustive_sse_cuts(dataset, min_leaf=1):
+    """Independent exhaustive search over every (feature, midpoint) split of
+    a regression set, with exact Fraction arithmetic on the label values.
+    Returns (node_sse, best) where best is (feature, threshold, sse) of the
+    lowest summed squared error over both sides, or None when no split
+    leaves min_leaf rows on each side; ties resolve to lowest feature, then
+    lowest threshold. Whether best improves on the node is left to callers.
+    """
+    samples = dataset.samples
+    best = None
+    for j in range(dataset.schema.n_features):
+        values = sorted({s.features[j] for s in samples})
+        for v1, v2 in zip(values, values[1:]):
+            threshold = (v1 + v2) / 2.0
+            left = [s for s in samples if s.features[j] < threshold]
+            right = [s for s in samples if s.features[j] >= threshold]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            score = exact_sse(left) + exact_sse(right)
+            if best is None or score < best[2]:
+                best = (j, threshold, score)
+    return exact_sse(samples), best
+
+
+def collect_nodes(node, rows, depth, nodes):
+    """Walk a fitted tree, recording (node subset, node, remaining depth)."""
+    nodes.append((rows, node, depth))
+    if node["kind"] == "split":
+        j, t = node["feature"], node["threshold"]
+        collect_nodes(node["left"], [s for s in rows if s.features[j] < t], depth - 1, nodes)
+        collect_nodes(node["right"], [s for s in rows if s.features[j] >= t], depth - 1, nodes)
 
 
 def collect_splits(node, rows, splits):
@@ -256,6 +297,74 @@ def test_tree_regression_mean_leaf():
         predict_proba(model, (0.0,))
     with pytest.raises(LearnerError):
         evaluate(model, ds)
+
+
+def test_tree_every_regression_split_matches_exhaustive_sse_corpus():
+    rng = random.Random(57)
+    schema = parse_schema(
+        '{"features": ["f0", "f1"], "label": {"name": "y", "kind": "regression"}}'
+    )
+    splits = leaves_checked = 0
+    for trial in range(60):
+        grid = rng.choice([0.5, 1.0, 5.0, None])
+        step = rng.random() < 0.3  # piecewise-constant labels: pure nodes occur
+        rows = []
+        for _ in range(rng.randint(2, 50)):
+            x = [rng.uniform(0, 10) for _ in range(2)]
+            if grid:
+                x = [round(v / grid) * grid for v in x]
+            y = 3.0 * (x[0] > 5) + (x[1] > 2) if step else rng.gauss(3.0 * (x[0] > 5) + x[1], 1.0)
+            rows.append((tuple(x), (), round(y, 1) if rng.random() < 0.3 else y))
+        ds = Dataset(schema, make_samples(rows))
+        max_depth, min_leaf = rng.randint(1, 4), rng.choice([1, 2, 5])
+        model = fit(EstimatorSpec("tree", {"max_depth": max_depth, "min_leaf": min_leaf}), ds, 0)
+
+        nodes = []
+        collect_nodes(model.parameters["tree"], list(ds.samples), max_depth, nodes)
+        for rows_at_node, node, depth in nodes:
+            node_sse, best = exhaustive_sse_cuts(Dataset(schema, tuple(rows_at_node)), min_leaf)
+            tolerance = Fraction(1e-9) * node_sse
+            if node["kind"] == "split":
+                splits += 1
+                j, t = node["feature"], node["threshold"]
+                left = [s for s in rows_at_node if s.features[j] < t]
+                right = [s for s in rows_at_node if s.features[j] >= t]
+                assert best is not None and len(left) >= min_leaf and len(right) >= min_leaf
+                assert exact_sse(left) + exact_sse(right) - best[2] <= tolerance
+            elif depth > 0 and len(rows_at_node) >= 2 * min_leaf:
+                leaves_checked += 1
+                assert best is None or best[2] >= node_sse - tolerance
+    assert splits > 50 and leaves_checked > 20, (splits, leaves_checked)
+
+
+# The sha256 of the serialized models of a fixed corpus of both tree kinds:
+# any change to a split, a threshold or a leaf changes it.
+TREE_CORPUS_SHA256 = "983f2c381ae71bd48a7577b52e52a1574035e2769476734942d88a5677cf8a1b"
+
+
+def test_tree_corpus_bytes_are_pinned():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for trial in range(160):
+        regression = trial % 2 == 1
+        n_features = rng.choice([1, 2, 3])
+        names = ", ".join(f'"f{j}"' for j in range(n_features))
+        label = ('{"name": "y", "kind": "regression"}' if regression
+                 else '{"name": "y", "classes": ["a", "b", "c"]}')
+        schema = parse_schema('{"features": [%s], "label": %s}' % (names, label))
+        grid = rng.choice([0.5, 1.0, 2.5])  # coarse grids, so feature values tie
+        rows = []
+        for _ in range(rng.randint(2, 60)):
+            x = tuple(round(rng.uniform(0, 10) / grid) * grid for _ in range(n_features))
+            if regression:
+                y = rng.gauss(x[0], 1.0) + (1e6 if rng.random() < 0.05 else 0.0)
+            else:
+                y = rng.choice("abc"[: rng.choice([1, 2, 3])])
+            rows.append((x, (), y))
+        hp = {"max_depth": rng.randint(1, 6), "min_leaf": rng.choice([1, 2, 5])}
+        model = fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
+        digest.update(serialize_model(model))
+    assert digest.hexdigest() == TREE_CORPUS_SHA256
 
 
 def test_tree_pure_node_stays_leaf():
