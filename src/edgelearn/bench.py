@@ -10,8 +10,9 @@ along feature 0, so one global model cannot fit them all. The three arms:
   prequentially (each task's test is evaluated before its training data
   joins the cumulative pool; the first task bootstraps the model and is
   scored after its own fit).
-* lifelong: the full train/eval/deploy pipeline, scored through snapshot
-  inference including unknown-task routing.
+* lifelong: the job's bootstrap cycle on the training set (its gate sees
+  only a holdout of that set), scored through snapshot inference including
+  unknown-task routing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import AttrValue, Dataset, DatasetSchema, Sample, parse_schema
+from .data import (AttrValue, Dataset, DatasetSchema, Sample, _is_finite_number, check_int,
+                   check_object, field_names, load_object, parse_schema)
 from .edge import EdgeRuntime
 from .errors import ConfigError, DataError
 from .job import JobConfig, LifelongJob
@@ -58,15 +60,21 @@ class SyntheticTask:
 class SyntheticSpec:
     schema: DatasetSchema
     tasks: tuple[SyntheticTask, ...]
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
+        check_int("seed", self.seed)
         for i, task in enumerate(self.tasks):
             if len(task.ranges) != self.schema.n_features:
                 raise ConfigError(f"task {i}: needs one range per feature")
-            for lo, hi in task.ranges:
+            for bounds in task.ranges:
+                if len(bounds) != 2 or not all(map(_is_finite_number, bounds)):
+                    raise ConfigError(f"task {i}: a range must be two numbers, got {bounds!r}")
+                lo, hi = bounds
                 if not lo < hi:
                     raise ConfigError(f"task {i}: empty feature range [{lo},{hi}]")
+            if not all(map(_is_finite_number, task.thresholds)):
+                raise ConfigError(f"task {i}: thresholds must be numbers")
             if any(a >= b for a, b in zip(task.thresholds, task.thresholds[1:])):
                 raise ConfigError(f"task {i}: thresholds must be strictly increasing")
             lo0, hi0 = task.ranges[0]
@@ -80,10 +88,9 @@ class SyntheticSpec:
             for c in task.region_classes:
                 if c not in (self.schema.label_classes or ()):
                     raise ConfigError(f"task {i}: class {c!r} not declared in the schema")
-            if not 0.0 <= task.noise < 0.5:
+            if not (_is_finite_number(task.noise) and 0.0 <= task.noise < 0.5):
                 raise ConfigError(f"task {i}: noise must be in [0, 0.5)")
-            if task.n_samples < 1:
-                raise ConfigError(f"task {i}: n_samples must be >= 1")
+            check_int(f"task {i}: n", task.n_samples, 1)
             if len(task.attributes) != self.schema.n_attributes:
                 raise ConfigError(f"task {i}: attribute tuple does not match the schema")
 
@@ -115,32 +122,30 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
 def parse_synthetic_spec(config_text: str) -> SyntheticSpec:
     """Parse a JSON synthetic spec.
 
-    Keys: ``seed``, ``schema`` (inline schema config object), ``tasks``
-    [{attributes, ranges, thresholds, classes, noise, n}].
+    Keys are :class:`SyntheticSpec`'s fields: ``seed``, ``schema`` (inline
+    schema config object), ``tasks`` [{attributes, ranges, thresholds,
+    classes, noise, n}]; a task's ``noise`` defaults to 0.
     """
+    raw = load_object(config_text, "synthetic spec", ("schema", "tasks"), field_names(SyntheticSpec))
+    schema = parse_schema(json.dumps(raw["schema"]))
     try:
-        raw = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"synthetic spec is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("synthetic spec must be a JSON object")
-    try:
-        schema = parse_schema(json.dumps(raw["schema"]))
-        tasks = tuple(
-            SyntheticTask(
+        tasks = []
+        for i, entry in enumerate(raw["tasks"]):
+            entry = check_object(entry, f"synthetic spec task {i}",
+                                 ("attributes", "ranges", "thresholds", "classes", "n"), ("noise",))
+            for key in ("attributes", "ranges", "thresholds", "classes"):
+                if not isinstance(entry[key], list):
+                    raise ConfigError(f"synthetic spec task {i}: {key!r} must be a list")
+            tasks.append(SyntheticTask(
                 attributes=tuple(entry["attributes"]),
-                ranges=tuple((float(lo), float(hi)) for lo, hi in entry["ranges"]),
-                thresholds=tuple(float(t) for t in entry["thresholds"]),
+                ranges=tuple(tuple(bounds) for bounds in entry["ranges"]),
+                thresholds=tuple(entry["thresholds"]),
                 region_classes=tuple(entry["classes"]),
-                noise=float(entry.get("noise", 0.0)),
-                n_samples=int(entry["n"]),
-            )
-            for entry in raw["tasks"]
-        )
-        return SyntheticSpec(schema=schema, tasks=tasks, seed=int(raw.get("seed", 0)))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+                noise=entry.get("noise", 0.0),
+                n_samples=entry["n"],
+            ))
+        return SyntheticSpec(**{**raw, "schema": schema, "tasks": tuple(tasks)})
+    except TypeError as exc:
         raise ConfigError(f"bad synthetic spec: {exc}") from exc
 
 
@@ -243,17 +248,15 @@ def run_lifelong_bench(
     kb_path: str | Path | None = None,
 ) -> LifelongBenchOutcome:
     """Full pipeline over two sets or their task partitions (a set is mined
-    once): train, gate on the test tasks, deploy, then score every test sample
-    through snapshot inference (unknown tasks route to similar or fallback)."""
+    once): the job's bootstrap cycle on the training set (train, gate on its
+    own holdout, deploy), then score every test sample through snapshot
+    inference (unknown tasks route to similar or fallback). No test label
+    reaches the gate."""
     train, test = as_tasks(train, cfg.bucketing), as_tasks(test, cfg.bucketing)
     if kb_path is None:
         with tempfile.TemporaryDirectory(prefix="edgelearn-bench-") as tmp:
             return run_lifelong_bench(train, test, cfg, tmp)
-    kb = KnowledgeBase.open(kb_path)
-    job = LifelongJob(cfg, kb)
-    job.run_train(train)
-    job.run_eval(test)
-    snapshot = job.run_deploy()
+    snapshot = LifelongJob(cfg, KnowledgeBase.open(kb_path)).bootstrap(train)
 
     runtime = EdgeRuntime(train.dataset.schema, cfg.bucketing)
     runtime.apply_snapshot(snapshot)

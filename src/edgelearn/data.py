@@ -13,11 +13,11 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from hashlib import sha256
 from pathlib import Path
 
-from .errors import DataError, SchemaError
+from .errors import ConfigError, DataError, EdgeLearnError, SchemaError
 
 AttrValue = str | float
 FeatureVector = tuple[float, ...]
@@ -27,8 +27,32 @@ CATEGORICAL = "categorical"
 NUMERIC = "numeric"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_int(name: str, value, low: int | None = None) -> None:
+    """A ConfigError unless *value* is an integer (not a bool) of at least *low*."""
+    if not _is_int(value) or (low is not None and value < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def bucket_edges(edges, where: str = "bucket edges") -> tuple[float, ...]:
+    """*edges* as floats, if they are a list of finite numbers in strictly
+    increasing order; otherwise a SchemaError whose message starts with *where*."""
+    if not isinstance(edges, (list, tuple)):
+        raise SchemaError(f"{where} must be a list, got {edges!r}")
+    for e in edges:
+        if not _is_finite_number(e):
+            raise SchemaError(f"{where}: {e!r} is not a finite number")
+    if any(a >= b for a, b in zip(edges, edges[1:])):
+        raise SchemaError(f"{where} {list(edges)} are not strictly increasing")
+    return tuple(float(e) for e in edges)
 
 
 @dataclass(frozen=True)
@@ -43,11 +67,7 @@ class AttributeKind:
             raise SchemaError(f"unknown attribute kind {self.kind!r}")
         if self.kind == CATEGORICAL and self.edges:
             raise SchemaError("categorical attribute cannot declare bucket edges")
-        for e in self.edges:
-            if not _is_finite_number(e):
-                raise SchemaError(f"bucket edge {e!r} is not a finite number")
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
-            raise SchemaError(f"bucket edges {list(self.edges)} are not strictly increasing")
+        bucket_edges(self.edges)
 
 
 @dataclass(frozen=True)
@@ -68,6 +88,8 @@ class DatasetSchema:
         names = list(self.feature_columns) + [self.label_column] + list(self.attribute_columns)
         seen = set()
         for name in names:
+            if not isinstance(name, str):
+                raise SchemaError(f"column name {name!r} is not a string")
             if name in seen:
                 raise SchemaError(f"duplicate column name {name!r}")
             seen.add(name)
@@ -182,8 +204,48 @@ def _checked(schema: DatasetSchema, samples: tuple[Sample, ...]) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Schema config parsing
+# Config objects and schema parsing
 # ---------------------------------------------------------------------------
+
+def check_object(doc, section: str, required, optional=(), error=ConfigError) -> dict:
+    """*doc*, if it is a JSON object with every *required* key and no key
+    outside *required* and *optional*; else an *error* naming *section* and the key."""
+    if not isinstance(doc, dict):
+        raise error(f"{section} must be a JSON object")
+    for key in doc:
+        if key not in required and key not in optional:
+            expected = ", ".join(dict.fromkeys((*required, *optional)))
+            raise error(f"{section}: unknown key {key!r} (expected one of {expected})")
+    for key in required:
+        if key not in doc:
+            raise error(f"{section}: missing key {key!r}")
+    return doc
+
+
+def load_object(text: str, section: str, required, optional=(), error=ConfigError) -> dict:
+    """Decode a config file that holds one JSON object; see :func:`check_object`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{section} is not valid JSON: {exc}") from exc
+    return check_object(doc, section, required, optional, error)
+
+
+def field_names(cls) -> tuple[str, ...]:
+    """The keys of a config object that maps one to one onto dataclass *cls*."""
+    return tuple(f.name for f in fields(cls))
+
+
+def build(cls, doc, section: str):
+    """``cls(**doc)`` for a config object whose keys are *cls*'s fields: the
+    dataclass owns the defaults and the value rules. Errors name *section*."""
+    check_object(doc, section, [f.name for f in fields(cls) if f.default is MISSING
+                                and f.default_factory is MISSING], field_names(cls))
+    try:
+        return cls(**doc)
+    except EdgeLearnError as exc:
+        raise type(exc)(f"{section}: {exc}") from exc
+
 
 def parse_schema(config_text: str) -> DatasetSchema:
     """Parse a JSON schema config into a validated :class:`DatasetSchema`.
@@ -195,20 +257,13 @@ def parse_schema(config_text: str) -> DatasetSchema:
          "attributes": [{"name": ..., "kind": "categorical"} |
                         {"name": ..., "kind": "numeric", "edges": [...]}]}
     """
-    try:
-        raw = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError("schema config must be a JSON object")
-
-    features = raw.get("features")
-    if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
+    raw = load_object(config_text, "schema config", ("features", "label"), ("attributes",),
+                      SchemaError)
+    features = raw["features"]
+    if not isinstance(features, list):
         raise SchemaError("'features' must be a list of column names")
 
-    label = raw.get("label")
-    if not isinstance(label, dict) or "name" not in label:
-        raise SchemaError("'label' must be an object with a 'name'")
+    label = check_object(raw["label"], "label", ("name",), ("classes", "kind"), SchemaError)
     label_name = label["name"]
     if "classes" in label:
         classes = label["classes"]
@@ -224,25 +279,16 @@ def parse_schema(config_text: str) -> DatasetSchema:
 
     attr_names: list[str] = []
     attr_kinds: list[AttributeKind] = []
-    for entry in raw.get("attributes", []):
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise SchemaError("each attribute needs 'name' and 'kind'")
+    attributes = raw.get("attributes", [])
+    if not isinstance(attributes, list):
+        raise SchemaError("'attributes' must be a list")
+    for entry in attributes:
+        entry = check_object(entry, "attribute", ("name", "kind"), ("edges",), SchemaError)
         name = entry["name"]
-        kind = entry["kind"]
-        if kind == CATEGORICAL:
-            attr_kinds.append(AttributeKind(CATEGORICAL))
-        elif kind == NUMERIC:
-            edges = entry.get("edges", [])
-            if not isinstance(edges, list):
-                raise SchemaError(f"attribute {name!r}: 'edges' must be a list")
-            try:
-                attr_kinds.append(AttributeKind(NUMERIC, tuple(float(e) for e in edges)))
-            except SchemaError as exc:
-                raise SchemaError(f"attribute {name!r}: {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"attribute {name!r}: non-numeric bucket edge") from exc
-        else:
-            raise SchemaError(f"attribute {name!r}: unknown kind {kind!r}")
+        try:
+            attr_kinds.append(AttributeKind(entry["kind"], bucket_edges(entry.get("edges", []))))
+        except SchemaError as exc:
+            raise SchemaError(f"attribute {name!r}: {exc}") from exc
         attr_names.append(name)
 
     return DatasetSchema(

@@ -23,8 +23,8 @@ import json
 import threading
 from dataclasses import dataclass
 
-from .data import DatasetSchema, Sample, TaskAttrValues
-from .errors import DataError, NoModelError
+from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number
+from .errors import ConfigError, DataError, NoModelError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot
 from .learners import predict
@@ -56,6 +56,12 @@ class IngestResult:
     rejected: tuple[tuple[int, str], ...] = ()
 
 
+def check_similarity_threshold(value) -> None:
+    """The routing threshold must be a finite number: at NaN no task qualifies."""
+    if not _is_finite_number(value):
+        raise ConfigError(f"similarity_threshold must be a finite number, got {value!r}")
+
+
 def allocate_task(
     snapshot: DeploySnapshot, attrs: TaskAttrValues, bucketing: BucketingConfig
 ) -> str | None:
@@ -77,6 +83,7 @@ class EdgeRuntime:
         similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
         unseen_cap: int = DEFAULT_UNSEEN_CAP,
     ):
+        check_similarity_threshold(similarity_threshold)
         self.schema = schema
         self.bucketing = bucketing
         self.similarity_threshold = similarity_threshold

@@ -15,12 +15,12 @@ commits phase and KB in one KB transaction; one that raises changes neither.
 from __future__ import annotations
 
 import functools
-import json
 import zlib
 from dataclasses import dataclass
 from enum import Enum
 
-from .data import Dataset, DatasetSchema, split_dataset
+from .data import (Dataset, DatasetSchema, _is_finite_number, bucket_edges, build, check_int,
+                   check_object, field_names, load_object, split_dataset)
 from .errors import ConfigError, CorruptStoreError, PhaseError
 from .kb import (
     STATUS_DEPLOYABLE,
@@ -47,10 +47,10 @@ class EvalPolicy:
     min_eval_samples: int = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.min_accuracy <= 1.0:
-            raise ConfigError("min_accuracy must be in [0,1]")
-        if self.min_eval_samples < 1:
-            raise ConfigError("min_eval_samples must be >= 1")
+        if not (_is_finite_number(self.min_accuracy) and 0.0 <= self.min_accuracy <= 1.0):
+            raise ConfigError(f"min_accuracy must be a number in [0,1], "
+                              f"got {self.min_accuracy!r}")
+        check_int("min_eval_samples", self.min_eval_samples, 1)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class TransferPolicy:
     cap: int = 1000
 
     def __post_init__(self):
-        if self.min_samples < 0 or self.cap < 0:
-            raise ConfigError("transfer bounds must be non-negative")
+        check_int("min_samples", self.min_samples, 0)
+        check_int("cap", self.cap, 0)
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class TriggerPolicy:
     unseen_threshold: int = 10
 
     def __post_init__(self):
-        if self.unseen_threshold < 1:
-            raise ConfigError("unseen_threshold must be >= 1")
+        check_int("unseen_threshold", self.unseen_threshold, 1)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,7 @@ class JobConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        check_int("seed", self.seed)
         if type(self.fallback_enabled) is not bool:
             raise ConfigError(f"fallback_enabled must be true or false, "
                               f"got {self.fallback_enabled!r}")
@@ -271,13 +269,13 @@ class LifelongJob:
         return self._run_cycle(new_labeled)
 
     @_one_commit
-    def bootstrap(self, initial: Dataset) -> DeploySnapshot:
+    def bootstrap(self, initial: Dataset | TaskPartition) -> DeploySnapshot:
         """Initial cycle from the Idle phase (same split protocol as updates)."""
         self._require_phase(Phase.IDLE)
         return self._run_cycle(initial)
 
-    def _run_cycle(self, data: Dataset) -> DeploySnapshot:
-        tasks = mine_tasks(data, self.cfg.bucketing)
+    def _run_cycle(self, data: Dataset | TaskPartition) -> DeploySnapshot:
+        tasks = as_tasks(data, self.cfg.bucketing)
         train_part, eval_part = holdout_split(tasks, 0.8, self.cfg.seed)
         self.run_train(train_part)
         self.run_eval(eval_part if len(eval_part) > 0 else train_part)
@@ -315,59 +313,26 @@ def holdout_split(
 def parse_job_config(config_text: str, schema: DatasetSchema) -> JobConfig:
     """Parse a JSON job config against a schema.
 
-    Keys: ``learner`` {kind, hyperparameters}, ``bucketing`` (attribute
-    column -> edge list, or null for categorical; omit to use the schema's
-    declared edges), ``eval_policy`` {min_accuracy, min_eval_samples},
-    ``transfer`` {min_samples, cap}, ``trigger`` {unseen_threshold},
-    ``fallback_enabled``, ``seed``.
+    Keys are :class:`JobConfig`'s fields; ``learner`` is required. The
+    ``learner`` object holds :class:`EstimatorSpec`'s fields, and
+    ``eval_policy``, ``transfer`` and ``trigger`` hold their policy's
+    fields; each dataclass supplies the defaults and checks the values.
+    ``bucketing`` maps attribute columns to edge lists (null for
+    categorical); a column it omits keeps the schema's declared edges.
     """
-    try:
-        raw = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"job config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("job config must be a JSON object")
-    try:
-        learner_doc = raw["learner"]
-        learner = EstimatorSpec(
-            kind=learner_doc["kind"],
-            hyperparameters=learner_doc.get("hyperparameters", {}),
-        )
-        bucketing = BucketingConfig.from_schema(schema)
-        if "bucketing" in raw:
-            by_column = raw["bucketing"]
-            edges = []
-            for i, name in enumerate(schema.attribute_columns):
-                if name in by_column:
-                    declared = by_column[name]
-                    edges.append(None if declared is None else tuple(float(e) for e in declared))
-                else:
-                    edges.append(bucketing.edges[i])
-            unknown = set(by_column) - set(schema.attribute_columns)
-            if unknown:
-                raise ConfigError(f"bucketing names unknown attribute columns {sorted(unknown)}")
-            bucketing = BucketingConfig(tuple(edges))
-        eval_doc = raw.get("eval_policy", {})
-        transfer_doc = raw.get("transfer", {})
-        trigger_doc = raw.get("trigger", {})
-        return JobConfig(
-            learner=learner,
-            bucketing=bucketing,
-            eval_policy=EvalPolicy(
-                min_accuracy=eval_doc.get("min_accuracy", 0.0),
-                min_eval_samples=eval_doc.get("min_eval_samples", 1),
-            ),
-            transfer=TransferPolicy(
-                min_samples=transfer_doc.get("min_samples", 30),
-                cap=transfer_doc.get("cap", 1000),
-            ),
-            trigger=TriggerPolicy(
-                unseen_threshold=trigger_doc.get("unseen_threshold", 10)
-            ),
-            fallback_enabled=raw.get("fallback_enabled", True),
-            seed=raw.get("seed", 0),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad job config: {exc}") from exc
+    raw = load_object(config_text, "job config", ("learner",), field_names(JobConfig))
+    doc = {**raw, "bucketing": _bucketing(raw.get("bucketing", {}), schema)}
+    for name, cls in (("learner", EstimatorSpec), ("eval_policy", EvalPolicy),
+                      ("transfer", TransferPolicy), ("trigger", TriggerPolicy)):
+        if name in raw:
+            doc[name] = build(cls, raw[name], name)
+    return JobConfig(**doc)
+
+
+def _bucketing(by_column, schema: DatasetSchema) -> BucketingConfig:
+    check_object(by_column, "bucketing", (), schema.attribute_columns)
+    edges = []
+    for name, declared in zip(schema.attribute_columns, BucketingConfig.from_schema(schema).edges):
+        value = by_column.get(name, declared)
+        edges.append(None if value is None else bucket_edges(value, f"bucketing {name!r}"))
+    return BucketingConfig(tuple(edges))

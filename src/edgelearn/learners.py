@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .data import Dataset, FeatureVector, _is_finite_number
+from .data import Dataset, FeatureVector, _is_finite_number, _is_int
 from .errors import (
     DataError,
     LearnerError,
@@ -43,10 +43,6 @@ def canonical_json_bytes(obj) -> bytes:
 # Hyperparameters and specs
 # ---------------------------------------------------------------------------
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 _HP_RULES = {
     "learning_rate": ("a real > 0", lambda v: _is_finite_number(v) and v > 0),
     "epochs": ("an integer > 0", lambda v: _is_int(v) and v > 0),
@@ -66,6 +62,8 @@ class EstimatorSpec:
 
     def __post_init__(self):
         learner = get_learner(self.kind)
+        if not isinstance(self.hyperparameters, dict):
+            raise LearnerError(f"hyperparameters must be an object, got {self.hyperparameters!r}")
         for name, value in self.hyperparameters.items():
             if name not in learner.hyperparameter_defaults:
                 raise LearnerError(
@@ -189,10 +187,10 @@ def register_learner(learner: Learner) -> None:
 
 
 def get_learner(kind: str) -> Learner:
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise LearnerError(f"unknown learner kind {kind!r}") from None
+    learner = _REGISTRY.get(kind) if isinstance(kind, str) else None
+    if learner is None:
+        raise LearnerError(f"unknown learner kind {kind!r}")
+    return learner
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +389,8 @@ class TreeLearner(Learner):
     (``cuts``). Scores are ``(num, den)`` pairs compared by
     cross-multiplication: gini's is an exact integer rational, squared
     error's has ``den = 1``. Candidate thresholds are midpoints between
-    consecutive distinct feature values; ties resolve to the lowest feature
+    consecutive distinct feature values (the upper value where the midpoint
+    rounds to the lower one or overflows); ties resolve to the lowest feature
     index, then the lowest threshold. A node splits only if its best cut
     strictly improves on the node's own score.
     """
@@ -430,11 +429,14 @@ class TreeLearner(Learner):
                 if v1 == v2 or n_left < min_leaf or n - n_left < min_leaf:
                     continue
                 if best is None or num * best[1] < best[0] * den:
-                    best = (num, den, j, (v1 + v2) / 2.0)
+                    best = (num, den, j, v1, v2)
         parent_num, parent_den = impurity.node(node_ys, leaf)
         if best is None or best[0] * parent_den >= parent_num * best[1]:
             return leaf
-        _, _, j, threshold = best
+        _, _, j, v1, v2 = best
+        threshold = (v1 + v2) / 2.0
+        if not v1 < threshold <= v2:  # adjacent doubles round down, huge ones overflow
+            threshold = v2
         column = columns[j]
         left = [i for i in indices if column[i] < threshold]
         right = [i for i in indices if column[i] >= threshold]

@@ -22,12 +22,14 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import Dataset, DatasetSchema, Sample, _is_finite_number, load_csv, parse_schema
+from .data import (Dataset, DatasetSchema, Sample, _is_int, check_int, check_object, field_names,
+                   load_csv, load_object, parse_schema)
 from .edge import (
     DEFAULT_SIMILARITY_THRESHOLD,
     DEFAULT_UNSEEN_CAP,
     TRIGGER_COUNT_THRESHOLD,
     EdgeRuntime,
+    check_similarity_threshold,
 )
 from .errors import ConfigError, EdgeLearnError, NoModelError
 from .job import JobConfig, LifelongJob, parse_job_config
@@ -76,21 +78,16 @@ class SimConfig:
     unseen_cap: int = DEFAULT_UNSEEN_CAP
 
     def __post_init__(self):
-        if type(self.edges) is not int or self.edges < 1:
+        if not _is_int(self.edges) or self.edges < 1:
             raise ConfigError(f"edges must be an integer, at least one edge node, "
                               f"got {self.edges!r}")
         for name, low in (("max_ticks", 0), ("training_delay_ticks", 0), ("unseen_cap", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not _is_finite_number(self.similarity_threshold):
-            raise ConfigError(f"similarity_threshold must be a finite number, "
-                              f"got {self.similarity_threshold!r}")
+            check_int(name, getattr(self, name), low)
+        check_similarity_threshold(self.similarity_threshold)
         for name, events in (("streams", self.streams), ("links", self.links)):
             for ev in events:
-                if type(ev.tick) is not int or ev.tick < 0:
-                    raise ConfigError(f"{name}: tick must be an integer >= 0, got {ev.tick!r}")
-                if type(ev.edge_id) is not int or not 0 <= ev.edge_id < self.edges:
+                check_int(f"{name}: tick", ev.tick, 0)
+                if not _is_int(ev.edge_id) or not 0 <= ev.edge_id < self.edges:
                     raise ConfigError(f"{name}: unknown edge {ev.edge_id!r}")
 
 
@@ -383,49 +380,31 @@ def start_sim(cfg: SimConfig, kb_path: str | Path) -> Simulation:
 def parse_sim_config(config_text: str, base_dir: str | Path) -> SimConfig:
     """Parse a JSON sim config; file paths inside resolve against *base_dir*.
 
-    Keys: ``edges``, ``max_ticks``, ``schema`` (path), ``job`` (path),
-    ``initial_data`` (CSV path), ``streams`` [{tick, edge, data}],
+    Keys are :class:`SimConfig`'s fields; the dataclass supplies the defaults
+    and checks the values: ``edges``, ``max_ticks``, ``schema`` (path), ``job``
+    (path), ``initial_data`` (CSV path), ``streams`` [{tick, edge, data}],
     ``links`` [{tick, edge, state: up|down}], optional
     ``training_delay_ticks``, ``similarity_threshold``, ``unseen_cap``.
     """
     base = Path(base_dir)
-    try:
-        raw = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sim config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("sim config must be a JSON object")
+    raw = load_object(config_text, "sim config",
+                      ("edges", "max_ticks", "schema", "job", "initial_data"), field_names(SimConfig))
     try:
         schema = parse_schema((base / raw["schema"]).read_text(encoding="utf-8"))
         job = parse_job_config((base / raw["job"]).read_text(encoding="utf-8"), schema)
         initial = load_csv(base / raw["initial_data"], schema)
-        streams = tuple(
-            StreamEvent(
-                tick=entry["tick"],
-                edge_id=entry["edge"],
-                samples=load_csv(base / entry["data"], schema).samples,
-            )
-            for entry in raw.get("streams", [])
-        )
+        streams = []
+        for entry in raw.get("streams", []):
+            entry = check_object(entry, "streams", ("tick", "edge", "data"))
+            samples = load_csv(base / entry["data"], schema).samples
+            streams.append(StreamEvent(entry["tick"], entry["edge"], samples))
         links = []
         for entry in raw.get("links", []):
-            state = entry["state"]
-            if state not in ("up", "down"):
-                raise ConfigError(f"link state must be up or down, got {state!r}")
-            links.append(LinkEvent(tick=entry["tick"], edge_id=entry["edge"], up=state == "up"))
-        return SimConfig(
-            edges=raw["edges"],
-            job=job,
-            schema=schema,
-            initial_data=initial,
-            streams=streams,
-            links=tuple(links),
-            max_ticks=raw["max_ticks"],
-            training_delay_ticks=raw.get("training_delay_ticks", 0),
-            similarity_threshold=raw.get("similarity_threshold", DEFAULT_SIMILARITY_THRESHOLD),
-            unseen_cap=raw.get("unseen_cap", DEFAULT_UNSEEN_CAP),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OSError) as exc:
+            entry = check_object(entry, "links", ("tick", "edge", "state"))
+            if entry["state"] not in ("up", "down"):
+                raise ConfigError(f"link state must be up or down, got {entry['state']!r}")
+            links.append(LinkEvent(entry["tick"], entry["edge"], entry["state"] == "up"))
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad sim config: {exc}") from exc
+    return SimConfig(**{**raw, "schema": schema, "job": job, "initial_data": initial,
+                        "streams": tuple(streams), "links": tuple(links)})

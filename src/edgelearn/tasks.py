@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import NUMERIC, Dataset, DatasetSchema, TaskAttrValues
+from .data import NUMERIC, Dataset, DatasetSchema, TaskAttrValues, bucket_edges
 from .errors import DataError, SchemaError, SchemaMismatchError
 
 KEY_SEPARATOR = "|"
@@ -31,10 +31,8 @@ class BucketingConfig:
 
     def __post_init__(self):
         for col_edges in self.edges:
-            if col_edges is None:
-                continue
-            if any(a >= b for a, b in zip(col_edges, col_edges[1:])):
-                raise SchemaError(f"bucket edges {list(col_edges)} are not strictly increasing")
+            if col_edges is not None:
+                bucket_edges(col_edges)
 
     @classmethod
     def from_schema(cls, schema: DatasetSchema) -> "BucketingConfig":

@@ -502,11 +502,7 @@ def test_criterion_8_oracle_equivalences(tmp_path):
             bench_mismatches += 1
     # lifelong arm: train covers every test task, so routed accuracy must
     # equal a direct evaluate against each task's own deployed model
-    kb = kb_open(tmp_path / "bench_kb")
-    job = LifelongJob(cfg, kb)
-    job.run_train(train)
-    job.run_eval(test)
-    snapshot = job.run_deploy()
+    snapshot = LifelongJob(cfg, kb_open(tmp_path / "bench_kb")).bootstrap(train)
     for key in parts.keys:
         direct = evaluate(snapshot.tasks[key].model, parts.parts[key])
         if result.methods["lifelong"].per_task[key].accuracy != direct.accuracy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,8 +26,10 @@ from edgelearn.bench import (
 from edgelearn.data import Dataset, parse_schema, split_dataset
 from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import ConfigError, DataError
-from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy
+from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy, parse_job_config
+from edgelearn.kb import serialize_snapshot
 from edgelearn.learners import EstimatorSpec, evaluate
+from edgelearn.reference import reference_text
 from edgelearn.tasks import BucketingConfig, mine_tasks
 
 from conftest import city_dataset
@@ -259,6 +262,23 @@ def test_lifelong_per_task_matches_direct_evaluate_oracle():
         direct = evaluate(model, parts.parts[key])
         assert outcome.result.per_task[key].accuracy == direct.accuracy
         assert outcome.result.per_task[key].counts == direct.counts
+
+
+def test_lifelong_gate_never_reads_test_labels():
+    """The arm gates on a holdout of its training set: shuffled test labels,
+    which would fail a 0.5 gate on every three-class task, leave the shipped
+    snapshot byte-identical."""
+    spec = parse_synthetic_spec(reference_text("thermal5_synthetic.json"))
+    spec = replace(spec, tasks=tuple(replace(t, n_samples=200) for t in spec.tasks))
+    train, test = split_dataset(gen_synthetic(spec), 0.7, seed=42)
+    labels = [s.label for s in test.samples]
+    random.Random(1).shuffle(labels)
+    shuffled = test.derive(replace(s, label=y) for s, y in zip(test.samples, labels))
+    cfg = replace(parse_job_config(reference_text("thermal_job.json"), spec.schema),
+                  eval_policy=EvalPolicy(min_accuracy=0.5))
+    snapshots = [run_lifelong_bench(train, t, cfg).snapshot for t in (test, shuffled)]
+    assert len(snapshots[0].tasks) == 5
+    assert serialize_snapshot(snapshots[0]) == serialize_snapshot(snapshots[1])
 
 
 # -- relative improvement -----------------------------------------------------------------

@@ -174,16 +174,22 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
 @pytest.mark.parametrize("field, value", [
     ("seed", "x"), ("seed", 1.5), ("seed", None), ("seed", [1]), ("seed", True),
     ("fallback_enabled", "yes"), ("fallback_enabled", 0), ("fallback_enabled", None),
+    ("seeed", 3), ("learner.hyperparamters", {}), ("learner.hyperparameters", [1]),
+    ("learner.kind", ["majority"]), ("eval_policy.min_acuracy", 0.9),
+    ("eval_policy.min_accuracy", True), ("eval_policy.min_eval_samples", 2.5),
+    ("transfer.cap", 1.5), ("transfer.min_sample", 1), ("trigger.unseen_treshold", 5),
 ])
 def test_mistyped_job_config_is_config_error_exit_2(workdir, capsys, field, value):
     doc = json.loads(JOB_TEXT)
-    doc[field] = value
+    *section, key = field.split(".")  # "section.key" sets a key of a nested object
+    (doc.setdefault(section[0], {}) if section else doc)[key] = value
     (workdir / "job.json").write_text(json.dumps(doc), encoding="utf-8")
     assert cli_main(["job", "train", "--kb", str(workdir / "kb"),
                      "--schema", str(workdir / "schema.json"),
                      "--config", str(workdir / "job.json"),
                      "--data", str(workdir / "train.csv")]) == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(part in err for part in field.split("."))
     assert not (workdir / "kb" / "index.json").exists()
     (workdir / "sim.json").write_text(json.dumps({
         "edges": 1, "max_ticks": 2, "schema": "schema.json", "job": "job.json",
@@ -191,8 +197,89 @@ def test_mistyped_job_config_is_config_error_exit_2(workdir, capsys, field, valu
     }), encoding="utf-8")
     assert cli_main(["sim", "run", "--config", str(workdir / "sim.json"),
                      "--kb", str(workdir / "simkb"), "--out-dir", str(workdir / "simout")]) == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(part in err for part in field.split("."))
     assert not (workdir / "simkb" / "index.json").exists()
+
+
+BANDED_SCHEMA = {
+    "features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
+    "attributes": [{"name": "city", "kind": "categorical"},
+                   {"name": "band", "kind": "numeric", "edges": [20.0, 30.0]}],
+}
+
+
+@pytest.mark.parametrize("edges", [[float("nan")], [10.0, float("inf")], [float("-inf")]])
+def test_nonfinite_bucket_edges_are_exit_2(workdir, capsys, edges):
+    (workdir / "schema.json").write_text(json.dumps(BANDED_SCHEMA), encoding="utf-8")
+    (workdir / "train.csv").write_text("x,y,city,band\n1.0,a,athens,25.0\n", encoding="utf-8")
+    doc = json.loads(JOB_TEXT)
+    doc["bucketing"] = {"band": edges}
+    (workdir / "job.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["job", "train", "--kb", str(workdir / "kb"),
+                     "--schema", str(workdir / "schema.json"),
+                     "--config", str(workdir / "job.json"),
+                     "--data", str(workdir / "train.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "bucketing 'band'" in err and "not a finite number" in err
+    assert not (workdir / "kb" / "index.json").exists()
+
+
+@pytest.mark.parametrize("section, value, named", [
+    ("atributes", [{"name": "city", "kind": "categorical"}], "schema config: unknown key 'atributes'"),
+    ("label", {"name": "y", "classes": ["a", "b"], "type": "classification"},
+     "label: unknown key 'type'"),
+    ("attributes", [{"name": "city", "kind": "categorical", "edge": [1.0]}],
+     "attribute: unknown key 'edge'"),
+    ("attributes", 5, "'attributes' must be a list"),
+    ("label", {"name": ["y"], "classes": ["a", "b"]}, "column name ['y'] is not a string"),
+])
+def test_mistyped_schema_is_schema_error_exit_2(workdir, capsys, section, value, named):
+    doc = json.loads(SCHEMA_TEXT)
+    doc.pop("attributes")
+    doc[section] = value
+    (workdir / "schema.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["job", "train", "--kb", str(workdir / "kb"),
+                     "--schema", str(workdir / "schema.json"),
+                     "--config", str(workdir / "job.json"),
+                     "--data", str(workdir / "train.csv")]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert not (workdir / "kb" / "index.json").exists()
+
+
+SPEC = {
+    "seed": 4,
+    "schema": json.loads(SCHEMA_TEXT),
+    "tasks": [{"attributes": ["s1"], "ranges": [[0.0, 10.0]], "thresholds": [5.0],
+               "classes": ["a", "b"], "noise": 0.1, "n": 20}],
+}
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("sed", 4, "synthetic spec: unknown key 'sed'"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", "4", "seed must be an integer"),
+    ("task.noize", 0.1, "synthetic spec task 0: unknown key 'noize'"),
+    ("task.n", 2.7, "task 0: n must be an integer"),
+    ("task.n", "20", "task 0: n must be an integer"),
+    ("task.ranges", [["0", 10.0]], "task 0: a range must be two numbers"),
+    ("task.ranges", [[0.0, 5.0, 10.0]], "task 0: a range must be two numbers"),
+    ("task.thresholds", [True], "task 0: thresholds must be numbers"),
+    ("task.noise", "0.1", "task 0: noise must be"),
+    ("task.attributes", "s1", "task 0: 'attributes' must be a list"),
+    ("task.classes", "ab", "task 0: 'classes' must be a list"),
+])
+def test_mistyped_synthetic_spec_is_config_error_exit_2(tmp_path, capsys, field, value, named):
+    doc = json.loads(json.dumps(SPEC))
+    target = doc["tasks"][0] if field.startswith("task.") else doc
+    target[field.removeprefix("task.")] = value
+    (tmp_path / "synth.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["bench", "gen", "--config", str(tmp_path / "synth.json"),
+                     "--out", str(tmp_path / "data.csv")]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert not (tmp_path / "data.csv").exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -205,6 +292,9 @@ def test_mistyped_job_config_is_config_error_exit_2(workdir, capsys, field, valu
     ("streams", [{"tick": 0, "edge": True, "data": "train.csv"}]),
     ("links", [{"tick": 1, "edge": 0.0, "state": "down"}]),
     ("links", [{"tick": True, "edge": 0, "state": "down"}]),
+    ("edgse", 1), ("similarity_treshold", 0.5),
+    ("streams", [{"tick": 0, "edge": 0, "data": "train.csv", "labelled": True}]),
+    ("links", [{"tick": 1, "edge": 0, "sate": "down"}]),
 ])
 def test_mistyped_sim_config_is_config_error_exit_2(workdir, capsys, field, value):
     (workdir / "sim.json").write_text(json.dumps({
@@ -353,6 +443,23 @@ def test_edge_infer_and_status(workdir, capsys, monkeypatch):
     assert doc["counters"]["unknown_hits"] == 1
     assert json.loads(status_path.read_text()) == doc
     assert replaced == ["status.json"]  # written atomically
+
+
+@pytest.mark.parametrize("action", ["infer", "status"])
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_nonfinite_similarity_threshold_is_exit_2(workdir, capsys, action, threshold):
+    base = ["--kb", str(workdir / "kb"), "--schema", str(workdir / "schema.json"),
+            "--config", str(workdir / "job.json")]
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 0
+    assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
+    capsys.readouterr()
+    out = workdir / "out.txt"
+    assert cli_main(["edge", action, "--snapshot", str(workdir / "snap.json"), *base[2:],
+                     "--data", str(workdir / "test.csv"), "--out", str(out),
+                     "--similarity-threshold", threshold]) == 2
+    assert "similarity_threshold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sim_run_writes_outputs(workdir, capsys, monkeypatch):

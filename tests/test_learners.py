@@ -367,6 +367,28 @@ def test_tree_corpus_bytes_are_pinned():
     assert digest.hexdigest() == TREE_CORPUS_SHA256
 
 
+@pytest.mark.parametrize("label", ['{"name": "y", "classes": ["a", "b"]}',
+                                   '{"name": "y", "kind": "regression"}'])
+@pytest.mark.parametrize("x1, x2", [
+    (1.0, math.nextafter(1.0, 2.0)),    # the midpoint rounds down to x1
+    (-1.0, math.nextafter(-1.0, 0.0)),  # the same below zero
+    (1.7e308, 1.79e308),                # the midpoint overflows to inf
+    (-1.79e308, -1.7e308),              # ... and to -inf
+])
+def test_tree_splits_between_adjacent_and_huge_values(label, x1, x2):
+    schema = parse_schema('{"features": ["x"], "label": %s}' % label)
+    ys = ("a", "b") if schema.is_classification else (0.0, 1.0)
+    ds = Dataset(schema, make_samples([((x1,), (), ys[0]), ((x2,), (), ys[1])]))
+    model = fit(EstimatorSpec("tree"), ds, seed=0)
+    root = model.parameters["tree"]
+    assert root["kind"] == "split" and x1 < root["threshold"] <= x2
+    for child in (root["left"], root["right"]):
+        assert child["kind"] == "leaf"
+        assert child.get("n", sum(child.get("counts", ()))) == 1
+    assert (predict(model, (x1,)), predict(model, (x2,))) == ys
+    assert deserialize_model(serialize_model(model)) == model
+
+
 def test_tree_pure_node_stays_leaf():
     ds = city_dataset([(float(i), "c", "a") for i in range(10)])
     model = fit(EstimatorSpec("tree"), ds, seed=0)
@@ -500,6 +522,13 @@ def test_truncated_payload_is_corrupt():
     data = serialize_model(model)
     with pytest.raises(SerializationError, match="corrupt"):
         deserialize_model(data[: len(data) // 2])
+
+
+def test_non_object_hyperparameters_are_corrupt():
+    model = fit(EstimatorSpec("majority"), city_dataset([(1, "c", "a"), (2, "c", "b")]), 0)
+    data = serialize_model(model).replace(b'"hyperparameters":{}', b'"hyperparameters":[1]')
+    with pytest.raises(SerializationError, match="hyperparameters must be an object"):
+        deserialize_model(data)
 
 
 def test_unknown_kind_is_forward_compat_error():

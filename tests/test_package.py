@@ -1,0 +1,27 @@
+"""Packaging: the library needs nothing beyond the Python standard library."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import edgelearn
+
+
+def test_every_absolute_import_is_in_the_standard_library():
+    imported = {}  # top-level module -> first "file:line" importing it
+    for path in sorted(Path(edgelearn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], f"{path.name}:{node.lineno}")
+    assert {"json", "dataclasses"} <= imported.keys()  # the walk saw the package's imports
+    outside = {top: where for top, where in imported.items()
+               if top not in sys.stdlib_module_names}
+    assert outside == {}
