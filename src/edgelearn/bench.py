@@ -209,29 +209,29 @@ def baseline_incremental(
     trained on all previous tasks; its training data then joins the pool.
     The first task with training data bootstraps the model and is scored
     after its own fit. Empty train or test parts are allowed and skipped.
+    A model is fit only when a test part is scored against it, so a pool
+    no later task is scored on is never fit.
     All parts share one schema; pooled fits do not re-check their samples."""
     if not task_stream:
         raise DataError("task stream is empty")
     schema = task_stream[0][1].schema
     per_task: dict[str, EvalMetrics] = {}
     pool: list[Sample] = []
-    model = None
+    model, fitted_rows = None, 0  # the pool is only ever extended
     for key, train_part, test_part in task_stream:
         if train_part.schema != schema or test_part.schema != schema:
             raise DataError(f"task {key!r} has another schema than the stream")
-        if model is None and len(train_part) > 0:
+        bootstrap = not pool
+        if bootstrap:
             pool.extend(train_part.samples)
-            model = fit(learner, train_part.derive(pool), seed)
-            if len(test_part) > 0:
-                per_task[key] = evaluate(model, test_part)
-            continue
         if len(test_part) > 0:
-            if model is None:
+            if not pool:
                 raise DataError(f"task {key!r} has no model to evaluate yet")
+            if fitted_rows != len(pool):
+                model, fitted_rows = fit(learner, test_part.derive(pool), seed), len(pool)
             per_task[key] = evaluate(model, test_part)
-        if len(train_part) > 0:
+        if not bootstrap:
             pool.extend(train_part.samples)
-            model = fit(learner, train_part.derive(pool), seed)
     return MethodResult.from_metrics(per_task)
 
 

@@ -265,6 +265,9 @@ def parse_schema(config_text: str) -> DatasetSchema:
 
     label = check_object(raw["label"], "label", ("name",), ("classes", "kind"), SchemaError)
     label_name = label["name"]
+    if "classes" in label and "kind" in label:
+        raise SchemaError(f"label {label_name!r} declares both 'classes' and kind "
+                          f"{label['kind']!r}: give one")
     if "classes" in label:
         classes = label["classes"]
         if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):

@@ -9,11 +9,13 @@ Store layout (one directory per KB)::
 The manifest body carries the schema fingerprint, the KB version counter,
 per-task metadata (key, version, status, stats, eval, model file +
 checksum) and ``job``, the job's phase document, stored uninterpreted. A
-transaction writes only the model files it adds, then replaces the
-manifest atomically (fsynced temp file + rename), so a crash at any point
-leaves the previous consistent state intact. Superseded model files stay
-on disk but are no longer referenced; only the latest version per task is
-retrievable.
+transaction writes only the model files it adds, each in place and
+fsynced under a name no committed manifest uses, then pays one durability
+barrier: it fsyncs ``models/`` once, and only then replaces the manifest
+atomically (fsynced temp file, rename, fsynced directory). A crash at any
+point leaves the previous consistent state intact. Superseded model files
+stay on disk but are no longer referenced; only the latest version per
+task is retrievable.
 
 There is no delete operation: task knowledge only accumulates.
 """
@@ -242,20 +244,30 @@ def _replace_file(src: Path, dst: Path) -> None:
     os.replace(src, dst)
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Replace *path* with *data* so that a crash leaves the old or the new
-    bytes: fsync a temp file, rename it over *path*, fsync the directory."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+def _write_synced(path: Path, data: bytes) -> None:
+    """Write *data* to *path* (truncating it) and fsync the file, not its
+    directory."""
+    with open(path, "wb") as fh:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
-    _replace_file(tmp, path)
-    directory = os.open(path.parent, os.O_RDONLY)
+
+
+def _fsync_dir(path: Path) -> None:
+    directory = os.open(path, os.O_RDONLY)
     try:
         os.fsync(directory)
     finally:
         os.close(directory)
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Replace *path* with *data* so that a crash leaves the old or the new
+    bytes: fsync a temp file, rename it over *path*, fsync the directory."""
+    tmp = path.with_name(path.name + ".tmp")
+    _write_synced(tmp, data)
+    _replace_file(tmp, path)
+    _fsync_dir(path.parent)
 
 
 def _model_file_name(key: str, version: int) -> str:
@@ -275,7 +287,8 @@ class KnowledgeBase:
     are immutable values safe to share.
     The manifest entry of each live model file comes from ``open`` or from
     the write that created it, so a commit never re-serializes or reads
-    back a model it did not change.
+    back a model it did not change, and each task's manifest bytes are
+    re-encoded only when its record or model file changed.
     """
 
     def __init__(self, path: Path):
@@ -288,6 +301,11 @@ class KnowledgeBase:
         self._fallback_entry: dict | None = None  # manifest entry of the fallback
         self.job: dict | None = None  # the job's phase document; set it in a transaction
         self._in_transaction = False
+        self._models_unsynced = False  # a model file was written since the last barrier
+        # key -> (record, (file, crc32), canonical bytes of its manifest entry);
+        # an entry is a pure function of its record and file, so a rollback
+        # may leave stale entries: they never match a live record again
+        self._task_entries: dict[str, tuple[TaskRecord, tuple[str, int], bytes]] = {}
 
     # -- opening ------------------------------------------------------------
 
@@ -498,37 +516,54 @@ class KnowledgeBase:
     # -- persistence --------------------------------------------------------
 
     def _write_model(self, name: str, data: bytes) -> tuple[str, int]:
-        """Write one new model file; returns its (name, crc32) manifest pair."""
+        """Write one new model file; returns its (name, crc32) manifest pair.
+        No committed manifest names the file, so it is written in place; "wb"
+        overwrites a stale file a crashed earlier attempt left under this
+        name, or the index checksum would lie."""
         models_dir = self.path / _MODELS_DIR
         models_dir.mkdir(parents=True, exist_ok=True)
-        # a crashed earlier mutation may have left a stale file under this
-        # name; always overwrite it or the index checksum would lie
-        atomic_write_bytes(models_dir / name, data)
+        _write_synced(models_dir / name, data)
+        self._models_unsynced = True
         return name, zlib.crc32(data)
 
     def _persist(self) -> None:
-        tasks = [
-            {
+        if self._models_unsynced:
+            # the one barrier: the new model files' directory entries are
+            # durable before a manifest names them
+            _fsync_dir(self.path / _MODELS_DIR)
+            self._models_unsynced = False
+        atomic_write_bytes(self.path / _INDEX_NAME, self._manifest_bytes())
+
+    def _manifest_bytes(self) -> bytes:
+        """``canonical_json_bytes`` of the manifest ``{"format": 1, "crc32":
+        <crc of body>, "body": body}``, with the body encoded once. Keys sort
+        ``body < crc32 < format``, and ``tasks`` is the body's last key."""
+        head = canonical_json_bytes({
+            "schema_fingerprint": self.schema_fingerprint,
+            "kb_version": self.kb_version,
+            "fallback": self._fallback_entry,
+            "job": self.job,
+        })
+        tasks = b",".join(self._task_entry(key, rec) for key, rec in sorted(self.records.items()))
+        body = head[:-1] + b',"tasks":[' + tasks + b"]}"
+        return b'{"body":%s,"crc32":%d,"format":1}' % (body, zlib.crc32(body))
+
+    def _task_entry(self, key: str, rec: TaskRecord) -> bytes:
+        model_file = self._model_files[key]
+        cached = self._task_entries.get(key)
+        if cached is None or cached[0] is not rec or cached[1] != model_file:
+            entry = canonical_json_bytes({
                 "key": key,
                 "version": rec.version,
                 "status": rec.status,
                 "attributes": _attrs_to_json(rec.attributes),
                 "stats": _stats_to_json(rec.sample_stats),
                 "eval": metrics_to_json(rec.eval),
-                "model_file": self._model_files[key][0],
-                "crc32": self._model_files[key][1],
-            }
-            for key, rec in sorted(self.records.items())
-        ]
-        body = {
-            "schema_fingerprint": self.schema_fingerprint,
-            "kb_version": self.kb_version,
-            "fallback": self._fallback_entry,
-            "tasks": tasks,
-            "job": self.job,
-        }
-        manifest = {"format": 1, "crc32": zlib.crc32(canonical_json_bytes(body)), "body": body}
-        atomic_write_bytes(self.path / _INDEX_NAME, canonical_json_bytes(manifest))
+                "model_file": model_file[0],
+                "crc32": model_file[1],
+            })
+            cached = self._task_entries[key] = (rec, model_file, entry)
+        return cached[2]
 
 
 def kb_open(path: str | Path) -> KnowledgeBase:

@@ -605,6 +605,8 @@ def model_from_json(payload) -> ModelArtifact:
             f"unsupported model format version {payload['format_version']!r}"
         )
     kind = payload["kind"]
+    if not isinstance(kind, str):
+        raise SerializationError(f"corrupt model payload: kind {kind!r} is not a string")
     if kind not in _REGISTRY:
         raise UnknownLearnerError(f"unknown learner kind {kind!r} in model payload")
     try:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
+import edgelearn.kb as kb_mod
 from edgelearn.data import AttributeKind, Dataset, DatasetSchema, Sample
 from edgelearn.tasks import BucketingConfig
 
@@ -61,3 +63,51 @@ def rng() -> random.Random:
 
 def default_bucketing(schema: DatasetSchema) -> BucketingConfig:
     return BucketingConfig.from_schema(schema)
+
+
+class CrashPoints:
+    """Counts the KB's durability steps (a file write, an ``os.fsync``, a
+    rename) and, once armed, makes the k-th of them raise ``OSError``."""
+
+    def __init__(self):
+        self.calls = 0
+        self.crash_at: int | None = None
+
+    def arm(self, k: int | None) -> None:
+        """Crash at the k-th step from now on; ``None`` only counts."""
+        self.calls, self.crash_at = 0, k
+
+    def due(self) -> bool:
+        self.calls += 1
+        return self.calls == self.crash_at
+
+
+@pytest.fixture
+def crash_points(monkeypatch) -> CrashPoints:
+    """Fault injection for ``os.fsync``, ``kb._replace_file`` and
+    ``kb._write_synced``. A crashed write leaves the first half of its
+    bytes on disk, as a torn write would."""
+    points = CrashPoints()
+    real_fsync, real_replace, real_write = os.fsync, kb_mod._replace_file, kb_mod._write_synced
+
+    def fsync(fd):
+        if points.due():
+            raise OSError(f"injected crash at step {points.calls}: fsync")
+        real_fsync(fd)
+
+    def replace_file(src, dst):
+        if points.due():
+            raise OSError(f"injected crash at step {points.calls}: rename to {dst.name}")
+        real_replace(src, dst)
+
+    def write_synced(path, data):
+        if points.due():
+            with open(path, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError(f"injected crash at step {points.calls}: write of {path.name}")
+        real_write(path, data)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(kb_mod, "_replace_file", replace_file)
+    monkeypatch.setattr(kb_mod, "_write_synced", write_synced)
+    return points

@@ -332,7 +332,8 @@ def test_criterion_5_determinism(tmp_path):
 def test_criterion_6_kb_durability(tmp_path, monkeypatch):
     rng = random.Random(3)
     real_replace = kb_mod._replace_file
-    survived = 0
+    real_write = kb_mod._write_synced
+    survived = torn = 0
     trials = 100
     for trial in range(trials):
         kb_dir = tmp_path / f"kb{trial}"
@@ -351,15 +352,25 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
         committed = kb.fingerprint()
 
         # kill after temp write: fail the atomic rename of the index (and on
-        # some trials the model file before it), then reopen from disk
+        # some trials tear the in-place model file write before it), then
+        # reopen from disk
         fail_models_too = rng.random() < 0.3
 
-        def failing(src, dst):
-            if dst.name == "index.json" or (fail_models_too and dst.suffix == ".bin"):
+        def failing_replace(src, dst):
+            if dst.name == "index.json":
                 raise OSError("injected kill")
             real_replace(src, dst)
 
-        monkeypatch.setattr(kb_mod, "_replace_file", failing)
+        def failing_write(path, data):
+            nonlocal torn
+            if fail_models_too and path.suffix == ".bin":
+                torn += 1
+                path.write_bytes(data[: len(data) // 2])
+                raise OSError("injected kill")
+            real_write(path, data)
+
+        monkeypatch.setattr(kb_mod, "_replace_file", failing_replace)
+        monkeypatch.setattr(kb_mod, "_write_synced", failing_write)
         try:
             ds = city_dataset([(rng.random(), "lima", "a") for _ in range(3)])
             model = fit(EstimatorSpec("majority"), ds, seed=trial)
@@ -372,11 +383,14 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
             pass
         finally:
             monkeypatch.setattr(kb_mod, "_replace_file", real_replace)
+            monkeypatch.setattr(kb_mod, "_write_synced", real_write)
 
         reopened = kb_open(kb_dir)
         if reopened.fingerprint() == committed:
             survived += 1
-    _report(6, survived == trials, f"reopen equals last committed state on {survived}/{trials} trials")
+    _report(6, survived == trials and torn > 0,
+            f"reopen equals last committed state on {survived}/{trials} trials "
+            f"({torn} with a torn model write)")
 
 
 def test_criterion_7_gate_soundness(tmp_path):

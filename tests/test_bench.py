@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from edgelearn import bench as bench_mod
 from edgelearn.bench import (
     BenchResult,
     SyntheticSpec,
@@ -203,6 +204,28 @@ def test_incremental_deterministic():
     r1 = baseline_incremental(stream, EstimatorSpec("tree"), 0)
     r2 = baseline_incremental(stream, EstimatorSpec("tree"), 0)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("trailing_test_only", [False, True])
+def test_incremental_fits_only_the_models_it_scores(monkeypatch, trailing_test_only):
+    parts = {c: city_dataset([(float(i), c, "ab"[i % 2]) for i in range(n)])
+             for c, n in (("p", 4), ("q", 6), ("r", 8))}
+    stream = [(c, part, part) for c, part in parts.items()]
+    if trailing_test_only:
+        stream.append(("s", Dataset(parts["p"].schema), parts["p"]))
+    fitted_rows = []
+    real_fit = bench_mod.fit
+
+    def counting_fit(spec, dataset, seed):
+        fitted_rows.append(len(dataset))
+        return real_fit(spec, dataset, seed)
+
+    monkeypatch.setattr(bench_mod, "fit", counting_fit)
+    result = baseline_incremental(stream, EstimatorSpec("majority"), 0)
+    # p bootstraps and is scored after its own fit; q is scored on p's
+    # model; r on p+q's; the pool p+q+r is fit only if s is scored on it
+    assert fitted_rows == ([4, 10, 18] if trailing_test_only else [4, 10])
+    assert sorted(result.per_task) == sorted(c for c, _, _ in stream)
 
 
 def test_incremental_rejects_a_stream_of_mixed_schemas():

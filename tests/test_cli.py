@@ -7,14 +7,13 @@ import zlib
 
 import pytest
 
-import edgelearn.kb as kb_mod
 from edgelearn.cli import cli_main
 from edgelearn.data import load_csv, parse_schema, write_csv
 from edgelearn.learners import canonical_json_bytes
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
-from test_kb import _watch_writes
+from test_kb import _watch_replaces
 
 
 SCHEMA_TEXT = """
@@ -233,6 +232,8 @@ def test_nonfinite_bucket_edges_are_exit_2(workdir, capsys, edges):
      "attribute: unknown key 'edge'"),
     ("attributes", 5, "'attributes' must be a list"),
     ("label", {"name": ["y"], "classes": ["a", "b"]}, "column name ['y'] is not a string"),
+    ("label", {"name": "y", "classes": ["a", "b"], "kind": "regression"},
+     "label 'y' declares both 'classes' and kind 'regression'"),
 ])
 def test_mistyped_schema_is_schema_error_exit_2(workdir, capsys, section, value, named):
     doc = json.loads(SCHEMA_TEXT)
@@ -330,14 +331,7 @@ def test_job_writes_only_the_manifest_models_and_a_synced_snapshot(workdir, monk
         "--schema", str(workdir / "schema.json"),
         "--config", str(workdir / "job.json"),
     ]
-    replaced: list[str] = []
-    real_replace = kb_mod._replace_file
-
-    def watching_replace(src, dst):
-        replaced.append(dst.name)
-        real_replace(src, dst)
-
-    monkeypatch.setattr(kb_mod, "_replace_file", watching_replace)
+    replaced = _watch_replaces(monkeypatch)
     assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
     assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 0
     assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
@@ -407,7 +401,7 @@ def test_edge_infer_and_status(workdir, capsys, monkeypatch):
     probe_csv = workdir / "probe.csv"
     write_csv(probe, probe_csv)
     preds_csv = workdir / "preds.csv"
-    replaced, _ = _watch_writes(monkeypatch)
+    replaced = _watch_replaces(monkeypatch)
     code = cli_main([
         "edge", "infer",
         "--snapshot", str(snap_path),
@@ -476,7 +470,7 @@ def test_sim_run_writes_outputs(workdir, capsys, monkeypatch):
     }
     (workdir / "sim.json").write_text(json.dumps(sim_config), encoding="utf-8")
     out_dir = workdir / "simout"
-    replaced, _ = _watch_writes(monkeypatch)
+    replaced = _watch_replaces(monkeypatch)
     code = cli_main([
         "sim", "run",
         "--config", str(workdir / "sim.json"),

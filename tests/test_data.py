@@ -67,6 +67,14 @@ def test_parse_schema_empty_class_list_rejected():
         parse_schema('{"features": ["x"], "label": {"name": "y", "classes": []}}')
 
 
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_parse_schema_label_with_classes_and_a_kind_rejected(kind):
+    text = ('{"features": ["x"], "label": {"name": "y", "classes": ["a", "b"], '
+            f'"kind": "{kind}"}}}}')
+    with pytest.raises(SchemaError, match=f"label 'y' declares both 'classes' and kind '{kind}'"):
+        parse_schema(text)
+
+
 def test_parse_schema_non_increasing_edges_rejected():
     text = (
         '{"features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},'

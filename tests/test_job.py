@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import shutil
 import zlib
 
 import pytest
@@ -425,6 +427,53 @@ def test_learner_error_mid_train_leaves_phase_and_kb_unchanged(tmp_path):
     snapshot = job.run_update_cycle(city_dataset([(float(i), "oslo", "a") for i in range(10)]))
     assert "oslo" in snapshot.tasks
     assert job.state.phase is Phase.DEPLOYED
+
+
+def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
+    tmp_path, crash_points
+):
+    base, _ = new_job(tmp_path, name="base")
+    base.bootstrap(two_city_data(10))
+    pre, pre_state = base.kb.fingerprint(), base.state
+    # retrain one task, learn a new one and refit the fallback
+    update = city_dataset([(float(i), city, "b") for i in range(10) for city in ("athens", "oslo")])
+
+    def cycle_on_a_copy(name):
+        shutil.copytree(tmp_path / "base", tmp_path / name)
+        job = LifelongJob(majority_config(), kb_open(tmp_path / name))
+        job.run_update_cycle(update)
+
+    cycle_on_a_copy("clean")
+    post = kb_open(tmp_path / "clean").fingerprint()
+    assert post != pre
+
+    outcomes = []
+    for k in itertools.count(1):
+        crash_points.arm(k)
+        try:
+            cycle_on_a_copy(f"k{k}")
+        except OSError:
+            crashed = True
+        else:
+            crashed = False
+        crash_points.arm(None)
+        store = kb_open(tmp_path / f"k{k}")
+        if not crashed:
+            assert store.fingerprint() == post
+            break
+        outcomes.append(store.fingerprint())
+        assert outcomes[-1] in (pre, post), k
+        if outcomes[-1] == pre:
+            job = LifelongJob(majority_config(), store)
+            assert job.state == pre_state
+            assert pre_state.phase is Phase.DEPLOYED
+            # a retry overwrites whatever the crashed attempt left behind
+            job.run_update_cycle(update)
+            assert kb_open(tmp_path / f"k{k}").fingerprint() == post
+    # three model files (write + fsync each), the models/ barrier, the
+    # manifest's temp write, fsync, rename and directory fsync
+    assert len(outcomes) == 11
+    assert outcomes.count(post) == 1 and outcomes[-1] == post
 
 
 def test_each_stage_and_cycle_replaces_the_manifest_once(tmp_path, monkeypatch):

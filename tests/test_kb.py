@@ -193,24 +193,37 @@ def test_failed_save_does_not_mutate_memory(tmp_path, monkeypatch):
 # -- commits write only what they change --------------------------------------------
 
 def _watch_writes(monkeypatch) -> tuple[list[str], list[object]]:
-    """Records the name of every file the KB replaces and every model it
-    serializes from now on."""
-    replaced: list[str] = []
+    """Records the name of every file the KB writes (a temp file under the
+    name it replaces) and every model it serializes from now on."""
+    written: list[str] = []
     serialized: list[object] = []
-    real_replace = kb_mod._replace_file
+    real_write = kb_mod._write_synced
     real_serialize = kb_mod.serialize_model
 
-    def counting_replace(src, dst):
-        replaced.append(dst.name)
-        real_replace(src, dst)
+    def counting_write(path, data):
+        written.append(path.name.removesuffix(".tmp"))
+        real_write(path, data)
 
     def counting_serialize(model):
         serialized.append(model)
         return real_serialize(model)
 
-    monkeypatch.setattr(kb_mod, "_replace_file", counting_replace)
+    monkeypatch.setattr(kb_mod, "_write_synced", counting_write)
     monkeypatch.setattr(kb_mod, "serialize_model", counting_serialize)
-    return replaced, serialized
+    return written, serialized
+
+
+def _watch_replaces(monkeypatch) -> list[str]:
+    """Records the name of every file replaced through a temp file from now on."""
+    replaced: list[str] = []
+    real_replace = kb_mod._replace_file
+
+    def counting_replace(src, dst):
+        replaced.append(dst.name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(kb_mod, "_replace_file", counting_replace)
+    return replaced
 
 
 def test_record_eval_and_save_replace_only_the_index(tmp_path, monkeypatch):
@@ -218,10 +231,12 @@ def test_record_eval_and_save_replace_only_the_index(tmp_path, monkeypatch):
     kb.upsert_task(make_record("athens"))
     kb.upsert_task(make_record("tokyo"))
     kb.set_fallback(make_fallback())
-    replaced, serialized = _watch_writes(monkeypatch)
+    written, serialized = _watch_writes(monkeypatch)
+    replaced = _watch_replaces(monkeypatch)
     metrics = EvalMetrics.from_counts(("a", "b"), ((3, 0), (0, 0)))
     kb.record_eval("athens", STATUS_DEPLOYABLE, metrics)
     kb.save()
+    assert written == ["index.json", "index.json"]
     assert replaced == ["index.json", "index.json"]
     assert serialized == []
 
@@ -230,12 +245,14 @@ def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
     kb = kb_open(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback())
-    replaced, serialized = _watch_writes(monkeypatch)
+    written, serialized = _watch_writes(monkeypatch)
+    replaced = _watch_replaces(monkeypatch)
     tokyo = make_record("tokyo")
     athens = make_record("athens", label="b", n=4)
     kb.upsert_task(tokyo)
     kb.upsert_task(athens)
-    assert replaced == ["tokyo.1.bin", "index.json", "athens.2.bin", "index.json"]
+    assert written == ["tokyo.1.bin", "index.json", "athens.2.bin", "index.json"]
+    assert replaced == ["index.json", "index.json"]  # model files are written in place
     assert serialized == [tokyo.model, athens.model]
 
 
@@ -244,10 +261,12 @@ def test_set_fallback_replaces_one_fallback_file_and_the_index(tmp_path, monkeyp
     kb.upsert_task(make_record("athens"))
     kb.upsert_task(make_record("tokyo"))
     kb.set_fallback(make_fallback("a"))
-    replaced, serialized = _watch_writes(monkeypatch)
+    written, serialized = _watch_writes(monkeypatch)
+    replaced = _watch_replaces(monkeypatch)
     fallback = make_fallback("b")
     kb.set_fallback(fallback)
-    assert replaced == ["_fallback.2.bin", "index.json"]
+    assert written == ["_fallback.2.bin", "index.json"]
+    assert replaced == ["index.json"]
     assert serialized == [fallback]
 
 
@@ -260,7 +279,10 @@ def test_every_write_fsyncs_the_file_before_the_rename_and_the_directory_after(
     real_replace = kb_mod._replace_file
 
     def watching_fsync(fd):
-        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            events.append(f"fsync dir {sorted(os.listdir(fd))}")
+        else:
+            events.append("fsync file")
         real_fsync(fd)
 
     def watching_replace(src, dst):
@@ -270,9 +292,22 @@ def test_every_write_fsyncs_the_file_before_the_rename_and_the_directory_after(
     monkeypatch.setattr(os, "fsync", watching_fsync)
     monkeypatch.setattr(kb_mod, "_replace_file", watching_replace)
     kb.upsert_task(make_record("athens"))
+    # the model file is written in place and synced, then models/ once (the
+    # barrier), then the manifest through a synced temp file and a rename
     assert events == [
-        "fsync file", "athens.1.bin", "fsync dir",
-        "fsync file", "index.json", "fsync dir",
+        "fsync file", "fsync dir ['athens.1.bin']",
+        "fsync file", "index.json", "fsync dir ['index.json', 'models']",
+    ]
+    events.clear()
+    kb.record_eval("athens", STATUS_DEPLOYABLE, EvalMetrics.from_counts(("a", "b"), ((3, 0), (0, 0))))
+    assert events == ["fsync file", "index.json", "fsync dir ['index.json', 'models']"]
+    events.clear()
+    with kb.transaction():
+        kb.upsert_task(make_record("tokyo"))
+        kb.set_fallback(make_fallback())
+    assert events == [
+        "fsync file", "fsync file", "fsync dir ['_fallback.1.bin', 'athens.1.bin', 'tokyo.1.bin']",
+        "fsync file", "index.json", "fsync dir ['index.json', 'models']",
     ]
 
 
@@ -280,15 +315,15 @@ def test_every_write_fsyncs_the_file_before_the_rename_and_the_directory_after(
 
 def test_transaction_commits_once_and_nested_blocks_join_it(tmp_path, monkeypatch):
     kb = kb_open(tmp_path / "kb")
-    replaced, _ = _watch_writes(monkeypatch)
+    written, _ = _watch_writes(monkeypatch)
     with kb.transaction():
         kb.upsert_task(make_record("athens"))
         with kb.transaction():
             kb.upsert_task(make_record("tokyo"))
             kb.set_fallback(make_fallback())
         kb.job = {"phase": "anything"}
-        assert replaced == ["athens.1.bin", "tokyo.1.bin", "_fallback.1.bin"]
-    assert replaced[-1] == "index.json" and replaced.count("index.json") == 1
+        assert written == ["athens.1.bin", "tokyo.1.bin", "_fallback.1.bin"]
+    assert written[-1] == "index.json" and written.count("index.json") == 1
     assert kb.kb_version == 3
     reopened = kb_open(tmp_path / "kb")
     assert reopened.fingerprint() == kb.fingerprint()
@@ -300,7 +335,7 @@ def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback("a"))
     before = kb.fingerprint()
-    replaced, _ = _watch_writes(monkeypatch)
+    written, _ = _watch_writes(monkeypatch)
     with pytest.raises(RuntimeError, match="abort"):
         with kb.transaction():
             kb.upsert_task(make_record("athens", label="b"))
@@ -308,7 +343,7 @@ def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path
             kb.set_fallback(make_fallback("b"))
             kb.job = {"phase": "anything"}
             raise RuntimeError("abort")
-    assert "index.json" not in replaced
+    assert "index.json" not in written
     assert kb.fingerprint() == before
     assert kb.job is None
     assert set(kb.records) == {"athens"}
@@ -318,6 +353,84 @@ def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path
     reopened = kb_open(tmp_path / "kb")
     assert set(reopened.records) == {"athens", "tokyo"}
     assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
+
+
+def _manifest_from_scratch(kb) -> bytes:
+    """The manifest encoded whole from the KB's in-memory state."""
+    body = {
+        "schema_fingerprint": kb.schema_fingerprint,
+        "kb_version": kb.kb_version,
+        "fallback": kb._fallback_entry,
+        "tasks": [
+            {
+                "key": key,
+                "version": rec.version,
+                "status": rec.status,
+                "attributes": kb_mod._attrs_to_json(rec.attributes),
+                "stats": kb_mod._stats_to_json(rec.sample_stats),
+                "eval": kb_mod.metrics_to_json(rec.eval),
+                "model_file": kb._model_files[key][0],
+                "crc32": kb._model_files[key][1],
+            }
+            for key, rec in sorted(kb.records.items())
+        ],
+        "job": kb.job,
+    }
+    return canonical_json_bytes(
+        {"format": 1, "crc32": zlib.crc32(canonical_json_bytes(body)), "body": body}
+    )
+
+
+def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, monkeypatch):
+    kb = kb_open(tmp_path / "kb")
+    index = tmp_path / "kb" / "index.json"
+    metrics = EvalMetrics.from_counts(("a", "b"), ((3, 0), (0, 0)))
+
+    def fail_index_rename(src, dst):
+        raise OSError("injected crash")
+
+    def abort_a_transaction():
+        with kb.transaction():
+            kb.upsert_task(make_record("athens", label="a", n=7))
+            kb.upsert_task(make_record("zurich"))
+            kb.record_eval("tokyo", STATUS_EVAL_FAILED, metrics)
+            kb.set_fallback(make_fallback("a"))
+            kb.job = {"phase": "aborted"}
+            raise RuntimeError("abort")
+
+    def fail_a_commit():
+        # the cache sees this commit's entries, the store and memory do not
+        monkeypatch.setattr(kb_mod, "_replace_file", fail_index_rename)
+        try:
+            kb.upsert_task(make_record("zurich", label="b"))
+        finally:
+            monkeypatch.undo()
+
+    steps = [
+        lambda: kb.save(),
+        lambda: kb.upsert_task(make_record("athens")),
+        lambda: kb.upsert_task(make_record("tokyo", label="b")),
+        lambda: kb.record_eval("athens", STATUS_DEPLOYABLE, metrics),
+        lambda: kb.set_fallback(make_fallback("b")),
+        lambda: kb.upsert_task(make_record("athens", label="b", n=5)),
+        abort_a_transaction,
+        fail_a_commit,
+        lambda: kb.save(),
+        lambda: kb.set_fallback(make_fallback("a")),
+        lambda: kb.upsert_task(make_record("zurich")),
+    ]
+    for i, step in enumerate(steps):
+        try:
+            step()
+        except (RuntimeError, OSError):
+            pass
+        with kb.transaction():
+            kb.job = {"phase": f"after step {i}"}
+        assert index.read_bytes() == _manifest_from_scratch(kb), i
+        reopened = kb_open(tmp_path / "kb")
+        reopened.save()
+        assert index.read_bytes() == _manifest_from_scratch(kb), i
+    assert set(kb.records) == {"athens", "tokyo", "zurich"}
 
 
 def test_reopen_store_whose_manifest_carries_relations(tmp_path):

@@ -531,6 +531,14 @@ def test_non_object_hyperparameters_are_corrupt():
         deserialize_model(data)
 
 
+@pytest.mark.parametrize("kind", [b'["majority"]', b'{"k":1}', b"7", b"null"])
+def test_non_string_kind_is_corrupt(kind):
+    model = fit(EstimatorSpec("majority"), city_dataset([(1, "c", "a"), (2, "c", "b")]), 0)
+    data = serialize_model(model).replace(b'"kind":"majority"', b'"kind":' + kind)
+    with pytest.raises(SerializationError, match="kind .* is not a string"):
+        deserialize_model(data)
+
+
 def test_unknown_kind_is_forward_compat_error():
     model = fit(EstimatorSpec("majority"), city_dataset([(1, "c", "a"), (2, "c", "b")]), 0)
     data = serialize_model(model).replace(b'"kind":"majority"', b'"kind":"neural9000"')
