@@ -5,6 +5,9 @@ an optional label, and a tuple of task attributes (the situational context
 that later identifies which task the row belongs to). Schemas pin column
 names, the label kind, and per-attribute kinds. All objects here are
 immutable after construction and safe to share across threads.
+
+A CSV row is parsed by one column plan built from the schema (see
+``_column_plan``); :meth:`DatasetSchema.validate_sample` owns the sample rules.
 """
 
 from __future__ import annotations
@@ -324,76 +327,56 @@ def schema_to_json(schema: DatasetSchema) -> str:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _column_plan(schema: DatasetSchema) -> list[tuple[str, type]]:
+    """(column, cell parser) pairs in features, label, attributes order: the
+    header :func:`write_csv` writes and the cells :func:`load_csv` parses."""
+    return (
+        [(name, float) for name in schema.feature_columns]
+        + [(schema.label_column, str if schema.is_classification else float)]
+        + [(name, str if kind.kind == CATEGORICAL else float)
+           for name, kind in zip(schema.attribute_columns, schema.attribute_kinds)]
+    )
+
+
 def load_csv(path: str | Path, schema: DatasetSchema) -> Dataset:
-    """Load a dataset from CSV. Column order comes from the header row.
+    """Load a dataset from CSV. Column order comes from the header row; a
+    repeated header name reads its first position.
 
     An empty label cell means the row is unlabeled. Each row is checked
     once, by :meth:`DatasetSchema.validate_sample`; error messages name the
     file and count data rows from 1 (the header is row 0).
     """
     path = Path(path)
+    n_features = schema.n_features
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
-        col_pos: dict[str, int] = {}
-        for i, name in enumerate(header):
-            if name not in col_pos:
-                col_pos[name] = i
-        declared = list(schema.feature_columns) + [schema.label_column] + list(schema.attribute_columns)
-        for name in declared:
-            if name not in col_pos:
+        plan = _column_plan(schema)
+        for name, _ in plan:
+            if name not in header:
                 raise DataError(f"{path}: missing column {name!r}")
+        cells = [(header.index(name), name, parse) for name, parse in plan]
+        label_pos = header.index(schema.label_column)
 
         samples: list[Sample] = []
         for row_num, row in enumerate(reader, start=1):
-            def cell(name: str) -> str:
-                pos = col_pos[name]
-                if pos >= len(row):
-                    raise DataError(f"{path}: row {row_num}: too few cells")
-                return row[pos]
-
-            features = []
-            for name in schema.feature_columns:
-                text = cell(name)
+            values = []
+            for pos, name, parse in cells:
                 try:
-                    features.append(float(text))
+                    text = row[pos]
+                    values.append(parse(text) if text or pos != label_pos else None)
+                except IndexError:
+                    raise DataError(f"{path}: row {row_num}: too few cells") from None
                 except ValueError:
                     raise DataError(
                         f"{path}: row {row_num}: unparseable numeric cell {text!r} in {name!r}"
                     ) from None
-
-            label_text = cell(schema.label_column)
-            label: str | float | None
-            if label_text == "":
-                label = None
-            elif schema.is_classification:
-                label = label_text
-            else:
-                try:
-                    label = float(label_text)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_num}: unparseable numeric cell {label_text!r} "
-                        f"in {schema.label_column!r}"
-                    ) from None
-
-            attrs: list[AttrValue] = []
-            for name, kind in zip(schema.attribute_columns, schema.attribute_kinds):
-                text = cell(name)
-                if kind.kind == CATEGORICAL:
-                    attrs.append(text)
-                else:
-                    try:
-                        attrs.append(float(text))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {row_num}: unparseable numeric cell {text!r} in {name!r}"
-                        ) from None
-
-            sample = Sample(tuple(features), tuple(attrs), label)
+            sample = Sample(
+                tuple(values[:n_features]), tuple(values[n_features + 1:]), values[n_features]
+            )
             try:
                 schema.validate_sample(sample)
             except DataError as exc:
@@ -417,9 +400,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            list(schema.feature_columns) + [schema.label_column] + list(schema.attribute_columns)
-        )
+        writer.writerow([name for name, _ in _column_plan(schema)])
         for s in dataset.samples:
             row = [_format_value(v) for v in s.features]
             row.append(_format_value(s.label))

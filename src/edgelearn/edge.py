@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass
 
 from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number
-from .errors import ConfigError, DataError, NoModelError
+from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot
 from .learners import predict
@@ -85,6 +85,7 @@ class EdgeRuntime:
     ):
         check_similarity_threshold(similarity_threshold)
         self.schema = schema
+        self._schema_fingerprint = schema.fingerprint()
         self.bucketing = bucketing
         self.similarity_threshold = similarity_threshold
         self.unseen_cap = unseen_cap
@@ -106,7 +107,15 @@ class EdgeRuntime:
 
     def apply_snapshot(self, snapshot: DeploySnapshot) -> str:
         """Swap in a newer snapshot atomically. Returns "applied" or
-        "rejected-stale" (strictly newer versions only)."""
+        "rejected-stale" (strictly newer versions only). A snapshot holding a
+        model of another schema raises SchemaMismatchError and is not applied."""
+        fallback = () if snapshot.fallback is None else (snapshot.fallback,)
+        for model in (*(entry.model for entry in snapshot.tasks.values()), *fallback):
+            if model.schema_fingerprint != self._schema_fingerprint:
+                raise SchemaMismatchError(
+                    f"snapshot v{snapshot.snapshot_version} holds a model of schema "
+                    f"{model.schema_fingerprint}; this edge serves {self._schema_fingerprint}"
+                )
         index = TaskIndex({key: entry.attributes for key, entry in snapshot.tasks.items()})
         with self._lock:
             if (

@@ -203,7 +203,6 @@ class LifelongJob:
                 key=key,
                 attributes=partition.attributes[key],
                 model=artifact,
-                spec=cfg.learner,
                 sample_stats=sample_stats(partition.parts[key]),
                 status=STATUS_TRAINED,
             )
@@ -235,15 +234,13 @@ class LifelongJob:
             n_eval = len(part) if part is not None else 0
             metrics = evaluate(record.model, part) if n_eval > 0 else None
             if n_eval < cfg.eval_policy.min_eval_samples:
-                outcome = TaskEvalOutcome(key, metrics, False, REASON_TOO_FEW_SAMPLES)
-                self.kb.record_eval(key, STATUS_EVAL_FAILED, metrics)
+                passed, reason = False, REASON_TOO_FEW_SAMPLES
             elif metrics.accuracy >= cfg.eval_policy.min_accuracy:
-                outcome = TaskEvalOutcome(key, metrics, True)
-                self.kb.record_eval(key, STATUS_DEPLOYABLE, metrics)
+                passed, reason = True, None
             else:
-                outcome = TaskEvalOutcome(key, metrics, False, REASON_BELOW_THRESHOLD)
-                self.kb.record_eval(key, STATUS_EVAL_FAILED, metrics)
-            outcomes.append(outcome)
+                passed, reason = False, REASON_BELOW_THRESHOLD
+            self.kb.record_eval(key, STATUS_DEPLOYABLE if passed else STATUS_EVAL_FAILED, metrics)
+            outcomes.append(TaskEvalOutcome(key, metrics, passed, reason))
 
         fallback_metrics = None
         if self.kb.fallback is not None:

@@ -7,15 +7,17 @@ Store layout (one directory per KB)::
     models/<key>.<v>.bin  one file per model artifact, CRC32-checked
 
 The manifest body carries the schema fingerprint, the KB version counter,
-per-task metadata (key, version, status, stats, eval, model file +
-checksum) and ``job``, the job's phase document, stored uninterpreted. A
+``job`` (the job's phase document, stored uninterpreted) and per task the
+record fields one codec owns (``_record_to_json``/``_record_from_json``:
+key, version, status, attributes, stats, eval) plus model file and
+checksum. Readers refuse a manifest or snapshot of another ``format``. A
 transaction writes only the model files it adds, each in place and
 fsynced under a name no committed manifest uses, then pays one durability
 barrier: it fsyncs ``models/`` once, and only then replaces the manifest
-atomically (fsynced temp file, rename, fsynced directory). A crash at any
-point leaves the previous consistent state intact. Superseded model files
-stay on disk but are no longer referenced; only the latest version per
-task is retrievable.
+atomically (fsynced temp file, rename = commit point, fsynced directory).
+A crash at any point leaves the previous consistent state intact.
+Superseded model files stay on disk but are no longer referenced; only the
+latest version per task is retrievable.
 
 There is no delete operation: task knowledge only accumulates.
 """
@@ -31,7 +33,7 @@ from hashlib import sha256
 from pathlib import Path
 from urllib.parse import quote
 
-from .data import Dataset
+from .data import Dataset, _is_int
 from .errors import (
     CorruptStoreError,
     NothingDeployableError,
@@ -40,7 +42,6 @@ from .errors import (
     StoreError,
 )
 from .learners import (
-    EstimatorSpec,
     EvalMetrics,
     ModelArtifact,
     canonical_json_bytes,
@@ -58,6 +59,7 @@ STATUS_DEPLOYABLE = "deployable"
 STATUS_EVAL_FAILED = "eval_failed"
 _STATUSES = (STATUS_TRAINED, STATUS_DEPLOYABLE, STATUS_EVAL_FAILED)
 
+_FORMAT = 1  # of the manifest and of the snapshot payload; readers reject any other
 _INDEX_NAME = "index.json"
 _MODELS_DIR = "models"
 
@@ -108,7 +110,6 @@ class TaskRecord:
     key: str
     attributes: BucketedAttributes
     model: ModelArtifact
-    spec: EstimatorSpec
     sample_stats: SampleStats
     status: str = STATUS_TRAINED
     version: int = 1
@@ -121,8 +122,6 @@ class TaskRecord:
             raise StoreError("record version must be >= 1")
         if self.status == STATUS_DEPLOYABLE and self.eval is None:
             raise StoreError("deployable records must carry eval metrics")
-        if self.spec != self.model.spec:
-            raise StoreError("record spec must match the model's spec")
 
 
 @dataclass(frozen=True)
@@ -173,23 +172,25 @@ def _stats_from_json(doc: dict) -> SampleStats:
     )
 
 
-def _record_metadata(record: TaskRecord) -> bytes:
-    """Canonical bytes of everything but the model and the version; with
-    the model bytes this decides idempotent upserts (re-storing identical
-    content must not bump versions)."""
-    return canonical_json_bytes({
-        "key": record.key,
-        "attributes": _attrs_to_json(record.attributes),
-        "stats": _stats_to_json(record.sample_stats),
-        "status": record.status,
-        "eval": metrics_to_json(record.eval),
-    })
+def _record_to_json(record: TaskRecord) -> dict:
+    """The manifest fields of a task record: everything but its model, which
+    the manifest names by file and checksum."""
+    return {"key": record.key, "version": record.version, "status": record.status,
+            "attributes": _attrs_to_json(record.attributes),
+            "stats": _stats_to_json(record.sample_stats), "eval": metrics_to_json(record.eval)}
+
+
+def _record_from_json(doc: dict, model: ModelArtifact) -> TaskRecord:
+    """Inverse of :func:`_record_to_json`, given the record's model."""
+    return TaskRecord(doc["key"], _attrs_from_json(doc["attributes"]), model,
+                      _stats_from_json(doc["stats"]), doc["status"], doc["version"],
+                      metrics_from_json(doc["eval"]))
 
 
 def serialize_snapshot(snapshot: DeploySnapshot) -> bytes:
     """Canonical byte encoding of a deploy snapshot (the push payload)."""
     doc = {
-        "format": 1,
+        "format": _FORMAT,
         "snapshot_version": snapshot.snapshot_version,
         "schema_fingerprint": snapshot.schema_fingerprint,
         "tasks": {
@@ -214,6 +215,8 @@ def deserialize_snapshot(data: bytes) -> DeploySnapshot:
     try:
         # serialize_snapshot never writes NaN or Infinity
         doc = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
+        if not _is_int(doc["format"]) or doc["format"] != _FORMAT:
+            raise SerializationError(f"unsupported snapshot format {doc['format']!r}")
         tasks = {
             key: SnapshotEntry(
                 model=model_from_json(entry["model"]),
@@ -261,12 +264,17 @@ def _fsync_dir(path: Path) -> None:
         os.close(directory)
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Replace *path* with *data* so that a crash leaves the old or the new
-    bytes: fsync a temp file, rename it over *path*, fsync the directory."""
+def _replace_synced(path: Path, data: bytes) -> None:
+    """Fsync *data* to a temp file and rename it over *path*."""
     tmp = path.with_name(path.name + ".tmp")
     _write_synced(tmp, data)
     _replace_file(tmp, path)
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Replace *path* with *data* so that a crash leaves the old or the new
+    bytes: fsync a temp file, rename it over *path*, fsync the directory."""
+    _replace_synced(path, data)
     _fsync_dir(path.parent)
 
 
@@ -321,10 +329,12 @@ class KnowledgeBase:
         raw = index_path.read_bytes()
         try:
             doc = json.loads(raw.decode("utf-8"))
-            declared_crc = doc["crc32"]
-            body = doc["body"]
+            declared_crc, body, fmt = doc["crc32"], doc["body"], doc["format"]
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: {exc}") from exc
+        if not _is_int(fmt) or fmt != _FORMAT:
+            raise CorruptStoreError(f"corrupt store index {index_path}: "
+                                    f"unsupported format {fmt!r}")
         actual_crc = zlib.crc32(canonical_json_bytes(body))
         if actual_crc != declared_crc:
             raise CorruptStoreError(
@@ -337,18 +347,8 @@ class KnowledgeBase:
             kb.kb_version = body["kb_version"]
             for entry in body["tasks"]:
                 model = kb._read_model_file(entry["model_file"], entry["crc32"])
-                record = TaskRecord(
-                    key=entry["key"],
-                    attributes=_attrs_from_json(entry["attributes"]),
-                    model=model,
-                    spec=model.spec,
-                    sample_stats=_stats_from_json(entry["stats"]),
-                    status=entry["status"],
-                    version=entry["version"],
-                    eval=metrics_from_json(entry["eval"]),
-                )
-                kb.records[record.key] = record
-                kb._model_files[record.key] = (entry["model_file"], entry["crc32"])
+                kb.records[entry["key"]] = _record_from_json(entry, model)
+                kb._model_files[entry["key"]] = (entry["model_file"], entry["crc32"])
             if body["fallback"] is not None:
                 kb.fallback = kb._read_model_file(
                     body["fallback"]["model_file"], body["fallback"]["crc32"]
@@ -414,15 +414,8 @@ class KnowledgeBase:
                 else None
             ),
             "tasks": [
-                {
-                    "key": key,
-                    "version": rec.version,
-                    "status": rec.status,
-                    "stats": _stats_to_json(rec.sample_stats),
-                    "eval": metrics_to_json(rec.eval),
-                    "model": sha256(serialize_model(rec.model)).hexdigest(),
-                }
-                for key, rec in sorted(self.records.items())
+                {**_record_to_json(rec), "model": sha256(serialize_model(rec.model)).hexdigest()}
+                for _, rec in sorted(self.records.items())
             ],
         }
         return sha256(canonical_json_bytes(doc)).hexdigest()
@@ -433,8 +426,11 @@ class KnowledgeBase:
     def transaction(self):
         """Group mutations into one commit: the block ends with one manifest
         replace (new model files are written as they come, under names the
-        committed manifest does not use). A raise writes no manifest and
-        restores memory to its state at entry. Nested blocks join the outermost."""
+        committed manifest does not use). The manifest rename is the commit
+        point: a raise before it returns writes no manifest and restores
+        memory to its state at entry; the directory fsync after it may still
+        raise, but memory stays at the committed state. Nested blocks join
+        the outermost."""
         if self._in_transaction:
             yield
             return
@@ -449,6 +445,7 @@ class KnowledgeBase:
             raise
         finally:
             self._in_transaction = False
+        _fsync_dir(self.path)
 
     def _pin_schema(self, fingerprint: str) -> None:
         if self.schema_fingerprint is None:
@@ -470,7 +467,8 @@ class KnowledgeBase:
         existing = self.records.get(record.key)
         if existing is not None:
             if (
-                _record_metadata(existing) == _record_metadata(record)
+                canonical_json_bytes({**_record_to_json(record), "version": existing.version})
+                == canonical_json_bytes(_record_to_json(existing))
                 and serialize_model(existing.model) == data
             ):
                 return self.kb_version
@@ -532,10 +530,10 @@ class KnowledgeBase:
             # durable before a manifest names them
             _fsync_dir(self.path / _MODELS_DIR)
             self._models_unsynced = False
-        atomic_write_bytes(self.path / _INDEX_NAME, self._manifest_bytes())
+        _replace_synced(self.path / _INDEX_NAME, self._manifest_bytes())
 
     def _manifest_bytes(self) -> bytes:
-        """``canonical_json_bytes`` of the manifest ``{"format": 1, "crc32":
+        """``canonical_json_bytes`` of the manifest ``{"format": _FORMAT, "crc32":
         <crc of body>, "body": body}``, with the body encoded once. Keys sort
         ``body < crc32 < format``, and ``tasks`` is the body's last key."""
         head = canonical_json_bytes({
@@ -546,22 +544,15 @@ class KnowledgeBase:
         })
         tasks = b",".join(self._task_entry(key, rec) for key, rec in sorted(self.records.items()))
         body = head[:-1] + b',"tasks":[' + tasks + b"]}"
-        return b'{"body":%s,"crc32":%d,"format":1}' % (body, zlib.crc32(body))
+        return b'{"body":%s,"crc32":%d,"format":%d}' % (body, zlib.crc32(body), _FORMAT)
 
     def _task_entry(self, key: str, rec: TaskRecord) -> bytes:
         model_file = self._model_files[key]
         cached = self._task_entries.get(key)
         if cached is None or cached[0] is not rec or cached[1] != model_file:
-            entry = canonical_json_bytes({
-                "key": key,
-                "version": rec.version,
-                "status": rec.status,
-                "attributes": _attrs_to_json(rec.attributes),
-                "stats": _stats_to_json(rec.sample_stats),
-                "eval": metrics_to_json(rec.eval),
-                "model_file": model_file[0],
-                "crc32": model_file[1],
-            })
+            entry = canonical_json_bytes(
+                {**_record_to_json(rec), "model_file": model_file[0], "crc32": model_file[1]}
+            )
             cached = self._task_entries[key] = (rec, model_file, entry)
         return cached[2]
 

@@ -346,7 +346,7 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
             model = fit(EstimatorSpec("majority"), ds, seed=trial)
             attrs = bucket_attributes((city,), BucketingConfig((None,)))
             kb.upsert_task(TaskRecord(
-                key=task_key(attrs), attributes=attrs, model=model, spec=model.spec,
+                key=task_key(attrs), attributes=attrs, model=model,
                 sample_stats=sample_stats(ds),
             ))
         committed = kb.fingerprint()
@@ -376,7 +376,7 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
             model = fit(EstimatorSpec("majority"), ds, seed=trial)
             attrs = bucket_attributes(("lima",), BucketingConfig((None,)))
             kb.upsert_task(TaskRecord(
-                key=task_key(attrs), attributes=attrs, model=model, spec=model.spec,
+                key=task_key(attrs), attributes=attrs, model=model,
                 sample_stats=sample_stats(ds),
             ))
         except OSError:
@@ -486,7 +486,7 @@ def test_criterion_8_oracle_equivalences(tmp_path):
                 continue
             stored[key] = attrs
             kb.upsert_task(TaskRecord(
-                key=key, attributes=attrs, model=base_model, spec=base_model.spec,
+                key=key, attributes=attrs, model=base_model,
                 sample_stats=sample_stats(base_ds),
             ))
         query = bucket_attributes((rng.choice("pqr"), rng.uniform(0, 40.0)), bucketing)

@@ -456,6 +456,50 @@ def test_nonfinite_similarity_threshold_is_exit_2(workdir, capsys, action, thres
     assert not out.exists()
 
 
+def _deployed(workdir) -> list[str]:
+    """Train, eval and deploy the workdir's data; returns the job flags."""
+    base = ["--kb", str(workdir / "kb"), "--schema", str(workdir / "schema.json"),
+            "--config", str(workdir / "job.json")]
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 0
+    assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
+    return base
+
+
+def test_edge_refuses_a_snapshot_of_another_schema_exit_2(workdir, capsys):
+    _deployed(workdir)
+    other = workdir / "other.json"
+    other.write_text(SCHEMA_TEXT.replace('["a", "b"]', '["warm", "cold"]'), encoding="utf-8")
+    write_csv(city_dataset([(1.0, "athens", "warm")], classes=("warm", "cold")),
+              workdir / "probe.csv")
+    capsys.readouterr()
+    out = workdir / "preds.csv"
+    assert cli_main(["edge", "infer", "--snapshot", str(workdir / "snap.json"),
+                     "--schema", str(other), "--config", str(workdir / "job.json"),
+                     "--data", str(workdir / "probe.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "schema" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stored", ["manifest", "snapshot"])
+def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
+    base = _deployed(workdir)
+    path = workdir / "kb" / "index.json" if stored == "manifest" else workdir / "snap.json"
+    doc = json.loads(path.read_bytes())
+    doc["format"] = 2
+    path.write_bytes(canonical_json_bytes(doc))
+    capsys.readouterr()
+    if stored == "manifest":
+        code = cli_main(["kb", "show", "--kb", str(workdir / "kb")])
+    else:
+        code = cli_main(["edge", "infer", "--snapshot", str(path), *base[2:],
+                         "--data", str(workdir / "test.csv"), "--out", str(workdir / "p.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "format 2" in err and "Traceback" not in err
+
+
 def test_sim_run_writes_outputs(workdir, capsys, monkeypatch):
     stream = city_dataset([(float(i), "oslo", "b") for i in range(6)])
     write_csv(stream, workdir / "stream.csv")

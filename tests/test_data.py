@@ -262,6 +262,35 @@ def test_load_csv_empty_categorical_reports_row(tmp_path):
         load_csv(path, city_schema())
 
 
+REGRESSION_SCHEMA = '{"features": ["x"], "label": {"name": "y", "kind": "regression"}}'
+
+
+@pytest.mark.parametrize("regression, text, expected", [
+    (False, "", "{path}: empty file, header row required"),
+    (False, "x\n1.0\n", "{path}: missing column 'y'"),  # the first missing one in plan order
+    (False, "x,y,city\n1.0,a,athens\n2.0,b\n", "{path}: row 2: too few cells"),
+    (False, "x,y,city\nfoo,a\n", "{path}: row 1: unparseable numeric cell 'foo' in 'x'"),
+    (True, "x,y\n1.0,hot\n", "{path}: row 1: unparseable numeric cell 'hot' in 'y'"),
+    (False, "x,y,city\n,a,athens\n", "{path}: row 1: unparseable numeric cell '' in 'x'"),
+    (False, "x,y,city\n1.0,a,athens\n\n2.0,b,tokyo\n", "{path}: row 2: too few cells"),
+    (False, "x,y,city\n1.0,zzz,\n", "{path}: row 1: attribute 'city' needs a non-empty string, "
+                                      "got ''"),
+    (False, "x,y,city,x\n1.0,a,athens,zz\n", [((1.0,), ("athens",), "a")]),  # first x wins
+    (False, "x,y,city,x\nzz,a,athens,1.0\n",
+     "{path}: row 1: unparseable numeric cell 'zz' in 'x'"),
+    (True, "y,x\n,1.5\n-2.5,2\n", [((1.5,), (), None), ((2.0,), (), -2.5)]),
+])
+def test_load_csv_case_table(tmp_path, regression, text, expected):
+    path = _write(tmp_path, text)
+    schema = parse_schema(REGRESSION_SCHEMA) if regression else city_schema()
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as err:
+            load_csv(path, schema)
+        assert str(err.value) == expected.format(path=path)
+    else:
+        assert load_csv(path, schema) == Dataset(schema, make_samples(expected))
+
+
 def test_csv_round_trip_exact(tmp_path, rng):
     rows = [
         (rng.uniform(-1e6, 1e6), rng.choice(["athens", "tok,yo", 'qu"ote']), rng.choice(["a", "b", None]))
@@ -279,7 +308,7 @@ def test_csv_round_trip_exact(tmp_path, rng):
 
 
 def test_csv_round_trip_regression(tmp_path):
-    schema = parse_schema('{"features": ["x"], "label": {"name": "y", "kind": "regression"}}')
+    schema = parse_schema(REGRESSION_SCHEMA)
     ds = Dataset(schema, make_samples([((1.5,), (), 2.25), ((2.0,), (), None)]))
     path = tmp_path / "r.csv"
     write_csv(ds, path)

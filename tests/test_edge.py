@@ -469,6 +469,24 @@ def test_apply_snapshot_never_decreases_version():
         seen.append(runtime.snapshot_version)
 
 
+def test_a_snapshot_of_another_schema_is_not_applied():
+    runtime = EdgeRuntime(city_schema(("warm", "cold")), CITY_BUCKETING)
+    own_model = constant_model("warm", classes=("warm", "cold"))
+    own = snapshot_of(1, {"athens": (own_model, BucketedAttributes(("athens",), (0,)))})
+    assert runtime.apply_snapshot(own) == "applied"
+    for foreign in (
+        city_snapshot(version=2, cities=("athens",)),  # task models of classes ("a", "b")
+        snapshot_of(2, {}, fallback=constant_model("a")),
+        snapshot_of(2, {"athens": (own_model, own.tasks["athens"].attributes)},
+                    fallback=constant_model("a")),
+    ):
+        with pytest.raises(SchemaMismatchError, match="schema"):
+            runtime.apply_snapshot(foreign)
+        assert runtime.active is own
+    assert runtime.infer(Sample((1.0,), ("athens",))).label == "warm"
+    assert runtime.apply_snapshot(snapshot_of(2, {})) == "applied"  # an empty snapshot passes
+
+
 def test_status_document_fields():
     runtime = city_runtime(city_snapshot(version=2, fallback_label="b"))
     runtime.infer(Sample((0.0,), ("athens",)))

@@ -438,26 +438,30 @@ def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
     # retrain one task, learn a new one and refit the fallback
     update = city_dataset([(float(i), city, "b") for i in range(10) for city in ("athens", "oslo")])
 
-    def cycle_on_a_copy(name):
+    def job_on_a_copy(name):
         shutil.copytree(tmp_path / "base", tmp_path / name)
-        job = LifelongJob(majority_config(), kb_open(tmp_path / name))
-        job.run_update_cycle(update)
+        return LifelongJob(majority_config(), kb_open(tmp_path / name))
 
-    cycle_on_a_copy("clean")
+    job_on_a_copy("clean").run_update_cycle(update)
     post = kb_open(tmp_path / "clean").fingerprint()
     assert post != pre
 
     outcomes = []
     for k in itertools.count(1):
+        crashed_job = job_on_a_copy(f"k{k}")
         crash_points.arm(k)
         try:
-            cycle_on_a_copy(f"k{k}")
+            crashed_job.run_update_cycle(update)
         except OSError:
             crashed = True
         else:
             crashed = False
         crash_points.arm(None)
         store = kb_open(tmp_path / f"k{k}")
+        # the crashed handle holds what its store holds
+        assert crashed_job.kb.fingerprint() == store.fingerprint(), k
+        assert crashed_job.kb.kb_version == store.kb_version, k
+        assert crashed_job.state == LifelongJob(majority_config(), store).state, k
         if not crashed:
             assert store.fingerprint() == post
             break

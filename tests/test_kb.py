@@ -54,7 +54,6 @@ def make_record(city: str, label: str = "a", status: str = STATUS_TRAINED,
         key=city,
         attributes=BucketedAttributes((city,), (0,)),
         model=model,
-        spec=model.spec,
         sample_stats=sample_stats(ds),
         status=status,
         eval=eval_metrics,
@@ -188,6 +187,55 @@ def test_failed_save_does_not_mutate_memory(tmp_path, monkeypatch):
         kb.upsert_task(make_record("tokyo"))
     assert kb.kb_version == version
     assert "tokyo" not in kb.records
+
+
+def test_a_failed_directory_fsync_after_the_manifest_rename_keeps_the_commit(
+    tmp_path, monkeypatch
+):
+    kb_dir = tmp_path / "kb"
+    kb = kb_open(kb_dir)
+    kb.upsert_task(make_record("athens"))
+    real_fsync_dir = kb_mod._fsync_dir
+
+    def fail_on_root(path):
+        if Path(path) == kb_dir:
+            raise OSError("injected: fsync of the KB directory")
+        real_fsync_dir(path)
+
+    monkeypatch.setattr(kb_mod, "_fsync_dir", fail_on_root)
+    with pytest.raises(OSError, match="injected"):
+        kb.upsert_task(make_record("tokyo"))
+    monkeypatch.setattr(kb_mod, "_fsync_dir", real_fsync_dir)
+
+    # the rename committed the manifest: the handle holds what is on disk
+    reopened = kb_open(kb_dir)
+    assert sorted(kb.records) == sorted(reopened.records) == ["athens", "tokyo"]
+    assert kb.kb_version == reopened.kb_version == 2
+    assert kb.fingerprint() == reopened.fingerprint()
+
+    # so the next commit never rewrites a file the committed manifest names
+    committed = (kb_dir / "models" / "tokyo.1.bin").read_bytes()
+    kb.upsert_task(make_record("tokyo", label="b"))
+    assert (kb_dir / "models" / "tokyo.1.bin").read_bytes() == committed
+    reopened = kb_open(kb_dir)
+    assert reopened.kb_version == 3 and reopened.lookup("tokyo").version == 2
+    assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
+    assert (kb_dir / "models" / "tokyo.2.bin").exists()
+
+
+@pytest.mark.parametrize("fmt", [2, 0, "1", None, True, 1.0, "absent"])
+def test_manifest_of_another_format_refuses_open(tmp_path, fmt):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    index = tmp_path / "kb" / "index.json"
+    manifest = json.loads(index.read_bytes())
+    if fmt == "absent":
+        del manifest["format"]
+    else:
+        manifest["format"] = fmt  # outside the body: its checksum stays valid
+    index.write_bytes(canonical_json_bytes(manifest))
+    with pytest.raises(CorruptStoreError, match="format"):
+        kb_open(tmp_path / "kb")
 
 
 # -- commits write only what they change --------------------------------------------
@@ -491,7 +539,7 @@ def test_upsert_schema_mismatch_rejected(tmp_path):
         schema_fingerprint="f" * 16,
     )
     bad = TaskRecord(
-        key="tokyo", attributes=other.attributes, model=patched, spec=patched.spec,
+        key="tokyo", attributes=other.attributes, model=patched,
         sample_stats=other.sample_stats,
     )
     with pytest.raises(SchemaMismatchError):
@@ -519,7 +567,7 @@ def test_lookup_one_bucket_off_not_found(tmp_path):
     model = fit(EstimatorSpec("majority"), ds, 0)
     attrs = bucket_attributes(("p", 5.0), bucketing)
     kb.upsert_task(TaskRecord(
-        key=task_key(attrs), attributes=attrs, model=model, spec=model.spec,
+        key=task_key(attrs), attributes=attrs, model=model,
         sample_stats=sample_stats(ds),
     ))
     neighbor = bucket_attributes(("p", 15.0), bucketing)
@@ -556,7 +604,7 @@ def test_query_similar_matches_brute_force(tmp_path, rng):
         ds = city_dataset([(float(j), "x", "a") for j in range(2)])
         model = fit(EstimatorSpec("majority"), ds, 0)
         kb.upsert_task(TaskRecord(
-            key=key, attributes=attrs, model=model, spec=model.spec,
+            key=key, attributes=attrs, model=model,
             sample_stats=sample_stats(ds),
         ))
         stored.append((key, attrs))
@@ -662,6 +710,19 @@ def test_snapshot_decode_checks_every_model_entry(tmp_path, corrupt, error):
     assert isinstance(raised.value, UnknownLearnerError) == (corrupt == "fallback-unknown-kind")
 
 
+@pytest.mark.parametrize("fmt", [99, 2, 0, None, True, 1.0, "absent"])
+def test_snapshot_payload_of_another_format_is_rejected(tmp_path, fmt):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens", status=STATUS_DEPLOYABLE))
+    doc = json.loads(serialize_snapshot(kb.snapshot()))
+    if fmt == "absent":
+        del doc["format"]
+    else:
+        doc["format"] = fmt
+    with pytest.raises(SerializationError, match="format"):
+        deserialize_snapshot(canonical_json_bytes(doc))
+
+
 # -- record invariants and eval updates ---------------------------------------------------
 
 def test_record_deployable_requires_eval():
@@ -669,7 +730,7 @@ def test_record_deployable_requires_eval():
     with pytest.raises(StoreError, match="eval"):
         TaskRecord(
             key=base.key, attributes=base.attributes, model=base.model,
-            spec=base.spec, sample_stats=base.sample_stats,
+            sample_stats=base.sample_stats,
             status=STATUS_DEPLOYABLE, eval=None,
         )
 
