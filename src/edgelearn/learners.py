@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, islice
+from operator import ne
 
 from .data import Dataset, FeatureVector, _is_finite_number, _is_int
 from .errors import (
@@ -322,9 +325,7 @@ class _Gini:
         self.k = k
 
     def leaf(self, ys):
-        counts = [0] * self.k
-        for y in ys:
-            counts[y] += 1
+        counts = [ys.count(c) for c in range(self.k)]
         best = max(range(self.k), key=lambda i: (counts[i], -i))
         return {"kind": "leaf", "counts": counts, "label_index": best}
 
@@ -334,23 +335,47 @@ class _Gini:
     def node(self, ys, leaf):
         return len(ys) ** 2 - sum(c * c for c in leaf["counts"]), len(ys)
 
-    def cuts(self, ys):
+    def cuts(self, ys, candidates, leaf):
+        """Score, as ascending ``(n_left, num, den)``, only the *candidates*
+        (ascending n_left values) of sorted labels *ys* that can be a best cut:
+        the first and the last candidate in each run of one label. Those are
+        the candidates at label changes, the first and the last candidate, and
+        the candidates either side of a label change inside tied values.
+
+        The rest neither win nor tie. Moving t rows of a run's class left scores
+        ``2A - (A² + S_L)/(n_a + t) + 2B - (B² + S_R)/(n_b - t)``, where A, B count
+        the other classes a side and S_L, S_R sum their squared counts, all fixed
+        in the run. The node is impure (A + B > 0), so this is strictly concave
+        in t: a candidate inside a run scores strictly worse than an end of it.
+        """
         # sum over sides of m * gini(side), over the denominator n_left * n_right;
-        # the sums of squared counts move by +2c+1 on the left, -(2c-1) on the right
-        n = len(ys)
-        left = [0] * self.k
-        right = self.leaf(ys)["counts"]
+        # a run of one class moves its counts and the sums of squared counts at once
+        n, m, last = len(ys), len(candidates), candidates[-1]
+        left, right = [0] * self.k, list(leaf["counts"])
         left_sq, right_sq = 0, sum(c * c for c in right)
-        for n_left, y in enumerate(ys[:-1], 1):
-            c = left[y]
-            left[y] = c + 1
-            left_sq += 2 * c + 1
-            c = right[y]
-            right[y] = c - 1
-            right_sq -= 2 * c - 1
-            n_right = n - n_left
-            num = (n_left * n_left - left_sq) * n_right + (n_right * n_right - right_sq) * n_left
-            yield num, n_left * n_right
+        changes = compress(range(1, last), map(ne, ys, islice(ys, 1, last)))
+        a, i = 0, -1  # the counts are at n_left = a; i indexes the last candidate <= a
+        for b in chain(changes, (last,)):
+            y = ys[a]  # the class of rows [a, b)
+            lc, rc = left[y], right[y]
+            d = b - a
+            if candidates[i] == a and i + d < m and candidates[i + d] == b:
+                # every cut in [a, b] is a candidate: a is scored, b is the run's last
+                i += d
+                left_sq, right_sq = left_sq + d * (2 * lc + d), right_sq - d * (2 * rc - d)
+                n_right = n - b
+                num = (b * b - left_sq) * n_right + (n_right * n_right - right_sq) * b
+                yield b, num, b * n_right
+            else:  # ties or min_leaf leave gaps: score the run's first and last candidate
+                lo = i if candidates[i] == a else i + 1
+                i = bisect_right(candidates, b, lo) - 1
+                for t in sorted({candidates[lo], candidates[i]} - {a}) if lo <= i else ():
+                    dt, n_right = t - a, n - t
+                    lsq, rsq = left_sq + dt * (2 * lc + dt), right_sq - dt * (2 * rc - dt)
+                    yield t, (t * t - lsq) * n_right + (n_right * n_right - rsq) * t, t * n_right
+                left_sq, right_sq = left_sq + d * (2 * lc + d), right_sq - d * (2 * rc - d)
+            left[y], right[y] = lc + d, rc - d
+            a = b
 
 
 class _SquaredError:
@@ -365,19 +390,19 @@ class _SquaredError:
     def node(self, ys, leaf):
         return sum((y - leaf["mean"]) ** 2 for y in ys), 1
 
-    def cuts(self, ys):
+    def cuts(self, ys, candidates, leaf):
         n = len(ys)
         total, total_sq = sum(ys), sum(y ** 2 for y in ys)
-        left_sum = left_sq = 0.0
-        for n_left, y in enumerate(ys[:-1], 1):
-            left_sum += y
-            left_sq += y * y
+        sums = list(accumulate(ys, initial=0.0))
+        squares = list(accumulate((y * y for y in ys), initial=0.0))
+        for n_left in candidates:
+            left_sum, left_sq = sums[n_left], squares[n_left]
             n_right = n - n_left
             right_sum, right_sq = total - left_sum, total_sq - left_sq
             sse = (left_sq - left_sum * left_sum / n_left) + (
                 right_sq - right_sum * right_sum / n_right
             )
-            yield sse, 1
+            yield n_left, sse, 1
 
 
 class TreeLearner(Learner):
@@ -385,14 +410,16 @@ class TreeLearner(Learner):
     impurities (CART): weighted gini for classification, summed squared
     error with mean-valued leaves for regression. An impurity supplies the
     leaf payload (``leaf``), the purity stop (``pure``), the node's score
-    (``node``) and the score of every cut of labels in sorted order
-    (``cuts``). Scores are ``(num, den)`` pairs compared by
-    cross-multiplication: gini's is an exact integer rational, squared
-    error's has ``den = 1``. Candidate thresholds are midpoints between
-    consecutive distinct feature values (the upper value where the midpoint
-    rounds to the lower one or overflows); ties resolve to the lowest feature
-    index, then the lowest threshold. A node splits only if its best cut
-    strictly improves on the node's own score.
+    (``node``) and the scores of candidate cuts of labels in sorted order
+    (``cuts``): squared error scores every cut between distinct feature
+    values that leaves ``min_leaf`` rows a side, gini only those at the ends
+    of label runs, as the rest provably cannot win or tie (``_Gini.cuts``).
+    Scores are ``(num, den)`` pairs compared by cross-multiplication: gini's
+    is an exact integer rational, squared error's has ``den = 1``. A cut's
+    threshold is the midpoint of its two values (the upper value where the
+    midpoint rounds to the lower one or overflows); ties resolve to the
+    lowest feature index, then the lowest threshold. A node splits only if
+    its best cut strictly improves on the node's own score.
     """
 
     kind = "tree"
@@ -420,16 +447,21 @@ class TreeLearner(Learner):
         n = len(indices)
         if depth == 0 or n < 2 * min_leaf or impurity.pure(leaf):
             return leaf
-        best = None  # (num, den, feature, threshold)
+        best = None  # (num, den, feature, value left of the cut, value right of it)
         for j, column in enumerate(columns):
             order = sorted(indices, key=column.__getitem__)
-            values = [column[i] for i in order]
-            cuts = zip(values, values[1:], impurity.cuts([ys[i] for i in order]))
-            for n_left, (v1, v2, (num, den)) in enumerate(cuts, 1):
-                if v1 == v2 or n_left < min_leaf or n - n_left < min_leaf:
-                    continue
+            values = list(map(column.__getitem__, order))
+            # the n_left values that leave min_leaf rows a side, between distinct values
+            candidates = list(compress(
+                range(min_leaf, n - min_leaf + 1),
+                map(ne, islice(values, min_leaf - 1, n - min_leaf), islice(values, min_leaf, None)),
+            ))
+            if not candidates:
+                continue
+            sorted_ys = list(map(ys.__getitem__, order))
+            for n_left, num, den in impurity.cuts(sorted_ys, candidates, leaf):
                 if best is None or num * best[1] < best[0] * den:
-                    best = (num, den, j, v1, v2)
+                    best = (num, den, j, values[n_left - 1], values[n_left])
         parent_num, parent_den = impurity.node(node_ys, leaf)
         if best is None or best[0] * parent_den >= parent_num * best[1]:
             return leaf
@@ -600,7 +632,7 @@ def model_from_json(payload) -> ModelArtifact:
     } - payload.keys()
     if missing:
         raise SerializationError(f"corrupt model payload: missing {sorted(missing)}")
-    if payload["format_version"] != FORMAT_VERSION:
+    if not _is_int(payload["format_version"]) or payload["format_version"] != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported model format version {payload['format_version']!r}"
         )

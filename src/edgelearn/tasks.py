@@ -10,6 +10,7 @@ neighbours without touching the learner contract.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .data import NUMERIC, Dataset, DatasetSchema, TaskAttrValues, bucket_edges
@@ -62,8 +63,8 @@ class BucketedAttributes:
 def bucket_attributes(attrs: TaskAttrValues, bucketing: BucketingConfig) -> BucketedAttributes:
     """Map raw attribute values to their bucketed form.
 
-    Numeric value v with edges e becomes ``count(e_i <= v)``; edges are the
-    left-inclusive boundaries of the next bucket.
+    Numeric value v with edges e becomes ``count(e_i <= v)`` (0 for NaN);
+    edges are the left-inclusive boundaries of the next bucket.
     """
     if len(attrs) != len(bucketing.edges):
         raise SchemaMismatchError(
@@ -80,7 +81,7 @@ def bucket_attributes(attrs: TaskAttrValues, bucketing: BucketingConfig) -> Buck
         else:
             if isinstance(v, str):
                 raise DataError(f"numeric attribute needs a number, got {v!r}")
-            values.append(sum(1 for e in col_edges if e <= v))
+            values.append(bisect_right(col_edges, v) if v == v else 0)  # edges increase
             counts.append(len(col_edges) + 1)
     return BucketedAttributes(tuple(values), tuple(counts))
 

@@ -26,6 +26,7 @@ from edgelearn.learners import (
     predict_proba,
     serialize_model,
 )
+from edgelearn.learners import _Gini, _SquaredError
 
 from conftest import city_dataset, city_schema, make_samples
 
@@ -285,6 +286,71 @@ def test_tree_every_split_matches_exhaustive_gini_corpus():
             assert exhaustive_best_gini_split(ds, min_leaf) is None or len(ds) < 2 * min_leaf
 
 
+def test_tree_every_split_matches_exhaustive_gini_corpus_with_ties():
+    # grid-rounded values tie, so label changes fall inside runs of equal values
+    rng = random.Random(41)
+    splits = 0
+    for trial in range(60):
+        classes = ("a", "b", "z")[: rng.choice([1, 2, 3])]
+        grid = rng.choice([0.5, 1.0, 2.5])
+        rows = [
+            (tuple(round(rng.uniform(0, 10) / grid) * grid for _ in range(2)), ("c",),
+             rng.choice(classes))
+            for _ in range(rng.randint(2, 50))
+        ]
+        schema = parse_schema(
+            '{"features": ["f0", "f1"], "label": {"name": "y", "classes": ["a", "b", "z"]},'
+            ' "attributes": [{"name": "city", "kind": "categorical"}]}'
+        )
+        ds = Dataset(schema, make_samples(rows))
+        min_leaf = rng.choice([1, 2, 5])
+        model = fit(EstimatorSpec("tree", {"max_depth": 3, "min_leaf": min_leaf}), ds, seed=0)
+
+        nodes = []
+        collect_nodes(model.parameters["tree"], list(ds.samples), 3, nodes)
+        for rows_at_node, node, depth in nodes:
+            oracle = exhaustive_best_gini_split(Dataset(schema, tuple(rows_at_node)), min_leaf)
+            if node["kind"] == "split":
+                splits += 1
+                assert (node["feature"], node["threshold"]) == (oracle[0], oracle[1])
+            elif depth > 0:
+                assert oracle is None
+    assert splits > 60, splits
+
+
+def _sorted_column(rng, runs, k):
+    """Labels of a tie-free sorted column made of *runs* runs of one class."""
+    ys, y = [], rng.randrange(k)
+    for _ in range(runs):
+        ys += [y] * rng.randint(1, 6)
+        y = (y + rng.randrange(1, k)) % k
+    return ys
+
+
+def test_gini_cuts_score_at_most_one_more_cut_than_label_runs():
+    rng = random.Random(5)
+    for trial in range(200):
+        k, runs = rng.choice([2, 3, 5]), rng.randint(1, 30)
+        ys = _sorted_column(rng, runs, k)
+        impurity = _Gini(k)
+        candidates = list(range(1, len(ys)))
+        if not candidates:
+            continue
+        scored = [n_left for n_left, _, _ in impurity.cuts(ys, candidates, impurity.leaf(ys))]
+        assert scored == sorted(set(scored)) and set(scored) <= set(candidates)
+        assert len(scored) <= runs + 1
+
+
+def test_squared_error_cuts_score_every_candidate():
+    rng = random.Random(6)
+    for trial in range(50):
+        ys = [float(y) for y in _sorted_column(rng, rng.randint(1, 30), 3)]
+        candidates = sorted(rng.sample(range(1, len(ys)), rng.randint(0, len(ys) - 1)))
+        impurity = _SquaredError()
+        scored = [n_left for n_left, _, _ in impurity.cuts(ys, candidates, impurity.leaf(ys))]
+        assert scored == candidates
+
+
 def test_tree_regression_mean_leaf():
     schema = parse_schema('{"features": ["x"], "label": {"name": "y", "kind": "regression"}}')
     ds = Dataset(schema, make_samples(
@@ -528,6 +594,14 @@ def test_non_object_hyperparameters_are_corrupt():
     model = fit(EstimatorSpec("majority"), city_dataset([(1, "c", "a"), (2, "c", "b")]), 0)
     data = serialize_model(model).replace(b'"hyperparameters":{}', b'"hyperparameters":[1]')
     with pytest.raises(SerializationError, match="hyperparameters must be an object"):
+        deserialize_model(data)
+
+
+@pytest.mark.parametrize("version", [b"true", b"1.0", b'"1"'])
+def test_non_integer_format_version_is_rejected(version):
+    model = fit(EstimatorSpec("majority"), city_dataset([(1, "c", "a"), (2, "c", "b")]), 0)
+    data = serialize_model(model).replace(b'"format_version":1', b'"format_version":' + version)
+    with pytest.raises(SerializationError, match="unsupported model format version"):
         deserialize_model(data)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 
 import pytest
@@ -41,6 +42,17 @@ def test_bucket_no_edges_single_bucket():
     b = BucketingConfig(((),))
     for v in (-1e9, 0.0, 42.5, 1e9):
         assert bucket_attributes((v,), b).values == (0,)
+
+
+def test_bucket_matches_counting_the_edges_at_or_below():
+    edges = (-2.5, 0.0, 1.0, 3.0, 7.25)
+    b = BucketingConfig((edges, ()))
+    values = [*edges, -1e9, -3.0, -0.0, 0.5, 2.0, 7.0, 8.0, 1e9, -math.inf, math.inf,
+              math.nan, -7, 0, 1, 5, 100, False, True]
+    for v in values:
+        expected = sum(1 for e in edges if e <= v)
+        assert bucket_attributes((v, v), b).values == (expected, 0), v
+    assert bucket_attributes((math.nan, 1.0), b).values == (0, 0)
 
 
 def test_bucket_length_mismatch_rejected():
