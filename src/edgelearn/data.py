@@ -127,10 +127,6 @@ class DatasetSchema:
         text = "features=" + ",".join(self.feature_columns) + ";label=" + label
         return sha256(text.encode("utf-8")).hexdigest()[:16]
 
-    def class_index(self, label: str) -> int:
-        assert self.label_classes is not None
-        return self.label_classes.index(label)
-
     def validate_sample(self, sample: "Sample") -> None:
         """Raise DataError unless *sample* conforms to this schema."""
         if len(sample.features) != self.n_features:

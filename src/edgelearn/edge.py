@@ -2,9 +2,11 @@
 unknown-task detection, unseen-sample buffering, retrain triggering.
 
 Inference never talks to the cloud. A sample whose bucketed attribute key
-exists in the active snapshot routes to that task's model; otherwise it is
-an unknown task and falls back to (a) the most similar snapshot task at or
-above the similarity threshold, else (b) the global fallback model.
+exists in the active snapshot routes to that task's model; a request so
+routed computes its bucketed values, their key and the prediction, nothing
+more. Otherwise it is an unknown task and falls back to (a) the most
+similar snapshot task at or above the similarity threshold, else (b) the
+global fallback model.
 Applying a snapshot builds a :class:`~edgelearn.tasks.TaskIndex` over its
 tasks once, so finding (a) scores only the tasks that can reach the
 threshold (those sharing the sample's categorical values, at the default
@@ -21,14 +23,17 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number
 from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot
 from .learners import predict
-from .tasks import BucketingConfig, TaskIndex, bucket_attributes, task_key
+from .tasks import (BucketedAttributes, BucketingConfig, TaskIndex, bucket_attributes,
+                    bucket_values, task_key, values_key)
 
 ROUTE_KNOWN = "known"
 ROUTE_SIMILAR = "similar"
@@ -39,9 +44,10 @@ DEFAULT_UNSEEN_CAP = 10_000
 TRIGGER_COUNT_THRESHOLD = "count-threshold"  # the feedback buffer reached the policy's threshold
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """One inference result and how it was routed."""
+class Prediction(NamedTuple):
+    """One inference result and how it was routed. Immutable: a named
+    tuple, which every request builds and which costs less than a frozen
+    dataclass to build."""
 
     label: str | float
     route: str
@@ -87,11 +93,13 @@ class EdgeRuntime:
         self.schema = schema
         self._schema_fingerprint = schema.fingerprint()
         self.bucketing = bucketing
+        self._n_features = schema.n_features
+        self._bucket_counts = bucketing.bucket_counts
         self.similarity_threshold = similarity_threshold
         self.unseen_cap = unseen_cap
         self.active: DeploySnapshot | None = None
         self._index: TaskIndex | None = None  # over self.active's tasks
-        self._unseen: list[Sample] = []
+        self._unseen: deque[Sample] = deque(maxlen=unseen_cap)
         self._feedback: list[Sample] = []
         self.counters = {
             "inferences": 0,
@@ -139,12 +147,12 @@ class EdgeRuntime:
         Unknown-task samples are buffered for upload; if neither a similar
         task nor a fallback model exists, raises NoModelError (counted).
         """
-        if len(sample.features) != self.schema.n_features:
+        if len(sample.features) != self._n_features:
             raise DataError(
-                f"expected {self.schema.n_features} features, got {len(sample.features)}"
+                f"expected {self._n_features} features, got {len(sample.features)}"
             )
-        bucketed = bucket_attributes(sample.attributes, self.bucketing)
-        key = task_key(bucketed)
+        values = bucket_values(sample.attributes, self.bucketing)
+        key = values_key(values)
         with self._lock:
             self.counters["inferences"] += 1
             snapshot, index = self.active, self._index
@@ -156,15 +164,16 @@ class EdgeRuntime:
                 self.counters["known_hits"] += 1
             else:  # unknown task: buffer for upload
                 self.counters["unknown_hits"] += 1
-                self._unseen.append(sample)
-                if len(self._unseen) > self.unseen_cap:
-                    del self._unseen[0]
+                if len(self._unseen) == self.unseen_cap:  # the append drops the oldest
                     self.counters["unseen_dropped"] += 1
+                self._unseen.append(sample)
 
         # snapshot and index are immutable: predict and route outside the lock
         if entry is not None:
-            model, route, task, sim = entry.model, ROUTE_KNOWN, key, None
-        elif (nearest := index.nearest(bucketed, self.similarity_threshold)) is not None:
+            return Prediction(predict(entry.model, sample.features), ROUTE_KNOWN, key, None,
+                              snapshot.snapshot_version)
+        bucketed = BucketedAttributes(values, self._bucket_counts)
+        if (nearest := index.nearest(bucketed, self.similarity_threshold)) is not None:
             task, sim = nearest
             model, route = snapshot.tasks[task].model, ROUTE_SIMILAR
         elif snapshot.fallback is not None:
@@ -208,14 +217,9 @@ class EdgeRuntime:
 
     def _drain(self) -> tuple[list[Sample], list[Sample]]:  # the caller holds the lock
         labeled, self._feedback = self._feedback, []
-        unseen, self._unseen = self._unseen, []
+        unseen = list(self._unseen)
+        self._unseen.clear()
         return labeled, unseen
-
-    def should_trigger(self, policy: TriggerPolicy) -> tuple[bool, str | None]:
-        """Pure check: retrain when the feedback buffer reaches the threshold."""
-        with self._lock:
-            due = self._due(policy)
-        return (True, TRIGGER_COUNT_THRESHOLD) if due else (False, None)
 
     def fire_trigger(self, policy: TriggerPolicy) -> tuple[list[Sample], list[Sample]] | None:
         """If the trigger condition holds, count the firing and drain both

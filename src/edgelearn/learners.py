@@ -430,7 +430,8 @@ class TreeLearner(Learner):
         hp = spec.resolved()
         schema = train.schema
         if schema.is_classification:
-            ys = [schema.class_index(s.label) for s in train.samples]
+            class_index = {c: i for i, c in enumerate(schema.label_classes)}
+            ys = [class_index[s.label] for s in train.samples]
             impurity = _Gini(len(schema.label_classes))
         else:
             ys = [float(s.label) for s in train.samples]

@@ -2,10 +2,12 @@
 
 A *task* is identified by the tuple of bucketed attribute values of its
 samples: categorical attributes pass through, numeric attributes map to a
-bucket index against a configured edge list. Mining groups a dataset into
-one sub-dataset per task key; attribute-based similarity relates tasks to
-each other; sample transfer tops up small tasks from their nearest
-neighbours without touching the learner contract.
+bucket index against a configured edge list. :func:`bucket_values` and
+:func:`values_key` hold the bucketing and key rules on plain tuples, for
+callers that need no :class:`BucketedAttributes`. Mining groups a dataset
+into one sub-dataset per task key; attribute-based similarity relates
+tasks to each other; sample transfer tops up small tasks from their
+nearest neighbours without touching the learner contract.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ class BucketingConfig:
             if col_edges is not None:
                 bucket_edges(col_edges)
 
+    @property
+    def bucket_counts(self) -> tuple[int, ...]:
+        """Each column's bucket count: m edges give m+1, categorical is 0."""
+        return tuple(0 if e is None else len(e) + 1 for e in self.edges)
+
     @classmethod
     def from_schema(cls, schema: DatasetSchema) -> "BucketingConfig":
         """Default bucketing: edges declared on the schema's numeric attributes."""
@@ -60,8 +67,8 @@ class BucketedAttributes:
             raise SchemaError("values and bucket_counts must be parallel")
 
 
-def bucket_attributes(attrs: TaskAttrValues, bucketing: BucketingConfig) -> BucketedAttributes:
-    """Map raw attribute values to their bucketed form.
+def bucket_values(attrs: TaskAttrValues, bucketing: BucketingConfig) -> tuple[str | int, ...]:
+    """Map raw attribute values to their bucketed values.
 
     Numeric value v with edges e becomes ``count(e_i <= v)`` (0 for NaN);
     edges are the left-inclusive boundaries of the next bucket.
@@ -71,32 +78,36 @@ def bucket_attributes(attrs: TaskAttrValues, bucketing: BucketingConfig) -> Buck
             f"expected {len(bucketing.edges)} attributes, got {len(attrs)}"
         )
     values: list[str | int] = []
-    counts: list[int] = []
     for v, col_edges in zip(attrs, bucketing.edges):
         if col_edges is None:
             if not isinstance(v, str):
                 raise DataError(f"categorical attribute needs a string, got {v!r}")
             values.append(v)
-            counts.append(0)
         else:
             if isinstance(v, str):
                 raise DataError(f"numeric attribute needs a number, got {v!r}")
             values.append(bisect_right(col_edges, v) if v == v else 0)  # edges increase
-            counts.append(len(col_edges) + 1)
-    return BucketedAttributes(tuple(values), tuple(counts))
+    return tuple(values)
 
 
-def _escape(value: str) -> str:
-    return value.replace(_ESCAPE, _ESCAPE + _ESCAPE).replace(KEY_SEPARATOR, _ESCAPE + KEY_SEPARATOR)
+def bucket_attributes(attrs: TaskAttrValues, bucketing: BucketingConfig) -> BucketedAttributes:
+    """:func:`bucket_values` of *attrs* with *bucketing*'s bucket counts."""
+    return BucketedAttributes(bucket_values(attrs, bucketing), bucketing.bucket_counts)
+
+
+def values_key(values: tuple[str | int, ...]) -> str:
+    """Canonical key string for a bucketed value tuple (injective for a
+    fixed schema and bucketing: separator occurrences are escaped)."""
+    return KEY_SEPARATOR.join([
+        v.replace(_ESCAPE, _ESCAPE + _ESCAPE).replace(KEY_SEPARATOR, _ESCAPE + KEY_SEPARATOR)
+        if isinstance(v, str) else str(v)
+        for v in values
+    ])
 
 
 def task_key(bucketed: BucketedAttributes) -> str:
-    """Canonical key string for a bucketed attribute tuple (injective for a
-    fixed schema and bucketing: separator occurrences are escaped)."""
-    parts = []
-    for v in bucketed.values:
-        parts.append(_escape(v) if isinstance(v, str) else str(v))
-    return KEY_SEPARATOR.join(parts)
+    """:func:`values_key` of a bucketed attribute tuple."""
+    return values_key(bucketed.values)
 
 
 def task_similarity(a: BucketedAttributes, b: BucketedAttributes) -> float:
@@ -143,9 +154,10 @@ def _categorical(attrs: BucketedAttributes) -> tuple:
     return tuple(v for v, count in zip(attrs.values, attrs.bucket_counts) if count == 0)
 
 
-def _shape(attrs: BucketedAttributes) -> tuple:
-    """What :func:`task_similarity` requires two tuples to share."""
-    return attrs.bucket_counts, tuple(type(v) for v in _categorical(attrs))
+def _shape(attrs: BucketedAttributes, cats: tuple) -> tuple:
+    """What :func:`task_similarity` requires two tuples to share; *cats* is
+    ``_categorical(attrs)``."""
+    return attrs.bucket_counts, tuple(map(type, cats))
 
 
 class TaskIndex:
@@ -166,20 +178,21 @@ class TaskIndex:
         self._groups: dict[tuple, list[tuple[str, BucketedAttributes]]] = {}
         for key in sorted(tasks):
             attrs = tasks[key]
-            self._shapes.setdefault(_shape(attrs), attrs)
-            self._groups.setdefault(_categorical(attrs), []).append((key, attrs))
+            cats = _categorical(attrs)
+            self._shapes.setdefault(_shape(attrs, cats), attrs)
+            self._groups.setdefault(cats, []).append((key, attrs))
 
     def nearest(self, query: BucketedAttributes, threshold: float) -> tuple[str, float] | None:
         """(key, similarity) of the most similar task whose similarity is
         above 0 and at least *threshold*, ties to the smaller key; None if
         no task is. Raises SchemaMismatchError, as a scan would, if any
         task's attributes are not comparable with *query*."""
-        shape = _shape(query)
+        cats = _categorical(query)
+        shape = _shape(query, cats)
         for other, attrs in self._shapes.items():
             if other != shape:
                 task_similarity(query, attrs)  # raises the scan's error
         n = len(query.values)
-        cats = _categorical(query)
         reach = -1  # most categorical mismatches a qualifying task can have
         for m in range(len(cats) + 1):
             bound = (n - m) / n if n else 1.0
@@ -233,12 +246,13 @@ def mine_tasks(dataset: Dataset, bucketing: BucketingConfig) -> TaskPartition:
     dataset.require_labeled()
     groups: dict[str, list] = {}
     attrs_by_key: dict[str, BucketedAttributes] = {}
+    counts = bucketing.bucket_counts
     for sample in dataset.samples:
-        bucketed = bucket_attributes(sample.attributes, bucketing)
-        key = task_key(bucketed)
+        values = bucket_values(sample.attributes, bucketing)
+        key = values_key(values)
         if key not in groups:
             groups[key] = []
-            attrs_by_key[key] = bucketed
+            attrs_by_key[key] = BucketedAttributes(values, counts)
         groups[key].append(sample)
     parts = {key: dataset.derive(rows) for key, rows in groups.items()}
     return TaskPartition(dataset, bucketing, parts, attrs_by_key)

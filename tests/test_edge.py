@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from edgelearn import edge
 from edgelearn.data import AttributeKind, DatasetSchema, Sample
 from edgelearn.edge import (
     ROUTE_FALLBACK,
@@ -90,6 +91,29 @@ def test_allocate_empty_snapshot_always_unknown():
 
 
 # -- infer routing ----------------------------------------------------------------
+
+def test_only_unknown_routes_build_bucketed_attributes(monkeypatch):
+    built = []
+
+    class Counting(BucketedAttributes):
+        def __post_init__(self):
+            built.append(self.values)
+            super().__post_init__()
+
+    monkeypatch.setattr(edge, "BucketedAttributes", Counting)
+    runtime = city_runtime(city_snapshot(cities=("athens",), fallback_label="b"))
+    assert runtime.infer(Sample((1.0,), ("athens",))).route == ROUTE_KNOWN
+    assert built == []
+    assert runtime.infer(Sample((1.0,), ("oslo",))).route == ROUTE_FALLBACK
+    assert built == [("oslo",)]
+
+
+def test_prediction_is_immutable():
+    pred = city_runtime(city_snapshot()).infer(Sample((1.0,), ("athens",)))
+    for field in ("label", "route", "task_key", "similarity", "snapshot_version"):
+        with pytest.raises(AttributeError):
+            setattr(pred, field, None)
+
 
 def test_infer_known_route():
     runtime = city_runtime(city_snapshot(cities=("athens",), fallback_label="b"))
@@ -314,28 +338,22 @@ def test_ingest_feedback_empty_list():
 
 # -- trigger ------------------------------------------------------------------------
 
-def test_should_trigger_thresholds():
+def test_fire_trigger_thresholds():
     runtime = city_runtime(city_snapshot())
     policy = TriggerPolicy(unseen_threshold=10)
     runtime.ingest_feedback([Sample((float(i),), ("athens",), "a") for i in range(9)])
-    assert runtime.should_trigger(policy) == (False, None)
+    assert runtime.fire_trigger(policy) is None
+    assert runtime.status()["feedback_buffer"] == 9
     runtime.ingest_feedback([Sample((9.0,), ("athens",), "a")])
-    assert runtime.should_trigger(policy) == (True, "count-threshold")
+    labeled, _ = runtime.fire_trigger(policy)
+    assert len(labeled) == 10
+    assert runtime.status()["feedback_buffer"] == 0
 
 
-def test_should_trigger_empty_buffer():
+def test_fire_trigger_empty_buffer():
     runtime = city_runtime(city_snapshot())
-    assert runtime.should_trigger(TriggerPolicy(unseen_threshold=1)) == (False, None)
-
-
-def test_should_trigger_is_pure():
-    runtime = city_runtime(city_snapshot())
-    runtime.ingest_feedback([Sample((0.0,), ("athens",), "a")])
-    policy = TriggerPolicy(unseen_threshold=1)
-    for _ in range(3):
-        assert runtime.should_trigger(policy)[0]
+    assert runtime.fire_trigger(TriggerPolicy(unseen_threshold=1)) is None
     assert runtime.counters["triggers_fired"] == 0
-    assert runtime.status()["feedback_buffer"] == 1
 
 
 def test_fire_trigger_counts_and_drains():

@@ -13,10 +13,12 @@ from edgelearn.tasks import (
     BucketedAttributes,
     BucketingConfig,
     bucket_attributes,
+    bucket_values,
     mine_tasks,
     sample_transfer,
     task_key,
     task_similarity,
+    values_key,
 )
 
 from conftest import banded_schema, city_dataset, city_schema, make_samples
@@ -79,6 +81,26 @@ def test_task_key_injective_over_random_tuples(rng):
         if key in seen:
             assert seen[key] == bucketed.values
         seen[key] = bucketed.values
+
+
+def test_bucket_values_and_values_key_match_the_dataclass_path(rng):
+    b = BucketingConfig((None, (10.0, 20.0, 30.0), (), None))
+    assert b.bucket_counts == (0, 4, 1, 0)
+    cats = ["ath", "a|b", "a\\b", "|", "\\|", "", "x\\"]
+    nums = [10.0, 20.0, 30.0, 9.5, 31.0, -math.inf, math.inf, math.nan, 0, 25, True, False]
+    for _ in range(500):
+        attrs = (rng.choice(cats), rng.choice(nums + [rng.uniform(0, 40)]),
+                 rng.choice(nums), rng.choice(cats))
+        values = bucket_values(attrs, b)
+        assert bucket_attributes(attrs, b) == BucketedAttributes(values, b.bucket_counts)
+        assert task_key(bucket_attributes(attrs, b)) == values_key(values)
+    for bad in [("c", 1.0, 1.0), ("c", "1", 1.0, "d"), ("c", 1.0, 1.0, 2), (1, 1.0, 1.0, "d")]:
+        errors = []
+        for bucket in (bucket_attributes, bucket_values):
+            with pytest.raises((DataError, SchemaMismatchError)) as caught:
+                bucket(bad, b)
+            errors.append((caught.type, str(caught.value)))
+        assert errors[0] == errors[1]
 
 
 # -- mining ----------------------------------------------------------------------
