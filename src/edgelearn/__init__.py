@@ -47,7 +47,6 @@ from .learners import (
     evaluate,
     fit,
     predict,
-    predict_proba,
     register_learner,
     serialize_model,
 )

@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number
+from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number, check_int
 from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot
@@ -90,6 +90,7 @@ class EdgeRuntime:
         unseen_cap: int = DEFAULT_UNSEEN_CAP,
     ):
         check_similarity_threshold(similarity_threshold)
+        check_int("unseen_cap", unseen_cap, 1)
         self.schema = schema
         self._schema_fingerprint = schema.fingerprint()
         self.bucketing = bucketing
@@ -212,28 +213,18 @@ class EdgeRuntime:
             self._feedback.extend(accepted)
         return IngestResult(accepted=len(accepted), rejected=tuple(rejected))
 
-    def _due(self, policy: TriggerPolicy) -> bool:  # the caller holds the lock
-        return len(self._feedback) >= policy.unseen_threshold
-
-    def _drain(self) -> tuple[list[Sample], list[Sample]]:  # the caller holds the lock
-        labeled, self._feedback = self._feedback, []
-        unseen = list(self._unseen)
-        self._unseen.clear()
-        return labeled, unseen
-
     def fire_trigger(self, policy: TriggerPolicy) -> tuple[list[Sample], list[Sample]] | None:
         """If the trigger condition holds, count the firing and drain both
-        buffers for upload in one atomic step; otherwise None."""
+        buffers for upload, as (labeled feedback, unseen samples), in one
+        atomic step; otherwise None."""
         with self._lock:
-            if not self._due(policy):
+            if len(self._feedback) < policy.unseen_threshold:
                 return None
             self.counters["triggers_fired"] += 1
-            return self._drain()
-
-    def drain_for_upload(self) -> tuple[list[Sample], list[Sample]]:
-        """Atomically return and clear (labeled feedback, unseen samples)."""
-        with self._lock:
-            return self._drain()
+            labeled, self._feedback = self._feedback, []
+            unseen = list(self._unseen)
+            self._unseen.clear()
+            return labeled, unseen
 
     # -- introspection ----------------------------------------------------------
 

@@ -23,6 +23,7 @@ from .data import (Dataset, DatasetSchema, _is_finite_number, bucket_edges, buil
                    check_object, field_names, load_object, split_dataset)
 from .errors import ConfigError, CorruptStoreError, PhaseError
 from .kb import (
+    _INDEX_NAME,
     STATUS_DEPLOYABLE,
     STATUS_EVAL_FAILED,
     STATUS_TRAINED,
@@ -32,7 +33,7 @@ from .kb import (
     sample_stats,
 )
 from .learners import EstimatorSpec, EvalMetrics, evaluate, fit
-from .tasks import BucketingConfig, TaskPartition, as_tasks, mine_tasks, sample_transfer
+from .tasks import BucketingConfig, TaskPartition, as_tasks, sample_transfer
 
 REASON_BELOW_THRESHOLD = "below-threshold"
 REASON_TOO_FEW_SAMPLES = "too-few-samples"
@@ -91,11 +92,12 @@ class JobConfig:
 
 
 class Phase(Enum):
-    """The job's phases in the paper's order. Each stage's ``_require_phase``
-    names the phases it may start from; ``_transition`` only records one."""
+    """The job's stored phases in the paper's order. Each stage's
+    ``_require_phase`` names the phases it may start from; ``_transition``
+    only records one. Training has no phase: ``run_train`` commits its models
+    with ``Evaluating`` in one transaction, so no store could record one."""
 
     IDLE = "Idle"
-    TRAINING = "Training"
     EVALUATING = "Evaluating"
     DEPLOYING = "Deploying"
     DEPLOYED = "Deployed"
@@ -116,9 +118,12 @@ class JobState:
         if doc is None:
             return cls()
         try:
-            return cls(Phase(doc["phase"]), doc["snapshot_version"])
-        except (ValueError, KeyError, TypeError) as exc:  # bad key or phase
-            raise CorruptStoreError(f"corrupt job state in the KB manifest: {exc}") from exc
+            phase, snapshot_version = Phase(doc["phase"]), doc["snapshot_version"]
+            check_int("snapshot_version", snapshot_version, 0)
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:  # bad key, phase or counter
+            raise CorruptStoreError(f"corrupt job state in the KB manifest {_INDEX_NAME}: "
+                                    f"{exc}") from exc
+        return cls(phase, snapshot_version)
 
 
 def _one_commit(stage):
@@ -143,12 +148,6 @@ class EvalReport:
 
     outcomes: tuple[TaskEvalOutcome, ...]
     fallback_metrics: EvalMetrics | None
-
-    def outcome(self, key: str) -> TaskEvalOutcome | None:
-        for o in self.outcomes:
-            if o.key == key:
-                return o
-        return None
 
 
 class LifelongJob:
@@ -191,7 +190,6 @@ class LifelongJob:
         self._require_phase(Phase.IDLE, Phase.DEPLOYED, Phase.DEPLOYING)
         cfg = self.cfg
         partition = as_tasks(train, cfg.bucketing)
-        self._transition(Phase.TRAINING)
 
         stored: list[TaskRecord] = []
         for key in partition.keys:

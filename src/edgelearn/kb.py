@@ -33,8 +33,9 @@ from hashlib import sha256
 from pathlib import Path
 from urllib.parse import quote
 
-from .data import Dataset, _is_int
+from .data import Dataset, _is_int, check_int
 from .errors import (
+    ConfigError,
     CorruptStoreError,
     NothingDeployableError,
     SchemaMismatchError,
@@ -345,7 +346,9 @@ class KnowledgeBase:
         try:  # a body under a valid checksum can still lack keys or have wrong types
             kb.schema_fingerprint = body["schema_fingerprint"]
             kb.kb_version = body["kb_version"]
+            check_int("kb_version", kb.kb_version, 0)
             for entry in body["tasks"]:
+                check_int("task version", entry["version"], 1)
                 model = kb._read_model_file(entry["model_file"], entry["crc32"])
                 kb.records[entry["key"]] = _record_from_json(entry, model)
                 kb._model_files[entry["key"]] = (entry["model_file"], entry["crc32"])
@@ -355,7 +358,7 @@ class KnowledgeBase:
                 )
                 kb._fallback_entry = body["fallback"]
             kb.job = body.get("job")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: bad body: {exc!r}") from exc
         return kb
 

@@ -8,9 +8,9 @@ with mean leaves for regression).
 All three are deterministic: fitting the same spec on the same data with
 the same seed produces byte-identical serialized artifacts.
 
-A new learner kind only has to provide ``fit`` and ``predict`` over a
-JSON-serializable parameter payload; serialization then comes for free.
-Register it with :func:`register_learner`.
+A learner kind provides ``fit`` and ``predict`` over a JSON-serializable
+parameter payload; serialization then comes for free. Register a new one
+with :func:`register_learner`.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class EvalMetrics:
 
 class Learner:
     """Base plugin contract. Subclasses implement fit/predict over a
-    JSON-serializable parameter dict; predict_proba is optional."""
+    JSON-serializable parameter dict."""
 
     kind: str = ""
     task_kinds: frozenset = frozenset({"classification"})
@@ -175,9 +175,6 @@ class Learner:
 
     def predict(self, params: dict, features: FeatureVector):
         raise NotImplementedError
-
-    def predict_proba(self, params: dict, features: FeatureVector) -> tuple[float, ...]:
-        raise LearnerError(f"learner kind {self.kind!r} does not expose probabilities")
 
 
 _REGISTRY: dict[str, Learner] = {}
@@ -218,11 +215,6 @@ class MajorityLearner(Learner):
 
     def predict(self, params, features):
         return params["classes"][params["label_index"]]
-
-    def predict_proba(self, params, features):
-        proba = [0.0] * len(params["classes"])
-        proba[params["label_index"]] = 1.0
-        return tuple(proba)
 
 
 def _softmax(scores: list[float]) -> list[float]:
@@ -300,21 +292,14 @@ class LogisticLearner(Learner):
 
         return {"weights": weights, "bias": bias, "loss_history": history}
 
-    def _scores(self, params, features):
-        weights = params["weights"]
-        bias = params["bias"]
-        return [
-            sum(wc[j] * features[j] for j in range(len(features))) + bc
-            for wc, bc in zip(weights, bias)
-        ]
-
     def predict(self, params, features):
-        proba = _softmax(self._scores(params, features))
+        scores = [
+            sum(wc[j] * features[j] for j in range(len(features))) + bc
+            for wc, bc in zip(params["weights"], params["bias"])
+        ]
+        proba = _softmax(scores)
         best = max(range(len(proba)), key=lambda i: (proba[i], -i))
         return params["classes"][best]
-
-    def predict_proba(self, params, features):
-        return tuple(_softmax(self._scores(params, features)))
 
 
 class _Gini:
@@ -483,24 +468,14 @@ class TreeLearner(Learner):
 
     # -- inference ----------------------------------------------------------
 
-    @staticmethod
-    def _walk(node, features):
+    def predict(self, params, features):
+        node = params["tree"]
         while node["kind"] == "split":
             node = node["left"] if features[node["feature"]] < node["threshold"] else node["right"]
-        return node
-
-    def predict(self, params, features):
-        node = self._walk(params["tree"], features)
         classes = params["classes"]
         if classes is None:
             return node["mean"]
         return classes[node["label_index"]]
-
-    def predict_proba(self, params, features):
-        node = self._walk(params["tree"], features)
-        counts = node["counts"]
-        total = sum(counts)
-        return tuple(c / total for c in counts)
 
 
 register_learner(MajorityLearner())
@@ -554,17 +529,6 @@ def predict(model: ModelArtifact, features: FeatureVector):
             f"expected {model.parameters['n_features']} features, got {len(features)}"
         )
     return get_learner(model.spec.kind).predict(model.parameters, features)
-
-
-def predict_proba(model: ModelArtifact, features: FeatureVector) -> tuple[float, ...]:
-    """Class distribution for one sample; argmax agrees with predict()."""
-    if not model.is_classification:
-        raise LearnerError("predict_proba requires a classification model")
-    if len(features) != model.parameters["n_features"]:
-        raise DataError(
-            f"expected {model.parameters['n_features']} features, got {len(features)}"
-        )
-    return get_learner(model.spec.kind).predict_proba(model.parameters, features)
 
 
 def evaluate(model: ModelArtifact, test: Dataset) -> EvalMetrics:

@@ -137,7 +137,6 @@ class Simulation:
         self._processed_ids: set[int] = set()
         self._pending_trains: list[tuple[int, int, str]] = []  # (ready, edge, reason)
         self._labeled_pool: list[Sample] = []
-        self._last_upload: dict[str, Message] = {}  # by source edge, for redelivery
         self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0, "acked": 0,
                       "unseen_escalated": 0}
 
@@ -191,16 +190,11 @@ class Simulation:
         return msg
 
     def _apply_link(self, edge_id: int, up: bool) -> None:
-        edge = self._edge(edge_id)
+        edge = self.edges[edge_id]
         if edge.link_up == up:
             return
         edge.link_up = up
         self._log(edge.name, "link", "up" if up else "down")
-
-    def _edge(self, edge_id: int) -> _EdgeNode:
-        if not 0 <= edge_id < len(self.edges):
-            raise ConfigError(f"unknown edge id {edge_id}")
-        return self.edges[edge_id]
 
     def _push_snapshot(self, snapshot: DeploySnapshot) -> None:
         for edge in self.edges:
@@ -247,7 +241,6 @@ class Simulation:
             labeled, unseen = msg.payload
             self._labeled_pool.extend(labeled)
             self.stats["unseen_escalated"] += len(unseen)
-            self._last_upload[msg.source] = msg
             self._log("cloud", "upload_received",
                       f"id={msg.id} from={msg.source} labeled={len(labeled)} unseen={len(unseen)}")
         elif msg.kind == MSG_TRIGGER_TRAIN:
@@ -256,16 +249,6 @@ class Simulation:
             self._pending_trains.append((ready, edge_id, reason))
             self._log("cloud", "trigger_received",
                       f"id={msg.id} from=edge:{edge_id} reason={reason} ready={ready}")
-
-    def inject_duplicate_upload(self, edge_id: int) -> bool:
-        """Fault-injection hook: re-enqueue the most recent upload batch
-        delivered from this edge, simulating at-least-once redelivery."""
-        edge = self._edge(edge_id)
-        msg = self._last_upload.get(edge.name)
-        if msg is None:
-            return False
-        edge.to_cloud.append(msg)
-        return True
 
     # -- the tick loop -------------------------------------------------------------
 
@@ -281,7 +264,7 @@ class Simulation:
                 self._deliver_to_edge(edge)
 
         for ev in self._streams_by_tick.pop(self.now, []):
-            edge = self._edge(ev.edge_id)
+            edge = self.edges[ev.edge_id]
             for sample in ev.samples:
                 ordinal = edge.replayed
                 edge.replayed += 1

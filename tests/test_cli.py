@@ -119,7 +119,17 @@ def test_wrong_phase_is_runtime_error(workdir):
     assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 2
 
 
-@pytest.mark.parametrize("corrupt", ["missing-key", "unknown-phase", "truncated-index"])
+def _case_id(case) -> str:
+    return case if isinstance(case, str) else f"{case[0]}={case[1]!r}"
+
+
+@pytest.mark.parametrize("corrupt", [
+    "missing-key", "unknown-phase", "truncated-index",
+    # no commit stores the training phase: run_train commits Evaluating
+    ("phase", "Training"),
+    ("snapshot_version", "x"), ("snapshot_version", -1), ("snapshot_version", 1.0),
+    ("snapshot_version", True), ("snapshot_version", None),
+], ids=_case_id)
 def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
     base = [
@@ -137,17 +147,28 @@ def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, corrupt):
         body = manifest["body"]
         if corrupt == "missing-key":
             del body["job"]["snapshot_version"]
-        else:
+        elif corrupt == "unknown-phase":
             body["job"]["phase"] = "Frozen"
+        else:
+            name, value = corrupt
+            body["job"][name] = value
         manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))  # a valid checksum
         index.write_bytes(canonical_json_bytes(manifest))
+    raw = index.read_bytes()
     capsys.readouterr()
     assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 2
-    assert "corrupt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "corrupt" in err and "index.json" in err and "Traceback" not in err
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 2
     assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
+    assert index.read_bytes() == raw
 
 
-@pytest.mark.parametrize("corrupt", ["no-tasks", "task-without-model-file", "tasks-not-a-list"])
+@pytest.mark.parametrize("corrupt", [
+    "no-tasks", "task-without-model-file", "tasks-not-a-list",
+    ("kb_version", "7"), ("kb_version", -1), ("kb_version", 1.0), ("kb_version", True),
+    ("version", 1.5), ("version", 0), ("version", "1"), ("version", True),
+], ids=_case_id)
 def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
     assert cli_main(["job", "train", "--kb", str(kb_dir), "--schema", str(workdir / "schema.json"),
@@ -160,14 +181,25 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
         del body["tasks"]
     elif corrupt == "task-without-model-file":
         del body["tasks"][0]["model_file"]
-    else:
+    elif corrupt == "tasks-not-a-list":
         body["tasks"] = 5
+    elif corrupt[0] == "kb_version":
+        body["kb_version"] = corrupt[1]
+    else:  # a task record's version
+        body["tasks"][0]["version"] = corrupt[1]
     manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))  # a valid checksum
     index.write_bytes(canonical_json_bytes(manifest))
+    raw = index.read_bytes()
     capsys.readouterr()
     assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
     err = capsys.readouterr().err
     assert "corrupt store index" in err and "Traceback" not in err
+    assert cli_main(["job", "eval", "--kb", str(kb_dir), "--schema", str(workdir / "schema.json"),
+                     "--config", str(workdir / "job.json"),
+                     "--data", str(workdir / "test.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "corrupt store index" in err and "Traceback" not in err
+    assert index.read_bytes() == raw
 
 
 @pytest.mark.parametrize("field, value", [

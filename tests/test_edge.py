@@ -18,7 +18,7 @@ from edgelearn.edge import (
     EdgeRuntime,
     allocate_task,
 )
-from edgelearn.errors import DataError, NoModelError, SchemaMismatchError
+from edgelearn.errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from edgelearn.job import TriggerPolicy
 from edgelearn.kb import DeploySnapshot, SnapshotEntry
 from edgelearn.learners import EstimatorSpec, fit, predict
@@ -370,18 +370,24 @@ def test_fire_trigger_counts_and_drains():
 
 # -- drain --------------------------------------------------------------------------
 
+ONE_LABELED = [Sample((0.0,), ("athens",), "a")]
+
+
 def test_drain_returns_and_clears():
     runtime = city_runtime(city_snapshot(cities=("athens",), fallback_label="b"))
     runtime.ingest_feedback([Sample((float(i),), ("athens",), "a") for i in range(3)])
     runtime.infer(Sample((0.0,), ("oslo",)))
     runtime.infer(Sample((1.0,), ("oslo",)))
-    labeled, unseen = runtime.drain_for_upload()
+    labeled, unseen = runtime.fire_trigger(TriggerPolicy(unseen_threshold=3))
     assert (len(labeled), len(unseen)) == (3, 2)
-    assert runtime.drain_for_upload() == ([], [])
+    assert runtime.status()["feedback_buffer"] == runtime.status()["unseen_buffer"] == 0
+    runtime.ingest_feedback(ONE_LABELED)
+    assert runtime.fire_trigger(TriggerPolicy(unseen_threshold=1)) == (ONE_LABELED, [])
 
 
 def test_drain_concurrent_with_infer_conserves_unknowns():
     runtime = city_runtime(city_snapshot(cities=("athens",), fallback_label="b"))
+    policy = TriggerPolicy(unseen_threshold=1)
     total = 400
     drained: list[Sample] = []
     errors = []
@@ -395,7 +401,8 @@ def test_drain_concurrent_with_infer_conserves_unknowns():
 
     def drainer():
         for _ in range(50):
-            _, unseen = runtime.drain_for_upload()
+            runtime.ingest_feedback(ONE_LABELED)  # the only feedback: each fire drains
+            _, unseen = runtime.fire_trigger(policy)
             drained.extend(unseen)
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
@@ -404,7 +411,8 @@ def test_drain_concurrent_with_infer_conserves_unknowns():
         t.start()
     for t in threads:
         t.join()
-    _, unseen = runtime.drain_for_upload()
+    runtime.ingest_feedback(ONE_LABELED)
+    _, unseen = runtime.fire_trigger(policy)
     drained.extend(unseen)
 
     assert not errors
@@ -459,11 +467,18 @@ def test_unseen_buffer_cap_drops_oldest():
     runtime.apply_snapshot(city_snapshot(cities=("athens",), fallback_label="b"))
     for i in range(5):
         runtime.infer(Sample((float(i),), ("oslo",)))
-    _, unseen = runtime.drain_for_upload()
+    runtime.ingest_feedback(ONE_LABELED)
+    _, unseen = runtime.fire_trigger(TriggerPolicy(unseen_threshold=1))
     assert len(unseen) == 3
     assert [s.features[0] for s in unseen] == [2.0, 3.0, 4.0]
     assert runtime.counters["unseen_dropped"] == 2
     assert runtime.counters["unknown_hits"] == 5
+
+
+@pytest.mark.parametrize("cap", [0, -1, True, "5"])
+def test_unseen_cap_must_be_a_positive_integer(cap):
+    with pytest.raises(ConfigError, match="unseen_cap"):
+        EdgeRuntime(city_schema(), CITY_BUCKETING, unseen_cap=cap)
 
 
 # -- snapshot swap ---------------------------------------------------------------------

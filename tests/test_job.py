@@ -9,7 +9,7 @@ import zlib
 
 import pytest
 
-from edgelearn import bench, job as job_mod, tasks as tasks_mod
+from edgelearn import bench, tasks as tasks_mod
 from edgelearn.data import Dataset
 from edgelearn.errors import LearnerError, NothingDeployableError, PhaseError, SchemaMismatchError
 from edgelearn.job import (
@@ -137,9 +137,10 @@ def test_eval_gates_by_accuracy(tmp_path):
         + [(0.0, "tokyo", "a")] * 9 + [(1.0, "tokyo", "b")]  # majority(b): 0.1
     )
     report = job.run_eval(eval_set)
-    assert report.outcome("athens").passed
-    assert not report.outcome("tokyo").passed
-    assert report.outcome("tokyo").reason == "below-threshold"
+    outcomes = {o.key: o for o in report.outcomes}
+    assert outcomes["athens"].passed
+    assert not outcomes["tokyo"].passed
+    assert outcomes["tokyo"].reason == "below-threshold"
     assert kb.lookup("athens").status == STATUS_DEPLOYABLE
     assert kb.lookup("tokyo").status == STATUS_EVAL_FAILED
     assert job.state.phase is Phase.DEPLOYING
@@ -149,8 +150,9 @@ def test_eval_task_without_samples_fails_too_few(tmp_path):
     job, kb = new_job(tmp_path)
     job.run_train(two_city_data())
     report = job.run_eval(city_dataset([(0.0, "athens", "a")] * 3))
-    assert report.outcome("athens").passed
-    tokyo = report.outcome("tokyo")
+    outcomes = {o.key: o for o in report.outcomes}
+    assert outcomes["athens"].passed
+    tokyo = outcomes["tokyo"]
     assert not tokyo.passed and tokyo.reason == "too-few-samples"
     assert kb.lookup("tokyo").status == STATUS_EVAL_FAILED
 
@@ -168,10 +170,11 @@ def test_eval_min_samples_policy(tmp_path):
     job.run_train(two_city_data())
     eval_set = city_dataset([(0.0, "athens", "a")] * 3 + [(0.0, "tokyo", "b")] * 2)
     report = job.run_eval(eval_set)
-    assert report.outcome("athens").passed
-    assert report.outcome("tokyo").reason == "too-few-samples"
+    outcomes = {o.key: o for o in report.outcomes}
+    assert outcomes["athens"].passed
+    assert outcomes["tokyo"].reason == "too-few-samples"
     # metrics still reported for the samples that were available
-    assert report.outcome("tokyo").metrics.n == 2
+    assert outcomes["tokyo"].metrics.n == 2
 
 
 def test_eval_fallback_scored_on_whole_set_never_gated(tmp_path):
@@ -616,7 +619,7 @@ def test_each_dataset_is_mined_once(tmp_path, monkeypatch, rng):
         calls.append(len(dataset))
         return real(dataset, bucketing)
 
-    for module in (tasks_mod, job_mod, bench):
+    for module in (tasks_mod, bench):  # the job mines through tasks.as_tasks
         monkeypatch.setattr(module, "mine_tasks", counting)
     job, _ = new_job(tmp_path)
     data = random_city_dataset(rng, 60, ["athens", "tokyo", "oslo"])

@@ -23,7 +23,6 @@ from edgelearn.learners import (
     evaluate,
     fit,
     predict,
-    predict_proba,
     serialize_model,
 )
 from edgelearn.learners import _Gini, _SquaredError
@@ -165,15 +164,6 @@ def test_majority_tie_breaks_to_lowest_class_index():
     assert predict(model, (0.0,)) == "a"
 
 
-def test_majority_proba_degenerate():
-    ds = city_dataset(
-        [(1, "c", "x"), (2, "c", "x"), (3, "c", "y")],
-        classes=("x", "y", "z"),
-    )
-    model = fit(EstimatorSpec("majority"), ds, seed=0)
-    assert predict_proba(model, (1.0,)) == (1.0, 0.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Logistic
 # ---------------------------------------------------------------------------
@@ -200,28 +190,8 @@ def test_logistic_midpoint_matches_independent_scorer():
     shifted = [s - max(scores) for s in scores]
     exps = [math.exp(s) for s in shifted]
     expected = tuple(e / sum(exps) for e in exps)
-    got = predict_proba(model, x)
-    assert got == pytest.approx(expected, abs=1e-12)
     oracle_label = model.classes[max(range(2), key=lambda i: (expected[i], -i))]
     assert predict(model, x) == oracle_label
-
-
-def test_logistic_proba_of_trained_side_above_half():
-    model = fit(EstimatorSpec("logistic", {"epochs": 500, "learning_rate": 0.1}),
-                _separable_1d(), seed=0)
-    assert predict_proba(model, (0.0,))[0] > 0.5
-
-
-def test_logistic_proba_sums_to_one(rng):
-    ds = city_dataset(
-        [(rng.uniform(-5, 5), "c", rng.choice(["a", "b", "z"])) for _ in range(30)],
-        classes=("a", "b", "z"),
-    )
-    model = fit(EstimatorSpec("logistic", {"epochs": 50}), ds, seed=0)
-    for _ in range(20):
-        proba = predict_proba(model, (rng.uniform(-10, 10),))
-        assert abs(sum(proba) - 1.0) <= 1e-9
-        assert all(0.0 <= p <= 1.0 for p in proba)
 
 
 def test_logistic_loss_non_increasing_per_epoch(rng):
@@ -359,8 +329,6 @@ def test_tree_regression_mean_leaf():
     model = fit(EstimatorSpec("tree", {"max_depth": 2}), ds, seed=0)
     assert predict(model, (0.0,)) == pytest.approx(1.0)
     assert predict(model, (9.0,)) == pytest.approx(11.0)
-    with pytest.raises(LearnerError):
-        predict_proba(model, (0.0,))
     with pytest.raises(LearnerError):
         evaluate(model, ds)
 
@@ -521,28 +489,6 @@ def test_metrics_invariants_enforced():
         EvalMetrics(accuracy=1.0, classes=("a", "b"), counts=((1, 0), (0, 0)), n=2)
     with pytest.raises(LearnerError, match="trace"):
         EvalMetrics(accuracy=0.9, classes=("a", "b"), counts=((1, 0), (0, 1)), n=2)
-
-
-def test_predict_proba_argmax_matches_predict(rng):
-    for kind, hp in (("majority", {}), ("tree", {"max_depth": 4}), ("logistic", {"epochs": 60})):
-        ds = city_dataset(
-            [(rng.uniform(0, 10), "c", rng.choice(["a", "b", "z"])) for _ in range(50)],
-            classes=("a", "b", "z"),
-        )
-        model = fit(EstimatorSpec(kind, hp), ds, seed=1)
-        for _ in range(25):
-            x = (rng.uniform(-2, 12),)
-            proba = predict_proba(model, x)
-            best = max(range(3), key=lambda i: (proba[i], -i))
-            assert model.classes[best] == predict(model, x)
-
-
-def test_predict_proba_rejected_on_regression():
-    schema = parse_schema('{"features": ["x"], "label": {"name": "y", "kind": "regression"}}')
-    ds = Dataset(schema, make_samples([((1.0,), (), 1.0), ((2.0,), (), 2.0)]))
-    model = fit(EstimatorSpec("tree"), ds, seed=0)
-    with pytest.raises(LearnerError, match="classification"):
-        predict_proba(model, (1.0,))
 
 
 # ---------------------------------------------------------------------------

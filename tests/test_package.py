@@ -25,3 +25,21 @@ def test_every_absolute_import_is_in_the_standard_library():
     outside = {top: where for top, where in imported.items()
                if top not in sys.stdlib_module_names}
     assert outside == {}
+
+
+def test_every_imported_name_is_used():
+    unused = []  # "file:line name" of each imported name its module never reads
+    for path in sorted(Path(edgelearn.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == []

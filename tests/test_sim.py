@@ -9,7 +9,7 @@ from edgelearn.errors import ConfigError
 from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy
 from edgelearn.kb import kb_open, serialize_snapshot
 from edgelearn.learners import EstimatorSpec
-from edgelearn.sim import LinkEvent, SimConfig, StreamEvent, start_sim
+from edgelearn.sim import MSG_UPLOAD_BATCH, LinkEvent, SimConfig, StreamEvent, start_sim
 from edgelearn.tasks import BucketingConfig
 
 from conftest import city_dataset, city_schema
@@ -167,18 +167,29 @@ def test_training_delay_postpones_update(tmp_path):
     assert update_ticks == [3]  # trigger at 1, retrain completes 2 ticks later
 
 
-def test_duplicate_upload_delivery_has_no_effect(tmp_path):
+def test_duplicate_upload_delivery_has_no_effect(tmp_path, monkeypatch):
     def run(inject: bool, name: str) -> str:
         cfg = basic_config(
             streams=(StreamEvent(1, 0, labeled("tokyo", "b", 12)),),
             max_ticks=5,
         )
         sim = start_sim(cfg, tmp_path / name)
+        uploads = []
+        receive = sim._receive_at_cloud
+
+        def recording(msg):
+            if msg.kind == MSG_UPLOAD_BATCH:
+                uploads.append(msg)
+            receive(msg)
+
+        monkeypatch.setattr(sim, "_receive_at_cloud", recording)
         sim.tick()
         sim.tick()  # upload delivered, update runs
-        if inject:
-            assert sim.inject_duplicate_upload(0)
-        sim.run_to_completion()
+        assert len(uploads) == 1
+        if inject:  # at-least-once transport: the same message arrives again
+            sim.edges[0].to_cloud.append(uploads[0])
+        report = sim.run_to_completion()
+        assert report.message_stats["duplicates_dropped"] == (1 if inject else 0)
         return sim.kb.fingerprint()
 
     clean = run(inject=False, name="kb_clean")
