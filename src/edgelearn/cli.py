@@ -157,7 +157,7 @@ def _cmd_kb(args) -> int:
                 "fallback_present": kb.fallback is not None,
                 "tasks": [
                     {"key": k, "version": r.version, "status": r.status,
-                     "samples": r.sample_stats.count}
+                     "samples": r.samples}
                     for k, r in sorted(kb.records.items())
                 ],
             }
@@ -169,7 +169,7 @@ def _cmd_kb(args) -> int:
             for key, rec in sorted(kb.records.items()):
                 acc = f" acc={rec.eval.accuracy:.4f}" if rec.eval is not None else ""
                 print(f"  {key}: v{rec.version} {rec.status} "
-                      f"n={rec.sample_stats.count}{acc}")
+                      f"n={rec.samples}{acc}")
         return 0
     raise _UsageError("kb needs an action: init | show")
 
@@ -183,7 +183,7 @@ def _cmd_job(args) -> int:
         records = job.run_train(load_csv(_require(args, "data"), schema))
         print(f"trained {len(records)} task models (kb version {job.kb.kb_version})")
         for rec in records:
-            print(f"  {rec.key}: v{rec.version} n={rec.sample_stats.count}")
+            print(f"  {rec.key}: v{rec.version} n={rec.samples}")
     elif args.action == "eval":
         report = job.run_eval(load_csv(_require(args, "data"), schema))
         for outcome in report.outcomes:

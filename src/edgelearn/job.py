@@ -30,7 +30,6 @@ from .kb import (
     DeploySnapshot,
     KnowledgeBase,
     TaskRecord,
-    sample_stats,
 )
 from .learners import EstimatorSpec, EvalMetrics, evaluate, fit
 from .tasks import BucketingConfig, TaskPartition, as_tasks, sample_transfer
@@ -201,7 +200,7 @@ class LifelongJob:
                 key=key,
                 attributes=partition.attributes[key],
                 model=artifact,
-                sample_stats=sample_stats(partition.parts[key]),
+                samples=len(partition.parts[key]),
                 status=STATUS_TRAINED,
             )
             self.kb.upsert_task(record)

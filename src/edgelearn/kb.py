@@ -3,19 +3,24 @@ records plus a global fallback model for unknown tasks.
 
 Store layout (one directory per KB)::
 
-    index.json            manifest: {"format": 1, "crc32": <crc of body>, "body": {...}}
-    models/<key>.<v>.bin  one file per model artifact, CRC32-checked
+    index.json                 manifest: {"format": 1, "crc32": <crc of body>, "body": {...}}
+    models/<key>.<v>.bin       one file per task model, CRC32-checked
+    models/_fallback.<kb>.bin  the fallback, named by the KB version it was set at
 
 The manifest body carries the schema fingerprint, the KB version counter,
-``job`` (the job's phase document, stored uninterpreted) and per task the
-record fields one codec owns (``_record_to_json``/``_record_from_json``:
-key, version, status, attributes, stats, eval) plus model file and
-checksum. Readers refuse a manifest or snapshot of another ``format``. A
-transaction writes only the model files it adds, each in place and
-fsynced under a name no committed manifest uses, then pays one durability
-barrier: it fsyncs ``models/`` once, and only then replaces the manifest
-atomically (fsynced temp file, rename = commit point, fsynced directory).
-A crash at any point leaves the previous consistent state intact.
+``job`` (the job's phase document, stored uninterpreted), the fallback's
+model file and checksum, and per task the record fields one codec owns
+(``_record_to_json``/``_record_from_json``: key, version, status,
+attributes, ``stats`` holding the sample count, eval) plus model file and
+checksum. ``open`` checks every field it keeps and ignores keys older
+stores wrote (a task's stats summary, ``relations``, the fallback's
+``revision``); the next commit drops them. Readers refuse a manifest or
+snapshot of another ``format``. A transaction writes only the model files
+it adds, each in place and fsynced under a name no committed manifest
+uses, then pays one durability barrier: it fsyncs ``models/`` once, and
+only then replaces the manifest atomically (fsynced temp file, rename =
+commit point, fsynced directory). A crash at any point leaves the
+previous consistent state intact.
 Superseded model files stay on disk but are no longer referenced; only the
 latest version per task is retrievable.
 
@@ -33,11 +38,13 @@ from hashlib import sha256
 from pathlib import Path
 from urllib.parse import quote
 
-from .data import Dataset, _is_int, check_int
+from .data import _is_int, check_int
 from .errors import (
     ConfigError,
     CorruptStoreError,
+    LearnerError,
     NothingDeployableError,
+    SchemaError,
     SchemaMismatchError,
     SerializationError,
     StoreError,
@@ -66,52 +73,14 @@ _MODELS_DIR = "models"
 
 
 @dataclass(frozen=True)
-class SampleStats:
-    """Summary of a task's own samples kept in place of the raw data."""
-
-    count: int
-    class_histogram: dict
-    feature_mean: tuple[float, ...]
-    feature_min: tuple[float, ...]
-    feature_max: tuple[float, ...]
-
-
-def sample_stats(dataset: Dataset) -> SampleStats:
-    """Compute per-task stats for the KB record."""
-    n = len(dataset)
-    if n == 0:
-        raise StoreError("cannot summarize an empty dataset")
-    f = dataset.schema.n_features
-    sums = [0.0] * f
-    mins = [float("inf")] * f
-    maxs = [float("-inf")] * f
-    histogram: dict = {}
-    for s in dataset.samples:
-        for j, v in enumerate(s.features):
-            sums[j] += v
-            if v < mins[j]:
-                mins[j] = v
-            if v > maxs[j]:
-                maxs[j] = v
-        if dataset.schema.is_classification and s.label is not None:
-            histogram[s.label] = histogram.get(s.label, 0) + 1
-    return SampleStats(
-        count=n,
-        class_histogram=histogram,
-        feature_mean=tuple(v / n for v in sums),
-        feature_min=tuple(mins),
-        feature_max=tuple(maxs),
-    )
-
-
-@dataclass(frozen=True)
 class TaskRecord:
-    """The KB unit of knowledge for one task."""
+    """The KB unit of knowledge for one task: its model and the count of
+    the task's own samples it was trained on, never the samples."""
 
     key: str
     attributes: BucketedAttributes
     model: ModelArtifact
-    sample_stats: SampleStats
+    samples: int
     status: str = STATUS_TRAINED
     version: int = 1
     eval: EvalMetrics | None = None
@@ -153,38 +122,23 @@ def _attrs_from_json(doc: dict) -> BucketedAttributes:
     return BucketedAttributes(tuple(doc["values"]), tuple(doc["bucket_counts"]))
 
 
-def _stats_to_json(stats: SampleStats) -> dict:
-    return {
-        "count": stats.count,
-        "class_histogram": stats.class_histogram,
-        "feature_mean": list(stats.feature_mean),
-        "feature_min": list(stats.feature_min),
-        "feature_max": list(stats.feature_max),
-    }
-
-
-def _stats_from_json(doc: dict) -> SampleStats:
-    return SampleStats(
-        count=doc["count"],
-        class_histogram=doc["class_histogram"],
-        feature_mean=tuple(doc["feature_mean"]),
-        feature_min=tuple(doc["feature_min"]),
-        feature_max=tuple(doc["feature_max"]),
-    )
-
-
 def _record_to_json(record: TaskRecord) -> dict:
     """The manifest fields of a task record: everything but its model, which
     the manifest names by file and checksum."""
     return {"key": record.key, "version": record.version, "status": record.status,
             "attributes": _attrs_to_json(record.attributes),
-            "stats": _stats_to_json(record.sample_stats), "eval": metrics_to_json(record.eval)}
+            "stats": {"count": record.samples}, "eval": metrics_to_json(record.eval)}
 
 
 def _record_from_json(doc: dict, model: ModelArtifact) -> TaskRecord:
-    """Inverse of :func:`_record_to_json`, given the record's model."""
+    """Inverse of :func:`_record_to_json`, given the record's model. Checks
+    the fields the record's dataclasses do not; ignores other ``stats`` keys."""
+    if not isinstance(doc["key"], str):
+        raise ConfigError(f"task key must be a string, got {doc['key']!r}")
+    check_int("task version", doc["version"], 1)
+    check_int("task sample count", doc["stats"]["count"], 1)
     return TaskRecord(doc["key"], _attrs_from_json(doc["attributes"]), model,
-                      _stats_from_json(doc["stats"]), doc["status"], doc["version"],
+                      doc["stats"]["count"], doc["status"], doc["version"],
                       metrics_from_json(doc["eval"]))
 
 
@@ -228,6 +182,9 @@ def deserialize_snapshot(data: bytes) -> DeploySnapshot:
         fallback = None
         if doc["fallback"] is not None:
             fallback = model_from_json(doc["fallback"])
+        if not _is_int(doc["snapshot_version"]) or doc["snapshot_version"] < 0:
+            raise ValueError(f"snapshot_version must be an integer >= 0, "
+                             f"got {doc['snapshot_version']!r}")
         return DeploySnapshot(
             snapshot_version=doc["snapshot_version"],
             schema_fingerprint=doc["schema_fingerprint"],
@@ -283,8 +240,8 @@ def _model_file_name(key: str, version: int) -> str:
     return f"{quote(key, safe='')}.{version}.bin"
 
 
-def _fallback_file_name(revision: int) -> str:
-    return f"_fallback.{revision}.bin"
+def _fallback_file_name(kb_version: int) -> str:
+    return f"_fallback.{kb_version}.bin"
 
 
 class KnowledgeBase:
@@ -307,7 +264,7 @@ class KnowledgeBase:
         self.schema_fingerprint: str | None = None
         self.fallback: ModelArtifact | None = None
         self._model_files: dict[str, tuple[str, int]] = {}  # key -> (file, crc32)
-        self._fallback_entry: dict | None = None  # manifest entry of the fallback
+        self._fallback_file: tuple[str, int] | None = None  # (file, crc32)
         self.job: dict | None = None  # the job's phase document; set it in a transaction
         self._in_transaction = False
         self._models_unsynced = False  # a model file was written since the last barrier
@@ -348,17 +305,18 @@ class KnowledgeBase:
             kb.kb_version = body["kb_version"]
             check_int("kb_version", kb.kb_version, 0)
             for entry in body["tasks"]:
-                check_int("task version", entry["version"], 1)
-                model = kb._read_model_file(entry["model_file"], entry["crc32"])
+                model_file = (entry["model_file"], entry["crc32"])
+                model = kb._read_model_file(*model_file)
                 kb.records[entry["key"]] = _record_from_json(entry, model)
-                kb._model_files[entry["key"]] = (entry["model_file"], entry["crc32"])
+                kb._model_files[entry["key"]] = model_file
             if body["fallback"] is not None:
-                kb.fallback = kb._read_model_file(
-                    body["fallback"]["model_file"], body["fallback"]["crc32"]
-                )
-                kb._fallback_entry = body["fallback"]
+                kb._fallback_file = (body["fallback"]["model_file"], body["fallback"]["crc32"])
+                kb.fallback = kb._read_model_file(*kb._fallback_file)
             kb.job = body.get("job")
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        except CorruptStoreError:
+            raise  # a missing or corrupt model file names itself
+        except (KeyError, TypeError, ValueError, ConfigError, SchemaError, StoreError,
+                LearnerError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: bad body: {exc!r}") from exc
         return kb
 
@@ -500,13 +458,14 @@ class KnowledgeBase:
 
     def set_fallback(self, model: ModelArtifact) -> int:
         """Replace the unknown-task fallback model; returns the new kb_version."""
-        revision = self._fallback_entry["revision"] + 1 if self._fallback_entry else 1
         with self.transaction():
             self._pin_schema(model.schema_fingerprint)
-            name, crc = self._write_model(_fallback_file_name(revision), serialize_model(model))
-            self._fallback_entry = {"model_file": name, "crc32": crc, "revision": revision}
-            self.fallback = model
             self.kb_version += 1
+            # a committed manifest names its fallback by a KB version at most its own
+            self._fallback_file = self._write_model(
+                _fallback_file_name(self.kb_version), serialize_model(model)
+            )
+            self.fallback = model
         return self.kb_version
 
     def save(self) -> None:
@@ -542,7 +501,11 @@ class KnowledgeBase:
         head = canonical_json_bytes({
             "schema_fingerprint": self.schema_fingerprint,
             "kb_version": self.kb_version,
-            "fallback": self._fallback_entry,
+            "fallback": (
+                {"model_file": self._fallback_file[0], "crc32": self._fallback_file[1]}
+                if self._fallback_file is not None
+                else None
+            ),
             "job": self.job,
         })
         tasks = b",".join(self._task_entry(key, rec) for key, rec in sorted(self.records.items()))

@@ -270,13 +270,11 @@ def as_tasks(data: Dataset | TaskPartition, bucketing: BucketingConfig) -> TaskP
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Outcome of sample transfer: the (possibly augmented) training set,
-    which donors contributed how many samples, and a small-task flag set
-    when the target stays below the threshold after borrowing."""
+    """Outcome of sample transfer: the (possibly augmented) training set and
+    which donors contributed how many samples."""
 
     dataset: Dataset
     provenance: tuple[tuple[str, int], ...] = ()
-    small_task: bool = False
 
 
 def sample_transfer(
@@ -312,8 +310,4 @@ def sample_transfer(
         borrowed += len(part)
         provenance.append((key, len(part)))
 
-    return TransferResult(
-        target.derive(samples),
-        tuple(provenance),
-        small_task=len(samples) < min_samples,
-    )
+    return TransferResult(target.derive(samples), tuple(provenance))

@@ -32,7 +32,6 @@ from edgelearn.kb import (
     SnapshotEntry,
     TaskRecord,
     kb_open,
-    sample_stats,
 )
 from edgelearn.learners import EstimatorSpec, evaluate, fit, serialize_model
 from edgelearn.reference import reference_text
@@ -347,7 +346,7 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
             attrs = bucket_attributes((city,), BucketingConfig((None,)))
             kb.upsert_task(TaskRecord(
                 key=task_key(attrs), attributes=attrs, model=model,
-                sample_stats=sample_stats(ds),
+                samples=len(ds),
             ))
         committed = kb.fingerprint()
 
@@ -377,7 +376,7 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
             attrs = bucket_attributes(("lima",), BucketingConfig((None,)))
             kb.upsert_task(TaskRecord(
                 key=task_key(attrs), attributes=attrs, model=model,
-                sample_stats=sample_stats(ds),
+                samples=len(ds),
             ))
         except OSError:
             pass
@@ -487,7 +486,7 @@ def test_criterion_8_oracle_equivalences(tmp_path):
             stored[key] = attrs
             kb.upsert_task(TaskRecord(
                 key=key, attributes=attrs, model=base_model,
-                sample_stats=sample_stats(base_ds),
+                samples=len(base_ds),
             ))
         query = bucket_attributes((rng.choice("pqr"), rng.uniform(0, 40.0)), bucketing)
         k = rng.randint(1, 5)

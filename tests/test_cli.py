@@ -9,6 +9,7 @@ import pytest
 
 from edgelearn.cli import cli_main
 from edgelearn.data import load_csv, parse_schema, write_csv
+from edgelearn.kb import kb_open
 from edgelearn.learners import canonical_json_bytes
 from edgelearn.reference import reference_text
 
@@ -168,6 +169,8 @@ def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, corrupt):
     "no-tasks", "task-without-model-file", "tasks-not-a-list",
     ("kb_version", "7"), ("kb_version", -1), ("kb_version", 1.0), ("kb_version", True),
     ("version", 1.5), ("version", 0), ("version", "1"), ("version", True),
+    ("stats.count", "x"), ("stats.count", 0), ("stats.count", 1.5), ("stats.count", True),
+    ("status", "bogus"), ("eval.n", 0), ("key", 5),
 ], ids=_case_id)
 def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
@@ -185,8 +188,13 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
         body["tasks"] = 5
     elif corrupt[0] == "kb_version":
         body["kb_version"] = corrupt[1]
-    else:  # a task record's version
-        body["tasks"][0]["version"] = corrupt[1]
+    elif corrupt[0] == "stats.count":
+        body["tasks"][0]["stats"]["count"] = corrupt[1]
+    elif corrupt[0] == "eval.n":  # an eval of n samples, fit to pass every other check
+        body["tasks"][0]["eval"] = {"accuracy": 0.0, "classes": ["a", "b"],
+                                    "counts": [[0, 0], [0, 0]], "n": corrupt[1]}
+    else:  # a task record's field
+        body["tasks"][0][corrupt[0]] = corrupt[1]
     manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))  # a valid checksum
     index.write_bytes(canonical_json_bytes(manifest))
     raw = index.read_bytes()
@@ -198,8 +206,63 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
                      "--config", str(workdir / "job.json"),
                      "--data", str(workdir / "test.csv")]) == 2
     err = capsys.readouterr().err
-    assert "corrupt store index" in err and "Traceback" not in err
+    assert "corrupt store index" in err and "index.json" in err and "Traceback" not in err
     assert index.read_bytes() == raw
+
+
+@pytest.mark.parametrize("revision", [1, "7"])
+def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
+    workdir, capsys, revision
+):
+    # older stores kept a stats summary per task and a revision counter in the
+    # fallback entry; readers ignore both and the next commit drops them
+    base = _deployed(workdir)
+    kb_dir = workdir / "kb"
+    capsys.readouterr()
+    assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 0
+    shown = capsys.readouterr().out
+    before = kb_open(kb_dir)
+    index = kb_dir / "index.json"
+    manifest = json.loads(index.read_bytes())
+    body = manifest["body"]
+    for entry, label in zip(body["tasks"], ("a", "b")):  # athens, tokyo: x = 0..7
+        entry["stats"] = {"count": 8, "class_histogram": {label: 8}, "feature_mean": [3.5],
+                          "feature_min": [0.0], "feature_max": [7.0]}
+    models = kb_dir / "models"
+    (models / body["fallback"]["model_file"]).rename(models / "_fallback.1.bin")
+    body["fallback"] = {**body["fallback"], "model_file": "_fallback.1.bin", "revision": revision}
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))
+    index.write_bytes(canonical_json_bytes(manifest))
+    old_fallback = (models / "_fallback.1.bin").read_bytes()
+
+    reopened = kb_open(kb_dir)
+    assert reopened.records == before.records
+    assert reopened.fallback == before.fallback
+    assert reopened.fingerprint() == before.fingerprint()
+    assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 0
+    assert capsys.readouterr().out == shown
+
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    body = json.loads(index.read_bytes())["body"]
+    assert all(entry["stats"] == {"count": 8} for entry in body["tasks"])
+    assert set(body["fallback"]) == {"model_file", "crc32"}
+    assert body["fallback"]["model_file"] == f"_fallback.{body['kb_version']}.bin"
+    assert (models / "_fallback.1.bin").read_bytes() == old_fallback
+
+
+@pytest.mark.parametrize("version", ["x", True, -3, None])
+def test_snapshot_whose_version_is_not_a_count_is_exit_2(workdir, capsys, version):
+    base = _deployed(workdir)
+    snap = workdir / "snap.json"
+    doc = json.loads(snap.read_bytes())
+    doc["snapshot_version"] = version
+    snap.write_bytes(canonical_json_bytes(doc))
+    capsys.readouterr()
+    assert cli_main(["edge", "status", "--snapshot", str(snap), *base[2:],
+                     "--data", str(workdir / "test.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "corrupt snapshot payload" in err and "snapshot_version" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [

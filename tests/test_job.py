@@ -117,7 +117,7 @@ def test_train_small_task_augmented_by_transfer(tmp_path):
     key_low = next(k for k in kb.records if k.startswith("p|0"))
     record = kb.lookup(key_low)
     assert record.model.trained_on.count == 10  # 2 own + 8 borrowed
-    assert record.sample_stats.count == 2       # stats describe the task's own data
+    assert record.samples == 2                  # counts the task's own data
 
 
 def test_train_wrong_phase_rejected(tmp_path):

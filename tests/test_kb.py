@@ -27,7 +27,6 @@ from edgelearn.kb import (
     TaskRecord,
     deserialize_snapshot,
     kb_open,
-    sample_stats,
     serialize_snapshot,
 )
 from edgelearn.learners import (
@@ -54,7 +53,7 @@ def make_record(city: str, label: str = "a", status: str = STATUS_TRAINED,
         key=city,
         attributes=BucketedAttributes((city,), (0,)),
         model=model,
-        sample_stats=sample_stats(ds),
+        samples=len(ds),
         status=status,
         eval=eval_metrics,
     )
@@ -109,6 +108,16 @@ def test_flipped_bit_in_model_file_refuses_open(tmp_path):
     raw[10] ^= 0x40
     model_file.write_bytes(bytes(raw))
     with pytest.raises(CorruptStoreError, match=str(model_file.name)):
+        kb_open(tmp_path / "kb")
+
+
+@pytest.mark.parametrize("name", ["athens.1.bin", "_fallback.2.bin"])
+def test_missing_model_file_refuses_open_naming_the_file(tmp_path, name):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    kb.set_fallback(make_fallback())
+    (tmp_path / "kb" / "models" / name).unlink()
+    with pytest.raises(CorruptStoreError, match=f"missing model file .*{name}"):
         kb_open(tmp_path / "kb")
 
 
@@ -313,7 +322,7 @@ def test_set_fallback_replaces_one_fallback_file_and_the_index(tmp_path, monkeyp
     replaced = _watch_replaces(monkeypatch)
     fallback = make_fallback("b")
     kb.set_fallback(fallback)
-    assert written == ["_fallback.2.bin", "index.json"]
+    assert written == ["_fallback.4.bin", "index.json"]
     assert replaced == ["index.json"]
     assert serialized == [fallback]
 
@@ -354,7 +363,7 @@ def test_every_write_fsyncs_the_file_before_the_rename_and_the_directory_after(
         kb.upsert_task(make_record("tokyo"))
         kb.set_fallback(make_fallback())
     assert events == [
-        "fsync file", "fsync file", "fsync dir ['_fallback.1.bin', 'athens.1.bin', 'tokyo.1.bin']",
+        "fsync file", "fsync file", "fsync dir ['_fallback.4.bin', 'athens.1.bin', 'tokyo.1.bin']",
         "fsync file", "index.json", "fsync dir ['index.json', 'models']",
     ]
 
@@ -370,7 +379,7 @@ def test_transaction_commits_once_and_nested_blocks_join_it(tmp_path, monkeypatc
             kb.upsert_task(make_record("tokyo"))
             kb.set_fallback(make_fallback())
         kb.job = {"phase": "anything"}
-        assert written == ["athens.1.bin", "tokyo.1.bin", "_fallback.1.bin"]
+        assert written == ["athens.1.bin", "tokyo.1.bin", "_fallback.3.bin"]
     assert written[-1] == "index.json" and written.count("index.json") == 1
     assert kb.kb_version == 3
     reopened = kb_open(tmp_path / "kb")
@@ -408,14 +417,18 @@ def _manifest_from_scratch(kb) -> bytes:
     body = {
         "schema_fingerprint": kb.schema_fingerprint,
         "kb_version": kb.kb_version,
-        "fallback": kb._fallback_entry,
+        "fallback": (
+            {"model_file": kb._fallback_file[0], "crc32": kb._fallback_file[1]}
+            if kb._fallback_file is not None
+            else None
+        ),
         "tasks": [
             {
                 "key": key,
                 "version": rec.version,
                 "status": rec.status,
                 "attributes": kb_mod._attrs_to_json(rec.attributes),
-                "stats": kb_mod._stats_to_json(rec.sample_stats),
+                "stats": {"count": rec.samples},
                 "eval": kb_mod.metrics_to_json(rec.eval),
                 "model_file": kb._model_files[key][0],
                 "crc32": kb._model_files[key][1],
@@ -540,7 +553,7 @@ def test_upsert_schema_mismatch_rejected(tmp_path):
     )
     bad = TaskRecord(
         key="tokyo", attributes=other.attributes, model=patched,
-        sample_stats=other.sample_stats,
+        samples=other.samples,
     )
     with pytest.raises(SchemaMismatchError):
         kb.upsert_task(bad)
@@ -568,7 +581,7 @@ def test_lookup_one_bucket_off_not_found(tmp_path):
     attrs = bucket_attributes(("p", 5.0), bucketing)
     kb.upsert_task(TaskRecord(
         key=task_key(attrs), attributes=attrs, model=model,
-        sample_stats=sample_stats(ds),
+        samples=len(ds),
     ))
     neighbor = bucket_attributes(("p", 15.0), bucketing)
     # oracle: no stored record has this bucketed tuple
@@ -605,7 +618,7 @@ def test_query_similar_matches_brute_force(tmp_path, rng):
         model = fit(EstimatorSpec("majority"), ds, 0)
         kb.upsert_task(TaskRecord(
             key=key, attributes=attrs, model=model,
-            sample_stats=sample_stats(ds),
+            samples=len(ds),
         ))
         stored.append((key, attrs))
 
@@ -730,7 +743,7 @@ def test_record_deployable_requires_eval():
     with pytest.raises(StoreError, match="eval"):
         TaskRecord(
             key=base.key, attributes=base.attributes, model=base.model,
-            sample_stats=base.sample_stats,
+            samples=base.samples,
             status=STATUS_DEPLOYABLE, eval=None,
         )
 

@@ -253,7 +253,7 @@ def test_transfer_not_triggered_above_threshold():
     result = sample_transfer(key, partition, min_samples=20, cap=100)
     assert len(result.dataset) == 50
     assert result.provenance == ()
-    assert not result.small_task
+    assert len(result.dataset) >= 20
 
 
 def test_transfer_borrows_whole_similar_task():
@@ -267,7 +267,7 @@ def test_transfer_borrows_whole_similar_task():
     assert len(result.provenance) == 1
     donor_key, count = result.provenance[0]
     assert count == 10 and donor_key != target_key
-    assert not result.small_task
+    assert len(result.dataset) >= 10
 
 
 def test_transfer_never_borrows_zero_similarity():
@@ -278,7 +278,7 @@ def test_transfer_never_borrows_zero_similarity():
     result = sample_transfer(target_key, partition, min_samples=10, cap=100)
     assert len(result.dataset) == 3
     assert result.provenance == ()
-    assert result.small_task
+    assert len(result.dataset) < 10
 
 
 def test_transfer_stops_at_cap():
@@ -288,7 +288,7 @@ def test_transfer_stops_at_cap():
     target_key = task_key(bucket_attributes(("p", 5.0), BucketingConfig((None, (20.0, 30.0)))))
     result = sample_transfer(target_key, partition, min_samples=10, cap=5)
     assert len(result.dataset) == 3  # whole-task borrowing cannot exceed the cap
-    assert result.small_task
+    assert len(result.dataset) < 10
 
 
 def test_transfer_prefers_more_similar_donors():
