@@ -30,7 +30,7 @@ from . import bench as bench_mod
 from .data import load_csv, parse_schema, schema_to_json, write_csv
 from .edge import DEFAULT_SIMILARITY_THRESHOLD, EdgeRuntime
 from .errors import EdgeLearnError, NoModelError
-from .job import JobState, LifelongJob, parse_job_config
+from .job import LifelongJob, job_phase, parse_job_config
 from .kb import KnowledgeBase, atomic_write_bytes, deserialize_snapshot, serialize_snapshot
 from .sim import parse_sim_config, start_sim
 
@@ -148,7 +148,7 @@ def _cmd_kb(args) -> int:
         return 0
     if args.action == "show":
         kb = KnowledgeBase.open(kb_path)
-        phase = JobState.from_json(kb.job).phase.value
+        phase = job_phase(kb.job).value
         if _opt(args, "json"):
             doc = {
                 "job_phase": phase,

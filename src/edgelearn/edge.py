@@ -7,12 +7,12 @@ routed computes its bucketed values, their key and the prediction, nothing
 more. Otherwise it is an unknown task and falls back to (a) the most
 similar snapshot task at or above the similarity threshold, else (b) the
 global fallback model.
-Applying a snapshot builds a :class:`~edgelearn.tasks.TaskIndex` over its
-tasks once, so finding (a) scores only the tasks that can reach the
-threshold (those sharing the sample's categorical values, at the default
-threshold) instead of every snapshot task. Unknown samples are buffered
-for upload; labeled feedback accumulates until the trigger policy fires a
-retrain request.
+Applying a snapshot checks its tasks against the edge's bucketing and builds
+a :class:`~edgelearn.tasks.TaskIndex` over them once, so finding (a) scores
+only the tasks that can reach the threshold (those sharing the sample's
+categorical values, at the default threshold) instead of every snapshot
+task. Unknown samples are buffered for upload; labeled feedback
+accumulates until the trigger policy fires a retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
 buffer drains, and snapshot swaps never observe partial state. Snapshots
@@ -117,7 +117,8 @@ class EdgeRuntime:
     def apply_snapshot(self, snapshot: DeploySnapshot) -> str:
         """Swap in a newer snapshot atomically. Returns "applied" or
         "rejected-stale" (strictly newer versions only). A snapshot holding a
-        model of another schema raises SchemaMismatchError and is not applied."""
+        model of another schema, or a task not bucketed as this edge buckets,
+        raises SchemaMismatchError and is not applied; routing trusts what passes."""
         fallback = () if snapshot.fallback is None else (snapshot.fallback,)
         for model in (*(entry.model for entry in snapshot.tasks.values()), *fallback):
             if model.schema_fingerprint != self._schema_fingerprint:
@@ -125,7 +126,12 @@ class EdgeRuntime:
                     f"snapshot v{snapshot.snapshot_version} holds a model of schema "
                     f"{model.schema_fingerprint}; this edge serves {self._schema_fingerprint}"
                 )
-        index = TaskIndex({key: entry.attributes for key, entry in snapshot.tasks.items()})
+        try:
+            index = TaskIndex({key: entry.attributes for key, entry in snapshot.tasks.items()},
+                              self._bucket_counts)
+        except SchemaMismatchError as exc:
+            raise SchemaMismatchError(f"snapshot v{snapshot.snapshot_version} was not "
+                                      f"bucketed as this edge buckets: {exc}") from None
         with self._lock:
             if (
                 self.active is not None

@@ -8,8 +8,9 @@ new batch). The fallback model is refit on each cycle's pooled training
 data. A cycle mines its batch into tasks once and hands the per-task train
 and eval halves (each a :class:`TaskPartition`) to the train and eval stages.
 
-The job's phase lives in the KB manifest. Each stage, and each whole cycle,
-commits phase and KB in one KB transaction; one that raises changes neither.
+The job's phase, and nothing else, lives in the KB manifest's job document
+(:func:`job_phase`). Each stage, and each whole cycle, commits phase and KB
+in one KB transaction; one that raises changes neither.
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ class JobConfig:
 
 
 class Phase(Enum):
-    """The job's stored phases in the paper's order. Each stage's
-    ``_require_phase`` names the phases it may start from; ``_transition``
-    only records one. Training has no phase: ``run_train`` commits its models
-    with ``Evaluating`` in one transaction, so no store could record one."""
+    """The job's phases in the paper's order, all its job document keeps.
+    Each stage's ``_require_phase`` names the phases it may start from;
+    ``_transition`` only records one. Training has no phase: ``run_train``
+    commits its models with ``Evaluating`` in one transaction."""
 
     IDLE = "Idle"
     EVALUATING = "Evaluating"
@@ -102,27 +103,18 @@ class Phase(Enum):
     DEPLOYED = "Deployed"
 
 
-@dataclass
-class JobState:
-    """Phase machine state: the current phase and the last deployed
-    snapshot version."""
-
-    phase: Phase = Phase.IDLE
-    snapshot_version: int = 0
-
-    @classmethod
-    def from_json(cls, doc: dict | None) -> "JobState":
-        """Decode the manifest's job document; a store without one is Idle.
-        Other keys (the ``history`` older stores carry) are ignored."""
-        if doc is None:
-            return cls()
-        try:
-            phase, snapshot_version = Phase(doc["phase"]), doc["snapshot_version"]
-            check_int("snapshot_version", snapshot_version, 0)
-        except (ValueError, KeyError, TypeError, ConfigError) as exc:  # bad key, phase or counter
-            raise CorruptStoreError(f"corrupt job state in the KB manifest {_INDEX_NAME}: "
-                                    f"{exc}") from exc
-        return cls(phase, snapshot_version)
+def job_phase(doc) -> Phase:
+    """Decode the manifest's job document, ``{"phase": ...}``, to its phase;
+    a store without one is Idle. Other keys (the ``history`` and
+    ``snapshot_version`` older stores carry) are ignored; the next stage's
+    ``_transition`` drops them."""
+    if doc is None:
+        return Phase.IDLE
+    try:
+        return Phase(doc["phase"])
+    except (ValueError, KeyError, TypeError) as exc:  # not an object, no phase, unknown phase
+        raise CorruptStoreError(f"corrupt job state in the KB manifest {_INDEX_NAME}: "
+                                f"{exc}") from exc
 
 
 def _one_commit(stage):
@@ -163,17 +155,14 @@ class LifelongJob:
     # -- phase machine -------------------------------------------------------
 
     @property
-    def state(self) -> JobState:
-        return JobState.from_json(self.kb.job)
+    def phase(self) -> Phase:
+        return job_phase(self.kb.job)
 
-    def _transition(self, target: Phase, snapshot_version: int | None = None) -> None:
-        if snapshot_version is None:
-            snapshot_version = self.state.snapshot_version
-        # JobState.from_json reads it
-        self.kb.job = {"phase": target.value, "snapshot_version": snapshot_version}
+    def _transition(self, target: Phase) -> None:
+        self.kb.job = {"phase": target.value}  # job_phase reads it
 
     def _require_phase(self, *phases: Phase) -> None:
-        current = self.state.phase
+        current = self.phase
         if current not in phases:
             allowed = " or ".join(p.value for p in phases)
             raise PhaseError(f"operation requires phase {allowed}, current is {current.value}")
@@ -251,7 +240,7 @@ class LifelongJob:
         """Freeze the deployable records into a snapshot. Ends Deployed."""
         self._require_phase(Phase.DEPLOYING)
         snapshot = self.kb.snapshot()
-        self._transition(Phase.DEPLOYED, snapshot.snapshot_version)
+        self._transition(Phase.DEPLOYED)
         return snapshot
 
     @_one_commit

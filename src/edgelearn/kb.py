@@ -327,7 +327,11 @@ class KnowledgeBase:
         data = path.read_bytes()
         if zlib.crc32(data) != expected_crc:
             raise CorruptStoreError(f"corrupt store: checksum mismatch in {path}")
-        return deserialize_model(data)
+        try:
+            return deserialize_model(data)
+        except SerializationError as exc:  # UnknownLearnerError included
+            raise CorruptStoreError(f"corrupt store: undecodable model file {path}: "
+                                    f"{exc}") from exc
 
     # -- queries ------------------------------------------------------------
 

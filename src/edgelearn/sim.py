@@ -46,7 +46,6 @@ class Message:
     id: int
     kind: str
     source: str
-    destination: str
     payload: object = None
 
 
@@ -135,7 +134,7 @@ class Simulation:
         self.events: list[str] = []
         self._next_message_id = 1
         self._processed_ids: set[int] = set()
-        self._pending_trains: list[tuple[int, int, str]] = []  # (ready, edge, reason)
+        self._pending_trains: list[tuple[int, int]] = []  # (ready, edge)
         self._labeled_pool: list[Sample] = []
         self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0, "acked": 0,
                       "unseen_escalated": 0}
@@ -182,8 +181,8 @@ class Simulation:
 
     # -- message plumbing --------------------------------------------------------
 
-    def _send(self, kind: str, source: str, destination: str, payload=None) -> Message:
-        msg = Message(self._next_message_id, kind, source, destination, payload)
+    def _send(self, kind: str, source: str, payload=None) -> Message:
+        msg = Message(self._next_message_id, kind, source, payload)
         self._next_message_id += 1
         if kind != MSG_ACK:
             self.stats["sent"] += 1
@@ -198,7 +197,7 @@ class Simulation:
 
     def _push_snapshot(self, snapshot: DeploySnapshot) -> None:
         for edge in self.edges:
-            msg = self._send(MSG_SNAPSHOT_PUSH, "cloud", edge.name, snapshot)
+            msg = self._send(MSG_SNAPSHOT_PUSH, "cloud", snapshot)
             edge.from_cloud.append(msg)
             self._log("cloud", "push_queued", f"to={edge.name} id={msg.id} "
                                               f"version={snapshot.snapshot_version}")
@@ -212,7 +211,7 @@ class Simulation:
                 version = msg.payload.snapshot_version
                 self._log(edge.name, "snapshot_" + ("applied" if result == "applied" else "rejected"),
                           f"id={msg.id} version={version}")
-                ack = self._send(MSG_ACK, edge.name, "cloud", msg.id)
+                ack = self._send(MSG_ACK, edge.name, msg.id)
                 edge.to_cloud.append(ack)
             elif msg.kind == MSG_ACK:
                 self.stats["acked"] += 1
@@ -227,7 +226,7 @@ class Simulation:
                 continue
             self.stats["delivered"] += 1
             self._receive_at_cloud(msg)
-            ack = self._send(MSG_ACK, "cloud", edge.name, msg.id)
+            ack = self._send(MSG_ACK, "cloud", msg.id)
             edge.from_cloud.append(ack)
 
     def _receive_at_cloud(self, msg: Message) -> None:
@@ -246,7 +245,7 @@ class Simulation:
         elif msg.kind == MSG_TRIGGER_TRAIN:
             edge_id, reason = msg.payload
             ready = self.now + self.cfg.training_delay_ticks
-            self._pending_trains.append((ready, edge_id, reason))
+            self._pending_trains.append((ready, edge_id))
             self._log("cloud", "trigger_received",
                       f"id={msg.id} from=edge:{edge_id} reason={reason} ready={ready}")
 
@@ -288,8 +287,8 @@ class Simulation:
             batch = edge.runtime.fire_trigger(self.cfg.job.trigger)
             if batch is not None:
                 labeled, unseen = batch
-                upload = self._send(MSG_UPLOAD_BATCH, edge.name, "cloud", (labeled, unseen))
-                trigger = self._send(MSG_TRIGGER_TRAIN, edge.name, "cloud",
+                upload = self._send(MSG_UPLOAD_BATCH, edge.name, (labeled, unseen))
+                trigger = self._send(MSG_TRIGGER_TRAIN, edge.name,
                                      (edge.id, TRIGGER_COUNT_THRESHOLD))
                 edge.to_cloud.append(upload)
                 edge.to_cloud.append(trigger)
@@ -301,7 +300,7 @@ class Simulation:
 
         due = [p for p in self._pending_trains if p[0] <= self.now]
         self._pending_trains = [p for p in self._pending_trains if p[0] > self.now]
-        for ready, edge_id, reason in due:
+        for _, edge_id in due:
             if not self._labeled_pool:
                 self._log("cloud", "update_skipped", f"from=edge:{edge_id} reason=empty-pool")
                 continue

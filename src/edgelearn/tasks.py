@@ -150,19 +150,14 @@ def rank_similar(
     return [(key, -neg) for neg, key in scored]
 
 
-def _categorical(attrs: BucketedAttributes) -> tuple:
-    return tuple(v for v, count in zip(attrs.values, attrs.bucket_counts) if count == 0)
-
-
-def _shape(attrs: BucketedAttributes, cats: tuple) -> tuple:
-    """What :func:`task_similarity` requires two tuples to share; *cats* is
-    ``_categorical(attrs)``."""
-    return attrs.bucket_counts, tuple(map(type, cats))
-
-
 class TaskIndex:
     """Nearest-task lookup over a fixed set of tasks, grouped by their
     categorical values.
+
+    Every task must be bucketed under *bucket_counts* (strings in categorical
+    columns, integers in ``[0, count)`` in numeric ones), or the constructor
+    raises SchemaMismatchError naming the first that is not. Lookups trust
+    the tasks; a query must be bucketed under the same counts.
 
     A categorical mismatch scores exactly 0 and every column at most 1, so
     a task whose categorical values differ from the query's in m of n
@@ -173,25 +168,27 @@ class TaskIndex:
     dict probe. Results equal a scan of every task in key order.
     """
 
-    def __init__(self, tasks: dict[str, BucketedAttributes]):
-        self._shapes: dict[tuple, BucketedAttributes] = {}
+    def __init__(self, tasks: dict[str, BucketedAttributes], bucket_counts: tuple[int, ...]):
         self._groups: dict[tuple, list[tuple[str, BucketedAttributes]]] = {}
         for key in sorted(tasks):
-            attrs = tasks[key]
-            cats = _categorical(attrs)
-            self._shapes.setdefault(_shape(attrs, cats), attrs)
-            self._groups.setdefault(cats, []).append((key, attrs))
+            attrs, cats = tasks[key], []
+            for v, count in zip(attrs.values, bucket_counts):
+                if count == 0 and type(v) is str:
+                    cats.append(v)
+                elif count == 0 or type(v) is not int or not 0 <= v < count:
+                    cats = None
+                    break
+            if cats is None or attrs.bucket_counts != bucket_counts:
+                raise SchemaMismatchError(
+                    f"task {key!r} has values {attrs.values!r} under bucket counts "
+                    f"{attrs.bucket_counts!r}, expected values bucketed under {bucket_counts!r}")
+            self._groups.setdefault(tuple(cats), []).append((key, attrs))
 
     def nearest(self, query: BucketedAttributes, threshold: float) -> tuple[str, float] | None:
         """(key, similarity) of the most similar task whose similarity is
         above 0 and at least *threshold*, ties to the smaller key; None if
-        no task is. Raises SchemaMismatchError, as a scan would, if any
-        task's attributes are not comparable with *query*."""
-        cats = _categorical(query)
-        shape = _shape(query, cats)
-        for other, attrs in self._shapes.items():
-            if other != shape:
-                task_similarity(query, attrs)  # raises the scan's error
+        no task is."""
+        cats = tuple(v for v, count in zip(query.values, query.bucket_counts) if count == 0)
         n = len(query.values)
         reach = -1  # most categorical mismatches a qualifying task can have
         for m in range(len(cats) + 1):

@@ -125,11 +125,9 @@ def _case_id(case) -> str:
 
 
 @pytest.mark.parametrize("corrupt", [
-    "missing-key", "unknown-phase", "truncated-index",
+    "missing-key", "unknown-phase", "truncated-index", "job-not-an-object",
     # no commit stores the training phase: run_train commits Evaluating
     ("phase", "Training"),
-    ("snapshot_version", "x"), ("snapshot_version", -1), ("snapshot_version", 1.0),
-    ("snapshot_version", True), ("snapshot_version", None),
 ], ids=_case_id)
 def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
@@ -147,7 +145,9 @@ def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, corrupt):
         manifest = json.loads(raw)
         body = manifest["body"]
         if corrupt == "missing-key":
-            del body["job"]["snapshot_version"]
+            del body["job"]["phase"]
+        elif corrupt == "job-not-an-object":
+            body["job"] = 5
         elif corrupt == "unknown-phase":
             body["job"]["phase"] = "Frozen"
         else:
@@ -163,6 +163,29 @@ def test_corrupt_job_state_is_store_error_exit_2(workdir, capsys, corrupt):
     assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 2
     assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
     assert index.read_bytes() == raw
+
+
+@pytest.mark.parametrize("snapshot_version", [7, "x"])
+def test_a_job_document_of_an_older_store_opens_and_drops_its_snapshot_version(
+        workdir, capsys, snapshot_version):
+    kb_dir = workdir / "kb"
+    base = ["--kb", str(kb_dir), "--schema", str(workdir / "schema.json"),
+            "--config", str(workdir / "job.json")]
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 0
+    assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
+    index = kb_dir / "index.json"
+    manifest = json.loads(index.read_bytes())
+    body = manifest["body"]
+    assert body["job"] == {"phase": "Deployed"}
+    body["job"]["snapshot_version"] = snapshot_version  # as written before it was dropped
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))
+    index.write_bytes(canonical_json_bytes(manifest))
+    capsys.readouterr()
+    assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 0
+    assert "job phase Deployed" in capsys.readouterr().out
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert json.loads(index.read_bytes())["body"]["job"] == {"phase": "Evaluating"}
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -574,6 +597,56 @@ def test_edge_refuses_a_snapshot_of_another_schema_exit_2(workdir, capsys):
                      "--data", str(workdir / "probe.csv"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "schema" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+BANDED_SCHEMA_TEXT = """
+{"features": ["x"],
+ "label": {"name": "y", "classes": ["a", "b"]},
+ "attributes": [{"name": "city", "kind": "categorical"},
+                {"name": "band", "kind": "numeric", "edges": [10.0, 20.0, 30.0]}]}
+"""
+
+
+@pytest.mark.parametrize("fault, task", [
+    ("other-bucketing", "athens|0"),  # the first task in key order
+    ("string-bucket-index", "athens|3"),
+])
+def test_edge_refuses_a_snapshot_not_bucketed_as_it_buckets_exit_2(
+        tmp_path, capsys, fault, task):
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(BANDED_SCHEMA_TEXT, encoding="utf-8")
+    cloud_config = tmp_path / "cloud.json"
+    cloud_config.write_text(JOB_TEXT.replace(
+        '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0, 30.0]}'), encoding="utf-8")
+    edge_config = tmp_path / "edge.json"
+    edge_config.write_text(JOB_TEXT.replace(
+        '"seed": 3', '"seed": 3, "bucketing": {"band": [15.0, 25.0]}'), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("x,y,city,band\n" + "".join(
+        f"{i},{'ab'[i % 2]},athens,{band}\n" for i in range(8) for band in (5.0, 35.0)),
+        encoding="utf-8")
+    snap = tmp_path / "snap.json"
+    base = ["--kb", str(tmp_path / "kb"), "--schema", str(schema_path),
+            "--config", str(cloud_config)]
+    assert cli_main(["job", "train", *base, "--data", str(data)]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(data)]) == 0
+    assert cli_main(["job", "deploy", *base, "--out", str(snap)]) == 0
+    if fault == "string-bucket-index":
+        doc = json.loads(snap.read_bytes())
+        doc["tasks"][task]["attributes"]["values"][1] = "x"
+        snap.write_bytes(canonical_json_bytes(doc))
+        edge_config = cloud_config
+    probe = tmp_path / "probe.csv"  # a known and an unknown request under either bucketing
+    probe.write_text("x,y,city,band\n1,a,athens,5.0\n1,a,athens,15.0\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "preds.csv"
+    assert cli_main(["edge", "infer", "--snapshot", str(snap), "--schema", str(schema_path),
+                     "--config", str(edge_config), "--data", str(probe),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "snapshot v5 was not bucketed as this edge buckets" in err and repr(task) in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

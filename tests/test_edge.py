@@ -199,19 +199,6 @@ def test_no_model_error_reports_the_best_similarity_over_every_task():
     assert runtime.counters["no_model_errors"] == 2
 
 
-def test_unknown_route_on_a_snapshot_of_another_schema_raises():
-    foreign = BucketedAttributes(("athens", 1), (0, 3))
-    for entries in (
-        {"athens|1": (constant_model("a"), foreign)},
-        {"athens": (constant_model("a"), BucketedAttributes(("athens",), (0,))),
-         "athens|1": (constant_model("a"), foreign)},
-    ):
-        runtime = city_runtime(snapshot_of(1, entries, fallback=constant_model("b")))
-        with pytest.raises(SchemaMismatchError):
-            runtime.infer(Sample((1.0,), ("tokyo",)))
-        assert runtime.counters["unknown_hits"] == 1
-
-
 def _scan_route(snapshot, bucketed, threshold):
     """Route by scoring every snapshot task in key order: the reference the
     runtime's task index must agree with."""
@@ -507,17 +494,45 @@ def test_a_snapshot_of_another_schema_is_not_applied():
     own_model = constant_model("warm", classes=("warm", "cold"))
     own = snapshot_of(1, {"athens": (own_model, BucketedAttributes(("athens",), (0,)))})
     assert runtime.apply_snapshot(own) == "applied"
-    for foreign in (
-        city_snapshot(version=2, cities=("athens",)),  # task models of classes ("a", "b")
-        snapshot_of(2, {}, fallback=constant_model("a")),
-        snapshot_of(2, {"athens": (own_model, own.tasks["athens"].attributes)},
-                    fallback=constant_model("a")),
+    banded = BucketedAttributes(("athens", 1), (0, 3))  # mined under another bucketing
+    for foreign, error in (
+        (city_snapshot(version=2, cities=("athens",)), "schema"),  # task models of classes a, b
+        (snapshot_of(2, {}, fallback=constant_model("a")), "schema"),
+        (snapshot_of(2, {"athens": (own_model, own.tasks["athens"].attributes)},
+                     fallback=constant_model("a")), "schema"),
+        (snapshot_of(2, {"athens|1": (own_model, banded)}), "'athens|1'"),
+        (snapshot_of(2, {"athens": (own_model, own.tasks["athens"].attributes),
+                         "athens|1": (own_model, banded)}), "'athens|1'"),
+        (snapshot_of(2, {"5": (own_model, BucketedAttributes((5,), (0,)))}), "'5'"),
     ):
-        with pytest.raises(SchemaMismatchError, match="schema"):
+        with pytest.raises(SchemaMismatchError, match=error):
             runtime.apply_snapshot(foreign)
         assert runtime.active is own
     assert runtime.infer(Sample((1.0,), ("athens",))).label == "warm"
     assert runtime.apply_snapshot(snapshot_of(2, {})) == "applied"  # an empty snapshot passes
+
+    schema = banded_schema((10.0, 20.0, 30.0))  # 4 band buckets
+    runtime = EdgeRuntime(schema, BucketingConfig.from_schema(schema))
+    model = constant_model("a")
+    own_attrs = BucketedAttributes(("p", 1), (0, 4))
+    own = snapshot_of(1, {"p|1": (model, own_attrs)}, fallback=constant_model("b"))
+    assert runtime.apply_snapshot(own) == "applied"
+    for values, counts in (
+        (("p", 1), (0, 3)),  # 3 band buckets where the edge has 4
+        (("p", "x"), (0, 4)),  # a string bucket index
+        ((5, 1), (0, 4)),  # an integer categorical value
+        (("p", 4), (0, 4)), (("p", 7), (0, 4)), (("p", -1), (0, 4)),  # outside [0, count)
+        (("p", True), (0, 4)), (("p", 1.0), (0, 4)),  # not an integer
+    ):
+        foreign = snapshot_of(2, {"p|1": (model, own_attrs),
+                                  "q|9": (model, BucketedAttributes(values, counts))},
+                              fallback=constant_model("b"))
+        with pytest.raises(SchemaMismatchError) as raised:
+            runtime.apply_snapshot(foreign)
+        for part in ("snapshot v2", "'q|9'", repr(counts), "(0, 4)"):
+            assert part in str(raised.value), (values, counts)
+        assert runtime.active is own
+    assert runtime.infer(Sample((1.0,), ("q", 15.0))).route == ROUTE_FALLBACK
 
 
 def test_status_document_fields():

@@ -15,7 +15,6 @@ from edgelearn.errors import LearnerError, NothingDeployableError, PhaseError, S
 from edgelearn.job import (
     EvalPolicy,
     JobConfig,
-    JobState,
     LifelongJob,
     Phase,
     TransferPolicy,
@@ -72,7 +71,7 @@ def test_train_two_cities_three_upserts(tmp_path):
     assert len(records) == 2
     assert kb.kb_version == 3  # two task upserts + fallback
     assert kb.fallback is not None
-    assert job.state.phase is Phase.EVALUATING
+    assert job.phase is Phase.EVALUATING
 
 
 def test_retrain_same_data_bumps_version_same_bytes(tmp_path):
@@ -143,7 +142,7 @@ def test_eval_gates_by_accuracy(tmp_path):
     assert outcomes["tokyo"].reason == "below-threshold"
     assert kb.lookup("athens").status == STATUS_DEPLOYABLE
     assert kb.lookup("tokyo").status == STATUS_EVAL_FAILED
-    assert job.state.phase is Phase.DEPLOYING
+    assert job.phase is Phase.DEPLOYING
 
 
 def test_eval_task_without_samples_fails_too_few(tmp_path):
@@ -208,8 +207,7 @@ def test_deploy_two_of_three_pass(tmp_path):
     snapshot = job.run_deploy()
     assert set(snapshot.tasks) == {"athens", "tokyo"}
     assert snapshot.fallback is not None
-    assert job.state.phase is Phase.DEPLOYED
-    assert job.state.snapshot_version == snapshot.snapshot_version
+    assert job.phase is Phase.DEPLOYED
 
 
 def test_deploy_all_failed_fallback_only(tmp_path):
@@ -235,12 +233,12 @@ def test_deploy_all_failed_no_fallback_errors(tmp_path):
     with pytest.raises(NothingDeployableError):
         job.run_deploy()
     # the job is not wedged in Deploying: it can train again
-    assert job.state.phase is Phase.DEPLOYING
+    assert job.phase is Phase.DEPLOYING
     job.run_train(two_city_data())
     job.run_eval(two_city_data())
     snapshot = job.run_deploy()
     assert set(snapshot.tasks) == {"athens", "tokyo"}
-    assert job.state == JobState(Phase.DEPLOYED, snapshot.snapshot_version)
+    assert job.phase is Phase.DEPLOYED
 
 
 # -- phase machine --------------------------------------------------------------------
@@ -249,10 +247,10 @@ def test_job_document_does_not_grow_across_cycles(tmp_path):
     job, _ = new_job(tmp_path)
     index = tmp_path / "kb" / "index.json"
     for city in ("athens", "oslo", "lima", "rome"):
-        cycle = job.bootstrap if job.state.phase is Phase.IDLE else job.run_update_cycle
-        snapshot = cycle(city_dataset([(float(i), city, "a") for i in range(6)]))
+        cycle = job.bootstrap if job.phase is Phase.IDLE else job.run_update_cycle
+        cycle(city_dataset([(float(i), city, "a") for i in range(6)]))
         job_doc = json.loads(index.read_text(encoding="utf-8"))["body"]["job"]
-        assert job_doc == {"phase": "Deployed", "snapshot_version": snapshot.snapshot_version}
+        assert job_doc == {"phase": "Deployed"}
 
 
 def test_illegal_phase_calls_rejected_everywhere(tmp_path):
@@ -276,16 +274,16 @@ def test_illegal_phase_calls_rejected_everywhere(tmp_path):
         for name, (legal, end, call) in calls.items():
             job, kb = new_job(tmp_path, name=f"{phase.value}-{name}")
             setup(job)
-            assert job.state.phase is phase
+            assert job.phase is phase
             if phase in legal:
                 call(job)
-                assert job.state.phase is end, (phase, name)
+                assert job.phase is end, (phase, name)
                 continue
             fingerprint = kb.fingerprint()
             with pytest.raises(PhaseError, match=f"current is {phase.value}"):
                 call(job)
             assert kb.fingerprint() == fingerprint, (phase, name)
-            assert job.state.phase is phase
+            assert job.phase is phase
 
 
 # -- update cycle ----------------------------------------------------------------------
@@ -387,12 +385,12 @@ def test_failed_bootstrap_leaves_job_idle_and_kb_empty(tmp_path):
     with pytest.raises(NothingDeployableError):
         job.bootstrap(_noisy_cities())
     for store in (kb, kb_open(tmp_path / "kb")):
-        assert LifelongJob(cfg, store).state.phase is Phase.IDLE
+        assert LifelongJob(cfg, store).phase is Phase.IDLE
         assert store.kb_version == 0
         assert store.records == {}
     snapshot = job.bootstrap(two_city_data(10))
     assert set(snapshot.tasks) == {"athens", "tokyo"}
-    assert job.state.phase is Phase.DEPLOYED
+    assert job.phase is Phase.DEPLOYED
 
 
 class _FailsOnLabelB(Learner):
@@ -414,7 +412,7 @@ class _FailsOnLabelB(Learner):
 def test_learner_error_mid_train_leaves_phase_and_kb_unchanged(tmp_path):
     job, kb = new_job(tmp_path)
     job.bootstrap(two_city_data(10))
-    phase, fingerprint = job.state, kb.fingerprint()
+    phase, fingerprint = job.phase, kb.fingerprint()
 
     register_learner(_FailsOnLabelB())
     failing = LifelongJob(majority_config(learner=EstimatorSpec("fails-on-b")), kb)
@@ -424,12 +422,12 @@ def test_learner_error_mid_train_leaves_phase_and_kb_unchanged(tmp_path):
     with pytest.raises(LearnerError, match="injected"):
         failing.run_update_cycle(two_city_data(10))
     for store in (kb, kb_open(tmp_path / "kb")):
-        assert LifelongJob(majority_config(), store).state == phase
+        assert LifelongJob(majority_config(), store).phase == phase
         assert store.fingerprint() == fingerprint
 
     snapshot = job.run_update_cycle(city_dataset([(float(i), "oslo", "a") for i in range(10)]))
     assert "oslo" in snapshot.tasks
-    assert job.state.phase is Phase.DEPLOYED
+    assert job.phase is Phase.DEPLOYED
 
 
 def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
@@ -437,7 +435,7 @@ def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
 ):
     base, _ = new_job(tmp_path, name="base")
     base.bootstrap(two_city_data(10))
-    pre, pre_state = base.kb.fingerprint(), base.state
+    pre, pre_phase = base.kb.fingerprint(), base.phase
     # retrain one task, learn a new one and refit the fallback
     update = city_dataset([(float(i), city, "b") for i in range(10) for city in ("athens", "oslo")])
 
@@ -464,7 +462,7 @@ def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
         # the crashed handle holds what its store holds
         assert crashed_job.kb.fingerprint() == store.fingerprint(), k
         assert crashed_job.kb.kb_version == store.kb_version, k
-        assert crashed_job.state == LifelongJob(majority_config(), store).state, k
+        assert crashed_job.phase == LifelongJob(majority_config(), store).phase, k
         if not crashed:
             assert store.fingerprint() == post
             break
@@ -472,8 +470,8 @@ def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
         assert outcomes[-1] in (pre, post), k
         if outcomes[-1] == pre:
             job = LifelongJob(majority_config(), store)
-            assert job.state == pre_state
-            assert pre_state.phase is Phase.DEPLOYED
+            assert job.phase == pre_phase
+            assert pre_phase is Phase.DEPLOYED
             # a retry overwrites whatever the crashed attempt left behind
             job.run_update_cycle(update)
             assert kb_open(tmp_path / f"k{k}").fingerprint() == post
@@ -515,14 +513,14 @@ def test_manifest_without_job_document_opens_idle(tmp_path):
     reopened = kb_open(tmp_path / "kb")
     assert reopened.fingerprint() == kb.fingerprint()
     job = LifelongJob(majority_config(), reopened)
-    assert job.state == JobState()
+    assert job.phase is Phase.IDLE
     job.run_train(two_city_data(10))
-    assert job.state.phase is Phase.EVALUATING
+    assert job.phase is Phase.EVALUATING
 
 
 def test_manifest_whose_job_document_carries_a_history_opens_unchanged(tmp_path):
     job, kb = new_job(tmp_path)
-    snapshot = job.bootstrap(two_city_data(10))
+    job.bootstrap(two_city_data(10))
     index = tmp_path / "kb" / "index.json"
     manifest = json.loads(index.read_text(encoding="utf-8"))
     manifest["body"]["job"]["history"] = [
@@ -535,9 +533,9 @@ def test_manifest_whose_job_document_carries_a_history_opens_unchanged(tmp_path)
     reopened = kb_open(tmp_path / "kb")
     assert reopened.fingerprint() == kb.fingerprint()
     job = LifelongJob(majority_config(), reopened)
-    assert job.state == JobState(Phase.DEPLOYED, snapshot.snapshot_version)
+    assert job.phase is Phase.DEPLOYED
     job.run_update_cycle(two_city_data(10))
-    assert job.state.phase is Phase.DEPLOYED
+    assert job.phase is Phase.DEPLOYED
 
 
 # -- holdout split -----------------------------------------------------------------------
@@ -597,18 +595,18 @@ def test_stages_reject_a_partition_mined_under_another_bucketing(tmp_path):
     ds = Dataset(banded_schema(), make_samples(
         [((float(i),), ("athens", 10.0 * i), "ab"[i % 2]) for i in range(6)]))
     other = mine_tasks(ds, BucketingConfig((None, (25.0,))))
-    before = job.state, kb.fingerprint()
+    before = job.phase, kb.fingerprint()
     with pytest.raises(SchemaMismatchError, match="another bucketing"):
         job.run_train(other)
-    assert (job.state, kb.fingerprint()) == before
+    assert (job.phase, kb.fingerprint()) == before
 
     job.run_train(mine_tasks(ds, cfg.bucketing))
-    before = job.state, kb.fingerprint()
+    before = job.phase, kb.fingerprint()
     with pytest.raises(SchemaMismatchError, match="another bucketing"):
         job.run_eval(other)
-    assert (job.state, kb.fingerprint()) == before
+    assert (job.phase, kb.fingerprint()) == before
     job.run_eval(ds)
-    assert job.state.phase is Phase.DEPLOYING
+    assert job.phase is Phase.DEPLOYING
 
 
 def test_each_dataset_is_mined_once(tmp_path, monkeypatch, rng):

@@ -111,13 +111,34 @@ def test_flipped_bit_in_model_file_refuses_open(tmp_path):
         kb_open(tmp_path / "kb")
 
 
-@pytest.mark.parametrize("name", ["athens.1.bin", "_fallback.2.bin"])
-def test_missing_model_file_refuses_open_naming_the_file(tmp_path, name):
+@pytest.mark.parametrize("name, fault", [
+    pytest.param(name, fault, id=name if fault == "missing" else f"{name}-{fault}")
+    for fault in ("missing", "no-fields", "unknown-kind")
+    for name in ("athens.1.bin", "_fallback.2.bin")
+])
+def test_missing_model_file_refuses_open_naming_the_file(tmp_path, name, fault):
     kb = kb_open(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback())
-    (tmp_path / "kb" / "models" / name).unlink()
-    with pytest.raises(CorruptStoreError, match=f"missing model file .*{name}"):
+    model_file = tmp_path / "kb" / "models" / name
+    if fault == "missing":
+        model_file.unlink()
+        error = f"missing model file .*{name}"
+    else:  # a payload that does not decode, under valid model and manifest checksums
+        payload = {"format_version": 1}
+        if fault == "unknown-kind":
+            payload = {**json.loads(model_file.read_bytes()), "kind": "bogus"}
+        model_file.write_bytes(canonical_json_bytes(payload))
+        index = tmp_path / "kb" / "index.json"
+        manifest = json.loads(index.read_bytes())
+        body = manifest["body"]
+        entry = body["fallback"] if name.startswith("_fallback") else body["tasks"][0]
+        entry["crc32"] = zlib.crc32(model_file.read_bytes())
+        manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))
+        index.write_bytes(canonical_json_bytes(manifest))
+        error = f"undecodable model file .*{name}: .*" + (
+            "missing" if fault == "no-fields" else "unknown learner kind 'bogus'")
+    with pytest.raises(CorruptStoreError, match=error):
         kb_open(tmp_path / "kb")
 
 
