@@ -86,7 +86,7 @@ class SyntheticSpec:
             if len(task.region_classes) != len(task.thresholds) + 1:
                 raise ConfigError(f"task {i}: needs one class per region")
             for c in task.region_classes:
-                if c not in (self.schema.label_classes or ()):
+                if c not in self.schema.label_classes:
                     raise ConfigError(f"task {i}: class {c!r} not declared in the schema")
             if not (_is_finite_number(task.noise) and 0.0 <= task.noise < 0.5):
                 raise ConfigError(f"task {i}: noise must be in [0, 0.5)")

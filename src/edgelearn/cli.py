@@ -222,9 +222,8 @@ def _cmd_edge(args) -> int:
         except NoModelError as exc:
             rows.append([str(i), "", "no-model", "", "", str(exc)])
             continue
-        label = pred.label if isinstance(pred.label, str) else repr(pred.label)
         rows.append([
-            str(i), label, pred.route,
+            str(i), pred.label, pred.route,
             pred.task_key or "",
             repr(pred.similarity) if pred.similarity is not None else "",
             "",

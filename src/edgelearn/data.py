@@ -3,7 +3,7 @@
 A dataset row carries three things: a numeric feature vector (model input),
 an optional label, and a tuple of task attributes (the situational context
 that later identifies which task the row belongs to). Schemas pin column
-names, the label kind, and per-attribute kinds. All objects here are
+names, the label's class list, and per-attribute kinds. All objects here are
 immutable after construction and safe to share across threads.
 
 A CSV row is parsed by one column plan built from the schema (see
@@ -77,13 +77,13 @@ class AttributeKind:
 class DatasetSchema:
     """Column layout of a dataset.
 
-    ``label_classes`` is the ordered class list for classification, or None
-    for regression. ``attribute_kinds`` is parallel to ``attribute_columns``.
+    ``label_classes`` is the label column's ordered class list: labels are
+    classes only. ``attribute_kinds`` is parallel to ``attribute_columns``.
     """
 
     feature_columns: tuple[str, ...]
     label_column: str
-    label_classes: tuple[str, ...] | None
+    label_classes: tuple[str, ...]
     attribute_columns: tuple[str, ...] = ()
     attribute_kinds: tuple[AttributeKind, ...] = ()
 
@@ -98,17 +98,12 @@ class DatasetSchema:
             seen.add(name)
         if not self.feature_columns:
             raise SchemaError("schema needs at least one feature column")
-        if self.label_classes is not None:
-            if len(self.label_classes) < 2:
-                raise SchemaError(f"class list for {self.label_column!r} needs at least 2 classes")
-            if len(set(self.label_classes)) != len(self.label_classes):
-                raise SchemaError(f"duplicate class in label column {self.label_column!r}")
+        if len(self.label_classes) < 2:
+            raise SchemaError(f"class list for {self.label_column!r} needs at least 2 classes")
+        if len(set(self.label_classes)) != len(self.label_classes):
+            raise SchemaError(f"duplicate class in label column {self.label_column!r}")
         if len(self.attribute_columns) != len(self.attribute_kinds):
             raise SchemaError("attribute_kinds must be parallel to attribute_columns")
-
-    @property
-    def is_classification(self) -> bool:
-        return self.label_classes is not None
 
     @property
     def n_features(self) -> int:
@@ -119,11 +114,8 @@ class DatasetSchema:
         return len(self.attribute_columns)
 
     def fingerprint(self) -> str:
-        """Stable hash over feature columns and label kind (incl. class list)."""
-        if self.label_classes is None:
-            label = "regression"
-        else:
-            label = "classification:" + ",".join(self.label_classes)
+        """Stable hash over feature columns and the label's class list."""
+        label = "classification:" + ",".join(self.label_classes)
         text = "features=" + ",".join(self.feature_columns) + ";label=" + label
         return sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -147,12 +139,8 @@ class DatasetSchema:
             else:
                 if not _is_finite_number(v):
                     raise DataError(f"attribute {col!r} needs a finite number, got {v!r}")
-        if sample.label is not None:
-            if self.is_classification:
-                if sample.label not in self.label_classes:
-                    raise DataError(f"unknown class label {sample.label!r}")
-            elif not _is_finite_number(sample.label):
-                raise DataError(f"regression label {sample.label!r} is not finite")
+        if sample.label is not None and sample.label not in self.label_classes:
+            raise DataError(f"unknown class label {sample.label!r}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +149,7 @@ class Sample:
 
     features: FeatureVector
     attributes: TaskAttrValues = ()
-    label: str | float | None = None
+    label: str | None = None
 
 
 @dataclass(frozen=True)
@@ -252,9 +240,11 @@ def parse_schema(config_text: str) -> DatasetSchema:
     Expected keys::
 
         {"features": [...],
-         "label": {"name": ..., "classes": [...]} | {"name": ..., "kind": "regression"},
+         "label": {"name": ..., "classes": [...]},
          "attributes": [{"name": ..., "kind": "categorical"} |
                         {"name": ..., "kind": "numeric", "edges": [...]}]}
+
+    A job takes classification labels only: a label with a ``kind`` is refused.
     """
     raw = load_object(config_text, "schema config", ("features", "label"), ("attributes",),
                       SchemaError)
@@ -262,22 +252,16 @@ def parse_schema(config_text: str) -> DatasetSchema:
     if not isinstance(features, list):
         raise SchemaError("'features' must be a list of column names")
 
-    label = check_object(raw["label"], "label", ("name",), ("classes", "kind"), SchemaError)
-    label_name = label["name"]
-    if "classes" in label and "kind" in label:
-        raise SchemaError(f"label {label_name!r} declares both 'classes' and kind "
-                          f"{label['kind']!r}: give one")
-    if "classes" in label:
-        classes = label["classes"]
-        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-            raise SchemaError(f"class list for {label_name!r} must be a list of strings")
-        if not classes:
-            raise SchemaError(f"empty class list for label column {label_name!r}")
-        label_classes = tuple(classes)
-    elif label.get("kind") == "regression":
-        label_classes = None
-    else:
-        raise SchemaError(f"label {label_name!r} needs 'classes' or kind 'regression'")
+    label = raw["label"]
+    if isinstance(label, dict) and "kind" in label:
+        raise SchemaError(f"label {label.get('name')!r}: only classification labels (a "
+                          f"'classes' list) are supported, got kind {label['kind']!r}")
+    label = check_object(label, "label", ("name", "classes"), (), SchemaError)
+    label_name, classes = label["name"], label["classes"]
+    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+        raise SchemaError(f"class list for {label_name!r} must be a list of strings")
+    if not classes:
+        raise SchemaError(f"empty class list for label column {label_name!r}")
 
     attr_names: list[str] = []
     attr_kinds: list[AttributeKind] = []
@@ -296,7 +280,7 @@ def parse_schema(config_text: str) -> DatasetSchema:
     return DatasetSchema(
         feature_columns=tuple(features),
         label_column=label_name,
-        label_classes=label_classes,
+        label_classes=tuple(classes),
         attribute_columns=tuple(attr_names),
         attribute_kinds=tuple(attr_kinds),
     )
@@ -304,11 +288,7 @@ def parse_schema(config_text: str) -> DatasetSchema:
 
 def schema_to_json(schema: DatasetSchema) -> str:
     """Inverse of :func:`parse_schema`."""
-    label: dict = {"name": schema.label_column}
-    if schema.is_classification:
-        label["classes"] = list(schema.label_classes)
-    else:
-        label["kind"] = "regression"
+    label = {"name": schema.label_column, "classes": list(schema.label_classes)}
     attrs = []
     for name, kind in zip(schema.attribute_columns, schema.attribute_kinds):
         entry: dict = {"name": name, "kind": kind.kind}
@@ -328,7 +308,7 @@ def _column_plan(schema: DatasetSchema) -> list[tuple[str, type]]:
     header :func:`write_csv` writes and the cells :func:`load_csv` parses."""
     return (
         [(name, float) for name in schema.feature_columns]
-        + [(schema.label_column, str if schema.is_classification else float)]
+        + [(schema.label_column, str)]
         + [(name, str if kind.kind == CATEGORICAL else float)
            for name, kind in zip(schema.attribute_columns, schema.attribute_kinds)]
     )

@@ -49,7 +49,7 @@ class Prediction(NamedTuple):
     tuple, which every request builds and which costs less than a frozen
     dataclass to build."""
 
-    label: str | float
+    label: str
     route: str
     task_key: str | None
     similarity: float | None

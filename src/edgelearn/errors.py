@@ -22,7 +22,7 @@ class ConfigError(EdgeLearnError):
 
 
 class LearnerError(EdgeLearnError):
-    """Invalid estimator spec, unsupported label kind, or bad fit/predict input."""
+    """Invalid estimator spec or bad fit/predict input."""
 
 
 class SerializationError(EdgeLearnError):

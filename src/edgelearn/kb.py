@@ -60,7 +60,7 @@ from .learners import (
     model_to_json,
     serialize_model,
 )
-from .tasks import BucketedAttributes, rank_similar
+from .tasks import BucketedAttributes, rank_similar, task_categories, values_key
 
 STATUS_TRAINED = "trained"
 STATUS_DEPLOYABLE = "deployable"
@@ -133,11 +133,12 @@ def _record_to_json(record: TaskRecord) -> dict:
 def _record_from_json(doc: dict, model: ModelArtifact) -> TaskRecord:
     """Inverse of :func:`_record_to_json`, given the record's model. Checks
     the fields the record's dataclasses do not; ignores other ``stats`` keys."""
-    if not isinstance(doc["key"], str):
-        raise ConfigError(f"task key must be a string, got {doc['key']!r}")
+    attributes = _attrs_from_json(doc["attributes"])
+    if doc["key"] != values_key(attributes.values):  # a string, and the key of its values
+        raise StoreError(f"task key {doc['key']!r} is not the key of values {attributes.values!r}")
     check_int("task version", doc["version"], 1)
     check_int("task sample count", doc["stats"]["count"], 1)
-    return TaskRecord(doc["key"], _attrs_from_json(doc["attributes"]), model,
+    return TaskRecord(doc["key"], attributes, model,
                       doc["stats"]["count"], doc["status"], doc["version"],
                       metrics_from_json(doc["eval"]))
 
@@ -306,17 +307,19 @@ class KnowledgeBase:
             check_int("kb_version", kb.kb_version, 0)
             for entry in body["tasks"]:
                 model_file = (entry["model_file"], entry["crc32"])
-                model = kb._read_model_file(*model_file)
-                kb.records[entry["key"]] = _record_from_json(entry, model)
-                kb._model_files[entry["key"]] = model_file
+                record = _record_from_json(entry, kb._read_model_file(*model_file))
+                first = next(iter(kb.records.values()), record)  # as upsert_task checks
+                task_categories(record.key, record.attributes, first.attributes.bucket_counts)
+                kb.records[record.key] = record
+                kb._model_files[record.key] = model_file
             if body["fallback"] is not None:
                 kb._fallback_file = (body["fallback"]["model_file"], body["fallback"]["crc32"])
                 kb.fallback = kb._read_model_file(*kb._fallback_file)
             kb.job = body.get("job")
         except CorruptStoreError:
             raise  # a missing or corrupt model file names itself
-        except (KeyError, TypeError, ValueError, ConfigError, SchemaError, StoreError,
-                LearnerError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError, SchemaError, SchemaMismatchError,
+                StoreError, LearnerError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: bad body: {exc!r}") from exc
         return kb
 
@@ -426,7 +429,8 @@ class KnowledgeBase:
 
         Re-upserting byte-identical content is a no-op (version unchanged).
         An existing key gets its record version incremented; the superseded
-        model file stays on disk unreferenced.
+        model file stays on disk unreferenced. A record not bucketed as the
+        first task is raises SchemaMismatchError: the store would not open.
         """
         data = serialize_model(record.model)
         existing = self.records.get(record.key)
@@ -442,6 +446,8 @@ class KnowledgeBase:
             version = 1
         with self.transaction():
             self._pin_schema(record.model.schema_fingerprint)
+            first = next(iter(self.records.values()), record)
+            task_categories(record.key, record.attributes, first.attributes.bucket_counts)
             self._model_files[record.key] = self._write_model(
                 _model_file_name(record.key, version), data
             )

@@ -2,10 +2,9 @@
 
 Built-in kinds are ``majority`` (constant most-frequent-class model),
 ``logistic`` (multinomial logistic regression, full-batch gradient descent
-with a monotone-loss safeguard), and ``tree`` (a decision tree grown by one
-split search under two impurities: gini for classification, squared error
-with mean leaves for regression).
-All three are deterministic: fitting the same spec on the same data with
+with a monotone-loss safeguard), and ``tree`` (a decision tree grown by a
+greedy gini split search). All three classify into the schema's classes,
+and all are deterministic: fitting the same spec on the same data with
 the same seed produces byte-identical serialized artifacts.
 
 A learner kind provides ``fit`` and ``predict`` over a JSON-serializable
@@ -19,7 +18,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice
+from itertools import chain, compress, islice
 from operator import ne
 
 from .data import Dataset, FeatureVector, _is_finite_number, _is_int
@@ -108,13 +107,8 @@ class ModelArtifact:
     schema_fingerprint: str
 
     @property
-    def classes(self) -> tuple[str, ...] | None:
-        classes = self.parameters.get("classes")
-        return tuple(classes) if classes is not None else None
-
-    @property
-    def is_classification(self) -> bool:
-        return self.parameters.get("classes") is not None
+    def classes(self) -> tuple[str, ...]:
+        return tuple(self.parameters["classes"])
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,6 @@ class Learner:
     JSON-serializable parameter dict."""
 
     kind: str = ""
-    task_kinds: frozenset = frozenset({"classification"})
     hyperparameter_defaults: dict = {}
 
     def fit(self, spec: EstimatorSpec, train: Dataset, seed: int) -> dict:
@@ -202,7 +195,6 @@ class MajorityLearner(Learner):
     (ties resolve to the lowest class index)."""
 
     kind = "majority"
-    task_kinds = frozenset({"classification"})
     hyperparameter_defaults: dict = {}
 
     def fit(self, spec, train, seed):
@@ -235,7 +227,6 @@ class LogisticLearner(Learner):
     """
 
     kind = "logistic"
-    task_kinds = frozenset({"classification"})
     hyperparameter_defaults = {"learning_rate": 0.1, "epochs": 200, "l2": 0.0}
 
     def fit(self, spec, train, seed):
@@ -363,64 +354,28 @@ class _Gini:
             a = b
 
 
-class _SquaredError:
-    """Regression impurity: summed squared error about the mean, over 1."""
-
-    def leaf(self, ys):
-        return {"kind": "leaf", "mean": sum(ys) / len(ys), "n": len(ys)}
-
-    def pure(self, leaf):
-        return False  # the node's error is a float sum: only the cut scores decide
-
-    def node(self, ys, leaf):
-        return sum((y - leaf["mean"]) ** 2 for y in ys), 1
-
-    def cuts(self, ys, candidates, leaf):
-        n = len(ys)
-        total, total_sq = sum(ys), sum(y ** 2 for y in ys)
-        sums = list(accumulate(ys, initial=0.0))
-        squares = list(accumulate((y * y for y in ys), initial=0.0))
-        for n_left in candidates:
-            left_sum, left_sq = sums[n_left], squares[n_left]
-            n_right = n - n_left
-            right_sum, right_sq = total - left_sum, total_sq - left_sq
-            sse = (left_sq - left_sum * left_sum / n_left) + (
-                right_sq - right_sum * right_sum / n_right
-            )
-            yield n_left, sse, 1
-
-
 class TreeLearner(Learner):
-    """Binary decision tree grown by one greedy split search under two
-    impurities (CART): weighted gini for classification, summed squared
-    error with mean-valued leaves for regression. An impurity supplies the
-    leaf payload (``leaf``), the purity stop (``pure``), the node's score
-    (``node``) and the scores of candidate cuts of labels in sorted order
-    (``cuts``): squared error scores every cut between distinct feature
-    values that leaves ``min_leaf`` rows a side, gini only those at the ends
-    of label runs, as the rest provably cannot win or tie (``_Gini.cuts``).
-    Scores are ``(num, den)`` pairs compared by cross-multiplication: gini's
-    is an exact integer rational, squared error's has ``den = 1``. A cut's
-    threshold is the midpoint of its two values (the upper value where the
-    midpoint rounds to the lower one or overflows); ties resolve to the
-    lowest feature index, then the lowest threshold. A node splits only if
-    its best cut strictly improves on the node's own score.
+    """Binary classification tree grown by a greedy gini split search
+    (CART). ``_Gini`` supplies the leaf payload, the purity stop, the node's
+    score and the scores of the candidate cuts: of the cuts between distinct
+    feature values that leave ``min_leaf`` rows a side, only those at the
+    ends of label runs, as the rest provably cannot win or tie. Scores are
+    exact integer rationals ``(num, den)`` compared by cross-multiplication.
+    A cut's threshold is the midpoint of its two values (the upper value
+    where the midpoint rounds to the lower one or overflows); ties resolve
+    to the lowest feature index, then the lowest threshold. A node splits
+    only if its best cut strictly improves on the node's own score.
     """
 
     kind = "tree"
-    task_kinds = frozenset({"classification", "regression"})
     hyperparameter_defaults = {"max_depth": 4, "min_leaf": 1}
 
     def fit(self, spec, train, seed):
         hp = spec.resolved()
         schema = train.schema
-        if schema.is_classification:
-            class_index = {c: i for i, c in enumerate(schema.label_classes)}
-            ys = [class_index[s.label] for s in train.samples]
-            impurity = _Gini(len(schema.label_classes))
-        else:
-            ys = [float(s.label) for s in train.samples]
-            impurity = _SquaredError()
+        class_index = {c: i for i, c in enumerate(schema.label_classes)}
+        ys = [class_index[s.label] for s in train.samples]
+        impurity = _Gini(len(schema.label_classes))
         columns = [[s.features[j] for s in train.samples] for j in range(schema.n_features)]
         tree = self._grow(
             columns, ys, list(range(len(train))), hp["max_depth"], hp["min_leaf"], impurity
@@ -472,10 +427,7 @@ class TreeLearner(Learner):
         node = params["tree"]
         while node["kind"] == "split":
             node = node["left"] if features[node["feature"]] < node["threshold"] else node["right"]
-        classes = params["classes"]
-        if classes is None:
-            return node["mean"]
-        return classes[node["label_index"]]
+        return params["classes"][node["label_index"]]
 
 
 register_learner(MajorityLearner())
@@ -494,25 +446,19 @@ def fit(spec: EstimatorSpec, train: Dataset, seed: int) -> ModelArtifact:
         raise LearnerError("cannot fit on an empty dataset")
     train.require_labeled()
     schema = train.schema
-    label_kind = "classification" if schema.is_classification else "regression"
-    if label_kind not in learner.task_kinds:
-        raise LearnerError(f"learner kind {spec.kind!r} does not support {label_kind}")
-
     params = learner.fit(spec, train, seed)
     for key in _META_KEYS:
         if key in params:
             raise LearnerError(f"learner parameters may not use reserved key {key!r}")
     params = {
         "n_features": schema.n_features,
-        "classes": list(schema.label_classes) if schema.is_classification else None,
+        "classes": list(schema.label_classes),
         **params,
     }
 
-    histogram: dict = {}
-    if schema.is_classification:
-        histogram = {c: 0 for c in schema.label_classes}
-        for s in train.samples:
-            histogram[s.label] += 1
+    histogram = {c: 0 for c in schema.label_classes}
+    for s in train.samples:
+        histogram[s.label] += 1
     return ModelArtifact(
         spec=spec,
         parameters=params,
@@ -523,7 +469,7 @@ def fit(spec: EstimatorSpec, train: Dataset, seed: int) -> ModelArtifact:
 
 
 def predict(model: ModelArtifact, features: FeatureVector):
-    """Predict one sample. Classification returns a declared class name."""
+    """Predict one sample: a class name the model's schema declares."""
     if len(features) != model.parameters["n_features"]:
         raise DataError(
             f"expected {model.parameters['n_features']} features, got {len(features)}"
@@ -536,8 +482,6 @@ def evaluate(model: ModelArtifact, test: Dataset) -> EvalMetrics:
     if len(test) == 0:
         raise LearnerError("cannot evaluate on an empty dataset")
     test.require_labeled()
-    if not model.is_classification:
-        raise LearnerError("evaluate requires a classification model")
     if test.schema.fingerprint() != model.schema_fingerprint:
         raise SchemaMismatchError("test set schema does not match the model")
     return EvalMetrics.from_pairs(

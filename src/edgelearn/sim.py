@@ -272,11 +272,10 @@ class Simulation:
                 except NoModelError as exc:
                     self._log(edge.name, "no_model", f"i={ordinal} error={exc}")
                     continue
-                label = pred.label if isinstance(pred.label, str) else repr(pred.label)
                 detail = f"i={ordinal} route={pred.route}"
                 if pred.task_key is not None:
                     detail += f" key={pred.task_key}"
-                detail += f" label={label} version={pred.snapshot_version}"
+                detail += f" label={pred.label} version={pred.snapshot_version}"
                 self._log(edge.name, "predict", detail)
             labeled = [s for s in ev.samples if s.label is not None]
             if labeled:

@@ -150,14 +150,34 @@ def rank_similar(
     return [(key, -neg) for neg, key in scored]
 
 
+def task_categories(key: str, attrs: BucketedAttributes,
+                    bucket_counts: tuple[int, ...]) -> tuple[str, ...]:
+    """The categorical values of task *key*, if its *attrs* were bucketed
+    under *bucket_counts*: the same counts, a string in each categorical
+    column and an integer (not a bool) in ``[0, count)`` in each numeric one.
+    Otherwise SchemaMismatchError naming the task."""
+    cats = []
+    for v, count in zip(attrs.values, bucket_counts):
+        if count == 0 and type(v) is str:
+            cats.append(v)
+        elif count == 0 or type(v) is not int or not 0 <= v < count:
+            break
+    else:
+        if attrs.bucket_counts == bucket_counts:
+            return tuple(cats)
+    raise SchemaMismatchError(
+        f"task {key!r} has values {attrs.values!r} under bucket counts "
+        f"{attrs.bucket_counts!r}, expected values bucketed under {bucket_counts!r}")
+
+
 class TaskIndex:
     """Nearest-task lookup over a fixed set of tasks, grouped by their
     categorical values.
 
-    Every task must be bucketed under *bucket_counts* (strings in categorical
-    columns, integers in ``[0, count)`` in numeric ones), or the constructor
-    raises SchemaMismatchError naming the first that is not. Lookups trust
-    the tasks; a query must be bucketed under the same counts.
+    Every task must pass :func:`task_categories` under *bucket_counts*, or
+    the constructor raises SchemaMismatchError naming the first that does
+    not. Lookups trust the tasks; a query must be bucketed under the same
+    counts.
 
     A categorical mismatch scores exactly 0 and every column at most 1, so
     a task whose categorical values differ from the query's in m of n
@@ -171,18 +191,8 @@ class TaskIndex:
     def __init__(self, tasks: dict[str, BucketedAttributes], bucket_counts: tuple[int, ...]):
         self._groups: dict[tuple, list[tuple[str, BucketedAttributes]]] = {}
         for key in sorted(tasks):
-            attrs, cats = tasks[key], []
-            for v, count in zip(attrs.values, bucket_counts):
-                if count == 0 and type(v) is str:
-                    cats.append(v)
-                elif count == 0 or type(v) is not int or not 0 <= v < count:
-                    cats = None
-                    break
-            if cats is None or attrs.bucket_counts != bucket_counts:
-                raise SchemaMismatchError(
-                    f"task {key!r} has values {attrs.values!r} under bucket counts "
-                    f"{attrs.bucket_counts!r}, expected values bucketed under {bucket_counts!r}")
-            self._groups.setdefault(tuple(cats), []).append((key, attrs))
+            cats = task_categories(key, tasks[key], bucket_counts)
+            self._groups.setdefault(cats, []).append((key, tasks[key]))
 
     def nearest(self, query: BucketedAttributes, threshold: float) -> tuple[str, float] | None:
         """(key, similarity) of the most similar task whose similarity is

@@ -11,6 +11,7 @@ from edgelearn.cli import cli_main
 from edgelearn.data import load_csv, parse_schema, write_csv
 from edgelearn.kb import kb_open
 from edgelearn.learners import canonical_json_bytes
+from edgelearn.tasks import values_key
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
@@ -194,6 +195,8 @@ def test_a_job_document_of_an_older_store_opens_and_drops_its_snapshot_version(
     ("version", 1.5), ("version", 0), ("version", "1"), ("version", True),
     ("stats.count", "x"), ("stats.count", 0), ("stats.count", 1.5), ("stats.count", True),
     ("status", "bogus"), ("eval.n", 0), ("key", 5),
+    # attributes an edge would refuse, and a key its values do not give
+    ("values", [5]), ("values", [True]), ("bucket_counts", [2]), ("key", "oslo"),
 ], ids=_case_id)
 def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
@@ -213,6 +216,10 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
         body["kb_version"] = corrupt[1]
     elif corrupt[0] == "stats.count":
         body["tasks"][0]["stats"]["count"] = corrupt[1]
+    elif corrupt[0] in ("values", "bucket_counts"):  # of tokyo, the second record
+        body["tasks"][1]["attributes"][corrupt[0]] = corrupt[1]
+        if corrupt[0] == "values":  # under the key they give, so only their kind is wrong
+            body["tasks"][1]["key"] = values_key(corrupt[1])
     elif corrupt[0] == "eval.n":  # an eval of n samples, fit to pass every other check
         body["tasks"][0]["eval"] = {"accuracy": 0.0, "classes": ["a", "b"],
                                     "counts": [[0, 0], [0, 0]], "n": corrupt[1]}
@@ -230,7 +237,12 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
                      "--data", str(workdir / "test.csv")]) == 2
     err = capsys.readouterr().err
     assert "corrupt store index" in err and "index.json" in err and "Traceback" not in err
-    assert index.read_bytes() == raw
+    assert cli_main(["job", "update", "--kb", str(kb_dir),
+                     "--schema", str(workdir / "schema.json"),
+                     "--config", str(workdir / "job.json"), "--data", str(workdir / "test.csv"),
+                     "--out", str(workdir / "snap.json")]) == 2
+    assert "index.json" in capsys.readouterr().err
+    assert index.read_bytes() == raw and not (workdir / "snap.json").exists()
 
 
 @pytest.mark.parametrize("revision", [1, "7"])
@@ -351,7 +363,7 @@ def test_nonfinite_bucket_edges_are_exit_2(workdir, capsys, edges):
     ("attributes", 5, "'attributes' must be a list"),
     ("label", {"name": ["y"], "classes": ["a", "b"]}, "column name ['y'] is not a string"),
     ("label", {"name": "y", "classes": ["a", "b"], "kind": "regression"},
-     "label 'y' declares both 'classes' and kind 'regression'"),
+     "label 'y': only classification labels (a 'classes' list) are supported"),
 ])
 def test_mistyped_schema_is_schema_error_exit_2(workdir, capsys, section, value, named):
     doc = json.loads(SCHEMA_TEXT)
@@ -365,6 +377,39 @@ def test_mistyped_schema_is_schema_error_exit_2(workdir, capsys, section, value,
     err = capsys.readouterr().err
     assert named in err
     assert not (workdir / "kb" / "index.json").exists()
+
+
+def test_a_regression_label_is_refused_before_any_commit(workdir, capsys):
+    # evaluate scores classes only: a regression label could train, but never pass a gate
+    doc = json.loads(SCHEMA_TEXT)
+    doc["label"] = {"name": "y", "kind": "regression"}
+    (workdir / "schema.json").write_text(json.dumps(doc), encoding="utf-8")
+    (workdir / "train.csv").write_text("x,y,city\n" + "".join(
+        f"{i},{i / 10},{city}\n" for city in ("athens", "tokyo") for i in range(50)),
+        encoding="utf-8")
+    (workdir / "sim.json").write_text(json.dumps({
+        "edges": 1, "max_ticks": 2, "schema": "schema.json", "job": "job.json",
+        "initial_data": "train.csv",
+    }), encoding="utf-8")
+    kb_dir = workdir / "kb"
+    configs = ["--schema", str(workdir / "schema.json"), "--config", str(workdir / "job.json")]
+    assert cli_main(["kb", "init", "--kb", str(kb_dir)]) == 0
+    for argv in (
+        ["job", "train", "--kb", str(kb_dir), *configs, "--data", str(workdir / "train.csv")],
+        ["bench", "run", *configs, "--train", str(workdir / "train.csv"),
+         "--test", str(workdir / "train.csv"), "--out-dir", str(workdir / "reports")],
+        ["sim", "run", "--config", str(workdir / "sim.json"), "--kb", str(workdir / "simkb"),
+         "--out-dir", str(workdir / "simout")],
+    ):
+        capsys.readouterr()
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "label 'y': only classification labels" in err and "Traceback" not in err
+    assert not any((kb_dir / "models").iterdir())
+    assert not any((workdir / name).exists() for name in ("reports", "simkb", "simout"))
+    assert cli_main(["kb", "show", "--kb", str(kb_dir), "--json"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert (shown["kb_version"], shown["job_phase"], shown["tasks"]) == (0, "Idle", [])
 
 
 SPEC = {
@@ -606,6 +651,35 @@ BANDED_SCHEMA_TEXT = """
  "attributes": [{"name": "city", "kind": "categorical"},
                 {"name": "band", "kind": "numeric", "edges": [10.0, 20.0, 30.0]}]}
 """
+
+
+def test_a_train_under_another_bucket_count_is_refused_exit_2(tmp_path, capsys):
+    # a store has one bucketing: a task bucketed otherwise would leave it unopenable
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(BANDED_SCHEMA_TEXT, encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("x,y,city,band\n" + "".join(
+        f"{i},{'ab'[i % 2]},athens,{band}\n" for i in range(8) for band in (5.0, 35.0)),
+        encoding="utf-8")
+    kb_dir, config = tmp_path / "kb", tmp_path / "job.json"
+    base = ["--kb", str(kb_dir), "--schema", str(schema_path), "--config", str(config)]
+    config.write_text(JOB_TEXT.replace(
+        '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0]}'), encoding="utf-8")
+    assert cli_main(["job", "train", *base, "--data", str(data)]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(data)]) == 0
+    assert cli_main(["job", "deploy", *base, "--out", str(tmp_path / "snap.json")]) == 0
+    raw, models = (kb_dir / "index.json").read_bytes(), sorted((kb_dir / "models").iterdir())
+    config.write_text(JOB_TEXT.replace(
+        '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0, 30.0]}'), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["job", "train", *base, "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "task 'athens|0'" in err and "under (0, 3)" in err and "Traceback" not in err
+    assert (kb_dir / "index.json").read_bytes() == raw
+    assert sorted((kb_dir / "models").iterdir()) == models
+    assert cli_main(["kb", "show", "--kb", str(kb_dir), "--json"]) == 0
+    assert [t["key"] for t in json.loads(capsys.readouterr().out)["tasks"]] == [
+        "athens|0", "athens|2"]
 
 
 @pytest.mark.parametrize("fault, task", [

@@ -42,7 +42,6 @@ def test_parse_schema_thermal_case():
     assert schema.feature_columns == ("temp", "humidity")
     assert schema.label_classes == ("cooler", "nochange", "warmer")
     assert schema.attribute_columns == ("city",)
-    assert schema.is_classification
 
 
 def test_parse_schema_zero_attributes_is_valid():
@@ -71,7 +70,8 @@ def test_parse_schema_empty_class_list_rejected():
 def test_parse_schema_label_with_classes_and_a_kind_rejected(kind):
     text = ('{"features": ["x"], "label": {"name": "y", "classes": ["a", "b"], '
             f'"kind": "{kind}"}}}}')
-    with pytest.raises(SchemaError, match=f"label 'y' declares both 'classes' and kind '{kind}'"):
+    with pytest.raises(SchemaError, match=f"label 'y': only classification labels .* "
+                                          f"supported, got kind '{kind}'"):
         parse_schema(text)
 
 
@@ -85,8 +85,9 @@ def test_parse_schema_non_increasing_edges_rejected():
 
 
 def test_parse_schema_regression():
-    schema = parse_schema('{"features": ["x"], "label": {"name": "y", "kind": "regression"}}')
-    assert not schema.is_classification
+    with pytest.raises(SchemaError, match=r"label 'y': only classification labels \(a "
+                                          r"'classes' list\) are supported"):
+        parse_schema('{"features": ["x"], "label": {"name": "y", "kind": "regression"}}')
 
 
 def test_schema_json_round_trip():
@@ -262,15 +263,16 @@ def test_load_csv_empty_categorical_reports_row(tmp_path):
         load_csv(path, city_schema())
 
 
-REGRESSION_SCHEMA = '{"features": ["x"], "label": {"name": "y", "kind": "regression"}}'
+# no attributes, and class names that read as numbers: a label cell stays a string
+LABEL_ONLY_SCHEMA = '{"features": ["x"], "label": {"name": "y", "classes": ["-2.5", "2.5"]}}'
 
 
-@pytest.mark.parametrize("regression, text, expected", [
+@pytest.mark.parametrize("label_only, text, expected", [
     (False, "", "{path}: empty file, header row required"),
     (False, "x\n1.0\n", "{path}: missing column 'y'"),  # the first missing one in plan order
     (False, "x,y,city\n1.0,a,athens\n2.0,b\n", "{path}: row 2: too few cells"),
     (False, "x,y,city\nfoo,a\n", "{path}: row 1: unparseable numeric cell 'foo' in 'x'"),
-    (True, "x,y\n1.0,hot\n", "{path}: row 1: unparseable numeric cell 'hot' in 'y'"),
+    (True, "x,y\n1.0,hot\n", "{path}: row 1: unknown class label 'hot'"),
     (False, "x,y,city\n,a,athens\n", "{path}: row 1: unparseable numeric cell '' in 'x'"),
     (False, "x,y,city\n1.0,a,athens\n\n2.0,b,tokyo\n", "{path}: row 2: too few cells"),
     (False, "x,y,city\n1.0,zzz,\n", "{path}: row 1: attribute 'city' needs a non-empty string, "
@@ -278,11 +280,11 @@ REGRESSION_SCHEMA = '{"features": ["x"], "label": {"name": "y", "kind": "regress
     (False, "x,y,city,x\n1.0,a,athens,zz\n", [((1.0,), ("athens",), "a")]),  # first x wins
     (False, "x,y,city,x\nzz,a,athens,1.0\n",
      "{path}: row 1: unparseable numeric cell 'zz' in 'x'"),
-    (True, "y,x\n,1.5\n-2.5,2\n", [((1.5,), (), None), ((2.0,), (), -2.5)]),
+    (True, "y,x\n,1.5\n-2.5,2\n", [((1.5,), (), None), ((2.0,), (), "-2.5")]),
 ])
-def test_load_csv_case_table(tmp_path, regression, text, expected):
+def test_load_csv_case_table(tmp_path, label_only, text, expected):
     path = _write(tmp_path, text)
-    schema = parse_schema(REGRESSION_SCHEMA) if regression else city_schema()
+    schema = parse_schema(LABEL_ONLY_SCHEMA) if label_only else city_schema()
     if isinstance(expected, str):
         with pytest.raises(DataError) as err:
             load_csv(path, schema)
@@ -303,14 +305,6 @@ def test_csv_round_trip_exact(tmp_path, rng):
         make_samples([((x,), (c,), y) for x, c, y in rows]),
     )
     path = tmp_path / "rt.csv"
-    write_csv(ds, path)
-    assert load_csv(path, schema) == ds
-
-
-def test_csv_round_trip_regression(tmp_path):
-    schema = parse_schema(REGRESSION_SCHEMA)
-    ds = Dataset(schema, make_samples([((1.5,), (), 2.25), ((2.0,), (), None)]))
-    path = tmp_path / "r.csv"
     write_csv(ds, path)
     assert load_csv(path, schema) == ds
 

@@ -397,7 +397,6 @@ class _FailsOnLabelB(Learner):
     """Test-only plugin: raises while fitting any task that has a "b" label."""
 
     kind = "fails-on-b"
-    task_kinds = frozenset({"classification"})
     hyperparameter_defaults: dict = {}
 
     def fit(self, spec, train, seed):
@@ -638,7 +637,6 @@ class _FirstLabelLearner(Learner):
     """Test-only plugin: predicts the first label it saw during fit."""
 
     kind = "first-label"
-    task_kinds = frozenset({"classification"})
     hyperparameter_defaults: dict = {}
 
     def fit(self, spec, train, seed):

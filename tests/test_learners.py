@@ -25,7 +25,7 @@ from edgelearn.learners import (
     predict,
     serialize_model,
 )
-from edgelearn.learners import _Gini, _SquaredError
+from edgelearn.learners import _Gini
 
 from conftest import city_dataset, city_schema, make_samples
 
@@ -68,37 +68,6 @@ def exhaustive_best_gini_split(dataset, min_leaf=1):
     if best is None or best[2] >= parent:
         return None
     return best
-
-
-def exact_sse(rows):
-    """Summed squared error of the rows' labels about their mean, exactly."""
-    ys = [Fraction(s.label) for s in rows]
-    mean = sum(ys) / len(ys)
-    return sum((y - mean) ** 2 for y in ys)
-
-
-def exhaustive_sse_cuts(dataset, min_leaf=1):
-    """Independent exhaustive search over every (feature, midpoint) split of
-    a regression set, with exact Fraction arithmetic on the label values.
-    Returns (node_sse, best) where best is (feature, threshold, sse) of the
-    lowest summed squared error over both sides, or None when no split
-    leaves min_leaf rows on each side; ties resolve to lowest feature, then
-    lowest threshold. Whether best improves on the node is left to callers.
-    """
-    samples = dataset.samples
-    best = None
-    for j in range(dataset.schema.n_features):
-        values = sorted({s.features[j] for s in samples})
-        for v1, v2 in zip(values, values[1:]):
-            threshold = (v1 + v2) / 2.0
-            left = [s for s in samples if s.features[j] < threshold]
-            right = [s for s in samples if s.features[j] >= threshold]
-            if len(left) < min_leaf or len(right) < min_leaf:
-                continue
-            score = exact_sse(left) + exact_sse(right)
-            if best is None or score < best[2]:
-                best = (j, threshold, score)
-    return exact_sse(samples), best
 
 
 def collect_nodes(node, rows, depth, nodes):
@@ -311,98 +280,31 @@ def test_gini_cuts_score_at_most_one_more_cut_than_label_runs():
         assert len(scored) <= runs + 1
 
 
-def test_squared_error_cuts_score_every_candidate():
-    rng = random.Random(6)
-    for trial in range(50):
-        ys = [float(y) for y in _sorted_column(rng, rng.randint(1, 30), 3)]
-        candidates = sorted(rng.sample(range(1, len(ys)), rng.randint(0, len(ys) - 1)))
-        impurity = _SquaredError()
-        scored = [n_left for n_left, _, _ in impurity.cuts(ys, candidates, impurity.leaf(ys))]
-        assert scored == candidates
-
-
-def test_tree_regression_mean_leaf():
-    schema = parse_schema('{"features": ["x"], "label": {"name": "y", "kind": "regression"}}')
-    ds = Dataset(schema, make_samples(
-        [((float(i),), (), 1.0 + (i >= 5) * 10.0) for i in range(10)]
-    ))
-    model = fit(EstimatorSpec("tree", {"max_depth": 2}), ds, seed=0)
-    assert predict(model, (0.0,)) == pytest.approx(1.0)
-    assert predict(model, (9.0,)) == pytest.approx(11.0)
-    with pytest.raises(LearnerError):
-        evaluate(model, ds)
-
-
-def test_tree_every_regression_split_matches_exhaustive_sse_corpus():
-    rng = random.Random(57)
-    schema = parse_schema(
-        '{"features": ["f0", "f1"], "label": {"name": "y", "kind": "regression"}}'
-    )
-    splits = leaves_checked = 0
-    for trial in range(60):
-        grid = rng.choice([0.5, 1.0, 5.0, None])
-        step = rng.random() < 0.3  # piecewise-constant labels: pure nodes occur
-        rows = []
-        for _ in range(rng.randint(2, 50)):
-            x = [rng.uniform(0, 10) for _ in range(2)]
-            if grid:
-                x = [round(v / grid) * grid for v in x]
-            y = 3.0 * (x[0] > 5) + (x[1] > 2) if step else rng.gauss(3.0 * (x[0] > 5) + x[1], 1.0)
-            rows.append((tuple(x), (), round(y, 1) if rng.random() < 0.3 else y))
-        ds = Dataset(schema, make_samples(rows))
-        max_depth, min_leaf = rng.randint(1, 4), rng.choice([1, 2, 5])
-        model = fit(EstimatorSpec("tree", {"max_depth": max_depth, "min_leaf": min_leaf}), ds, 0)
-
-        nodes = []
-        collect_nodes(model.parameters["tree"], list(ds.samples), max_depth, nodes)
-        for rows_at_node, node, depth in nodes:
-            node_sse, best = exhaustive_sse_cuts(Dataset(schema, tuple(rows_at_node)), min_leaf)
-            tolerance = Fraction(1e-9) * node_sse
-            if node["kind"] == "split":
-                splits += 1
-                j, t = node["feature"], node["threshold"]
-                left = [s for s in rows_at_node if s.features[j] < t]
-                right = [s for s in rows_at_node if s.features[j] >= t]
-                assert best is not None and len(left) >= min_leaf and len(right) >= min_leaf
-                assert exact_sse(left) + exact_sse(right) - best[2] <= tolerance
-            elif depth > 0 and len(rows_at_node) >= 2 * min_leaf:
-                leaves_checked += 1
-                assert best is None or best[2] >= node_sse - tolerance
-    assert splits > 50 and leaves_checked > 20, (splits, leaves_checked)
-
-
-# The sha256 of the serialized models of a fixed corpus of both tree kinds:
-# any change to a split, a threshold or a leaf changes it.
-TREE_CORPUS_SHA256 = "983f2c381ae71bd48a7577b52e52a1574035e2769476734942d88a5677cf8a1b"
+# The sha256 of the serialized models of a fixed corpus of classification
+# trees: any change to a split, a threshold or a leaf changes it.
+TREE_CORPUS_SHA256 = "aa8aec866065887d1cb724dbfb3fde0f14c78a703d8da41f78787ee82daa216f"
 
 
 def test_tree_corpus_bytes_are_pinned():
-    rng = random.Random(2024)
+    rng = random.Random(2026)
     digest = hashlib.sha256()
-    for trial in range(160):
-        regression = trial % 2 == 1
+    for trial in range(80):
         n_features = rng.choice([1, 2, 3])
         names = ", ".join(f'"f{j}"' for j in range(n_features))
-        label = ('{"name": "y", "kind": "regression"}' if regression
-                 else '{"name": "y", "classes": ["a", "b", "c"]}')
-        schema = parse_schema('{"features": [%s], "label": %s}' % (names, label))
+        schema = parse_schema('{"features": [%s], "label": {"name": "y", "classes": '
+                              '["a", "b", "c"]}}' % names)
         grid = rng.choice([0.5, 1.0, 2.5])  # coarse grids, so feature values tie
         rows = []
         for _ in range(rng.randint(2, 60)):
             x = tuple(round(rng.uniform(0, 10) / grid) * grid for _ in range(n_features))
-            if regression:
-                y = rng.gauss(x[0], 1.0) + (1e6 if rng.random() < 0.05 else 0.0)
-            else:
-                y = rng.choice("abc"[: rng.choice([1, 2, 3])])
-            rows.append((x, (), y))
+            rows.append((x, (), rng.choice("abc"[: rng.choice([1, 2, 3])])))
         hp = {"max_depth": rng.randint(1, 6), "min_leaf": rng.choice([1, 2, 5])}
         model = fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
         digest.update(serialize_model(model))
     assert digest.hexdigest() == TREE_CORPUS_SHA256
 
 
-@pytest.mark.parametrize("label", ['{"name": "y", "classes": ["a", "b"]}',
-                                   '{"name": "y", "kind": "regression"}'])
+@pytest.mark.parametrize("label", ['{"name": "y", "classes": ["a", "b"]}'])
 @pytest.mark.parametrize("x1, x2", [
     (1.0, math.nextafter(1.0, 2.0)),    # the midpoint rounds down to x1
     (-1.0, math.nextafter(-1.0, 0.0)),  # the same below zero
@@ -411,14 +313,14 @@ def test_tree_corpus_bytes_are_pinned():
 ])
 def test_tree_splits_between_adjacent_and_huge_values(label, x1, x2):
     schema = parse_schema('{"features": ["x"], "label": %s}' % label)
-    ys = ("a", "b") if schema.is_classification else (0.0, 1.0)
+    ys = ("a", "b")
     ds = Dataset(schema, make_samples([((x1,), (), ys[0]), ((x2,), (), ys[1])]))
     model = fit(EstimatorSpec("tree"), ds, seed=0)
     root = model.parameters["tree"]
     assert root["kind"] == "split" and x1 < root["threshold"] <= x2
     for child in (root["left"], root["right"]):
         assert child["kind"] == "leaf"
-        assert child.get("n", sum(child.get("counts", ()))) == 1
+        assert sum(child["counts"]) == 1
     assert (predict(model, (x1,)), predict(model, (x2,))) == ys
     assert deserialize_model(serialize_model(model)) == model
 
@@ -438,13 +340,6 @@ def test_fit_rejects_empty_and_unlabeled():
         fit(EstimatorSpec("majority"), Dataset(city_schema(), ()), 0)
     ds = Dataset(city_schema(), make_samples([((1.0,), ("c",), None)]))
     with pytest.raises(DataError, match="no label"):
-        fit(EstimatorSpec("majority"), ds, 0)
-
-
-def test_fit_rejects_label_kind_mismatch():
-    schema = parse_schema('{"features": ["x"], "label": {"name": "y", "kind": "regression"}}')
-    ds = Dataset(schema, make_samples([((1.0,), (), 2.0)]))
-    with pytest.raises(LearnerError, match="does not support regression"):
         fit(EstimatorSpec("majority"), ds, 0)
 
 
