@@ -1,22 +1,23 @@
 """Edge-side runtime: task allocation against the deployed snapshot,
 unknown-task detection, unseen-sample buffering, retrain triggering.
 
-Inference never talks to the cloud. A sample whose bucketed attribute key
-exists in the active snapshot routes to that task's model; a request so
-routed computes its bucketed values, their key and the prediction, nothing
-more. Otherwise it is an unknown task and falls back to (a) the most
-similar snapshot task at or above the similarity threshold, else (b) the
-global fallback model.
-Applying a snapshot checks its tasks against the edge's bucketing and builds
-a :class:`~edgelearn.tasks.TaskIndex` over them once, so finding (a) scores
-only the tasks that can reach the threshold (those sharing the sample's
-categorical values, at the default threshold) instead of every snapshot
-task. Unknown samples are buffered for upload; labeled feedback
-accumulates until the trigger policy fires a retrain request.
+Inference never talks to the cloud. A sample whose bucketed attribute
+values are a task's in the active snapshot routes to that task's model; a
+request so routed computes its bucketed values, one dict probe on them and
+the prediction, nothing more. Otherwise it is an unknown task and falls
+back to (a) the most similar snapshot task at or above the similarity
+threshold, else (b) the global fallback model.
+Applying a snapshot checks each task's bucketing and key, maps its values to
+its key and entry, and builds a :class:`~edgelearn.tasks.TaskIndex` at the
+edge's threshold, so finding (a) scores only the tasks that can reach it
+(those sharing the sample's categorical values, at the default threshold)
+instead of every snapshot task. Unknown samples are buffered for upload;
+labeled feedback accumulates until the trigger policy fires a retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
-buffer drains, and snapshot swaps never observe partial state. Snapshots
-and their indexes are immutable, so routing and prediction run outside it.
+buffer drains, and snapshot swaps never observe partial state. Snapshots,
+their value tables and their indexes are immutable, so routing and
+prediction run outside it.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from typing import NamedTuple
 from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number, check_int
 from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
-from .kb import DeploySnapshot
+from .kb import DeploySnapshot, SnapshotEntry
 from .learners import predict
-from .tasks import (BucketedAttributes, BucketingConfig, TaskIndex, bucket_attributes,
-                    bucket_values, task_key, values_key)
+from .tasks import (BucketingConfig, TaskIndex, bucket_attributes, bucket_values, task_key,
+                    values_key)
 
 ROUTE_KNOWN = "known"
 ROUTE_SIMILAR = "similar"
@@ -96,10 +97,11 @@ class EdgeRuntime:
         self.bucketing = bucketing
         self._n_features = schema.n_features
         self._bucket_counts = bucketing.bucket_counts
-        self.similarity_threshold = similarity_threshold
+        self.similarity_threshold = similarity_threshold  # fixed: each index is built at it
         self.unseen_cap = unseen_cap
         self.active: DeploySnapshot | None = None
         self._index: TaskIndex | None = None  # over self.active's tasks
+        self._known: dict[tuple, tuple[str, SnapshotEntry]] = {}  # values -> key, entry
         self._unseen: deque[Sample] = deque(maxlen=unseen_cap)
         self._feedback: list[Sample] = []
         self.counters = {
@@ -117,8 +119,9 @@ class EdgeRuntime:
     def apply_snapshot(self, snapshot: DeploySnapshot) -> str:
         """Swap in a newer snapshot atomically. Returns "applied" or
         "rejected-stale" (strictly newer versions only). A snapshot holding a
-        model of another schema, or a task not bucketed as this edge buckets,
-        raises SchemaMismatchError and is not applied; routing trusts what passes."""
+        model of another schema, or a task not bucketed as this edge buckets
+        or not keyed by its values, raises SchemaMismatchError and is not
+        applied; routing trusts what passes."""
         fallback = () if snapshot.fallback is None else (snapshot.fallback,)
         for model in (*(entry.model for entry in snapshot.tasks.values()), *fallback):
             if model.schema_fingerprint != self._schema_fingerprint:
@@ -126,9 +129,11 @@ class EdgeRuntime:
                     f"snapshot v{snapshot.snapshot_version} holds a model of schema "
                     f"{model.schema_fingerprint}; this edge serves {self._schema_fingerprint}"
                 )
-        try:
-            index = TaskIndex({key: entry.attributes for key, entry in snapshot.tasks.items()},
-                              self._bucket_counts)
+        known, attributes = {}, {}  # values -> (key, entry); key -> attributes
+        for key, entry in snapshot.tasks.items():
+            known[entry.attributes.values], attributes[key] = (key, entry), entry.attributes
+        try:  # TaskIndex checks each key is its values' key: no two tasks share a values entry
+            index = TaskIndex(attributes, self._bucket_counts, self.similarity_threshold)
         except SchemaMismatchError as exc:
             raise SchemaMismatchError(f"snapshot v{snapshot.snapshot_version} was not "
                                       f"bucketed as this edge buckets: {exc}") from None
@@ -138,7 +143,7 @@ class EdgeRuntime:
                 and snapshot.snapshot_version <= self.active.snapshot_version
             ):
                 return "rejected-stale"
-            self.active, self._index = snapshot, index
+            self.active, self._index, self._known = snapshot, index, known
             return "applied"
 
     @property
@@ -151,6 +156,8 @@ class EdgeRuntime:
     def infer(self, sample: Sample) -> Prediction:
         """Predict one sample against the active snapshot (label ignored).
 
+        A known task is found by one dict probe on the sample's bucketed
+        values; no key string is built but for a NoModelError message.
         Unknown-task samples are buffered for upload; if neither a similar
         task nor a fallback model exists, raises NoModelError (counted).
         """
@@ -159,15 +166,14 @@ class EdgeRuntime:
                 f"expected {self._n_features} features, got {len(sample.features)}"
             )
         values = bucket_values(sample.attributes, self.bucketing)
-        key = values_key(values)
         with self._lock:
             self.counters["inferences"] += 1
-            snapshot, index = self.active, self._index
+            snapshot, index, known = self.active, self._index, self._known
             if snapshot is None:
                 self.counters["no_model_errors"] += 1
                 raise NoModelError("no snapshot applied yet")
-            entry = snapshot.tasks.get(key)
-            if entry is not None:
+            hit = known.get(values)
+            if hit is not None:
                 self.counters["known_hits"] += 1
             else:  # unknown task: buffer for upload
                 self.counters["unknown_hits"] += 1
@@ -175,23 +181,22 @@ class EdgeRuntime:
                     self.counters["unseen_dropped"] += 1
                 self._unseen.append(sample)
 
-        # snapshot and index are immutable: predict and route outside the lock
-        if entry is not None:
+        # snapshot, index and known are immutable: predict and route outside the lock
+        if hit is not None:
+            key, entry = hit
             return Prediction(predict(entry.model, sample.features), ROUTE_KNOWN, key, None,
                               snapshot.snapshot_version)
-        bucketed = BucketedAttributes(values, self._bucket_counts)
-        if (nearest := index.nearest(bucketed, self.similarity_threshold)) is not None:
+        if (nearest := index.nearest(values)) is not None:
             task, sim = nearest
             model, route = snapshot.tasks[task].model, ROUTE_SIMILAR
         elif snapshot.fallback is not None:
             model, route, task, sim = snapshot.fallback, ROUTE_FALLBACK, None, None
         else:
-            nearest = index.nearest(bucketed, 0.0)
-            best_sim = nearest[1] if nearest is not None else 0.0
+            best_sim = index.best_similarity(values)
             with self._lock:
                 self.counters["no_model_errors"] += 1
             raise NoModelError(
-                f"no model for unknown task {key!r}: best similarity {best_sim} "
+                f"no model for unknown task {values_key(values)!r}: best similarity {best_sim} "
                 f"below threshold {self.similarity_threshold} and no fallback"
             )
         return Prediction(

@@ -92,6 +92,8 @@ class TrainingSummary:
     class_histogram: dict
 
     def __post_init__(self):
+        if not isinstance(self.class_histogram, dict):
+            raise LearnerError(f"class histogram {self.class_histogram!r} is not an object")
         if self.class_histogram and sum(self.class_histogram.values()) != self.count:
             raise LearnerError("class histogram does not sum to the sample count")
 

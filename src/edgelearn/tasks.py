@@ -171,60 +171,79 @@ def task_categories(key: str, attrs: BucketedAttributes,
 
 
 class TaskIndex:
-    """Nearest-task lookup over a fixed set of tasks, grouped by their
-    categorical values.
+    """Nearest-task lookup over a fixed set of tasks at one similarity
+    threshold, grouped by their categorical values.
 
-    Every task must pass :func:`task_categories` under *bucket_counts*, or
-    the constructor raises SchemaMismatchError naming the first that does
-    not. Lookups trust the tasks; a query must be bucketed under the same
-    counts.
+    Every task must pass :func:`task_categories` under *bucket_counts* and
+    be keyed by :func:`values_key` of its values, or the constructor raises
+    SchemaMismatchError naming the first that does not. Lookups trust the
+    tasks; a query must be bucketed under the same counts.
 
     A categorical mismatch scores exactly 0 and every column at most 1, so
     a task whose categorical values differ from the query's in m of n
     columns scores at most ``(n-m)/n`` (exactly so in floats: rounded
-    addition and division are monotone). A lookup scores, with
-    :func:`task_similarity` and in key order, only the groups whose bound
-    reaches the threshold; with the query's own group alone that is one
-    dict probe. Results equal a scan of every task in key order.
+    addition and division are monotone). The constructor works out once the
+    most mismatches (the reach) that can still meet *threshold*; a lookup
+    scores, with :func:`task_similarity` and in key order, only the groups
+    within reach; with the query's own group alone that is one dict probe.
+    Results equal a scan of every task in key order. Nothing in an index
+    changes after it is built.
     """
 
-    def __init__(self, tasks: dict[str, BucketedAttributes], bucket_counts: tuple[int, ...]):
-        self._groups: dict[tuple, list[tuple[str, BucketedAttributes]]] = {}
-        for key in sorted(tasks):
-            cats = task_categories(key, tasks[key], bucket_counts)
-            self._groups.setdefault(cats, []).append((key, tasks[key]))
-
-    def nearest(self, query: BucketedAttributes, threshold: float) -> tuple[str, float] | None:
-        """(key, similarity) of the most similar task whose similarity is
-        above 0 and at least *threshold*, ties to the smaller key; None if
-        no task is."""
-        cats = tuple(v for v, count in zip(query.values, query.bucket_counts) if count == 0)
-        n = len(query.values)
-        reach = -1  # most categorical mismatches a qualifying task can have
-        for m in range(len(cats) + 1):
+    def __init__(self, tasks: dict[str, BucketedAttributes], bucket_counts: tuple[int, ...],
+                 threshold: float):
+        self._bucket_counts = bucket_counts
+        self._categorical = tuple(i for i, count in enumerate(bucket_counts) if count == 0)
+        self._threshold = threshold
+        n = len(bucket_counts)
+        self._reach = -1  # most categorical mismatches a qualifying task can have
+        for m in range(len(self._categorical) + 1):
             bound = (n - m) / n if n else 1.0
             if not (bound > 0.0 and bound >= threshold):
                 break
-            reach = m
-        if reach < 0:
+            self._reach = m
+        self._groups: dict[tuple, list[tuple[str, BucketedAttributes]]] = {}
+        for key in sorted(tasks):
+            cats = task_categories(key, tasks[key], bucket_counts)
+            if key != values_key(tasks[key].values):
+                raise SchemaMismatchError(f"task {key!r} has values {tasks[key].values!r}, "
+                                          f"whose key is {values_key(tasks[key].values)!r}")
+            self._groups.setdefault(cats, []).append((key, tasks[key]))
+
+    def nearest(self, values: tuple[str | int, ...]) -> tuple[str, float] | None:
+        """(key, similarity) of the most similar task to the bucketed
+        *values* whose similarity is above 0 and at least the threshold,
+        ties to the smaller key; None if no task is."""
+        if self._reach < 0:
             return None
-        if reach == 0:
-            members = self._groups.get(cats, ())
+        cats = tuple([values[i] for i in self._categorical])
+        if self._reach == 0:
+            members = self._groups.get(cats)
         else:
             members = sorted(
                 member
                 for group, group_members in self._groups.items()
-                if sum(a != b for a, b in zip(cats, group)) <= reach
+                if sum(a != b for a, b in zip(cats, group)) <= self._reach
                 for member in group_members
             )
+        if not members:
+            return None
+        query = BucketedAttributes(values, self._bucket_counts)
         best_key, best_sim = None, 0.0
         for key, attrs in members:
             sim = task_similarity(query, attrs)
             if sim > best_sim:
                 best_key, best_sim = key, sim
-        if best_key is not None and best_sim >= threshold:
+        if best_key is not None and best_sim >= self._threshold:
             return best_key, best_sim
         return None
+
+    def best_similarity(self, values: tuple[str | int, ...]) -> float:
+        """The highest similarity of any task to the bucketed *values*, 0.0
+        with no tasks: what an error message reports, not a route."""
+        query = BucketedAttributes(values, self._bucket_counts)
+        return max((task_similarity(query, attrs)
+                    for members in self._groups.values() for _, attrs in members), default=0.0)
 
 
 @dataclass(frozen=True)

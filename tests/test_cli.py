@@ -724,6 +724,22 @@ def test_edge_refuses_a_snapshot_not_bucketed_as_it_buckets_exit_2(
     assert not out.exists()
 
 
+def test_edge_refuses_a_snapshot_whose_key_is_not_its_values_key_exit_2(workdir, capsys):
+    base = _deployed(workdir)
+    snap = workdir / "snap.json"
+    doc = json.loads(snap.read_bytes())
+    doc["tasks"]["athens"]["attributes"]["values"] = ["tokyo"]  # tokyo's values under athens
+    snap.write_bytes(canonical_json_bytes(doc))
+    capsys.readouterr()
+    out = workdir / "preds.csv"
+    assert cli_main(["edge", "infer", "--snapshot", str(snap), *base[2:],
+                     "--data", str(workdir / "test.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "snapshot v5" in err and "task 'athens' has values ('tokyo',)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stored", ["manifest", "snapshot"])
 def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
     base = _deployed(workdir)
@@ -740,6 +756,44 @@ def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
     assert code == 2
     err = capsys.readouterr().err
     assert "format 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("histogram", [[8], "ab", 5])
+@pytest.mark.parametrize("stored", ["store", "snapshot"])
+def test_a_model_whose_class_histogram_is_not_an_object_is_exit_2(
+        workdir, capsys, stored, histogram):
+    base = _deployed(workdir)
+    index, snap = workdir / "kb" / "index.json", workdir / "snap.json"
+    if stored == "store":  # rewrite one model file under valid model and manifest checksums
+        manifest = json.loads(index.read_bytes())
+        entry = manifest["body"]["tasks"][0]
+        path = workdir / "kb" / "models" / entry["model_file"]
+        payload = json.loads(path.read_bytes())
+        payload["trained_on"]["class_histogram"] = histogram
+        path.write_bytes(canonical_json_bytes(payload))
+        entry["crc32"] = zlib.crc32(path.read_bytes())
+        manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
+        index.write_bytes(canonical_json_bytes(manifest))
+    else:
+        doc = json.loads(snap.read_bytes())
+        doc["tasks"]["athens"]["model"]["trained_on"]["class_histogram"] = histogram
+        snap.write_bytes(canonical_json_bytes(doc))
+    before = index.read_bytes()
+    capsys.readouterr()
+    out = workdir / "p.csv"
+    if stored == "store":
+        code = cli_main(["kb", "show", "--kb", str(workdir / "kb")])
+    else:
+        code = cli_main(["edge", "infer", "--snapshot", str(snap), *base[2:],
+                         "--data", str(workdir / "test.csv"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"class histogram {histogram!r} is not an object" in err
+    assert "Traceback" not in err
+    if stored == "store":
+        assert f"undecodable model file {path}" in err
+    assert index.read_bytes() == before
+    assert not out.exists()
 
 
 def test_sim_run_writes_outputs(workdir, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from hashlib import sha256
@@ -19,10 +20,10 @@ import pytest
 
 import edgelearn
 from edgelearn.cli import cli_main
-from edgelearn.data import load_csv, parse_schema, split_dataset, write_csv
+from edgelearn.data import Dataset, load_csv, parse_schema, split_dataset, write_csv
 from edgelearn.reference import reference_text
 
-from conftest import city_dataset
+from conftest import city_dataset, make_samples
 
 PINS = {
     "summary.json": "0f7f5264538a2d70a5852d4cfa66a72634e44ee9a8b70c3e29af5ae97a8f14c8",
@@ -33,6 +34,7 @@ PINS = {
     "predictions.csv": "53a43afc4d4b5b13eec5aa74b9f0d3beea82ec712b8acf1f3ce5104110564ba3",
     "events.log": "f89ee132bd104d64507fe0e3ea186cfe7ecf07f1c7b542feccffc936998486bc",
     "report.json": "b9f80c7f5b8342f556de948be4d8f8a2cffe963e102150f36ba735bdcd50fdfc",
+    "routes.csv": "e1fa93db7ec4a4db96c065c69f7bacc2ae6027cd7565b19425141d03999d995e",
 }
 
 
@@ -82,6 +84,56 @@ def test_job_snapshot_store_and_edge_predictions_are_pinned(thermal5, capsys):
     assert _digest(thermal5 / "snap.json") == PINS["snap.json"]
     assert _digest(thermal5 / "kb" / "index.json") == PINS["index.json"]
     assert _digest(thermal5 / "predictions.csv") == PINS["predictions.csv"]
+
+
+def test_edge_predictions_on_every_route_are_pinned(tmp_path, capsys):
+    """A site (categorical) and band (numeric) schema, so requests take all
+    three routes: known tasks, unseen bands of known sites (similar), unseen
+    sites (fallback), and band values that sit exactly on an edge."""
+    schema_text = json.dumps({
+        "features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
+        "attributes": [{"name": "site", "kind": "categorical"},
+                       {"name": "band", "kind": "numeric", "edges": [10, 20, 30, 40]}],
+    })
+    (tmp_path / "schema.json").write_text(schema_text, encoding="utf-8")
+    (tmp_path / "job.json").write_text(json.dumps({
+        "learner": {"kind": "tree", "hyperparameters": {"max_depth": 3}},
+        "eval_policy": {"min_accuracy": 0.0, "min_eval_samples": 1},
+        "transfer": {"min_samples": 1, "cap": 1000}, "fallback_enabled": True, "seed": 3,
+    }), encoding="utf-8")
+    schema = parse_schema(schema_text)
+    rng = random.Random(17)
+    cells = [("s1", 5.0, 3.0), ("s1", 25.0, 6.0), ("s2", 25.0, 4.0), ("s3", 45.0, 7.0)]
+    rows = []
+    for site, band, cut in cells:
+        for _ in range(12):
+            x = round(rng.uniform(0.0, 10.0), 3)
+            rows.append(((x,), (site, band + rng.uniform(-4.0, 4.0)), "ab"[x >= cut]))
+    rng.shuffle(rows)
+    write_csv(Dataset(schema, make_samples(rows)), tmp_path / "train.csv")
+    write_csv(Dataset(schema, make_samples(rows[::3])), tmp_path / "eval.csv")
+    requests = [
+        (("s1", 5.0), "known"), (("s1", 20.0), "known, on an edge"), (("s2", 29.9), "known"),
+        (("s3", 40.0), "known, on an edge"), (("s1", 15.0), "similar, tied neighbours"),
+        (("s1", 10.0), "similar, on an edge"), (("s2", 45.0), "similar, two bands away"),
+        (("s3", 30.0), "similar, on an edge"), (("s2", 0.0), "similar"),
+        (("s9", 25.0), "fallback"), (("s1|0", 5.0), "fallback"), (("s\\2", 20.0), "fallback"),
+    ]
+    write_csv(Dataset(schema, make_samples(
+        ((float(i),), attrs, None) for i, (attrs, _) in enumerate(requests))),
+        tmp_path / "requests.csv")
+    job = ["--kb", tmp_path / "kb", "--schema", tmp_path / "schema.json",
+           "--config", tmp_path / "job.json"]
+    _run("kb", "init", "--kb", tmp_path / "kb")
+    _run("job", "train", *job, "--data", tmp_path / "train.csv")
+    _run("job", "eval", *job, "--data", tmp_path / "eval.csv")
+    _run("job", "deploy", *job, "--out", tmp_path / "snap.json")
+    _run("edge", "infer", *job[2:], "--snapshot", tmp_path / "snap.json",
+         "--data", tmp_path / "requests.csv", "--out", tmp_path / "routes.csv")
+    lines = (tmp_path / "routes.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == [
+        route.split(",")[0] for _, route in requests]
+    assert _digest(tmp_path / "routes.csv") == PINS["routes.csv"]
 
 
 @pytest.fixture

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import random
 import sys
 import threading
 
 import pytest
 
-from edgelearn import edge
+from edgelearn import edge, tasks
 from edgelearn.data import AttributeKind, DatasetSchema, Sample
 from edgelearn.edge import (
     ROUTE_FALLBACK,
@@ -26,6 +28,7 @@ from edgelearn.tasks import (
     BucketedAttributes,
     BucketingConfig,
     bucket_attributes,
+    rank_similar,
     task_key,
     task_similarity,
 )
@@ -92,20 +95,42 @@ def test_allocate_empty_snapshot_always_unknown():
 
 # -- infer routing ----------------------------------------------------------------
 
-def test_only_unknown_routes_build_bucketed_attributes(monkeypatch):
-    built = []
+def test_each_route_builds_only_what_it_reads(monkeypatch):
+    built, keyed = [], []
 
     class Counting(BucketedAttributes):
         def __post_init__(self):
             built.append(self.values)
             super().__post_init__()
 
-    monkeypatch.setattr(edge, "BucketedAttributes", Counting)
-    runtime = city_runtime(city_snapshot(cities=("athens",), fallback_label="b"))
-    assert runtime.infer(Sample((1.0,), ("athens",))).route == ROUTE_KNOWN
-    assert built == []
-    assert runtime.infer(Sample((1.0,), ("oslo",))).route == ROUTE_FALLBACK
-    assert built == [("oslo",)]
+    def counting_values_key(values):
+        keyed.append(values)
+        return tasks.values_key(values)
+
+    schema = banded_schema((10.0, 20.0, 30.0, 40.0))
+    bucketing = BucketingConfig.from_schema(schema)
+    attrs = bucket_attributes(("p", 15.0), bucketing)  # bucket 1
+    runtime = EdgeRuntime(schema, bucketing)
+    runtime.apply_snapshot(snapshot_of(1, {task_key(attrs): (constant_model("a"), attrs)},
+                                       fallback=constant_model("b")))
+    monkeypatch.setattr(tasks, "BucketedAttributes", Counting)
+    monkeypatch.setattr(edge, "values_key", counting_values_key)
+    # known: the bucketed values and one dict probe, no key string
+    assert runtime.infer(Sample((1.0,), ("p", 12.0))).route == ROUTE_KNOWN
+    assert (built, keyed) == ([], [])
+    # fallback with no task sharing the site: nothing to score, nothing built
+    assert runtime.infer(Sample((1.0,), ("q", 12.0))).route == ROUTE_FALLBACK
+    assert (built, keyed) == ([], [])
+    # similar: one query to score the site's tasks against
+    assert runtime.infer(Sample((1.0,), ("p", 25.0))).route == ROUTE_SIMILAR
+    assert (built, keyed) == ([("p", 2)], [])
+    # no model: the error message names the key and the best similarity
+    runtime = EdgeRuntime(schema, bucketing)
+    runtime.apply_snapshot(snapshot_of(1, {task_key(attrs): (constant_model("a"), attrs)}))
+    built.clear()
+    with pytest.raises(NoModelError, match=r"unknown task 'q\|1': best similarity 0\.5 "):
+        runtime.infer(Sample((1.0,), ("q", 12.0)))
+    assert (built, keyed) == ([("q", 1)], [("q", 1)])
 
 
 def test_prediction_is_immutable():
@@ -197,75 +222,6 @@ def test_no_model_error_reports_the_best_similarity_over_every_task():
         city_runtime(city_snapshot(cities=("athens",)), sigma=0.9).infer(
             Sample((1.0,), ("tokyo",)))
     assert runtime.counters["no_model_errors"] == 2
-
-
-def _scan_route(snapshot, bucketed, threshold):
-    """Route by scoring every snapshot task in key order: the reference the
-    runtime's task index must agree with."""
-    key = task_key(bucketed)
-    if key in snapshot.tasks:
-        return ROUTE_KNOWN, key, None
-    best_key, best_sim = None, 0.0
-    for task, entry in sorted(snapshot.tasks.items()):
-        sim = task_similarity(bucketed, entry.attributes)
-        if sim > best_sim:
-            best_key, best_sim = task, sim
-    if best_key is not None and best_sim >= threshold:
-        return ROUTE_SIMILAR, best_key, best_sim
-    return ROUTE_FALLBACK, None, None
-
-
-def test_task_index_routes_exactly_like_a_full_scan():
-    rng = random.Random(2024)
-    models = {label: constant_model(label) for label in "ab"}
-    ties = cross_group = 0
-    for _ in range(60):
-        kinds = [AttributeKind("categorical")] * rng.randint(1, 3) + [
-            AttributeKind("numeric", tuple(float(e) for e in range(1, rng.randint(1, 6))))
-            for _ in range(rng.randint(1, 2))
-        ]
-        rng.shuffle(kinds)
-        schema = DatasetSchema(
-            feature_columns=("x",), label_column="y", label_classes=("a", "b"),
-            attribute_columns=tuple(f"c{i}" for i in range(len(kinds))),
-            attribute_kinds=tuple(kinds),
-        )
-        bucketing = BucketingConfig.from_schema(schema)
-
-        def raw(alphabet):
-            # small alphabets and bucket ranges make equal similarities common
-            return tuple(
-                rng.choice(alphabet) if kind.kind == "categorical"
-                else rng.randint(0, len(kind.edges)) + 0.5
-                for kind in kinds
-            )
-
-        entries = {}
-        for _ in range(rng.randint(1, 25)):
-            attrs = bucket_attributes(raw("pq"), bucketing)
-            entries[task_key(attrs)] = (models[rng.choice("ab")], attrs)
-        snap = snapshot_of(1, entries, fallback=constant_model("b"))
-        queries = [raw("pqz") for _ in range(30)]
-        for threshold in (0.0, 0.3, 0.5, 0.75, 0.9, 1.0):
-            runtime = EdgeRuntime(schema, bucketing, similarity_threshold=threshold)
-            runtime.apply_snapshot(snap)
-            for attrs in queries:
-                bucketed = bucket_attributes(attrs, bucketing)
-                route, key, sim = _scan_route(snap, bucketed, threshold)
-                pred = runtime.infer(Sample((0.0,), attrs))
-                assert (pred.route, pred.task_key, repr(pred.similarity)) == (
-                    route, key, repr(sim)
-                ), (attrs, threshold)
-                model = snap.tasks[key].model if key is not None else snap.fallback
-                assert pred.label == predict(model, (0.0,))
-                if route == ROUTE_SIMILAR:
-                    scores = [task_similarity(bucketed, e.attributes) for e in snap.tasks.values()]
-                    ties += scores.count(sim) > 1
-                    shared = [a == b for a, b, count in zip(
-                        bucketed.values, snap.tasks[key].attributes.values,
-                        bucketed.bucket_counts) if count == 0]
-                    cross_group += not all(shared)
-    assert ties > 0 and cross_group > 0  # both cases were exercised
 
 
 def test_infer_before_any_snapshot_errors():
@@ -407,48 +363,6 @@ def test_drain_concurrent_with_infer_conserves_unknowns():
     assert len(drained) + runtime.counters["unseen_dropped"] == total
 
 
-def test_snapshot_swaps_under_concurrent_infer_route_within_one_snapshot():
-    # each version's only task sits in another band; a route taken with one
-    # snapshot's index and another's tasks would name the wrong task
-    schema = banded_schema((10.0, 20.0, 30.0, 40.0))
-    bucketing = BucketingConfig.from_schema(schema)
-    model = constant_model("a")
-    snapshots, expected = [], {}
-    for version in range(1, 301):
-        attrs = bucket_attributes(("p", 5.0 + 10.0 * (version % 4)), bucketing)
-        snapshots.append(snapshot_of(version, {task_key(attrs): (model, attrs)}))
-        expected[version] = task_key(attrs)
-    runtime = EdgeRuntime(schema, bucketing, similarity_threshold=0.5)
-    runtime.apply_snapshot(snapshots[0])
-    seen, errors = [], []
-
-    def worker():
-        try:
-            for _ in range(300):
-                pred = runtime.infer(Sample((0.0,), ("p", 45.0)))
-                seen.append((pred.snapshot_version, pred.task_key, pred.route))
-        except Exception as exc:  # pragma: no cover - failure diagnostics
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for snapshot in snapshots[1:]:
-            runtime.apply_snapshot(snapshot)
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
-    assert len(seen) == 1200
-    assert all(route == ROUTE_SIMILAR and key == expected[version]
-               for version, key, route in seen)
-
-
 def test_unseen_buffer_cap_drops_oldest():
     runtime = EdgeRuntime(city_schema(), CITY_BUCKETING, unseen_cap=3)
     runtime.apply_snapshot(city_snapshot(cities=("athens",), fallback_label="b"))
@@ -535,6 +449,30 @@ def test_a_snapshot_of_another_schema_is_not_applied():
     assert runtime.infer(Sample((1.0,), ("q", 15.0))).route == ROUTE_FALLBACK
 
 
+def test_a_snapshot_whose_key_is_not_its_values_key_is_not_applied():
+    # applied, it would route requests for s000 band 2 to s001's model as known
+    schema = banded_schema((10.0, 20.0, 30.0))
+    bucketing = BucketingConfig.from_schema(schema)
+    runtime = EdgeRuntime(schema, bucketing)
+    own_attrs = bucket_attributes(("s000", 25.0), bucketing)
+    own = snapshot_of(1, {"s000|2": (constant_model("a"), own_attrs)},
+                      fallback=constant_model("b"))
+    assert runtime.apply_snapshot(own) == "applied"
+    for key, values in (("s000|2", ("s001", 2)), ("s000", ("s000", 2)),
+                        ("s000|2|", ("s000", 2)), ("s0|00|2", ("s0|00", 2))):
+        foreign = snapshot_of(2, {key: (constant_model("b"), BucketedAttributes(values, (0, 4)))},
+                              fallback=constant_model("b"))
+        with pytest.raises(SchemaMismatchError) as raised:
+            runtime.apply_snapshot(foreign)
+        for part in ("snapshot v2", repr(key), repr(values)):
+            assert part in str(raised.value), key
+        assert runtime.active is own
+    pred = runtime.infer(Sample((1.0,), ("s000", 25.0)))
+    assert (pred.route, pred.task_key, pred.label, pred.snapshot_version) == (
+        ROUTE_KNOWN, "s000|2", "a", 1)
+    assert runtime.infer(Sample((1.0,), ("s001", 25.0))).route == ROUTE_FALLBACK
+
+
 def test_status_document_fields():
     runtime = city_runtime(city_snapshot(version=2, fallback_label="b"))
     runtime.infer(Sample((0.0,), ("athens",)))
@@ -551,3 +489,154 @@ def test_status_document_fields():
     }
     assert doc["unseen_buffer"] == 1
     assert doc["feedback_buffer"] == 0
+
+
+# -- routing against a full scan -------------------------------------------------
+
+CATEGORIES = ("p", "q", "|", "q|", "|q", "\\", "p\\|", "\\|")
+NUMBERS = (float("nan"), math.inf, -math.inf, 0, 1, 2, 3, True, False, -1.5, 0.5, 2.5)
+
+
+def _oracle(snapshot, attrs, bucketing, threshold):
+    """(route, key, similarity, model) or the NoModelError message, from
+    allocate_task and a rank of every snapshot task: the reference the
+    runtime's value table and task index must agree with."""
+    key = allocate_task(snapshot, attrs, bucketing)
+    if key is not None:
+        return ROUTE_KNOWN, key, None, snapshot.tasks[key].model
+    query = bucket_attributes(attrs, bucketing)
+    ranked = rank_similar(query, {k: e.attributes for k, e in snapshot.tasks.items()})
+    if ranked and ranked[0][1] >= threshold:
+        return ROUTE_SIMILAR, ranked[0][0], ranked[0][1], snapshot.tasks[ranked[0][0]].model
+    if snapshot.fallback is not None:
+        return ROUTE_FALLBACK, None, None, snapshot.fallback
+    best = ranked[0][1] if ranked else 0.0
+    return (f"no model for unknown task {task_key(query)!r}: best similarity {best} "
+            f"below threshold {threshold} and no fallback")
+
+
+def test_task_index_routes_exactly_like_a_full_scan():
+    rng = random.Random(2024)
+    models = [constant_model(label) for label in "ab"]
+    outcomes = {ROUTE_KNOWN: 0, ROUTE_SIMILAR: 0, ROUTE_FALLBACK: 0, "no-model": 0}
+    ties = cross_group = 0
+    for _ in range(40):
+        kinds = [AttributeKind("categorical")] * rng.randint(1, 3) + [
+            AttributeKind("numeric", tuple(sorted(rng.sample(
+                (-1.0, 0.0, 1.0, 2.0, 2.5, 3.0), rng.randint(0, 4)))))
+            for _ in range(rng.randint(1, 2))
+        ]
+        rng.shuffle(kinds)
+        schema = DatasetSchema(
+            feature_columns=("x",), label_column="y", label_classes=("a", "b"),
+            attribute_columns=tuple(f"c{i}" for i in range(len(kinds))),
+            attribute_kinds=tuple(kinds),
+        )
+        bucketing = BucketingConfig.from_schema(schema)
+
+        def raw(categories):
+            return tuple(rng.choice(categories) if kind.kind == "categorical"
+                         else rng.choice(NUMBERS + kind.edges) for kind in kinds)
+
+        entries, task_raws = {}, []
+        for _ in range(rng.randint(0, 12)):
+            task_raws.append(raw(CATEGORIES[:4]))  # few values make equal similarities common
+            attrs = bucket_attributes(task_raws[-1], bucketing)
+            entries[task_key(attrs)] = (rng.choice(models), attrs)
+        snap = snapshot_of(1, entries, fallback=rng.choice((None, models[1])))
+        queries = [rng.choice(task_raws) if task_raws and rng.random() < 0.3
+                   else raw(CATEGORIES) for _ in range(25)]
+        for threshold in (0.0, 0.3, 0.5, 0.75, 0.9, 1.0):
+            runtime = EdgeRuntime(schema, bucketing, similarity_threshold=threshold,
+                                  unseen_cap=5)
+            runtime.apply_snapshot(snap)
+            counters = dict.fromkeys(runtime.counters, 0)
+            for i, attrs in enumerate(queries):
+                expected = _oracle(snap, attrs, bucketing, threshold)
+                known = not isinstance(expected, str) and expected[0] == ROUTE_KNOWN
+                counters["inferences"] += 1
+                counters["known_hits" if known else "unknown_hits"] += 1
+                counters["unseen_dropped"] = max(0, counters["unknown_hits"] - 5)
+                if isinstance(expected, str):
+                    counters["no_model_errors"] += 1
+                    outcomes["no-model"] += 1
+                    with pytest.raises(NoModelError) as raised:
+                        runtime.infer(Sample((float(i),), attrs))
+                    assert str(raised.value) == expected, attrs
+                    continue
+                route, key, sim, model = expected
+                outcomes[route] += 1
+                pred = runtime.infer(Sample((float(i),), attrs))
+                assert pred == (predict(model, (float(i),)), route, key, sim, 1), attrs
+                assert repr(pred.similarity) == repr(sim)
+                if route == ROUTE_SIMILAR:
+                    query = bucket_attributes(attrs, bucketing)
+                    scores = [task_similarity(query, e.attributes) for e in snap.tasks.values()]
+                    ties += scores.count(sim) > 1
+                    cross_group += any(a != b for a, b, count in zip(
+                        query.values, snap.tasks[key].attributes.values, query.bucket_counts)
+                        if count == 0)
+            assert runtime.counters == counters
+    assert min(outcomes.values()) > 0 and ties > 0 and cross_group > 0  # all were exercised
+
+
+# -- concurrent swaps ------------------------------------------------------------------
+
+def test_snapshot_swaps_under_concurrent_infer_route_within_one_snapshot():
+    # two task sets applied in turn, under more infer threads than cores: a
+    # route taken with one version's tables and another's tasks would name a
+    # task, a route or a label its version does not hold
+    schema = banded_schema((10.0, 20.0, 30.0, 40.0))
+    bucketing = BucketingConfig.from_schema(schema)
+    task_sets = (("p", 5.0), ("q", 25.0), ("r", 45.0)), (("p", 35.0), ("q", 5.0), ("s", 25.0))
+    snapshots = []
+    for version in range(1, 201):
+        cells = task_sets[version % 2]
+        entries = {}
+        for site, band in cells:
+            attrs = bucket_attributes((site, band), bucketing)
+            entries[task_key(attrs)] = (constant_model("ab"[version % 2]), attrs)
+        snapshots.append(snapshot_of(version, entries, fallback=constant_model("b")))
+    requests = [(site, band) for site in "pqrsx" for band in (5.0, 15.0, 25.0, 35.0, 45.0)]
+    expected = {}
+    for parity in (0, 1):
+        for attrs in requests:
+            route, key, sim, _ = _oracle(snapshots[1 - parity], attrs, bucketing, 0.75)
+            expected[parity, attrs] = route, key, sim
+    runtime = EdgeRuntime(schema, bucketing)
+    runtime.apply_snapshot(snapshots[0])
+    seen, errors = [], []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(400):
+                attrs = rng.choice(requests)
+                pred = runtime.infer(Sample((0.0,), attrs))
+                seen.append((attrs, pred))
+        except Exception as exc:  # pragma: no cover - failure diagnostics
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range((os.cpu_count() or 1) + 2)]
+        for t in threads:
+            t.start()
+        for snapshot in snapshots[1:]:
+            assert runtime.apply_snapshot(snapshot) == "applied"
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(seen) == 400 * len(threads)
+    for attrs, pred in seen:
+        assert (pred.route, pred.task_key, pred.similarity) == expected[
+            pred.snapshot_version % 2, attrs], (attrs, pred)
+        assert pred.label == ("ab"[pred.snapshot_version % 2] if pred.route != ROUTE_FALLBACK
+                              else "b")
+    assert runtime.counters["inferences"] == len(seen)  # no counter update was lost
+    assert runtime.counters["known_hits"] == sum(p.route == ROUTE_KNOWN for _, p in seen)
