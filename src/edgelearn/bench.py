@@ -28,7 +28,7 @@ from pathlib import Path
 from .data import (AttrValue, Dataset, DatasetSchema, Sample, _is_finite_number, check_int,
                    check_object, field_names, load_object, parse_schema)
 from .edge import EdgeRuntime
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, LearnerError
 from .job import JobConfig, LifelongJob
 from .kb import DeploySnapshot, KnowledgeBase
 from .learners import EstimatorSpec, EvalMetrics, evaluate, fit, metrics_from_json, metrics_to_json
@@ -378,25 +378,40 @@ def emit_report(result: BenchResult, out_dir: str | Path) -> list[Path]:
     return [accuracy_path, improvement_path, summary_path]
 
 
+def _summary_object(value, what: str, numbers: bool = False) -> dict:
+    """*value* if it is a JSON object (of finite numbers, with *numbers*)."""
+    if not isinstance(value, dict) or numbers and not all(map(_is_finite_number, value.values())):
+        raise TypeError(f"{what} is not an object" + (" of numbers" if numbers else ""))
+    return value
+
+
 def parse_summary(path: str | Path) -> BenchResult:
-    """Rebuild a BenchResult from an emitted summary file."""
+    """Rebuild a BenchResult from an emitted summary file. A file that does
+    not decode or is not a summary's shape raises ConfigError naming it."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        methods = {
-            method: MethodResult(
+        doc = _summary_object(json.loads(Path(path).read_text(encoding="utf-8")), "summary")
+        methods = {}
+        for method, entry in _summary_object(doc["methods"], "methods").items():
+            entry = _summary_object(entry, f"method {method!r}")
+            accuracy = entry["overall_accuracy"]
+            if not _is_finite_number(accuracy):
+                raise TypeError(f"method {method!r}: overall_accuracy {accuracy!r} is not a number")
+            per_task = _summary_object(entry["per_task"], f"method {method!r}: per_task")
+            methods[method] = MethodResult(
                 per_task={
-                    key: metrics_from_json(m) for key, m in entry["per_task"].items()
+                    key: metrics_from_json(_summary_object(m, f"method {method!r}: task {key!r}"))
+                    for key, m in per_task.items()
                 },
-                overall_accuracy=entry["overall_accuracy"],
+                overall_accuracy=accuracy,
             )
-            for method, entry in doc["methods"].items()
-        }
         return BenchResult(
             methods=methods,
-            improvements=doc["improvements"],
-            overall_improvements=doc["overall_improvements"],
+            improvements=_summary_object(doc["improvements"], "improvements", numbers=True),
+            overall_improvements=_summary_object(
+                doc["overall_improvements"], "overall_improvements", numbers=True
+            ),
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, LearnerError) as exc:
         raise ConfigError(f"bad summary file {path}: {exc}") from exc
 
 

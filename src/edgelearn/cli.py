@@ -27,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .data import load_csv, parse_schema, schema_to_json, write_csv
+from .data import load_csv, parse_schema, read_text, schema_to_json, write_csv
 from .edge import DEFAULT_SIMILARITY_THRESHOLD, EdgeRuntime
 from .errors import EdgeLearnError, NoModelError
 from .job import LifelongJob, job_phase, parse_job_config
@@ -122,14 +122,10 @@ def _require(args, name: str, flag: str | None = None):
     return value
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load_config(args) -> tuple:
     """(schema, job config) from --schema and --config, with --seed applied."""
-    schema = parse_schema(_read(_require(args, "schema")))
-    cfg = parse_job_config(_read(_require(args, "config")), schema)
+    schema = parse_schema(read_text(_require(args, "schema")))
+    cfg = parse_job_config(read_text(_require(args, "config")), schema)
     if _opt(args, "seed") is not None:
         cfg = replace(cfg, seed=args.seed)
     return schema, cfg
@@ -250,7 +246,7 @@ def _cmd_sim(args) -> int:
     if args.action != "run":
         raise _UsageError("sim needs an action: run")
     config_path = Path(_require(args, "config"))
-    cfg = parse_sim_config(config_path.read_text(encoding="utf-8"), config_path.parent)
+    cfg = parse_sim_config(read_text(config_path), config_path.parent)
     if _opt(args, "seed") is not None:
         cfg = replace(cfg, job=replace(cfg.job, seed=args.seed))
     sim = start_sim(cfg, _require(args, "kb"))
@@ -266,7 +262,7 @@ def _cmd_sim(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.action == "gen":
-        spec = bench_mod.parse_synthetic_spec(_read(_require(args, "config")))
+        spec = bench_mod.parse_synthetic_spec(read_text(_require(args, "config")))
         if _opt(args, "seed") is not None:
             spec = replace(spec, seed=args.seed)
         dataset = bench_mod.gen_synthetic(spec)

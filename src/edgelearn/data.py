@@ -209,6 +209,14 @@ def check_object(doc, section: str, required, optional=(), error=ConfigError) ->
     return doc
 
 
+def read_text(path: str | Path) -> str:
+    """A config file's UTF-8 text; one that does not decode raises ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_object(text: str, section: str, required, optional=(), error=ConfigError) -> dict:
     """Decode a config file that holds one JSON object; see :func:`check_object`."""
     try:
@@ -324,40 +332,43 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> Dataset:
     """
     path = Path(path)
     n_features = schema.n_features
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        plan = _column_plan(schema)
-        for name, _ in plan:
-            if name not in header:
-                raise DataError(f"{path}: missing column {name!r}")
-        cells = [(header.index(name), name, parse) for name, parse in plan]
-        label_pos = header.index(schema.label_column)
-
-        samples: list[Sample] = []
-        for row_num, row in enumerate(reader, start=1):
-            values = []
-            for pos, name, parse in cells:
-                try:
-                    text = row[pos]
-                    values.append(parse(text) if text or pos != label_pos else None)
-                except IndexError:
-                    raise DataError(f"{path}: row {row_num}: too few cells") from None
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_num}: unparseable numeric cell {text!r} in {name!r}"
-                    ) from None
-            sample = Sample(
-                tuple(values[:n_features]), tuple(values[n_features + 1:]), values[n_features]
-            )
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                schema.validate_sample(sample)
-            except DataError as exc:
-                raise DataError(f"{path}: row {row_num}: {exc}") from exc
-            samples.append(sample)
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, header row required") from None
+            plan = _column_plan(schema)
+            for name, _ in plan:
+                if name not in header:
+                    raise DataError(f"{path}: missing column {name!r}")
+            cells = [(header.index(name), name, parse) for name, parse in plan]
+            label_pos = header.index(schema.label_column)
+
+            samples: list[Sample] = []
+            for row_num, row in enumerate(reader, start=1):
+                values = []
+                for pos, name, parse in cells:
+                    try:
+                        text = row[pos]
+                        values.append(parse(text) if text or pos != label_pos else None)
+                    except IndexError:
+                        raise DataError(f"{path}: row {row_num}: too few cells") from None
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {row_num}: unparseable numeric cell {text!r} in {name!r}"
+                        ) from None
+                sample = Sample(
+                    tuple(values[:n_features]), tuple(values[n_features + 1:]), values[n_features]
+                )
+                try:
+                    schema.validate_sample(sample)
+                except DataError as exc:
+                    raise DataError(f"{path}: row {row_num}: {exc}") from exc
+                samples.append(sample)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     return _checked(schema, tuple(samples))
 

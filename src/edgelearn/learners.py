@@ -18,7 +18,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress, filterfalse, islice
 from operator import ne
 
 from .data import Dataset, FeatureVector, _is_finite_number, _is_int
@@ -296,8 +296,9 @@ class LogisticLearner(Learner):
 
 
 class _Gini:
-    """Classification impurity: ``n * gini`` as an exact integer rational,
-    so exhaustive-search oracles agree bit-for-bit."""
+    """Classification impurity in exact integers, so exhaustive-search
+    oracles agree bit-for-bit. A node's rows arrive in each feature's order,
+    sorted once per fit, and ``best_cut`` scans one such order in one pass."""
 
     def __init__(self, k):
         self.k = k
@@ -310,63 +311,73 @@ class _Gini:
     def pure(self, leaf):
         return leaf["counts"].count(0) == self.k - 1
 
-    def node(self, ys, leaf):
-        return len(ys) ** 2 - sum(c * c for c in leaf["counts"]), len(ys)
+    def best_cut(self, ys, candidates, counts):
+        """The best of the *candidates* (ascending n_left values) of sorted
+        labels *ys* with class *counts*, as ``(num, den, n_left)``, ties going
+        to the lowest n_left. The sides' ``m * gini`` sum to ``n - num / den``,
+        where ``num / den = L/t + R/(n - t)`` at n_left = t and L, R sum the
+        squared class counts of a side, so the best cut maximises num / den.
+        With S = Σ counts² and P = Σ counts · left counts, R = S - 2P + L, so
+        ``num = L·n + (S - 2P)·t`` over ``den = t·(n - t)``.
 
-    def cuts(self, ys, candidates, leaf):
-        """Score, as ascending ``(n_left, num, den)``, only the *candidates*
-        (ascending n_left values) of sorted labels *ys* that can be a best cut:
-        the first and the last candidate in each run of one label. Those are
-        the candidates at label changes, the first and the last candidate, and
-        the candidates either side of a label change inside tied values.
-
-        The rest neither win nor tie. Moving t rows of a run's class left scores
-        ``2A - (A² + S_L)/(n_a + t) + 2B - (B² + S_R)/(n_b - t)``, where A, B count
-        the other classes a side and S_L, S_R sum their squared counts, all fixed
-        in the run. The node is impure (A + B > 0), so this is strictly concave
-        in t: a candidate inside a run scores strictly worse than an end of it.
+        Only the first and the last candidate in each run of one label are
+        scored; the rest neither win nor tie. Moving t rows of a run's class
+        left scores ``2A - (A² + S_L)/(n_a + t) + 2B - (B² + S_R)/(n_b - t)``,
+        where A, B count the other classes a side and S_L, S_R sum their
+        squared counts, all fixed in the run. The node is impure (A + B > 0),
+        so this is strictly concave in t: a candidate inside a run scores
+        strictly worse than an end of it.
         """
-        # sum over sides of m * gini(side), over the denominator n_left * n_right;
-        # a run of one class moves its counts and the sums of squared counts at once
         n, m, last = len(ys), len(candidates), candidates[-1]
-        left, right = [0] * self.k, list(leaf["counts"])
-        left_sq, right_sq = 0, sum(c * c for c in right)
+        left, twice = [0] * self.k, [2 * c for c in counts]
+        lsq, w = 0, sum(c * c for c in counts)  # L and S - 2P at n_left = 0
+        best_num, best_den, best_t = 0, 1, 0  # every cut scores above 0
         changes = compress(range(1, last), map(ne, ys, islice(ys, 1, last)))
-        a, i = 0, -1  # the counts are at n_left = a; i indexes the last candidate <= a
+        a, i = 0, -1  # the sums are at n_left = a; i indexes the last candidate <= a
         for b in chain(changes, (last,)):
             y = ys[a]  # the class of rows [a, b)
-            lc, rc = left[y], right[y]
-            d = b - a
+            lc, d = left[y], b - a
             if candidates[i] == a and i + d < m and candidates[i + d] == b:
                 # every cut in [a, b] is a candidate: a is scored, b is the run's last
                 i += d
-                left_sq, right_sq = left_sq + d * (2 * lc + d), right_sq - d * (2 * rc - d)
-                n_right = n - b
-                num = (b * b - left_sq) * n_right + (n_right * n_right - right_sq) * b
-                yield b, num, b * n_right
+                lsq += d * (2 * lc + d)
+                w -= twice[y] * d
+                num, den = lsq * n + w * b, b * (n - b)
+                if num * best_den > best_num * den:
+                    best_num, best_den, best_t = num, den, b
             else:  # ties or min_leaf leave gaps: score the run's first and last candidate
                 lo = i if candidates[i] == a else i + 1
                 i = bisect_right(candidates, b, lo) - 1
                 for t in sorted({candidates[lo], candidates[i]} - {a}) if lo <= i else ():
-                    dt, n_right = t - a, n - t
-                    lsq, rsq = left_sq + dt * (2 * lc + dt), right_sq - dt * (2 * rc - dt)
-                    yield t, (t * t - lsq) * n_right + (n_right * n_right - rsq) * t, t * n_right
-                left_sq, right_sq = left_sq + d * (2 * lc + d), right_sq - d * (2 * rc - d)
-            left[y], right[y] = lc + d, rc - d
+                    dt = t - a
+                    num = (lsq + dt * (2 * lc + dt)) * n + (w - twice[y] * dt) * t
+                    den = t * (n - t)
+                    if num * best_den > best_num * den:
+                        best_num, best_den, best_t = num, den, t
+                lsq += d * (2 * lc + d)
+                w -= twice[y] * d
+            left[y] = lc + d
             a = b
+        return best_num, best_den, best_t
 
 
 class TreeLearner(Learner):
     """Binary classification tree grown by a greedy gini split search
-    (CART). ``_Gini`` supplies the leaf payload, the purity stop, the node's
-    score and the scores of the candidate cuts: of the cuts between distinct
-    feature values that leave ``min_leaf`` rows a side, only those at the
-    ends of label runs, as the rest provably cannot win or tie. Scores are
-    exact integer rationals ``(num, den)`` compared by cross-multiplication.
-    A cut's threshold is the midpoint of its two values (the upper value
-    where the midpoint rounds to the lower one or overflows); ties resolve
-    to the lowest feature index, then the lowest threshold. A node splits
-    only if its best cut strictly improves on the node's own score.
+    (CART). Each feature column is sorted once per fit, stably, and every
+    node keeps its rows in those orders: a split slices the chosen feature's
+    order and filters the others, so no node sorts again (the presorted
+    attribute lists of SLIQ and SPRINT).
+
+    ``_Gini`` supplies the leaf payload, the purity stop and a column's best
+    cut: of the cuts between distinct feature values that leave ``min_leaf``
+    rows a side, it scores only those at the ends of label runs, as the rest
+    provably cannot win or tie. A column with no repeated value has every
+    cut in that range as a candidate. Scores are exact integer rationals
+    ``(num, den)`` compared by cross-multiplication. A cut's threshold is
+    the midpoint of its two values (the upper value where the midpoint
+    rounds to the lower one or overflows); ties resolve to the lowest
+    feature index, then the lowest threshold. A node splits only if its
+    best cut strictly improves on the node's own score.
     """
 
     kind = "tree"
@@ -378,50 +389,60 @@ class TreeLearner(Learner):
         class_index = {c: i for i, c in enumerate(schema.label_classes)}
         ys = [class_index[s.label] for s in train.samples]
         impurity = _Gini(len(schema.label_classes))
+        min_leaf = hp["min_leaf"]
         columns = [[s.features[j] for s in train.samples] for j in range(schema.n_features)]
-        tree = self._grow(
-            columns, ys, list(range(len(train))), hp["max_depth"], hp["min_leaf"], impurity
-        )
-        return {"tree": tree}
+        # a column with no repeated value (0.0 and -0.0 repeat) has none in any node
+        tied = [len(set(column)) < len(column) for column in columns]
 
-    def _grow(self, columns, ys, indices, depth, min_leaf, impurity):
-        node_ys = [ys[i] for i in indices]
-        leaf = impurity.leaf(node_ys)
-        n = len(indices)
-        if depth == 0 or n < 2 * min_leaf or impurity.pure(leaf):
-            return leaf
-        best = None  # (num, den, feature, value left of the cut, value right of it)
-        for j, column in enumerate(columns):
-            order = sorted(indices, key=column.__getitem__)
-            values = list(map(column.__getitem__, order))
-            # the n_left values that leave min_leaf rows a side, between distinct values
-            candidates = list(compress(
-                range(min_leaf, n - min_leaf + 1),
-                map(ne, islice(values, min_leaf - 1, n - min_leaf), islice(values, min_leaf, None)),
-            ))
-            if not candidates:
-                continue
-            sorted_ys = list(map(ys.__getitem__, order))
-            for n_left, num, den in impurity.cuts(sorted_ys, candidates, leaf):
-                if best is None or num * best[1] < best[0] * den:
-                    best = (num, den, j, values[n_left - 1], values[n_left])
-        parent_num, parent_den = impurity.node(node_ys, leaf)
-        if best is None or best[0] * parent_den >= parent_num * best[1]:
-            return leaf
-        _, _, j, v1, v2 = best
-        threshold = (v1 + v2) / 2.0
-        if not v1 < threshold <= v2:  # adjacent doubles round down, huge ones overflow
-            threshold = v2
-        column = columns[j]
-        left = [i for i in indices if column[i] < threshold]
-        right = [i for i in indices if column[i] >= threshold]
-        return {
-            "kind": "split",
-            "feature": j,
-            "threshold": threshold,
-            "left": self._grow(columns, ys, left, depth - 1, min_leaf, impurity),
-            "right": self._grow(columns, ys, right, depth - 1, min_leaf, impurity),
-        }
+        def grow(orders, depth):
+            node_ys = list(map(ys.__getitem__, orders[0]))
+            leaf = impurity.leaf(node_ys)
+            n = len(node_ys)
+            if depth == 0 or n < 2 * min_leaf or impurity.pure(leaf):
+                return leaf
+            best = None  # (num, den, feature, n_left)
+            for j, order in enumerate(orders):
+                if tied[j]:
+                    values = list(map(columns[j].__getitem__, order))
+                    # the n_left values that leave min_leaf rows a side, between distinct values
+                    candidates = list(compress(
+                        range(min_leaf, n - min_leaf + 1),
+                        map(ne, islice(values, min_leaf - 1, n - min_leaf),
+                            islice(values, min_leaf, None)),
+                    ))
+                    if not candidates:
+                        continue
+                else:
+                    candidates = range(min_leaf, n - min_leaf + 1)
+                num, den, n_left = impurity.best_cut(
+                    list(map(ys.__getitem__, order)), candidates, leaf["counts"]
+                )
+                if best is None or num * best[1] > best[0] * den:
+                    best = (num, den, j, n_left)
+            # split only if n - num/den < n * gini(node) = n - sum(counts²)/n
+            if best is None or best[0] * n <= sum(c * c for c in leaf["counts"]) * best[1]:
+                return leaf
+            _, _, j, n_left = best
+            column, order = columns[j], orders[j]
+            v1, v2 = column[order[n_left - 1]], column[order[n_left]]
+            threshold = (v1 + v2) / 2.0
+            if not v1 < threshold <= v2:  # adjacent doubles round down, huge ones overflow
+                threshold = v2
+            # the first n_left rows of feature j's order are those below the threshold
+            goes_left = set(islice(order, n_left)).__contains__
+            left = [o[:n_left] if o is order else list(filter(goes_left, o)) for o in orders]
+            right = [o[n_left:] if o is order else list(filterfalse(goes_left, o)) for o in orders]
+            return {
+                "kind": "split",
+                "feature": j,
+                "threshold": threshold,
+                "left": grow(left, depth - 1),
+                "right": grow(right, depth - 1),
+            }
+
+        rows = range(len(train))
+        orders = [sorted(rows, key=column.__getitem__) for column in columns]
+        return {"tree": grow(orders, hp["max_depth"])}
 
     # -- inference ----------------------------------------------------------
 

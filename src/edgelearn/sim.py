@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import (Dataset, DatasetSchema, Sample, _is_int, check_int, check_object, field_names,
-                   load_csv, load_object, parse_schema)
+                   load_csv, load_object, parse_schema, read_text)
 from .edge import (
     DEFAULT_SIMILARITY_THRESHOLD,
     DEFAULT_UNSEEN_CAP,
@@ -371,8 +371,8 @@ def parse_sim_config(config_text: str, base_dir: str | Path) -> SimConfig:
     raw = load_object(config_text, "sim config",
                       ("edges", "max_ticks", "schema", "job", "initial_data"), field_names(SimConfig))
     try:
-        schema = parse_schema((base / raw["schema"]).read_text(encoding="utf-8"))
-        job = parse_job_config((base / raw["job"]).read_text(encoding="utf-8"), schema)
+        schema = parse_schema(read_text(base / raw["schema"]))
+        job = parse_job_config(read_text(base / raw["job"]), schema)
         initial = load_csv(base / raw["initial_data"], schema)
         streams = []
         for entry in raw.get("streams", []):

@@ -877,6 +877,63 @@ def test_bench_gen_run_report_pipeline(workdir, tmp_path, capsys):
     assert "lifelong" in capsys.readouterr().out
 
 
+SUMMARY = {
+    "methods": {"closed": {"overall_accuracy": 1.0, "per_task": {
+        "athens": {"accuracy": 1.0, "classes": ["a", "b"], "counts": [[1, 0], [0, 0]], "n": 1},
+    }}},
+    "improvements": {"athens": 0.0},
+    "overall_improvements": {"vs_closed": 0.0},
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("methods", []),
+    ("methods.closed", "x"),
+    ("methods.closed.overall_accuracy", "1.0"),
+    ("methods.closed.per_task", []),
+    ("methods.closed.per_task.athens", None),
+    ("improvements.athens", "0.0"),
+    ("improvements.athens", None),
+    ("overall_improvements", []),
+    ("overall_improvements.vs_closed", None),
+])
+def test_a_malformed_summary_is_config_error_exit_2(tmp_path, capsys, field, value):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(SUMMARY), encoding="utf-8")
+    assert cli_main(["bench", "report", "--summary", str(path)]) == 0
+    doc = json.loads(json.dumps(SUMMARY))
+    *parents, name = field.split(".")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[name] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["bench", "report", "--summary", str(path)]) == 2
+    assert f"bad summary file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("job train", "--schema"), ("job train", "--config"), ("job train", "--data"),
+    ("bench gen", "--config"), ("sim run", "--config"), ("bench report", "--summary"),
+])
+def test_a_non_utf8_input_file_is_exit_2_naming_it(workdir, capsys, command, flag):
+    bad = workdir / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    args = {
+        "job train": ["--kb", str(workdir / "kb"), "--schema", str(workdir / "schema.json"),
+                      "--config", str(workdir / "job.json"), "--data", str(workdir / "train.csv")],
+        "bench gen": ["--config", "", "--out", str(workdir / "data.csv")],
+        "sim run": ["--config", "", "--kb", str(workdir / "simkb"),
+                    "--out-dir", str(workdir / "simout")],
+        "bench report": ["--summary", ""],
+    }[command]
+    args[args.index(flag) + 1] = str(bad)
+    assert cli_main([*command.split(), *args]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (workdir / "kb" / "index.json").exists()
+
+
 def test_bench_run_determinism_byte_identical(workdir, tmp_path):
     args_base = [
         "bench", "run",

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from operator import ne
 
 import pytest
 
@@ -195,8 +196,28 @@ def test_tree_threshold_lands_between_sides():
     assert (node["feature"], node["threshold"]) == (oracle[0], oracle[1])
 
 
+def assert_every_node_matches_oracle(ds, min_leaf, max_depth):
+    """Fit a tree on *ds* and check each node against the exhaustive search:
+    a split is the oracle's best split, a leaf above max depth has none.
+    Returns the number of splits."""
+    model = fit(EstimatorSpec("tree", {"max_depth": max_depth, "min_leaf": min_leaf}), ds, seed=0)
+    nodes = []
+    collect_nodes(model.parameters["tree"], list(ds.samples), max_depth, nodes)
+    splits = 0
+    for rows_at_node, node, depth in nodes:
+        oracle = exhaustive_best_gini_split(Dataset(ds.schema, tuple(rows_at_node)), min_leaf)
+        if node["kind"] == "split":
+            splits += 1
+            assert (node["feature"], node["threshold"]) == (oracle[0], oracle[1])
+        elif depth > 0:
+            assert oracle is None
+    return splits
+
+
 def test_tree_every_split_matches_exhaustive_gini_corpus():
+    # tie-free columns: every cut inside min_leaf is a candidate
     rng = random.Random(99)
+    splits = {1: 0, 2: 0, 5: 0}
     for trial in range(40):
         n = rng.randint(4, 50)
         n_classes = rng.choice([2, 3])
@@ -211,18 +232,9 @@ def test_tree_every_split_matches_exhaustive_gini_corpus():
             % str(list(classes)).replace("'", '"')
         )
         ds = Dataset(schema, make_samples(rows))
-        min_leaf = rng.choice([1, 1, 2])
-        model = fit(EstimatorSpec("tree", {"max_depth": 3, "min_leaf": min_leaf}), ds, seed=0)
-
-        splits = []
-        collect_splits(model.parameters["tree"], list(ds.samples), splits)
-        for rows_at_node, feature, threshold in splits:
-            sub = Dataset(schema, tuple(rows_at_node))
-            oracle = exhaustive_best_gini_split(sub, min_leaf)
-            assert oracle is not None
-            assert (feature, threshold) == (oracle[0], oracle[1])
-        if not splits:
-            assert exhaustive_best_gini_split(ds, min_leaf) is None or len(ds) < 2 * min_leaf
+        for min_leaf in sorted({rng.choice([1, 1, 2]), 2, 5}):
+            splits[min_leaf] += assert_every_node_matches_oracle(ds, min_leaf, 3)
+    assert min(splits.values()) > 40, splits
 
 
 def test_tree_every_split_matches_exhaustive_gini_corpus_with_ties():
@@ -242,18 +254,30 @@ def test_tree_every_split_matches_exhaustive_gini_corpus_with_ties():
             ' "attributes": [{"name": "city", "kind": "categorical"}]}'
         )
         ds = Dataset(schema, make_samples(rows))
-        min_leaf = rng.choice([1, 2, 5])
-        model = fit(EstimatorSpec("tree", {"max_depth": 3, "min_leaf": min_leaf}), ds, seed=0)
+        splits += assert_every_node_matches_oracle(ds, rng.choice([1, 2, 5]), 3)
+    assert splits > 60, splits
 
-        nodes = []
-        collect_nodes(model.parameters["tree"], list(ds.samples), 3, nodes)
-        for rows_at_node, node, depth in nodes:
-            oracle = exhaustive_best_gini_split(Dataset(schema, tuple(rows_at_node)), min_leaf)
-            if node["kind"] == "split":
-                splits += 1
-                assert (node["feature"], node["threshold"]) == (oracle[0], oracle[1])
-            elif depth > 0:
-                assert oracle is None
+
+def test_tree_takes_signed_zeros_as_one_value():
+    # a column whose only repeated value is 0.0 against -0.0 has ties: no cut
+    # falls between them, and a split on it keeps both on one side
+    assert len({0.0, -0.0}) == 1 and not ne(0.0, -0.0)
+    rng = random.Random(17)
+    schema = parse_schema(
+        '{"features": ["f0", "f1"], "label": {"name": "y", "classes": ["a", "b"]}}'
+    )
+    splits = 0
+    for trial in range(30):
+        n = rng.randint(4, 40)
+        xs = rng.sample([i / 4 for i in range(-40, 41) if i], n - 2) + [0.0, -0.0]
+        rng.shuffle(xs)
+        # the label flips at zero, so the best cut of distinct values lies between the zeros
+        rows = [((x, rng.uniform(0, 10)), (), "a" if x < 0 or str(x) == "-0.0" else "b")
+                for x in xs]
+        rows = [(f, a, y if rng.random() < 0.9 else "ab".replace(y, "")) for f, a, y in rows]
+        ds = Dataset(schema, make_samples(rows))
+        for min_leaf in (1, 2, 5):
+            splits += assert_every_node_matches_oracle(ds, min_leaf, 3)
     assert splits > 60, splits
 
 
@@ -266,18 +290,34 @@ def _sorted_column(rng, runs, k):
     return ys
 
 
-def test_gini_cuts_score_at_most_one_more_cut_than_label_runs():
+def exact_best_cut(ys, candidates, k):
+    """(score, n_left) of the best cut among *candidates* of sorted labels
+    *ys*: sum over sides of m * gini(side) in Fractions, every candidate
+    scanned, the lowest n_left winning ties."""
+    def side(part):
+        m = len(part)
+        return m - sum(Fraction(part.count(c) ** 2, m) for c in range(k))
+
+    return min((side(ys[:t]) + side(ys[t:]), t) for t in candidates)
+
+
+def test_gini_best_cut_matches_an_exact_scan_of_every_candidate():
+    # run-built columns, with every cut, tied or min_leaf-gapped candidates
     rng = random.Random(5)
-    for trial in range(200):
-        k, runs = rng.choice([2, 3, 5]), rng.randint(1, 30)
+    for trial in range(300):
+        k, runs = rng.choice([2, 3, 5]), rng.randint(2, 30)
         ys = _sorted_column(rng, runs, k)
+        n, min_leaf = len(ys), rng.choice([1, 2, 5])
+        every = range(min_leaf, n - min_leaf + 1)
+        ties = [t for t in every if rng.random() < 0.6]  # a tie drops the cut at it
         impurity = _Gini(k)
-        candidates = list(range(1, len(ys)))
-        if not candidates:
-            continue
-        scored = [n_left for n_left, _, _ in impurity.cuts(ys, candidates, impurity.leaf(ys))]
-        assert scored == sorted(set(scored)) and set(scored) <= set(candidates)
-        assert len(scored) <= runs + 1
+        counts = impurity.leaf(ys)["counts"]
+        for candidates in (every, list(every), ties):
+            if not candidates:
+                continue
+            num, den, n_left = impurity.best_cut(ys, candidates, counts)
+            score, t = exact_best_cut(ys, candidates, k)
+            assert n_left == t and n - Fraction(num, den) == score
 
 
 # The sha256 of the serialized models of a fixed corpus of classification
