@@ -1,5 +1,5 @@
 """Edge-side runtime: task allocation against the deployed snapshot,
-unknown-task detection, unseen-sample buffering, retrain triggering.
+unknown-task detection, unknown-demand counting, retrain triggering.
 
 Inference never talks to the cloud. A sample whose bucketed attribute
 values are a task's in the active snapshot routes to that task's model; a
@@ -11,11 +11,12 @@ Applying a snapshot checks each task's bucketing and key, maps its values to
 its key and entry, and builds a :class:`~edgelearn.tasks.TaskIndex` at the
 edge's threshold, so finding (a) scores only the tasks that can reach it
 (those sharing the sample's categorical values, at the default threshold)
-instead of every snapshot task. Unknown samples are buffered for upload;
-labeled feedback accumulates until the trigger policy fires a retrain request.
+instead of every snapshot task. Unknown requests are counted per task key, up
+to ``unseen_cap`` keys, for upload; labeled feedback accumulates until the
+trigger policy fires a retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
-buffer drains, and snapshot swaps never observe partial state. Snapshots,
+drains, and snapshot swaps never observe partial state. Snapshots,
 their value tables and their indexes are immutable, so routing and
 prediction run outside it.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,11 +98,11 @@ class EdgeRuntime:
         self._n_features = schema.n_features
         self._bucket_counts = bucketing.bucket_counts
         self.similarity_threshold = similarity_threshold  # fixed: each index is built at it
-        self.unseen_cap = unseen_cap
+        self.unseen_cap = unseen_cap  # distinct keys in self._demand
         self.active: DeploySnapshot | None = None
         self._index: TaskIndex | None = None  # over self.active's tasks
         self._known: dict[tuple, tuple[str, SnapshotEntry]] = {}  # values -> key, entry
-        self._unseen: deque[Sample] = deque(maxlen=unseen_cap)
+        self._demand: dict[tuple, int] = {}  # unknown values -> requests since the last drain
         self._feedback: list[Sample] = []
         self.counters = {
             "inferences": 0,
@@ -158,7 +158,7 @@ class EdgeRuntime:
 
         A known task is found by one dict probe on the sample's bucketed
         values; no key string is built but for a NoModelError message.
-        Unknown-task samples are buffered for upload; if neither a similar
+        An unknown task's request is counted for upload; if neither a similar
         task nor a fallback model exists, raises NoModelError (counted).
         """
         if len(sample.features) != self._n_features:
@@ -175,11 +175,12 @@ class EdgeRuntime:
             hit = known.get(values)
             if hit is not None:
                 self.counters["known_hits"] += 1
-            else:  # unknown task: buffer for upload
+            else:  # unknown task: count its demand for upload
                 self.counters["unknown_hits"] += 1
-                if len(self._unseen) == self.unseen_cap:  # the append drops the oldest
+                if values in self._demand or len(self._demand) < self.unseen_cap:
+                    self._demand[values] = self._demand.get(values, 0) + 1
+                else:  # a new key past the cap
                     self.counters["unseen_dropped"] += 1
-                self._unseen.append(sample)
 
         # snapshot, index and known are immutable: predict and route outside the lock
         if hit is not None:
@@ -224,18 +225,17 @@ class EdgeRuntime:
             self._feedback.extend(accepted)
         return IngestResult(accepted=len(accepted), rejected=tuple(rejected))
 
-    def fire_trigger(self, policy: TriggerPolicy) -> tuple[list[Sample], list[Sample]] | None:
-        """If the trigger condition holds, count the firing and drain both
-        buffers for upload, as (labeled feedback, unseen samples), in one
-        atomic step; otherwise None."""
+    def fire_trigger(self, policy: TriggerPolicy) -> tuple[list[Sample], dict[str, int]] | None:
+        """If the trigger condition holds, count the firing and drain, in one
+        atomic step, the labeled feedback and the unknown requests per task
+        key for upload, as (labeled, {key: count}); otherwise None."""
         with self._lock:
             if len(self._feedback) < policy.unseen_threshold:
                 return None
             self.counters["triggers_fired"] += 1
             labeled, self._feedback = self._feedback, []
-            unseen = list(self._unseen)
-            self._unseen.clear()
-            return labeled, unseen
+            demand, self._demand = self._demand, {}
+        return labeled, {values_key(values): n for values, n in demand.items()}
 
     # -- introspection ----------------------------------------------------------
 
@@ -245,7 +245,7 @@ class EdgeRuntime:
             return {
                 "counters": dict(self.counters),
                 "feedback_buffer": len(self._feedback),
-                "unseen_buffer": len(self._unseen),
+                "unknown_demand": {values_key(v): n for v, n in self._demand.items()},
                 "snapshot_version": (
                     self.active.snapshot_version if self.active is not None else None
                 ),

@@ -66,7 +66,8 @@ class TransferPolicy:
 
 @dataclass(frozen=True)
 class TriggerPolicy:
-    """Retraining fires once this many labeled feedback samples accumulate."""
+    """Retraining fires once this many labeled feedback samples accumulate.
+    ``unseen_threshold`` counts labeled feedback, not unknown requests."""
 
     unseen_threshold: int = 10
 

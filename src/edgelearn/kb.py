@@ -173,6 +173,8 @@ def deserialize_snapshot(data: bytes) -> DeploySnapshot:
         doc = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
         if not _is_int(doc["format"]) or doc["format"] != _FORMAT:
             raise SerializationError(f"unsupported snapshot format {doc['format']!r}")
+        if not isinstance(doc["tasks"], dict):
+            raise ValueError(f"tasks {doc['tasks']!r} is not an object")
         tasks = {
             key: SnapshotEntry(
                 model=model_from_json(entry["model"]),

@@ -573,6 +573,16 @@ def model_from_json(payload) -> ModelArtifact:
         raise SerializationError(f"corrupt model payload: kind {kind!r} is not a string")
     if kind not in _REGISTRY:
         raise UnknownLearnerError(f"unknown learner kind {kind!r} in model payload")
+    params = payload["parameters"]  # predict reads the two keys fit injects
+    if not isinstance(params, dict):
+        raise SerializationError(f"corrupt model payload: parameters {params!r} is not an object")
+    n_features, classes = params.get("n_features"), params.get("classes")
+    if not _is_int(n_features) or n_features < 1:
+        raise SerializationError(
+            f"corrupt model payload: n_features {n_features!r} is not an integer >= 1")
+    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+        raise SerializationError(
+            f"corrupt model payload: classes {classes!r} is not a list of strings")
     try:
         spec = EstimatorSpec(kind=kind, hyperparameters=payload["hyperparameters"])
         trained = TrainingSummary(
@@ -581,7 +591,7 @@ def model_from_json(payload) -> ModelArtifact:
         )
         return ModelArtifact(
             spec=spec,
-            parameters=payload["parameters"],
+            parameters=params,
             trained_on=trained,
             seed=payload["seed"],
             schema_fingerprint=payload["schema_fingerprint"],

@@ -18,7 +18,7 @@ from two runs of the same config are byte-identical.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +96,7 @@ class SimReport:
     per_edge: dict
     kb_summary: dict
     message_stats: dict
+    unknown_demand: dict  # uploaded unknown requests per key the last pushed snapshot lacks
 
     def events_text(self) -> str:
         return "\n".join(self.events) + ("\n" if self.events else "")
@@ -105,6 +106,7 @@ class SimReport:
             "per_edge": self.per_edge,
             "kb_summary": self.kb_summary,
             "message_stats": self.message_stats,
+            "unknown_demand": self.unknown_demand,
             "event_count": len(self.events),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -136,8 +138,9 @@ class Simulation:
         self._processed_ids: set[int] = set()
         self._pending_trains: list[tuple[int, int]] = []  # (ready, edge)
         self._labeled_pool: list[Sample] = []
-        self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0, "acked": 0,
-                      "unseen_escalated": 0}
+        self._demand: Counter[str] = Counter()  # uploaded unknown requests per task key
+        self._served: dict = {}  # the last pushed snapshot's tasks
+        self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0, "acked": 0}
 
         self._links_by_tick: dict[int, list[LinkEvent]] = {}
         for ev in sorted(cfg.links, key=lambda e: (e.tick, e.edge_id)):
@@ -196,6 +199,7 @@ class Simulation:
         self._log(edge.name, "link", "up" if up else "down")
 
     def _push_snapshot(self, snapshot: DeploySnapshot) -> None:
+        self._served = snapshot.tasks
         for edge in self.edges:
             msg = self._send(MSG_SNAPSHOT_PUSH, "cloud", snapshot)
             edge.from_cloud.append(msg)
@@ -237,11 +241,11 @@ class Simulation:
             return
         self._processed_ids.add(msg.id)
         if msg.kind == MSG_UPLOAD_BATCH:
-            labeled, unseen = msg.payload
+            labeled, demand = msg.payload
             self._labeled_pool.extend(labeled)
-            self.stats["unseen_escalated"] += len(unseen)
-            self._log("cloud", "upload_received",
-                      f"id={msg.id} from={msg.source} labeled={len(labeled)} unseen={len(unseen)}")
+            self._demand.update(demand)
+            self._log("cloud", "upload_received", f"id={msg.id} from={msg.source} "
+                      f"labeled={len(labeled)} unseen={sum(demand.values())}")
         elif msg.kind == MSG_TRIGGER_TRAIN:
             edge_id, reason = msg.payload
             ready = self.now + self.cfg.training_delay_ticks
@@ -285,14 +289,14 @@ class Simulation:
         for edge in self.edges:
             batch = edge.runtime.fire_trigger(self.cfg.job.trigger)
             if batch is not None:
-                labeled, unseen = batch
-                upload = self._send(MSG_UPLOAD_BATCH, edge.name, (labeled, unseen))
+                labeled, demand = batch
+                upload = self._send(MSG_UPLOAD_BATCH, edge.name, batch)
                 trigger = self._send(MSG_TRIGGER_TRAIN, edge.name,
                                      (edge.id, TRIGGER_COUNT_THRESHOLD))
                 edge.to_cloud.append(upload)
                 edge.to_cloud.append(trigger)
                 self._log(edge.name, "trigger",
-                          f"labeled={len(labeled)} unseen={len(unseen)} "
+                          f"labeled={len(labeled)} unseen={sum(demand.values())} "
                           f"upload_id={upload.id} trigger_id={trigger.id}")
             if edge.link_up:
                 self._deliver_to_cloud(edge)
@@ -341,11 +345,12 @@ class Simulation:
                 for key, rec in sorted(self.kb.records.items())
             ],
         }
-        stats = dict(self.stats)
+        stats = dict(self.stats, unseen_escalated=self._demand.total())
         stats["queued_at_end"] = sum(
             len(e.to_cloud) + len(e.from_cloud) for e in self.edges
         )
-        return SimReport(tuple(self.events), per_edge, kb_summary, stats)
+        demand = {k: n for k, n in sorted(self._demand.items()) if k not in self._served}
+        return SimReport(tuple(self.events), per_edge, kb_summary, stats, demand)
 
 
 def start_sim(cfg: SimConfig, kb_path: str | Path) -> Simulation:

@@ -15,7 +15,7 @@ from edgelearn.tasks import values_key
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
-from test_kb import _watch_replaces
+from test_kb import _set_at, _watch_replaces
 
 
 SCHEMA_TEXT = """
@@ -758,25 +758,27 @@ def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
     assert "format 2" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("histogram", [[8], "ab", 5])
-@pytest.mark.parametrize("stored", ["store", "snapshot"])
-def test_a_model_whose_class_histogram_is_not_an_object_is_exit_2(
-        workdir, capsys, stored, histogram):
+def _read_an_edited_model(workdir, capsys, stored, path, value):
+    """Deploy, set *value* at *path* (keys into the athens model's payload)
+    where the model is *stored* (a store model file, under valid model and
+    manifest checksums, or the snapshot file), then read it back with `kb
+    show` or `edge infer`. Returns the exit code, stderr and the model
+    file's path (store only); checks that nothing was written."""
     base = _deployed(workdir)
-    index, snap = workdir / "kb" / "index.json", workdir / "snap.json"
-    if stored == "store":  # rewrite one model file under valid model and manifest checksums
+    index, snap, model_file = workdir / "kb" / "index.json", workdir / "snap.json", None
+    if stored == "store":
         manifest = json.loads(index.read_bytes())
         entry = manifest["body"]["tasks"][0]
-        path = workdir / "kb" / "models" / entry["model_file"]
-        payload = json.loads(path.read_bytes())
-        payload["trained_on"]["class_histogram"] = histogram
-        path.write_bytes(canonical_json_bytes(payload))
-        entry["crc32"] = zlib.crc32(path.read_bytes())
+        model_file = workdir / "kb" / "models" / entry["model_file"]
+        payload = json.loads(model_file.read_bytes())
+        _set_at(payload, path, value)
+        model_file.write_bytes(canonical_json_bytes(payload))
+        entry["crc32"] = zlib.crc32(model_file.read_bytes())
         manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
         index.write_bytes(canonical_json_bytes(manifest))
     else:
         doc = json.loads(snap.read_bytes())
-        doc["tasks"]["athens"]["model"]["trained_on"]["class_histogram"] = histogram
+        _set_at(doc["tasks"]["athens"]["model"], path, value)
         snap.write_bytes(canonical_json_bytes(doc))
     before = index.read_bytes()
     capsys.readouterr()
@@ -786,13 +788,54 @@ def test_a_model_whose_class_histogram_is_not_an_object_is_exit_2(
     else:
         code = cli_main(["edge", "infer", "--snapshot", str(snap), *base[2:],
                          "--data", str(workdir / "test.csv"), "--out", str(out)])
+    assert index.read_bytes() == before
+    assert not out.exists()
+    return code, capsys.readouterr().err, model_file
+
+
+@pytest.mark.parametrize("histogram", [[8], "ab", 5])
+@pytest.mark.parametrize("stored", ["store", "snapshot"])
+def test_a_model_whose_class_histogram_is_not_an_object_is_exit_2(
+        workdir, capsys, stored, histogram):
+    code, err, path = _read_an_edited_model(
+        workdir, capsys, stored, ("trained_on", "class_histogram"), histogram)
     assert code == 2
-    err = capsys.readouterr().err
     assert f"class histogram {histogram!r} is not an object" in err
     assert "Traceback" not in err
     if stored == "store":
         assert f"undecodable model file {path}" in err
-    assert index.read_bytes() == before
+
+
+@pytest.mark.parametrize("keys, value, error", [
+    ((), [], "parameters [] is not an object"),
+    ((), {}, "n_features None is not an integer >= 1"),
+    (("n_features",), "2", "n_features '2' is not an integer >= 1"),
+    (("classes",), "ab", "classes 'ab' is not a list of strings"),
+])
+@pytest.mark.parametrize("stored", ["store", "snapshot"])
+def test_a_model_whose_parameters_lack_what_predict_reads_is_exit_2(
+        workdir, capsys, stored, keys, value, error):
+    code, err, path = _read_an_edited_model(
+        workdir, capsys, stored, ("parameters", *keys), value)
+    assert code == 2
+    assert error in err and "Traceback" not in err
+    if stored == "store":
+        assert f"undecodable model file {path}" in err
+
+
+@pytest.mark.parametrize("tasks", [[], "ab", None])
+def test_a_snapshot_whose_tasks_are_not_an_object_is_exit_2(workdir, capsys, tasks):
+    base = _deployed(workdir)
+    snap, out = workdir / "snap.json", workdir / "p.csv"
+    doc = json.loads(snap.read_bytes())
+    doc["tasks"] = tasks
+    snap.write_bytes(canonical_json_bytes(doc))
+    capsys.readouterr()
+    code = cli_main(["edge", "infer", "--snapshot", str(snap), *base[2:],
+                     "--data", str(workdir / "test.csv"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"tasks {tasks!r} is not an object" in err and "Traceback" not in err
     assert not out.exists()
 
 

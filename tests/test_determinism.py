@@ -33,7 +33,7 @@ PINS = {
     "index.json": "4c1eefc4b08d1d271770c4269dcc85028a1bd9333201f34c1de455dd218f5238",
     "predictions.csv": "53a43afc4d4b5b13eec5aa74b9f0d3beea82ec712b8acf1f3ce5104110564ba3",
     "events.log": "f89ee132bd104d64507fe0e3ea186cfe7ecf07f1c7b542feccffc936998486bc",
-    "report.json": "b9f80c7f5b8342f556de948be4d8f8a2cffe963e102150f36ba735bdcd50fdfc",
+    "report.json": "b16da8202aada636a8d142ca7bd79c9c697212b995a5af2683066c0baa4a8c83",
     "routes.csv": "e1fa93db7ec4a4db96c065c69f7bacc2ae6027cd7565b19425141d03999d995e",
 }
 

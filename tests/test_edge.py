@@ -8,6 +8,7 @@ import os
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -157,7 +158,7 @@ def test_infer_unknown_low_similarity_goes_fallback():
     assert pred.route == ROUTE_FALLBACK
     assert pred.label == "b"
     assert runtime.counters["unknown_hits"] == 1
-    assert runtime.status()["unseen_buffer"] == 1
+    assert runtime.status()["unknown_demand"] == {"tokyo": 1}
 
 
 def test_infer_unknown_midrange_similarity_below_threshold_goes_fallback():
@@ -175,7 +176,7 @@ def test_infer_unknown_midrange_similarity_below_threshold_goes_fallback():
     pred = runtime.infer(Sample((1.0,), ("p", 35.0)))  # bucket 2: sim (1+0.5)/2
     assert pred.route == ROUTE_FALLBACK
     assert pred.label == "b"
-    assert runtime.status()["unseen_buffer"] == 1
+    assert runtime.status()["unknown_demand"] == {"p|2": 1}
 
 
 def test_infer_unknown_neighbor_bucket_routes_similar():
@@ -201,7 +202,7 @@ def test_infer_no_model_error_counted():
         runtime.infer(Sample((1.0,), ("tokyo",)))
     assert runtime.counters["no_model_errors"] == 1
     assert runtime.counters["unknown_hits"] == 1
-    assert runtime.status()["unseen_buffer"] == 1  # still escalated for labeling
+    assert runtime.status()["unknown_demand"] == {"tokyo": 1}  # still escalated
 
 
 def test_no_model_error_reports_the_best_similarity_over_every_task():
@@ -305,8 +306,8 @@ def test_fire_trigger_counts_and_drains():
     assert runtime.fire_trigger(TriggerPolicy(unseen_threshold=5)) is None
     runtime.ingest_feedback([Sample((float(i),), ("athens",), "a") for i in range(2)])
     batch = runtime.fire_trigger(TriggerPolicy(unseen_threshold=5))
-    labeled, unseen = batch
-    assert len(labeled) == 5 and unseen == []
+    labeled, demand = batch
+    assert len(labeled) == 5 and demand == {}
     assert runtime.counters["triggers_fired"] == 1
     assert runtime.status()["feedback_buffer"] == 0
 
@@ -319,61 +320,74 @@ ONE_LABELED = [Sample((0.0,), ("athens",), "a")]
 def test_drain_returns_and_clears():
     runtime = city_runtime(city_snapshot(cities=("athens",), fallback_label="b"))
     runtime.ingest_feedback([Sample((float(i),), ("athens",), "a") for i in range(3)])
-    runtime.infer(Sample((0.0,), ("oslo",)))
-    runtime.infer(Sample((1.0,), ("oslo",)))
-    labeled, unseen = runtime.fire_trigger(TriggerPolicy(unseen_threshold=3))
-    assert (len(labeled), len(unseen)) == (3, 2)
-    assert runtime.status()["feedback_buffer"] == runtime.status()["unseen_buffer"] == 0
+    for city in ("oslo", "rome", "oslo"):
+        runtime.infer(Sample((0.0,), (city,)))
+    runtime.infer(Sample((0.0,), ("athens",)))  # known: not demand
+    labeled, demand = runtime.fire_trigger(TriggerPolicy(unseen_threshold=3))
+    assert (len(labeled), demand) == (3, {"oslo": 2, "rome": 1})
+    assert runtime.status()["feedback_buffer"] == 0
+    assert runtime.status()["unknown_demand"] == {}
     runtime.ingest_feedback(ONE_LABELED)
-    assert runtime.fire_trigger(TriggerPolicy(unseen_threshold=1)) == (ONE_LABELED, [])
+    assert runtime.fire_trigger(TriggerPolicy(unseen_threshold=1)) == (ONE_LABELED, {})
 
 
 def test_drain_concurrent_with_infer_conserves_unknowns():
-    runtime = city_runtime(city_snapshot(cities=("athens",), fallback_label="b"))
+    # four keys against a cap of two: whether a key is counted or dropped
+    # depends on how the drains interleave, but every request is one or the other
+    runtime = EdgeRuntime(city_schema(), CITY_BUCKETING, unseen_cap=2)
+    runtime.apply_snapshot(city_snapshot(cities=("athens",), fallback_label="b"))
     policy = TriggerPolicy(unseen_threshold=1)
-    total = 400
-    drained: list[Sample] = []
+    cities = ("oslo", "rome", "kyiv", "lima")
+    drained: Counter = Counter()
     errors = []
 
     def worker(offset):
-        for i in range(100):
-            try:
-                runtime.infer(Sample((float(offset * 100 + i),), ("oslo",)))
-            except Exception as exc:  # pragma: no cover - failure diagnostics
-                errors.append(exc)
+        try:
+            for i in range(100):
+                runtime.infer(Sample((float(i),), (cities[(offset + i) % 4],)))
+        except Exception as exc:  # pragma: no cover - failure diagnostics
+            errors.append(exc)
 
     def drainer():
         for _ in range(50):
             runtime.ingest_feedback(ONE_LABELED)  # the only feedback: each fire drains
-            _, unseen = runtime.fire_trigger(policy)
-            drained.extend(unseen)
+            drained.update(runtime.fire_trigger(policy)[1])
 
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-    threads.append(threading.Thread(target=drainer))
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        threads.append(threading.Thread(target=drainer))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     runtime.ingest_feedback(ONE_LABELED)
-    _, unseen = runtime.fire_trigger(policy)
-    drained.extend(unseen)
+    drained.update(runtime.fire_trigger(policy)[1])
 
     assert not errors
-    assert runtime.counters["unknown_hits"] == total
-    assert len(drained) + runtime.counters["unseen_dropped"] == total
+    assert runtime.counters["unknown_hits"] == 400
+    assert drained.total() + runtime.counters["unseen_dropped"] == 400
+    assert set(drained) <= set(cities)
 
 
-def test_unseen_buffer_cap_drops_oldest():
+def test_unseen_cap_bounds_distinct_keys():
     runtime = EdgeRuntime(city_schema(), CITY_BUCKETING, unseen_cap=3)
     runtime.apply_snapshot(city_snapshot(cities=("athens",), fallback_label="b"))
-    for i in range(5):
-        runtime.infer(Sample((float(i),), ("oslo",)))
-    runtime.ingest_feedback(ONE_LABELED)
-    _, unseen = runtime.fire_trigger(TriggerPolicy(unseen_threshold=1))
-    assert len(unseen) == 3
-    assert [s.features[0] for s in unseen] == [2.0, 3.0, 4.0]
+    for city in ("oslo", "rome", "oslo", "kyiv", "lima", "oslo", "rome", "lima"):
+        runtime.infer(Sample((0.0,), (city,)))
+    # lima is a fourth key: dropped both times; keys already in the table still count
+    assert runtime.status()["unknown_demand"] == {"oslo": 3, "rome": 2, "kyiv": 1}
     assert runtime.counters["unseen_dropped"] == 2
-    assert runtime.counters["unknown_hits"] == 5
+    assert runtime.counters["unknown_hits"] == 8
+    runtime.ingest_feedback(ONE_LABELED)
+    _, demand = runtime.fire_trigger(TriggerPolicy(unseen_threshold=1))
+    assert demand == {"oslo": 3, "rome": 2, "kyiv": 1}
+    runtime.infer(Sample((0.0,), ("lima",)))  # a drain frees the table
+    assert runtime.status()["unknown_demand"] == {"lima": 1}
 
 
 @pytest.mark.parametrize("cap", [0, -1, True, "5"])
@@ -487,7 +501,7 @@ def test_status_document_fields():
         "unseen_dropped": 0,
         "no_model_errors": 0,
     }
-    assert doc["unseen_buffer"] == 1
+    assert doc["unknown_demand"] == {"oslo": 1}
     assert doc["feedback_buffer"] == 0
 
 
@@ -519,7 +533,7 @@ def test_task_index_routes_exactly_like_a_full_scan():
     rng = random.Random(2024)
     models = [constant_model(label) for label in "ab"]
     outcomes = {ROUTE_KNOWN: 0, ROUTE_SIMILAR: 0, ROUTE_FALLBACK: 0, "no-model": 0}
-    ties = cross_group = 0
+    ties = cross_group = drops = 0
     for _ in range(40):
         kinds = [AttributeKind("categorical")] * rng.randint(1, 3) + [
             AttributeKind("numeric", tuple(sorted(rng.sample(
@@ -550,13 +564,18 @@ def test_task_index_routes_exactly_like_a_full_scan():
             runtime = EdgeRuntime(schema, bucketing, similarity_threshold=threshold,
                                   unseen_cap=5)
             runtime.apply_snapshot(snap)
-            counters = dict.fromkeys(runtime.counters, 0)
+            counters, demand = dict.fromkeys(runtime.counters, 0), Counter()
             for i, attrs in enumerate(queries):
                 expected = _oracle(snap, attrs, bucketing, threshold)
                 known = not isinstance(expected, str) and expected[0] == ROUTE_KNOWN
                 counters["inferences"] += 1
                 counters["known_hits" if known else "unknown_hits"] += 1
-                counters["unseen_dropped"] = max(0, counters["unknown_hits"] - 5)
+                if not known:  # at most five distinct unknown keys are counted
+                    key = task_key(bucket_attributes(attrs, bucketing))
+                    if key in demand or len(demand) < 5:
+                        demand[key] += 1
+                    else:
+                        counters["unseen_dropped"] += 1
                 if isinstance(expected, str):
                     counters["no_model_errors"] += 1
                     outcomes["no-model"] += 1
@@ -577,7 +596,9 @@ def test_task_index_routes_exactly_like_a_full_scan():
                         query.values, snap.tasks[key].attributes.values, query.bucket_counts)
                         if count == 0)
             assert runtime.counters == counters
-    assert min(outcomes.values()) > 0 and ties > 0 and cross_group > 0  # all were exercised
+            assert runtime.status()["unknown_demand"] == demand
+            drops += counters["unseen_dropped"]
+    assert min(outcomes.values()) > 0 and ties > 0 and cross_group > 0 and drops > 0  # all ran
 
 
 # -- concurrent swaps ------------------------------------------------------------------

@@ -716,12 +716,34 @@ def test_snapshot_serialization_round_trip(tmp_path):
     assert predict(clone.tasks["athens"].model, (0.0,)) == "a"
 
 
+def _set_at(doc, path: tuple, value) -> None:
+    """Set *value* at *path*, a tuple of keys into nested objects."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
 @pytest.mark.parametrize("corrupt, error", [
     ("task-not-an-object", "not an object"),
     ("task-missing-key", r"missing \['seed'\]"),
     ("fallback-format-version", "unsupported model format version"),
     ("fallback-unknown-kind", "unknown learner kind"),
     ("task-nan-parameter", "corrupt snapshot payload"),
+    # (path, value): the value set at that path of the snapshot document
+    ((("tasks",), []), r"tasks \[\] is not an object"),
+    ((("tasks",), "ab"), "tasks 'ab' is not an object"),
+    ((("tasks",), None), "tasks None is not an object"),
+    ((("tasks", "athens", "model", "parameters"), []), r"parameters \[\] is not an object"),
+    ((("fallback", "parameters"), {}), "n_features None is not an integer >= 1"),
+    ((("tasks", "athens", "model", "parameters", "n_features"), "2"),
+     "n_features '2' is not an integer >= 1"),
+    ((("fallback", "parameters", "n_features"), 0), "n_features 0 is not an integer >= 1"),
+    ((("fallback", "parameters", "n_features"), True), "n_features True is not an integer"),
+    ((("tasks", "athens", "model", "parameters", "classes"), "ab"),
+     "classes 'ab' is not a list of strings"),
+    ((("fallback", "parameters", "classes"), ["a", 1]),
+     r"classes \['a', 1\] is not a list of strings"),
 ])
 def test_snapshot_decode_checks_every_model_entry(tmp_path, corrupt, error):
     kb = kb_open(tmp_path / "kb")
@@ -729,7 +751,9 @@ def test_snapshot_decode_checks_every_model_entry(tmp_path, corrupt, error):
     kb.set_fallback(make_fallback())
     doc = json.loads(serialize_snapshot(kb.snapshot()))
     task, fallback = doc["tasks"]["athens"]["model"], doc["fallback"]
-    if corrupt == "task-not-an-object":
+    if isinstance(corrupt, tuple):
+        _set_at(doc, *corrupt)
+    elif corrupt == "task-not-an-object":
         doc["tasks"]["athens"]["model"] = [task]
     elif corrupt == "task-missing-key":
         del task["seed"]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 
 from edgelearn.data import Sample
@@ -301,6 +304,43 @@ def test_message_conservation_all_acked_when_online(tmp_path):
     assert stats["sent"] == stats["acked"]
     assert stats["queued_at_end"] == 0
     assert stats["delivered"] == stats["sent"]
+
+
+def test_report_lists_uploaded_unknown_demand_the_last_snapshot_does_not_serve(
+        tmp_path, monkeypatch):
+    # paris and rome are never learned; tokyo and oslo are, and edge 1's
+    # tokyo counts reach the cloud late, after tokyo is already served
+    cfg = basic_config(
+        edges=2,
+        streams=(
+            StreamEvent(0, 0, unlabeled("paris", 3) + unlabeled("rome", 2)),
+            StreamEvent(1, 0, labeled("tokyo", "b", 12)),
+            StreamEvent(2, 1, labeled("tokyo", "b", 10)),
+            StreamEvent(3, 0, unlabeled("rome", 4) + labeled("oslo", "a", 10)),
+        ),
+        links=(LinkEvent(1, 1, up=False), LinkEvent(5, 1, up=True)),
+        max_ticks=7,
+    )
+    sim = start_sim(cfg, tmp_path / "kb")
+    uploaded = Counter()
+    receive = sim._receive_at_cloud
+
+    def recording(msg):
+        if msg.kind == MSG_UPLOAD_BATCH:
+            uploaded.update(msg.payload[1])
+        receive(msg)
+
+    monkeypatch.setattr(sim, "_receive_at_cloud", recording)
+    report = sim.run_to_completion()
+
+    assert uploaded == {"paris": 3, "rome": 6, "tokyo": 22, "oslo": 10}
+    served = sim.edges[0].runtime.active.tasks
+    assert report.unknown_demand == {k: n for k, n in uploaded.items() if k not in served}
+    assert json.loads(report.to_json())["unknown_demand"] == {"paris": 3, "rome": 6}
+    received = [line for line in report.events if ",cloud,upload_received," in line]
+    assert report.message_stats["unseen_escalated"] == sum(
+        int(line.rsplit("unseen=", 1)[1]) for line in received) == 41
+    assert all(status["unknown_demand"] == {} for status in report.per_edge.values())
 
 
 # -- offline autonomy --------------------------------------------------------------------
