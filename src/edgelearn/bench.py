@@ -28,10 +28,11 @@ from pathlib import Path
 from .data import (AttrValue, Dataset, DatasetSchema, Sample, _is_finite_number, check_int,
                    check_object, field_names, load_object, parse_schema)
 from .edge import EdgeRuntime
-from .errors import ConfigError, DataError, LearnerError
+from .errors import ConfigError, DataError, LearnerError, SerializationError
 from .job import JobConfig, LifelongJob
 from .kb import DeploySnapshot, KnowledgeBase
-from .learners import EstimatorSpec, EvalMetrics, evaluate, fit, metrics_from_json, metrics_to_json
+from .learners import (EstimatorSpec, EvalMetrics, decode_json, evaluate, fit, metrics_from_json,
+                       metrics_to_json)
 from .tasks import BucketingConfig, TaskPartition, as_tasks, mine_tasks
 
 METHOD_CLOSED = "closed"
@@ -389,7 +390,7 @@ def parse_summary(path: str | Path) -> BenchResult:
     """Rebuild a BenchResult from an emitted summary file. A file that does
     not decode or is not a summary's shape raises ConfigError naming it."""
     try:
-        doc = _summary_object(json.loads(Path(path).read_text(encoding="utf-8")), "summary")
+        doc = _summary_object(decode_json(Path(path).read_bytes(), "JSON"), "summary")
         methods = {}
         for method, entry in _summary_object(doc["methods"], "methods").items():
             entry = _summary_object(entry, f"method {method!r}")
@@ -411,7 +412,7 @@ def parse_summary(path: str | Path) -> BenchResult:
                 doc["overall_improvements"], "overall_improvements", numbers=True
             ),
         )
-    except (OSError, ValueError, KeyError, TypeError, LearnerError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, LearnerError, SerializationError) as exc:
         raise ConfigError(f"bad summary file {path}: {exc}") from exc
 
 

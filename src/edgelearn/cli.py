@@ -29,7 +29,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .data import load_csv, parse_schema, read_text, schema_to_json, write_csv
 from .edge import DEFAULT_SIMILARITY_THRESHOLD, EdgeRuntime
-from .errors import EdgeLearnError, NoModelError
+from .errors import EdgeLearnError, NoModelError, SchemaMismatchError, SerializationError
 from .job import LifelongJob, job_phase, parse_job_config
 from .kb import KnowledgeBase, atomic_write_bytes, deserialize_snapshot, serialize_snapshot
 from .sim import parse_sim_config, start_sim
@@ -205,10 +205,13 @@ def _cmd_edge(args) -> int:
     if args.action not in ("infer", "status"):
         raise _UsageError("edge needs an action: infer | status")
     schema, cfg = _load_config(args)
-    snapshot = deserialize_snapshot(Path(_require(args, "snapshot")).read_bytes())
     runtime = EdgeRuntime(schema, cfg.bucketing,
                           similarity_threshold=args.similarity_threshold)
-    runtime.apply_snapshot(snapshot)
+    path = _require(args, "snapshot")
+    try:  # a snapshot the edge refuses is named by its file
+        runtime.apply_snapshot(deserialize_snapshot(Path(path).read_bytes()))
+    except (SerializationError, SchemaMismatchError) as exc:
+        raise type(exc)(f"snapshot file {path}: {exc}") from None
     data = load_csv(_require(args, "data"), schema)
 
     rows = []

@@ -7,13 +7,13 @@ request so routed computes its bucketed values, one dict probe on them and
 the prediction, nothing more. Otherwise it is an unknown task and falls
 back to (a) the most similar snapshot task at or above the similarity
 threshold, else (b) the global fallback model.
-Applying a snapshot checks each task's bucketing and key, maps its values to
-its key and entry, and builds a :class:`~edgelearn.tasks.TaskIndex` at the
-edge's threshold, so finding (a) scores only the tasks that can reach it
-(those sharing the sample's categorical values, at the default threshold)
-instead of every snapshot task. Unknown requests are counted per task key, up
-to ``unseen_cap`` keys, for upload; labeled feedback accumulates until the
-trigger policy fires a retrain request.
+Applying a snapshot checks each model's schema and each task's bucketing and
+key, maps its values to its key and entry, and builds a
+:class:`~edgelearn.tasks.TaskIndex` at the edge's threshold, so finding (a)
+scores only the tasks that can reach it (at the default threshold, those
+sharing the sample's categorical values). Unknown requests are counted per task
+key, up to ``unseen_cap`` keys, for upload; labeled feedback accumulates until
+the trigger policy fires a retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
 drains, and snapshot swaps never observe partial state. Snapshots,
@@ -32,7 +32,7 @@ from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number, chec
 from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot, SnapshotEntry
-from .learners import predict
+from .learners import check_model, predict
 from .tasks import (BucketingConfig, TaskIndex, bucket_attributes, bucket_values, task_key,
                     values_key)
 
@@ -93,7 +93,7 @@ class EdgeRuntime:
         check_similarity_threshold(similarity_threshold)
         check_int("unseen_cap", unseen_cap, 1)
         self.schema = schema
-        self._schema_fingerprint = schema.fingerprint()
+        self._shape = (schema.fingerprint(), schema.label_classes, schema.n_features)
         self.bucketing = bucketing
         self._n_features = schema.n_features
         self._bucket_counts = bucketing.bucket_counts
@@ -119,24 +119,21 @@ class EdgeRuntime:
     def apply_snapshot(self, snapshot: DeploySnapshot) -> str:
         """Swap in a newer snapshot atomically. Returns "applied" or
         "rejected-stale" (strictly newer versions only). A snapshot holding a
-        model of another schema, or a task not bucketed as this edge buckets
-        or not keyed by its values, raises SchemaMismatchError and is not
-        applied; routing trusts what passes."""
+        model not of this edge's schema, classes and feature count, or a task
+        not bucketed as this edge buckets or not keyed by its values, raises
+        SchemaMismatchError and is not applied; routing trusts what passes."""
         fallback = () if snapshot.fallback is None else (snapshot.fallback,)
+        what = f"snapshot v{snapshot.snapshot_version}"
         for model in (*(entry.model for entry in snapshot.tasks.values()), *fallback):
-            if model.schema_fingerprint != self._schema_fingerprint:
-                raise SchemaMismatchError(
-                    f"snapshot v{snapshot.snapshot_version} holds a model of schema "
-                    f"{model.schema_fingerprint}; this edge serves {self._schema_fingerprint}"
-                )
+            check_model(model, self._shape, what)
         known, attributes = {}, {}  # values -> (key, entry); key -> attributes
         for key, entry in snapshot.tasks.items():
             known[entry.attributes.values], attributes[key] = (key, entry), entry.attributes
-        try:  # TaskIndex checks each key is its values' key: no two tasks share a values entry
+        try:  # task_categories checks each key is its values' key: no two share a values entry
             index = TaskIndex(attributes, self._bucket_counts, self.similarity_threshold)
         except SchemaMismatchError as exc:
-            raise SchemaMismatchError(f"snapshot v{snapshot.snapshot_version} was not "
-                                      f"bucketed as this edge buckets: {exc}") from None
+            raise SchemaMismatchError(f"{what} was not bucketed as this edge buckets: "
+                                      f"{exc}") from None
         with self._lock:
             if (
                 self.active is not None

@@ -12,8 +12,11 @@ The manifest body carries the schema fingerprint, the KB version counter,
 model file and checksum, and per task the record fields one codec owns
 (``_record_to_json``/``_record_from_json``: key, version, status,
 attributes, ``stats`` holding the sample count, eval) plus model file and
-checksum. ``open`` checks every field it keeps and ignores keys older
-stores wrote (a task's stats summary, ``relations``, the fallback's
+checksum. ``open`` decodes the manifest and every model file with
+:func:`~edgelearn.learners.decode_json`, checks every field it keeps,
+refuses a task key listed twice and runs the store gate ``upsert_task``
+and ``set_fallback`` run on every record and the fallback. It ignores keys
+older stores wrote (a task's stats summary, ``relations``, the fallback's
 ``revision``); the next commit drops them. Readers refuse a manifest or
 snapshot of another ``format``. A transaction writes only the model files
 it adds, each in place and fsynced under a name no committed manifest
@@ -29,7 +32,6 @@ There is no delete operation: task knowledge only accumulates.
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from contextlib import contextmanager
@@ -53,6 +55,8 @@ from .learners import (
     EvalMetrics,
     ModelArtifact,
     canonical_json_bytes,
+    check_model,
+    decode_json,
     deserialize_model,
     metrics_from_json,
     metrics_to_json,
@@ -60,7 +64,7 @@ from .learners import (
     model_to_json,
     serialize_model,
 )
-from .tasks import BucketedAttributes, rank_similar, task_categories, values_key
+from .tasks import BucketedAttributes, rank_similar, task_categories
 
 STATUS_TRAINED = "trained"
 STATUS_DEPLOYABLE = "deployable"
@@ -131,11 +135,9 @@ def _record_to_json(record: TaskRecord) -> dict:
 
 
 def _record_from_json(doc: dict, model: ModelArtifact) -> TaskRecord:
-    """Inverse of :func:`_record_to_json`, given the record's model. Checks
-    the fields the record's dataclasses do not; ignores other ``stats`` keys."""
+    """Inverse of :func:`_record_to_json`, given the record's model; checks
+    the counts, and the store gate the rest. Ignores other ``stats`` keys."""
     attributes = _attrs_from_json(doc["attributes"])
-    if doc["key"] != values_key(attributes.values):  # a string, and the key of its values
-        raise StoreError(f"task key {doc['key']!r} is not the key of values {attributes.values!r}")
     check_int("task version", doc["version"], 1)
     check_int("task sample count", doc["stats"]["count"], 1)
     return TaskRecord(doc["key"], attributes, model,
@@ -163,14 +165,9 @@ def serialize_snapshot(snapshot: DeploySnapshot) -> bytes:
     return canonical_json_bytes(doc)
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name}")
-
-
 def deserialize_snapshot(data: bytes) -> DeploySnapshot:
     try:
-        # serialize_snapshot never writes NaN or Infinity
-        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
+        doc = decode_json(data, "snapshot payload")
         if not _is_int(doc["format"]) or doc["format"] != _FORMAT:
             raise SerializationError(f"unsupported snapshot format {doc['format']!r}")
         if not isinstance(doc["tasks"], dict):
@@ -182,21 +179,11 @@ def deserialize_snapshot(data: bytes) -> DeploySnapshot:
             )
             for key, entry in doc["tasks"].items()
         }
-        fallback = None
-        if doc["fallback"] is not None:
-            fallback = model_from_json(doc["fallback"])
-        if not _is_int(doc["snapshot_version"]) or doc["snapshot_version"] < 0:
-            raise ValueError(f"snapshot_version must be an integer >= 0, "
-                             f"got {doc['snapshot_version']!r}")
-        return DeploySnapshot(
-            snapshot_version=doc["snapshot_version"],
-            schema_fingerprint=doc["schema_fingerprint"],
-            tasks=tasks,
-            fallback=fallback,
-        )
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
+        fallback = None if doc["fallback"] is None else model_from_json(doc["fallback"])
+        check_int("snapshot_version", doc["snapshot_version"], 0)
+        return DeploySnapshot(snapshot_version=doc["snapshot_version"], tasks=tasks,
+                              schema_fingerprint=doc["schema_fingerprint"], fallback=fallback)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:  # not a SerializationError
         raise SerializationError(f"corrupt snapshot payload: {exc}") from exc
 
 
@@ -287,11 +274,10 @@ class KnowledgeBase:
         if not index_path.exists():
             return kb
 
-        raw = index_path.read_bytes()
         try:
-            doc = json.loads(raw.decode("utf-8"))
+            doc = decode_json(index_path.read_bytes(), "JSON")
             declared_crc, body, fmt = doc["crc32"], doc["body"], doc["format"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (SerializationError, KeyError, TypeError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: {exc}") from exc
         if not _is_int(fmt) or fmt != _FORMAT:
             raise CorruptStoreError(f"corrupt store index {index_path}: "
@@ -310,13 +296,15 @@ class KnowledgeBase:
             for entry in body["tasks"]:
                 model_file = (entry["model_file"], entry["crc32"])
                 record = _record_from_json(entry, kb._read_model_file(*model_file))
-                first = next(iter(kb.records.values()), record)  # as upsert_task checks
-                task_categories(record.key, record.attributes, first.attributes.bucket_counts)
+                if record.key in kb.records:
+                    raise StoreError(f"task key {record.key!r} is listed twice")
+                kb._admit(model_file[0], record.model, record)
                 kb.records[record.key] = record
                 kb._model_files[record.key] = model_file
             if body["fallback"] is not None:
                 kb._fallback_file = (body["fallback"]["model_file"], body["fallback"]["crc32"])
                 kb.fallback = kb._read_model_file(*kb._fallback_file)
+                kb._admit(kb._fallback_file[0], kb.fallback)
             kb.job = body.get("job")
         except CorruptStoreError:
             raise  # a missing or corrupt model file names itself
@@ -417,22 +405,28 @@ class KnowledgeBase:
             self._in_transaction = False
         _fsync_dir(self.path)
 
-    def _pin_schema(self, fingerprint: str) -> None:
+    def _admit(self, name: str, model: ModelArtifact, record: TaskRecord | None = None) -> None:
+        """The store gate of every model and task entry, at ``open`` and in a
+        transaction: *model*, stored as *name*, must pass :func:`check_model`
+        against the store's fingerprint (a new store takes the model's) and
+        its first model's classes and feature count, and *record*
+        :func:`task_categories` under its first task's bucket counts."""
+        first = next(iter(self.records.values()), None)
+        pinned = first.model if first is not None else self.fallback or model
         if self.schema_fingerprint is None:
-            self.schema_fingerprint = fingerprint
-        elif self.schema_fingerprint != fingerprint:
-            raise SchemaMismatchError(
-                f"record schema {fingerprint} does not match KB schema "
-                f"{self.schema_fingerprint}"
-            )
+            self.schema_fingerprint = model.schema_fingerprint
+        shape = (self.schema_fingerprint, pinned.classes, pinned.parameters["n_features"])
+        check_model(model, shape, f"model file {self.path / _MODELS_DIR / name}")
+        if record is not None:
+            task_categories(record.key, record.attributes, (first or record).attributes.bucket_counts)
 
     def upsert_task(self, record: TaskRecord) -> int:
         """Insert or supersede a task record; returns the new kb_version.
 
         Re-upserting byte-identical content is a no-op (version unchanged).
         An existing key gets its record version incremented; the superseded
-        model file stays on disk unreferenced. A record not bucketed as the
-        first task is raises SchemaMismatchError: the store would not open.
+        model file stays on disk unreferenced. A record the store gate
+        refuses raises SchemaMismatchError: the store would not open.
         """
         data = serialize_model(record.model)
         existing = self.records.get(record.key)
@@ -447,12 +441,9 @@ class KnowledgeBase:
         else:
             version = 1
         with self.transaction():
-            self._pin_schema(record.model.schema_fingerprint)
-            first = next(iter(self.records.values()), record)
-            task_categories(record.key, record.attributes, first.attributes.bucket_counts)
-            self._model_files[record.key] = self._write_model(
-                _model_file_name(record.key, version), data
-            )
+            name = _model_file_name(record.key, version)
+            self._admit(name, record.model, record)
+            self._model_files[record.key] = self._write_model(name, data)
             self.records[record.key] = replace(record, version=version)
             self.kb_version += 1
         return self.kb_version
@@ -471,12 +462,11 @@ class KnowledgeBase:
     def set_fallback(self, model: ModelArtifact) -> int:
         """Replace the unknown-task fallback model; returns the new kb_version."""
         with self.transaction():
-            self._pin_schema(model.schema_fingerprint)
             self.kb_version += 1
             # a committed manifest names its fallback by a KB version at most its own
-            self._fallback_file = self._write_model(
-                _fallback_file_name(self.kb_version), serialize_model(model)
-            )
+            name = _fallback_file_name(self.kb_version)
+            self._admit(name, model)
+            self._fallback_file = self._write_model(name, serialize_model(model))
             self.fallback = model
         return self.kb_version
 

@@ -41,6 +41,22 @@ def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
+def _finite(text: str) -> float:
+    value = float(text)  # NaN and Infinity come as constants, 1e999 as a float literal
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def decode_json(data: bytes, what: str):
+    """The one decoder of stored and shipped JSON: UTF-8 with finite numbers
+    only, as :func:`canonical_json_bytes` writes; else SerializationError."""
+    try:
+        return json.loads(data.decode("utf-8"), parse_float=_finite, parse_constant=_finite)
+    except (UnicodeDecodeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise SerializationError(f"corrupt {what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Hyperparameters and specs
 # ---------------------------------------------------------------------------
@@ -245,38 +261,30 @@ class LogisticLearner(Learner):
         l2 = hp["l2"]
         lr = hp["learning_rate"]
 
-        def loss(w, b):
+        def loss_and_gradient(w, b):  # one forward pass over the rows gives both
             total = 0.0
-            for xi, yi in zip(x, y):
-                scores = [sum(w[c][j] * xi[j] for j in range(f)) + b[c] for c in range(k)]
-                proba = _softmax(scores)
-                total -= math.log(max(proba[yi], 1e-300))
-            reg = 0.5 * l2 * sum(w[c][j] ** 2 for c in range(k) for j in range(f))
-            return total / n + reg
-
-        def gradient(w, b):
             gw = [[l2 * w[c][j] for j in range(f)] for c in range(k)]
             gb = [0.0] * k
             for xi, yi in zip(x, y):
-                scores = [sum(w[c][j] * xi[j] for j in range(f)) + b[c] for c in range(k)]
-                proba = _softmax(scores)
+                proba = _softmax([sum(w[c][j] * xi[j] for j in range(f)) + b[c] for c in range(k)])
+                total -= math.log(max(proba[yi], 1e-300))
                 for c in range(k):
                     delta = (proba[c] - (1.0 if c == yi else 0.0)) / n
                     gb[c] += delta
                     for j in range(f):
                         gw[c][j] += delta * xi[j]
-            return gw, gb
+            reg = 0.5 * l2 * sum(w[c][j] ** 2 for c in range(k) for j in range(f))
+            return total / n + reg, (gw, gb)
 
-        current = loss(weights, bias)
+        current, (gw, gb) = loss_and_gradient(weights, bias)
         history = [current]
         for _ in range(hp["epochs"]):
-            gw, gb = gradient(weights, bias)
             while True:
                 cand_w = [[weights[c][j] - lr * gw[c][j] for j in range(f)] for c in range(k)]
                 cand_b = [bias[c] - lr * gb[c] for c in range(k)]
-                cand = loss(cand_w, cand_b)
+                cand, cand_grad = loss_and_gradient(cand_w, cand_b)
                 if cand <= current + 1e-12:
-                    weights, bias, current = cand_w, cand_b, cand
+                    weights, bias, current, (gw, gb) = cand_w, cand_b, cand, cand_grad
                     break
                 lr *= 0.5
                 if lr < 1e-18:
@@ -500,13 +508,24 @@ def predict(model: ModelArtifact, features: FeatureVector):
     return get_learner(model.spec.kind).predict(model.parameters, features)
 
 
+def check_model(model: ModelArtifact, shape: tuple, what: str) -> None:
+    """SchemaMismatchError naming *what* unless *model* classifies into the
+    schema of *shape*, its ``(fingerprint, label_classes, n_features)``:
+    that fingerprint, those classes in that order and that feature count."""
+    found = (model.schema_fingerprint, model.classes, model.parameters["n_features"])
+    if found != shape:
+        raise SchemaMismatchError(
+            f"{what}: a model of schema {found[0]}, classes {list(found[1])}, {found[2]} features "
+            f"does not serve schema {shape[0]}, classes {list(shape[1])}, {shape[2]} features")
+
+
 def evaluate(model: ModelArtifact, test: Dataset) -> EvalMetrics:
     """Confusion matrix and accuracy of a classification model on a labeled set."""
     if len(test) == 0:
         raise LearnerError("cannot evaluate on an empty dataset")
     test.require_labeled()
-    if test.schema.fingerprint() != model.schema_fingerprint:
-        raise SchemaMismatchError("test set schema does not match the model")
+    schema = test.schema
+    check_model(model, (schema.fingerprint(), schema.label_classes, schema.n_features), "test set")
     return EvalMetrics.from_pairs(
         model.classes, ((s.label, predict(model, s.features)) for s in test.samples)
     )
@@ -607,8 +626,4 @@ def serialize_model(model: ModelArtifact) -> bytes:
 
 def deserialize_model(data: bytes) -> ModelArtifact:
     """Inverse of :func:`serialize_model`; exact parameter round-trip."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"corrupt model payload: {exc}") from exc
-    return model_from_json(payload)
+    return model_from_json(decode_json(data, "model payload"))

@@ -153,9 +153,10 @@ def rank_similar(
 def task_categories(key: str, attrs: BucketedAttributes,
                     bucket_counts: tuple[int, ...]) -> tuple[str, ...]:
     """The categorical values of task *key*, if its *attrs* were bucketed
-    under *bucket_counts*: the same counts, a string in each categorical
-    column and an integer (not a bool) in ``[0, count)`` in each numeric one.
-    Otherwise SchemaMismatchError naming the task."""
+    under *bucket_counts* (the same counts, a string in each categorical
+    column and an integer, not a bool, in ``[0, count)`` in each numeric
+    one) and *key* is their :func:`values_key`. Otherwise
+    SchemaMismatchError naming the task and the key of its values."""
     cats = []
     for v, count in zip(attrs.values, bucket_counts):
         if count == 0 and type(v) is str:
@@ -163,21 +164,22 @@ def task_categories(key: str, attrs: BucketedAttributes,
         elif count == 0 or type(v) is not int or not 0 <= v < count:
             break
     else:
-        if attrs.bucket_counts == bucket_counts:
+        if attrs.bucket_counts == bucket_counts and key == values_key(attrs.values):
             return tuple(cats)
     raise SchemaMismatchError(
-        f"task {key!r} has values {attrs.values!r} under bucket counts "
-        f"{attrs.bucket_counts!r}, expected values bucketed under {bucket_counts!r}")
+        f"task {key!r} has values {attrs.values!r}, whose key is {values_key(attrs.values)!r}, "
+        f"under bucket counts {attrs.bucket_counts!r}; expected the values of its key "
+        f"bucketed under {bucket_counts!r}")
 
 
 class TaskIndex:
     """Nearest-task lookup over a fixed set of tasks at one similarity
     threshold, grouped by their categorical values.
 
-    Every task must pass :func:`task_categories` under *bucket_counts* and
-    be keyed by :func:`values_key` of its values, or the constructor raises
-    SchemaMismatchError naming the first that does not. Lookups trust the
-    tasks; a query must be bucketed under the same counts.
+    Every task must pass :func:`task_categories` under *bucket_counts*, or
+    the constructor raises SchemaMismatchError naming the first that does
+    not. Lookups trust the tasks; a query must be bucketed under the same
+    counts.
 
     A categorical mismatch scores exactly 0 and every column at most 1, so
     a task whose categorical values differ from the query's in m of n
@@ -205,9 +207,6 @@ class TaskIndex:
         self._groups: dict[tuple, list[tuple[str, BucketedAttributes]]] = {}
         for key in sorted(tasks):
             cats = task_categories(key, tasks[key], bucket_counts)
-            if key != values_key(tasks[key].values):
-                raise SchemaMismatchError(f"task {key!r} has values {tasks[key].values!r}, "
-                                          f"whose key is {values_key(tasks[key].values)!r}")
             self._groups.setdefault(cats, []).append((key, tasks[key]))
 
     def nearest(self, values: tuple[str | int, ...]) -> tuple[str, float] | None:

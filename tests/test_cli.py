@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import shutil
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,7 @@ def test_a_job_document_of_an_older_store_opens_and_drops_its_snapshot_version(
     ("status", "bogus"), ("eval.n", 0), ("key", 5),
     # attributes an edge would refuse, and a key its values do not give
     ("values", [5]), ("values", [True]), ("bucket_counts", [2]), ("key", "oslo"),
+    "duplicate-key",  # tokyo's entry under athens's key and values
 ], ids=_case_id)
 def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
@@ -212,6 +215,9 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
         del body["tasks"][0]["model_file"]
     elif corrupt == "tasks-not-a-list":
         body["tasks"] = 5
+    elif corrupt == "duplicate-key":
+        athens, tokyo = body["tasks"]
+        body["tasks"][1] = {**tokyo, "key": "athens", "attributes": athens["attributes"]}
     elif corrupt[0] == "kb_version":
         body["kb_version"] = corrupt[1]
     elif corrupt[0] == "stats.count":
@@ -838,6 +844,138 @@ def test_a_snapshot_whose_tasks_are_not_an_object_is_exit_2(workdir, capsys, tas
     assert f"tasks {tasks!r} is not an object" in err and "Traceback" not in err
     assert not out.exists()
 
+
+
+# -- a thermal5 store and its snapshot, corrupted under valid checksums -----------------
+
+@pytest.fixture(scope="module")
+def thermal5_deployed(tmp_path_factory):
+    """bench gen thermal5, then job train, eval and deploy on all of it with
+    thermal_job.json; update.csv holds 200 site_c rows."""
+    work = tmp_path_factory.mktemp("thermal5")
+    for name in ("thermal_schema.json", "thermal_job.json", "thermal5_synthetic.json"):
+        (work / name).write_text(reference_text(name), encoding="utf-8")
+    data = work / "data.csv"
+    assert cli_main(["bench", "gen", "--config", str(work / "thermal5_synthetic.json"),
+                     "--out", str(data)]) == 0
+    schema = parse_schema((work / "thermal_schema.json").read_text(encoding="utf-8"))
+    rows = load_csv(data, schema)
+    write_csv(rows.derive([s for s in rows.samples if s.attributes == ("site_c",)][:200]),
+              work / "update.csv")
+    base = _thermal5_flags(work)
+    assert cli_main(["job", "train", *base, "--data", str(data)]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(data)]) == 0
+    assert cli_main(["job", "deploy", *base, "--out", str(work / "snap.json")]) == 0
+    return work
+
+
+@pytest.fixture
+def thermal5(thermal5_deployed, tmp_path):
+    return Path(shutil.copytree(thermal5_deployed, tmp_path / "thermal5"))
+
+
+def _thermal5_flags(work) -> list[str]:
+    return ["--kb", str(work / "kb"), "--schema", str(work / "thermal_schema.json"),
+            "--config", str(work / "thermal_job.json")]
+
+
+def _rewrite_manifest(work, body: bytes) -> None:
+    """Write a manifest of *body*'s bytes under their checksum."""
+    (work / "kb" / "index.json").write_bytes(
+        b'{"body":%s,"crc32":%d,"format":1}' % (body, zlib.crc32(body)))
+
+
+def _rewrite_store_model(work, task, payload: bytes) -> Path:
+    """Make *payload* the bytes of *task*'s model file, under valid model and
+    manifest checksums; returns the model file's path."""
+    manifest = json.loads((work / "kb" / "index.json").read_bytes())
+    entry = next(e for e in manifest["body"]["tasks"] if e["key"] == task)
+    path = work / "kb" / "models" / entry["model_file"]
+    path.write_bytes(payload)
+    entry["crc32"] = zlib.crc32(payload)
+    _rewrite_manifest(work, canonical_json_bytes(manifest["body"]))
+    return path
+
+
+def _rewrite_snapshot_model(work, task, payload: bytes) -> Path:
+    """Make *payload* the bytes of *task*'s model in the snapshot file."""
+    path = work / "snap.json"
+    doc = json.loads(path.read_bytes())
+    doc["tasks"][task]["model"] = "<model>"
+    path.write_bytes(canonical_json_bytes(doc).replace(b'"<model>"', payload))
+    return path
+
+
+def _variant(payload: dict, path: tuple, value) -> bytes:
+    """The canonical bytes of *payload* with *value* at *path*; a bytes value
+    is spliced in as it is, so it may be a literal no encoder writes."""
+    _set_at(payload, path, "<value>")
+    raw = value if isinstance(value, bytes) else json.dumps(value).encode("utf-8")
+    return canonical_json_bytes(payload).replace(b'"<value>"', raw)
+
+
+def _refused(capsys, argv, named, written=()) -> str:
+    """Run *argv*: exit 2, an error naming *named*, no traceback, and none of
+    *written* changed or created. Returns the error."""
+    before = {path: path.read_bytes() if path.exists() else None for path in written}
+    capsys.readouterr()
+    assert cli_main([str(arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err and "Traceback" not in err
+    assert {path: path.read_bytes() if path.exists() else None for path in written} == before
+    return err
+
+
+THRESHOLD = ("parameters", "tree", "threshold")
+
+
+@pytest.mark.parametrize("task, path, value", [
+    pytest.param("site_b", ("schema_fingerprint",), "0000000000000000", id="fingerprint"),
+    pytest.param("site_b", ("parameters", "classes"), ["cooler", "nochange", "warmer"],
+                 id="permuted-classes"),
+    pytest.param("site_b", ("parameters", "classes"), [], id="empty-classes"),
+    pytest.param("site_b", ("parameters", "n_features"), 3, id="n_features"),
+    pytest.param("site_b", THRESHOLD, b"NaN", id="nan-threshold"),
+    pytest.param("site_b", THRESHOLD, b"1e999", id="1e999-threshold"),
+    pytest.param("site_a", THRESHOLD, b"NaN", id="nan-threshold-of-the-first-task"),
+])
+def test_the_store_and_the_edge_refuse_the_same_models_exit_2(thermal5, capsys, task, path, value):
+    base, index = _thermal5_flags(thermal5), thermal5 / "kb" / "index.json"
+    payload = json.loads((thermal5 / "snap.json").read_bytes())["tasks"][task]["model"]
+    variant = _variant(payload, path, value)
+    model_file = _rewrite_store_model(thermal5, task, variant)
+    snap = _rewrite_snapshot_model(thermal5, task, variant)
+    out = thermal5 / "preds.csv"
+    _refused(capsys, ["kb", "show", "--kb", thermal5 / "kb"], model_file, [index])
+    _refused(capsys, ["job", "update", *base, "--data", thermal5 / "update.csv",
+                      "--out", out], model_file, [index, out])
+    _refused(capsys, ["edge", "infer", *base[2:], "--snapshot", snap,
+                      "--data", thermal5 / "data.csv", "--out", out], snap, [out])
+
+
+@pytest.mark.parametrize("classes", [["cooler", "nochange", "warmer"],
+                                     ["zz", "nochange", "cooler"], []])
+def test_an_edge_refuses_a_model_whose_classes_are_not_its_schemas_exit_2(
+        thermal5, capsys, classes):
+    payload = json.loads((thermal5 / "snap.json").read_bytes())["tasks"]["site_a"]["model"]
+    snap = _rewrite_snapshot_model(
+        thermal5, "site_a", _variant(payload, ("parameters", "classes"), classes))
+    out = thermal5 / "preds.csv"
+    err = _refused(capsys, ["edge", "infer", *_thermal5_flags(thermal5)[2:], "--snapshot", snap,
+                            "--data", thermal5 / "data.csv", "--out", out], snap, [out])
+    assert f"classes {classes}" in err
+
+
+@pytest.mark.parametrize("number", [b"NaN", b"1e999", b"-Infinity"])
+def test_a_non_finite_number_in_the_manifest_is_exit_2(thermal5, capsys, number):
+    index = thermal5 / "kb" / "index.json"
+    body = json.loads(index.read_bytes())["body"]
+    _rewrite_manifest(thermal5, canonical_json_bytes(body).replace(
+        b'"kb_version":%d' % body["kb_version"], b'"kb_version":' + number))
+    out = thermal5 / "snap2.json"
+    _refused(capsys, ["kb", "show", "--kb", thermal5 / "kb"], index, [index])
+    _refused(capsys, ["job", "update", *_thermal5_flags(thermal5),
+                      "--data", thermal5 / "update.csv", "--out", out], index, [index, out])
 
 def test_sim_run_writes_outputs(workdir, capsys, monkeypatch):
     stream = city_dataset([(float(i), "oslo", "b") for i in range(6)])

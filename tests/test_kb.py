@@ -6,6 +6,7 @@ import json
 import os
 import stat
 import zlib
+from dataclasses import replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -578,6 +579,37 @@ def test_upsert_schema_mismatch_rejected(tmp_path):
     )
     with pytest.raises(SchemaMismatchError):
         kb.upsert_task(bad)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_an_upsert_keyed_off_its_values_commits_nothing(tmp_path, first):
+    kb = kb_open(tmp_path / "kb")
+    if not first:
+        kb.upsert_task(make_record("s0"))
+    index, models = tmp_path / "kb" / "index.json", tmp_path / "kb" / "models"
+    raw = index.read_bytes() if index.exists() else None
+    files, version = sorted(models.iterdir()), kb.kb_version
+    with pytest.raises(SchemaMismatchError, match=r"task 's2' has values \('s1',\), "
+                                                  r"whose key is 's1'"):
+        kb.upsert_task(replace(make_record("s1"), key="s2"))
+    assert (index.read_bytes() if index.exists() else None) == raw
+    assert sorted(models.iterdir()) == files and kb.kb_version == version
+    assert set(kb.records) == set(kb_open(tmp_path / "kb").records) == (set() if first else {"s0"})
+
+
+@pytest.mark.parametrize("parameters", [{"classes": ["b", "a"]}, {"n_features": 2}])
+def test_the_store_gate_refuses_a_model_of_other_classes_or_feature_count(tmp_path, parameters):
+    kb = kb_open(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    fingerprint, raw = kb.fingerprint(), (tmp_path / "kb" / "index.json").read_bytes()
+    record = make_record("tokyo")
+    model = replace(record.model, parameters={**record.model.parameters, **parameters})
+    with pytest.raises(SchemaMismatchError, match="does not serve schema"):
+        kb.upsert_task(replace(record, model=model))
+    with pytest.raises(SchemaMismatchError, match="does not serve schema"):
+        kb.set_fallback(model)
+    assert kb.fingerprint() == fingerprint and kb.fallback is None
+    assert (tmp_path / "kb" / "index.json").read_bytes() == raw
 
 
 def test_upsert_then_lookup_returns_model_bytes(tmp_path):

@@ -344,6 +344,29 @@ def test_tree_corpus_bytes_are_pinned():
     assert digest.hexdigest() == TREE_CORPUS_SHA256
 
 
+# The sha256 of the serialized models of a fixed corpus of logistic fits,
+# some at learning rates large enough to force step-halving: any change to
+# a weight, a bias or a recorded loss changes it.
+LOGISTIC_CORPUS_SHA256 = "2469a100f8ab72b4b1a85bfa08ee224c09f2455f7a8098411ad44f848a151825"
+
+
+def test_logistic_corpus_bytes_are_pinned():
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    for trial in range(120):
+        n_features, classes = rng.choice([1, 2, 3]), "abcde"[: rng.choice([2, 3, 5])]
+        names = ", ".join(f'"f{j}"' for j in range(n_features))
+        schema = parse_schema('{"features": [%s], "label": {"name": "y", "classes": [%s]}}'
+                              % (names, ", ".join(f'"{c}"' for c in classes)))
+        rows = [(tuple(rng.uniform(-5, 5) for _ in range(n_features)), (), rng.choice(classes))
+                for _ in range(rng.randint(1, 30))]
+        hp = {"epochs": rng.randint(1, 25), "l2": rng.choice([0.0, 0.01, 0.5]),
+              "learning_rate": rng.choice([0.05, 0.5, 4.0, 64.0])}
+        model = fit(EstimatorSpec("logistic", hp), Dataset(schema, make_samples(rows)), seed=0)
+        digest.update(serialize_model(model))
+    assert digest.hexdigest() == LOGISTIC_CORPUS_SHA256
+
+
 @pytest.mark.parametrize("label", ['{"name": "y", "classes": ["a", "b"]}'])
 @pytest.mark.parametrize("x1, x2", [
     (1.0, math.nextafter(1.0, 2.0)),    # the midpoint rounds down to x1

@@ -43,3 +43,17 @@ def test_every_imported_name_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
     assert unused == []
+
+
+def test_json_is_decoded_only_by_its_two_readers():
+    # stored and shipped documents go through learners.decode_json, config
+    # text through data.load_object: a third decoder would bypass their checks
+    decoders = set()  # "module.top-level name" of each use of json.load(s)
+    for path in sorted(Path(edgelearn.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                        or isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                        and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                    decoders.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert decoders == {"learners.decode_json", "data.load_object"}
