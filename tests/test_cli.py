@@ -17,7 +17,7 @@ from edgelearn.tasks import values_key
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
-from test_kb import _set_at, _watch_replaces
+from test_kb import _format_1_body, _manifest, _set_at, _watch_replaces
 
 
 SCHEMA_TEXT = """
@@ -196,9 +196,14 @@ def test_a_job_document_of_an_older_store_opens_and_drops_its_snapshot_version(
     ("kb_version", "7"), ("kb_version", -1), ("kb_version", 1.0), ("kb_version", True),
     ("version", 1.5), ("version", 0), ("version", "1"), ("version", True),
     ("stats.count", "x"), ("stats.count", 0), ("stats.count", 1.5), ("stats.count", True),
-    ("status", "bogus"), ("eval.n", 0), ("key", 5),
+    ("status", "bogus"), ("eval.n", 0), ("eval.classes", "abc"), ("eval.counts", [[1], [1]]),
+    ("key", 5),
     # attributes an edge would refuse, and a key its values do not give
     ("values", [5]), ("values", [True]), ("bucket_counts", [2]), ("key", "oslo"),
+    # a shape that is not one, or none for a store that holds models
+    ("shape", None), ("shape.schema_fingerprint", 5), ("shape.edges", [[2.0, 1.0]]),
+    # a fallback set at no KB version the store has reached
+    ("fallback.kb_version", 0), ("fallback.kb_version", 99),
     "duplicate-key",  # tokyo's entry under athens's key and values
 ], ids=_case_id)
 def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt):
@@ -208,6 +213,8 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
                      "--data", str(workdir / "train.csv")]) == 0
     index = kb_dir / "index.json"
     manifest = json.loads(index.read_bytes())
+    if corrupt == "task-without-model-file" or corrupt[0] == "bucket_counts":  # format-1 fields
+        manifest = {"format": 1, "body": _format_1_body(kb_open(kb_dir))}
     body = manifest["body"]
     if corrupt == "no-tasks":
         del body["tasks"]
@@ -217,18 +224,28 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
         body["tasks"] = 5
     elif corrupt == "duplicate-key":
         athens, tokyo = body["tasks"]
-        body["tasks"][1] = {**tokyo, "key": "athens", "attributes": athens["attributes"]}
+        body["tasks"][1] = {**tokyo, "key": "athens", "values": athens["values"]}
     elif corrupt[0] == "kb_version":
         body["kb_version"] = corrupt[1]
     elif corrupt[0] == "stats.count":
         body["tasks"][0]["stats"]["count"] = corrupt[1]
-    elif corrupt[0] in ("values", "bucket_counts"):  # of tokyo, the second record
-        body["tasks"][1]["attributes"][corrupt[0]] = corrupt[1]
-        if corrupt[0] == "values":  # under the key they give, so only their kind is wrong
-            body["tasks"][1]["key"] = values_key(corrupt[1])
+    elif corrupt[0] == "shape":
+        body["shape"] = None
+    elif corrupt[0].startswith("shape."):
+        body["shape"][corrupt[0][6:]] = corrupt[1]
+    elif corrupt[0] == "fallback.kb_version":
+        body["fallback"]["kb_version"] = corrupt[1]
+    elif corrupt[0] == "bucket_counts":  # of tokyo, the second record
+        body["tasks"][1]["attributes"]["bucket_counts"] = corrupt[1]
+    elif corrupt[0] == "values":  # under the key they give, so only their kind is wrong
+        body["tasks"][1]["values"] = corrupt[1]
+        body["tasks"][1]["key"] = values_key(corrupt[1])
     elif corrupt[0] == "eval.n":  # an eval of n samples, fit to pass every other check
         body["tasks"][0]["eval"] = {"accuracy": 0.0, "classes": ["a", "b"],
                                     "counts": [[0, 0], [0, 0]], "n": corrupt[1]}
+    elif corrupt[0].startswith("eval."):  # an eval of two samples but for this field
+        body["tasks"][0]["eval"] = {"accuracy": 0.5, "classes": ["a", "b"],
+                                    "counts": [[1, 0], [1, 0]], "n": 2, corrupt[0][5:]: corrupt[1]}
     else:  # a task record's field
         body["tasks"][0][corrupt[0]] = corrupt[1]
     manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))  # a valid checksum
@@ -264,16 +281,14 @@ def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
     shown = capsys.readouterr().out
     before = kb_open(kb_dir)
     index = kb_dir / "index.json"
-    manifest = json.loads(index.read_bytes())
-    body = manifest["body"]
+    body = _format_1_body(before)  # such stores wrote format 1
     for entry, label in zip(body["tasks"], ("a", "b")):  # athens, tokyo: x = 0..7
         entry["stats"] = {"count": 8, "class_histogram": {label: 8}, "feature_mean": [3.5],
                           "feature_min": [0.0], "feature_max": [7.0]}
     models = kb_dir / "models"
     (models / body["fallback"]["model_file"]).rename(models / "_fallback.1.bin")
     body["fallback"] = {**body["fallback"], "model_file": "_fallback.1.bin", "revision": revision}
-    manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))
-    index.write_bytes(canonical_json_bytes(manifest))
+    index.write_bytes(_manifest(body, fmt=1))
     old_fallback = (models / "_fallback.1.bin").read_bytes()
 
     reopened = kb_open(kb_dir)
@@ -284,10 +299,13 @@ def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
     assert capsys.readouterr().out == shown
 
     assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
-    body = json.loads(index.read_bytes())["body"]
+    manifest = json.loads(index.read_bytes())
+    body = manifest["body"]
+    assert manifest["format"] == 2
+    assert body["shape"]["schema_fingerprint"] == before.schema_fingerprint
     assert all(entry["stats"] == {"count": 8} for entry in body["tasks"])
-    assert set(body["fallback"]) == {"model_file", "crc32"}
-    assert body["fallback"]["model_file"] == f"_fallback.{body['kb_version']}.bin"
+    assert body["fallback"] == {"kb_version": body["kb_version"],
+                                "crc32": body["fallback"]["crc32"]}
     assert (models / "_fallback.1.bin").read_bytes() == old_fallback
 
 
@@ -680,7 +698,8 @@ def test_a_train_under_another_bucket_count_is_refused_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["job", "train", *base, "--data", str(data)]) == 2
     err = capsys.readouterr().err
-    assert "task 'athens|0'" in err and "under (0, 3)" in err and "Traceback" not in err
+    assert "index.json declares the shape" in err and "[10.0, 20.0, 30.0]" in err
+    assert "Traceback" not in err
     assert (kb_dir / "index.json").read_bytes() == raw
     assert sorted((kb_dir / "models").iterdir()) == models
     assert cli_main(["kb", "show", "--kb", str(kb_dir), "--json"]) == 0
@@ -751,7 +770,7 @@ def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
     base = _deployed(workdir)
     path = workdir / "kb" / "index.json" if stored == "manifest" else workdir / "snap.json"
     doc = json.loads(path.read_bytes())
-    doc["format"] = 2
+    doc["format"] = 3
     path.write_bytes(canonical_json_bytes(doc))
     capsys.readouterr()
     if stored == "manifest":
@@ -761,7 +780,7 @@ def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
                          "--data", str(workdir / "test.csv"), "--out", str(workdir / "p.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "format 2" in err and "Traceback" not in err
+    assert "format 3" in err and "Traceback" not in err
 
 
 def _read_an_edited_model(workdir, capsys, stored, path, value):
@@ -775,7 +794,7 @@ def _read_an_edited_model(workdir, capsys, stored, path, value):
     if stored == "store":
         manifest = json.loads(index.read_bytes())
         entry = manifest["body"]["tasks"][0]
-        model_file = workdir / "kb" / "models" / entry["model_file"]
+        model_file = workdir / "kb" / "models" / f"{entry['key']}.{entry['version']}.bin"
         payload = json.loads(model_file.read_bytes())
         _set_at(payload, path, value)
         model_file.write_bytes(canonical_json_bytes(payload))
@@ -882,7 +901,7 @@ def _thermal5_flags(work) -> list[str]:
 def _rewrite_manifest(work, body: bytes) -> None:
     """Write a manifest of *body*'s bytes under their checksum."""
     (work / "kb" / "index.json").write_bytes(
-        b'{"body":%s,"crc32":%d,"format":1}' % (body, zlib.crc32(body)))
+        b'{"body":%s,"crc32":%d,"format":2}' % (body, zlib.crc32(body)))
 
 
 def _rewrite_store_model(work, task, payload: bytes) -> Path:
@@ -890,7 +909,7 @@ def _rewrite_store_model(work, task, payload: bytes) -> Path:
     manifest checksums; returns the model file's path."""
     manifest = json.loads((work / "kb" / "index.json").read_bytes())
     entry = next(e for e in manifest["body"]["tasks"] if e["key"] == task)
-    path = work / "kb" / "models" / entry["model_file"]
+    path = work / "kb" / "models" / f"{task}.{entry['version']}.bin"
     path.write_bytes(payload)
     entry["crc32"] = zlib.crc32(payload)
     _rewrite_manifest(work, canonical_json_bytes(manifest["body"]))
@@ -976,6 +995,92 @@ def test_a_non_finite_number_in_the_manifest_is_exit_2(thermal5, capsys, number)
     _refused(capsys, ["kb", "show", "--kb", thermal5 / "kb"], index, [index])
     _refused(capsys, ["job", "update", *_thermal5_flags(thermal5),
                       "--data", thermal5 / "update.csv", "--out", out], index, [index, out])
+
+def _rewrite_as_format_1(work, edit_body=None, edit_model=None) -> None:
+    """Rewrite the store's manifest as format 1 wrote it, after *edit_model*
+    of every model payload (under valid checksums) and *edit_body* of the
+    manifest body."""
+    body = _format_1_body(kb_open(work / "kb"))
+    for entry in [*body["tasks"], body["fallback"]] if edit_model else ():
+        path = work / "kb" / "models" / entry["model_file"]
+        payload = json.loads(path.read_bytes())
+        edit_model(payload)
+        path.write_bytes(canonical_json_bytes(payload))
+        entry["crc32"] = zlib.crc32(path.read_bytes())
+    if edit_body:
+        edit_body(body)
+    (work / "kb" / "index.json").write_bytes(_manifest(body, fmt=1))
+
+
+def _point_site_a_at(model_file):
+    def edit(body):
+        site_a, site_b = body["tasks"][:2]
+        site_a["model_file"] = model_file
+        if model_file == site_b["model_file"]:
+            site_a["crc32"] = site_b["crc32"]
+    return edit
+
+
+def _set_fingerprint(doc):
+    doc["schema_fingerprint"] = 5
+
+
+def _reorder_classes(payload):
+    payload["parameters"]["classes"] = ["cooler", "nochange", "warmer"]
+
+
+def _update_under_other_edges(work, out) -> tuple[list, Path]:
+    """A banded store deployed under band edges [15, 25], and the argv of an
+    update under [10, 20], which give the same bucket counts; returns that
+    argv and the store's directory."""
+    schema, data, config = work / "banded.json", work / "banded.csv", work / "banded_job.json"
+    schema.write_text(BANDED_SCHEMA_TEXT, encoding="utf-8")
+    data.write_text("x,y,city,band\n" + "".join(
+        f"{i},{'ab'[i % 2]},athens,{band}\n" for i in range(8) for band in (5.0, 35.0)),
+        encoding="utf-8")
+    base = ["--kb", work / "banded_kb", "--schema", schema, "--config", config]
+    config.write_text(JOB_TEXT.replace(
+        '"seed": 3', '"seed": 3, "bucketing": {"band": [15.0, 25.0]}'), encoding="utf-8")
+    for stage in (["train", "--data", data], ["eval", "--data", data],
+                  ["deploy", "--out", work / "banded_snap.json"]):
+        assert cli_main([str(a) for a in ["job", stage[0], *base, *stage[1:]]]) == 0
+    config.write_text(JOB_TEXT.replace(
+        '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0]}'), encoding="utf-8")
+    return ["job", "update", *base, "--data", data, "--out", out], work / "banded_kb"
+
+
+@pytest.mark.parametrize("case", [
+    "other-edges", "null-fingerprint", "another-tasks-file", "empty-model-file",
+    "model-file-outside-models", "int-fingerprint", "one-wrong-class-order",
+])
+def test_a_store_that_does_not_hold_its_shape_is_exit_2_and_commits_nothing(
+        thermal5, capsys, case):
+    kb, out = thermal5 / "kb", thermal5 / "update.json"
+    argv, named = ["kb", "show", "--kb", kb], kb / "index.json"
+    if case == "other-edges":
+        argv, kb = _update_under_other_edges(thermal5, out)
+        named = kb / "index.json"
+    elif case == "null-fingerprint":
+        _rewrite_as_format_1(thermal5, edit_body=lambda body: body.update(schema_fingerprint=None))
+    elif case == "another-tasks-file":  # under that file's valid checksum
+        _rewrite_as_format_1(thermal5, edit_body=_point_site_a_at("site_b.1.bin"))
+    elif case == "empty-model-file":
+        _rewrite_as_format_1(thermal5, edit_body=_point_site_a_at(""))
+    elif case == "model-file-outside-models":
+        _rewrite_as_format_1(thermal5, edit_body=_point_site_a_at("../index.json"))
+    elif case == "int-fingerprint":  # in the manifest and in every model
+        _rewrite_as_format_1(thermal5, edit_body=_set_fingerprint, edit_model=_set_fingerprint)
+        named = kb / "models" / "site_a.1.bin"
+    else:  # every model carries it, so the store is consistent until a stage declares its shape
+        _rewrite_as_format_1(thermal5, edit_model=_reorder_classes)
+        assert cli_main(["kb", "show", "--kb", str(kb)]) == 0
+        argv = ["job", "update", *_thermal5_flags(thermal5), "--data", thermal5 / "update.csv",
+                "--out", out]
+        named = kb / "models" / "site_a.1.bin"
+    models = sorted((kb / "models").iterdir())
+    _refused(capsys, argv, named, [kb / "index.json", out])
+    assert sorted((kb / "models").iterdir()) == models
+
 
 def test_sim_run_writes_outputs(workdir, capsys, monkeypatch):
     stream = city_dataset([(float(i), "oslo", "b") for i in range(6)])

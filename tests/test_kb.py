@@ -9,6 +9,7 @@ import zlib
 from dataclasses import replace
 from hashlib import sha256
 from pathlib import Path
+from urllib.parse import quote
 
 import pytest
 
@@ -38,10 +39,10 @@ from edgelearn.learners import (
     predict,
     serialize_model,
 )
-from edgelearn.tasks import BucketedAttributes, bucket_attributes, task_key, task_similarity
+from edgelearn.tasks import BucketedAttributes, bucket_attributes, task_key
 from edgelearn.tasks import BucketingConfig
 
-from conftest import city_dataset
+from conftest import banded_schema, city_dataset, city_schema, declared_kb
 
 
 def make_record(city: str, label: str = "a", status: str = STATUS_TRAINED,
@@ -75,7 +76,7 @@ def test_open_fresh_directory_empty(tmp_path):
 
 
 def test_save_load_round_trip_model_bytes(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     cities = ("athens", "tokyo", "oslo", "lima", "kota")
     for city in cities:
         kb.upsert_task(make_record(city))
@@ -90,7 +91,7 @@ def test_save_load_round_trip_model_bytes(tmp_path):
 
 
 def test_flipped_bit_in_index_refuses_open(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     index = tmp_path / "kb" / "index.json"
     raw = bytearray(index.read_bytes())
@@ -102,7 +103,7 @@ def test_flipped_bit_in_index_refuses_open(tmp_path):
 
 
 def test_flipped_bit_in_model_file_refuses_open(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     model_file = next((tmp_path / "kb" / "models").glob("athens*.bin"))
     raw = bytearray(model_file.read_bytes())
@@ -114,11 +115,11 @@ def test_flipped_bit_in_model_file_refuses_open(tmp_path):
 
 @pytest.mark.parametrize("name, fault", [
     pytest.param(name, fault, id=name if fault == "missing" else f"{name}-{fault}")
-    for fault in ("missing", "no-fields", "unknown-kind")
+    for fault in ("missing", "no-fields", "unknown-kind", "int-fingerprint")
     for name in ("athens.1.bin", "_fallback.2.bin")
 ])
 def test_missing_model_file_refuses_open_naming_the_file(tmp_path, name, fault):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback())
     model_file = tmp_path / "kb" / "models" / name
@@ -129,6 +130,8 @@ def test_missing_model_file_refuses_open_naming_the_file(tmp_path, name, fault):
         payload = {"format_version": 1}
         if fault == "unknown-kind":
             payload = {**json.loads(model_file.read_bytes()), "kind": "bogus"}
+        elif fault == "int-fingerprint":
+            payload = {**json.loads(model_file.read_bytes()), "schema_fingerprint": 5}
         model_file.write_bytes(canonical_json_bytes(payload))
         index = tmp_path / "kb" / "index.json"
         manifest = json.loads(index.read_bytes())
@@ -137,8 +140,9 @@ def test_missing_model_file_refuses_open_naming_the_file(tmp_path, name, fault):
         entry["crc32"] = zlib.crc32(model_file.read_bytes())
         manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))
         index.write_bytes(canonical_json_bytes(manifest))
-        error = f"undecodable model file .*{name}: .*" + (
-            "missing" if fault == "no-fields" else "unknown learner kind 'bogus'")
+        error = f"undecodable model file .*{name}: .*" + {
+            "no-fields": "missing", "unknown-kind": "unknown learner kind 'bogus'",
+            "int-fingerprint": "schema_fingerprint 5 is not a string"}[fault]
     with pytest.raises(CorruptStoreError, match=error):
         kb_open(tmp_path / "kb")
 
@@ -152,7 +156,7 @@ def _dir_digest(path: Path) -> str:
 
 
 def test_two_saves_without_mutation_identical_bytes(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback())
     kb.save()
@@ -162,7 +166,7 @@ def test_two_saves_without_mutation_identical_bytes(tmp_path):
 
 
 def test_crash_before_index_rename_keeps_previous_state(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     committed = kb.fingerprint()
 
@@ -184,7 +188,7 @@ def test_crash_before_index_rename_keeps_previous_state(tmp_path, monkeypatch):
 
 
 def test_retry_after_crash_overwrites_stale_model_file(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     real_replace = kb_mod._replace_file
 
     def fail_on_index(src, dst):
@@ -206,7 +210,7 @@ def test_retry_after_crash_overwrites_stale_model_file(tmp_path, monkeypatch):
 
 
 def test_failed_save_does_not_mutate_memory(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     version = kb.kb_version
 
@@ -224,7 +228,7 @@ def test_a_failed_directory_fsync_after_the_manifest_rename_keeps_the_commit(
     tmp_path, monkeypatch
 ):
     kb_dir = tmp_path / "kb"
-    kb = kb_open(kb_dir)
+    kb = declared_kb(kb_dir)
     kb.upsert_task(make_record("athens"))
     real_fsync_dir = kb_mod._fsync_dir
 
@@ -254,9 +258,9 @@ def test_a_failed_directory_fsync_after_the_manifest_rename_keeps_the_commit(
     assert (kb_dir / "models" / "tokyo.2.bin").exists()
 
 
-@pytest.mark.parametrize("fmt", [2, 0, "1", None, True, 1.0, "absent"])
+@pytest.mark.parametrize("fmt", [3, 0, "1", None, True, 1.0, "absent"])
 def test_manifest_of_another_format_refuses_open(tmp_path, fmt):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     index = tmp_path / "kb" / "index.json"
     manifest = json.loads(index.read_bytes())
@@ -306,7 +310,7 @@ def _watch_replaces(monkeypatch) -> list[str]:
 
 
 def test_record_eval_and_save_replace_only_the_index(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.upsert_task(make_record("tokyo"))
     kb.set_fallback(make_fallback())
@@ -321,7 +325,7 @@ def test_record_eval_and_save_replace_only_the_index(tmp_path, monkeypatch):
 
 
 def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback())
     written, serialized = _watch_writes(monkeypatch)
@@ -336,7 +340,7 @@ def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
 
 
 def test_set_fallback_replaces_one_fallback_file_and_the_index(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.upsert_task(make_record("tokyo"))
     kb.set_fallback(make_fallback("a"))
@@ -352,7 +356,7 @@ def test_set_fallback_replaces_one_fallback_file_and_the_index(tmp_path, monkeyp
 def test_every_write_fsyncs_the_file_before_the_rename_and_the_directory_after(
     tmp_path, monkeypatch
 ):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     events: list[str] = []
     real_fsync = os.fsync
     real_replace = kb_mod._replace_file
@@ -393,7 +397,7 @@ def test_every_write_fsyncs_the_file_before_the_rename_and_the_directory_after(
 # -- transactions ----------------------------------------------------------------
 
 def test_transaction_commits_once_and_nested_blocks_join_it(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     written, _ = _watch_writes(monkeypatch)
     with kb.transaction():
         kb.upsert_task(make_record("athens"))
@@ -410,7 +414,7 @@ def test_transaction_commits_once_and_nested_blocks_join_it(tmp_path, monkeypatc
 
 
 def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback("a"))
     before = kb.fingerprint()
@@ -434,13 +438,19 @@ def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path
     assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
 
 
+def _manifest(body: dict, fmt: int = 2) -> bytes:
+    """The manifest of *body* in format *fmt*, under its checksum."""
+    return canonical_json_bytes(
+        {"format": fmt, "crc32": zlib.crc32(canonical_json_bytes(body)), "body": body})
+
+
 def _manifest_from_scratch(kb) -> bytes:
     """The manifest encoded whole from the KB's in-memory state."""
     body = {
-        "schema_fingerprint": kb.schema_fingerprint,
+        "shape": kb.shape,
         "kb_version": kb.kb_version,
         "fallback": (
-            {"model_file": kb._fallback_file[0], "crc32": kb._fallback_file[1]}
+            {"kb_version": kb._fallback_file[0], "crc32": kb._fallback_file[1]}
             if kb._fallback_file is not None
             else None
         ),
@@ -449,23 +459,76 @@ def _manifest_from_scratch(kb) -> bytes:
                 "key": key,
                 "version": rec.version,
                 "status": rec.status,
-                "attributes": kb_mod._attrs_to_json(rec.attributes),
+                "values": list(rec.attributes.values),
                 "stats": {"count": rec.samples},
                 "eval": kb_mod.metrics_to_json(rec.eval),
-                "model_file": kb._model_files[key][0],
-                "crc32": kb._model_files[key][1],
+                "crc32": kb._model_crcs[key],
             }
             for key, rec in sorted(kb.records.items())
         ],
         "job": kb.job,
     }
-    return canonical_json_bytes(
-        {"format": 1, "crc32": zlib.crc32(canonical_json_bytes(body)), "body": body}
-    )
+    return _manifest(body)
+
+
+def _format_1_body(kb) -> dict:
+    """The manifest body format 1 wrote for the KB's in-memory state: the
+    schema fingerprint where format 2 has the shape, and each model file's
+    name and each task's bucket counts, which format 2 derives."""
+    return {
+        "schema_fingerprint": kb.schema_fingerprint,
+        "kb_version": kb.kb_version,
+        "fallback": (
+            {"model_file": f"_fallback.{kb._fallback_file[0]}.bin", "crc32": kb._fallback_file[1]}
+            if kb._fallback_file is not None
+            else None
+        ),
+        "tasks": [
+            {
+                "key": key,
+                "version": rec.version,
+                "status": rec.status,
+                "attributes": {"values": list(rec.attributes.values),
+                               "bucket_counts": list(rec.attributes.bucket_counts)},
+                "stats": {"count": rec.samples},
+                "eval": kb_mod.metrics_to_json(rec.eval),
+                "model_file": f"{quote(key, safe='')}.{rec.version}.bin",
+                "crc32": kb._model_crcs[key],
+            }
+            for key, rec in sorted(kb.records.items())
+        ],
+        "job": kb.job,
+    }
+
+
+def test_a_format_1_store_opens_and_its_shape_declaration_writes_format_2(tmp_path):
+    kb = declared_kb(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    kb.upsert_task(make_record("tokyo", status=STATUS_DEPLOYABLE))
+    kb.set_fallback(make_fallback())
+    index, models = tmp_path / "kb" / "index.json", tmp_path / "kb" / "models"
+    current, files = index.read_bytes(), sorted(models.iterdir())
+    old = _manifest(_format_1_body(kb), fmt=1)
+    index.write_bytes(old)
+    reopened = kb_open(tmp_path / "kb")
+    assert reopened.shape is None
+    assert reopened.records == kb.records and reopened.fallback == kb.fallback
+    assert reopened.fingerprint() == kb.fingerprint()
+    assert serialize_snapshot(reopened.snapshot()) == serialize_snapshot(kb.snapshot())
+    # until a job stage declares its shape, it commits nothing
+    for mutate in (lambda: reopened.upsert_task(make_record("oslo")),
+                   lambda: reopened.set_fallback(make_fallback("b")),
+                   lambda: reopened.record_eval("athens", STATUS_EVAL_FAILED, None),
+                   reopened.save):
+        with pytest.raises(StoreError, match="index.json declares no shape"):
+            mutate()
+    assert index.read_bytes() == old and sorted(models.iterdir()) == files
+    reopened.declare_shape(city_schema(), BucketingConfig((None,)))
+    assert index.read_bytes() == current
 
 
 def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, monkeypatch):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     index = tmp_path / "kb" / "index.json"
     metrics = EvalMetrics.from_counts(("a", "b"), ((3, 0), (0, 0)))
 
@@ -518,7 +581,7 @@ def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, 
 
 def test_reopen_store_whose_manifest_carries_relations(tmp_path):
     # older stores wrote a "relations" list into every task entry
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.upsert_task(make_record("tokyo", status=STATUS_DEPLOYABLE))
     kb.set_fallback(make_fallback())
@@ -539,14 +602,34 @@ def test_reopen_store_whose_manifest_carries_relations(tmp_path):
 
 # -- upsert ----------------------------------------------------------------------
 
+def test_a_store_declares_one_shape_before_it_holds_a_model(tmp_path, monkeypatch):
+    kb, index = kb_open(tmp_path / "kb"), tmp_path / "kb" / "index.json"
+    with pytest.raises(StoreError, match="index.json declares no shape"):
+        kb.upsert_task(make_record("athens"))
+    with pytest.raises(StoreError, match="index.json declares no shape"):
+        kb.set_fallback(make_fallback())
+    assert not index.exists() and not any((tmp_path / "kb" / "models").iterdir())
+    kb.declare_shape(city_schema(), BucketingConfig((None,)))
+    kb.upsert_task(make_record("athens"))
+    raw, shape = index.read_bytes(), kb.shape
+    written, _ = _watch_writes(monkeypatch)
+    kb.declare_shape(city_schema(), BucketingConfig((None,)))  # the same shape commits nothing
+    for schema, bucketing in ((city_schema(("a", "c")), BucketingConfig((None,))),
+                              (banded_schema(), BucketingConfig((None, (1.0,))))):
+        with pytest.raises(SchemaMismatchError, match="index.json declares the shape"):
+            kb.declare_shape(schema, bucketing)
+    assert written == [] and index.read_bytes() == raw
+    assert kb.shape == kb_open(tmp_path / "kb").shape == shape
+
+
 def test_upsert_new_key(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     assert kb.upsert_task(make_record("athens")) == 1
     assert kb.lookup("athens").version == 1
 
 
 def test_upsert_existing_key_bumps_record_version(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens", label="a"))
     kb.upsert_task(make_record("athens", label="b"))
     assert kb.lookup("athens").version == 2
@@ -554,16 +637,19 @@ def test_upsert_existing_key_bumps_record_version(tmp_path):
 
 
 def test_upsert_byte_identical_is_idempotent(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     record = make_record("athens")
     v1 = kb.upsert_task(record)
     v2 = kb.upsert_task(record)
     assert v1 == v2 == kb.kb_version
     assert kb.lookup("athens").version == 1
+    # the same values under other bucket counts are not the same record: the gate refuses them
+    with pytest.raises(SchemaMismatchError, match="under bucket counts \\(2,\\)"):
+        kb.upsert_task(replace(record, attributes=BucketedAttributes(("athens",), (2,))))
 
 
 def test_upsert_schema_mismatch_rejected(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     other = make_record("tokyo")
     patched = kb_mod.ModelArtifact(
@@ -583,7 +669,7 @@ def test_upsert_schema_mismatch_rejected(tmp_path):
 
 @pytest.mark.parametrize("first", [True, False])
 def test_an_upsert_keyed_off_its_values_commits_nothing(tmp_path, first):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     if not first:
         kb.upsert_task(make_record("s0"))
     index, models = tmp_path / "kb" / "index.json", tmp_path / "kb" / "models"
@@ -599,7 +685,7 @@ def test_an_upsert_keyed_off_its_values_commits_nothing(tmp_path, first):
 
 @pytest.mark.parametrize("parameters", [{"classes": ["b", "a"]}, {"n_features": 2}])
 def test_the_store_gate_refuses_a_model_of_other_classes_or_feature_count(tmp_path, parameters):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     fingerprint, raw = kb.fingerprint(), (tmp_path / "kb" / "index.json").read_bytes()
     record = make_record("tokyo")
@@ -613,7 +699,7 @@ def test_the_store_gate_refuses_a_model_of_other_classes_or_feature_count(tmp_pa
 
 
 def test_upsert_then_lookup_returns_model_bytes(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     record = make_record("athens")
     kb.upsert_task(record)
     assert serialize_model(kb.lookup("athens").model) == serialize_model(record.model)
@@ -622,13 +708,13 @@ def test_upsert_then_lookup_returns_model_bytes(tmp_path):
 # -- lookup ------------------------------------------------------------------------
 
 def test_lookup_missing_is_none(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     assert kb.lookup("athens") is None
 
 
 def test_lookup_one_bucket_off_not_found(tmp_path):
     bucketing = BucketingConfig((None, (10.0, 20.0)))
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb", banded_schema((10.0, 20.0)))
     ds = city_dataset([(1.0, "p", "a")] * 2)
     model = fit(EstimatorSpec("majority"), ds, 0)
     attrs = bucket_attributes(("p", 5.0), bucketing)
@@ -642,59 +728,15 @@ def test_lookup_one_bucket_off_not_found(tmp_path):
     assert kb.lookup(task_key(neighbor)) is None
 
 
-# -- query_similar --------------------------------------------------------------------
-
-def test_query_similar_self_match(tmp_path):
-    kb = kb_open(tmp_path / "kb")
-    kb.upsert_task(make_record("athens"))
-    hits = kb.query_similar(BucketedAttributes(("athens",), (0,)), k=5)
-    assert [(r.key, s) for r, s in hits] == [("athens", 1.0)]
-
-
-def test_query_similar_disjoint_categorical_empty(tmp_path):
-    kb = kb_open(tmp_path / "kb")
-    kb.upsert_task(make_record("athens"))
-    kb.upsert_task(make_record("tokyo"))
-    assert kb.query_similar(BucketedAttributes(("berlin",), (0,)), k=3) == []
-
-
-def test_query_similar_matches_brute_force(tmp_path, rng):
-    bucketing = BucketingConfig((None, (10.0, 20.0, 30.0, 40.0)))
-    kb = kb_open(tmp_path / "kb")
-    stored = []
-    for i in range(10):
-        attrs = bucket_attributes((rng.choice("pq"), rng.uniform(0, 50)), bucketing)
-        key = task_key(attrs)
-        if kb.lookup(key) is not None:
-            continue
-        ds = city_dataset([(float(j), "x", "a") for j in range(2)])
-        model = fit(EstimatorSpec("majority"), ds, 0)
-        kb.upsert_task(TaskRecord(
-            key=key, attributes=attrs, model=model,
-            samples=len(ds),
-        ))
-        stored.append((key, attrs))
-
-    query = bucket_attributes(("p", 17.0), bucketing)
-    hits = kb.query_similar(query, k=3)
-
-    brute = sorted(
-        ((task_similarity(query, attrs), key) for key, attrs in stored),
-        key=lambda t: (-t[0], t[1]),
-    )
-    brute = [(key, sim) for sim, key in brute if sim > 0.0][:3]
-    assert [(r.key, s) for r, s in hits] == brute
-
-
 # -- fallback and snapshots -------------------------------------------------------------
 
 def test_set_fallback_bumps_version(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     assert kb.set_fallback(make_fallback()) == 1
 
 
 def test_snapshot_carries_latest_fallback(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.set_fallback(make_fallback("a"))
     kb.set_fallback(make_fallback("b"))
     snapshot = kb.snapshot()
@@ -702,7 +744,7 @@ def test_snapshot_carries_latest_fallback(tmp_path):
 
 
 def test_snapshot_contains_only_deployable(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens", status=STATUS_DEPLOYABLE))
     kb.upsert_task(make_record("tokyo", status=STATUS_EVAL_FAILED))
     kb.set_fallback(make_fallback())
@@ -712,7 +754,7 @@ def test_snapshot_contains_only_deployable(tmp_path):
 
 
 def test_snapshot_fallback_only_cold_start(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.set_fallback(make_fallback())
     snapshot = kb.snapshot()
     assert snapshot.tasks == {}
@@ -720,14 +762,14 @@ def test_snapshot_fallback_only_cold_start(tmp_path):
 
 
 def test_snapshot_nothing_deployable_rejected(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens", status=STATUS_TRAINED))
     with pytest.raises(NothingDeployableError):
         kb.snapshot()
 
 
 def test_snapshot_isolated_from_later_mutations(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens", label="a", status=STATUS_DEPLOYABLE))
     snapshot = kb.snapshot()
     before = predict(snapshot.tasks["athens"].model, (1.0,))
@@ -737,7 +779,7 @@ def test_snapshot_isolated_from_later_mutations(tmp_path):
 
 
 def test_snapshot_serialization_round_trip(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens", status=STATUS_DEPLOYABLE))
     kb.set_fallback(make_fallback())
     snapshot = kb.snapshot()
@@ -776,9 +818,11 @@ def _set_at(doc, path: tuple, value) -> None:
      "classes 'ab' is not a list of strings"),
     ((("fallback", "parameters", "classes"), ["a", 1]),
      r"classes \['a', 1\] is not a list of strings"),
+    ((("tasks", "athens", "model", "schema_fingerprint"), 5),
+     "schema_fingerprint 5 is not a string"),
 ])
 def test_snapshot_decode_checks_every_model_entry(tmp_path, corrupt, error):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens", status=STATUS_DEPLOYABLE))
     kb.set_fallback(make_fallback())
     doc = json.loads(serialize_snapshot(kb.snapshot()))
@@ -802,7 +846,7 @@ def test_snapshot_decode_checks_every_model_entry(tmp_path, corrupt, error):
 
 @pytest.mark.parametrize("fmt", [99, 2, 0, None, True, 1.0, "absent"])
 def test_snapshot_payload_of_another_format_is_rejected(tmp_path, fmt):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens", status=STATUS_DEPLOYABLE))
     doc = json.loads(serialize_snapshot(kb.snapshot()))
     if fmt == "absent":
@@ -826,7 +870,7 @@ def test_record_deployable_requires_eval():
 
 
 def test_record_eval_updates_status_not_record_version(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     metrics = EvalMetrics.from_counts(("a", "b"), ((2, 0), (0, 1)))
     v = kb.record_eval("athens", STATUS_DEPLOYABLE, metrics)
@@ -838,7 +882,7 @@ def test_record_eval_updates_status_not_record_version(tmp_path):
 
 
 def test_record_eval_unknown_key_rejected(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     with pytest.raises(StoreError, match="unknown task"):
         kb.record_eval("ghost", STATUS_DEPLOYABLE, None)
 
@@ -846,7 +890,7 @@ def test_record_eval_unknown_key_rejected(tmp_path):
 # -- monotone memory ---------------------------------------------------------------------
 
 def test_monotone_memory_over_random_operations(tmp_path, rng):
-    kb = kb_open(tmp_path / "kb")
+    kb = declared_kb(tmp_path / "kb")
     keys_seen: set[str] = set()
     last_version = 0
     cities = ["athens", "tokyo", "oslo", "lima"]
