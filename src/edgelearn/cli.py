@@ -143,7 +143,7 @@ def _cmd_kb(args) -> int:
         print(f"initialized knowledge base at {kb_path} (version {kb.kb_version})")
         return 0
     if args.action == "show":
-        kb = KnowledgeBase.open(kb_path)
+        kb = KnowledgeBase.open(kb_path, create=False)
         phase = job_phase(kb.job).value
         if _opt(args, "json"):
             doc = {

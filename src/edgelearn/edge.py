@@ -2,18 +2,18 @@
 unknown-task detection, unknown-demand counting, retrain triggering.
 
 Inference never talks to the cloud. A sample whose bucketed attribute
-values are a task's in the active snapshot routes to that task's model; a
-request so routed computes its bucketed values, one dict probe on them and
-the prediction, nothing more. Otherwise it is an unknown task and falls
-back to (a) the most similar snapshot task at or above the similarity
-threshold, else (b) the global fallback model.
-Applying a snapshot checks each model's schema and each task's bucketing and
-key, maps its values to its key and entry, and builds a
-:class:`~edgelearn.tasks.TaskIndex` at the edge's threshold, so finding (a)
-scores only the tasks that can reach it (at the default threshold, those
-sharing the sample's categorical values). Unknown requests are counted per task
-key, up to ``unseen_cap`` keys, for upload; labeled feedback accumulates until
-the trigger policy fires a retrain request.
+values are a task's in the active snapshot routes to that task's model;
+otherwise it is an unknown task and falls back to (a) the most similar
+snapshot task at or above the similarity threshold, else (b) the global
+fallback model. Applying a snapshot checks it, resolves each model's
+:func:`~edgelearn.learners.predictor` and builds a
+:class:`~edgelearn.tasks.TaskIndex` at the edge's threshold. Per request, the
+known route is one dict probe on the bucketed values and a predictor call;
+finding (a) scores those values, building no query object, against only the
+tasks that can reach it (at the default threshold, those sharing the sample's
+categorical values). Unknown requests are counted per task key, up to
+``unseen_cap`` keys, for upload; labeled feedback accumulates until the
+trigger policy fires a retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
 drains, and snapshot swaps never observe partial state. Snapshots,
@@ -26,13 +26,13 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number, check_int
 from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
-from .kb import DeploySnapshot, SnapshotEntry
-from .learners import check_model, predict
+from .kb import DeploySnapshot
+from .learners import check_model, predictor
 from .tasks import (BucketingConfig, TaskIndex, bucket_attributes, bucket_values, task_key,
                     values_key)
 
@@ -100,8 +100,8 @@ class EdgeRuntime:
         self.similarity_threshold = similarity_threshold  # fixed: each index is built at it
         self.unseen_cap = unseen_cap  # distinct keys in self._demand
         self.active: DeploySnapshot | None = None
-        self._index: TaskIndex | None = None  # over self.active's tasks
-        self._known: dict[tuple, tuple[str, SnapshotEntry]] = {}  # values -> key, entry
+        # self.active's TaskIndex, {values: (key, predictor)}, {key: predictor}, fallback predictor
+        self._routes: tuple[TaskIndex | None, dict, dict, Callable | None] = (None, {}, {}, None)
         self._demand: dict[tuple, int] = {}  # unknown values -> requests since the last drain
         self._feedback: list[Sample] = []
         self.counters = {
@@ -118,17 +118,23 @@ class EdgeRuntime:
 
     def apply_snapshot(self, snapshot: DeploySnapshot) -> str:
         """Swap in a newer snapshot atomically. Returns "applied" or
-        "rejected-stale" (strictly newer versions only). A snapshot holding a
-        model not of this edge's schema, classes and feature count, or a task
+        "rejected-stale" (strictly newer versions only). A snapshot declaring
+        another schema fingerprint (or none, unless it holds no model), holding
+        a model not of this edge's schema, classes and feature count, or a task
         not bucketed as this edge buckets or not keyed by its values, raises
         SchemaMismatchError and is not applied; routing trusts what passes."""
-        fallback = () if snapshot.fallback is None else (snapshot.fallback,)
-        what = f"snapshot v{snapshot.snapshot_version}"
-        for model in (*(entry.model for entry in snapshot.tasks.values()), *fallback):
-            check_model(model, self._shape, what)
-        known, attributes = {}, {}  # values -> (key, entry); key -> attributes
+        what, declared = f"snapshot v{snapshot.snapshot_version}", snapshot.schema_fingerprint
+        if declared != self._shape[0] and (
+                declared is not None or snapshot.tasks or snapshot.fallback is not None):
+            raise SchemaMismatchError(f"{what} declares schema {declared!r}, not {self._shape[0]}")
+        known, attributes, predictors = {}, {}, {}
         for key, entry in snapshot.tasks.items():
-            known[entry.attributes.values], attributes[key] = (key, entry), entry.attributes
+            check_model(entry.model, self._shape, what)
+            attributes[key], predictors[key] = entry.attributes, predictor(entry.model)
+            known[entry.attributes.values] = key, predictors[key]
+        if snapshot.fallback is not None:
+            check_model(snapshot.fallback, self._shape, what)
+        fallback = None if snapshot.fallback is None else predictor(snapshot.fallback)
         try:  # task_categories checks each key is its values' key: no two share a values entry
             index = TaskIndex(attributes, self._bucket_counts, self.similarity_threshold)
         except SchemaMismatchError as exc:
@@ -140,7 +146,7 @@ class EdgeRuntime:
                 and snapshot.snapshot_version <= self.active.snapshot_version
             ):
                 return "rejected-stale"
-            self.active, self._index, self._known = snapshot, index, known
+            self.active, self._routes = snapshot, (index, known, predictors, fallback)
             return "applied"
 
     @property
@@ -165,7 +171,7 @@ class EdgeRuntime:
         values = bucket_values(sample.attributes, self.bucketing)
         with self._lock:
             self.counters["inferences"] += 1
-            snapshot, index, known = self.active, self._index, self._known
+            snapshot, (index, known, predictors, fallback) = self.active, self._routes
             if snapshot is None:
                 self.counters["no_model_errors"] += 1
                 raise NoModelError("no snapshot applied yet")
@@ -179,16 +185,16 @@ class EdgeRuntime:
                 else:  # a new key past the cap
                     self.counters["unseen_dropped"] += 1
 
-        # snapshot, index and known are immutable: predict and route outside the lock
+        # a snapshot and its routes are immutable: predict and route outside the lock
         if hit is not None:
-            key, entry = hit
-            return Prediction(predict(entry.model, sample.features), ROUTE_KNOWN, key, None,
+            key, model_predict = hit
+            return Prediction(model_predict(sample.features), ROUTE_KNOWN, key, None,
                               snapshot.snapshot_version)
         if (nearest := index.nearest(values)) is not None:
             task, sim = nearest
-            model, route = snapshot.tasks[task].model, ROUTE_SIMILAR
-        elif snapshot.fallback is not None:
-            model, route, task, sim = snapshot.fallback, ROUTE_FALLBACK, None, None
+            model_predict, route = predictors[task], ROUTE_SIMILAR
+        elif fallback is not None:
+            model_predict, route, task, sim = fallback, ROUTE_FALLBACK, None, None
         else:
             best_sim = index.best_similarity(values)
             with self._lock:
@@ -198,7 +204,7 @@ class EdgeRuntime:
                 f"below threshold {self.similarity_threshold} and no fallback"
             )
         return Prediction(
-            predict(model, sample.features), route, task, sim, snapshot.snapshot_version
+            model_predict(sample.features), route, task, sim, snapshot.snapshot_version
         )
 
     # -- feedback and upload ------------------------------------------------------

@@ -285,10 +285,13 @@ class KnowledgeBase:
     # -- opening ------------------------------------------------------------
 
     @classmethod
-    def open(cls, path: str | Path) -> "KnowledgeBase":
+    def open(cls, path: str | Path, create: bool = True) -> "KnowledgeBase":
         kb = cls(Path(path))
-        kb.path.mkdir(parents=True, exist_ok=True)
-        (kb.path / _MODELS_DIR).mkdir(exist_ok=True)
+        if create:
+            kb.path.mkdir(parents=True, exist_ok=True)
+            (kb.path / _MODELS_DIR).mkdir(exist_ok=True)
+        elif not kb.path.is_dir():
+            raise StoreError(f"no knowledge base at {kb.path}: not a directory")
         index_path = kb.path / _INDEX_NAME
         if not index_path.exists():
             return kb

@@ -18,8 +18,10 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, compress, filterfalse, islice
 from operator import ne
+from typing import Callable
 
 from .data import Dataset, FeatureVector, _is_finite_number, _is_int
 from .errors import (
@@ -499,13 +501,18 @@ def fit(spec: EstimatorSpec, train: Dataset, seed: int) -> ModelArtifact:
     )
 
 
+def predictor(model: ModelArtifact) -> Callable[[FeatureVector], str]:
+    """*model*'s learner's ``predict`` bound to its parameters; checks no feature count."""
+    return partial(get_learner(model.spec.kind).predict, model.parameters)
+
+
 def predict(model: ModelArtifact, features: FeatureVector):
     """Predict one sample: a class name the model's schema declares."""
     if len(features) != model.parameters["n_features"]:
         raise DataError(
             f"expected {model.parameters['n_features']} features, got {len(features)}"
         )
-    return get_learner(model.spec.kind).predict(model.parameters, features)
+    return predictor(model)(features)
 
 
 def check_model(model: ModelArtifact, shape: tuple, what: str) -> None:
@@ -526,8 +533,9 @@ def evaluate(model: ModelArtifact, test: Dataset) -> EvalMetrics:
     test.require_labeled()
     schema = test.schema
     check_model(model, (schema.fingerprint(), schema.label_classes, schema.n_features), "test set")
+    model_predict = predictor(model)  # the test set's samples have the model's feature count
     return EvalMetrics.from_pairs(
-        model.classes, ((s.label, predict(model, s.features)) for s in test.samples)
+        model.classes, ((s.label, model_predict(s.features)) for s in test.samples)
     )
 
 

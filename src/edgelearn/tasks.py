@@ -120,20 +120,24 @@ def task_similarity(a: BucketedAttributes, b: BucketedAttributes) -> float:
     """
     if len(a.values) != len(b.values) or a.bucket_counts != b.bucket_counts:
         raise SchemaMismatchError("bucketed attributes come from different schemas")
-    if not a.values:
+    if any(c == 0 and type(x) != type(y) for x, y, c in zip(a.values, b.values, a.bucket_counts)):
+        raise SchemaMismatchError("mixed categorical/numeric column")
+    return values_similarity(a.values, b.values, a.bucket_counts)
+
+
+def values_similarity(a: tuple, b: tuple, bucket_counts: tuple[int, ...]) -> float:
+    """:func:`task_similarity` of values bucketed under *bucket_counts*, unchecked."""
+    if not a:
         return 1.0
     total = 0.0
-    for va, vb, count in zip(a.values, b.values, a.bucket_counts):
+    for va, vb, count in zip(a, b, bucket_counts):
         if count == 0:
-            if type(va) is not type(vb):
-                raise SchemaMismatchError("mixed categorical/numeric column")
             total += 1.0 if va == vb else 0.0
+        elif count == 1:
+            total += 1.0
         else:
-            if count == 1:
-                total += 1.0
-            else:
-                total += max(0.0, 1.0 - abs(int(va) - int(vb)) / (count - 1))
-    return total / len(a.values)
+            total += max(0.0, 1.0 - abs(int(va) - int(vb)) / (count - 1))
+    return total / len(a)
 
 
 def rank_similar(
@@ -186,9 +190,10 @@ class TaskIndex:
     columns scores at most ``(n-m)/n`` (exactly so in floats: rounded
     addition and division are monotone). The constructor works out once the
     most mismatches (the reach) that can still meet *threshold*; a lookup
-    scores, with :func:`task_similarity` and in key order, only the groups
-    within reach; with the query's own group alone that is one dict probe.
-    Results equal a scan of every task in key order. Nothing in an index
+    scores, with :func:`values_similarity` on the request's values and in key
+    order, only the groups within reach, building no query object; with the
+    query's own group alone that is one dict probe. Results equal a scan of
+    every task in key order with :func:`task_similarity`. Nothing in an index
     changes after it is built.
     """
 
@@ -204,10 +209,10 @@ class TaskIndex:
             if not (bound > 0.0 and bound >= threshold):
                 break
             self._reach = m
-        self._groups: dict[tuple, list[tuple[str, BucketedAttributes]]] = {}
+        self._groups: dict[tuple, list[tuple[str, tuple]]] = {}  # categories -> (key, values)
         for key in sorted(tasks):
             cats = task_categories(key, tasks[key], bucket_counts)
-            self._groups.setdefault(cats, []).append((key, tasks[key]))
+            self._groups.setdefault(cats, []).append((key, tasks[key].values))
 
     def nearest(self, values: tuple[str | int, ...]) -> tuple[str, float] | None:
         """(key, similarity) of the most similar task to the bucketed
@@ -227,10 +232,9 @@ class TaskIndex:
             )
         if not members:
             return None
-        query = BucketedAttributes(values, self._bucket_counts)
         best_key, best_sim = None, 0.0
-        for key, attrs in members:
-            sim = task_similarity(query, attrs)
+        for key, task_values in members:
+            sim = values_similarity(values, task_values, self._bucket_counts)
             if sim > best_sim:
                 best_key, best_sim = key, sim
         if best_key is not None and best_sim >= self._threshold:
@@ -240,9 +244,8 @@ class TaskIndex:
     def best_similarity(self, values: tuple[str | int, ...]) -> float:
         """The highest similarity of any task to the bucketed *values*, 0.0
         with no tasks: what an error message reports, not a route."""
-        query = BucketedAttributes(values, self._bucket_counts)
-        return max((task_similarity(query, attrs)
-                    for members in self._groups.values() for _, attrs in members), default=0.0)
+        return max((values_similarity(values, other, self._bucket_counts)
+                    for members in self._groups.values() for _, other in members), default=0.0)
 
 
 @dataclass(frozen=True)

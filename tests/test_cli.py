@@ -76,6 +76,14 @@ def test_kb_init_and_show_fresh(workdir, capsys):
     assert "0 tasks" in out
 
 
+def test_kb_show_of_a_missing_store_is_exit_2_and_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "nowhere" / "kb"
+    assert cli_main(["kb", "show", "--kb", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert f"no knowledge base at {missing}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kb_show_json(workdir, capsys):
     kb_dir = str(workdir / "kb")
     assert cli_main(["kb", "init", "--kb", kb_dir]) == 0
@@ -745,6 +753,24 @@ def test_edge_refuses_a_snapshot_not_bucketed_as_it_buckets_exit_2(
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "snapshot v5 was not bucketed as this edge buckets" in err and repr(task) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fingerprint", [5, None, "0" * 16])
+def test_edge_refuses_a_snapshot_declaring_another_schema_exit_2(workdir, capsys, fingerprint):
+    # every model in it is of the edge's schema; the snapshot's own declaration is not
+    base = _deployed(workdir)
+    snap = workdir / "snap.json"
+    doc = json.loads(snap.read_bytes())
+    doc["schema_fingerprint"] = fingerprint
+    snap.write_bytes(canonical_json_bytes(doc))
+    capsys.readouterr()
+    out = workdir / "preds.csv"
+    assert cli_main(["edge", "infer", "--snapshot", str(snap), *base[2:],
+                     "--data", str(workdir / "test.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"snapshot file {snap}: snapshot v5 declares schema {fingerprint!r}," in err
     assert "Traceback" not in err
     assert not out.exists()
 

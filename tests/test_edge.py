@@ -9,10 +9,11 @@ import random
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from edgelearn import edge, tasks
+from edgelearn import edge, learners, tasks
 from edgelearn.data import AttributeKind, DatasetSchema, Sample
 from edgelearn.edge import (
     ROUTE_FALLBACK,
@@ -24,7 +25,7 @@ from edgelearn.edge import (
 from edgelearn.errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from edgelearn.job import TriggerPolicy
 from edgelearn.kb import DeploySnapshot, SnapshotEntry
-from edgelearn.learners import EstimatorSpec, fit, predict
+from edgelearn.learners import EstimatorSpec, fit, get_learner, predict
 from edgelearn.tasks import (
     BucketedAttributes,
     BucketingConfig,
@@ -97,7 +98,9 @@ def test_allocate_empty_snapshot_always_unknown():
 # -- infer routing ----------------------------------------------------------------
 
 def test_each_route_builds_only_what_it_reads(monkeypatch):
-    built, keyed = [], []
+    # a snapshot's predict callables are resolved when it is applied: no
+    # route looks a learner up, and none builds a query to score tasks against
+    built, keyed, looked_up = [], [], []
 
     class Counting(BucketedAttributes):
         def __post_init__(self):
@@ -108,6 +111,10 @@ def test_each_route_builds_only_what_it_reads(monkeypatch):
         keyed.append(values)
         return tasks.values_key(values)
 
+    def counting_get_learner(kind):
+        looked_up.append(kind)
+        return get_learner(kind)
+
     schema = banded_schema((10.0, 20.0, 30.0, 40.0))
     bucketing = BucketingConfig.from_schema(schema)
     attrs = bucket_attributes(("p", 15.0), bucketing)  # bucket 1
@@ -116,22 +123,24 @@ def test_each_route_builds_only_what_it_reads(monkeypatch):
                                        fallback=constant_model("b")))
     monkeypatch.setattr(tasks, "BucketedAttributes", Counting)
     monkeypatch.setattr(edge, "values_key", counting_values_key)
+    monkeypatch.setattr(learners, "get_learner", counting_get_learner)
     # known: the bucketed values and one dict probe, no key string
     assert runtime.infer(Sample((1.0,), ("p", 12.0))).route == ROUTE_KNOWN
     assert (built, keyed) == ([], [])
     # fallback with no task sharing the site: nothing to score, nothing built
     assert runtime.infer(Sample((1.0,), ("q", 12.0))).route == ROUTE_FALLBACK
     assert (built, keyed) == ([], [])
-    # similar: one query to score the site's tasks against
+    # similar: the site's tasks are scored on the request's values
     assert runtime.infer(Sample((1.0,), ("p", 25.0))).route == ROUTE_SIMILAR
-    assert (built, keyed) == ([("p", 2)], [])
+    assert (built, keyed) == ([], [])
+    assert looked_up == []
     # no model: the error message names the key and the best similarity
     runtime = EdgeRuntime(schema, bucketing)
     runtime.apply_snapshot(snapshot_of(1, {task_key(attrs): (constant_model("a"), attrs)}))
-    built.clear()
+    looked_up.clear()
     with pytest.raises(NoModelError, match=r"unknown task 'q\|1': best similarity 0\.5 "):
         runtime.infer(Sample((1.0,), ("q", 12.0)))
-    assert (built, keyed) == ([("q", 1)], [("q", 1)])
+    assert (built, keyed, looked_up) == ([], [("q", 1)], [])
 
 
 def test_prediction_is_immutable():
@@ -432,6 +441,10 @@ def test_a_snapshot_of_another_schema_is_not_applied():
         (snapshot_of(2, {"athens": (own_model, own.tasks["athens"].attributes),
                          "athens|1": (own_model, banded)}), "'athens|1'"),
         (snapshot_of(2, {"5": (own_model, BucketedAttributes((5,), (0,)))}), "'5'"),
+        # its models are the edge's, but it declares another schema or none
+        (replace(own, snapshot_version=2, schema_fingerprint=5), "declares schema 5,"),
+        (replace(own, snapshot_version=2, schema_fingerprint=None), "declares schema None,"),
+        (DeploySnapshot(2, "0" * 16, {}, None), "declares schema '0000000000000000',"),
     ):
         with pytest.raises(SchemaMismatchError, match=error):
             runtime.apply_snapshot(foreign)
@@ -531,7 +544,13 @@ def _oracle(snapshot, attrs, bucketing, threshold):
 
 def test_task_index_routes_exactly_like_a_full_scan():
     rng = random.Random(2024)
-    models = [constant_model(label) for label in "ab"]
+    # a fitted tree and logistic model, each predicting both classes on the queries' features
+    fitted = city_dataset([(x, "x", "a" if x % 7 < 3 or x > 20 else "b") for x in range(25)])
+    models = [constant_model(label) for label in "ab"] + [
+        fit(EstimatorSpec(kind), fitted, seed=0) for kind in ("tree", "logistic")]
+    for model in models[2:]:
+        assert {predict(model, (float(i),)) for i in range(25)} == {"a", "b"}, model.spec
+    served = Counter()  # (route, learner kind) of each prediction
     outcomes = {ROUTE_KNOWN: 0, ROUTE_SIMILAR: 0, ROUTE_FALLBACK: 0, "no-model": 0}
     ties = cross_group = drops = 0
     for _ in range(40):
@@ -557,7 +576,7 @@ def test_task_index_routes_exactly_like_a_full_scan():
             task_raws.append(raw(CATEGORIES[:4]))  # few values make equal similarities common
             attrs = bucket_attributes(task_raws[-1], bucketing)
             entries[task_key(attrs)] = (rng.choice(models), attrs)
-        snap = snapshot_of(1, entries, fallback=rng.choice((None, models[1])))
+        snap = snapshot_of(1, entries, fallback=rng.choice((None, *models)))
         queries = [rng.choice(task_raws) if task_raws and rng.random() < 0.3
                    else raw(CATEGORIES) for _ in range(25)]
         for threshold in (0.0, 0.3, 0.5, 0.75, 0.9, 1.0):
@@ -585,6 +604,7 @@ def test_task_index_routes_exactly_like_a_full_scan():
                     continue
                 route, key, sim, model = expected
                 outcomes[route] += 1
+                served[route, model.spec.kind] += 1
                 pred = runtime.infer(Sample((float(i),), attrs))
                 assert pred == (predict(model, (float(i),)), route, key, sim, 1), attrs
                 assert repr(pred.similarity) == repr(sim)
@@ -599,6 +619,7 @@ def test_task_index_routes_exactly_like_a_full_scan():
             assert runtime.status()["unknown_demand"] == demand
             drops += counters["unseen_dropped"]
     assert min(outcomes.values()) > 0 and ties > 0 and cross_group > 0 and drops > 0  # all ran
+    assert len(served) == 3 * 3  # every learner kind on every route
 
 
 # -- concurrent swaps ------------------------------------------------------------------

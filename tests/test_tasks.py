@@ -19,6 +19,7 @@ from edgelearn.tasks import (
     task_key,
     task_similarity,
     values_key,
+    values_similarity,
 )
 
 from conftest import banded_schema, city_dataset, city_schema, make_samples
@@ -233,9 +234,44 @@ def test_similarity_symmetric_and_bounded(rng):
 
 def test_similarity_schema_mismatch_rejected():
     a = BucketedAttributes(("c",), (0,))
-    b = BucketedAttributes(("c", 1), (0, 2))
-    with pytest.raises(SchemaMismatchError):
-        task_similarity(a, b)
+    for b in (BucketedAttributes(("c", 1), (0, 2)), BucketedAttributes((0,), (1,))):
+        with pytest.raises(SchemaMismatchError, match="different schemas"):
+            task_similarity(a, b)
+    with pytest.raises(SchemaMismatchError, match="mixed categorical/numeric"):
+        task_similarity(a, BucketedAttributes((1,), (0,)))
+
+
+def _reference_similarity(a, b):
+    """task_similarity as one loop over the columns: the float operations, in
+    their order, that values_similarity must repeat."""
+    if not a.values:
+        return 1.0
+    total = 0.0
+    for va, vb, count in zip(a.values, b.values, a.bucket_counts):
+        if count == 0:
+            total += 1.0 if va == vb else 0.0
+        elif count == 1:
+            total += 1.0
+        else:
+            total += max(0.0, 1.0 - abs(int(va) - int(vb)) / (count - 1))
+    return total / len(a.values)
+
+
+def test_values_similarity_is_task_similarity_bit_for_bit(rng):
+    seen = Counter()
+    for _ in range(3000):
+        counts = tuple(rng.choice((0, 0, 1, 2, 3, 5, 7)) for _ in range(rng.randint(0, 5)))
+
+        def values():
+            return tuple(rng.choice("pqr") if c == 0 else rng.randrange(c) for c in counts)
+
+        a, b = BucketedAttributes(values(), counts), BucketedAttributes(values(), counts)
+        expected = _reference_similarity(a, b).hex()
+        assert task_similarity(a, b).hex() == expected, (a, b)
+        assert values_similarity(a.values, b.values, counts).hex() == expected, (a, b)
+        kinds = {0: "categorical", 1: "single-bucket"}
+        seen.update([kinds.get(count, "numeric") for count in counts] or ["zero-attribute"])
+    assert set(seen) == {"categorical", "single-bucket", "numeric", "zero-attribute"}
 
 
 # -- sample transfer -----------------------------------------------------------------
