@@ -6,8 +6,12 @@ that later identifies which task the row belongs to). Schemas pin column
 names, the label's class list, and per-attribute kinds. All objects here are
 immutable after construction and safe to share across threads.
 
-A CSV row is parsed by one column plan built from the schema (see
+A CSV file is parsed by one column plan built from the schema (see
 ``_column_plan``); :meth:`DatasetSchema.validate_sample` owns the sample rules.
+:func:`load_csv` parses and checks a file a column at a time, which covers
+those rules for cells that parse; only a file that fails a check is walked
+row by row, to name its first bad row. A label class may not be ``""``:
+an empty label cell means the row is unlabeled.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import math
 import random
 from dataclasses import MISSING, dataclass, field, fields
 from hashlib import sha256
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import ConfigError, DataError, EdgeLearnError, SchemaError
 
@@ -78,7 +84,9 @@ class DatasetSchema:
     """Column layout of a dataset.
 
     ``label_classes`` is the label column's ordered class list: labels are
-    classes only. ``attribute_kinds`` is parallel to ``attribute_columns``.
+    classes only, and no class is ``""``, which a CSV label cell leaves
+    empty for an unlabeled row. ``attribute_kinds`` is parallel to
+    ``attribute_columns``.
     """
 
     feature_columns: tuple[str, ...]
@@ -102,6 +110,9 @@ class DatasetSchema:
             raise SchemaError(f"class list for {self.label_column!r} needs at least 2 classes")
         if len(set(self.label_classes)) != len(self.label_classes):
             raise SchemaError(f"duplicate class in label column {self.label_column!r}")
+        if "" in self.label_classes:
+            raise SchemaError(f"empty class name in label column {self.label_column!r}: "
+                              f"an empty label cell means the row is unlabeled")
         if len(self.attribute_columns) != len(self.attribute_kinds):
             raise SchemaError("attribute_kinds must be parallel to attribute_columns")
 
@@ -326,12 +337,14 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> Dataset:
     """Load a dataset from CSV. Column order comes from the header row; a
     repeated header name reads its first position.
 
-    An empty label cell means the row is unlabeled. Each row is checked
-    once, by :meth:`DatasetSchema.validate_sample`; error messages name the
-    file and count data rows from 1 (the header is row 0).
+    An empty label cell means the row is unlabeled. The rows are parsed
+    and checked a column at a time (see :func:`_samples_by_column`), which
+    covers every rule of :meth:`DatasetSchema.validate_sample`; only if a
+    check fails are the rows walked one by one, to raise the first bad row's
+    error. Error messages name the file and count data rows from 1 (the
+    header is row 0).
     """
     path = Path(path)
-    n_features = schema.n_features
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -343,34 +356,72 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> Dataset:
             for name, _ in plan:
                 if name not in header:
                     raise DataError(f"{path}: missing column {name!r}")
-            cells = [(header.index(name), name, parse) for name, parse in plan]
-            label_pos = header.index(schema.label_column)
-
-            samples: list[Sample] = []
-            for row_num, row in enumerate(reader, start=1):
-                values = []
-                for pos, name, parse in cells:
-                    try:
-                        text = row[pos]
-                        values.append(parse(text) if text or pos != label_pos else None)
-                    except IndexError:
-                        raise DataError(f"{path}: row {row_num}: too few cells") from None
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {row_num}: unparseable numeric cell {text!r} in {name!r}"
-                        ) from None
-                sample = Sample(
-                    tuple(values[:n_features]), tuple(values[n_features + 1:]), values[n_features]
-                )
-                try:
-                    schema.validate_sample(sample)
-                except DataError as exc:
-                    raise DataError(f"{path}: row {row_num}: {exc}") from exc
-                samples.append(sample)
+            rows = list(reader)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    cells = [(header.index(name), name, parse) for name, parse in plan]
+    samples = _samples_by_column(schema, cells, rows)
+    if samples is None:
+        _raise_first_bad_row(path, schema, cells, rows)
+    return _checked(schema, samples)
 
-    return _checked(schema, tuple(samples))
+
+def _samples_by_column(schema: DatasetSchema, cells, rows) -> tuple[Sample, ...] | None:
+    """The samples of *rows*, or None if one is short, has a cell that does
+    not parse or breaks a rule of :meth:`DatasetSchema.validate_sample`.
+    Each column of *cells* (position, name, parser) is parsed by one call
+    and checked by one more. Parsing fixes every type and length, so what
+    is left to check is that numbers are finite, labels are classes or
+    empty, and categorical values are not empty."""
+    if not rows:
+        return ()
+    if min(map(len, rows)) <= max(pos for pos, _, _ in cells):
+        return None
+    table = list(zip(*rows))
+    try:
+        columns = [tuple(map(float, table[pos])) if parse is float else table[pos]
+                   for pos, _, parse in cells]
+    except ValueError:
+        return None
+    k = schema.n_features
+    features, labels, attributes = columns[:k], columns[k], columns[k + 1:]
+    numeric = features + [c for c, kind in zip(attributes, schema.attribute_kinds)
+                          if kind.kind == NUMERIC]
+    if (not all(all(map(math.isfinite, column)) for column in numeric)
+            or any("" in c for c, kind in zip(attributes, schema.attribute_kinds)
+                   if kind.kind == CATEGORICAL)
+            or not {"", *schema.label_classes}.issuperset(labels)):
+        return None
+    labels = [label or None for label in labels]  # no class is "": it is an unlabeled row
+    return tuple(map(Sample, zip(*features),
+                     zip(*attributes) if attributes else repeat((), len(rows)), labels))
+
+
+def _raise_first_bad_row(path: Path, schema: DatasetSchema, cells, rows) -> NoReturn:
+    """Raise the DataError of the first of *rows* that fails to parse or to
+    pass :meth:`DatasetSchema.validate_sample`, parsing them one by one."""
+    n_features = schema.n_features
+    label_pos = cells[n_features][0]
+    for row_num, row in enumerate(rows, start=1):
+        values = []
+        for pos, name, parse in cells:
+            try:
+                text = row[pos]
+                values.append(parse(text) if text or pos != label_pos else None)
+            except IndexError:
+                raise DataError(f"{path}: row {row_num}: too few cells") from None
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {row_num}: unparseable numeric cell {text!r} in {name!r}"
+                ) from None
+        sample = Sample(
+            tuple(values[:n_features]), tuple(values[n_features + 1:]), values[n_features]
+        )
+        try:
+            schema.validate_sample(sample)
+        except DataError as exc:
+            raise DataError(f"{path}: row {row_num}: {exc}") from exc
+    raise AssertionError(f"{path}: a column check failed, but every row passes")
 
 
 def _format_value(v: str | float | None) -> str:

@@ -189,6 +189,12 @@ class Learner:
     def predict(self, params: dict, features: FeatureVector):
         raise NotImplementedError
 
+    def parameter_fault(self, params: dict) -> str | None:
+        """What in decoded *params* ``predict`` would trip over or misread, or
+        None; :func:`model_from_json` refuses a payload that has one. Its
+        ``n_features`` (an int >= 1) and ``classes`` (strings) are checked."""
+        return None
+
 
 _REGISTRY: dict[str, Learner] = {}
 
@@ -227,6 +233,12 @@ class MajorityLearner(Learner):
 
     def predict(self, params, features):
         return params["classes"][params["label_index"]]
+
+    def parameter_fault(self, params):
+        index, n_classes = params.get("label_index"), len(params["classes"])
+        if _is_int(index) and 0 <= index < n_classes:
+            return None
+        return f"label_index {index!r} is not an integer in [0, {n_classes})"
 
 
 def _softmax(scores: list[float]) -> list[float]:
@@ -304,11 +316,25 @@ class LogisticLearner(Learner):
         best = max(range(len(proba)), key=lambda i: (proba[i], -i))
         return params["classes"][best]
 
+    def parameter_fault(self, params):
+        k, f = len(params["classes"]), params["n_features"]
+        weights, bias = params.get("weights"), params.get("bias")
+        if not (isinstance(weights, list) and len(weights) == k and all(
+                isinstance(row, list) and len(row) == f and all(map(_is_finite_number, row))
+                for row in weights)):
+            return f"weights are not {k} lists of {f} numbers"
+        if not (isinstance(bias, list) and len(bias) == k and all(map(_is_finite_number, bias))):
+            return f"bias is not a list of {k} numbers"
+        return None
+
 
 class _Gini:
     """Classification impurity in exact integers, so exhaustive-search
     oracles agree bit-for-bit. A node's rows arrive in each feature's order,
-    sorted once per fit, and ``best_cut`` scans one such order in one pass."""
+    sorted once per fit, and a column's best cut is found in one pass over
+    one such order: ``best_cut`` over a list of candidates that ties or
+    ``min_leaf`` leave gapped, ``best_contiguous_cut`` over a range that
+    holds every cut, with the same scores in the same order."""
 
     def __init__(self, k):
         self.k = k
@@ -337,6 +363,10 @@ class _Gini:
         squared counts, all fixed in the run. The node is impure (A + B > 0),
         so this is strictly concave in t: a candidate inside a run scores
         strictly worse than an end of it.
+
+        The loop walks the label runs and, per run, checks which of its cuts
+        are candidates: all of them (score its end) or some (``bisect`` for
+        the first and the last).
         """
         n, m, last = len(ys), len(candidates), candidates[-1]
         left, twice = [0] * self.k, [2 * c for c in counts]
@@ -370,6 +400,33 @@ class _Gini:
             a = b
         return best_num, best_den, best_t
 
+    def best_contiguous_cut(self, ys, lo, counts):
+        """:meth:`best_cut` with every n_left in ``range(lo, n - lo + 1)`` as a
+        candidate, as in a column with no repeated value: the sums start at
+        n_left = lo, which is scored (it is a run's end or, when a run
+        straddles it, the run's first candidate), then each later run's end
+        is, with no candidate bookkeeping."""
+        n, last, twice = len(ys), len(ys) - lo, [2 * c for c in counts]
+        prefix = ys[:lo]
+        left = [prefix.count(c) for c in range(self.k)]
+        lsq = sum(c * c for c in left)
+        w = sum(c * (c - 2 * lc) for c, lc in zip(counts, left))
+        best_num, best_den, best_t = lsq * n + w * lo, lo * (n - lo), lo
+        changes = compress(range(lo + 1, last),
+                           map(ne, islice(ys, lo, None), islice(ys, lo + 1, last)))
+        a = lo
+        for b in chain(changes, (last,)):  # last == lo scores lo again, which does not win
+            y, d = ys[a], b - a  # rows [a, b) hold one class
+            lc = left[y]
+            left[y] = lc + d
+            lsq += d * (2 * lc + d)
+            w -= twice[y] * d
+            num, den = lsq * n + w * b, b * (n - b)
+            if num * best_den > best_num * den:
+                best_num, best_den, best_t = num, den, b
+            a = b
+        return best_num, best_den, best_t
+
 
 class TreeLearner(Learner):
     """Binary classification tree grown by a greedy gini split search
@@ -381,8 +438,11 @@ class TreeLearner(Learner):
     ``_Gini`` supplies the leaf payload, the purity stop and a column's best
     cut: of the cuts between distinct feature values that leave ``min_leaf``
     rows a side, it scores only those at the ends of label runs, as the rest
-    provably cannot win or tie. A column with no repeated value has every
-    cut in that range as a candidate. Scores are exact integer rationals
+    provably cannot win or tie. A column with no repeated value (known once
+    per fit) has every cut in that range as a candidate and takes
+    ``best_contiguous_cut``, a loop of running sums with no candidate
+    bookkeeping; a column with ties lists its candidates for ``best_cut``.
+    Both score the same cuts. Scores are exact integer rationals
     ``(num, den)`` compared by cross-multiplication. A cut's threshold is
     the midpoint of its two values (the upper value where the midpoint
     rounds to the lower one or overflows); ties resolve to the lowest
@@ -422,11 +482,11 @@ class TreeLearner(Learner):
                     ))
                     if not candidates:
                         continue
+                    num, den, n_left = impurity.best_cut(
+                        list(map(ys.__getitem__, order)), candidates, leaf["counts"])
                 else:
-                    candidates = range(min_leaf, n - min_leaf + 1)
-                num, den, n_left = impurity.best_cut(
-                    list(map(ys.__getitem__, order)), candidates, leaf["counts"]
-                )
+                    num, den, n_left = impurity.best_contiguous_cut(
+                        list(map(ys.__getitem__, order)), min_leaf, leaf["counts"])
                 if best is None or num * best[1] > best[0] * den:
                     best = (num, den, j, n_left)
             # split only if n - num/den < n * gini(node) = n - sum(counts²)/n
@@ -461,6 +521,37 @@ class TreeLearner(Learner):
         while node["kind"] == "split":
             node = node["left"] if features[node["feature"]] < node["threshold"] else node["right"]
         return params["classes"][node["label_index"]]
+
+    def parameter_fault(self, params):
+        """The first node, depth first, that is neither a split on a feature
+        index with a numeric threshold nor a leaf of a class index (an index
+        is an int, not a bool)."""
+        try:
+            return _tree_fault(params["tree"], params["n_features"], len(params["classes"]))
+        except KeyError as exc:
+            return f"no key {exc} in the tree or one of its nodes"
+        except TypeError:
+            return "a tree node is not an object"
+        except RecursionError:
+            return "the tree nests too deep to check"
+
+
+def _tree_fault(node, n_features: int, n_classes: int) -> str | None:
+    kind = node["kind"]
+    if kind == "split":
+        feature = node["feature"]
+        if type(feature) is not int or not 0 <= feature < n_features:
+            return f"tree split feature {feature!r} is not an integer in [0, {n_features})"
+        if type(node["threshold"]) not in (float, int):
+            return f"tree split threshold {node['threshold']!r} is not a number"
+        return (_tree_fault(node["left"], n_features, n_classes)
+                or _tree_fault(node["right"], n_features, n_classes))
+    if kind != "leaf":
+        return f"tree node kind {kind!r} is not 'split' or 'leaf'"
+    index = node["label_index"]
+    if type(index) is not int or not 0 <= index < n_classes:
+        return f"tree leaf label_index {index!r} is not an integer in [0, {n_classes})"
+    return None
 
 
 register_learner(MajorityLearner())
@@ -588,7 +679,9 @@ def model_to_json(model: ModelArtifact) -> dict:
 
 
 def model_from_json(payload) -> ModelArtifact:
-    """Inverse of :func:`model_to_json`; checks the decoded payload."""
+    """Inverse of :func:`model_to_json`; checks the decoded payload, down to
+    what its learner's ``predict`` reads (:meth:`Learner.parameter_fault`),
+    so a model from outside the program is checked once, where it enters."""
     if not isinstance(payload, dict):
         raise SerializationError("corrupt model payload: not an object")
     missing = {
@@ -617,6 +710,11 @@ def model_from_json(payload) -> ModelArtifact:
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
         raise SerializationError(
             f"corrupt model payload: classes {classes!r} is not a list of strings")
+    if not classes:
+        raise SerializationError("corrupt model payload: classes [] names no class")
+    fault = _REGISTRY[kind].parameter_fault(params)
+    if fault is not None:
+        raise SerializationError(f"corrupt model payload: {fault}")
     try:
         spec = EstimatorSpec(kind=kind, hyperparameters=payload["hyperparameters"])
         trained = TrainingSummary(

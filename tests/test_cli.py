@@ -396,6 +396,7 @@ def test_nonfinite_bucket_edges_are_exit_2(workdir, capsys, edges):
     ("label", {"name": ["y"], "classes": ["a", "b"]}, "column name ['y'] is not a string"),
     ("label", {"name": "y", "classes": ["a", "b"], "kind": "regression"},
      "label 'y': only classification labels (a 'classes' list) are supported"),
+    ("label", {"name": "y", "classes": ["", "a"]}, "empty class name in label column 'y'"),
 ])
 def test_mistyped_schema_is_schema_error_exit_2(workdir, capsys, section, value, named):
     doc = json.loads(SCHEMA_TEXT)
@@ -773,6 +774,66 @@ def test_edge_refuses_a_snapshot_declaring_another_schema_exit_2(workdir, capsys
     assert f"snapshot file {snap}: snapshot v5 declares schema {fingerprint!r}," in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _deployed_trees(workdir) -> list[str]:
+    """:func:`_deployed` with a tree learner, on data where each task's
+    root splits on x."""
+    (workdir / "job.json").write_text(JOB_TEXT.replace('"majority"', '"tree"'), encoding="utf-8")
+    data = city_dataset([(float(i), city, "ab"[(i < 4) == (city == "tokyo")])
+                         for city in ("athens", "tokyo") for i in range(8)])
+    write_csv(data, workdir / "train.csv")
+    write_csv(data, workdir / "test.csv")
+    return _deployed(workdir)
+
+
+MALFORMED_TREE_ROOTS = [  # (key, value) set in a task's tree root, and the fault named
+    ("feature", 99, "tree split feature 99 is not an integer in [0, 1)"),
+    ("feature", -1, "tree split feature -1 is not an integer in [0, 1)"),
+    ("kind", "branch", "tree node kind 'branch' is not 'split' or 'leaf'"),
+    ("left", {"kind": "leaf", "counts": [4, 0], "label_index": 2},
+     "tree leaf label_index 2 is not an integer in [0, 2)"),
+]
+
+
+@pytest.mark.parametrize("key, value, fault", MALFORMED_TREE_ROOTS)
+def test_edge_refuses_a_snapshot_with_a_malformed_tree_exit_2(workdir, capsys, key, value, fault):
+    base = _deployed_trees(workdir)
+    snap = workdir / "snap.json"
+    doc = json.loads(snap.read_bytes())
+    root = doc["tasks"]["athens"]["model"]["parameters"]["tree"]
+    assert root["kind"] == "split" and root["feature"] == 0
+    root[key] = value
+    snap.write_bytes(canonical_json_bytes(doc))
+    capsys.readouterr()
+    out = workdir / "preds.csv"
+    assert cli_main(["edge", "infer", "--snapshot", str(snap), *base[2:],
+                     "--data", str(workdir / "test.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"snapshot file {snap}: corrupt model payload: {fault}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, fault", MALFORMED_TREE_ROOTS)
+def test_kb_show_refuses_a_store_with_a_malformed_tree_exit_2(workdir, capsys, key, value, fault):
+    _deployed_trees(workdir)
+    kb_dir = workdir / "kb"
+    assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 0
+    index = kb_dir / "index.json"
+    body = json.loads(index.read_bytes())["body"]
+    entry = next(entry for entry in body["tasks"] if entry["key"] == "athens")
+    model_file = kb_dir / "models" / f"athens.{entry['version']}.bin"
+    payload = json.loads(model_file.read_bytes())
+    payload["parameters"]["tree"][key] = value
+    model_file.write_bytes(canonical_json_bytes(payload))
+    entry["crc32"] = zlib.crc32(model_file.read_bytes())  # under valid checksums
+    index.write_bytes(_manifest(body))
+    capsys.readouterr()
+    assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"undecodable model file {model_file}: corrupt model payload: {fault}" in err
+    assert "Traceback" not in err
 
 
 def test_edge_refuses_a_snapshot_whose_key_is_not_its_values_key_exit_2(workdir, capsys):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import random
 import re
 from collections import Counter
 
 import pytest
 
+from edgelearn import data
 from edgelearn.bench import baseline_incremental
 from edgelearn.data import (
     AttributeKind,
@@ -54,6 +57,12 @@ def test_parse_schema_zero_attributes_is_valid():
 def test_parse_schema_duplicate_class_rejected():
     with pytest.raises(SchemaError, match="duplicate class.*y"):
         parse_schema('{"features": ["x"], "label": {"name": "y", "classes": ["a", "a"]}}')
+
+
+def test_parse_schema_empty_class_name_rejected():
+    # an empty label cell reads as unlabeled, so a class "" could not round-trip a CSV
+    with pytest.raises(SchemaError, match="empty class name in label column 'y'"):
+        parse_schema('{"features": ["x"], "label": {"name": "y", "classes": ["", "a"]}}')
 
 
 def test_parse_schema_duplicate_column_rejected():
@@ -159,15 +168,24 @@ def test_derived_dataset_equals_and_hashes_like_a_constructed_one():
 
 @pytest.fixture
 def validate_calls(monkeypatch) -> list[Sample]:
-    """Records every sample DatasetSchema.validate_sample checks from now on."""
+    """Records every sample checked from now on: each one that
+    DatasetSchema.validate_sample checks, and each row that load_csv checks
+    a column at a time."""
     calls: list[Sample] = []
     real = DatasetSchema.validate_sample
+    real_by_column = data._samples_by_column
 
     def counting(schema, sample):
         calls.append(sample)
         real(schema, sample)
 
+    def counting_by_column(schema, cells, rows):
+        samples = real_by_column(schema, cells, rows)
+        calls.extend(samples or ())
+        return samples
+
     monkeypatch.setattr(DatasetSchema, "validate_sample", counting)
+    monkeypatch.setattr(data, "_samples_by_column", counting_by_column)
     return calls
 
 
@@ -291,6 +309,113 @@ def test_load_csv_case_table(tmp_path, label_only, text, expected):
         assert str(err.value) == expected.format(path=path)
     else:
         assert load_csv(path, schema) == Dataset(schema, make_samples(expected))
+
+
+def reference_load_csv(path, schema):
+    """load_csv as a loop over rows, each parsed cell by cell and checked by
+    DatasetSchema.validate_sample: the reference the column-at-a-time loader
+    must agree with, down to the error message."""
+    n_features = schema.n_features
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, header row required") from None
+        plan = data._column_plan(schema)
+        for name, _ in plan:
+            if name not in header:
+                raise DataError(f"{path}: missing column {name!r}")
+        cells = [(header.index(name), name, parse) for name, parse in plan]
+        label_pos = header.index(schema.label_column)
+        samples = []
+        for row_num, row in enumerate(reader, start=1):
+            values = []
+            for pos, name, parse in cells:
+                try:
+                    text = row[pos]
+                    values.append(parse(text) if text or pos != label_pos else None)
+                except IndexError:
+                    raise DataError(f"{path}: row {row_num}: too few cells") from None
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {row_num}: unparseable numeric cell {text!r} in {name!r}"
+                    ) from None
+            sample = Sample(
+                tuple(values[:n_features]), tuple(values[n_features + 1:]), values[n_features]
+            )
+            try:
+                schema.validate_sample(sample)
+            except DataError as exc:
+                raise DataError(f"{path}: row {row_num}: {exc}") from exc
+            samples.append(sample)
+    return Dataset(schema, tuple(samples))
+
+
+def _random_csv_case(rng):
+    """A random schema and CSV text for it, with faults injected at random."""
+    kinds = [rng.choice([AttributeKind("categorical"), AttributeKind("numeric", (0.0,))])
+             for _ in range(rng.randint(0, 2))]
+    schema = DatasetSchema(
+        feature_columns=tuple(f"f{j}" for j in range(rng.randint(1, 3))),
+        label_column="y", label_classes=("a", "b", "c"),
+        attribute_columns=tuple(f"a{j}" for j in range(len(kinds))), attribute_kinds=kinds,
+    )
+    header = [name for name, _ in data._column_plan(schema)]
+    rng.shuffle(header)
+    if rng.random() < 0.2:  # a repeated name: its first position is read
+        header.insert(rng.randint(0, len(header)), rng.choice(header))
+    if rng.random() < 0.2:
+        header.insert(rng.randint(0, len(header)), "extra")
+    rate = rng.choice([0.0, 0.0, 0.01, 0.05])
+
+    def cell(name):
+        if rng.random() < rate:
+            return rng.choice(["nan", "inf", "-inf", "1e999", "foo", "", "zzz", "1,5"])
+        if name == "y":
+            return rng.choice(["a", "b", "c", ""])
+        kind = dict(zip(schema.attribute_columns, kinds)).get(name)
+        if kind is not None and kind.kind == "categorical":
+            return "" if rng.random() < rate else rng.choice(["athens", "tokyo", " oslo"])
+        return rng.choice([repr(rng.uniform(-50, 50)), "-0.0", "3", " 2.5 ", "1e3"])
+
+    lines = [",".join(header)]
+    for _ in range(rng.randint(0, 12)):
+        row = [cell(name) for name in header]
+        fault = rng.random()
+        if fault < rate:
+            row = row[:rng.randrange(len(row))]  # a short row
+        elif fault < 2 * rate:
+            row = []  # a blank line
+        elif fault < 3 * rate:
+            row.append("surplus")
+        lines.append(",".join(row))
+    return schema, "\n".join(lines) + rng.choice(["\n", ""])
+
+
+def test_load_csv_agrees_with_a_row_by_row_reference(tmp_path):
+    rng = random.Random(23)
+    faults = ("too few cells", "unparseable numeric cell", "feature value",
+              "unknown class label", "needs a finite number", "needs a non-empty string")
+    outcomes = Counter()
+    path = tmp_path / "d.csv"
+    for trial in range(1500):
+        schema, text = _random_csv_case(rng)
+        path.write_text(text, encoding="utf-8")
+        results = []
+        for load in (reference_load_csv, load_csv):
+            try:
+                results.append(load(path, schema))
+            except DataError as exc:
+                results.append(str(exc))
+        expected, got = results
+        assert got == expected, text
+        if isinstance(expected, str):
+            outcomes.update(fault for fault in faults if fault in expected)
+        else:  # equal, and the same floats down to the sign of zero
+            assert repr(got.samples) == repr(expected.samples)
+            outcomes["loaded"] += 1
+    assert outcomes["loaded"] > 300 and all(outcomes[f] >= 5 for f in faults), outcomes
 
 
 def test_csv_round_trip_exact(tmp_path, rng):

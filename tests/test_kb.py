@@ -820,6 +820,9 @@ def _set_at(doc, path: tuple, value) -> None:
      r"classes \['a', 1\] is not a list of strings"),
     ((("tasks", "athens", "model", "schema_fingerprint"), 5),
      "schema_fingerprint 5 is not a string"),
+    ((("fallback", "parameters", "classes"), []), r"classes \[\] names no class"),
+    ((("tasks", "athens", "model", "parameters", "label_index"), 2),
+     r"label_index 2 is not an integer in \[0, 2\)"),
 ])
 def test_snapshot_decode_checks_every_model_entry(tmp_path, corrupt, error):
     kb = declared_kb(tmp_path / "kb")

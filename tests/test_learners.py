@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import ne
 
@@ -20,9 +22,11 @@ from edgelearn.errors import (
 from edgelearn.learners import (
     EstimatorSpec,
     EvalMetrics,
+    canonical_json_bytes,
     deserialize_model,
     evaluate,
     fit,
+    model_from_json,
     predict,
     serialize_model,
 )
@@ -302,7 +306,8 @@ def exact_best_cut(ys, candidates, k):
 
 
 def test_gini_best_cut_matches_an_exact_scan_of_every_candidate():
-    # run-built columns, with every cut, tied or min_leaf-gapped candidates
+    # run-built columns, with every cut, tied or min_leaf-gapped candidates, and
+    # the contiguous loop over every cut
     rng = random.Random(5)
     for trial in range(300):
         k, runs = rng.choice([2, 3, 5]), rng.randint(2, 30)
@@ -317,6 +322,10 @@ def test_gini_best_cut_matches_an_exact_scan_of_every_candidate():
                 continue
             num, den, n_left = impurity.best_cut(ys, candidates, counts)
             score, t = exact_best_cut(ys, candidates, k)
+            assert n_left == t and n - Fraction(num, den) == score
+        if every:
+            num, den, n_left = impurity.best_contiguous_cut(ys, min_leaf, counts)
+            score, t = exact_best_cut(ys, every, k)
             assert n_left == t and n - Fraction(num, den) == score
 
 
@@ -342,6 +351,34 @@ def test_tree_corpus_bytes_are_pinned():
         model = fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
         digest.update(serialize_model(model))
     assert digest.hexdigest() == TREE_CORPUS_SHA256
+
+
+# The same for trees on columns with no repeated value, where every cut that
+# leaves min_leaf rows a side is a candidate: labels run along f0, so with
+# min_leaf 2 and 5 a label run straddles the first candidate.
+TIE_FREE_TREE_CORPUS_SHA256 = "4fd1f4b227ebe9c6ae235b34ef423033d6e07d0c687e1538813cf6a88aa9a205"
+
+
+def test_tie_free_tree_corpus_bytes_are_pinned():
+    rng = random.Random(2028)
+    digest = hashlib.sha256()
+    for trial in range(90):
+        n_features = rng.choice([1, 2, 3])
+        names = ", ".join(f'"f{j}"' for j in range(n_features))
+        schema = parse_schema('{"features": [%s], "label": {"name": "y", "classes": '
+                              '["a", "b", "c"]}}' % names)
+        width, noise = rng.choice([0.5, 2.0, 6.0]), rng.choice([0.0, 0.1, 0.3])
+        rows = []
+        for _ in range(rng.randint(2, 80)):
+            x = tuple(rng.uniform(0, 10) for _ in range(n_features))
+            label = "abc"[int(x[0] / width) % 3] if rng.random() >= noise else rng.choice("abc")
+            rows.append((x, (), label))
+        for j in range(n_features):
+            assert len({x[j] for x, _, _ in rows}) == len(rows)
+        hp = {"max_depth": rng.randint(1, 6), "min_leaf": (1, 2, 5)[trial % 3]}
+        model = fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
+        digest.update(serialize_model(model))
+    assert digest.hexdigest() == TIE_FREE_TREE_CORPUS_SHA256
 
 
 # The sha256 of the serialized models of a fixed corpus of logistic fits,
@@ -410,6 +447,69 @@ def test_predict_feature_length_mismatch():
     model = fit(EstimatorSpec("majority"), city_dataset([(1, "c", "a"), (2, "c", "b")]), 0)
     with pytest.raises(DataError, match="expected 1 features"):
         predict(model, (1.0, 2.0))
+
+
+def _tree_depth_2():
+    ds = city_dataset([(float(i), "c", label) for i, label in enumerate("aabaabbbbbbb")])
+    model = fit(EstimatorSpec("tree", {"max_depth": 2}), ds, seed=0)
+    tree = model.parameters["tree"]
+    assert tree["kind"] == tree["left"]["kind"] == "split" and tree["right"]["kind"] == "leaf"
+    return model, ds
+
+
+def _models():
+    tree, ds = _tree_depth_2()
+    return {"tree": tree, "majority": fit(EstimatorSpec("majority"), ds, 0),
+            "logistic": fit(EstimatorSpec("logistic", {"epochs": 3}), ds, 0)}
+
+
+@pytest.mark.parametrize("kind, path, value, fault", [
+    ("tree", ("tree", "feature"), 1, "tree split feature 1 is not an integer in [0, 1)"),
+    ("tree", ("tree", "feature"), 99, "tree split feature 99 is not an integer in [0, 1)"),
+    ("tree", ("tree", "feature"), -1, "tree split feature -1 is not an integer in [0, 1)"),
+    ("tree", ("tree", "feature"), True, "tree split feature True is not an integer in [0, 1)"),
+    ("tree", ("tree", "feature"), 0.0, "tree split feature 0.0 is not an integer in [0, 1)"),
+    ("tree", ("tree", "left", "threshold"), "5", "tree split threshold '5' is not a number"),
+    ("tree", ("tree", "kind"), "branch", "tree node kind 'branch' is not 'split' or 'leaf'"),
+    ("tree", ("tree", "left", "right"), None, "a tree node is not an object"),
+    ("tree", ("tree",), [], "a tree node is not an object"),
+    ("tree", ("tree", "right"), {"kind": "leaf"},
+     "no key 'label_index' in the tree or one of its nodes"),
+    ("tree", ("tree", "left", "kind"), None, "tree node kind None is not 'split' or 'leaf'"),
+    ("tree", ("tree", "right", "label_index"), 2,
+     "tree leaf label_index 2 is not an integer in [0, 2)"),
+    ("tree", ("tree", "left", "left", "label_index"), -1,
+     "tree leaf label_index -1 is not an integer in [0, 2)"),
+    ("majority", ("label_index",), 2, "label_index 2 is not an integer in [0, 2)"),
+    ("majority", ("label_index",), None, "label_index None is not an integer in [0, 2)"),
+    ("logistic", ("weights", 0), [], "weights are not 2 lists of 1 numbers"),
+    ("logistic", ("weights",), [[0.0]], "weights are not 2 lists of 1 numbers"),
+    ("logistic", ("weights", 1, 0), "x", "weights are not 2 lists of 1 numbers"),
+    ("logistic", ("bias",), [0.0], "bias is not a list of 2 numbers"),
+])
+def test_a_model_payload_predict_would_misread_does_not_decode(kind, path, value, fault):
+    model = _models()[kind]
+    assert deserialize_model(serialize_model(model)) == model
+    payload = json.loads(serialize_model(model))
+    *parents, last = ("parameters", *path)
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(SerializationError) as raised:
+        deserialize_model(canonical_json_bytes(payload))
+    assert str(raised.value) == f"corrupt model payload: {fault}"
+
+
+def test_a_tree_nested_past_the_recursion_limit_is_refused_not_raised():
+    model, _ = _tree_depth_2()
+    payload = json.loads(serialize_model(model))
+    tree = {"kind": "leaf", "counts": [1, 0], "label_index": 0}
+    for _ in range(sys.getrecursionlimit()):
+        tree = {"kind": "split", "feature": 0, "threshold": 0.5, "left": tree, "right": tree}
+    payload["parameters"]["tree"] = tree
+    with pytest.raises(SerializationError, match="the tree nests too deep to check"):
+        model_from_json(payload)
 
 
 def test_evaluate_counting():
