@@ -127,11 +127,10 @@ class EdgeRuntime:
         if declared != self._shape[0] and (
                 declared is not None or snapshot.tasks or snapshot.fallback is not None):
             raise SchemaMismatchError(f"{what} declares schema {declared!r}, not {self._shape[0]}")
-        known, attributes, predictors = {}, {}, {}
+        attributes, predictors = {}, {}
         for key, entry in snapshot.tasks.items():
             check_model(entry.model, self._shape, what)
             attributes[key], predictors[key] = entry.attributes, predictor(entry.model)
-            known[entry.attributes.values] = key, predictors[key]
         if snapshot.fallback is not None:
             check_model(snapshot.fallback, self._shape, what)
         fallback = None if snapshot.fallback is None else predictor(snapshot.fallback)
@@ -140,6 +139,8 @@ class EdgeRuntime:
         except SchemaMismatchError as exc:
             raise SchemaMismatchError(f"{what} was not bucketed as this edge buckets: "
                                       f"{exc}") from None
+        # the index checked each value is a str or an int, so each values tuple hashes
+        known = {attrs.values: (key, predictors[key]) for key, attrs in attributes.items()}
         with self._lock:
             if (
                 self.active is not None

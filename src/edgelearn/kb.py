@@ -1,31 +1,29 @@
 """Cloud-side task knowledge base: a versioned, persistent index of task
 records plus a global fallback model for unknown tasks.
 
-Store layout (one directory per KB)::
+A store is one directory holding one file::
 
-    index.json                 manifest: {"format": 2, "crc32": <crc of body>, "body": {...}}
-    models/<key>.<v>.bin       one file per task model, CRC32-checked
-    models/_fallback.<kb>.bin  the fallback, named by the KB version it was set at
+    index.json    manifest: {"format": 3, "crc32": <crc of body>, "body": {...}}
 
 The manifest body carries the store's ``shape`` (the schema fingerprint,
 label classes and feature count of its models and each attribute column's
 bucket edges, set by :meth:`KnowledgeBase.declare_shape`), the KB version
 counter, ``job`` (the job's phase document, stored uninterpreted), the
-fallback's KB version and checksum, and per task the record fields one codec
-owns (``_record_to_json``/``_record_from_json``) plus its model's checksum.
-File names are derived, never stored. ``open`` decodes the manifest and
-every model file with :func:`~edgelearn.learners.decode_json`, checks every
-field it keeps, refuses a task key listed twice and runs the store gate on
-every record and the fallback against the shape. It ignores keys it does not
-read, and opens a format-1 manifest (see ``_open_format_1``). Readers refuse
-a manifest or snapshot of any other ``format``. A transaction writes only
-the model files it adds, each in place and fsynced under a name no committed
-manifest uses, then pays one durability barrier: it fsyncs ``models/`` once,
-and only then replaces the manifest atomically (fsynced temp file, rename =
-commit point, fsynced directory). A crash at any point leaves the previous
-consistent state intact.
-Superseded model files stay on disk but are no longer referenced; only the
-latest version per task is retrievable.
+fallback model (its canonical JSON object, or ``null``), and per task the
+record fields one codec owns (``_record_to_json``/``_record_from_json``)
+plus ``model``, the task model's canonical JSON object. The body's checksum
+covers every model. ``open`` decodes the manifest with
+:func:`~edgelearn.learners.decode_json`, checks every field it keeps and
+every model, refuses a task key listed twice and runs the store gate on
+every record and the fallback against the shape. It ignores keys it does
+not read. Formats 1 and 2 kept each model in a checksummed file under
+``models/``: ``open`` still reads them (see ``_open_legacy``), and their
+next commit writes format 3, leaving those files on disk unreferenced.
+Readers refuse a manifest or snapshot of any other ``format``. A commit
+writes one file: it fsyncs the new manifest to a temp file, renames it over
+``index.json`` (the commit point) and fsyncs the directory, so a crash at
+any point leaves the previous consistent state intact. Only the latest
+version of each task is retrievable.
 
 There is no delete operation: task knowledge only accumulates.
 """
@@ -72,9 +70,9 @@ STATUS_EVAL_FAILED = "eval_failed"
 _STATUSES = (STATUS_TRAINED, STATUS_DEPLOYABLE, STATUS_EVAL_FAILED)
 
 _FORMAT = 1  # of the snapshot payload; readers reject any other
-_MANIFEST_FORMAT = 2  # open also reads format 1 (see _open_format_1)
+_MANIFEST_FORMAT = 3  # open also reads formats 1 and 2 (see _open_legacy)
 _INDEX_NAME = "index.json"
-_MODELS_DIR = "models"
+_MODELS_DIR = "models"  # of a format-1 or format-2 store
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def _attrs_from_json(doc: dict) -> BucketedAttributes:
 
 def _record_to_json(record: TaskRecord) -> dict:
     """The manifest fields of a task record: everything but its model, which
-    the manifest checksums, and its bucket counts, which the shape gives."""
+    the entry holds beside them, and its bucket counts, which the shape gives."""
     return {"key": record.key, "version": record.version, "status": record.status,
             "values": list(record.attributes.values),
             "stats": {"count": record.samples}, "eval": metrics_to_json(record.eval)}
@@ -240,12 +238,25 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     _fsync_dir(path.parent)
 
 
-def _model_file_name(key: str, version: int) -> str:
+def _model_file_name(key: str, version: int) -> str:  # of a format-1 or format-2 store
     return f"{quote(key, safe='')}.{version}.bin"
 
 
-def _fallback_file_name(kb_version: int) -> str:
+def _fallback_file_name(kb_version: int) -> str:  # of a format-1 or format-2 store
     return f"_fallback.{kb_version}.bin"
+
+
+def _model_name(key: str | None) -> str:
+    """How an error names the model of task *key* (None: the fallback)."""
+    return "the fallback" if key is None else f"task {key!r}"
+
+
+def _inline_model(doc, key: str | None) -> ModelArtifact:
+    """The model a format-3 manifest holds for task *key* (None: the fallback)."""
+    try:
+        return model_from_json(doc)
+    except SerializationError as exc:  # UnknownLearnerError included
+        raise StoreError(f"{_model_name(key)}: {exc}") from exc
 
 
 class KnowledgeBase:
@@ -255,10 +266,9 @@ class KnowledgeBase:
     transaction of one), so an I/O failure or a raise never leaves memory
     ahead of disk. Single-writer: callers serialize mutations; snapshots
     are immutable values safe to share.
-    The checksum of each live model file comes from ``open`` or from the
-    write that created it, so a commit never re-serializes or reads back a
-    model it did not change, and each task's manifest bytes are re-encoded
-    only when its record or model file changed.
+    A commit re-encodes only what changed: each task's manifest entry is
+    kept as canonical bytes per record, its model's bytes spliced in, and
+    the fallback's bytes are encoded once per :meth:`set_fallback`.
     """
 
     def __init__(self, path: Path):
@@ -268,15 +278,13 @@ class KnowledgeBase:
         self.shape: dict | None = None  # the manifest's shape document; see declare_shape
         self._gate: tuple | None = None  # ((fingerprint, classes, n_features), bucket counts)
         self.fallback: ModelArtifact | None = None
-        self._model_crcs: dict[str, int] = {}  # key -> crc32 of its model file
-        self._fallback_file: tuple[int, int] | None = None  # (KB version set at, crc32)
+        self._fallback_json: bytes | None = None  # the fallback's canonical bytes, once encoded
         self.job: dict | None = None  # the job's phase document; set it in a transaction
         self._in_transaction = False
-        self._models_unsynced = False  # a model file was written since the last barrier
-        # key -> (record, crc32, canonical bytes of its manifest entry); an
-        # entry is a pure function of its record and checksum, so a rollback
-        # may leave stale entries: they never match a live record again
-        self._task_entries: dict[str, tuple[TaskRecord, int, bytes]] = {}
+        # key -> (record, canonical bytes of its model, of its manifest entry);
+        # an entry is a pure function of its record, so a rollback may leave
+        # stale entries: they never match a live record again
+        self._task_entries: dict[str, tuple[TaskRecord, bytes, bytes]] = {}
 
     @property
     def schema_fingerprint(self) -> str | None:  # of the models the store holds, if known
@@ -289,7 +297,6 @@ class KnowledgeBase:
         kb = cls(Path(path))
         if create:
             kb.path.mkdir(parents=True, exist_ok=True)
-            (kb.path / _MODELS_DIR).mkdir(exist_ok=True)
         elif not kb.path.is_dir():
             raise StoreError(f"no knowledge base at {kb.path}: not a directory")
         index_path = kb.path / _INDEX_NAME
@@ -297,14 +304,17 @@ class KnowledgeBase:
             return kb
 
         try:
-            doc = decode_json(index_path.read_bytes(), "JSON")
+            doc = decode_json(raw := index_path.read_bytes(), "JSON")
             declared_crc, body, fmt = doc["crc32"], doc["body"], doc["format"]
         except (SerializationError, KeyError, TypeError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: {exc}") from exc
-        if not _is_int(fmt) or fmt not in (1, _MANIFEST_FORMAT):
+        if not _is_int(fmt) or fmt not in (1, 2, _MANIFEST_FORMAT):
             raise CorruptStoreError(f"corrupt store index {index_path}: "
                                     f"unsupported format {fmt!r}")
-        actual_crc = zlib.crc32(canonical_json_bytes(body))
+        # the body's bytes as read, where a canonical writer puts them; else re-encoded
+        actual_crc = zlib.crc32(raw[8:raw.rfind(b',"crc32":')])
+        if actual_crc != declared_crc:
+            actual_crc = zlib.crc32(canonical_json_bytes(body))
         if actual_crc != declared_crc:
             raise CorruptStoreError(
                 f"corrupt store index {index_path}: checksum mismatch "
@@ -314,73 +324,78 @@ class KnowledgeBase:
         try:  # a body under a valid checksum can still lack keys or have wrong types
             kb.kb_version = body["kb_version"]
             check_int("kb_version", kb.kb_version, 0)
-            if fmt == 1:
-                tasks, fallback = kb._open_format_1(body)
-            else:
-                tasks, fallback, shape = body["tasks"], body["fallback"], body["shape"]
+            if fmt != 1:  # format 1 declared no shape
+                shape = body["shape"]
                 kb.shape, kb._gate = (None, None) if shape is None else _shape(**shape)
+            if fmt == _MANIFEST_FORMAT:
+                tasks, fallback = body["tasks"], body["fallback"]
+                fallback = None if fallback is None else _inline_model(fallback, None)
+                read_model = lambda entry: _inline_model(entry["model"], entry["key"])
+            else:
+                tasks, read_model, fallback = kb._open_legacy(body, fmt)
             if kb._gate is None and (tasks or fallback is not None):
                 kb._require_shape()  # a store that holds a model declares a shape
             for entry in tasks:
                 key, counts = entry["key"], kb._gate[1]
                 check_int("task version", entry["version"], 1)
                 attributes = BucketedAttributes(tuple(entry["values"]), counts)
-                task_categories(key, attributes, counts)  # before its key names a file
+                task_categories(key, attributes, counts)  # before its key names a legacy file
                 if key in kb.records:
                     raise StoreError(f"task key {key!r} is listed twice")
-                name = _model_file_name(key, entry["version"])
-                model = kb._read_model_file(name, entry["crc32"])
-                kb._admit(name, model)
+                model = read_model(entry)
+                kb._admit(model, key)
                 kb.records[key] = _record_from_json(entry, attributes, model)
-                kb._model_crcs[key] = entry["crc32"]
             if fallback is not None:
-                set_at, crc = fallback["kb_version"], fallback["crc32"]
-                if not (_is_int(set_at) and 1 <= set_at <= kb.kb_version):
-                    raise StoreError(f"fallback kb_version {set_at!r} is not in 1..{kb.kb_version}")
-                kb._fallback_file, name = (set_at, crc), _fallback_file_name(set_at)
-                kb.fallback = kb._read_model_file(name, crc)
-                kb._admit(name, kb.fallback)
+                kb._admit(fallback, None)
+                kb.fallback = fallback
             kb.job = body.get("job")
         except CorruptStoreError:
-            raise  # a missing or corrupt model file names itself
+            raise  # a missing or corrupt legacy model file names itself
         except (KeyError, TypeError, ValueError, ConfigError, SchemaError, SchemaMismatchError,
                 StoreError, LearnerError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: bad body: {exc!r}") from exc
         return kb
 
-    def _open_format_1(self, body: dict) -> tuple[list, dict | None]:
-        """The tasks and fallback of a format-1 body as format 2 lists them.
-        Format 1 named each model file and declared no shape. Each name must
-        be the one format 2 derives, and the gate is derived as format 1 did:
-        the body's fingerprint, the classes and feature count of the first
-        task's model (else the fallback's) and the first task's bucket counts.
-        The store's first job stage declares a shape, and its commit writes
-        format 2."""
+    def _open_legacy(self, body: dict, fmt: int) -> tuple:
+        """The tasks of a format-1 or format-2 body as format 3 lists them, a
+        reader of each task's model and the fallback: the one reader of
+        ``models/``, where each model has a checksummed file named by the task's
+        key and version, or by the KB version the fallback was set at. Format 1
+        also stored each name, which must be the derived one, and declared no
+        shape: its gate is derived as format 1 did, from the body's fingerprint,
+        the first task's model (else the fallback) and its bucket counts."""
         tasks, fallback = body["tasks"], body["fallback"]
-        counts = tuple(tasks[0]["attributes"]["bucket_counts"]) if tasks else ()
-        for entry in tasks:
-            name = _model_file_name(entry["key"], entry["version"])
-            if entry["model_file"] != name:
-                raise StoreError(f"task {entry['key']!r} names model file "
-                                 f"{entry['model_file']!r}, not {name!r}")
-            if tuple(entry["attributes"]["bucket_counts"]) != counts:
-                raise SchemaMismatchError(f"task {entry['key']!r} is bucketed under "
-                                          f"{entry['attributes']['bucket_counts']!r}, "
-                                          f"not the first task's {counts!r}")
+        if fmt == 1:
+            counts = tuple(tasks[0]["attributes"]["bucket_counts"]) if tasks else ()
+            for entry in tasks:
+                name = _model_file_name(entry["key"], entry["version"])
+                if entry["model_file"] != name:
+                    raise StoreError(f"task {entry['key']!r} names model file "
+                                     f"{entry['model_file']!r}, not {name!r}")
+                if tuple(entry["attributes"]["bucket_counts"]) != counts:
+                    raise SchemaMismatchError(f"task {entry['key']!r} is bucketed under "
+                                              f"{entry['attributes']['bucket_counts']!r}, "
+                                              f"not the first task's {counts!r}")
+            tasks = [{**entry, "values": entry["attributes"]["values"]} for entry in tasks]
+            if fallback is not None:
+                name = fallback["model_file"]  # str(): a name that is no string fails below
+                set_at = int(str(name).removeprefix("_fallback.").removesuffix(".bin"))
+                if name != _fallback_file_name(set_at):
+                    raise StoreError(f"the fallback names model file {name!r}, "
+                                     f"not {_fallback_file_name(set_at)!r}")
+                fallback = {"kb_version": set_at, "crc32": fallback["crc32"]}
         if fallback is not None:
-            name = fallback["model_file"]
-            set_at = int(name.removeprefix("_fallback.").removesuffix(".bin"))
-            if name != _fallback_file_name(set_at):
-                raise StoreError(f"the fallback names model file {name!r}, "
-                                 f"not {_fallback_file_name(set_at)!r}")
-            fallback = {"kb_version": set_at, "crc32": fallback["crc32"]}
-        if tasks or fallback is not None:
-            name, crc = ((tasks[0]["model_file"], tasks[0]["crc32"]) if tasks else
-                         (_fallback_file_name(fallback["kb_version"]), fallback["crc32"]))
-            model = self._read_model_file(name, crc)
+            set_at = fallback["kb_version"]
+            if not (_is_int(set_at) and 1 <= set_at <= self.kb_version):
+                raise StoreError(f"fallback kb_version {set_at!r} is not in 1..{self.kb_version}")
+            fallback = self._read_model_file(_fallback_file_name(set_at), fallback["crc32"])
+        if fmt == 1 and (tasks or fallback is not None):
+            model = (self._read_model_file(tasks[0]["model_file"], tasks[0]["crc32"]) if tasks
+                     else fallback)
             self._gate = ((body["schema_fingerprint"], model.classes,
                            model.parameters["n_features"]), counts)
-        return [{**entry, "values": entry["attributes"]["values"]} for entry in tasks], fallback
+        return tasks, lambda entry: self._read_model_file(
+            _model_file_name(entry["key"], entry["version"]), entry["crc32"]), fallback
 
     def _read_model_file(self, name: str, expected_crc: int) -> ModelArtifact:
         path = self.path / _MODELS_DIR / name
@@ -441,21 +456,20 @@ class KnowledgeBase:
     @contextmanager
     def transaction(self):
         """Group mutations into one commit: the block ends with one manifest
-        replace (new model files are written as they come, under names the
-        committed manifest does not use). The manifest rename is the commit
-        point: a raise before it returns writes no manifest and restores
-        memory to its state at entry; the directory fsync after it may still
-        raise, but memory stays at the committed state. Nested blocks join
-        the outermost."""
+        replace, the one file a commit writes. The manifest rename is the
+        commit point: a raise before it returns writes no manifest and
+        restores memory to its state at entry; the directory fsync after it
+        may still raise, but memory stays at the committed state. Nested
+        blocks join the outermost."""
         if self._in_transaction:
             yield
             return
         entry = dict(vars(self))
-        self.records, self._model_crcs = dict(self.records), dict(self._model_crcs)
+        self.records = dict(self.records)
         self._in_transaction = True
         try:
             yield
-            self._persist()
+            _replace_synced(self.path / _INDEX_NAME, self._manifest_bytes())
         except BaseException:
             vars(self).update(entry)
             raise
@@ -475,9 +489,9 @@ class KnowledgeBase:
             with self.transaction():
                 self.shape, self._gate = shape, gate
                 for key, record in self.records.items():
-                    self._admit(_model_file_name(key, record.version), record.model, record)
+                    self._admit(record.model, key, record)
                 if self.fallback is not None:
-                    self._admit(_fallback_file_name(self._fallback_file[0]), self.fallback)
+                    self._admit(self.fallback, None)
         elif shape != self.shape:
             raise SchemaMismatchError(f"{self.path / _INDEX_NAME} declares the shape "
                                       f"{self.shape}, not this stage's {shape}")
@@ -487,15 +501,16 @@ class KnowledgeBase:
             raise StoreError(f"{self.path / _INDEX_NAME} declares no shape; a job stage that "
                              f"reads data (train, eval or update) declares it")
 
-    def _admit(self, name: str, model: ModelArtifact, record: TaskRecord | None = None) -> None:
+    def _admit(self, model: ModelArtifact, key: str | None,
+               record: TaskRecord | None = None) -> None:
         """The store gate of every model and task entry, at ``open``, in
-        :meth:`declare_shape` and in a transaction: *model*, stored as *name*,
-        must pass :func:`check_model` against the store's shape, and *record*
-        :func:`task_categories` under its bucket counts. Builds the error
-        text only if a check fails."""
+        :meth:`declare_shape` and in a transaction: *model*, task *key*'s
+        (None: the fallback's), must pass :func:`check_model` against the
+        store's shape, and *record* :func:`task_categories` under its bucket
+        counts. Builds the error text only if a check fails."""
         shape, counts = self._gate
         if (model.schema_fingerprint, model.classes, model.parameters["n_features"]) != shape:
-            check_model(model, shape, f"model file {self.path / _MODELS_DIR / name}")
+            check_model(model, shape, f"{self.path / _INDEX_NAME} {_model_name(key)}")
         if record is not None:
             task_categories(record.key, record.attributes, counts)
 
@@ -503,8 +518,8 @@ class KnowledgeBase:
         """Insert or supersede a task record; returns the new kb_version.
 
         Re-upserting byte-identical content is a no-op (version unchanged).
-        An existing key gets its record version incremented; the superseded
-        model file stays on disk unreferenced. A record the store gate
+        An existing key gets its record version incremented, and the
+        superseded model is no longer stored. A record the store gate
         refuses raises SchemaMismatchError: the store would not open. A store
         that declares no shape raises StoreError.
         """
@@ -523,10 +538,9 @@ class KnowledgeBase:
         else:
             version = 1
         with self.transaction():
-            name = _model_file_name(record.key, version)
-            self._admit(name, record.model, record)
-            self._model_crcs[record.key] = self._write_model(name, data)
-            self.records[record.key] = replace(record, version=version)
+            self._admit(record.model, record.key, record)
+            self.records[record.key] = stored = replace(record, version=version)
+            self._task_entry(stored, data)
             self.kb_version += 1
         return self.kb_version
 
@@ -546,12 +560,9 @@ class KnowledgeBase:
         A store that declares no shape raises StoreError."""
         self._require_shape()
         with self.transaction():
+            self._admit(model, None)
+            self.fallback, self._fallback_json = model, serialize_model(model)
             self.kb_version += 1
-            # a committed manifest names its fallback by a KB version at most its own
-            name = _fallback_file_name(self.kb_version)
-            self._admit(name, model)
-            self._fallback_file = (self.kb_version, self._write_model(name, serialize_model(model)))
-            self.fallback = model
         return self.kb_version
 
     def save(self) -> None:
@@ -561,51 +572,37 @@ class KnowledgeBase:
 
     # -- persistence --------------------------------------------------------
 
-    def _write_model(self, name: str, data: bytes) -> int:
-        """Write one new model file; returns its crc32. No committed manifest
-        names the file, so it is written in place; "wb" overwrites a stale
-        file a crashed earlier attempt left under this name, or the index
-        checksum would lie."""
-        models_dir = self.path / _MODELS_DIR
-        models_dir.mkdir(parents=True, exist_ok=True)
-        _write_synced(models_dir / name, data)
-        self._models_unsynced = True
-        return zlib.crc32(data)
-
-    def _persist(self) -> None:
-        if self._models_unsynced:
-            # the one barrier: the new model files' directory entries are
-            # durable before a manifest names them
-            _fsync_dir(self.path / _MODELS_DIR)
-            self._models_unsynced = False
-        _replace_synced(self.path / _INDEX_NAME, self._manifest_bytes())
-
     def _manifest_bytes(self) -> bytes:
-        """``canonical_json_bytes`` of the manifest ``{"format": 2, "crc32":
-        <crc of body>, "body": body}``, with the body encoded once. Keys sort
-        ``body < crc32 < format``, and ``tasks`` is the body's last key."""
+        """``canonical_json_bytes`` of the manifest ``{"format": 3, "crc32":
+        <crc of body>, "body": body}``, with the body encoded once and each
+        model's canonical bytes spliced in: canonical JSON writes a nested
+        object the same wherever it sits. Keys sort ``body < crc32 < format``
+        and ``fallback < job < kb_version < shape < tasks``."""
         if self.records or self.fallback is not None:
             self._require_shape()  # a format-1 store commits once a job stage declares one
-        head = canonical_json_bytes({
-            "shape": self.shape,
-            "kb_version": self.kb_version,
-            "fallback": (
-                {"kb_version": self._fallback_file[0], "crc32": self._fallback_file[1]}
-                if self._fallback_file is not None
-                else None
-            ),
-            "job": self.job,
-        })
-        tasks = b",".join(self._task_entry(key, rec) for key, rec in sorted(self.records.items()))
-        body = head[:-1] + b',"tasks":[' + tasks + b"]}"
+            if self.fallback is not None and self._fallback_json is None:
+                self._fallback_json = serialize_model(self.fallback)
+        head = canonical_json_bytes({"job": self.job, "kb_version": self.kb_version,
+                                     "shape": self.shape})
+        tasks = b",".join(self._task_entry(self.records[key]) for key in sorted(self.records))
+        body = b'{"fallback":%s,%s,"tasks":[%s]}' % (
+            self._fallback_json or b"null", head[1:-1], tasks)
         return b'{"body":%s,"crc32":%d,"format":%d}' % (body, zlib.crc32(body), _MANIFEST_FORMAT)
 
-    def _task_entry(self, key: str, rec: TaskRecord) -> bytes:
-        crc = self._model_crcs[key]
-        cached = self._task_entries.get(key)
-        if cached is None or cached[0] is not rec or cached[1] != crc:
-            entry = canonical_json_bytes({**_record_to_json(rec), "crc32": crc})
-            cached = self._task_entries[key] = (rec, crc, entry)
+    def _task_entry(self, rec: TaskRecord, model: bytes | None = None) -> bytes:
+        """The canonical bytes of *rec*'s manifest entry, encoded once per
+        record: its record fields and ``"model"``, the canonical bytes of its
+        model (*model*, if given; else the key's last entry's, if that held
+        the same model; else serialized)."""
+        cached = self._task_entries.get(rec.key)
+        if cached is None or cached[0] is not rec:
+            if model is None:
+                model = (cached[1] if cached is not None and cached[0].model is rec.model
+                         else serialize_model(rec.model))
+            # no other object in an entry has a "model" key, and strings escape '"'
+            entry = canonical_json_bytes({**_record_to_json(rec), "model": 0}).replace(
+                b'"model":0', b'"model":' + model, 1)
+            cached = self._task_entries[rec.key] = (rec, model, entry)
         return cached[2]
 
 

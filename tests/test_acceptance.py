@@ -352,9 +352,9 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
         committed = kb.fingerprint()
 
         # kill after temp write: fail the atomic rename of the index (and on
-        # some trials tear the in-place model file write before it), then
-        # reopen from disk
-        fail_models_too = rng.random() < 0.3
+        # some trials tear the temp file's write before it), then reopen
+        # from disk
+        tear_the_write = rng.random() < 0.3
 
         def failing_replace(src, dst):
             if dst.name == "index.json":
@@ -363,7 +363,7 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
 
         def failing_write(path, data):
             nonlocal torn
-            if fail_models_too and path.suffix == ".bin":
+            if tear_the_write:
                 torn += 1
                 path.write_bytes(data[: len(data) // 2])
                 raise OSError("injected kill")
@@ -390,7 +390,7 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
             survived += 1
     _report(6, survived == trials and torn > 0,
             f"reopen equals last committed state on {survived}/{trials} trials "
-            f"({torn} with a torn model write)")
+            f"({torn} with a torn manifest write)")
 
 
 def test_criterion_7_gate_soundness(tmp_path):

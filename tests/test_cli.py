@@ -17,7 +17,7 @@ from edgelearn.tasks import values_key
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
-from test_kb import _format_1_body, _manifest, _set_at, _watch_replaces
+from test_kb import _legacy_body, _manifest, _set_at, _watch_replaces
 
 
 SCHEMA_TEXT = """
@@ -210,9 +210,13 @@ def test_a_job_document_of_an_older_store_opens_and_drops_its_snapshot_version(
     ("values", [5]), ("values", [True]), ("bucket_counts", [2]), ("key", "oslo"),
     # a shape that is not one, or none for a store that holds models
     ("shape", None), ("shape.schema_fingerprint", 5), ("shape.edges", [[2.0, 1.0]]),
-    # a fallback set at no KB version the store has reached
+    # a format-2 fallback set at no KB version the store has reached
     ("fallback.kb_version", 0), ("fallback.kb_version", 99),
+    # a format-1 fallback whose model file is not a name
+    ("fallback.model_file", 5),
     "duplicate-key",  # tokyo's entry under athens's key and values
+    # a model that is not one
+    ("model", 5), ("fallback", 5),
 ], ids=_case_id)
 def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
@@ -221,8 +225,11 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
                      "--data", str(workdir / "train.csv")]) == 0
     index = kb_dir / "index.json"
     manifest = json.loads(index.read_bytes())
-    if corrupt == "task-without-model-file" or corrupt[0] == "bucket_counts":  # format-1 fields
-        manifest = {"format": 1, "body": _format_1_body(kb_open(kb_dir))}
+    if corrupt == "task-without-model-file" or corrupt[0] in ("bucket_counts",
+                                                              "fallback.model_file"):
+        manifest = {"format": 1, "body": _legacy_body(kb_open(kb_dir), 1)}
+    elif corrupt[0] == "fallback.kb_version":  # a format-2 field
+        manifest = {"format": 2, "body": _legacy_body(kb_open(kb_dir), 2)}
     body = manifest["body"]
     if corrupt == "no-tasks":
         del body["tasks"]
@@ -241,8 +248,10 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
         body["shape"] = None
     elif corrupt[0].startswith("shape."):
         body["shape"][corrupt[0][6:]] = corrupt[1]
-    elif corrupt[0] == "fallback.kb_version":
-        body["fallback"]["kb_version"] = corrupt[1]
+    elif corrupt[0].startswith("fallback."):
+        body["fallback"][corrupt[0][9:]] = corrupt[1]
+    elif corrupt[0] == "fallback":
+        body["fallback"] = corrupt[1]
     elif corrupt[0] == "bucket_counts":  # of tokyo, the second record
         body["tasks"][1]["attributes"]["bucket_counts"] = corrupt[1]
     elif corrupt[0] == "values":  # under the key they give, so only their kind is wrong
@@ -289,7 +298,7 @@ def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
     shown = capsys.readouterr().out
     before = kb_open(kb_dir)
     index = kb_dir / "index.json"
-    body = _format_1_body(before)  # such stores wrote format 1
+    body = _legacy_body(before, 1)  # such stores wrote format 1
     for entry, label in zip(body["tasks"], ("a", "b")):  # athens, tokyo: x = 0..7
         entry["stats"] = {"count": 8, "class_histogram": {label: 8}, "feature_mean": [3.5],
                           "feature_min": [0.0], "feature_max": [7.0]}
@@ -309,11 +318,10 @@ def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
     assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
     manifest = json.loads(index.read_bytes())
     body = manifest["body"]
-    assert manifest["format"] == 2
+    assert manifest["format"] == 3
     assert body["shape"]["schema_fingerprint"] == before.schema_fingerprint
     assert all(entry["stats"] == {"count": 8} for entry in body["tasks"])
-    assert body["fallback"] == {"kb_version": body["kb_version"],
-                                "crc32": body["fallback"]["crc32"]}
+    assert canonical_json_bytes(body["fallback"]) == old_fallback  # its revision is gone
     assert (models / "_fallback.1.bin").read_bytes() == old_fallback
 
 
@@ -438,7 +446,7 @@ def test_a_regression_label_is_refused_before_any_commit(workdir, capsys):
         assert cli_main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "label 'y': only classification labels" in err and "Traceback" not in err
-    assert not any((kb_dir / "models").iterdir())
+    assert [p.name for p in kb_dir.iterdir()] == ["index.json"]
     assert not any((workdir / name).exists() for name in ("reports", "simkb", "simout"))
     assert cli_main(["kb", "show", "--kb", str(kb_dir), "--json"]) == 0
     shown = json.loads(capsys.readouterr().out)
@@ -533,7 +541,7 @@ def test_job_writes_only_the_manifest_models_and_a_synced_snapshot(workdir, monk
     assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
     assert cli_main(["job", "update", *base, "--data", str(workdir / "train.csv"),
                      "--out", str(workdir / "snap2.json")]) == 0
-    assert sorted(p.name for p in kb_dir.iterdir()) == ["index.json", "models"]
+    assert sorted(p.name for p in kb_dir.iterdir()) == ["index.json"]
     assert replaced.count("snap.json") == 1 and replaced.count("snap2.json") == 1
     assert replaced.count("index.json") == 4
 
@@ -701,7 +709,7 @@ def test_a_train_under_another_bucket_count_is_refused_exit_2(tmp_path, capsys):
     assert cli_main(["job", "train", *base, "--data", str(data)]) == 0
     assert cli_main(["job", "eval", *base, "--data", str(data)]) == 0
     assert cli_main(["job", "deploy", *base, "--out", str(tmp_path / "snap.json")]) == 0
-    raw, models = (kb_dir / "index.json").read_bytes(), sorted((kb_dir / "models").iterdir())
+    raw, files = (kb_dir / "index.json").read_bytes(), sorted(kb_dir.iterdir())
     config.write_text(JOB_TEXT.replace(
         '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0, 30.0]}'), encoding="utf-8")
     capsys.readouterr()
@@ -710,7 +718,7 @@ def test_a_train_under_another_bucket_count_is_refused_exit_2(tmp_path, capsys):
     assert "index.json declares the shape" in err and "[10.0, 20.0, 30.0]" in err
     assert "Traceback" not in err
     assert (kb_dir / "index.json").read_bytes() == raw
-    assert sorted((kb_dir / "models").iterdir()) == models
+    assert sorted(kb_dir.iterdir()) == files
     assert cli_main(["kb", "show", "--kb", str(kb_dir), "--json"]) == 0
     assert [t["key"] for t in json.loads(capsys.readouterr().out)["tasks"]] == [
         "athens|0", "athens|2"]
@@ -719,6 +727,7 @@ def test_a_train_under_another_bucket_count_is_refused_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("fault, task", [
     ("other-bucketing", "athens|0"),  # the first task in key order
     ("string-bucket-index", "athens|3"),
+    ("list-bucket-index", "athens|3"),  # a value no dict key can hold
 ])
 def test_edge_refuses_a_snapshot_not_bucketed_as_it_buckets_exit_2(
         tmp_path, capsys, fault, task):
@@ -740,9 +749,9 @@ def test_edge_refuses_a_snapshot_not_bucketed_as_it_buckets_exit_2(
     assert cli_main(["job", "train", *base, "--data", str(data)]) == 0
     assert cli_main(["job", "eval", *base, "--data", str(data)]) == 0
     assert cli_main(["job", "deploy", *base, "--out", str(snap)]) == 0
-    if fault == "string-bucket-index":
+    if fault != "other-bucketing":
         doc = json.loads(snap.read_bytes())
-        doc["tasks"][task]["attributes"]["values"][1] = "x"
+        doc["tasks"][task]["attributes"]["values"][1] = "x" if fault == "string-bucket-index" else []
         snap.write_bytes(canonical_json_bytes(doc))
         edge_config = cloud_config
     probe = tmp_path / "probe.csv"  # a known and an unknown request under either bucketing
@@ -823,16 +832,13 @@ def test_kb_show_refuses_a_store_with_a_malformed_tree_exit_2(workdir, capsys, k
     index = kb_dir / "index.json"
     body = json.loads(index.read_bytes())["body"]
     entry = next(entry for entry in body["tasks"] if entry["key"] == "athens")
-    model_file = kb_dir / "models" / f"athens.{entry['version']}.bin"
-    payload = json.loads(model_file.read_bytes())
-    payload["parameters"]["tree"][key] = value
-    model_file.write_bytes(canonical_json_bytes(payload))
-    entry["crc32"] = zlib.crc32(model_file.read_bytes())  # under valid checksums
-    index.write_bytes(_manifest(body))
+    entry["model"]["parameters"]["tree"][key] = value
+    index.write_bytes(_manifest(body))  # under a valid checksum
     capsys.readouterr()
     assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
     err = capsys.readouterr().err
-    assert f"undecodable model file {model_file}: corrupt model payload: {fault}" in err
+    assert f"corrupt store index {index}" in err
+    assert f"task 'athens': corrupt model payload: {fault}" in err
     assert "Traceback" not in err
 
 
@@ -857,7 +863,7 @@ def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
     base = _deployed(workdir)
     path = workdir / "kb" / "index.json" if stored == "manifest" else workdir / "snap.json"
     doc = json.loads(path.read_bytes())
-    doc["format"] = 3
+    doc["format"] = 4
     path.write_bytes(canonical_json_bytes(doc))
     capsys.readouterr()
     if stored == "manifest":
@@ -867,27 +873,21 @@ def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
                          "--data", str(workdir / "test.csv"), "--out", str(workdir / "p.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "format 3" in err and "Traceback" not in err
+    assert "format 4" in err and "Traceback" not in err
 
 
 def _read_an_edited_model(workdir, capsys, stored, path, value):
     """Deploy, set *value* at *path* (keys into the athens model's payload)
-    where the model is *stored* (a store model file, under valid model and
-    manifest checksums, or the snapshot file), then read it back with `kb
-    show` or `edge infer`. Returns the exit code, stderr and the model
-    file's path (store only); checks that nothing was written."""
+    where the model is *stored* (the store's manifest, under a valid
+    checksum, or the snapshot file), then read it back with `kb show` or
+    `edge infer`. Returns the exit code and stderr; checks that nothing was
+    written."""
     base = _deployed(workdir)
-    index, snap, model_file = workdir / "kb" / "index.json", workdir / "snap.json", None
+    index, snap = workdir / "kb" / "index.json", workdir / "snap.json"
     if stored == "store":
         manifest = json.loads(index.read_bytes())
-        entry = manifest["body"]["tasks"][0]
-        model_file = workdir / "kb" / "models" / f"{entry['key']}.{entry['version']}.bin"
-        payload = json.loads(model_file.read_bytes())
-        _set_at(payload, path, value)
-        model_file.write_bytes(canonical_json_bytes(payload))
-        entry["crc32"] = zlib.crc32(model_file.read_bytes())
-        manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
-        index.write_bytes(canonical_json_bytes(manifest))
+        _set_at(manifest["body"]["tasks"][0]["model"], path, value)
+        index.write_bytes(_manifest(manifest["body"]))
     else:
         doc = json.loads(snap.read_bytes())
         _set_at(doc["tasks"]["athens"]["model"], path, value)
@@ -902,20 +902,20 @@ def _read_an_edited_model(workdir, capsys, stored, path, value):
                          "--data", str(workdir / "test.csv"), "--out", str(out)])
     assert index.read_bytes() == before
     assert not out.exists()
-    return code, capsys.readouterr().err, model_file
+    return code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("histogram", [[8], "ab", 5])
 @pytest.mark.parametrize("stored", ["store", "snapshot"])
 def test_a_model_whose_class_histogram_is_not_an_object_is_exit_2(
         workdir, capsys, stored, histogram):
-    code, err, path = _read_an_edited_model(
+    code, err = _read_an_edited_model(
         workdir, capsys, stored, ("trained_on", "class_histogram"), histogram)
     assert code == 2
     assert f"class histogram {histogram!r} is not an object" in err
     assert "Traceback" not in err
     if stored == "store":
-        assert f"undecodable model file {path}" in err
+        assert f"{workdir / 'kb' / 'index.json'}" in err and "task 'athens'" in err
 
 
 @pytest.mark.parametrize("keys, value, error", [
@@ -927,12 +927,12 @@ def test_a_model_whose_class_histogram_is_not_an_object_is_exit_2(
 @pytest.mark.parametrize("stored", ["store", "snapshot"])
 def test_a_model_whose_parameters_lack_what_predict_reads_is_exit_2(
         workdir, capsys, stored, keys, value, error):
-    code, err, path = _read_an_edited_model(
+    code, err = _read_an_edited_model(
         workdir, capsys, stored, ("parameters", *keys), value)
     assert code == 2
     assert error in err and "Traceback" not in err
     if stored == "store":
-        assert f"undecodable model file {path}" in err
+        assert f"{workdir / 'kb' / 'index.json'}" in err and "task 'athens'" in err
 
 
 @pytest.mark.parametrize("tasks", [[], "ab", None])
@@ -988,19 +988,17 @@ def _thermal5_flags(work) -> list[str]:
 def _rewrite_manifest(work, body: bytes) -> None:
     """Write a manifest of *body*'s bytes under their checksum."""
     (work / "kb" / "index.json").write_bytes(
-        b'{"body":%s,"crc32":%d,"format":2}' % (body, zlib.crc32(body)))
+        b'{"body":%s,"crc32":%d,"format":3}' % (body, zlib.crc32(body)))
 
 
 def _rewrite_store_model(work, task, payload: bytes) -> Path:
-    """Make *payload* the bytes of *task*'s model file, under valid model and
-    manifest checksums; returns the model file's path."""
-    manifest = json.loads((work / "kb" / "index.json").read_bytes())
-    entry = next(e for e in manifest["body"]["tasks"] if e["key"] == task)
-    path = work / "kb" / "models" / f"{task}.{entry['version']}.bin"
-    path.write_bytes(payload)
-    entry["crc32"] = zlib.crc32(payload)
-    _rewrite_manifest(work, canonical_json_bytes(manifest["body"]))
-    return path
+    """Make *payload* the bytes of *task*'s model in the store's manifest,
+    under a valid checksum; returns the manifest's path."""
+    index = work / "kb" / "index.json"
+    body = json.loads(index.read_bytes())["body"]
+    next(e for e in body["tasks"] if e["key"] == task)["model"] = "<model>"
+    _rewrite_manifest(work, canonical_json_bytes(body).replace(b'"<model>"', payload))
+    return index
 
 
 def _rewrite_snapshot_model(work, task, payload: bytes) -> Path:
@@ -1016,7 +1014,7 @@ def _variant(payload: dict, path: tuple, value) -> bytes:
     """The canonical bytes of *payload* with *value* at *path*; a bytes value
     is spliced in as it is, so it may be a literal no encoder writes."""
     _set_at(payload, path, "<value>")
-    raw = value if isinstance(value, bytes) else json.dumps(value).encode("utf-8")
+    raw = value if isinstance(value, bytes) else canonical_json_bytes(value)
     return canonical_json_bytes(payload).replace(b'"<value>"', raw)
 
 
@@ -1049,12 +1047,15 @@ def test_the_store_and_the_edge_refuse_the_same_models_exit_2(thermal5, capsys, 
     base, index = _thermal5_flags(thermal5), thermal5 / "kb" / "index.json"
     payload = json.loads((thermal5 / "snap.json").read_bytes())["tasks"][task]["model"]
     variant = _variant(payload, path, value)
-    model_file = _rewrite_store_model(thermal5, task, variant)
+    _rewrite_store_model(thermal5, task, variant)
     snap = _rewrite_snapshot_model(thermal5, task, variant)
     out = thermal5 / "preds.csv"
-    _refused(capsys, ["kb", "show", "--kb", thermal5 / "kb"], model_file, [index])
+    # a literal no encoder writes fails the manifest's decode, before any task is read
+    named = index if isinstance(value, bytes) else f"{index}: bad body: "
+    err = _refused(capsys, ["kb", "show", "--kb", thermal5 / "kb"], named, [index])
+    assert isinstance(value, bytes) or f"task {task!r}" in err
     _refused(capsys, ["job", "update", *base, "--data", thermal5 / "update.csv",
-                      "--out", out], model_file, [index, out])
+                      "--out", out], named, [index, out])
     _refused(capsys, ["edge", "infer", *base[2:], "--snapshot", snap,
                       "--data", thermal5 / "data.csv", "--out", out], snap, [out])
 
@@ -1087,7 +1088,7 @@ def _rewrite_as_format_1(work, edit_body=None, edit_model=None) -> None:
     """Rewrite the store's manifest as format 1 wrote it, after *edit_model*
     of every model payload (under valid checksums) and *edit_body* of the
     manifest body."""
-    body = _format_1_body(kb_open(work / "kb"))
+    body = _legacy_body(kb_open(work / "kb"), 1)
     for entry in [*body["tasks"], body["fallback"]] if edit_model else ():
         path = work / "kb" / "models" / entry["model_file"]
         payload = json.loads(path.read_bytes())
@@ -1157,16 +1158,16 @@ def test_a_store_that_does_not_hold_its_shape_is_exit_2_and_commits_nothing(
         _rewrite_as_format_1(thermal5, edit_body=_point_site_a_at("../index.json"))
     elif case == "int-fingerprint":  # in the manifest and in every model
         _rewrite_as_format_1(thermal5, edit_body=_set_fingerprint, edit_model=_set_fingerprint)
-        named = kb / "models" / "site_a.1.bin"
+        named = f"undecodable model file {kb / 'models'}"
     else:  # every model carries it, so the store is consistent until a stage declares its shape
         _rewrite_as_format_1(thermal5, edit_model=_reorder_classes)
         assert cli_main(["kb", "show", "--kb", str(kb)]) == 0
         argv = ["job", "update", *_thermal5_flags(thermal5), "--data", thermal5 / "update.csv",
                 "--out", out]
-        named = kb / "models" / "site_a.1.bin"
-    models = sorted((kb / "models").iterdir())
+        named = f"{kb / 'index.json'} task 'site_a'"
+    files = sorted(kb.rglob("*"))
     _refused(capsys, argv, named, [kb / "index.json", out])
-    assert sorted((kb / "models").iterdir()) == models
+    assert sorted(kb.rglob("*")) == files
 
 
 def test_sim_run_writes_outputs(workdir, capsys, monkeypatch):

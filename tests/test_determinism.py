@@ -30,7 +30,7 @@ PINS = {
     "accuracy.csv": "2dd8dce1b834d78b0fe6d394c548835bdcac0df515e228e39cbf7b18a85acf0f",
     "improvement.csv": "6e2565898d412ddbb6bfbc7b103555d148358454c5b2077934a65961f66c0b0b",
     "snap.json": "90029b75a953ec0ac08b6aa9cc73850cda6dbb87a15f320ad4453ba7c49590f5",
-    "index.json": "3b8c087dfbe3bcf8c3e134a32a2cd5e237197084f5e97beddda3bd719f3d1fe9",
+    "index.json": "3dfca66a07b734d5413236b01259acb6465fa7e50de922549d3235fde4d921f9",
     "predictions.csv": "53a43afc4d4b5b13eec5aa74b9f0d3beea82ec712b8acf1f3ce5104110564ba3",
     "events.log": "f89ee132bd104d64507fe0e3ea186cfe7ecf07f1c7b542feccffc936998486bc",
     "report.json": "b16da8202aada636a8d142ca7bd79c9c697212b995a5af2683066c0baa4a8c83",

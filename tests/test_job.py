@@ -10,6 +10,7 @@ import zlib
 import pytest
 
 from edgelearn import bench, tasks as tasks_mod
+from edgelearn.cli import cli_main
 from edgelearn.data import Dataset
 from edgelearn.errors import LearnerError, NothingDeployableError, PhaseError, SchemaMismatchError
 from edgelearn.job import (
@@ -27,6 +28,7 @@ from edgelearn.learners import (
     EstimatorSpec,
     Learner,
     canonical_json_bytes,
+    fit,
     predict,
     register_learner,
     serialize_model,
@@ -34,7 +36,7 @@ from edgelearn.learners import (
 from edgelearn.tasks import BucketingConfig, mine_tasks
 
 from conftest import banded_schema, city_dataset, make_samples, random_city_dataset
-from test_kb import _watch_writes
+from test_kb import _rewrite_as_legacy, _watch_writes
 
 
 def majority_config(**overrides) -> JobConfig:
@@ -429,29 +431,30 @@ def test_learner_error_mid_train_leaves_phase_and_kb_unchanged(tmp_path):
     assert job.phase is Phase.DEPLOYED
 
 
-def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
-    tmp_path, crash_points
-):
-    base, _ = new_job(tmp_path, name="base")
-    base.bootstrap(two_city_data(10))
-    pre, pre_phase = base.kb.fingerprint(), base.phase
-    # retrain one task, learn a new one and refit the fallback
-    update = city_dataset([(float(i), city, "b") for i in range(10) for city in ("athens", "oslo")])
-
+def _crash_at_every_step(tmp_path, crash_points, commit) -> list[str]:
+    """Run *commit* on a job over a copy of the store in ``tmp_path / "base"``
+    once cleanly, then once per durability step of it, crashing at that step.
+    Each crash must leave the old or the new ``index.json``, byte for byte,
+    the crashed handle must hold what a reopen holds, and a retry from the
+    old store must reach the new one. Returns each crash's outcome, "old" or
+    "new", in step order."""
     def job_on_a_copy(name):
         shutil.copytree(tmp_path / "base", tmp_path / name)
         return LifelongJob(majority_config(), kb_open(tmp_path / name))
 
-    job_on_a_copy("clean").run_update_cycle(update)
-    post = kb_open(tmp_path / "clean").fingerprint()
-    assert post != pre
+    def manifest(name):
+        index = tmp_path / name / "index.json"
+        return index.read_bytes() if index.exists() else None
 
+    commit(job_on_a_copy("clean"))
+    states = {manifest("base"): "old", manifest("clean"): "new"}
+    assert len(states) == 2
     outcomes = []
     for k in itertools.count(1):
         crashed_job = job_on_a_copy(f"k{k}")
         crash_points.arm(k)
         try:
-            crashed_job.run_update_cycle(update)
+            commit(crashed_job)
         except OSError:
             crashed = True
         else:
@@ -462,22 +465,68 @@ def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
         assert crashed_job.kb.fingerprint() == store.fingerprint(), k
         assert crashed_job.kb.kb_version == store.kb_version, k
         assert crashed_job.phase == LifelongJob(majority_config(), store).phase, k
+        outcome = states[manifest(f"k{k}")]
         if not crashed:
-            assert store.fingerprint() == post
-            break
-        outcomes.append(store.fingerprint())
-        assert outcomes[-1] in (pre, post), k
-        if outcomes[-1] == pre:
-            job = LifelongJob(majority_config(), store)
-            assert job.phase == pre_phase
-            assert pre_phase is Phase.DEPLOYED
+            assert outcome == "new"
+            return outcomes
+        outcomes.append(outcome)
+        if outcome == "old":
             # a retry overwrites whatever the crashed attempt left behind
-            job.run_update_cycle(update)
-            assert kb_open(tmp_path / f"k{k}").fingerprint() == post
-    # three model files (write + fsync each), the models/ barrier, the
-    # manifest's temp write, fsync, rename and directory fsync
-    assert len(outcomes) == 11
-    assert outcomes.count(post) == 1 and outcomes[-1] == post
+            commit(LifelongJob(majority_config(), store))
+            assert manifest(f"k{k}") == manifest("clean"), k
+
+
+def test_a_crash_at_any_step_of_an_update_cycle_leaves_the_old_or_the_new_store(
+    tmp_path, crash_points
+):
+    base, _ = new_job(tmp_path, name="base")
+    base.bootstrap(two_city_data(10))
+    assert base.phase is Phase.DEPLOYED
+    # retrain one task, learn a new one and refit the fallback
+    update = city_dataset([(float(i), city, "b") for i in range(10) for city in ("athens", "oslo")])
+    outcomes = _crash_at_every_step(tmp_path, crash_points,
+                                    lambda job: job.run_update_cycle(update))
+    # the manifest's temp write, fsync, rename and directory fsync: the
+    # rename commits, and the handle keeps what a failed directory fsync follows
+    assert outcomes == ["old", "old", "old", "new"]
+
+
+def _set_fallback(job):
+    job.kb.set_fallback(fit(EstimatorSpec("majority"), city_dataset([(0.0, "oslo", "b")]), 0))
+
+
+COMMITS = {  # a commit, and what the store it starts from has run
+    "bootstrap": ((), lambda job: job.bootstrap(two_city_data(10))),
+    "run_train": ((), lambda job: job.run_train(two_city_data(10))),
+    "run_eval": (("run_train",), lambda job: job.run_eval(two_city_data(10))),
+    "run_deploy": (("run_train", "run_eval"), lambda job: job.run_deploy()),
+    "set_fallback": (("bootstrap",), _set_fallback),
+    # the first commit of a format-2 store writes format 3
+    "format-2-migration": (("bootstrap", "format-2"), lambda job: job.kb.save()),
+}
+
+
+@pytest.mark.parametrize("name", COMMITS)
+def test_a_crash_at_any_step_of_any_commit_leaves_the_old_or_the_new_store(
+    tmp_path, crash_points, capsys, name
+):
+    before, commit = COMMITS[name]
+    base, kb = new_job(tmp_path, name="base")
+    for step in before:
+        if step == "format-2":
+            _rewrite_as_legacy(kb_open(tmp_path / "base"), fmt=2)
+        else:
+            COMMITS[step][1](base)
+    assert _crash_at_every_step(tmp_path, crash_points, commit) == ["old", "old", "old", "new"]
+    if name == "format-2-migration":  # it changes the format and nothing the store holds
+        shown = []
+        for store in ("base", "clean"):
+            assert cli_main(["kb", "show", "--kb", str(tmp_path / store)]) == 0
+            shown.append(capsys.readouterr().out.replace(str(tmp_path / store), "<kb>"))
+        assert shown[0] == shown[1]
+        assert json.loads((tmp_path / "clean" / "index.json").read_bytes())["format"] == 3
+        assert (kb_open(tmp_path / "clean").fingerprint()
+                == kb_open(tmp_path / "base").fingerprint() == kb.fingerprint())
 
 
 def test_each_stage_and_cycle_replaces_the_manifest_once(tmp_path, monkeypatch):

@@ -102,9 +102,19 @@ def test_flipped_bit_in_index_refuses_open(tmp_path):
         kb_open(tmp_path / "kb")
 
 
+def test_a_manifest_laid_out_otherwise_opens_under_its_checksum(tmp_path):
+    kb = declared_kb(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    index = tmp_path / "kb" / "index.json"
+    # the checksum is of the body's canonical bytes, whatever the file's layout
+    index.write_text(json.dumps(json.loads(index.read_bytes()), indent=2), encoding="utf-8")
+    assert kb_open(tmp_path / "kb").fingerprint() == kb.fingerprint()
+
+
 def test_flipped_bit_in_model_file_refuses_open(tmp_path):
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
+    _rewrite_as_legacy(kb)  # only a format-1 or format-2 store has model files
     model_file = next((tmp_path / "kb" / "models").glob("athens*.bin"))
     raw = bytearray(model_file.read_bytes())
     raw[10] ^= 0x40
@@ -122,6 +132,7 @@ def test_missing_model_file_refuses_open_naming_the_file(tmp_path, name, fault):
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback())
+    _rewrite_as_legacy(kb)  # only a format-1 or format-2 store has model files
     model_file = tmp_path / "kb" / "models" / name
     if fault == "missing":
         model_file.unlink()
@@ -196,13 +207,13 @@ def test_retry_after_crash_overwrites_stale_model_file(tmp_path, monkeypatch):
             raise OSError("injected crash")
         real_replace(src, dst)
 
-    # first attempt writes models/athens.1.bin then dies before the index
+    # first attempt writes index.json.tmp then dies before the rename
     monkeypatch.setattr(kb_mod, "_replace_file", fail_on_index)
     with pytest.raises(OSError):
         kb.upsert_task(make_record("athens", label="a"))
     monkeypatch.setattr(kb_mod, "_replace_file", real_replace)
 
-    # retry with different content reuses the same file name; the stale
+    # retry with different content reuses the temp file name; the stale
     # bytes must be replaced or reopening would fail its checksum
     kb.upsert_task(make_record("athens", label="b"))
     reopened = kb_open(tmp_path / "kb")
@@ -248,17 +259,15 @@ def test_a_failed_directory_fsync_after_the_manifest_rename_keeps_the_commit(
     assert kb.kb_version == reopened.kb_version == 2
     assert kb.fingerprint() == reopened.fingerprint()
 
-    # so the next commit never rewrites a file the committed manifest names
-    committed = (kb_dir / "models" / "tokyo.1.bin").read_bytes()
+    # so the next commit builds on the committed store
     kb.upsert_task(make_record("tokyo", label="b"))
-    assert (kb_dir / "models" / "tokyo.1.bin").read_bytes() == committed
     reopened = kb_open(kb_dir)
     assert reopened.kb_version == 3 and reopened.lookup("tokyo").version == 2
     assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
-    assert (kb_dir / "models" / "tokyo.2.bin").exists()
+    assert sorted(p.name for p in kb_dir.iterdir()) == ["index.json"]
 
 
-@pytest.mark.parametrize("fmt", [3, 0, "1", None, True, 1.0, "absent"])
+@pytest.mark.parametrize("fmt", [4, 0, "1", None, True, 1.0, "absent"])
 def test_manifest_of_another_format_refuses_open(tmp_path, fmt):
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
@@ -325,6 +334,8 @@ def test_record_eval_and_save_replace_only_the_index(tmp_path, monkeypatch):
 
 
 def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
+    # the model lives in its manifest entry: each upsert serializes it once
+    # and writes only the manifest
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.set_fallback(make_fallback())
@@ -334,8 +345,7 @@ def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
     athens = make_record("athens", label="b", n=4)
     kb.upsert_task(tokyo)
     kb.upsert_task(athens)
-    assert written == ["tokyo.1.bin", "index.json", "athens.2.bin", "index.json"]
-    assert replaced == ["index.json", "index.json"]  # model files are written in place
+    assert written == replaced == ["index.json", "index.json"]
     assert serialized == [tokyo.model, athens.model]
 
 
@@ -348,8 +358,7 @@ def test_set_fallback_replaces_one_fallback_file_and_the_index(tmp_path, monkeyp
     replaced = _watch_replaces(monkeypatch)
     fallback = make_fallback("b")
     kb.set_fallback(fallback)
-    assert written == ["_fallback.4.bin", "index.json"]
-    assert replaced == ["index.json"]
+    assert written == replaced == ["index.json"]
     assert serialized == [fallback]
 
 
@@ -374,24 +383,19 @@ def test_every_write_fsyncs_the_file_before_the_rename_and_the_directory_after(
 
     monkeypatch.setattr(os, "fsync", watching_fsync)
     monkeypatch.setattr(kb_mod, "_replace_file", watching_replace)
+    # each commit writes one file, the manifest: through a synced temp file,
+    # a rename and a synced directory
+    commit = ["fsync file", "index.json", "fsync dir ['index.json']"]
     kb.upsert_task(make_record("athens"))
-    # the model file is written in place and synced, then models/ once (the
-    # barrier), then the manifest through a synced temp file and a rename
-    assert events == [
-        "fsync file", "fsync dir ['athens.1.bin']",
-        "fsync file", "index.json", "fsync dir ['index.json', 'models']",
-    ]
+    assert events == commit
     events.clear()
     kb.record_eval("athens", STATUS_DEPLOYABLE, EvalMetrics.from_counts(("a", "b"), ((3, 0), (0, 0))))
-    assert events == ["fsync file", "index.json", "fsync dir ['index.json', 'models']"]
+    assert events == commit
     events.clear()
     with kb.transaction():
         kb.upsert_task(make_record("tokyo"))
         kb.set_fallback(make_fallback())
-    assert events == [
-        "fsync file", "fsync file", "fsync dir ['_fallback.4.bin', 'athens.1.bin', 'tokyo.1.bin']",
-        "fsync file", "index.json", "fsync dir ['index.json', 'models']",
-    ]
+    assert events == commit
 
 
 # -- transactions ----------------------------------------------------------------
@@ -405,8 +409,8 @@ def test_transaction_commits_once_and_nested_blocks_join_it(tmp_path, monkeypatc
             kb.upsert_task(make_record("tokyo"))
             kb.set_fallback(make_fallback())
         kb.job = {"phase": "anything"}
-        assert written == ["athens.1.bin", "tokyo.1.bin", "_fallback.3.bin"]
-    assert written[-1] == "index.json" and written.count("index.json") == 1
+        assert written == []
+    assert written == ["index.json"]
     assert kb.kb_version == 3
     reopened = kb_open(tmp_path / "kb")
     assert reopened.fingerprint() == kb.fingerprint()
@@ -431,14 +435,14 @@ def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path
     assert kb.job is None
     assert set(kb.records) == {"athens"}
     assert kb_open(tmp_path / "kb").fingerprint() == before
-    # the next commit reuses the file names the aborted one wrote
+    # the next commit encodes tokyo's new record, not the aborted one's
     kb.upsert_task(make_record("tokyo", label="b"))
     reopened = kb_open(tmp_path / "kb")
     assert set(reopened.records) == {"athens", "tokyo"}
     assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
 
 
-def _manifest(body: dict, fmt: int = 2) -> bytes:
+def _manifest(body: dict, fmt: int = 3) -> bytes:
     """The manifest of *body* in format *fmt*, under its checksum."""
     return canonical_json_bytes(
         {"format": fmt, "crc32": zlib.crc32(canonical_json_bytes(body)), "body": body})
@@ -449,11 +453,7 @@ def _manifest_from_scratch(kb) -> bytes:
     body = {
         "shape": kb.shape,
         "kb_version": kb.kb_version,
-        "fallback": (
-            {"kb_version": kb._fallback_file[0], "crc32": kb._fallback_file[1]}
-            if kb._fallback_file is not None
-            else None
-        ),
+        "fallback": None if kb.fallback is None else kb_mod.model_to_json(kb.fallback),
         "tasks": [
             {
                 "key": key,
@@ -462,7 +462,7 @@ def _manifest_from_scratch(kb) -> bytes:
                 "values": list(rec.attributes.values),
                 "stats": {"count": rec.samples},
                 "eval": kb_mod.metrics_to_json(rec.eval),
-                "crc32": kb._model_crcs[key],
+                "model": kb_mod.model_to_json(rec.model),
             }
             for key, rec in sorted(kb.records.items())
         ],
@@ -471,45 +471,61 @@ def _manifest_from_scratch(kb) -> bytes:
     return _manifest(body)
 
 
-def _format_1_body(kb) -> dict:
-    """The manifest body format 1 wrote for the KB's in-memory state: the
-    schema fingerprint where format 2 has the shape, and each model file's
-    name and each task's bucket counts, which format 2 derives."""
-    return {
-        "schema_fingerprint": kb.schema_fingerprint,
-        "kb_version": kb.kb_version,
-        "fallback": (
-            {"model_file": f"_fallback.{kb._fallback_file[0]}.bin", "crc32": kb._fallback_file[1]}
-            if kb._fallback_file is not None
-            else None
-        ),
-        "tasks": [
-            {
-                "key": key,
-                "version": rec.version,
-                "status": rec.status,
-                "attributes": {"values": list(rec.attributes.values),
-                               "bucket_counts": list(rec.attributes.bucket_counts)},
-                "stats": {"count": rec.samples},
-                "eval": kb_mod.metrics_to_json(rec.eval),
-                "model_file": f"{quote(key, safe='')}.{rec.version}.bin",
-                "crc32": kb._model_crcs[key],
-            }
-            for key, rec in sorted(kb.records.items())
-        ],
-        "job": kb.job,
-    }
+def _legacy_body(kb, fmt: int = 2) -> dict:
+    """The manifest body format *fmt* (1 or 2) wrote for the KB's in-memory
+    state, once each model is written to the file under ``models/`` that
+    the body names. Format 2 has each model's checksum where format 3 has
+    the model, and the fallback's as set at this KB version. Format 1 has
+    the schema fingerprint where format 2 has the shape, and each model
+    file's name and each task's bucket counts, which format 2 derives."""
+    models = kb.path / "models"
+    models.mkdir(exist_ok=True)
+
+    def stored(name, model) -> int:
+        data = serialize_model(model)
+        (models / name).write_bytes(data)
+        return zlib.crc32(data)
+
+    fallback = None
+    if kb.fallback is not None:
+        name = f"_fallback.{kb.kb_version}.bin"
+        fallback = {"model_file": name} if fmt == 1 else {"kb_version": kb.kb_version}
+        fallback["crc32"] = stored(name, kb.fallback)
+    tasks = []
+    for key, rec in sorted(kb.records.items()):
+        name = f"{quote(key, safe='')}.{rec.version}.bin"
+        entry = {"key": key, "version": rec.version, "status": rec.status,
+                 "stats": {"count": rec.samples}, "eval": kb_mod.metrics_to_json(rec.eval),
+                 "crc32": stored(name, rec.model)}
+        if fmt == 1:
+            entry.update(model_file=name, attributes={
+                "values": list(rec.attributes.values),
+                "bucket_counts": list(rec.attributes.bucket_counts)})
+        else:
+            entry["values"] = list(rec.attributes.values)
+        tasks.append(entry)
+    head = {"schema_fingerprint": kb.schema_fingerprint} if fmt == 1 else {"shape": kb.shape}
+    return {**head, "kb_version": kb.kb_version, "fallback": fallback, "tasks": tasks,
+            "job": kb.job}
 
 
-def test_a_format_1_store_opens_and_its_shape_declaration_writes_format_2(tmp_path):
+def _rewrite_as_legacy(kb, fmt: int = 2) -> bytes:
+    """Rewrite *kb*'s store as format *fmt* (1 or 2) wrote it; returns the
+    manifest's new bytes."""
+    raw = _manifest(_legacy_body(kb, fmt), fmt)
+    (kb.path / "index.json").write_bytes(raw)
+    return raw
+
+
+def test_a_format_1_store_opens_and_its_shape_declaration_writes_format_3(tmp_path):
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.upsert_task(make_record("tokyo", status=STATUS_DEPLOYABLE))
     kb.set_fallback(make_fallback())
     index, models = tmp_path / "kb" / "index.json", tmp_path / "kb" / "models"
-    current, files = index.read_bytes(), sorted(models.iterdir())
-    old = _manifest(_format_1_body(kb), fmt=1)
-    index.write_bytes(old)
+    current = index.read_bytes()
+    old = _rewrite_as_legacy(kb, fmt=1)
+    files = sorted(models.iterdir())
     reopened = kb_open(tmp_path / "kb")
     assert reopened.shape is None
     assert reopened.records == kb.records and reopened.fallback == kb.fallback
@@ -524,7 +540,9 @@ def test_a_format_1_store_opens_and_its_shape_declaration_writes_format_2(tmp_pa
             mutate()
     assert index.read_bytes() == old and sorted(models.iterdir()) == files
     reopened.declare_shape(city_schema(), BucketingConfig((None,)))
+    # the commit writes format 3 and leaves the old model files unreferenced
     assert index.read_bytes() == current
+    assert sorted(models.iterdir()) == files
 
 
 def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, monkeypatch):
@@ -608,7 +626,7 @@ def test_a_store_declares_one_shape_before_it_holds_a_model(tmp_path, monkeypatc
         kb.upsert_task(make_record("athens"))
     with pytest.raises(StoreError, match="index.json declares no shape"):
         kb.set_fallback(make_fallback())
-    assert not index.exists() and not any((tmp_path / "kb" / "models").iterdir())
+    assert not any((tmp_path / "kb").iterdir())
     kb.declare_shape(city_schema(), BucketingConfig((None,)))
     kb.upsert_task(make_record("athens"))
     raw, shape = index.read_bytes(), kb.shape
@@ -672,14 +690,14 @@ def test_an_upsert_keyed_off_its_values_commits_nothing(tmp_path, first):
     kb = declared_kb(tmp_path / "kb")
     if not first:
         kb.upsert_task(make_record("s0"))
-    index, models = tmp_path / "kb" / "index.json", tmp_path / "kb" / "models"
+    index = tmp_path / "kb" / "index.json"
     raw = index.read_bytes() if index.exists() else None
-    files, version = sorted(models.iterdir()), kb.kb_version
+    files, version = sorted(index.parent.iterdir()), kb.kb_version
     with pytest.raises(SchemaMismatchError, match=r"task 's2' has values \('s1',\), "
                                                   r"whose key is 's1'"):
         kb.upsert_task(replace(make_record("s1"), key="s2"))
     assert (index.read_bytes() if index.exists() else None) == raw
-    assert sorted(models.iterdir()) == files and kb.kb_version == version
+    assert sorted(index.parent.iterdir()) == files and kb.kb_version == version
     assert set(kb.records) == set(kb_open(tmp_path / "kb").records) == (set() if first else {"s0"})
 
 
