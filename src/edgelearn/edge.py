@@ -5,15 +5,15 @@ Inference never talks to the cloud. A sample whose bucketed attribute
 values are a task's in the active snapshot routes to that task's model;
 otherwise it is an unknown task and falls back to (a) the most similar
 snapshot task at or above the similarity threshold, else (b) the global
-fallback model. Applying a snapshot checks it, resolves each model's
-:func:`~edgelearn.learners.predictor` and builds a
-:class:`~edgelearn.tasks.TaskIndex` at the edge's threshold. Per request, the
-known route is one dict probe on the bucketed values and a predictor call;
-finding (a) scores those values, building no query object, against only the
-tasks that can reach it (at the default threshold, those sharing the sample's
-categorical values). Unknown requests are counted per task key, up to
-``unseen_cap`` keys, for upload; labeled feedback accumulates until the
-trigger policy fires a retrain request.
+fallback model. Applying a snapshot checks it, binds each model's
+:attr:`~edgelearn.learners.ModelArtifact.predictor` (compiled once per
+artifact) and builds a :class:`~edgelearn.tasks.TaskIndex` at the edge's
+threshold. Per request, the known route is one dict probe on the bucketed
+values and a predictor call; finding (a) scores those values, building no
+query object, against only the tasks that can reach it (at the default
+threshold, those sharing the sample's categorical values). Unknown requests
+are counted per task key, up to ``unseen_cap`` keys, for upload; labeled
+feedback accumulates until the trigger policy fires a retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
 drains, and snapshot swaps never observe partial state. Snapshots,
@@ -32,7 +32,7 @@ from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number, chec
 from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot
-from .learners import check_model, predictor
+from .learners import check_model
 from .tasks import (BucketingConfig, TaskIndex, bucket_attributes, bucket_values, task_key,
                     values_key)
 
@@ -130,10 +130,10 @@ class EdgeRuntime:
         attributes, predictors = {}, {}
         for key, entry in snapshot.tasks.items():
             check_model(entry.model, self._shape, what)
-            attributes[key], predictors[key] = entry.attributes, predictor(entry.model)
+            attributes[key], predictors[key] = entry.attributes, entry.model.predictor
         if snapshot.fallback is not None:
             check_model(snapshot.fallback, self._shape, what)
-        fallback = None if snapshot.fallback is None else predictor(snapshot.fallback)
+        fallback = None if snapshot.fallback is None else snapshot.fallback.predictor
         try:  # task_categories checks each key is its values' key: no two share a values entry
             index = TaskIndex(attributes, self._bucket_counts, self.similarity_threshold)
         except SchemaMismatchError as exc:

@@ -440,12 +440,12 @@ class KnowledgeBase:
             "schema_fingerprint": self.schema_fingerprint,
             "kb_version": self.kb_version,
             "fallback": (
-                sha256(serialize_model(self.fallback)).hexdigest()
+                sha256(self._fallback_json or serialize_model(self.fallback)).hexdigest()
                 if self.fallback is not None
                 else None
             ),
             "tasks": [
-                {**_record_to_json(rec), "model": sha256(serialize_model(rec.model)).hexdigest()}
+                {**_record_to_json(rec), "model": sha256(self._model_bytes(rec)).hexdigest()}
                 for _, rec in sorted(self.records.items())
             ],
         }
@@ -524,14 +524,14 @@ class KnowledgeBase:
         that declares no shape raises StoreError.
         """
         self._require_shape()
-        data = serialize_model(record.model)
+        data = self._model_bytes(record)
         existing = self.records.get(record.key)
         if existing is not None:
             if (
                 canonical_json_bytes({**_record_to_json(record), "version": existing.version})
                 == canonical_json_bytes(_record_to_json(existing))
                 and record.attributes == existing.attributes  # bucket counts included
-                and serialize_model(existing.model) == data
+                and self._model_bytes(existing) == data
             ):
                 return self.kb_version
             version = existing.version + 1
@@ -592,18 +592,21 @@ class KnowledgeBase:
     def _task_entry(self, rec: TaskRecord, model: bytes | None = None) -> bytes:
         """The canonical bytes of *rec*'s manifest entry, encoded once per
         record: its record fields and ``"model"``, the canonical bytes of its
-        model (*model*, if given; else the key's last entry's, if that held
-        the same model; else serialized)."""
+        model (*model*, if given; else :meth:`_model_bytes`)."""
         cached = self._task_entries.get(rec.key)
         if cached is None or cached[0] is not rec:
             if model is None:
-                model = (cached[1] if cached is not None and cached[0].model is rec.model
-                         else serialize_model(rec.model))
+                model = self._model_bytes(rec)
             # no other object in an entry has a "model" key, and strings escape '"'
             entry = canonical_json_bytes({**_record_to_json(rec), "model": 0}).replace(
                 b'"model":0', b'"model":' + model, 1)
             cached = self._task_entries[rec.key] = (rec, model, entry)
         return cached[2]
+
+    def _model_bytes(self, rec: TaskRecord) -> bytes:
+        """*rec*'s model's canonical bytes: its key's last entry's, if that held that model."""
+        cached = self._task_entries.get(rec.key)
+        return cached[1] if cached and cached[0].model is rec.model else serialize_model(rec.model)
 
 
 def kb_open(path: str | Path) -> KnowledgeBase:

@@ -9,7 +9,9 @@ the same seed produces byte-identical serialized artifacts.
 
 A learner kind provides ``fit`` and ``predict`` over a JSON-serializable
 parameter payload; serialization then comes for free. Register a new one
-with :func:`register_learner`.
+with :func:`register_learner`. A model predicts through its learner's
+``predictor(params)``, built once per artifact: ``predict`` bound to the
+parameters, or a compiled walk that returns the same (the tree's).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, compress, filterfalse, islice
 from operator import ne
 from typing import Callable
@@ -130,6 +132,11 @@ class ModelArtifact:
     def classes(self) -> tuple[str, ...]:
         return tuple(self.parameters["classes"])
 
+    @cached_property
+    def predictor(self) -> Callable[[FeatureVector], str]:
+        """Its learner's :meth:`Learner.predictor`, built once; checks no feature count."""
+        return get_learner(self.spec.kind).predictor(self.parameters)
+
 
 @dataclass(frozen=True)
 class EvalMetrics:
@@ -188,6 +195,10 @@ class Learner:
 
     def predict(self, params: dict, features: FeatureVector):
         raise NotImplementedError
+
+    def predictor(self, params: dict) -> Callable[[FeatureVector], str]:
+        """``predict`` over *params*, built once per model; a faster walk may override it."""
+        return partial(self.predict, params)
 
     def parameter_fault(self, params: dict) -> str | None:
         """What in decoded *params* ``predict`` would trip over or misread, or
@@ -522,6 +533,28 @@ class TreeLearner(Learner):
             node = node["left"] if features[node["feature"]] < node["threshold"] else node["right"]
         return params["classes"][node["label_index"]]
 
+    def predictor(self, params):
+        """``predict`` over the tree compiled, with an explicit stack so any
+        depth compiles, into nested ``(feature, threshold, left, right)``
+        tuples whose leaves are class names."""
+        preorder, stack = [], [params["tree"]]
+        while stack:  # a split, its left subtree, its right one
+            preorder.append(node := stack.pop())
+            if node["kind"] == "split":
+                stack += node["right"], node["left"]
+        classes, built = params["classes"], []
+        for node in reversed(preorder):  # a split pops its left child, then its right
+            built.append((node["feature"], node["threshold"], built.pop(), built.pop())
+                         if node["kind"] == "split" else classes[node["label_index"]])
+        (root,) = built
+
+        def walk(features, node=root):
+            while type(node) is tuple:
+                feature, threshold, left, right = node
+                node = left if features[feature] < threshold else right
+            return node
+        return walk
+
     def parameter_fault(self, params):
         """The first node, depth first, that is neither a split on a feature
         index with a numeric threshold nor a leaf of a class index (an index
@@ -592,18 +625,13 @@ def fit(spec: EstimatorSpec, train: Dataset, seed: int) -> ModelArtifact:
     )
 
 
-def predictor(model: ModelArtifact) -> Callable[[FeatureVector], str]:
-    """*model*'s learner's ``predict`` bound to its parameters; checks no feature count."""
-    return partial(get_learner(model.spec.kind).predict, model.parameters)
-
-
 def predict(model: ModelArtifact, features: FeatureVector):
     """Predict one sample: a class name the model's schema declares."""
     if len(features) != model.parameters["n_features"]:
         raise DataError(
             f"expected {model.parameters['n_features']} features, got {len(features)}"
         )
-    return predictor(model)(features)
+    return model.predictor(features)
 
 
 def check_model(model: ModelArtifact, shape: tuple, what: str) -> None:
@@ -624,7 +652,7 @@ def evaluate(model: ModelArtifact, test: Dataset) -> EvalMetrics:
     test.require_labeled()
     schema = test.schema
     check_model(model, (schema.fingerprint(), schema.label_classes, schema.n_features), "test set")
-    model_predict = predictor(model)  # the test set's samples have the model's feature count
+    model_predict = model.predictor  # the test set's samples have the model's feature count
     return EvalMetrics.from_pairs(
         model.classes, ((s.label, model_predict(s.features)) for s in test.samples)
     )

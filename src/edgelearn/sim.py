@@ -276,11 +276,10 @@ class Simulation:
                 except NoModelError as exc:
                     self._log(edge.name, "no_model", f"i={ordinal} error={exc}")
                     continue
-                detail = f"i={ordinal} route={pred.route}"
-                if pred.task_key is not None:
-                    detail += f" key={pred.task_key}"
-                detail += f" label={pred.label} version={pred.snapshot_version}"
-                self._log(edge.name, "predict", detail)
+                key = "" if pred.task_key is None else " key=" + pred.task_key
+                # the _log line, built in one step: one per replayed sample
+                self.events.append(f"{self.now},{edge.name},predict,i={ordinal} route={pred.route}"
+                                   f"{key} label={pred.label} version={pred.snapshot_version}")
             labeled = [s for s in ev.samples if s.label is not None]
             if labeled:
                 result = edge.runtime.ingest_feedback(labeled)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .data import NUMERIC, Dataset, DatasetSchema, TaskAttrValues, bucket_edges
 from .errors import DataError, SchemaError, SchemaMismatchError
@@ -200,11 +201,15 @@ class TaskIndex:
     def __init__(self, tasks: dict[str, BucketedAttributes], bucket_counts: tuple[int, ...],
                  threshold: float):
         self._bucket_counts = bucket_counts
-        self._categorical = tuple(i for i, count in enumerate(bucket_counts) if count == 0)
+        categorical = tuple(i for i, count in enumerate(bucket_counts) if count == 0)
+        if len(categorical) == 1:  # a query's categorical values, with no per-request list
+            self._categories_of = lambda values, i=categorical[0]: (values[i],)
+        else:  # of two or more columns a tuple; of none, ()
+            self._categories_of = itemgetter(*categorical) if categorical else lambda values: ()
         self._threshold = threshold
         n = len(bucket_counts)
         self._reach = -1  # most categorical mismatches a qualifying task can have
-        for m in range(len(self._categorical) + 1):
+        for m in range(len(categorical) + 1):
             bound = (n - m) / n if n else 1.0
             if not (bound > 0.0 and bound >= threshold):
                 break
@@ -220,7 +225,7 @@ class TaskIndex:
         ties to the smaller key; None if no task is."""
         if self._reach < 0:
             return None
-        cats = tuple([values[i] for i in self._categorical])
+        cats = self._categories_of(values)
         if self._reach == 0:
             members = self._groups.get(cats)
         else:

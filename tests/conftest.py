@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
 import edgelearn.kb as kb_mod
 from edgelearn.data import AttributeKind, Dataset, DatasetSchema, Sample
 from edgelearn.kb import KnowledgeBase, kb_open
+from edgelearn.learners import EstimatorSpec, ModelArtifact, TreeLearner, fit
 from edgelearn.tasks import BucketingConfig
 
 
@@ -47,6 +49,31 @@ def city_dataset(rows, classes=("a", "b")) -> Dataset:
         schema,
         make_samples([((x,), (city,), y) for x, city, y in rows]),
     )
+
+
+def chain_tree_model(depth: int) -> ModelArtifact:
+    """A tree model of :func:`city_schema` whose splits form one chain
+    *depth* deep, as no fit grows: split k sends x < k + 0.5 to a leaf of
+    class k % 2, else on; past the last split, a leaf of class depth % 2."""
+    model = fit(EstimatorSpec("tree"), city_dataset([(0.0, "c", "a"), (1.0, "c", "b")]), 0)
+    tree = {"kind": "leaf", "counts": [0, 1], "label_index": depth % 2}
+    for k in reversed(range(depth)):
+        leaf = {"kind": "leaf", "counts": [1, 0], "label_index": k % 2}
+        tree = {"kind": "split", "feature": 0, "threshold": k + 0.5, "left": leaf, "right": tree}
+    return replace(model, parameters={**model.parameters, "tree": tree})
+
+
+def count_tree_compiles(monkeypatch) -> list[dict]:
+    """The parameters of every tree :meth:`TreeLearner.predictor` compiles from now on."""
+    compiled: list[dict] = []
+    compile_tree = TreeLearner.predictor
+
+    def counting(self, params):
+        compiled.append(params)
+        return compile_tree(self, params)
+
+    monkeypatch.setattr(TreeLearner, "predictor", counting)
+    return compiled
 
 
 def random_city_dataset(rng: random.Random, n: int, cities, classes=("a", "b")) -> Dataset:

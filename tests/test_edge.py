@@ -35,7 +35,8 @@ from edgelearn.tasks import (
     task_similarity,
 )
 
-from conftest import banded_schema, city_dataset, city_schema
+from conftest import (banded_schema, chain_tree_model, city_dataset, city_schema,
+                      count_tree_compiles)
 
 
 def constant_model(label: str, classes=("a", "b")):
@@ -424,6 +425,27 @@ def test_apply_snapshot_never_decreases_version():
         runtime.apply_snapshot(city_snapshot(version=v))
         assert runtime.snapshot_version >= max(seen)
         seen.append(runtime.snapshot_version)
+
+
+def test_a_snapshot_carrying_the_same_artifact_binds_the_same_callable(monkeypatch):
+    compiled = count_tree_compiles(monkeypatch)
+    ds = city_dataset([(float(i), "athens", label) for i, label in enumerate("aabbab")])
+    tree = fit(EstimatorSpec("tree"), ds, seed=0)
+    entries = {"athens": (tree, BucketedAttributes(("athens",), (0,)))}
+    runtime = city_runtime(snapshot_of(1, entries, fallback=tree))
+    assert runtime.apply_snapshot(snapshot_of(2, entries, fallback=tree)) == "applied"
+    assert compiled == [tree.parameters]  # one compile, bound by both routes of both snapshots
+    for city in ("athens", "tokyo"):
+        assert [runtime.infer(Sample(s.features, (city,))).label for s in ds.samples] == [
+            predict(tree, s.features) for s in ds.samples]
+
+
+def test_a_tree_deeper_than_the_recursion_limit_is_applied_and_serves():
+    depth = sys.getrecursionlimit() + 100
+    entries = {"athens": (chain_tree_model(depth), BucketedAttributes(("athens",), (0,)))}
+    runtime = city_runtime(snapshot_of(1, entries))
+    for x, label in ((0.0, "a"), (7.0, "b"), (8.0, "a"), (float(depth), "ab"[depth % 2])):
+        assert runtime.infer(Sample((x,), ("athens",))).label == label
 
 
 def test_a_snapshot_of_another_schema_is_not_applied():

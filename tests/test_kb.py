@@ -333,6 +333,18 @@ def test_record_eval_and_save_replace_only_the_index(tmp_path, monkeypatch):
     assert serialized == []
 
 
+def test_an_idempotent_upsert_and_the_fingerprint_reuse_the_encoded_models(tmp_path, monkeypatch):
+    kb = declared_kb(tmp_path / "kb")
+    record = make_record("athens")
+    kb.upsert_task(record)
+    kb.set_fallback(make_fallback())
+    written, serialized = _watch_writes(monkeypatch)
+    assert kb.upsert_task(record) == kb.kb_version == 2
+    fingerprint = kb.fingerprint()
+    assert (written, serialized) == ([], [])
+    assert kb_open(tmp_path / "kb").fingerprint() == fingerprint  # a reopen encodes them
+
+
 def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
     # the model lives in its manifest entry: each upsert serializes it once
     # and writes only the manifest

@@ -22,17 +22,20 @@ from edgelearn.errors import (
 from edgelearn.learners import (
     EstimatorSpec,
     EvalMetrics,
+    Learner,
     canonical_json_bytes,
     deserialize_model,
     evaluate,
     fit,
+    get_learner,
     model_from_json,
     predict,
     serialize_model,
 )
 from edgelearn.learners import _Gini
 
-from conftest import city_dataset, city_schema, make_samples
+from conftest import (chain_tree_model, city_dataset, city_schema, count_tree_compiles,
+                      make_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +337,9 @@ def test_gini_best_cut_matches_an_exact_scan_of_every_candidate():
 TREE_CORPUS_SHA256 = "aa8aec866065887d1cb724dbfb3fde0f14c78a703d8da41f78787ee82daa216f"
 
 
-def test_tree_corpus_bytes_are_pinned():
+def tree_corpus():
+    """The fitted trees whose bytes TREE_CORPUS_SHA256 pins."""
     rng = random.Random(2026)
-    digest = hashlib.sha256()
     for trial in range(80):
         n_features = rng.choice([1, 2, 3])
         names = ", ".join(f'"f{j}"' for j in range(n_features))
@@ -348,7 +351,12 @@ def test_tree_corpus_bytes_are_pinned():
             x = tuple(round(rng.uniform(0, 10) / grid) * grid for _ in range(n_features))
             rows.append((x, (), rng.choice("abc"[: rng.choice([1, 2, 3])])))
         hp = {"max_depth": rng.randint(1, 6), "min_leaf": rng.choice([1, 2, 5])}
-        model = fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
+        yield fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
+
+
+def test_tree_corpus_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for model in tree_corpus():
         digest.update(serialize_model(model))
     assert digest.hexdigest() == TREE_CORPUS_SHA256
 
@@ -359,9 +367,9 @@ def test_tree_corpus_bytes_are_pinned():
 TIE_FREE_TREE_CORPUS_SHA256 = "4fd1f4b227ebe9c6ae235b34ef423033d6e07d0c687e1538813cf6a88aa9a205"
 
 
-def test_tie_free_tree_corpus_bytes_are_pinned():
+def tie_free_tree_corpus():
+    """The fitted trees whose bytes TIE_FREE_TREE_CORPUS_SHA256 pins."""
     rng = random.Random(2028)
-    digest = hashlib.sha256()
     for trial in range(90):
         n_features = rng.choice([1, 2, 3])
         names = ", ".join(f'"f{j}"' for j in range(n_features))
@@ -376,7 +384,12 @@ def test_tie_free_tree_corpus_bytes_are_pinned():
         for j in range(n_features):
             assert len({x[j] for x, _, _ in rows}) == len(rows)
         hp = {"max_depth": rng.randint(1, 6), "min_leaf": (1, 2, 5)[trial % 3]}
-        model = fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
+        yield fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
+
+
+def test_tie_free_tree_corpus_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for model in tie_free_tree_corpus():
         digest.update(serialize_model(model))
     assert digest.hexdigest() == TIE_FREE_TREE_CORPUS_SHA256
 
@@ -510,6 +523,65 @@ def test_a_tree_nested_past_the_recursion_limit_is_refused_not_raised():
     payload["parameters"]["tree"] = tree
     with pytest.raises(SerializationError, match="the tree nests too deep to check"):
         model_from_json(payload)
+
+
+def split_thresholds(tree: dict) -> set:
+    thresholds, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node["kind"] == "split":
+            thresholds.add(node["threshold"])
+            stack += node["left"], node["right"]
+    return thresholds
+
+
+@pytest.mark.parametrize("corpus", [tree_corpus, tie_free_tree_corpus])
+def test_the_compiled_tree_walk_predicts_what_the_reference_walk_does(corpus):
+    tree_learner, rng = get_learner("tree"), random.Random(7)
+    for model in corpus():
+        # every threshold and the doubles either side of it, signed zeros, infinities, NaN
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        for t in split_thresholds(model.parameters["tree"]):
+            values += t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)
+        n = model.parameters["n_features"]
+        vectors = [(v,) * n for v in values]
+        vectors += [tuple(rng.choice(values) for _ in range(n)) for _ in range(4 * len(values))]
+        for copy in (model, deserialize_model(serialize_model(model))):
+            compiled = copy.predictor
+            for x in vectors:
+                assert compiled(x) == tree_learner.predict(copy.parameters, x), (x, copy)
+
+
+def test_logistic_and_majority_take_the_default_predictor():
+    (_, ds), models = _tree_depth_2(), _models()
+    assert type(get_learner("tree")).predictor is not Learner.predictor
+    for kind in ("majority", "logistic"):
+        learner, model = get_learner(kind), models[kind]
+        assert type(learner).predictor is Learner.predictor
+        bound = model.predictor
+        assert (bound.func, bound.args) == (learner.predict, (model.parameters,))
+        assert [bound(s.features) for s in ds.samples] == [
+            learner.predict(model.parameters, s.features) for s in ds.samples]
+
+
+def test_a_model_compiles_its_predictor_once(monkeypatch):
+    compiled = count_tree_compiles(monkeypatch)
+    model, ds = _tree_depth_2()
+    assert model.predictor is model.predictor
+    evaluate(model, ds)
+    assert [predict(model, s.features) for s in ds.samples] == [
+        get_learner("tree").predict(model.parameters, s.features) for s in ds.samples]
+    assert compiled == [model.parameters]
+    copy = deserialize_model(serialize_model(model))  # another artifact compiles its own
+    assert copy.predictor is not model.predictor and len(compiled) == 2
+
+
+def test_a_tree_deeper_than_the_recursion_limit_compiles_and_predicts():
+    depth = sys.getrecursionlimit() + 100
+    model = chain_tree_model(depth)
+    tree_learner = get_learner("tree")
+    for x in (-1.0, 0.0, 7.0, 8.0, depth - 1.0, float(depth), math.inf, math.nan):
+        assert predict(model, (x,)) == tree_learner.predict(model.parameters, (x,))
 
 
 def test_evaluate_counting():

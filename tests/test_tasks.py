@@ -12,9 +12,11 @@ from edgelearn.errors import DataError, SchemaMismatchError
 from edgelearn.tasks import (
     BucketedAttributes,
     BucketingConfig,
+    TaskIndex,
     bucket_attributes,
     bucket_values,
     mine_tasks,
+    rank_similar,
     sample_transfer,
     task_key,
     task_similarity,
@@ -272,6 +274,24 @@ def test_values_similarity_is_task_similarity_bit_for_bit(rng):
         kinds = {0: "categorical", 1: "single-bucket"}
         seen.update([kinds.get(count, "numeric") for count in counts] or ["zero-attribute"])
     assert set(seen) == {"categorical", "single-bucket", "numeric", "zero-attribute"}
+
+
+@pytest.mark.parametrize("counts", [(3, 4), (), (0, 3), (3, 0), (0, 0, 2), (0, 2, 0, 0)])
+def test_task_index_nearest_is_a_scan_at_any_number_of_categorical_columns(counts, rng):
+    def values():
+        return tuple(rng.choice("pqr") if c == 0 else rng.randrange(c) for c in counts)
+
+    tasks = {}
+    for _ in range(8):
+        attrs = BucketedAttributes(values(), counts)
+        tasks[task_key(attrs)] = attrs
+    for threshold in (0.0, 0.5, 0.75, 1.0):
+        index = TaskIndex(tasks, counts, threshold)
+        for _ in range(30):
+            query = values()
+            ranked = [(key, sim) for key, sim in rank_similar(BucketedAttributes(query, counts),
+                                                               tasks) if sim >= threshold]
+            assert index.nearest(query) == (ranked[0] if ranked else None), (query, threshold)
 
 
 # -- sample transfer -----------------------------------------------------------------
