@@ -108,9 +108,8 @@ class Phase(Enum):
 
 def job_phase(doc) -> Phase:
     """Decode the manifest's job document, ``{"phase": ...}``, to its phase;
-    a store without one is Idle. Other keys (the ``history`` and
-    ``snapshot_version`` older stores carry) are ignored; the next stage's
-    ``_transition`` drops them."""
+    a store without one is Idle. Keys other than ``phase`` are ignored; the
+    next stage's ``_transition`` drops them."""
     if doc is None:
         return Phase.IDLE
     try:

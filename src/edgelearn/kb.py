@@ -17,10 +17,9 @@ covers every model. ``open`` decodes the manifest with
 every model, refuses a task key listed twice and runs the store gate on
 every record and the fallback against the shape. It ignores keys it does
 not read. Formats 1 and 2 kept each model in a checksummed file under
-``models/``: ``open`` still reads them (see ``_open_legacy``), and their
-next commit writes format 3, leaving those files on disk unreferenced.
-Readers refuse a manifest or snapshot of any other ``format``. A commit
-writes one file: it fsyncs the new manifest to a temp file, renames it over
+``models/``: ``open`` refuses them as retired, naming the format. Readers
+refuse a manifest or snapshot of any other ``format``. A commit writes one
+file: it fsyncs the new manifest to a temp file, renames it over
 ``index.json`` (the commit point) and fsyncs the directory, so a crash at
 any point leaves the previous consistent state intact. Only the latest
 version of each task is retrievable.
@@ -36,7 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from hashlib import sha256
 from pathlib import Path
-from urllib.parse import quote
 
 from .data import DatasetSchema, _is_int, bucket_edges, check_int
 from .errors import (
@@ -55,7 +53,6 @@ from .learners import (
     canonical_json_bytes,
     check_model,
     decode_json,
-    deserialize_model,
     metrics_from_json,
     metrics_to_json,
     model_from_json,
@@ -70,9 +67,8 @@ STATUS_EVAL_FAILED = "eval_failed"
 _STATUSES = (STATUS_TRAINED, STATUS_DEPLOYABLE, STATUS_EVAL_FAILED)
 
 _FORMAT = 1  # of the snapshot payload; readers reject any other
-_MANIFEST_FORMAT = 3  # open also reads formats 1 and 2 (see _open_legacy)
+_MANIFEST_FORMAT = 3  # open refuses any other, naming formats 1 and 2 as retired
 _INDEX_NAME = "index.json"
-_MODELS_DIR = "models"  # of a format-1 or format-2 store
 
 
 @dataclass(frozen=True)
@@ -238,14 +234,6 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     _fsync_dir(path.parent)
 
 
-def _model_file_name(key: str, version: int) -> str:  # of a format-1 or format-2 store
-    return f"{quote(key, safe='')}.{version}.bin"
-
-
-def _fallback_file_name(kb_version: int) -> str:  # of a format-1 or format-2 store
-    return f"_fallback.{kb_version}.bin"
-
-
 def _model_name(key: str | None) -> str:
     """How an error names the model of task *key* (None: the fallback)."""
     return "the fallback" if key is None else f"task {key!r}"
@@ -308,7 +296,11 @@ class KnowledgeBase:
             declared_crc, body, fmt = doc["crc32"], doc["body"], doc["format"]
         except (SerializationError, KeyError, TypeError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: {exc}") from exc
-        if not _is_int(fmt) or fmt not in (1, 2, _MANIFEST_FORMAT):
+        if _is_int(fmt) and fmt in (1, 2):
+            raise CorruptStoreError(f"store index {index_path} is in retired format {fmt}: "
+                                    f"commit it once with an earlier release (any job stage "
+                                    f"writes format {_MANIFEST_FORMAT})")
+        if not _is_int(fmt) or fmt != _MANIFEST_FORMAT:
             raise CorruptStoreError(f"corrupt store index {index_path}: "
                                     f"unsupported format {fmt!r}")
         # the body's bytes as read, where a canonical writer puts them; else re-encoded
@@ -324,91 +316,30 @@ class KnowledgeBase:
         try:  # a body under a valid checksum can still lack keys or have wrong types
             kb.kb_version = body["kb_version"]
             check_int("kb_version", kb.kb_version, 0)
-            if fmt != 1:  # format 1 declared no shape
-                shape = body["shape"]
-                kb.shape, kb._gate = (None, None) if shape is None else _shape(**shape)
-            if fmt == _MANIFEST_FORMAT:
-                tasks, fallback = body["tasks"], body["fallback"]
-                fallback = None if fallback is None else _inline_model(fallback, None)
-                read_model = lambda entry: _inline_model(entry["model"], entry["key"])
-            else:
-                tasks, read_model, fallback = kb._open_legacy(body, fmt)
+            shape = body["shape"]
+            kb.shape, kb._gate = (None, None) if shape is None else _shape(**shape)
+            tasks, fallback = body["tasks"], body["fallback"]
+            fallback = None if fallback is None else _inline_model(fallback, None)
             if kb._gate is None and (tasks or fallback is not None):
                 kb._require_shape()  # a store that holds a model declares a shape
             for entry in tasks:
                 key, counts = entry["key"], kb._gate[1]
                 check_int("task version", entry["version"], 1)
                 attributes = BucketedAttributes(tuple(entry["values"]), counts)
-                task_categories(key, attributes, counts)  # before its key names a legacy file
+                task_categories(key, attributes, counts)
                 if key in kb.records:
                     raise StoreError(f"task key {key!r} is listed twice")
-                model = read_model(entry)
+                model = _inline_model(entry["model"], key)
                 kb._admit(model, key)
                 kb.records[key] = _record_from_json(entry, attributes, model)
             if fallback is not None:
                 kb._admit(fallback, None)
                 kb.fallback = fallback
             kb.job = body.get("job")
-        except CorruptStoreError:
-            raise  # a missing or corrupt legacy model file names itself
         except (KeyError, TypeError, ValueError, ConfigError, SchemaError, SchemaMismatchError,
                 StoreError, LearnerError) as exc:
             raise CorruptStoreError(f"corrupt store index {index_path}: bad body: {exc!r}") from exc
         return kb
-
-    def _open_legacy(self, body: dict, fmt: int) -> tuple:
-        """The tasks of a format-1 or format-2 body as format 3 lists them, a
-        reader of each task's model and the fallback: the one reader of
-        ``models/``, where each model has a checksummed file named by the task's
-        key and version, or by the KB version the fallback was set at. Format 1
-        also stored each name, which must be the derived one, and declared no
-        shape: its gate is derived as format 1 did, from the body's fingerprint,
-        the first task's model (else the fallback) and its bucket counts."""
-        tasks, fallback = body["tasks"], body["fallback"]
-        if fmt == 1:
-            counts = tuple(tasks[0]["attributes"]["bucket_counts"]) if tasks else ()
-            for entry in tasks:
-                name = _model_file_name(entry["key"], entry["version"])
-                if entry["model_file"] != name:
-                    raise StoreError(f"task {entry['key']!r} names model file "
-                                     f"{entry['model_file']!r}, not {name!r}")
-                if tuple(entry["attributes"]["bucket_counts"]) != counts:
-                    raise SchemaMismatchError(f"task {entry['key']!r} is bucketed under "
-                                              f"{entry['attributes']['bucket_counts']!r}, "
-                                              f"not the first task's {counts!r}")
-            tasks = [{**entry, "values": entry["attributes"]["values"]} for entry in tasks]
-            if fallback is not None:
-                name = fallback["model_file"]  # str(): a name that is no string fails below
-                set_at = int(str(name).removeprefix("_fallback.").removesuffix(".bin"))
-                if name != _fallback_file_name(set_at):
-                    raise StoreError(f"the fallback names model file {name!r}, "
-                                     f"not {_fallback_file_name(set_at)!r}")
-                fallback = {"kb_version": set_at, "crc32": fallback["crc32"]}
-        if fallback is not None:
-            set_at = fallback["kb_version"]
-            if not (_is_int(set_at) and 1 <= set_at <= self.kb_version):
-                raise StoreError(f"fallback kb_version {set_at!r} is not in 1..{self.kb_version}")
-            fallback = self._read_model_file(_fallback_file_name(set_at), fallback["crc32"])
-        if fmt == 1 and (tasks or fallback is not None):
-            model = (self._read_model_file(tasks[0]["model_file"], tasks[0]["crc32"]) if tasks
-                     else fallback)
-            self._gate = ((body["schema_fingerprint"], model.classes,
-                           model.parameters["n_features"]), counts)
-        return tasks, lambda entry: self._read_model_file(
-            _model_file_name(entry["key"], entry["version"]), entry["crc32"]), fallback
-
-    def _read_model_file(self, name: str, expected_crc: int) -> ModelArtifact:
-        path = self.path / _MODELS_DIR / name
-        if not path.exists():
-            raise CorruptStoreError(f"corrupt store: missing model file {path}")
-        data = path.read_bytes()
-        if zlib.crc32(data) != expected_crc:
-            raise CorruptStoreError(f"corrupt store: checksum mismatch in {path}")
-        try:
-            return deserialize_model(data)
-        except SerializationError as exc:  # UnknownLearnerError included
-            raise CorruptStoreError(f"corrupt store: undecodable model file {path}: "
-                                    f"{exc}") from exc
 
     # -- queries ------------------------------------------------------------
 
@@ -481,17 +412,13 @@ class KnowledgeBase:
         """Declare what the store holds: models of *schema*'s fingerprint,
         classes and feature count, and tasks bucketed under *bucketing*. A
         store declares one shape: another raises SchemaMismatchError naming
-        the manifest. One that declares none yet (a new or a format-1 one)
-        takes this one in a commit, if all it holds passes the gate under it."""
+        the manifest. One that declares none yet, which holds nothing, takes
+        this one in a commit."""
         shape, gate = _shape(schema.fingerprint(), schema.label_classes, schema.n_features,
                              bucketing.edges)
         if self.shape is None:
             with self.transaction():
                 self.shape, self._gate = shape, gate
-                for key, record in self.records.items():
-                    self._admit(record.model, key, record)
-                if self.fallback is not None:
-                    self._admit(self.fallback, None)
         elif shape != self.shape:
             raise SchemaMismatchError(f"{self.path / _INDEX_NAME} declares the shape "
                                       f"{self.shape}, not this stage's {shape}")
@@ -503,11 +430,11 @@ class KnowledgeBase:
 
     def _admit(self, model: ModelArtifact, key: str | None,
                record: TaskRecord | None = None) -> None:
-        """The store gate of every model and task entry, at ``open``, in
-        :meth:`declare_shape` and in a transaction: *model*, task *key*'s
-        (None: the fallback's), must pass :func:`check_model` against the
-        store's shape, and *record* :func:`task_categories` under its bucket
-        counts. Builds the error text only if a check fails."""
+        """The store gate of every model and task entry, at ``open`` and in a
+        transaction: *model*, task *key*'s (None: the fallback's), must pass
+        :func:`check_model` against the store's shape, and *record*
+        :func:`task_categories` under its bucket counts. Builds the error text
+        only if a check fails."""
         shape, counts = self._gate
         if (model.schema_fingerprint, model.classes, model.parameters["n_features"]) != shape:
             check_model(model, shape, f"{self.path / _INDEX_NAME} {_model_name(key)}")
@@ -578,10 +505,8 @@ class KnowledgeBase:
         model's canonical bytes spliced in: canonical JSON writes a nested
         object the same wherever it sits. Keys sort ``body < crc32 < format``
         and ``fallback < job < kb_version < shape < tasks``."""
-        if self.records or self.fallback is not None:
-            self._require_shape()  # a format-1 store commits once a job stage declares one
-            if self.fallback is not None and self._fallback_json is None:
-                self._fallback_json = serialize_model(self.fallback)
+        if self.fallback is not None and self._fallback_json is None:
+            self._fallback_json = serialize_model(self.fallback)
         head = canonical_json_bytes({"job": self.job, "kb_version": self.kb_version,
                                      "shape": self.shape})
         tasks = b",".join(self._task_entry(self.records[key]) for key in sorted(self.records))

@@ -17,7 +17,7 @@ from edgelearn.tasks import values_key
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
-from test_kb import _legacy_body, _manifest, _set_at, _watch_replaces
+from test_kb import _manifest, _set_at, _watch_replaces
 
 
 SCHEMA_TEXT = """
@@ -200,23 +200,19 @@ def test_a_job_document_of_an_older_store_opens_and_drops_its_snapshot_version(
 
 
 @pytest.mark.parametrize("corrupt", [
-    "no-tasks", "task-without-model-file", "tasks-not-a-list",
+    "no-tasks", "tasks-not-a-list",
     ("kb_version", "7"), ("kb_version", -1), ("kb_version", 1.0), ("kb_version", True),
     ("version", 1.5), ("version", 0), ("version", "1"), ("version", True),
     ("stats.count", "x"), ("stats.count", 0), ("stats.count", 1.5), ("stats.count", True),
     ("status", "bogus"), ("eval.n", 0), ("eval.classes", "abc"), ("eval.counts", [[1], [1]]),
     ("key", 5),
     # attributes an edge would refuse, and a key its values do not give
-    ("values", [5]), ("values", [True]), ("bucket_counts", [2]), ("key", "oslo"),
+    ("values", [5]), ("values", [True]), ("key", "oslo"),
     # a shape that is not one, or none for a store that holds models
     ("shape", None), ("shape.schema_fingerprint", 5), ("shape.edges", [[2.0, 1.0]]),
-    # a format-2 fallback set at no KB version the store has reached
-    ("fallback.kb_version", 0), ("fallback.kb_version", 99),
-    # a format-1 fallback whose model file is not a name
-    ("fallback.model_file", 5),
     "duplicate-key",  # tokyo's entry under athens's key and values
-    # a model that is not one
-    ("model", 5), ("fallback", 5),
+    # a model that is not one, or of no learner
+    ("model", 5), ("fallback", 5), ("fallback.kind", "bogus"),
 ], ids=_case_id)
 def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt):
     kb_dir = workdir / "kb"
@@ -225,16 +221,9 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
                      "--data", str(workdir / "train.csv")]) == 0
     index = kb_dir / "index.json"
     manifest = json.loads(index.read_bytes())
-    if corrupt == "task-without-model-file" or corrupt[0] in ("bucket_counts",
-                                                              "fallback.model_file"):
-        manifest = {"format": 1, "body": _legacy_body(kb_open(kb_dir), 1)}
-    elif corrupt[0] == "fallback.kb_version":  # a format-2 field
-        manifest = {"format": 2, "body": _legacy_body(kb_open(kb_dir), 2)}
     body = manifest["body"]
     if corrupt == "no-tasks":
         del body["tasks"]
-    elif corrupt == "task-without-model-file":
-        del body["tasks"][0]["model_file"]
     elif corrupt == "tasks-not-a-list":
         body["tasks"] = 5
     elif corrupt == "duplicate-key":
@@ -248,12 +237,10 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
         body["shape"] = None
     elif corrupt[0].startswith("shape."):
         body["shape"][corrupt[0][6:]] = corrupt[1]
-    elif corrupt[0].startswith("fallback."):
-        body["fallback"][corrupt[0][9:]] = corrupt[1]
     elif corrupt[0] == "fallback":
         body["fallback"] = corrupt[1]
-    elif corrupt[0] == "bucket_counts":  # of tokyo, the second record
-        body["tasks"][1]["attributes"]["bucket_counts"] = corrupt[1]
+    elif corrupt[0] == "fallback.kind":
+        body["fallback"]["kind"] = corrupt[1]
     elif corrupt[0] == "values":  # under the key they give, so only their kind is wrong
         body["tasks"][1]["values"] = corrupt[1]
         body["tasks"][1]["key"] = values_key(corrupt[1])
@@ -285,12 +272,9 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
     assert index.read_bytes() == raw and not (workdir / "snap.json").exists()
 
 
-@pytest.mark.parametrize("revision", [1, "7"])
-def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
-    workdir, capsys, revision
-):
-    # older stores kept a stats summary per task and a revision counter in the
-    # fallback entry; readers ignore both and the next commit drops them
+def test_store_with_stats_summaries_opens_and_its_next_commit_drops_them(workdir, capsys):
+    # a task entry's "stats" may carry a summary beside "count": readers
+    # ignore it and the next commit drops it
     base = _deployed(workdir)
     kb_dir = workdir / "kb"
     capsys.readouterr()
@@ -298,15 +282,12 @@ def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
     shown = capsys.readouterr().out
     before = kb_open(kb_dir)
     index = kb_dir / "index.json"
-    body = _legacy_body(before, 1)  # such stores wrote format 1
+    body = json.loads(index.read_bytes())["body"]
+    fallback = body["fallback"]
     for entry, label in zip(body["tasks"], ("a", "b")):  # athens, tokyo: x = 0..7
         entry["stats"] = {"count": 8, "class_histogram": {label: 8}, "feature_mean": [3.5],
                           "feature_min": [0.0], "feature_max": [7.0]}
-    models = kb_dir / "models"
-    (models / body["fallback"]["model_file"]).rename(models / "_fallback.1.bin")
-    body["fallback"] = {**body["fallback"], "model_file": "_fallback.1.bin", "revision": revision}
-    index.write_bytes(_manifest(body, fmt=1))
-    old_fallback = (models / "_fallback.1.bin").read_bytes()
+    index.write_bytes(_manifest(body))
 
     reopened = kb_open(kb_dir)
     assert reopened.records == before.records
@@ -316,13 +297,9 @@ def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
     assert capsys.readouterr().out == shown
 
     assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
-    manifest = json.loads(index.read_bytes())
-    body = manifest["body"]
-    assert manifest["format"] == 3
-    assert body["shape"]["schema_fingerprint"] == before.schema_fingerprint
+    body = json.loads(index.read_bytes())["body"]
     assert all(entry["stats"] == {"count": 8} for entry in body["tasks"])
-    assert canonical_json_bytes(body["fallback"]) == old_fallback  # its revision is gone
-    assert (models / "_fallback.1.bin").read_bytes() == old_fallback
+    assert body["fallback"] == fallback
 
 
 @pytest.mark.parametrize("version", ["x", True, -3, None])
@@ -528,7 +505,7 @@ def test_kb_show_prints_the_job_phase(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["job_phase"] == "Evaluating"
 
 
-def test_job_writes_only_the_manifest_models_and_a_synced_snapshot(workdir, monkeypatch):
+def test_job_writes_only_the_manifest_and_a_synced_snapshot(workdir, monkeypatch):
     kb_dir = workdir / "kb"
     base = [
         "--kb", str(kb_dir),
@@ -858,22 +835,36 @@ def test_edge_refuses_a_snapshot_whose_key_is_not_its_values_key_exit_2(workdir,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stored", ["manifest", "snapshot"])
-def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored):
+@pytest.mark.parametrize("stored, fmt", [
+    pytest.param("manifest", 4, id="manifest"), pytest.param("snapshot", 4, id="snapshot"),
+    pytest.param("manifest", 1, id="manifest-format-1"),
+    pytest.param("manifest", 2, id="manifest-format-2"),
+])
+def test_a_stored_form_of_another_format_is_exit_2(workdir, capsys, stored, fmt):
     base = _deployed(workdir)
     path = workdir / "kb" / "index.json" if stored == "manifest" else workdir / "snap.json"
     doc = json.loads(path.read_bytes())
-    doc["format"] = 4
+    doc["format"] = fmt  # outside the body: a manifest's checksum stays valid
     path.write_bytes(canonical_json_bytes(doc))
-    capsys.readouterr()
-    if stored == "manifest":
-        code = cli_main(["kb", "show", "--kb", str(workdir / "kb")])
-    else:
-        code = cli_main(["edge", "infer", "--snapshot", str(path), *base[2:],
-                         "--data", str(workdir / "test.csv"), "--out", str(workdir / "p.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "format 4" in err and "Traceback" not in err
+    if stored == "snapshot":
+        _refused(capsys, ["edge", "infer", "--snapshot", path, *base[2:],
+                          "--data", workdir / "test.csv", "--out", workdir / "p.csv"],
+                 "format 4", [workdir / "p.csv"])
+        return
+    # every reader of the store refuses it the same way, and writes nothing
+    named = f"{path} is in retired format {fmt}" if fmt in (1, 2) else "format 4"
+    out, sim_out = workdir / "snap2.json", workdir / "simout"
+    (workdir / "sim.json").write_text(json.dumps({
+        "edges": 1, "max_ticks": 1, "schema": "schema.json", "job": "job.json",
+        "initial_data": "train.csv", "streams": [], "links": []}), encoding="utf-8")
+    for argv in (["kb", "show", "--kb", workdir / "kb"],
+                 ["job", "train", *base, "--data", workdir / "train.csv"],
+                 ["job", "eval", *base, "--data", workdir / "test.csv"],
+                 ["job", "update", *base, "--data", workdir / "train.csv", "--out", out],
+                 ["sim", "run", "--config", workdir / "sim.json", "--kb", workdir / "kb",
+                  "--out-dir", sim_out]):
+        _refused(capsys, argv, named, [path, out, sim_out / "events.log", sim_out / "report.json"])
+    assert not sim_out.exists()
 
 
 def _read_an_edited_model(workdir, capsys, stored, path, value):
@@ -1035,6 +1026,7 @@ THRESHOLD = ("parameters", "tree", "threshold")
 
 @pytest.mark.parametrize("task, path, value", [
     pytest.param("site_b", ("schema_fingerprint",), "0000000000000000", id="fingerprint"),
+    pytest.param("site_b", ("schema_fingerprint",), 5, id="int-fingerprint"),
     pytest.param("site_b", ("parameters", "classes"), ["cooler", "nochange", "warmer"],
                  id="permuted-classes"),
     pytest.param("site_b", ("parameters", "classes"), [], id="empty-classes"),
@@ -1084,39 +1076,6 @@ def test_a_non_finite_number_in_the_manifest_is_exit_2(thermal5, capsys, number)
     _refused(capsys, ["job", "update", *_thermal5_flags(thermal5),
                       "--data", thermal5 / "update.csv", "--out", out], index, [index, out])
 
-def _rewrite_as_format_1(work, edit_body=None, edit_model=None) -> None:
-    """Rewrite the store's manifest as format 1 wrote it, after *edit_model*
-    of every model payload (under valid checksums) and *edit_body* of the
-    manifest body."""
-    body = _legacy_body(kb_open(work / "kb"), 1)
-    for entry in [*body["tasks"], body["fallback"]] if edit_model else ():
-        path = work / "kb" / "models" / entry["model_file"]
-        payload = json.loads(path.read_bytes())
-        edit_model(payload)
-        path.write_bytes(canonical_json_bytes(payload))
-        entry["crc32"] = zlib.crc32(path.read_bytes())
-    if edit_body:
-        edit_body(body)
-    (work / "kb" / "index.json").write_bytes(_manifest(body, fmt=1))
-
-
-def _point_site_a_at(model_file):
-    def edit(body):
-        site_a, site_b = body["tasks"][:2]
-        site_a["model_file"] = model_file
-        if model_file == site_b["model_file"]:
-            site_a["crc32"] = site_b["crc32"]
-    return edit
-
-
-def _set_fingerprint(doc):
-    doc["schema_fingerprint"] = 5
-
-
-def _reorder_classes(payload):
-    payload["parameters"]["classes"] = ["cooler", "nochange", "warmer"]
-
-
 def _update_under_other_edges(work, out) -> tuple[list, Path]:
     """A banded store deployed under band edges [15, 25], and the argv of an
     update under [10, 20], which give the same bucket counts; returns that
@@ -1137,36 +1096,11 @@ def _update_under_other_edges(work, out) -> tuple[list, Path]:
     return ["job", "update", *base, "--data", data, "--out", out], work / "banded_kb"
 
 
-@pytest.mark.parametrize("case", [
-    "other-edges", "null-fingerprint", "another-tasks-file", "empty-model-file",
-    "model-file-outside-models", "int-fingerprint", "one-wrong-class-order",
-])
-def test_a_store_that_does_not_hold_its_shape_is_exit_2_and_commits_nothing(
-        thermal5, capsys, case):
-    kb, out = thermal5 / "kb", thermal5 / "update.json"
-    argv, named = ["kb", "show", "--kb", kb], kb / "index.json"
-    if case == "other-edges":
-        argv, kb = _update_under_other_edges(thermal5, out)
-        named = kb / "index.json"
-    elif case == "null-fingerprint":
-        _rewrite_as_format_1(thermal5, edit_body=lambda body: body.update(schema_fingerprint=None))
-    elif case == "another-tasks-file":  # under that file's valid checksum
-        _rewrite_as_format_1(thermal5, edit_body=_point_site_a_at("site_b.1.bin"))
-    elif case == "empty-model-file":
-        _rewrite_as_format_1(thermal5, edit_body=_point_site_a_at(""))
-    elif case == "model-file-outside-models":
-        _rewrite_as_format_1(thermal5, edit_body=_point_site_a_at("../index.json"))
-    elif case == "int-fingerprint":  # in the manifest and in every model
-        _rewrite_as_format_1(thermal5, edit_body=_set_fingerprint, edit_model=_set_fingerprint)
-        named = f"undecodable model file {kb / 'models'}"
-    else:  # every model carries it, so the store is consistent until a stage declares its shape
-        _rewrite_as_format_1(thermal5, edit_model=_reorder_classes)
-        assert cli_main(["kb", "show", "--kb", str(kb)]) == 0
-        argv = ["job", "update", *_thermal5_flags(thermal5), "--data", thermal5 / "update.csv",
-                "--out", out]
-        named = f"{kb / 'index.json'} task 'site_a'"
+def test_a_store_that_does_not_hold_its_shape_is_exit_2_and_commits_nothing(tmp_path, capsys):
+    out = tmp_path / "update.json"
+    argv, kb = _update_under_other_edges(tmp_path, out)
     files = sorted(kb.rglob("*"))
-    _refused(capsys, argv, named, [kb / "index.json", out])
+    _refused(capsys, argv, kb / "index.json", [kb / "index.json", out])
     assert sorted(kb.rglob("*")) == files
 
 

@@ -10,7 +10,6 @@ import zlib
 import pytest
 
 from edgelearn import bench, tasks as tasks_mod
-from edgelearn.cli import cli_main
 from edgelearn.data import Dataset
 from edgelearn.errors import LearnerError, NothingDeployableError, PhaseError, SchemaMismatchError
 from edgelearn.job import (
@@ -36,7 +35,7 @@ from edgelearn.learners import (
 from edgelearn.tasks import BucketingConfig, mine_tasks
 
 from conftest import banded_schema, city_dataset, make_samples, random_city_dataset
-from test_kb import _rewrite_as_legacy, _watch_writes
+from test_kb import _watch_writes
 
 
 def majority_config(**overrides) -> JobConfig:
@@ -501,32 +500,18 @@ COMMITS = {  # a commit, and what the store it starts from has run
     "run_eval": (("run_train",), lambda job: job.run_eval(two_city_data(10))),
     "run_deploy": (("run_train", "run_eval"), lambda job: job.run_deploy()),
     "set_fallback": (("bootstrap",), _set_fallback),
-    # the first commit of a format-2 store writes format 3
-    "format-2-migration": (("bootstrap", "format-2"), lambda job: job.kb.save()),
 }
 
 
 @pytest.mark.parametrize("name", COMMITS)
 def test_a_crash_at_any_step_of_any_commit_leaves_the_old_or_the_new_store(
-    tmp_path, crash_points, capsys, name
+    tmp_path, crash_points, name
 ):
     before, commit = COMMITS[name]
-    base, kb = new_job(tmp_path, name="base")
+    base, _ = new_job(tmp_path, name="base")
     for step in before:
-        if step == "format-2":
-            _rewrite_as_legacy(kb_open(tmp_path / "base"), fmt=2)
-        else:
-            COMMITS[step][1](base)
+        COMMITS[step][1](base)
     assert _crash_at_every_step(tmp_path, crash_points, commit) == ["old", "old", "old", "new"]
-    if name == "format-2-migration":  # it changes the format and nothing the store holds
-        shown = []
-        for store in ("base", "clean"):
-            assert cli_main(["kb", "show", "--kb", str(tmp_path / store)]) == 0
-            shown.append(capsys.readouterr().out.replace(str(tmp_path / store), "<kb>"))
-        assert shown[0] == shown[1]
-        assert json.loads((tmp_path / "clean" / "index.json").read_bytes())["format"] == 3
-        assert (kb_open(tmp_path / "clean").fingerprint()
-                == kb_open(tmp_path / "base").fingerprint() == kb.fingerprint())
 
 
 def test_each_stage_and_cycle_replaces_the_manifest_once(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ import zlib
 from dataclasses import replace
 from hashlib import sha256
 from pathlib import Path
-from urllib.parse import quote
 
 import pytest
 
@@ -111,53 +110,6 @@ def test_a_manifest_laid_out_otherwise_opens_under_its_checksum(tmp_path):
     assert kb_open(tmp_path / "kb").fingerprint() == kb.fingerprint()
 
 
-def test_flipped_bit_in_model_file_refuses_open(tmp_path):
-    kb = declared_kb(tmp_path / "kb")
-    kb.upsert_task(make_record("athens"))
-    _rewrite_as_legacy(kb)  # only a format-1 or format-2 store has model files
-    model_file = next((tmp_path / "kb" / "models").glob("athens*.bin"))
-    raw = bytearray(model_file.read_bytes())
-    raw[10] ^= 0x40
-    model_file.write_bytes(bytes(raw))
-    with pytest.raises(CorruptStoreError, match=str(model_file.name)):
-        kb_open(tmp_path / "kb")
-
-
-@pytest.mark.parametrize("name, fault", [
-    pytest.param(name, fault, id=name if fault == "missing" else f"{name}-{fault}")
-    for fault in ("missing", "no-fields", "unknown-kind", "int-fingerprint")
-    for name in ("athens.1.bin", "_fallback.2.bin")
-])
-def test_missing_model_file_refuses_open_naming_the_file(tmp_path, name, fault):
-    kb = declared_kb(tmp_path / "kb")
-    kb.upsert_task(make_record("athens"))
-    kb.set_fallback(make_fallback())
-    _rewrite_as_legacy(kb)  # only a format-1 or format-2 store has model files
-    model_file = tmp_path / "kb" / "models" / name
-    if fault == "missing":
-        model_file.unlink()
-        error = f"missing model file .*{name}"
-    else:  # a payload that does not decode, under valid model and manifest checksums
-        payload = {"format_version": 1}
-        if fault == "unknown-kind":
-            payload = {**json.loads(model_file.read_bytes()), "kind": "bogus"}
-        elif fault == "int-fingerprint":
-            payload = {**json.loads(model_file.read_bytes()), "schema_fingerprint": 5}
-        model_file.write_bytes(canonical_json_bytes(payload))
-        index = tmp_path / "kb" / "index.json"
-        manifest = json.loads(index.read_bytes())
-        body = manifest["body"]
-        entry = body["fallback"] if name.startswith("_fallback") else body["tasks"][0]
-        entry["crc32"] = zlib.crc32(model_file.read_bytes())
-        manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))
-        index.write_bytes(canonical_json_bytes(manifest))
-        error = f"undecodable model file .*{name}: .*" + {
-            "no-fields": "missing", "unknown-kind": "unknown learner kind 'bogus'",
-            "int-fingerprint": "schema_fingerprint 5 is not a string"}[fault]
-    with pytest.raises(CorruptStoreError, match=error):
-        kb_open(tmp_path / "kb")
-
-
 def _dir_digest(path: Path) -> str:
     h = sha256()
     for f in sorted(p for p in path.rglob("*") if p.is_file() and not p.name.endswith(".tmp")):
@@ -198,7 +150,7 @@ def test_crash_before_index_rename_keeps_previous_state(tmp_path, monkeypatch):
     assert set(reopened.records) == {"athens"}
 
 
-def test_retry_after_crash_overwrites_stale_model_file(tmp_path, monkeypatch):
+def test_retry_after_crash_overwrites_the_stale_temp_manifest(tmp_path, monkeypatch):
     kb = declared_kb(tmp_path / "kb")
     real_replace = kb_mod._replace_file
 
@@ -267,7 +219,8 @@ def test_a_failed_directory_fsync_after_the_manifest_rename_keeps_the_commit(
     assert sorted(p.name for p in kb_dir.iterdir()) == ["index.json"]
 
 
-@pytest.mark.parametrize("fmt", [4, 0, "1", None, True, 1.0, "absent"])
+@pytest.mark.parametrize("fmt", [pytest.param(1, id="format-1"), pytest.param(2, id="format-2"),
+                                 4, 0, "1", None, True, 1.0, "absent"])
 def test_manifest_of_another_format_refuses_open(tmp_path, fmt):
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
@@ -278,7 +231,10 @@ def test_manifest_of_another_format_refuses_open(tmp_path, fmt):
     else:
         manifest["format"] = fmt  # outside the body: its checksum stays valid
     index.write_bytes(canonical_json_bytes(manifest))
-    with pytest.raises(CorruptStoreError, match="format"):
+    # formats 1 and 2 are retired: the error says which, and how to move on
+    error = (f"index.json is in retired format {fmt}: commit it once with an earlier release"
+             if type(fmt) is int and fmt in (1, 2) else "format")
+    with pytest.raises(CorruptStoreError, match=error):
         kb_open(tmp_path / "kb")
 
 
@@ -345,7 +301,7 @@ def test_an_idempotent_upsert_and_the_fingerprint_reuse_the_encoded_models(tmp_p
     assert kb_open(tmp_path / "kb").fingerprint() == fingerprint  # a reopen encodes them
 
 
-def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
+def test_upsert_writes_only_the_index_and_serializes_its_model_once(tmp_path, monkeypatch):
     # the model lives in its manifest entry: each upsert serializes it once
     # and writes only the manifest
     kb = declared_kb(tmp_path / "kb")
@@ -361,7 +317,7 @@ def test_upsert_replaces_one_model_file_and_the_index(tmp_path, monkeypatch):
     assert serialized == [tokyo.model, athens.model]
 
 
-def test_set_fallback_replaces_one_fallback_file_and_the_index(tmp_path, monkeypatch):
+def test_set_fallback_writes_only_the_index_and_serializes_the_fallback_once(tmp_path, monkeypatch):
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.upsert_task(make_record("tokyo"))
@@ -454,10 +410,10 @@ def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path
     assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
 
 
-def _manifest(body: dict, fmt: int = 3) -> bytes:
-    """The manifest of *body* in format *fmt*, under its checksum."""
+def _manifest(body: dict) -> bytes:
+    """The format-3 manifest of *body*, under its checksum."""
     return canonical_json_bytes(
-        {"format": fmt, "crc32": zlib.crc32(canonical_json_bytes(body)), "body": body})
+        {"format": 3, "crc32": zlib.crc32(canonical_json_bytes(body)), "body": body})
 
 
 def _manifest_from_scratch(kb) -> bytes:
@@ -481,80 +437,6 @@ def _manifest_from_scratch(kb) -> bytes:
         "job": kb.job,
     }
     return _manifest(body)
-
-
-def _legacy_body(kb, fmt: int = 2) -> dict:
-    """The manifest body format *fmt* (1 or 2) wrote for the KB's in-memory
-    state, once each model is written to the file under ``models/`` that
-    the body names. Format 2 has each model's checksum where format 3 has
-    the model, and the fallback's as set at this KB version. Format 1 has
-    the schema fingerprint where format 2 has the shape, and each model
-    file's name and each task's bucket counts, which format 2 derives."""
-    models = kb.path / "models"
-    models.mkdir(exist_ok=True)
-
-    def stored(name, model) -> int:
-        data = serialize_model(model)
-        (models / name).write_bytes(data)
-        return zlib.crc32(data)
-
-    fallback = None
-    if kb.fallback is not None:
-        name = f"_fallback.{kb.kb_version}.bin"
-        fallback = {"model_file": name} if fmt == 1 else {"kb_version": kb.kb_version}
-        fallback["crc32"] = stored(name, kb.fallback)
-    tasks = []
-    for key, rec in sorted(kb.records.items()):
-        name = f"{quote(key, safe='')}.{rec.version}.bin"
-        entry = {"key": key, "version": rec.version, "status": rec.status,
-                 "stats": {"count": rec.samples}, "eval": kb_mod.metrics_to_json(rec.eval),
-                 "crc32": stored(name, rec.model)}
-        if fmt == 1:
-            entry.update(model_file=name, attributes={
-                "values": list(rec.attributes.values),
-                "bucket_counts": list(rec.attributes.bucket_counts)})
-        else:
-            entry["values"] = list(rec.attributes.values)
-        tasks.append(entry)
-    head = {"schema_fingerprint": kb.schema_fingerprint} if fmt == 1 else {"shape": kb.shape}
-    return {**head, "kb_version": kb.kb_version, "fallback": fallback, "tasks": tasks,
-            "job": kb.job}
-
-
-def _rewrite_as_legacy(kb, fmt: int = 2) -> bytes:
-    """Rewrite *kb*'s store as format *fmt* (1 or 2) wrote it; returns the
-    manifest's new bytes."""
-    raw = _manifest(_legacy_body(kb, fmt), fmt)
-    (kb.path / "index.json").write_bytes(raw)
-    return raw
-
-
-def test_a_format_1_store_opens_and_its_shape_declaration_writes_format_3(tmp_path):
-    kb = declared_kb(tmp_path / "kb")
-    kb.upsert_task(make_record("athens"))
-    kb.upsert_task(make_record("tokyo", status=STATUS_DEPLOYABLE))
-    kb.set_fallback(make_fallback())
-    index, models = tmp_path / "kb" / "index.json", tmp_path / "kb" / "models"
-    current = index.read_bytes()
-    old = _rewrite_as_legacy(kb, fmt=1)
-    files = sorted(models.iterdir())
-    reopened = kb_open(tmp_path / "kb")
-    assert reopened.shape is None
-    assert reopened.records == kb.records and reopened.fallback == kb.fallback
-    assert reopened.fingerprint() == kb.fingerprint()
-    assert serialize_snapshot(reopened.snapshot()) == serialize_snapshot(kb.snapshot())
-    # until a job stage declares its shape, it commits nothing
-    for mutate in (lambda: reopened.upsert_task(make_record("oslo")),
-                   lambda: reopened.set_fallback(make_fallback("b")),
-                   lambda: reopened.record_eval("athens", STATUS_EVAL_FAILED, None),
-                   reopened.save):
-        with pytest.raises(StoreError, match="index.json declares no shape"):
-            mutate()
-    assert index.read_bytes() == old and sorted(models.iterdir()) == files
-    reopened.declare_shape(city_schema(), BucketingConfig((None,)))
-    # the commit writes format 3 and leaves the old model files unreferenced
-    assert index.read_bytes() == current
-    assert sorted(models.iterdir()) == files
 
 
 def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, monkeypatch):
@@ -610,7 +492,6 @@ def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, 
 
 
 def test_reopen_store_whose_manifest_carries_relations(tmp_path):
-    # older stores wrote a "relations" list into every task entry
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))
     kb.upsert_task(make_record("tokyo", status=STATUS_DEPLOYABLE))
