@@ -272,9 +272,12 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
     assert index.read_bytes() == raw and not (workdir / "snap.json").exists()
 
 
-def test_store_with_stats_summaries_opens_and_its_next_commit_drops_them(workdir, capsys):
-    # a task entry's "stats" may carry a summary beside "count": readers
-    # ignore it and the next commit drops it
+@pytest.mark.parametrize("revision", [1, "7"])
+def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
+    workdir, capsys, revision
+):
+    # older stores kept a stats summary per task and a revision counter in the
+    # fallback entry; readers ignore both and the next commit drops them
     base = _deployed(workdir)
     kb_dir = workdir / "kb"
     capsys.readouterr()
@@ -287,6 +290,7 @@ def test_store_with_stats_summaries_opens_and_its_next_commit_drops_them(workdir
     for entry, label in zip(body["tasks"], ("a", "b")):  # athens, tokyo: x = 0..7
         entry["stats"] = {"count": 8, "class_histogram": {label: 8}, "feature_mean": [3.5],
                           "feature_min": [0.0], "feature_max": [7.0]}
+    body["fallback"] = {**fallback, "revision": revision}
     index.write_bytes(_manifest(body))
 
     reopened = kb_open(kb_dir)
@@ -299,7 +303,7 @@ def test_store_with_stats_summaries_opens_and_its_next_commit_drops_them(workdir
     assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
     body = json.loads(index.read_bytes())["body"]
     assert all(entry["stats"] == {"count": 8} for entry in body["tasks"])
-    assert body["fallback"] == fallback
+    assert body["fallback"] == fallback  # its revision is gone
 
 
 @pytest.mark.parametrize("version", ["x", True, -3, None])
