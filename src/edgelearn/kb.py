@@ -321,7 +321,7 @@ class KnowledgeBase:
             tasks, fallback = body["tasks"], body["fallback"]
             fallback = None if fallback is None else _inline_model(fallback, None)
             if kb._gate is None and (tasks or fallback is not None):
-                kb._require_shape()  # a store that holds a model declares a shape
+                raise StoreError(f"{index_path} holds models but declares no shape")
             for entry in tasks:
                 key, counts = entry["key"], kb._gate[1]
                 check_int("task version", entry["version"], 1)

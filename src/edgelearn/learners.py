@@ -10,8 +10,9 @@ the same seed produces byte-identical serialized artifacts.
 A learner kind provides ``fit`` and ``predict`` over a JSON-serializable
 parameter payload; serialization then comes for free. Register a new one
 with :func:`register_learner`. A model predicts through its learner's
-``predictor(params)``, built once per artifact: ``predict`` bound to the
-parameters, or a compiled walk that returns the same (the tree's).
+``predictor(params)``, built once per artifact and where it is decoded, as
+it checks what ``predict`` reads: ``predict`` bound to the parameters, or a
+compiled walk that returns the same (the tree's).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     UnknownLearnerError,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # format 1 differs in its trees only; see _flat_tree
 
 # Reserved keys the fit() wrapper injects into every parameter payload.
 _META_KEYS = ("n_features", "classes")
@@ -57,7 +58,7 @@ def decode_json(data: bytes, what: str):
     only, as :func:`canonical_json_bytes` writes; else SerializationError."""
     try:
         return json.loads(data.decode("utf-8"), parse_float=_finite, parse_constant=_finite)
-    except (UnicodeDecodeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:  # JSONDecodeError: a ValueError
         raise SerializationError(f"corrupt {what}: {exc}") from exc
 
 
@@ -197,14 +198,9 @@ class Learner:
         raise NotImplementedError
 
     def predictor(self, params: dict) -> Callable[[FeatureVector], str]:
-        """``predict`` over *params*, built once per model; a faster walk may override it."""
+        """``predict`` over *params*, built once per model. An override may return a faster
+        walk, and raise LearnerError for *params* that ``predict`` would misread."""
         return partial(self.predict, params)
-
-    def parameter_fault(self, params: dict) -> str | None:
-        """What in decoded *params* ``predict`` would trip over or misread, or
-        None; :func:`model_from_json` refuses a payload that has one. Its
-        ``n_features`` (an int >= 1) and ``classes`` (strings) are checked."""
-        return None
 
 
 _REGISTRY: dict[str, Learner] = {}
@@ -245,11 +241,11 @@ class MajorityLearner(Learner):
     def predict(self, params, features):
         return params["classes"][params["label_index"]]
 
-    def parameter_fault(self, params):
+    def predictor(self, params):
         index, n_classes = params.get("label_index"), len(params["classes"])
-        if _is_int(index) and 0 <= index < n_classes:
-            return None
-        return f"label_index {index!r} is not an integer in [0, {n_classes})"
+        if not (_is_int(index) and 0 <= index < n_classes):
+            raise LearnerError(f"label_index {index!r} is not an integer in [0, {n_classes})")
+        return super().predictor(params)
 
 
 def _softmax(scores: list[float]) -> list[float]:
@@ -327,21 +323,22 @@ class LogisticLearner(Learner):
         best = max(range(len(proba)), key=lambda i: (proba[i], -i))
         return params["classes"][best]
 
-    def parameter_fault(self, params):
+    def predictor(self, params):
         k, f = len(params["classes"]), params["n_features"]
         weights, bias = params.get("weights"), params.get("bias")
         if not (isinstance(weights, list) and len(weights) == k and all(
                 isinstance(row, list) and len(row) == f and all(map(_is_finite_number, row))
                 for row in weights)):
-            return f"weights are not {k} lists of {f} numbers"
+            raise LearnerError(f"weights are not {k} lists of {f} numbers")
         if not (isinstance(bias, list) and len(bias) == k and all(map(_is_finite_number, bias))):
-            return f"bias is not a list of {k} numbers"
-        return None
+            raise LearnerError(f"bias is not a list of {k} numbers")
+        return super().predictor(params)
 
 
 class _Gini:
     """Classification impurity in exact integers, so exhaustive-search
-    oracles agree bit-for-bit. A node's rows arrive in each feature's order,
+    oracles agree bit-for-bit. A leaf is its node's most frequent class
+    (ties to the lowest index). A node's rows arrive in each feature's order,
     sorted once per fit, and a column's best cut is found in one pass over
     one such order: ``best_cut`` over a list of candidates that ties or
     ``min_leaf`` leave gapped, ``best_contiguous_cut`` over a range that
@@ -352,11 +349,10 @@ class _Gini:
 
     def leaf(self, ys):
         counts = [ys.count(c) for c in range(self.k)]
-        best = max(range(self.k), key=lambda i: (counts[i], -i))
-        return {"kind": "leaf", "counts": counts, "label_index": best}
+        return counts, max(range(self.k), key=lambda i: (counts[i], -i))
 
-    def pure(self, leaf):
-        return leaf["counts"].count(0) == self.k - 1
+    def pure(self, counts):
+        return counts.count(0) == self.k - 1
 
     def best_cut(self, ys, candidates, counts):
         """The best of the *candidates* (ascending n_left values) of sorted
@@ -446,7 +442,7 @@ class TreeLearner(Learner):
     order and filters the others, so no node sorts again (the presorted
     attribute lists of SLIQ and SPRINT).
 
-    ``_Gini`` supplies the leaf payload, the purity stop and a column's best
+    ``_Gini`` supplies the leaf class, the purity stop and a column's best
     cut: of the cuts between distinct feature values that leave ``min_leaf``
     rows a side, it scores only those at the ends of label runs, as the rest
     provably cannot win or tie. A column with no repeated value (known once
@@ -458,7 +454,10 @@ class TreeLearner(Learner):
     the midpoint of its two values (the upper value where the midpoint
     rounds to the lower one or overflows); ties resolve to the lowest
     feature index, then the lowest threshold. A node splits only if its
-    best cut strictly improves on the node's own score.
+    best cut strictly improves on the node's own score. The tree is stored as a
+    flat list of nodes in preorder, as in scikit-learn and Treelite: a leaf is its class
+    index, and a split ``[feature, threshold, right]`` sends rows whose feature is
+    ``< threshold`` to the next node and the others to node ``right``.
     """
 
     kind = "tree"
@@ -474,13 +473,15 @@ class TreeLearner(Learner):
         columns = [[s.features[j] for s in train.samples] for j in range(schema.n_features)]
         # a column with no repeated value (0.0 and -0.0 repeat) has none in any node
         tied = [len(set(column)) < len(column) for column in columns]
+        tree = []
 
-        def grow(orders, depth):
+        def grow(orders, depth):  # appends the subtree of these rows to tree
             node_ys = list(map(ys.__getitem__, orders[0]))
-            leaf = impurity.leaf(node_ys)
+            counts, leaf = impurity.leaf(node_ys)
             n = len(node_ys)
-            if depth == 0 or n < 2 * min_leaf or impurity.pure(leaf):
-                return leaf
+            if depth == 0 or n < 2 * min_leaf or impurity.pure(counts):
+                tree.append(leaf)
+                return
             best = None  # (num, den, feature, n_left)
             for j, order in enumerate(orders):
                 if tied[j]:
@@ -494,15 +495,16 @@ class TreeLearner(Learner):
                     if not candidates:
                         continue
                     num, den, n_left = impurity.best_cut(
-                        list(map(ys.__getitem__, order)), candidates, leaf["counts"])
+                        list(map(ys.__getitem__, order)), candidates, counts)
                 else:
                     num, den, n_left = impurity.best_contiguous_cut(
-                        list(map(ys.__getitem__, order)), min_leaf, leaf["counts"])
+                        list(map(ys.__getitem__, order)), min_leaf, counts)
                 if best is None or num * best[1] > best[0] * den:
                     best = (num, den, j, n_left)
             # split only if n - num/den < n * gini(node) = n - sum(counts²)/n
-            if best is None or best[0] * n <= sum(c * c for c in leaf["counts"]) * best[1]:
-                return leaf
+            if best is None or best[0] * n <= sum(c * c for c in counts) * best[1]:
+                tree.append(leaf)
+                return
             _, _, j, n_left = best
             column, order = columns[j], orders[j]
             v1, v2 = column[order[n_left - 1]], column[order[n_left]]
@@ -513,78 +515,71 @@ class TreeLearner(Learner):
             goes_left = set(islice(order, n_left)).__contains__
             left = [o[:n_left] if o is order else list(filter(goes_left, o)) for o in orders]
             right = [o[n_left:] if o is order else list(filterfalse(goes_left, o)) for o in orders]
-            return {
-                "kind": "split",
-                "feature": j,
-                "threshold": threshold,
-                "left": grow(left, depth - 1),
-                "right": grow(right, depth - 1),
-            }
+            tree.append(split := [j, threshold, None])
+            grow(left, depth - 1)
+            split[2] = len(tree)
+            grow(right, depth - 1)
 
         rows = range(len(train))
-        orders = [sorted(rows, key=column.__getitem__) for column in columns]
-        return {"tree": grow(orders, hp["max_depth"])}
+        grow([sorted(rows, key=column.__getitem__) for column in columns], hp["max_depth"])
+        return {"tree": tree}
 
     # -- inference ----------------------------------------------------------
 
     def predict(self, params, features):
-        node = params["tree"]
-        while node["kind"] == "split":
-            node = node["left"] if features[node["feature"]] < node["threshold"] else node["right"]
-        return params["classes"][node["label_index"]]
+        tree, i = params["tree"], 0
+        while type(tree[i]) is list:
+            feature, threshold, right = tree[i]
+            i = i + 1 if features[feature] < threshold else right
+        return params["classes"][tree[i]]
 
     def predictor(self, params):
-        """``predict`` over the tree compiled, with an explicit stack so any
-        depth compiles, into nested ``(feature, threshold, left, right)``
-        tuples whose leaves are class names."""
-        preorder, stack = [], [params["tree"]]
-        while stack:  # a split, its left subtree, its right one
-            preorder.append(node := stack.pop())
-            if node["kind"] == "split":
-                stack += node["right"], node["left"]
-        classes, built = params["classes"], []
-        for node in reversed(preorder):  # a split pops its left child, then its right
-            built.append((node["feature"], node["threshold"], built.pop(), built.pop())
-                         if node["kind"] == "split" else classes[node["label_index"]])
-        (root,) = built
+        """``predict`` over the tree compiled, in one pass from the last node, into nested
+        ``(feature, threshold, left, right)`` tuples with class names at the leaves. The pass
+        checks each node (an index is an int, not a bool): every walk moves on to a leaf."""
+        tree, k, f = params.get("tree"), len(params["classes"]), params["n_features"]
+        if type(tree) is not list or not tree:
+            raise LearnerError(f"tree {tree!r} is not a non-empty list of nodes")
+        n = len(tree)
+        built = [None] * n
+        for i in reversed(range(n)):
+            node = tree[i]
+            if type(node) is int and 0 <= node < k:
+                built[i] = params["classes"][node]
+                continue
+            if type(node) is int:
+                raise LearnerError(f"tree leaf label_index {node} is not an integer in [0, {k})")
+            if type(node) is not list or len(node) != 3:
+                raise LearnerError(f"tree node {i} {node!r} is not a class index or a split")
+            feature, threshold, right = node
+            if type(feature) is not int or not 0 <= feature < f:
+                raise LearnerError(f"tree split feature {feature!r} is not an integer in [0, {f})")
+            if type(threshold) not in (int, float):
+                raise LearnerError(f"tree split threshold {threshold!r} is not a number")
+            if type(right) is not int or not i + 1 < right < n:
+                raise LearnerError(f"tree split {i} right {right!r} is not in ({i + 1}, {n})")
+            built[i] = (feature, threshold, built[i + 1], built[right])
 
-        def walk(features, node=root):
+        def walk(features, node=built[0]):
             while type(node) is tuple:
                 feature, threshold, left, right = node
                 node = left if features[feature] < threshold else right
             return node
         return walk
 
-    def parameter_fault(self, params):
-        """The first node, depth first, that is neither a split on a feature
-        index with a numeric threshold nor a leaf of a class index (an index
-        is an int, not a bool)."""
-        try:
-            return _tree_fault(params["tree"], params["n_features"], len(params["classes"]))
-        except KeyError as exc:
-            return f"no key {exc} in the tree or one of its nodes"
-        except TypeError:
-            return "a tree node is not an object"
-        except RecursionError:
-            return "the tree nests too deep to check"
 
-
-def _tree_fault(node, n_features: int, n_classes: int) -> str | None:
-    kind = node["kind"]
-    if kind == "split":
-        feature = node["feature"]
-        if type(feature) is not int or not 0 <= feature < n_features:
-            return f"tree split feature {feature!r} is not an integer in [0, {n_features})"
-        if type(node["threshold"]) not in (float, int):
-            return f"tree split threshold {node['threshold']!r} is not a number"
-        return (_tree_fault(node["left"], n_features, n_classes)
-                or _tree_fault(node["right"], n_features, n_classes))
-    if kind != "leaf":
-        return f"tree node kind {kind!r} is not 'split' or 'leaf'"
-    index = node["label_index"]
-    if type(index) is not int or not 0 <= index < n_classes:
-        return f"tree leaf label_index {index!r} is not an integer in [0, {n_classes})"
-    return None
+def _flat_tree(node, tree: list) -> list:
+    """*tree* with format-1 *node* appended: nested ``{"kind": "split", "feature",
+    "threshold", "left", "right"}`` and ``{"kind": "leaf", "label_index"}`` objects."""
+    if node["kind"] not in ("split", "leaf"):
+        raise LearnerError(f"tree node kind {node['kind']!r} is not 'split' or 'leaf'")
+    if node["kind"] == "leaf":
+        tree.append(node["label_index"])
+        return tree
+    tree.append(split := [node["feature"], node["threshold"], None])
+    _flat_tree(node["left"], tree)
+    split[2] = len(tree)
+    return _flat_tree(node["right"], tree)
 
 
 register_learner(MajorityLearner())
@@ -707,9 +702,9 @@ def model_to_json(model: ModelArtifact) -> dict:
 
 
 def model_from_json(payload) -> ModelArtifact:
-    """Inverse of :func:`model_to_json`; checks the decoded payload, down to
-    what its learner's ``predict`` reads (:meth:`Learner.parameter_fault`),
-    so a model from outside the program is checked once, where it enters."""
+    """Inverse of :func:`model_to_json` (a format-1 tree is converted); checks
+    the payload, down to what ``predict`` reads, by building the model's
+    ``predictor``: a model from outside the program is checked where it enters."""
     if not isinstance(payload, dict):
         raise SerializationError("corrupt model payload: not an object")
     missing = {
@@ -718,10 +713,9 @@ def model_from_json(payload) -> ModelArtifact:
     } - payload.keys()
     if missing:
         raise SerializationError(f"corrupt model payload: missing {sorted(missing)}")
-    if not _is_int(payload["format_version"]) or payload["format_version"] != FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported model format version {payload['format_version']!r}"
-        )
+    version = payload["format_version"]
+    if not _is_int(version) or version not in (1, FORMAT_VERSION):
+        raise SerializationError(f"unsupported model format version {version!r}")
     kind, fingerprint = payload["kind"], payload["schema_fingerprint"]
     for name, value in (("kind", kind), ("schema_fingerprint", fingerprint)):
         if not isinstance(value, str):
@@ -740,23 +734,24 @@ def model_from_json(payload) -> ModelArtifact:
             f"corrupt model payload: classes {classes!r} is not a list of strings")
     if not classes:
         raise SerializationError("corrupt model payload: classes [] names no class")
-    fault = _REGISTRY[kind].parameter_fault(params)
-    if fault is not None:
-        raise SerializationError(f"corrupt model payload: {fault}")
     try:
+        if version == 1 and kind == "tree":
+            params = {**params, "tree": _flat_tree(params["tree"], [])}
         spec = EstimatorSpec(kind=kind, hyperparameters=payload["hyperparameters"])
         trained = TrainingSummary(
             count=payload["trained_on"]["count"],
             class_histogram=payload["trained_on"]["class_histogram"],
         )
-        return ModelArtifact(
+        model = ModelArtifact(
             spec=spec,
             parameters=params,
             trained_on=trained,
             seed=payload["seed"],
             schema_fingerprint=fingerprint,
         )
-    except (KeyError, TypeError, LearnerError) as exc:
+        model.predictor  # checks the parameters, and compiles a tree, once per model
+        return model
+    except (KeyError, TypeError, RecursionError, LearnerError) as exc:
         raise SerializationError(f"corrupt model payload: {exc}") from exc
 
 

@@ -306,7 +306,7 @@ class Simulation:
             if not self._labeled_pool:
                 self._log("cloud", "update_skipped", f"from=edge:{edge_id} reason=empty-pool")
                 continue
-            batch = Dataset(self.cfg.schema, tuple(self._labeled_pool))
+            batch = self.cfg.initial_data.derive(self._labeled_pool)  # each edge validated them
             self._labeled_pool = []
             try:
                 snapshot = self.job.run_update_cycle(batch)

@@ -56,10 +56,10 @@ def chain_tree_model(depth: int) -> ModelArtifact:
     *depth* deep, as no fit grows: split k sends x < k + 0.5 to a leaf of
     class k % 2, else on; past the last split, a leaf of class depth % 2."""
     model = fit(EstimatorSpec("tree"), city_dataset([(0.0, "c", "a"), (1.0, "c", "b")]), 0)
-    tree = {"kind": "leaf", "counts": [0, 1], "label_index": depth % 2}
-    for k in reversed(range(depth)):
-        leaf = {"kind": "leaf", "counts": [1, 0], "label_index": k % 2}
-        tree = {"kind": "split", "feature": 0, "threshold": k + 0.5, "left": leaf, "right": tree}
+    tree = []
+    for k in range(depth):  # split k is node 2k, its leaf 2k + 1, the next split 2k + 2
+        tree += [0, k + 0.5, 2 * k + 2], k % 2
+    tree.append(depth % 2)
     return replace(model, parameters={**model.parameters, "tree": tree})
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 import zlib
 from pathlib import Path
 
@@ -12,12 +13,13 @@ import pytest
 from edgelearn.cli import cli_main
 from edgelearn.data import load_csv, parse_schema, write_csv
 from edgelearn.kb import kb_open
-from edgelearn.learners import canonical_json_bytes
+from edgelearn.learners import canonical_json_bytes, model_from_json
 from edgelearn.tasks import values_key
 from edgelearn.reference import reference_text
 
 from conftest import city_dataset
 from test_kb import _manifest, _set_at, _watch_replaces
+from test_learners import format_1_payload
 
 
 SCHEMA_TEXT = """
@@ -259,6 +261,8 @@ def test_malformed_manifest_body_is_store_error_exit_2(workdir, capsys, corrupt)
     assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
     err = capsys.readouterr().err
     assert "corrupt store index" in err and "Traceback" not in err
+    if corrupt == ("shape", None):  # no stage can declare it: each opens the store first
+        assert f"{index} holds models but declares no shape" in err
     assert cli_main(["job", "eval", "--kb", str(kb_dir), "--schema", str(workdir / "schema.json"),
                      "--config", str(workdir / "job.json"),
                      "--data", str(workdir / "test.csv")]) == 2
@@ -777,13 +781,26 @@ def _deployed_trees(workdir) -> list[str]:
     return _deployed(workdir)
 
 
-MALFORMED_TREE_ROOTS = [  # (key, value) set in a task's tree root, and the fault named
+MALFORMED_TREE_ROOTS = [  # (key, value) set in a task's tree, and the fault named
     ("feature", 99, "tree split feature 99 is not an integer in [0, 1)"),
     ("feature", -1, "tree split feature -1 is not an integer in [0, 1)"),
-    ("kind", "branch", "tree node kind 'branch' is not 'split' or 'leaf'"),
-    ("left", {"kind": "leaf", "counts": [4, 0], "label_index": 2},
-     "tree leaf label_index 2 is not an integer in [0, 2)"),
+    ("threshold", "5", "tree split threshold '5' is not a number"),
+    ("right", 1, "tree split 0 right 1 is not in (1, 3)"),
+    ("right", 3, "tree split 0 right 3 is not in (1, 3)"),
+    ("left", 2, "tree leaf label_index 2 is not an integer in [0, 2)"),
+    ("left", {"kind": "leaf", "label_index": 0},
+     "tree node 1 {'kind': 'leaf', 'label_index': 0} is not a class index or a split"),
 ]
+
+
+def _set_in_tree(tree: list, key: str, value) -> None:
+    """Set the root split's *key* (feature, threshold or right) or its
+    "left" child to *value* in *tree*, a root split on x over two leaves."""
+    assert type(tree[0]) is list and tree[0][0] == 0 and len(tree) == 3
+    if key == "left":
+        tree[1] = value
+    else:
+        tree[0][("feature", "threshold", "right").index(key)] = value
 
 
 @pytest.mark.parametrize("key, value, fault", MALFORMED_TREE_ROOTS)
@@ -791,9 +808,7 @@ def test_edge_refuses_a_snapshot_with_a_malformed_tree_exit_2(workdir, capsys, k
     base = _deployed_trees(workdir)
     snap = workdir / "snap.json"
     doc = json.loads(snap.read_bytes())
-    root = doc["tasks"]["athens"]["model"]["parameters"]["tree"]
-    assert root["kind"] == "split" and root["feature"] == 0
-    root[key] = value
+    _set_in_tree(doc["tasks"]["athens"]["model"]["parameters"]["tree"], key, value)
     snap.write_bytes(canonical_json_bytes(doc))
     capsys.readouterr()
     out = workdir / "preds.csv"
@@ -813,7 +828,7 @@ def test_kb_show_refuses_a_store_with_a_malformed_tree_exit_2(workdir, capsys, k
     index = kb_dir / "index.json"
     body = json.loads(index.read_bytes())["body"]
     entry = next(entry for entry in body["tasks"] if entry["key"] == "athens")
-    entry["model"]["parameters"]["tree"][key] = value
+    _set_in_tree(entry["model"]["parameters"]["tree"], key, value)
     index.write_bytes(_manifest(body))  # under a valid checksum
     capsys.readouterr()
     assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 2
@@ -1025,7 +1040,7 @@ def _refused(capsys, argv, named, written=()) -> str:
     return err
 
 
-THRESHOLD = ("parameters", "tree", "threshold")
+THRESHOLD = ("parameters", "tree", 0, 1)  # the root split's
 
 
 @pytest.mark.parametrize("task, path, value", [
@@ -1054,6 +1069,60 @@ def test_the_store_and_the_edge_refuse_the_same_models_exit_2(thermal5, capsys, 
                       "--out", out], named, [index, out])
     _refused(capsys, ["edge", "infer", *base[2:], "--snapshot", snap,
                       "--data", thermal5 / "data.csv", "--out", out], snap, [out])
+
+
+def _as_format_1(doc: dict, tasks) -> None:
+    """Rewrite the model of each of *tasks* (objects holding a "model") and
+    *doc*'s fallback as model format 1 wrote them; their leaf counts, which
+    nothing reads, are 0."""
+    for entry in tasks:
+        entry["model"] = format_1_payload(model_from_json(entry["model"]))
+    doc["fallback"] = format_1_payload(model_from_json(doc["fallback"]))
+
+
+def test_a_store_and_a_snapshot_of_format_1_models_open_and_serve_the_same(
+        thermal5, tmp_path, capsys):
+    reference = Path(shutil.copytree(thermal5, tmp_path / "format-2"))
+    index, snap = thermal5 / "kb" / "index.json", thermal5 / "snap.json"
+    body = json.loads(index.read_bytes())["body"]
+    _as_format_1(body, body["tasks"])
+    _rewrite_manifest(thermal5, canonical_json_bytes(body))  # under a valid checksum
+    doc = json.loads(snap.read_bytes())
+    _as_format_1(doc, doc["tasks"].values())
+    snap.write_bytes(canonical_json_bytes(doc))
+    for path in (index, snap):
+        assert b'"format_version":1' in path.read_bytes()
+        assert b'"format_version":2' not in path.read_bytes()
+        assert b'"kind":"split"' in path.read_bytes()
+    assert cli_main(["kb", "show", "--kb", str(thermal5 / "kb")]) == 0
+    for work in (thermal5, reference):
+        base = _thermal5_flags(work)
+        assert cli_main(["edge", "infer", *base[2:], "--snapshot", str(work / "snap.json"),
+                         "--data", str(work / "data.csv"), "--out", str(work / "preds.csv")]) == 0
+        assert cli_main(["job", "update", *base, "--data", str(work / "update.csv"),
+                         "--out", str(work / "snap2.json")]) == 0
+    # the same predictions, and the next commit and deploy write format 2, byte for byte
+    for name in ("preds.csv", "snap2.json", "kb/index.json"):
+        assert (thermal5 / name).read_bytes() == (reference / name).read_bytes(), name
+    assert b'"format_version":1' not in index.read_bytes()
+
+
+def test_a_format_1_tree_nested_past_the_recursion_limit_is_exit_2(thermal5, capsys):
+    payload = json.loads((thermal5 / "snap.json").read_bytes())["tasks"]["site_b"]["model"]
+    payload["format_version"] = 1
+    depth = sys.getrecursionlimit() + 100  # a left chain, written as no encoder would
+    leaf = b'{"counts":[1,0,0],"kind":"leaf","label_index":0}'
+    tree = (b'{"feature":0,"kind":"split","left":' * depth + leaf
+            + b',"right":%s,"threshold":0.5}' % leaf * depth)
+    variant = _variant(payload, ("parameters", "tree"), tree)
+    index = _rewrite_store_model(thermal5, "site_b", variant)
+    snap = _rewrite_snapshot_model(thermal5, "site_b", variant)
+    out = thermal5 / "preds.csv"
+    for argv, named, written in (
+            (["kb", "show", "--kb", thermal5 / "kb"], index, [index]),
+            (["edge", "infer", *_thermal5_flags(thermal5)[2:], "--snapshot", snap,
+              "--data", thermal5 / "data.csv", "--out", out], snap, [out])):
+        assert "maximum recursion depth" in _refused(capsys, argv, named, written)
 
 
 @pytest.mark.parametrize("classes", [["cooler", "nochange", "warmer"],

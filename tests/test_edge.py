@@ -24,7 +24,7 @@ from edgelearn.edge import (
 )
 from edgelearn.errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from edgelearn.job import TriggerPolicy
-from edgelearn.kb import DeploySnapshot, SnapshotEntry
+from edgelearn.kb import DeploySnapshot, SnapshotEntry, deserialize_snapshot, serialize_snapshot
 from edgelearn.learners import EstimatorSpec, fit, get_learner, predict
 from edgelearn.tasks import (
     BucketedAttributes,
@@ -435,6 +435,9 @@ def test_a_snapshot_carrying_the_same_artifact_binds_the_same_callable(monkeypat
     runtime = city_runtime(snapshot_of(1, entries, fallback=tree))
     assert runtime.apply_snapshot(snapshot_of(2, entries, fallback=tree)) == "applied"
     assert compiled == [tree.parameters]  # one compile, bound by both routes of both snapshots
+    decoded = deserialize_snapshot(serialize_snapshot(snapshot_of(3, entries, fallback=tree)))
+    assert len(compiled) == 3  # a decoded model compiles at decode: the task's and the fallback
+    assert runtime.apply_snapshot(decoded) == "applied" and len(compiled) == 3
     for city in ("athens", "tokyo"):
         assert [runtime.infer(Sample(s.features, (city,))).label for s in ds.samples] == [
             predict(tree, s.features) for s in ds.samples]
@@ -443,7 +446,7 @@ def test_a_snapshot_carrying_the_same_artifact_binds_the_same_callable(monkeypat
 def test_a_tree_deeper_than_the_recursion_limit_is_applied_and_serves():
     depth = sys.getrecursionlimit() + 100
     entries = {"athens": (chain_tree_model(depth), BucketedAttributes(("athens",), (0,)))}
-    runtime = city_runtime(snapshot_of(1, entries))
+    runtime = city_runtime(deserialize_snapshot(serialize_snapshot(snapshot_of(1, entries))))
     for x, label in ((0.0, "a"), (7.0, "b"), (8.0, "a"), (float(depth), "ab"[depth % 2])):
         assert runtime.infer(Sample((x,), ("athens",))).label == label
 

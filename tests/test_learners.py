@@ -22,13 +22,13 @@ from edgelearn.errors import (
 from edgelearn.learners import (
     EstimatorSpec,
     EvalMetrics,
-    Learner,
     canonical_json_bytes,
     deserialize_model,
     evaluate,
     fit,
     get_learner,
     model_from_json,
+    model_to_json,
     predict,
     serialize_model,
 )
@@ -78,25 +78,42 @@ def exhaustive_best_gini_split(dataset, min_leaf=1):
     return best
 
 
-def collect_nodes(node, rows, depth, nodes):
-    """Walk a fitted tree, recording (node subset, node, remaining depth)."""
-    nodes.append((rows, node, depth))
-    if node["kind"] == "split":
-        j, t = node["feature"], node["threshold"]
-        collect_nodes(node["left"], [s for s in rows if s.features[j] < t], depth - 1, nodes)
-        collect_nodes(node["right"], [s for s in rows if s.features[j] >= t], depth - 1, nodes)
+def collect_nodes(tree, rows, depth, nodes, i=0):
+    """Walk a fitted tree's node list from node *i*, recording (node subset,
+    node, remaining depth)."""
+    nodes.append((rows, tree[i], depth))
+    if type(tree[i]) is list:
+        j, t, right = tree[i]
+        collect_nodes(tree, [s for s in rows if s.features[j] < t], depth - 1, nodes, i + 1)
+        collect_nodes(tree, [s for s in rows if s.features[j] >= t], depth - 1, nodes, right)
 
 
-def collect_splits(node, rows, splits):
+def collect_splits(tree, rows, splits):
     """Walk a fitted tree, recording (node subset, feature, threshold)."""
-    if node["kind"] == "leaf":
-        return
-    j, t = node["feature"], node["threshold"]
-    splits.append((rows, j, t))
-    left = [s for s in rows if s.features[j] < t]
-    right = [s for s in rows if s.features[j] >= t]
-    collect_splits(node["left"], left, splits)
-    collect_splits(node["right"], right, splits)
+    nodes = []
+    collect_nodes(tree, rows, 0, nodes)
+    splits += [(at, node[0], node[1]) for at, node, _ in nodes if type(node) is list]
+
+
+def format_1_payload(model, samples=()) -> dict:
+    """*model*'s payload as model format 1 wrote it: ``format_version`` 1 and,
+    for a tree, nested ``kind``-tagged nodes whose leaves carry the class
+    counts of the *samples* that reach them (the model's training rows, as
+    the fit counted them). Format 1 differs from format 2 in nothing else."""
+    payload = {**model_to_json(model), "format_version": 1}
+    if model.spec.kind != "tree":
+        return payload
+    tree = model.parameters["tree"]
+
+    def nest(i, rows):
+        if type(tree[i]) is int:
+            return {"kind": "leaf", "counts": [sum(s.label == c for s in rows)
+                                               for c in model.classes], "label_index": tree[i]}
+        j, t, right = tree[i]
+        return {"kind": "split", "feature": j, "threshold": t,
+                "left": nest(i + 1, [s for s in rows if s.features[j] < t]),
+                "right": nest(right, [s for s in rows if not s.features[j] < t])}
+    return {**payload, "parameters": {**model.parameters, "tree": nest(0, list(samples))}}
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +213,11 @@ def test_tree_threshold_lands_between_sides():
     xs_b = [rng.uniform(5.0, 10.0) for _ in range(10)]
     ds = city_dataset([(x, "c", "a") for x in xs_a] + [(x, "c", "b") for x in xs_b])
     model = fit(EstimatorSpec("tree", {"max_depth": 1}), ds, seed=0)
-    node = model.parameters["tree"]
-    assert node["kind"] == "split"
-    assert max(xs_a) < node["threshold"] < min(xs_b)
+    (feature, threshold, right), left_leaf, right_leaf = model.parameters["tree"]
+    assert right == 2 and (left_leaf, right_leaf) == (0, 1)
+    assert max(xs_a) < threshold < min(xs_b)
     oracle = exhaustive_best_gini_split(ds)
-    assert (node["feature"], node["threshold"]) == (oracle[0], oracle[1])
+    assert (feature, threshold) == (oracle[0], oracle[1])
 
 
 def assert_every_node_matches_oracle(ds, min_leaf, max_depth):
@@ -213,9 +230,9 @@ def assert_every_node_matches_oracle(ds, min_leaf, max_depth):
     splits = 0
     for rows_at_node, node, depth in nodes:
         oracle = exhaustive_best_gini_split(Dataset(ds.schema, tuple(rows_at_node)), min_leaf)
-        if node["kind"] == "split":
+        if type(node) is list:
             splits += 1
-            assert (node["feature"], node["threshold"]) == (oracle[0], oracle[1])
+            assert (node[0], node[1]) == (oracle[0], oracle[1])
         elif depth > 0:
             assert oracle is None
     return splits
@@ -319,7 +336,7 @@ def test_gini_best_cut_matches_an_exact_scan_of_every_candidate():
         every = range(min_leaf, n - min_leaf + 1)
         ties = [t for t in every if rng.random() < 0.6]  # a tie drops the cut at it
         impurity = _Gini(k)
-        counts = impurity.leaf(ys)["counts"]
+        counts, _ = impurity.leaf(ys)
         for candidates in (every, list(every), ties):
             if not candidates:
                 continue
@@ -333,12 +350,28 @@ def test_gini_best_cut_matches_an_exact_scan_of_every_candidate():
 
 
 # The sha256 of the serialized models of a fixed corpus of classification
-# trees: any change to a split, a threshold or a leaf changes it.
+# trees: any change to a split, a threshold or a leaf changes it. The first
+# pin is of their model format 1 payloads, rebuilt by format_1_payload, and
+# holds from before format 2: the witness that format 2 re-encodes the same
+# trees. The second is of their format 2 bytes.
 TREE_CORPUS_SHA256 = "aa8aec866065887d1cb724dbfb3fde0f14c78a703d8da41f78787ee82daa216f"
+TREE_CORPUS_FORMAT_2_SHA256 = "a39bb9c3746acdeeb7eba530f2670991e74e3461bd58685b6391323ad2618253"
+
+
+def assert_tree_corpus_pinned(corpus, format_1_sha256: str, format_2_sha256: str) -> None:
+    """The trees of *corpus* hash to the pins in both formats, and each
+    one's format 1 payload decodes to the fitted model."""
+    format_1, format_2 = hashlib.sha256(), hashlib.sha256()
+    for model, ds in corpus():
+        payload = format_1_payload(model, ds.samples)
+        assert model_from_json(payload) == model
+        format_1.update(canonical_json_bytes(payload))
+        format_2.update(serialize_model(model))
+    assert (format_1.hexdigest(), format_2.hexdigest()) == (format_1_sha256, format_2_sha256)
 
 
 def tree_corpus():
-    """The fitted trees whose bytes TREE_CORPUS_SHA256 pins."""
+    """The fitted trees, each with its training set, that TREE_CORPUS_SHA256 pins."""
     rng = random.Random(2026)
     for trial in range(80):
         n_features = rng.choice([1, 2, 3])
@@ -351,24 +384,23 @@ def tree_corpus():
             x = tuple(round(rng.uniform(0, 10) / grid) * grid for _ in range(n_features))
             rows.append((x, (), rng.choice("abc"[: rng.choice([1, 2, 3])])))
         hp = {"max_depth": rng.randint(1, 6), "min_leaf": rng.choice([1, 2, 5])}
-        yield fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
+        ds = Dataset(schema, make_samples(rows))
+        yield fit(EstimatorSpec("tree", hp), ds, seed=0), ds
 
 
 def test_tree_corpus_bytes_are_pinned():
-    digest = hashlib.sha256()
-    for model in tree_corpus():
-        digest.update(serialize_model(model))
-    assert digest.hexdigest() == TREE_CORPUS_SHA256
+    assert_tree_corpus_pinned(tree_corpus, TREE_CORPUS_SHA256, TREE_CORPUS_FORMAT_2_SHA256)
 
 
 # The same for trees on columns with no repeated value, where every cut that
 # leaves min_leaf rows a side is a candidate: labels run along f0, so with
 # min_leaf 2 and 5 a label run straddles the first candidate.
 TIE_FREE_TREE_CORPUS_SHA256 = "4fd1f4b227ebe9c6ae235b34ef423033d6e07d0c687e1538813cf6a88aa9a205"
+TIE_FREE_TREE_CORPUS_FORMAT_2_SHA256 = "c63edd8367a168c0b369b84185cf4fe520a102cc6bd3244ae87a641c74eb117d"
 
 
 def tie_free_tree_corpus():
-    """The fitted trees whose bytes TIE_FREE_TREE_CORPUS_SHA256 pins."""
+    """The fitted trees, each with its training set, that TIE_FREE_TREE_CORPUS_SHA256 pins."""
     rng = random.Random(2028)
     for trial in range(90):
         n_features = rng.choice([1, 2, 3])
@@ -384,25 +416,27 @@ def tie_free_tree_corpus():
         for j in range(n_features):
             assert len({x[j] for x, _, _ in rows}) == len(rows)
         hp = {"max_depth": rng.randint(1, 6), "min_leaf": (1, 2, 5)[trial % 3]}
-        yield fit(EstimatorSpec("tree", hp), Dataset(schema, make_samples(rows)), seed=0)
+        ds = Dataset(schema, make_samples(rows))
+        yield fit(EstimatorSpec("tree", hp), ds, seed=0), ds
 
 
 def test_tie_free_tree_corpus_bytes_are_pinned():
-    digest = hashlib.sha256()
-    for model in tie_free_tree_corpus():
-        digest.update(serialize_model(model))
-    assert digest.hexdigest() == TIE_FREE_TREE_CORPUS_SHA256
+    assert_tree_corpus_pinned(tie_free_tree_corpus, TIE_FREE_TREE_CORPUS_SHA256,
+                              TIE_FREE_TREE_CORPUS_FORMAT_2_SHA256)
 
 
 # The sha256 of the serialized models of a fixed corpus of logistic fits,
 # some at learning rates large enough to force step-halving: any change to
-# a weight, a bias or a recorded loss changes it.
+# a weight, a bias or a recorded loss changes it. The first pin is of their
+# model format 1 payloads, which differ only in format_version, and holds
+# from before format 2; the second is of their format 2 bytes.
 LOGISTIC_CORPUS_SHA256 = "2469a100f8ab72b4b1a85bfa08ee224c09f2455f7a8098411ad44f848a151825"
+LOGISTIC_CORPUS_FORMAT_2_SHA256 = "ff9e1a1bd7c0e186f33d7a90e5f8d7b054f0668bc63551bd7ba04fa93a2ff518"
 
 
 def test_logistic_corpus_bytes_are_pinned():
     rng = random.Random(2027)
-    digest = hashlib.sha256()
+    format_1, format_2 = hashlib.sha256(), hashlib.sha256()
     for trial in range(120):
         n_features, classes = rng.choice([1, 2, 3]), "abcde"[: rng.choice([2, 3, 5])]
         names = ", ".join(f'"f{j}"' for j in range(n_features))
@@ -413,8 +447,10 @@ def test_logistic_corpus_bytes_are_pinned():
         hp = {"epochs": rng.randint(1, 25), "l2": rng.choice([0.0, 0.01, 0.5]),
               "learning_rate": rng.choice([0.05, 0.5, 4.0, 64.0])}
         model = fit(EstimatorSpec("logistic", hp), Dataset(schema, make_samples(rows)), seed=0)
-        digest.update(serialize_model(model))
-    assert digest.hexdigest() == LOGISTIC_CORPUS_SHA256
+        format_1.update(canonical_json_bytes(format_1_payload(model)))
+        format_2.update(serialize_model(model))
+    assert (format_1.hexdigest(), format_2.hexdigest()) == (
+        LOGISTIC_CORPUS_SHA256, LOGISTIC_CORPUS_FORMAT_2_SHA256)
 
 
 @pytest.mark.parametrize("label", ['{"name": "y", "classes": ["a", "b"]}'])
@@ -429,11 +465,8 @@ def test_tree_splits_between_adjacent_and_huge_values(label, x1, x2):
     ys = ("a", "b")
     ds = Dataset(schema, make_samples([((x1,), (), ys[0]), ((x2,), (), ys[1])]))
     model = fit(EstimatorSpec("tree"), ds, seed=0)
-    root = model.parameters["tree"]
-    assert root["kind"] == "split" and x1 < root["threshold"] <= x2
-    for child in (root["left"], root["right"]):
-        assert child["kind"] == "leaf"
-        assert sum(child["counts"]) == 1
+    (feature, threshold, right), *leaves = model.parameters["tree"]
+    assert (feature, right, leaves) == (0, 2, [0, 1]) and x1 < threshold <= x2
     assert (predict(model, (x1,)), predict(model, (x2,))) == ys
     assert deserialize_model(serialize_model(model)) == model
 
@@ -441,7 +474,7 @@ def test_tree_splits_between_adjacent_and_huge_values(label, x1, x2):
 def test_tree_pure_node_stays_leaf():
     ds = city_dataset([(float(i), "c", "a") for i in range(10)])
     model = fit(EstimatorSpec("tree"), ds, seed=0)
-    assert model.parameters["tree"]["kind"] == "leaf"
+    assert model.parameters["tree"] == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +498,7 @@ def test_predict_feature_length_mismatch():
 def _tree_depth_2():
     ds = city_dataset([(float(i), "c", label) for i, label in enumerate("aabaabbbbbbb")])
     model = fit(EstimatorSpec("tree", {"max_depth": 2}), ds, seed=0)
-    tree = model.parameters["tree"]
-    assert tree["kind"] == tree["left"]["kind"] == "split" and tree["right"]["kind"] == "leaf"
+    assert model.parameters["tree"] == [[0, 4.5, 4], [0, 1.5, 3], 0, 0, 1]
     return model, ds
 
 
@@ -477,33 +509,66 @@ def _models():
 
 
 @pytest.mark.parametrize("kind, path, value, fault", [
-    ("tree", ("tree", "feature"), 1, "tree split feature 1 is not an integer in [0, 1)"),
-    ("tree", ("tree", "feature"), 99, "tree split feature 99 is not an integer in [0, 1)"),
-    ("tree", ("tree", "feature"), -1, "tree split feature -1 is not an integer in [0, 1)"),
-    ("tree", ("tree", "feature"), True, "tree split feature True is not an integer in [0, 1)"),
-    ("tree", ("tree", "feature"), 0.0, "tree split feature 0.0 is not an integer in [0, 1)"),
-    ("tree", ("tree", "left", "threshold"), "5", "tree split threshold '5' is not a number"),
+    # paths index the tree [[0, 4.5, 4], [0, 1.5, 3], 0, 0, 1]; a path that names a
+    # node's field (kind, left, right) goes into the tree's format 1 payload
+    ("tree", ("tree", 0, 0), 1, "tree split feature 1 is not an integer in [0, 1)"),
+    ("tree", ("tree", 0, 0), 99, "tree split feature 99 is not an integer in [0, 1)"),
+    ("tree", ("tree", 0, 0), -1, "tree split feature -1 is not an integer in [0, 1)"),
+    ("tree", ("tree", 0, 0), True, "tree split feature True is not an integer in [0, 1)"),
+    ("tree", ("tree", 0, 0), 0.0, "tree split feature 0.0 is not an integer in [0, 1)"),
+    ("tree", ("tree", 1, 1), "5", "tree split threshold '5' is not a number"),
     ("tree", ("tree", "kind"), "branch", "tree node kind 'branch' is not 'split' or 'leaf'"),
-    ("tree", ("tree", "left", "right"), None, "a tree node is not an object"),
-    ("tree", ("tree",), [], "a tree node is not an object"),
-    ("tree", ("tree", "right"), {"kind": "leaf"},
-     "no key 'label_index' in the tree or one of its nodes"),
+    ("tree", ("tree", "left", "right"), None, "'NoneType' object is not subscriptable"),
+    ("tree", ("tree",), [], "tree [] is not a non-empty list of nodes"),
+    ("tree", ("tree", "right"), {"kind": "leaf"}, "'label_index'"),
     ("tree", ("tree", "left", "kind"), None, "tree node kind None is not 'split' or 'leaf'"),
-    ("tree", ("tree", "right", "label_index"), 2,
-     "tree leaf label_index 2 is not an integer in [0, 2)"),
-    ("tree", ("tree", "left", "left", "label_index"), -1,
-     "tree leaf label_index -1 is not an integer in [0, 2)"),
+    ("tree", ("tree", 4), 2, "tree leaf label_index 2 is not an integer in [0, 2)"),
+    ("tree", ("tree", 2), -1, "tree leaf label_index -1 is not an integer in [0, 2)"),
     ("majority", ("label_index",), 2, "label_index 2 is not an integer in [0, 2)"),
     ("majority", ("label_index",), None, "label_index None is not an integer in [0, 2)"),
     ("logistic", ("weights", 0), [], "weights are not 2 lists of 1 numbers"),
     ("logistic", ("weights",), [[0.0]], "weights are not 2 lists of 1 numbers"),
     ("logistic", ("weights", 1, 0), "x", "weights are not 2 lists of 1 numbers"),
     ("logistic", ("bias",), [0.0], "bias is not a list of 2 numbers"),
+    # a threshold that is not a number, a class index that is a bool
+    ("tree", ("tree", 1, 1), None, "tree split threshold None is not a number"),
+    ("tree", ("tree", 3), True, "tree node 3 True is not a class index or a split"),
+    # a node that is neither an int nor a 3-list
+    ("tree", ("tree", 1), None, "tree node 1 None is not a class index or a split"),
+    ("tree", ("tree", 2), 0.0, "tree node 2 0.0 is not a class index or a split"),
+    ("tree", ("tree", 2), "0", "tree node 2 '0' is not a class index or a split"),
+    ("tree", ("tree", 2), {"kind": "leaf", "label_index": 0},
+     "tree node 2 {'kind': 'leaf', 'label_index': 0} is not a class index or a split"),
+    ("tree", ("tree", 1), [0, 1.5], "tree node 1 [0, 1.5] is not a class index or a split"),
+    ("tree", ("tree", 1), [0, 1.5, 3, 4],
+     "tree node 1 [0, 1.5, 3, 4] is not a class index or a split"),
+    # right <= i + 1 (the left child, the split itself, an earlier node) and right >= len
+    ("tree", ("tree", 0, 2), 1, "tree split 0 right 1 is not in (1, 5)"),
+    ("tree", ("tree", 1, 2), 1, "tree split 1 right 1 is not in (2, 5)"),
+    ("tree", ("tree", 1, 2), 0, "tree split 1 right 0 is not in (2, 5)"),
+    ("tree", ("tree", 0, 2), 5, "tree split 0 right 5 is not in (1, 5)"),
+    ("tree", ("tree", 0, 2), 99, "tree split 0 right 99 is not in (1, 5)"),
+    ("tree", ("tree", 1, 2), True, "tree split 1 right True is not in (2, 5)"),
+    ("tree", ("tree", 0, 2), 4.0, "tree split 0 right 4.0 is not in (1, 5)"),
+    # a split as the last node
+    ("tree", ("tree", 4), [0, 0.5, 5], "tree split 4 right 5 is not in (5, 5)"),
+    # trees that are not a list, among them a format 1 tree under format 2
+    ("tree", ("tree",), 0, "tree 0 is not a non-empty list of nodes"),
+    ("tree", ("tree",), None, "tree None is not a non-empty list of nodes"),
+    ("tree", ("tree",), {"kind": "leaf", "label_index": 0},
+     "tree {'kind': 'leaf', 'label_index': 0} is not a non-empty list of nodes"),
+    # a format 1 tree that is not one, or converts to a faulty node
+    ("tree", ("tree", "right", "label_index"), 2,
+     "tree leaf label_index 2 is not an integer in [0, 2)"),
+    ("tree", ("tree", "left", "threshold"), "5", "tree split threshold '5' is not a number"),
+    ("tree", ("tree", "left"), [], "list indices must be integers or slices, not str"),
 ])
 def test_a_model_payload_predict_would_misread_does_not_decode(kind, path, value, fault):
     model = _models()[kind]
-    assert deserialize_model(serialize_model(model)) == model
-    payload = json.loads(serialize_model(model))
+    format_1 = len(path) > 1 and isinstance(path[1], str)
+    payload = format_1_payload(model) if format_1 else model_to_json(model)
+    payload = json.loads(canonical_json_bytes(payload))  # a copy to change
+    assert model_from_json(payload) == model
     *parents, last = ("parameters", *path)
     node = payload
     for key in parents:
@@ -516,29 +581,23 @@ def test_a_model_payload_predict_would_misread_does_not_decode(kind, path, value
 
 def test_a_tree_nested_past_the_recursion_limit_is_refused_not_raised():
     model, _ = _tree_depth_2()
-    payload = json.loads(serialize_model(model))
+    payload = format_1_payload(model)
     tree = {"kind": "leaf", "counts": [1, 0], "label_index": 0}
     for _ in range(sys.getrecursionlimit()):
         tree = {"kind": "split", "feature": 0, "threshold": 0.5, "left": tree, "right": tree}
     payload["parameters"]["tree"] = tree
-    with pytest.raises(SerializationError, match="the tree nests too deep to check"):
+    with pytest.raises(SerializationError, match="^corrupt model payload: maximum recursion"):
         model_from_json(payload)
 
 
-def split_thresholds(tree: dict) -> set:
-    thresholds, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node["kind"] == "split":
-            thresholds.add(node["threshold"])
-            stack += node["left"], node["right"]
-    return thresholds
+def split_thresholds(tree: list) -> set:
+    return {node[1] for node in tree if type(node) is list}
 
 
 @pytest.mark.parametrize("corpus", [tree_corpus, tie_free_tree_corpus])
 def test_the_compiled_tree_walk_predicts_what_the_reference_walk_does(corpus):
     tree_learner, rng = get_learner("tree"), random.Random(7)
-    for model in corpus():
+    for model, _ in corpus():
         # every threshold and the doubles either side of it, signed zeros, infinities, NaN
         values = [0.0, -0.0, math.inf, -math.inf, math.nan]
         for t in split_thresholds(model.parameters["tree"]):
@@ -554,11 +613,9 @@ def test_the_compiled_tree_walk_predicts_what_the_reference_walk_does(corpus):
 
 def test_logistic_and_majority_take_the_default_predictor():
     (_, ds), models = _tree_depth_2(), _models()
-    assert type(get_learner("tree")).predictor is not Learner.predictor
     for kind in ("majority", "logistic"):
         learner, model = get_learner(kind), models[kind]
-        assert type(learner).predictor is Learner.predictor
-        bound = model.predictor
+        bound = model.predictor  # Learner.predictor's, once the parameters are checked
         assert (bound.func, bound.args) == (learner.predict, (model.parameters,))
         assert [bound(s.features) for s in ds.samples] == [
             learner.predict(model.parameters, s.features) for s in ds.samples]
@@ -567,21 +624,27 @@ def test_logistic_and_majority_take_the_default_predictor():
 def test_a_model_compiles_its_predictor_once(monkeypatch):
     compiled = count_tree_compiles(monkeypatch)
     model, ds = _tree_depth_2()
+    assert compiled == []  # a fitted model compiles when it first predicts
     assert model.predictor is model.predictor
     evaluate(model, ds)
     assert [predict(model, s.features) for s in ds.samples] == [
         get_learner("tree").predict(model.parameters, s.features) for s in ds.samples]
     assert compiled == [model.parameters]
-    copy = deserialize_model(serialize_model(model))  # another artifact compiles its own
+    copy = deserialize_model(serialize_model(model))  # a decoded one, once, at decode
+    assert len(compiled) == 2 and compiled[1] is copy.parameters
+    evaluate(copy, ds)
     assert copy.predictor is not model.predictor and len(compiled) == 2
 
 
 def test_a_tree_deeper_than_the_recursion_limit_compiles_and_predicts():
     depth = sys.getrecursionlimit() + 100
     model = chain_tree_model(depth)
+    copy = deserialize_model(serialize_model(model))
+    assert copy == model
     tree_learner = get_learner("tree")
     for x in (-1.0, 0.0, 7.0, 8.0, depth - 1.0, float(depth), math.inf, math.nan):
-        assert predict(model, (x,)) == tree_learner.predict(model.parameters, (x,))
+        assert predict(copy, (x,)) == predict(model, (x,)) == tree_learner.predict(
+            model.parameters, (x,))
 
 
 def test_evaluate_counting():
@@ -676,7 +739,7 @@ def test_non_object_hyperparameters_are_corrupt():
 @pytest.mark.parametrize("version", [b"true", b"1.0", b'"1"'])
 def test_non_integer_format_version_is_rejected(version):
     model = fit(EstimatorSpec("majority"), city_dataset([(1, "c", "a"), (2, "c", "b")]), 0)
-    data = serialize_model(model).replace(b'"format_version":1', b'"format_version":' + version)
+    data = serialize_model(model).replace(b'"format_version":2', b'"format_version":' + version)
     with pytest.raises(SerializationError, match="unsupported model format version"):
         deserialize_model(data)
 
