@@ -56,8 +56,6 @@ from .learners import (
     metrics_from_json,
     metrics_to_json,
     model_from_json,
-    model_to_json,
-    serialize_model,
 )
 from .tasks import BucketedAttributes, BucketingConfig, task_categories
 
@@ -153,24 +151,29 @@ def _shape(schema_fingerprint, classes, n_features, edges) -> tuple[dict, tuple]
                  BucketingConfig(edges).bucket_counts)
 
 
+def _with_model(doc: dict, model: ModelArtifact) -> bytes:
+    """``canonical_json_bytes`` of *doc* with ``"model"``, the model's payload,
+    spliced in as :attr:`ModelArtifact.canonical` holds it: canonical JSON
+    writes a nested object the same wherever it sits. No object in *doc* has a
+    "model" key, and strings escape '"', so the first ``"model":0`` is its own."""
+    return canonical_json_bytes({**doc, "model": 0}).replace(
+        b'"model":0', b'"model":' + model.canonical, 1)
+
+
 def serialize_snapshot(snapshot: DeploySnapshot) -> bytes:
-    """Canonical byte encoding of a deploy snapshot (the push payload)."""
-    doc = {
-        "format": _FORMAT,
-        "snapshot_version": snapshot.snapshot_version,
-        "schema_fingerprint": snapshot.schema_fingerprint,
-        "tasks": {
-            key: {
-                "attributes": _attrs_to_json(entry.attributes),
-                "model": model_to_json(entry.model),
-            }
-            for key, entry in snapshot.tasks.items()
-        },
-        "fallback": (
-            model_to_json(snapshot.fallback) if snapshot.fallback is not None else None
-        ),
-    }
-    return canonical_json_bytes(doc)
+    """Canonical byte encoding of a deploy snapshot (the push payload): the
+    ``canonical_json_bytes`` of its document, with each model's bytes spliced
+    in. Keys sort ``fallback < format < schema_fingerprint < snapshot_version
+    < tasks``."""
+    head = canonical_json_bytes({"format": _FORMAT,
+                                 "schema_fingerprint": snapshot.schema_fingerprint,
+                                 "snapshot_version": snapshot.snapshot_version})
+    tasks = b",".join(canonical_json_bytes(key) + b":" + _with_model(
+        {"attributes": _attrs_to_json(entry.attributes)}, entry.model)
+        for key, entry in sorted(snapshot.tasks.items()))
+    fallback = snapshot.fallback
+    return b'{"fallback":%s,%s,"tasks":{%s}}' % (
+        b"null" if fallback is None else fallback.canonical, head[1:-1], tasks)
 
 
 def deserialize_snapshot(data: bytes) -> DeploySnapshot:
@@ -255,8 +258,9 @@ class KnowledgeBase:
     ahead of disk. Single-writer: callers serialize mutations; snapshots
     are immutable values safe to share.
     A commit re-encodes only what changed: each task's manifest entry is
-    kept as canonical bytes per record, its model's bytes spliced in, and
-    the fallback's bytes are encoded once per :meth:`set_fallback`.
+    kept as canonical bytes per record, with its model's bytes spliced in. A
+    model's bytes are encoded once per artifact (:attr:`ModelArtifact.canonical`),
+    and the manifest, a snapshot and :meth:`fingerprint` all read them.
     """
 
     def __init__(self, path: Path):
@@ -266,13 +270,12 @@ class KnowledgeBase:
         self.shape: dict | None = None  # the manifest's shape document; see declare_shape
         self._gate: tuple | None = None  # ((fingerprint, classes, n_features), bucket counts)
         self.fallback: ModelArtifact | None = None
-        self._fallback_json: bytes | None = None  # the fallback's canonical bytes, once encoded
         self.job: dict | None = None  # the job's phase document; set it in a transaction
         self._in_transaction = False
-        # key -> (record, canonical bytes of its model, of its manifest entry);
-        # an entry is a pure function of its record, so a rollback may leave
-        # stale entries: they never match a live record again
-        self._task_entries: dict[str, tuple[TaskRecord, bytes, bytes]] = {}
+        # key -> (record, canonical bytes of its manifest entry); an entry is a
+        # pure function of its record, so a rollback may leave stale entries:
+        # they never match a live record again
+        self._task_entries: dict[str, tuple[TaskRecord, bytes]] = {}
 
     @property
     def schema_fingerprint(self) -> str | None:  # of the models the store holds, if known
@@ -366,17 +369,16 @@ class KnowledgeBase:
         )
 
     def fingerprint(self) -> str:
-        """Content hash of the full KB state (used for equality checks)."""
+        """Content hash of the full KB state but the job's phase (used for
+        equality checks): its shape, version, records and models."""
         doc = {
-            "schema_fingerprint": self.schema_fingerprint,
+            "shape": self.shape,
             "kb_version": self.kb_version,
             "fallback": (
-                sha256(self._fallback_json or serialize_model(self.fallback)).hexdigest()
-                if self.fallback is not None
-                else None
+                sha256(self.fallback.canonical).hexdigest() if self.fallback is not None else None
             ),
             "tasks": [
-                {**_record_to_json(rec), "model": sha256(self._model_bytes(rec)).hexdigest()}
+                {**_record_to_json(rec), "model": sha256(rec.model.canonical).hexdigest()}
                 for _, rec in sorted(self.records.items())
             ],
         }
@@ -451,14 +453,13 @@ class KnowledgeBase:
         that declares no shape raises StoreError.
         """
         self._require_shape()
-        data = self._model_bytes(record)
         existing = self.records.get(record.key)
         if existing is not None:
             if (
                 canonical_json_bytes({**_record_to_json(record), "version": existing.version})
                 == canonical_json_bytes(_record_to_json(existing))
                 and record.attributes == existing.attributes  # bucket counts included
-                and self._model_bytes(existing) == data
+                and existing.model.canonical == record.model.canonical
             ):
                 return self.kb_version
             version = existing.version + 1
@@ -466,8 +467,7 @@ class KnowledgeBase:
             version = 1
         with self.transaction():
             self._admit(record.model, record.key, record)
-            self.records[record.key] = stored = replace(record, version=version)
-            self._task_entry(stored, data)
+            self.records[record.key] = replace(record, version=version)
             self.kb_version += 1
         return self.kb_version
 
@@ -488,7 +488,7 @@ class KnowledgeBase:
         self._require_shape()
         with self.transaction():
             self._admit(model, None)
-            self.fallback, self._fallback_json = model, serialize_model(model)
+            self.fallback = model
             self.kb_version += 1
         return self.kb_version
 
@@ -505,33 +505,21 @@ class KnowledgeBase:
         model's canonical bytes spliced in: canonical JSON writes a nested
         object the same wherever it sits. Keys sort ``body < crc32 < format``
         and ``fallback < job < kb_version < shape < tasks``."""
-        if self.fallback is not None and self._fallback_json is None:
-            self._fallback_json = serialize_model(self.fallback)
         head = canonical_json_bytes({"job": self.job, "kb_version": self.kb_version,
                                      "shape": self.shape})
         tasks = b",".join(self._task_entry(self.records[key]) for key in sorted(self.records))
         body = b'{"fallback":%s,%s,"tasks":[%s]}' % (
-            self._fallback_json or b"null", head[1:-1], tasks)
+            b"null" if self.fallback is None else self.fallback.canonical, head[1:-1], tasks)
         return b'{"body":%s,"crc32":%d,"format":%d}' % (body, zlib.crc32(body), _MANIFEST_FORMAT)
 
-    def _task_entry(self, rec: TaskRecord, model: bytes | None = None) -> bytes:
+    def _task_entry(self, rec: TaskRecord) -> bytes:
         """The canonical bytes of *rec*'s manifest entry, encoded once per
-        record: its record fields and ``"model"``, the canonical bytes of its
-        model (*model*, if given; else :meth:`_model_bytes`)."""
+        record: its record fields and ``"model"``, its model's bytes."""
         cached = self._task_entries.get(rec.key)
         if cached is None or cached[0] is not rec:
-            if model is None:
-                model = self._model_bytes(rec)
-            # no other object in an entry has a "model" key, and strings escape '"'
-            entry = canonical_json_bytes({**_record_to_json(rec), "model": 0}).replace(
-                b'"model":0', b'"model":' + model, 1)
-            cached = self._task_entries[rec.key] = (rec, model, entry)
-        return cached[2]
-
-    def _model_bytes(self, rec: TaskRecord) -> bytes:
-        """*rec*'s model's canonical bytes: its key's last entry's, if that held that model."""
-        cached = self._task_entries.get(rec.key)
-        return cached[1] if cached and cached[0].model is rec.model else serialize_model(rec.model)
+            entry = _with_model(_record_to_json(rec), rec.model)
+            cached = self._task_entries[rec.key] = (rec, entry)
+        return cached[1]
 
 
 def kb_open(path: str | Path) -> KnowledgeBase:

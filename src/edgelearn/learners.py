@@ -12,7 +12,9 @@ parameter payload; serialization then comes for free. Register a new one
 with :func:`register_learner`. A model predicts through its learner's
 ``predictor(params)``, built once per artifact and where it is decoded, as
 it checks what ``predict`` reads: ``predict`` bound to the parameters, or a
-compiled walk that returns the same (the tree's).
+compiled walk that returns the same (the tree's). Its canonical bytes
+(:attr:`ModelArtifact.canonical`) are encoded once per artifact too. Models
+are written in model format 2; format 1, which nested its trees, is retired.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     UnknownLearnerError,
 )
 
-FORMAT_VERSION = 2  # format 1 differs in its trees only; see _flat_tree
+FORMAT_VERSION = 2  # format 1, which nested its trees, is retired: model_from_json refuses it
 
 # Reserved keys the fit() wrapper injects into every parameter payload.
 _META_KEYS = ("n_features", "classes")
@@ -137,6 +139,12 @@ class ModelArtifact:
     def predictor(self) -> Callable[[FeatureVector], str]:
         """Its learner's :meth:`Learner.predictor`, built once; checks no feature count."""
         return get_learner(self.spec.kind).predictor(self.parameters)
+
+    @cached_property
+    def canonical(self) -> bytes:
+        """:func:`serialize_model` of this model, encoded once: the bytes that a
+        store, a snapshot and a fingerprint hold of it."""
+        return serialize_model(self)
 
 
 @dataclass(frozen=True)
@@ -568,20 +576,6 @@ class TreeLearner(Learner):
         return walk
 
 
-def _flat_tree(node, tree: list) -> list:
-    """*tree* with format-1 *node* appended: nested ``{"kind": "split", "feature",
-    "threshold", "left", "right"}`` and ``{"kind": "leaf", "label_index"}`` objects."""
-    if node["kind"] not in ("split", "leaf"):
-        raise LearnerError(f"tree node kind {node['kind']!r} is not 'split' or 'leaf'")
-    if node["kind"] == "leaf":
-        tree.append(node["label_index"])
-        return tree
-    tree.append(split := [node["feature"], node["threshold"], None])
-    _flat_tree(node["left"], tree)
-    split[2] = len(tree)
-    return _flat_tree(node["right"], tree)
-
-
 register_learner(MajorityLearner())
 register_learner(LogisticLearner())
 register_learner(TreeLearner())
@@ -702,9 +696,9 @@ def model_to_json(model: ModelArtifact) -> dict:
 
 
 def model_from_json(payload) -> ModelArtifact:
-    """Inverse of :func:`model_to_json` (a format-1 tree is converted); checks
-    the payload, down to what ``predict`` reads, by building the model's
-    ``predictor``: a model from outside the program is checked where it enters."""
+    """Inverse of :func:`model_to_json`; checks the payload, down to what
+    ``predict`` reads, by building the model's ``predictor``: a model from
+    outside the program is checked where it enters."""
     if not isinstance(payload, dict):
         raise SerializationError("corrupt model payload: not an object")
     missing = {
@@ -714,7 +708,11 @@ def model_from_json(payload) -> ModelArtifact:
     if missing:
         raise SerializationError(f"corrupt model payload: missing {sorted(missing)}")
     version = payload["format_version"]
-    if not _is_int(version) or version not in (1, FORMAT_VERSION):
+    if _is_int(version) and version == 1:
+        raise SerializationError(
+            f"model format 1 is retired: rewrite it once with an earlier release (any "
+            f"commit or deploy writes model format {FORMAT_VERSION})")
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise SerializationError(f"unsupported model format version {version!r}")
     kind, fingerprint = payload["kind"], payload["schema_fingerprint"]
     for name, value in (("kind", kind), ("schema_fingerprint", fingerprint)):
@@ -735,8 +733,6 @@ def model_from_json(payload) -> ModelArtifact:
     if not classes:
         raise SerializationError("corrupt model payload: classes [] names no class")
     try:
-        if version == 1 and kind == "tree":
-            params = {**params, "tree": _flat_tree(params["tree"], [])}
         spec = EstimatorSpec(kind=kind, hyperparameters=payload["hyperparameters"])
         trained = TrainingSummary(
             count=payload["trained_on"]["count"],
@@ -751,7 +747,7 @@ def model_from_json(payload) -> ModelArtifact:
         )
         model.predictor  # checks the parameters, and compiles a tree, once per model
         return model
-    except (KeyError, TypeError, RecursionError, LearnerError) as exc:
+    except (KeyError, TypeError, LearnerError) as exc:
         raise SerializationError(f"corrupt model payload: {exc}") from exc
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import shutil
-import sys
 import zlib
 from pathlib import Path
 
@@ -1080,11 +1079,10 @@ def _as_format_1(doc: dict, tasks) -> None:
     doc["fallback"] = format_1_payload(model_from_json(doc["fallback"]))
 
 
-def test_a_store_and_a_snapshot_of_format_1_models_open_and_serve_the_same(
-        thermal5, tmp_path, capsys):
-    reference = Path(shutil.copytree(thermal5, tmp_path / "format-2"))
+def test_a_store_and_a_snapshot_of_format_1_models_are_refused_exit_2(thermal5, capsys):
     index, snap = thermal5 / "kb" / "index.json", thermal5 / "snap.json"
     body = json.loads(index.read_bytes())["body"]
+    reference_fallback = canonical_json_bytes(body["fallback"])
     _as_format_1(body, body["tasks"])
     _rewrite_manifest(thermal5, canonical_json_bytes(body))  # under a valid checksum
     doc = json.loads(snap.read_bytes())
@@ -1094,27 +1092,29 @@ def test_a_store_and_a_snapshot_of_format_1_models_open_and_serve_the_same(
         assert b'"format_version":1' in path.read_bytes()
         assert b'"format_version":2' not in path.read_bytes()
         assert b'"kind":"split"' in path.read_bytes()
-    assert cli_main(["kb", "show", "--kb", str(thermal5 / "kb")]) == 0
-    for work in (thermal5, reference):
-        base = _thermal5_flags(work)
-        assert cli_main(["edge", "infer", *base[2:], "--snapshot", str(work / "snap.json"),
-                         "--data", str(work / "data.csv"), "--out", str(work / "preds.csv")]) == 0
-        assert cli_main(["job", "update", *base, "--data", str(work / "update.csv"),
-                         "--out", str(work / "snap2.json")]) == 0
-    # the same predictions, and the next commit and deploy write format 2, byte for byte
-    for name in ("preds.csv", "snap2.json", "kb/index.json"):
-        assert (thermal5 / name).read_bytes() == (reference / name).read_bytes(), name
-    assert b'"format_version":1' not in index.read_bytes()
+    # every reader refuses the file, naming it (a store, the first model it reads), and
+    # writes nothing
+    base, out, preds = _thermal5_flags(thermal5), thermal5 / "snap2.json", thermal5 / "preds.csv"
+    for argv, named, written in (
+            (["kb", "show", "--kb", thermal5 / "kb"], index, [index]),
+            (["job", "update", *base, "--data", thermal5 / "update.csv", "--out", out],
+             index, [index, out]),
+            (["edge", "infer", *base[2:], "--snapshot", snap, "--data", thermal5 / "data.csv",
+              "--out", preds], snap, [preds])):
+        err = _refused(capsys, argv, named, written)
+        assert "model format 1 is retired" in err
+        assert named == snap or "the fallback: model format 1" in err
+    # with a format 2 fallback, the store names the first task it reads
+    body["fallback"] = json.loads(reference_fallback)
+    _rewrite_manifest(thermal5, canonical_json_bytes(body))
+    err = _refused(capsys, ["kb", "show", "--kb", thermal5 / "kb"], index, [index])
+    assert f"task {body['tasks'][0]['key']!r}: model format 1 is retired" in err
 
 
-def test_a_format_1_tree_nested_past_the_recursion_limit_is_exit_2(thermal5, capsys):
+def test_a_model_nested_past_the_recursion_limit_is_exit_2(thermal5, capsys):
     payload = json.loads((thermal5 / "snap.json").read_bytes())["tasks"]["site_b"]["model"]
-    payload["format_version"] = 1
-    depth = sys.getrecursionlimit() + 100  # a left chain, written as no encoder would
-    leaf = b'{"counts":[1,0,0],"kind":"leaf","label_index":0}'
-    tree = (b'{"feature":0,"kind":"split","left":' * depth + leaf
-            + b',"right":%s,"threshold":0.5}' % leaf * depth)
-    variant = _variant(payload, ("parameters", "tree"), tree)
+    # a split threshold of 5 000 nested lists, written as no encoder would
+    variant = _variant(payload, THRESHOLD, b"[" * 5000 + b"]" * 5000)
     index = _rewrite_store_model(thermal5, "site_b", variant)
     snap = _rewrite_snapshot_model(thermal5, "site_b", variant)
     out = thermal5 / "preds.csv"

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import edgelearn.kb as kb_mod
+import edgelearn.learners as learners_mod
 from edgelearn.errors import (
     CorruptStoreError,
     NothingDeployableError,
@@ -35,10 +36,11 @@ from edgelearn.learners import (
     EvalMetrics,
     canonical_json_bytes,
     fit,
+    model_to_json,
     predict,
     serialize_model,
 )
-from edgelearn.tasks import BucketedAttributes, bucket_attributes, task_key
+from edgelearn.tasks import BucketedAttributes, bucket_attributes, task_key, values_key
 from edgelearn.tasks import BucketingConfig
 
 from conftest import banded_schema, city_dataset, city_schema, declared_kb
@@ -246,7 +248,7 @@ def _watch_writes(monkeypatch) -> tuple[list[str], list[object]]:
     written: list[str] = []
     serialized: list[object] = []
     real_write = kb_mod._write_synced
-    real_serialize = kb_mod.serialize_model
+    real_serialize = learners_mod.serialize_model
 
     def counting_write(path, data):
         written.append(path.name.removesuffix(".tmp"))
@@ -257,7 +259,7 @@ def _watch_writes(monkeypatch) -> tuple[list[str], list[object]]:
         return real_serialize(model)
 
     monkeypatch.setattr(kb_mod, "_write_synced", counting_write)
-    monkeypatch.setattr(kb_mod, "serialize_model", counting_serialize)
+    monkeypatch.setattr(learners_mod, "serialize_model", counting_serialize)
     return written, serialized
 
 
@@ -421,7 +423,7 @@ def _manifest_from_scratch(kb) -> bytes:
     body = {
         "shape": kb.shape,
         "kb_version": kb.kb_version,
-        "fallback": None if kb.fallback is None else kb_mod.model_to_json(kb.fallback),
+        "fallback": None if kb.fallback is None else model_to_json(kb.fallback),
         "tasks": [
             {
                 "key": key,
@@ -430,7 +432,7 @@ def _manifest_from_scratch(kb) -> bytes:
                 "values": list(rec.attributes.values),
                 "stats": {"count": rec.samples},
                 "eval": kb_mod.metrics_to_json(rec.eval),
-                "model": kb_mod.model_to_json(rec.model),
+                "model": model_to_json(rec.model),
             }
             for key, rec in sorted(kb.records.items())
         ],
@@ -489,6 +491,25 @@ def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, 
         reopened.save()
         assert index.read_bytes() == _manifest_from_scratch(kb), i
     assert set(kb.records) == {"athens", "tokyo", "zurich"}
+
+
+def test_the_fingerprint_tells_apart_stores_of_other_bucket_edges(tmp_path):
+    stores = {}
+    for name, edges in (("low", (1.0, 2.0)), ("high", (5.0, 6.0))):
+        stores[name] = kb_open(tmp_path / name)
+        stores[name].declare_shape(banded_schema(), BucketingConfig((None, edges)))
+    low, high = stores["low"], stores["high"]
+    assert low.schema_fingerprint == high.schema_fingerprint  # one schema
+    assert (tmp_path / "low" / "index.json").read_bytes() != (
+        tmp_path / "high" / "index.json").read_bytes()
+    assert low.fingerprint() != high.fingerprint()
+    assert kb_open(tmp_path / "low").fingerprint() == low.fingerprint()
+    assert kb_open(tmp_path / "high").fingerprint() == high.fingerprint()
+    # the job's phase stays out of it
+    before = low.fingerprint()
+    with low.transaction():
+        low.job = {"phase": "trained"}
+    assert low.fingerprint() == kb_open(tmp_path / "low").fingerprint() == before
 
 
 def test_reopen_store_whose_manifest_carries_relations(tmp_path):
@@ -699,6 +720,67 @@ def test_snapshot_serialization_round_trip(tmp_path):
     assert serialize_snapshot(clone) == data
     assert clone.snapshot_version == snapshot.snapshot_version
     assert predict(clone.tasks["athens"].model, (0.0,)) == "a"
+
+
+def _snapshot_encoded_whole(snapshot) -> bytes:
+    """The snapshot encoded whole, as one dict, from its document."""
+    return canonical_json_bytes({
+        "format": 1,
+        "snapshot_version": snapshot.snapshot_version,
+        "schema_fingerprint": snapshot.schema_fingerprint,
+        "tasks": {
+            key: {
+                "attributes": {"values": list(entry.attributes.values),
+                               "bucket_counts": list(entry.attributes.bucket_counts)},
+                "model": model_to_json(entry.model),
+            }
+            for key, entry in snapshot.tasks.items()
+        },
+        "fallback": None if snapshot.fallback is None else model_to_json(snapshot.fallback),
+    })
+
+
+# categorical values that JSON escapes, that the task key escapes, that read as
+# the spliced "model" key, and that are not ASCII
+AWKWARD_CITIES = ('say "hi"', "back\\slash\\", "pi|pe", '"model":0', '{"model":0}',
+                  "Zürich", "東京", "\\u00e9")
+
+
+def awkward_record(city: str, label: str = "a") -> TaskRecord:
+    return replace(make_record(city, label=label, status=STATUS_DEPLOYABLE),
+                   key=values_key((city,)))
+
+
+def test_a_spliced_snapshot_and_manifest_equal_their_whole_encoding(tmp_path):
+    kb = declared_kb(tmp_path / "kb")
+    empty = kb_mod.DeploySnapshot(0, kb.schema_fingerprint, {}, None)
+    assert serialize_snapshot(empty) == _snapshot_encoded_whole(empty)
+    for i, city in enumerate(AWKWARD_CITIES):
+        kb.upsert_task(awkward_record(city, label="ab"[i % 2]))
+        snapshot = kb.snapshot()
+        assert serialize_snapshot(snapshot) == _snapshot_encoded_whole(snapshot), city
+        assert (tmp_path / "kb" / "index.json").read_bytes() == _manifest_from_scratch(kb), city
+    kb.set_fallback(make_fallback())
+    snapshot = kb.snapshot()
+    assert len(snapshot.tasks) == len(AWKWARD_CITIES) and snapshot.fallback is not None
+    assert serialize_snapshot(snapshot) == _snapshot_encoded_whole(snapshot)
+    assert deserialize_snapshot(serialize_snapshot(snapshot)) == snapshot
+
+
+def test_a_snapshot_right_after_a_commit_encodes_no_model(tmp_path, monkeypatch):
+    kb = declared_kb(tmp_path / "kb")
+    kb.upsert_task(make_record("athens", status=STATUS_DEPLOYABLE))
+    kb.upsert_task(make_record("tokyo", label="b", status=STATUS_DEPLOYABLE))
+    kb.set_fallback(make_fallback())
+    _, serialized = _watch_writes(monkeypatch)
+    serialize_snapshot(kb.snapshot())
+    assert serialized == []
+    # a reopened store's commit encodes each model once, and its snapshot none
+    reopened = kb_open(tmp_path / "kb")
+    reopened.save()
+    assert len(serialized) == 3
+    assert serialize_snapshot(reopened.snapshot()) == serialize_snapshot(kb.snapshot())
+    assert len(serialized) == 3
 
 
 def _set_at(doc, path: tuple, value) -> None:

@@ -95,9 +95,13 @@ def collect_splits(tree, rows, splits):
     splits += [(at, node[0], node[1]) for at, node, _ in nodes if type(node) is list]
 
 
+RETIRED = ("model format 1 is retired: rewrite it once with an earlier release (any commit "
+           "or deploy writes model format 2)")
+
+
 def format_1_payload(model, samples=()) -> dict:
-    """*model*'s payload as model format 1 wrote it: ``format_version`` 1 and,
-    for a tree, nested ``kind``-tagged nodes whose leaves carry the class
+    """*model*'s payload as the retired model format 1 wrote it: ``format_version``
+    1 and, for a tree, nested ``kind``-tagged nodes whose leaves carry the class
     counts of the *samples* that reach them (the model's training rows, as
     the fit counted them). Format 1 differs from format 2 in nothing else."""
     payload = {**model_to_json(model), "format_version": 1}
@@ -352,20 +356,17 @@ def test_gini_best_cut_matches_an_exact_scan_of_every_candidate():
 # The sha256 of the serialized models of a fixed corpus of classification
 # trees: any change to a split, a threshold or a leaf changes it. The first
 # pin is of their model format 1 payloads, rebuilt by format_1_payload, and
-# holds from before format 2: the witness that format 2 re-encodes the same
+# holds from before format 2: the witness that format 2 encodes the same
 # trees. The second is of their format 2 bytes.
 TREE_CORPUS_SHA256 = "aa8aec866065887d1cb724dbfb3fde0f14c78a703d8da41f78787ee82daa216f"
 TREE_CORPUS_FORMAT_2_SHA256 = "a39bb9c3746acdeeb7eba530f2670991e74e3461bd58685b6391323ad2618253"
 
 
 def assert_tree_corpus_pinned(corpus, format_1_sha256: str, format_2_sha256: str) -> None:
-    """The trees of *corpus* hash to the pins in both formats, and each
-    one's format 1 payload decodes to the fitted model."""
+    """The trees of *corpus* hash to the pins in both formats."""
     format_1, format_2 = hashlib.sha256(), hashlib.sha256()
     for model, ds in corpus():
-        payload = format_1_payload(model, ds.samples)
-        assert model_from_json(payload) == model
-        format_1.update(canonical_json_bytes(payload))
+        format_1.update(canonical_json_bytes(format_1_payload(model, ds.samples)))
         format_2.update(serialize_model(model))
     assert (format_1.hexdigest(), format_2.hexdigest()) == (format_1_sha256, format_2_sha256)
 
@@ -510,18 +511,18 @@ def _models():
 
 @pytest.mark.parametrize("kind, path, value, fault", [
     # paths index the tree [[0, 4.5, 4], [0, 1.5, 3], 0, 0, 1]; a path that names a
-    # node's field (kind, left, right) goes into the tree's format 1 payload
+    # node's field (kind) goes into the tree's format 1 payload, refused whole
     ("tree", ("tree", 0, 0), 1, "tree split feature 1 is not an integer in [0, 1)"),
     ("tree", ("tree", 0, 0), 99, "tree split feature 99 is not an integer in [0, 1)"),
     ("tree", ("tree", 0, 0), -1, "tree split feature -1 is not an integer in [0, 1)"),
     ("tree", ("tree", 0, 0), True, "tree split feature True is not an integer in [0, 1)"),
     ("tree", ("tree", 0, 0), 0.0, "tree split feature 0.0 is not an integer in [0, 1)"),
     ("tree", ("tree", 1, 1), "5", "tree split threshold '5' is not a number"),
-    ("tree", ("tree", "kind"), "branch", "tree node kind 'branch' is not 'split' or 'leaf'"),
-    ("tree", ("tree", "left", "right"), None, "'NoneType' object is not subscriptable"),
+    ("tree", ("tree", "kind"), "split", RETIRED),
+    ("tree", ("tree", 0, 2), None, "tree split 0 right None is not in (1, 5)"),
     ("tree", ("tree",), [], "tree [] is not a non-empty list of nodes"),
-    ("tree", ("tree", "right"), {"kind": "leaf"}, "'label_index'"),
-    ("tree", ("tree", "left", "kind"), None, "tree node kind None is not 'split' or 'leaf'"),
+    ("tree", ("tree", 1, 1), True, "tree split threshold True is not a number"),
+    ("tree", ("tree", 0, 0), "0", "tree split feature '0' is not an integer in [0, 1)"),
     ("tree", ("tree", 4), 2, "tree leaf label_index 2 is not an integer in [0, 2)"),
     ("tree", ("tree", 2), -1, "tree leaf label_index -1 is not an integer in [0, 2)"),
     ("majority", ("label_index",), 2, "label_index 2 is not an integer in [0, 2)"),
@@ -557,18 +558,13 @@ def _models():
     ("tree", ("tree",), None, "tree None is not a non-empty list of nodes"),
     ("tree", ("tree",), {"kind": "leaf", "label_index": 0},
      "tree {'kind': 'leaf', 'label_index': 0} is not a non-empty list of nodes"),
-    # a format 1 tree that is not one, or converts to a faulty node
-    ("tree", ("tree", "right", "label_index"), 2,
-     "tree leaf label_index 2 is not an integer in [0, 2)"),
-    ("tree", ("tree", "left", "threshold"), "5", "tree split threshold '5' is not a number"),
-    ("tree", ("tree", "left"), [], "list indices must be integers or slices, not str"),
 ])
 def test_a_model_payload_predict_would_misread_does_not_decode(kind, path, value, fault):
     model = _models()[kind]
     format_1 = len(path) > 1 and isinstance(path[1], str)
     payload = format_1_payload(model) if format_1 else model_to_json(model)
     payload = json.loads(canonical_json_bytes(payload))  # a copy to change
-    assert model_from_json(payload) == model
+    assert format_1 or model_from_json(payload) == model
     *parents, last = ("parameters", *path)
     node = payload
     for key in parents:
@@ -576,18 +572,23 @@ def test_a_model_payload_predict_would_misread_does_not_decode(kind, path, value
     node[last] = value
     with pytest.raises(SerializationError) as raised:
         deserialize_model(canonical_json_bytes(payload))
-    assert str(raised.value) == f"corrupt model payload: {fault}"
+    assert str(raised.value) == (fault if format_1 else f"corrupt model payload: {fault}")
 
 
 def test_a_tree_nested_past_the_recursion_limit_is_refused_not_raised():
     model, _ = _tree_depth_2()
-    payload = format_1_payload(model)
-    tree = {"kind": "leaf", "counts": [1, 0], "label_index": 0}
-    for _ in range(sys.getrecursionlimit()):
-        tree = {"kind": "split", "feature": 0, "threshold": 0.5, "left": tree, "right": tree}
-    payload["parameters"]["tree"] = tree
+    # a split threshold of 5 000 nested lists, written as no encoder would
+    data = serialize_model(model).replace(b"4.5", b"[" * 5000 + b"]" * 5000, 1)
     with pytest.raises(SerializationError, match="^corrupt model payload: maximum recursion"):
-        model_from_json(payload)
+        deserialize_model(data)
+
+
+def test_a_model_of_format_1_is_refused_as_retired():
+    for model in _models().values():
+        assert model_from_json(model_to_json(model)) == model
+        with pytest.raises(SerializationError) as raised:
+            model_from_json(format_1_payload(model))
+        assert str(raised.value) == RETIRED
 
 
 def split_thresholds(tree: list) -> set:
