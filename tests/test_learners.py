@@ -511,18 +511,19 @@ def _models():
 
 @pytest.mark.parametrize("kind, path, value, fault", [
     # paths index the tree [[0, 4.5, 4], [0, 1.5, 3], 0, 0, 1]; a path that names a
-    # node's field (kind) goes into the tree's format 1 payload, refused whole
+    # node's field (kind, left, right) goes into the tree's format 1 payload, whose
+    # fault is the one the format 1 decoder named: it is now refused whole, as retired
     ("tree", ("tree", 0, 0), 1, "tree split feature 1 is not an integer in [0, 1)"),
     ("tree", ("tree", 0, 0), 99, "tree split feature 99 is not an integer in [0, 1)"),
     ("tree", ("tree", 0, 0), -1, "tree split feature -1 is not an integer in [0, 1)"),
     ("tree", ("tree", 0, 0), True, "tree split feature True is not an integer in [0, 1)"),
     ("tree", ("tree", 0, 0), 0.0, "tree split feature 0.0 is not an integer in [0, 1)"),
     ("tree", ("tree", 1, 1), "5", "tree split threshold '5' is not a number"),
-    ("tree", ("tree", "kind"), "split", RETIRED),
-    ("tree", ("tree", 0, 2), None, "tree split 0 right None is not in (1, 5)"),
+    ("tree", ("tree", "kind"), "branch", "tree node kind 'branch' is not 'split' or 'leaf'"),
+    ("tree", ("tree", "left", "right"), None, "'NoneType' object is not subscriptable"),
     ("tree", ("tree",), [], "tree [] is not a non-empty list of nodes"),
-    ("tree", ("tree", 1, 1), True, "tree split threshold True is not a number"),
-    ("tree", ("tree", 0, 0), "0", "tree split feature '0' is not an integer in [0, 1)"),
+    ("tree", ("tree", "right"), {"kind": "leaf"}, "'label_index'"),
+    ("tree", ("tree", "left", "kind"), None, "tree node kind None is not 'split' or 'leaf'"),
     ("tree", ("tree", 4), 2, "tree leaf label_index 2 is not an integer in [0, 2)"),
     ("tree", ("tree", 2), -1, "tree leaf label_index -1 is not an integer in [0, 2)"),
     ("majority", ("label_index",), 2, "label_index 2 is not an integer in [0, 2)"),
@@ -558,6 +559,15 @@ def _models():
     ("tree", ("tree",), None, "tree None is not a non-empty list of nodes"),
     ("tree", ("tree",), {"kind": "leaf", "label_index": 0},
      "tree {'kind': 'leaf', 'label_index': 0} is not a non-empty list of nodes"),
+    # a format 1 tree that is not one, or converts to a faulty node
+    ("tree", ("tree", "right", "label_index"), 2,
+     "tree leaf label_index 2 is not an integer in [0, 2)"),
+    ("tree", ("tree", "left", "threshold"), "5", "tree split threshold '5' is not a number"),
+    ("tree", ("tree", "left"), [], "list indices must be integers or slices, not str"),
+    # a missing right child, a bool threshold, a feature index that is a string
+    ("tree", ("tree", 0, 2), None, "tree split 0 right None is not in (1, 5)"),
+    ("tree", ("tree", 1, 1), True, "tree split threshold True is not a number"),
+    ("tree", ("tree", 0, 0), "0", "tree split feature '0' is not an integer in [0, 1)"),
 ])
 def test_a_model_payload_predict_would_misread_does_not_decode(kind, path, value, fault):
     model = _models()[kind]
@@ -572,7 +582,7 @@ def test_a_model_payload_predict_would_misread_does_not_decode(kind, path, value
     node[last] = value
     with pytest.raises(SerializationError) as raised:
         deserialize_model(canonical_json_bytes(payload))
-    assert str(raised.value) == (fault if format_1 else f"corrupt model payload: {fault}")
+    assert str(raised.value) == (RETIRED if format_1 else f"corrupt model payload: {fault}")
 
 
 def test_a_tree_nested_past_the_recursion_limit_is_refused_not_raised():
