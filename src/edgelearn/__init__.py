@@ -18,7 +18,7 @@ from .data import (
     split_dataset,
     write_csv,
 )
-from .edge import EdgeRuntime, Prediction, allocate_task
+from .edge import EdgeRuntime, Prediction
 from .errors import EdgeLearnError
 from .job import (
     EvalPolicy,
@@ -35,7 +35,6 @@ from .kb import (
     KnowledgeBase,
     TaskRecord,
     deserialize_snapshot,
-    kb_open,
     serialize_snapshot,
 )
 from .learners import (

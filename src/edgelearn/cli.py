@@ -33,6 +33,7 @@ from .errors import EdgeLearnError, NoModelError, SchemaMismatchError, Serializa
 from .job import LifelongJob, job_phase, parse_job_config
 from .kb import KnowledgeBase, atomic_write_bytes, deserialize_snapshot, serialize_snapshot
 from .sim import parse_sim_config, start_sim
+from .tasks import BucketingConfig
 
 
 class _UsageError(Exception):
@@ -204,8 +205,9 @@ def _cmd_job(args) -> int:
 def _cmd_edge(args) -> int:
     if args.action not in ("infer", "status"):
         raise _UsageError("edge needs an action: infer | status")
-    schema, cfg = _load_config(args)
-    runtime = EdgeRuntime(schema, cfg.bucketing,
+    out = Path(_require(args, "out")) if args.action == "infer" else _opt(args, "out")
+    schema = parse_schema(read_text(_require(args, "schema")))
+    runtime = EdgeRuntime(schema, BucketingConfig.from_schema(schema),
                           similarity_threshold=args.similarity_threshold)
     path = _require(args, "snapshot")
     try:  # a snapshot the edge refuses is named by its file
@@ -229,7 +231,6 @@ def _cmd_edge(args) -> int:
         ])
 
     if args.action == "infer":
-        out = Path(_require(args, "out"))
         text = io.StringIO()
         writer = csv.writer(text)
         writer.writerow(["index", "label", "route", "task_key", "similarity", "error"])
@@ -238,7 +239,6 @@ def _cmd_edge(args) -> int:
         print(f"wrote {len(rows)} predictions to {out}")
     else:
         text = runtime.status_json()
-        out = _opt(args, "out")
         if out:
             atomic_write_bytes(Path(out), (text + "\n").encode("utf-8"))
         print(text)
@@ -252,9 +252,8 @@ def _cmd_sim(args) -> int:
     cfg = parse_sim_config(read_text(config_path), config_path.parent)
     if _opt(args, "seed") is not None:
         cfg = replace(cfg, job=replace(cfg.job, seed=args.seed))
-    sim = start_sim(cfg, _require(args, "kb"))
-    report = sim.run_to_completion()
-    out_dir = Path(_require(args, "out_dir", flag="out-dir"))
+    kb, out_dir = _require(args, "kb"), Path(_require(args, "out_dir", flag="out-dir"))
+    report = start_sim(cfg, kb).run_to_completion()
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(out_dir / "events.log", report.events_text().encode("utf-8"))
     atomic_write_bytes(out_dir / "report.json", (report.to_json() + "\n").encode("utf-8"))
@@ -268,8 +267,8 @@ def _cmd_bench(args) -> int:
         spec = bench_mod.parse_synthetic_spec(read_text(_require(args, "config")))
         if _opt(args, "seed") is not None:
             spec = replace(spec, seed=args.seed)
-        dataset = bench_mod.gen_synthetic(spec)
         out = Path(_require(args, "out"))
+        dataset = bench_mod.gen_synthetic(spec)
         write_csv(dataset, out)
         print(f"generated {len(dataset)} samples over {len(spec.tasks)} tasks to {out}")
         if _opt(args, "schema_out"):

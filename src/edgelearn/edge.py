@@ -28,13 +28,12 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .data import DatasetSchema, Sample, TaskAttrValues, _is_finite_number, check_int
+from .data import DatasetSchema, Sample, _is_finite_number, check_int
 from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot
 from .learners import check_model
-from .tasks import (BucketingConfig, TaskIndex, bucket_attributes, bucket_values, task_key,
-                    values_key)
+from .tasks import BucketingConfig, TaskIndex, bucket_values, values_key
 
 ROUTE_KNOWN = "known"
 ROUTE_SIMILAR = "similar"
@@ -67,16 +66,6 @@ def check_similarity_threshold(value) -> None:
     """The routing threshold must be a finite number: at NaN no task qualifies."""
     if not _is_finite_number(value):
         raise ConfigError(f"similarity_threshold must be a finite number, got {value!r}")
-
-
-def allocate_task(
-    snapshot: DeploySnapshot, attrs: TaskAttrValues, bucketing: BucketingConfig
-) -> str | None:
-    """Return the matching task key in the snapshot, or None for an
-    unknown task. Purely attribute-driven: known iff the exact bucketed
-    key is present."""
-    key = task_key(bucket_attributes(attrs, bucketing))
-    return key if key in snapshot.tasks else None
 
 
 class EdgeRuntime:

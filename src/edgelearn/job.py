@@ -11,8 +11,8 @@ and eval halves (each a :class:`TaskPartition`) to the train and eval stages.
 The job's phase, and nothing else, lives in the KB manifest's job document
 (:func:`job_phase`). Each stage, and each whole cycle, commits phase and KB
 in one KB transaction; one that raises changes neither. A stage that reads
-data first declares the KB's shape, its schema and the job's bucketing
-(:meth:`~edgelearn.kb.KnowledgeBase.declare_shape`).
+data first declares the KB's shape, its schema and the bucket edges the
+schema declares (:meth:`~edgelearn.kb.KnowledgeBase.declare_shape`).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 
-from .data import (Dataset, DatasetSchema, _is_finite_number, bucket_edges, build, check_int,
-                   check_object, field_names, load_object, split_dataset)
+from .data import (Dataset, DatasetSchema, _is_finite_number, build, check_int, field_names,
+                   load_object, split_dataset)
 from .errors import ConfigError, CorruptStoreError, PhaseError
 from .kb import (
     _INDEX_NAME,
@@ -300,26 +300,19 @@ def holdout_split(
 def parse_job_config(config_text: str, schema: DatasetSchema) -> JobConfig:
     """Parse a JSON job config against a schema.
 
-    Keys are :class:`JobConfig`'s fields; ``learner`` is required. The
-    ``learner`` object holds :class:`EstimatorSpec`'s fields, and
-    ``eval_policy``, ``transfer`` and ``trigger`` hold their policy's
-    fields; each dataclass supplies the defaults and checks the values.
-    ``bucketing`` maps attribute columns to edge lists (null for
-    categorical); a column it omits keeps the schema's declared edges.
+    Keys are :class:`JobConfig`'s fields but ``bucketing``; ``learner`` is
+    required. The ``learner`` object holds :class:`EstimatorSpec`'s fields,
+    and ``eval_policy``, ``transfer`` and ``trigger`` hold their policy's
+    fields; each dataclass supplies the defaults and checks the values. The
+    bucket edges are the schema's: ``bucketing`` is
+    :meth:`BucketingConfig.from_schema`, and a config key of that name is
+    refused as unknown.
     """
-    raw = load_object(config_text, "job config", ("learner",), field_names(JobConfig))
-    doc = {**raw, "bucketing": _bucketing(raw.get("bucketing", {}), schema)}
+    raw = load_object(config_text, "job config", ("learner",),
+                      tuple(name for name in field_names(JobConfig) if name != "bucketing"))
+    doc = {**raw, "bucketing": BucketingConfig.from_schema(schema)}
     for name, cls in (("learner", EstimatorSpec), ("eval_policy", EvalPolicy),
                       ("transfer", TransferPolicy), ("trigger", TriggerPolicy)):
         if name in raw:
             doc[name] = build(cls, raw[name], name)
     return JobConfig(**doc)
-
-
-def _bucketing(by_column, schema: DatasetSchema) -> BucketingConfig:
-    check_object(by_column, "bucketing", (), schema.attribute_columns)
-    edges = []
-    for name, declared in zip(schema.attribute_columns, BucketingConfig.from_schema(schema).edges):
-        value = by_column.get(name, declared)
-        edges.append(None if value is None else bucket_edges(value, f"bucketing {name!r}"))
-    return BucketingConfig(tuple(edges))

@@ -33,6 +33,7 @@ import os
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from hashlib import sha256
 from pathlib import Path
 
@@ -89,6 +90,12 @@ class TaskRecord:
             raise StoreError("record version must be >= 1")
         if self.status == STATUS_DEPLOYABLE and self.eval is None:
             raise StoreError("deployable records must carry eval metrics")
+
+    @cached_property
+    def entry(self) -> bytes:
+        """The canonical bytes of this record's manifest entry, encoded once:
+        its record fields and ``"model"``, its model's bytes."""
+        return _with_model(_record_to_json(self), self.model)
 
 
 @dataclass(frozen=True)
@@ -257,10 +264,10 @@ class KnowledgeBase:
     transaction of one), so an I/O failure or a raise never leaves memory
     ahead of disk. Single-writer: callers serialize mutations; snapshots
     are immutable values safe to share.
-    A commit re-encodes only what changed: each task's manifest entry is
-    kept as canonical bytes per record, with its model's bytes spliced in. A
-    model's bytes are encoded once per artifact (:attr:`ModelArtifact.canonical`),
-    and the manifest, a snapshot and :meth:`fingerprint` all read them.
+    A commit re-encodes only what changed: a task's manifest entry is encoded
+    once per record (:attr:`TaskRecord.entry`), with its model's bytes, encoded
+    once per artifact (:attr:`ModelArtifact.canonical`), spliced in; the
+    manifest, a snapshot and :meth:`fingerprint` all read them.
     """
 
     def __init__(self, path: Path):
@@ -272,10 +279,6 @@ class KnowledgeBase:
         self.fallback: ModelArtifact | None = None
         self.job: dict | None = None  # the job's phase document; set it in a transaction
         self._in_transaction = False
-        # key -> (record, canonical bytes of its manifest entry); an entry is a
-        # pure function of its record, so a rollback may leave stale entries:
-        # they never match a live record again
-        self._task_entries: dict[str, tuple[TaskRecord, bytes]] = {}
 
     @property
     def schema_fingerprint(self) -> str | None:  # of the models the store holds, if known
@@ -370,19 +373,8 @@ class KnowledgeBase:
 
     def fingerprint(self) -> str:
         """Content hash of the full KB state but the job's phase (used for
-        equality checks): its shape, version, records and models."""
-        doc = {
-            "shape": self.shape,
-            "kb_version": self.kb_version,
-            "fallback": (
-                sha256(self.fallback.canonical).hexdigest() if self.fallback is not None else None
-            ),
-            "tasks": [
-                {**_record_to_json(rec), "model": sha256(rec.model.canonical).hexdigest()}
-                for _, rec in sorted(self.records.items())
-            ],
-        }
-        return sha256(canonical_json_bytes(doc)).hexdigest()
+        equality checks): the manifest body with no job document."""
+        return sha256(self._body(None)).hexdigest()
 
     # -- mutations ----------------------------------------------------------
 
@@ -455,12 +447,8 @@ class KnowledgeBase:
         self._require_shape()
         existing = self.records.get(record.key)
         if existing is not None:
-            if (
-                canonical_json_bytes({**_record_to_json(record), "version": existing.version})
-                == canonical_json_bytes(_record_to_json(existing))
-                and record.attributes == existing.attributes  # bucket counts included
-                and existing.model.canonical == record.model.canonical
-            ):
+            if (replace(record, version=existing.version).entry == existing.entry
+                    and record.attributes == existing.attributes):  # bucket counts included
                 return self.kb_version
             version = existing.version + 1
         else:
@@ -499,29 +487,20 @@ class KnowledgeBase:
 
     # -- persistence --------------------------------------------------------
 
+    def _body(self, job) -> bytes:
+        """``canonical_json_bytes`` of the manifest body with *job* as its job
+        document, encoded once with each record's :attr:`TaskRecord.entry` and
+        the fallback's canonical bytes spliced in: canonical JSON writes a
+        nested object the same wherever it sits. Keys sort ``fallback < job <
+        kb_version < shape < tasks``."""
+        head = canonical_json_bytes({"job": job, "kb_version": self.kb_version,
+                                     "shape": self.shape})
+        tasks = b",".join(self.records[key].entry for key in sorted(self.records))
+        return b'{"fallback":%s,%s,"tasks":[%s]}' % (
+            b"null" if self.fallback is None else self.fallback.canonical, head[1:-1], tasks)
+
     def _manifest_bytes(self) -> bytes:
         """``canonical_json_bytes`` of the manifest ``{"format": 3, "crc32":
-        <crc of body>, "body": body}``, with the body encoded once and each
-        model's canonical bytes spliced in: canonical JSON writes a nested
-        object the same wherever it sits. Keys sort ``body < crc32 < format``
-        and ``fallback < job < kb_version < shape < tasks``."""
-        head = canonical_json_bytes({"job": self.job, "kb_version": self.kb_version,
-                                     "shape": self.shape})
-        tasks = b",".join(self._task_entry(self.records[key]) for key in sorted(self.records))
-        body = b'{"fallback":%s,%s,"tasks":[%s]}' % (
-            b"null" if self.fallback is None else self.fallback.canonical, head[1:-1], tasks)
+        <crc of body>, "body": body}``; keys sort ``body < crc32 < format``."""
+        body = self._body(self.job)
         return b'{"body":%s,"crc32":%d,"format":%d}' % (body, zlib.crc32(body), _MANIFEST_FORMAT)
-
-    def _task_entry(self, rec: TaskRecord) -> bytes:
-        """The canonical bytes of *rec*'s manifest entry, encoded once per
-        record: its record fields and ``"model"``, its model's bytes."""
-        cached = self._task_entries.get(rec.key)
-        if cached is None or cached[0] is not rec:
-            entry = _with_model(_record_to_json(rec), rec.model)
-            cached = self._task_entries[rec.key] = (rec, entry)
-        return cached[1]
-
-
-def kb_open(path: str | Path) -> KnowledgeBase:
-    """Open (or create) a knowledge base stored in *path*."""
-    return KnowledgeBase.open(path)

@@ -10,7 +10,7 @@ import pytest
 
 import edgelearn.kb as kb_mod
 from edgelearn.data import AttributeKind, Dataset, DatasetSchema, Sample
-from edgelearn.kb import KnowledgeBase, kb_open
+from edgelearn.kb import KnowledgeBase
 from edgelearn.learners import EstimatorSpec, ModelArtifact, TreeLearner, fit
 from edgelearn.tasks import BucketingConfig
 
@@ -98,7 +98,7 @@ def declared_kb(path, schema: DatasetSchema | None = None) -> KnowledgeBase:
     (default :func:`city_schema`) under its declared bucketing, as a job's
     first stage would."""
     schema = schema or city_schema()
-    kb = kb_open(path)
+    kb = KnowledgeBase.open(path)
     kb.declare_shape(schema, default_bucketing(schema))
     return kb
 

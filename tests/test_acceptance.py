@@ -14,7 +14,7 @@ from dataclasses import replace
 from edgelearn.bench import gen_synthetic, parse_synthetic_spec, run_bench
 from edgelearn.cli import cli_main
 from edgelearn.data import Dataset, Sample, split_dataset, write_csv
-from edgelearn.edge import EdgeRuntime, allocate_task
+from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import NothingDeployableError
 from edgelearn.job import (
     EvalPolicy,
@@ -29,9 +29,9 @@ from edgelearn.kb import (
     STATUS_DEPLOYABLE,
     STATUS_EVAL_FAILED,
     DeploySnapshot,
+    KnowledgeBase,
     SnapshotEntry,
     TaskRecord,
-    kb_open,
 )
 from edgelearn.learners import EstimatorSpec, evaluate, fit, serialize_model
 from edgelearn.reference import reference_text
@@ -187,10 +187,10 @@ def test_criterion_3_unknown_task_detection_soundness():
     agreements = 0
     for _ in range(1000):
         attrs = (rng.choice(cities), rng.uniform(0.0, 50.0))
-        allocated = allocate_task(snapshot, attrs, bucketing)
-        if (allocated is not None) == oracle_member(attrs):
+        known = task_key(bucket_attributes(attrs, bucketing)) in snapshot.tasks
+        if known == oracle_member(attrs):
             agreements += 1
-    _report(3, agreements == 1000, f"allocate_task vs oracle agreement {agreements}/1000")
+    _report(3, agreements == 1000, f"known-key probe vs oracle agreement {agreements}/1000")
 
 
 def _autonomy_scenario(outage: bool, schema, cfg) -> SimConfig:
@@ -241,8 +241,8 @@ def test_criterion_4_offline_autonomy(tmp_path):
     logs_equal = online_log == outage_log
 
     kb_equal = (
-        kb_open(tmp_path / "kb_online").fingerprint()
-        == kb_open(tmp_path / "kb_outage").fingerprint()
+        KnowledgeBase.open(tmp_path / "kb_online").fingerprint()
+        == KnowledgeBase.open(tmp_path / "kb_outage").fingerprint()
     )
     on_updates = sum(1 for l in online.events if ",cloud,update_completed," in l)
     off_updates = sum(1 for l in outage.events if ",cloud,update_completed," in l)
@@ -385,7 +385,7 @@ def test_criterion_6_kb_durability(tmp_path, monkeypatch):
             monkeypatch.setattr(kb_mod, "_replace_file", real_replace)
             monkeypatch.setattr(kb_mod, "_write_synced", real_write)
 
-        reopened = kb_open(kb_dir)
+        reopened = KnowledgeBase.open(kb_dir)
         if reopened.fingerprint() == committed:
             survived += 1
     _report(6, survived == trials and torn > 0,
@@ -400,7 +400,7 @@ def test_criterion_7_gate_soundness(tmp_path):
     violations = 0
     deployed_snapshots = 0
     for run in range(runs):
-        kb = kb_open(tmp_path / f"kb{run}")
+        kb = KnowledgeBase.open(tmp_path / f"kb{run}")
         learner = EstimatorSpec("majority") if run % 5 else EstimatorSpec("tree", {"max_depth": 2})
         cfg = JobConfig(
             learner=learner,
@@ -506,7 +506,7 @@ def test_criterion_8_oracle_equivalences(tmp_path):
             bench_mismatches += 1
     # lifelong arm: train covers every test task, so routed accuracy must
     # equal a direct evaluate against each task's own deployed model
-    snapshot = LifelongJob(cfg, kb_open(tmp_path / "bench_kb")).bootstrap(train)
+    snapshot = LifelongJob(cfg, KnowledgeBase.open(tmp_path / "bench_kb")).bootstrap(train)
     for key in parts.keys:
         direct = evaluate(snapshot.tasks[key].model, parts.parts[key])
         if result.methods["lifelong"].per_task[key].accuracy != direct.accuracy:

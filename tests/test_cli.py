@@ -11,7 +11,7 @@ import pytest
 
 from edgelearn.cli import cli_main
 from edgelearn.data import load_csv, parse_schema, write_csv
-from edgelearn.kb import kb_open
+from edgelearn.kb import KnowledgeBase
 from edgelearn.learners import canonical_json_bytes, model_from_json
 from edgelearn.tasks import values_key
 from edgelearn.reference import reference_text
@@ -286,7 +286,7 @@ def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
     capsys.readouterr()
     assert cli_main(["kb", "show", "--kb", str(kb_dir)]) == 0
     shown = capsys.readouterr().out
-    before = kb_open(kb_dir)
+    before = KnowledgeBase.open(kb_dir)
     index = kb_dir / "index.json"
     body = json.loads(index.read_bytes())["body"]
     fallback = body["fallback"]
@@ -296,7 +296,7 @@ def test_store_with_stats_summaries_and_a_fallback_revision_opens_and_commits(
     body["fallback"] = {**fallback, "revision": revision}
     index.write_bytes(_manifest(body))
 
-    reopened = kb_open(kb_dir)
+    reopened = KnowledgeBase.open(kb_dir)
     assert reopened.records == before.records
     assert reopened.fallback == before.fallback
     assert reopened.fingerprint() == before.fingerprint()
@@ -355,26 +355,20 @@ def test_mistyped_job_config_is_config_error_exit_2(workdir, capsys, field, valu
     assert not (workdir / "simkb" / "index.json").exists()
 
 
-BANDED_SCHEMA = {
-    "features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
-    "attributes": [{"name": "city", "kind": "categorical"},
-                   {"name": "band", "kind": "numeric", "edges": [20.0, 30.0]}],
-}
-
-
 @pytest.mark.parametrize("edges", [[float("nan")], [10.0, float("inf")], [float("-inf")]])
 def test_nonfinite_bucket_edges_are_exit_2(workdir, capsys, edges):
-    (workdir / "schema.json").write_text(json.dumps(BANDED_SCHEMA), encoding="utf-8")
+    (workdir / "schema.json").write_text(json.dumps({
+        "features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
+        "attributes": [{"name": "city", "kind": "categorical"},
+                       {"name": "band", "kind": "numeric", "edges": edges}],
+    }), encoding="utf-8")
     (workdir / "train.csv").write_text("x,y,city,band\n1.0,a,athens,25.0\n", encoding="utf-8")
-    doc = json.loads(JOB_TEXT)
-    doc["bucketing"] = {"band": edges}
-    (workdir / "job.json").write_text(json.dumps(doc), encoding="utf-8")
     assert cli_main(["job", "train", "--kb", str(workdir / "kb"),
                      "--schema", str(workdir / "schema.json"),
                      "--config", str(workdir / "job.json"),
                      "--data", str(workdir / "train.csv")]) == 2
     err = capsys.readouterr().err
-    assert "bucketing 'band'" in err and "not a finite number" in err
+    assert "attribute 'band'" in err and "not a finite number" in err
     assert not (workdir / "kb" / "index.json").exists()
 
 
@@ -590,11 +584,10 @@ def test_edge_infer_and_status(workdir, capsys, monkeypatch):
     write_csv(probe, probe_csv)
     preds_csv = workdir / "preds.csv"
     replaced = _watch_replaces(monkeypatch)
-    code = cli_main([
+    code = cli_main([  # the edge buckets by the schema: it reads no job config
         "edge", "infer",
         "--snapshot", str(snap_path),
         "--schema", str(workdir / "schema.json"),
-        "--config", str(workdir / "job.json"),
         "--data", str(probe_csv),
         "--out", str(preds_csv),
     ])
@@ -614,7 +607,6 @@ def test_edge_infer_and_status(workdir, capsys, monkeypatch):
         "edge", "status",
         "--snapshot", str(snap_path),
         "--schema", str(workdir / "schema.json"),
-        "--config", str(workdir / "job.json"),
         "--data", str(probe_csv),
         "--out", str(status_path),
     ])
@@ -678,24 +670,33 @@ BANDED_SCHEMA_TEXT = """
 """
 
 
-def test_a_train_under_another_bucket_count_is_refused_exit_2(tmp_path, capsys):
-    # a store has one bucketing: a task bucketed otherwise would leave it unopenable
-    schema_path = tmp_path / "schema.json"
-    schema_path.write_text(BANDED_SCHEMA_TEXT, encoding="utf-8")
-    data = tmp_path / "data.csv"
-    data.write_text("x,y,city,band\n" + "".join(
+def _banded_schema_file(path: Path, edges: str) -> Path:
+    """*path* holding BANDED_SCHEMA_TEXT with band edges *edges*, a JSON list."""
+    path.write_text(BANDED_SCHEMA_TEXT.replace("[10.0, 20.0, 30.0]", edges), encoding="utf-8")
+    return path
+
+
+def _banded_data(path: Path) -> Path:
+    """*path* holding 16 athens rows, half in band 5.0 and half in 35.0."""
+    path.write_text("x,y,city,band\n" + "".join(
         f"{i},{'ab'[i % 2]},athens,{band}\n" for i in range(8) for band in (5.0, 35.0)),
         encoding="utf-8")
+    return path
+
+
+def test_a_train_under_another_bucket_count_is_refused_exit_2(tmp_path, capsys):
+    # a store has one bucketing: a task bucketed otherwise would leave it unopenable
+    data = _banded_data(tmp_path / "data.csv")
     kb_dir, config = tmp_path / "kb", tmp_path / "job.json"
-    base = ["--kb", str(kb_dir), "--schema", str(schema_path), "--config", str(config)]
-    config.write_text(JOB_TEXT.replace(
-        '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0]}'), encoding="utf-8")
-    assert cli_main(["job", "train", *base, "--data", str(data)]) == 0
-    assert cli_main(["job", "eval", *base, "--data", str(data)]) == 0
-    assert cli_main(["job", "deploy", *base, "--out", str(tmp_path / "snap.json")]) == 0
+    config.write_text(JOB_TEXT, encoding="utf-8")
+    first = ["--kb", str(kb_dir), "--config", str(config),
+             "--schema", str(_banded_schema_file(tmp_path / "narrow.json", "[10.0, 20.0]"))]
+    assert cli_main(["job", "train", *first, "--data", str(data)]) == 0
+    assert cli_main(["job", "eval", *first, "--data", str(data)]) == 0
+    assert cli_main(["job", "deploy", *first, "--out", str(tmp_path / "snap.json")]) == 0
     raw, files = (kb_dir / "index.json").read_bytes(), sorted(kb_dir.iterdir())
-    config.write_text(JOB_TEXT.replace(
-        '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0, 30.0]}'), encoding="utf-8")
+    schema_path = _banded_schema_file(tmp_path / "schema.json", "[10.0, 20.0, 30.0]")
+    base = ["--kb", str(kb_dir), "--schema", str(schema_path), "--config", str(config)]
     capsys.readouterr()
     assert cli_main(["job", "train", *base, "--data", str(data)]) == 2
     err = capsys.readouterr().err
@@ -715,21 +716,13 @@ def test_a_train_under_another_bucket_count_is_refused_exit_2(tmp_path, capsys):
 ])
 def test_edge_refuses_a_snapshot_not_bucketed_as_it_buckets_exit_2(
         tmp_path, capsys, fault, task):
-    schema_path = tmp_path / "schema.json"
-    schema_path.write_text(BANDED_SCHEMA_TEXT, encoding="utf-8")
-    cloud_config = tmp_path / "cloud.json"
-    cloud_config.write_text(JOB_TEXT.replace(
-        '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0, 30.0]}'), encoding="utf-8")
-    edge_config = tmp_path / "edge.json"
-    edge_config.write_text(JOB_TEXT.replace(
-        '"seed": 3', '"seed": 3, "bucketing": {"band": [15.0, 25.0]}'), encoding="utf-8")
-    data = tmp_path / "data.csv"
-    data.write_text("x,y,city,band\n" + "".join(
-        f"{i},{'ab'[i % 2]},athens,{band}\n" for i in range(8) for band in (5.0, 35.0)),
-        encoding="utf-8")
+    cloud_schema = _banded_schema_file(tmp_path / "cloud.json", "[10.0, 20.0, 30.0]")
+    edge_schema = _banded_schema_file(tmp_path / "edge.json", "[15.0, 25.0]")
+    (tmp_path / "job.json").write_text(JOB_TEXT, encoding="utf-8")
+    data = _banded_data(tmp_path / "data.csv")
     snap = tmp_path / "snap.json"
-    base = ["--kb", str(tmp_path / "kb"), "--schema", str(schema_path),
-            "--config", str(cloud_config)]
+    base = ["--kb", str(tmp_path / "kb"), "--schema", str(cloud_schema),
+            "--config", str(tmp_path / "job.json")]
     assert cli_main(["job", "train", *base, "--data", str(data)]) == 0
     assert cli_main(["job", "eval", *base, "--data", str(data)]) == 0
     assert cli_main(["job", "deploy", *base, "--out", str(snap)]) == 0
@@ -737,14 +730,13 @@ def test_edge_refuses_a_snapshot_not_bucketed_as_it_buckets_exit_2(
         doc = json.loads(snap.read_bytes())
         doc["tasks"][task]["attributes"]["values"][1] = "x" if fault == "string-bucket-index" else []
         snap.write_bytes(canonical_json_bytes(doc))
-        edge_config = cloud_config
+        edge_schema = cloud_schema
     probe = tmp_path / "probe.csv"  # a known and an unknown request under either bucketing
     probe.write_text("x,y,city,band\n1,a,athens,5.0\n1,a,athens,15.0\n", encoding="utf-8")
     capsys.readouterr()
     out = tmp_path / "preds.csv"
-    assert cli_main(["edge", "infer", "--snapshot", str(snap), "--schema", str(schema_path),
-                     "--config", str(edge_config), "--data", str(probe),
-                     "--out", str(out)]) == 2
+    assert cli_main(["edge", "infer", "--snapshot", str(snap), "--schema", str(edge_schema),
+                     "--data", str(probe), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "snapshot v5 was not bucketed as this edge buckets" in err and repr(task) in err
     assert "Traceback" not in err
@@ -1151,21 +1143,16 @@ def test_a_non_finite_number_in_the_manifest_is_exit_2(thermal5, capsys, number)
 
 def _update_under_other_edges(work, out) -> tuple[list, Path]:
     """A banded store deployed under band edges [15, 25], and the argv of an
-    update under [10, 20], which give the same bucket counts; returns that
-    argv and the store's directory."""
-    schema, data, config = work / "banded.json", work / "banded.csv", work / "banded_job.json"
-    schema.write_text(BANDED_SCHEMA_TEXT, encoding="utf-8")
-    data.write_text("x,y,city,band\n" + "".join(
-        f"{i},{'ab'[i % 2]},athens,{band}\n" for i in range(8) for band in (5.0, 35.0)),
-        encoding="utf-8")
-    base = ["--kb", work / "banded_kb", "--schema", schema, "--config", config]
-    config.write_text(JOB_TEXT.replace(
-        '"seed": 3', '"seed": 3, "bucketing": {"band": [15.0, 25.0]}'), encoding="utf-8")
+    update under a schema of edges [10, 20], which give the same bucket
+    counts; returns that argv and the store's directory."""
+    data, config = _banded_data(work / "banded.csv"), work / "banded_job.json"
+    config.write_text(JOB_TEXT, encoding="utf-8")
+    base = ["--kb", work / "banded_kb", "--config", config,
+            "--schema", _banded_schema_file(work / "banded.json", "[15.0, 25.0]")]
     for stage in (["train", "--data", data], ["eval", "--data", data],
                   ["deploy", "--out", work / "banded_snap.json"]):
         assert cli_main([str(a) for a in ["job", stage[0], *base, *stage[1:]]]) == 0
-    config.write_text(JOB_TEXT.replace(
-        '"seed": 3', '"seed": 3, "bucketing": {"band": [10.0, 20.0]}'), encoding="utf-8")
+    base[-1] = _banded_schema_file(work / "other_edges.json", "[10.0, 20.0]")
     return ["job", "update", *base, "--data", data, "--out", out], work / "banded_kb"
 
 
@@ -1220,6 +1207,57 @@ def test_sim_run_on_a_used_kb_is_phase_error_exit_2(workdir, capsys):
     assert cli_main(args) == 2
     assert "requires phase Idle, current is Deployed" in capsys.readouterr().err
     assert (workdir / "simkb" / "index.json").read_bytes() == index
+
+
+def test_sim_run_without_out_dir_is_exit_1_and_commits_nothing(workdir, capsys):
+    (workdir / "sim.json").write_text(json.dumps({
+        "edges": 1, "max_ticks": 2, "schema": "schema.json", "job": "job.json",
+        "initial_data": "train.csv",
+    }), encoding="utf-8")
+    args = ["sim", "run", "--config", str(workdir / "sim.json"), "--kb", str(workdir / "simkb")]
+    assert cli_main(args) == 1
+    assert "--out-dir" in capsys.readouterr().err
+    assert not (workdir / "simkb" / "index.json").exists()
+    assert cli_main([*args, "--out-dir", str(workdir / "simout")]) == 0  # the retry runs
+
+
+def test_edge_infer_and_bench_gen_check_their_out_flag_before_any_work(
+        workdir, capsys, monkeypatch):
+    assert cli_main(["edge", "infer", "--snapshot", str(workdir / "missing.json"),
+                     "--schema", str(workdir / "schema.json"),
+                     "--data", str(workdir / "test.csv")]) == 1
+    assert "--out" in capsys.readouterr().err
+
+    def refused(spec):
+        raise AssertionError("bench gen generated data before it checked --out")
+    monkeypatch.setattr("edgelearn.bench.gen_synthetic", refused)
+    spec = workdir / "synth.json"
+    spec.write_text(reference_text("thermal5_synthetic.json"), encoding="utf-8")
+    assert cli_main(["bench", "gen", "--config", str(spec)]) == 1
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bucketing", [{"city": None}, {}])
+def test_a_job_config_holding_bucketing_is_exit_2_and_commits_nothing(
+        workdir, capsys, bucketing):
+    # bucket edges are the schema's: the job config has no key for them
+    doc = {**json.loads(JOB_TEXT), "bucketing": bucketing}
+    (workdir / "job.json").write_text(json.dumps(doc), encoding="utf-8")
+    (workdir / "sim.json").write_text(json.dumps({
+        "edges": 1, "max_ticks": 2, "schema": "schema.json", "job": "job.json",
+        "initial_data": "train.csv",
+    }), encoding="utf-8")
+    flags = ["--schema", str(workdir / "schema.json"), "--config", str(workdir / "job.json")]
+    for argv in (["job", "train", "--kb", str(workdir / "kb"), *flags,
+                  "--data", str(workdir / "train.csv")],
+                 ["bench", "run", *flags, "--train", str(workdir / "train.csv"),
+                  "--test", str(workdir / "test.csv"), "--out-dir", str(workdir / "bench")],
+                 ["sim", "run", "--config", str(workdir / "sim.json"),
+                  "--kb", str(workdir / "simkb"), "--out-dir", str(workdir / "simout")]):
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "job config: unknown key 'bucketing'" in err and "Traceback" not in err
+    assert list(workdir.rglob("index.json")) == []
 
 
 def test_bench_gen_run_report_pipeline(workdir, tmp_path, capsys):

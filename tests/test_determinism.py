@@ -79,7 +79,8 @@ def test_job_snapshot_store_and_edge_predictions_are_pinned(thermal5, capsys):
     _run("job", "train", *job, "--data", thermal5 / "train.csv")
     _run("job", "eval", *job, "--data", thermal5 / "test.csv")
     _run("job", "deploy", *job, "--out", thermal5 / "snap.json")
-    _run("edge", "infer", *job[2:], "--snapshot", thermal5 / "snap.json",
+    # job[2:4] is --schema alone: an edge reads no job config
+    _run("edge", "infer", *job[2:4], "--snapshot", thermal5 / "snap.json",
          "--data", thermal5 / "test.csv", "--out", thermal5 / "predictions.csv")
     assert _digest(thermal5 / "snap.json") == PINS["snap.json"]
     assert _digest(thermal5 / "kb" / "index.json") == PINS["index.json"]
@@ -128,7 +129,7 @@ def test_edge_predictions_on_every_route_are_pinned(tmp_path, capsys):
     _run("job", "train", *job, "--data", tmp_path / "train.csv")
     _run("job", "eval", *job, "--data", tmp_path / "eval.csv")
     _run("job", "deploy", *job, "--out", tmp_path / "snap.json")
-    _run("edge", "infer", *job[2:], "--snapshot", tmp_path / "snap.json",
+    _run("edge", "infer", *job[2:4], "--snapshot", tmp_path / "snap.json",
          "--data", tmp_path / "requests.csv", "--out", tmp_path / "routes.csv")
     lines = (tmp_path / "routes.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [line.split(",")[2] for line in lines] == [

@@ -20,7 +20,6 @@ from edgelearn.edge import (
     ROUTE_KNOWN,
     ROUTE_SIMILAR,
     EdgeRuntime,
-    allocate_task,
 )
 from edgelearn.errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from edgelearn.job import TriggerPolicy
@@ -79,21 +78,21 @@ def city_runtime(snapshot=None, sigma=0.75):
     return runtime
 
 
-# -- allocate_task -------------------------------------------------------------
+# -- allocation: a task is known iff its bucketed values' key is in the snapshot --
 
 def test_allocate_known_city():
     snap = city_snapshot(cities=("athens",))
-    assert allocate_task(snap, ("athens",), CITY_BUCKETING) == "athens"
+    assert task_key(bucket_attributes(("athens",), CITY_BUCKETING)) in snap.tasks
 
 
 def test_allocate_unknown_city():
     snap = city_snapshot(cities=("athens",))
-    assert allocate_task(snap, ("tokyo",), CITY_BUCKETING) is None
+    assert task_key(bucket_attributes(("tokyo",), CITY_BUCKETING)) not in snap.tasks
 
 
 def test_allocate_empty_snapshot_always_unknown():
     snap = snapshot_of(1, {}, fallback=constant_model("a"))
-    assert allocate_task(snap, ("anything",), CITY_BUCKETING) is None
+    assert task_key(bucket_attributes(("anything",), CITY_BUCKETING)) not in snap.tasks
 
 
 # -- infer routing ----------------------------------------------------------------
@@ -551,12 +550,11 @@ NUMBERS = (float("nan"), math.inf, -math.inf, 0, 1, 2, 3, True, False, -1.5, 0.5
 
 def _oracle(snapshot, attrs, bucketing, threshold):
     """(route, key, similarity, model) or the NoModelError message, from
-    allocate_task and a rank of every snapshot task: the reference the
-    runtime's value table and task index must agree with."""
-    key = allocate_task(snapshot, attrs, bucketing)
-    if key is not None:
-        return ROUTE_KNOWN, key, None, snapshot.tasks[key].model
+    the key of the bucketed values and a rank of every snapshot task: the
+    reference the runtime's value table and task index must agree with."""
     query = bucket_attributes(attrs, bucketing)
+    if (key := task_key(query)) in snapshot.tasks:
+        return ROUTE_KNOWN, key, None, snapshot.tasks[key].model
     ranked = rank_similar(query, {k: e.attributes for k, e in snapshot.tasks.items()})
     if ranked and ranked[0][1] >= threshold:
         return ROUTE_SIMILAR, ranked[0][0], ranked[0][1], snapshot.tasks[ranked[0][0]].model

@@ -11,7 +11,8 @@ import pytest
 
 from edgelearn import bench, tasks as tasks_mod
 from edgelearn.data import Dataset
-from edgelearn.errors import LearnerError, NothingDeployableError, PhaseError, SchemaMismatchError
+from edgelearn.errors import (ConfigError, LearnerError, NothingDeployableError, PhaseError,
+                             SchemaMismatchError)
 from edgelearn.job import (
     EvalPolicy,
     JobConfig,
@@ -22,7 +23,7 @@ from edgelearn.job import (
     holdout_split,
     parse_job_config,
 )
-from edgelearn.kb import STATUS_DEPLOYABLE, STATUS_EVAL_FAILED, kb_open
+from edgelearn.kb import STATUS_DEPLOYABLE, STATUS_EVAL_FAILED, KnowledgeBase
 from edgelearn.learners import (
     EstimatorSpec,
     Learner,
@@ -60,7 +61,7 @@ def two_city_data(n_per_city: int = 6) -> Dataset:
 
 def new_job(tmp_path, cfg=None, name="kb"):
     cfg = cfg or majority_config()
-    kb = kb_open(tmp_path / name)
+    kb = KnowledgeBase.open(tmp_path / name)
     return LifelongJob(cfg, kb), kb
 
 
@@ -110,7 +111,7 @@ def test_train_small_task_augmented_by_transfer(tmp_path):
         bucketing=BucketingConfig.from_schema(schema),
         transfer=TransferPolicy(min_samples=8, cap=100),
     )
-    kb = kb_open(tmp_path / "kb")
+    kb = KnowledgeBase.open(tmp_path / "kb")
     job = LifelongJob(cfg, kb)
     rows = [((1.0,), ("p", 5.0), "a")] * 2 + [((2.0,), ("p", 25.0), "b")] * 8
     job.run_train(Dataset(schema, make_samples(rows)))
@@ -385,7 +386,7 @@ def test_failed_bootstrap_leaves_job_idle_and_kb_empty(tmp_path):
     job, kb = new_job(tmp_path, cfg)
     with pytest.raises(NothingDeployableError):
         job.bootstrap(_noisy_cities())
-    for store in (kb, kb_open(tmp_path / "kb")):
+    for store in (kb, KnowledgeBase.open(tmp_path / "kb")):
         assert LifelongJob(cfg, store).phase is Phase.IDLE
         assert store.kb_version == 0
         assert store.records == {}
@@ -421,7 +422,7 @@ def test_learner_error_mid_train_leaves_phase_and_kb_unchanged(tmp_path):
         failing.run_train(two_city_data(10))
     with pytest.raises(LearnerError, match="injected"):
         failing.run_update_cycle(two_city_data(10))
-    for store in (kb, kb_open(tmp_path / "kb")):
+    for store in (kb, KnowledgeBase.open(tmp_path / "kb")):
         assert LifelongJob(majority_config(), store).phase == phase
         assert store.fingerprint() == fingerprint
 
@@ -439,7 +440,7 @@ def _crash_at_every_step(tmp_path, crash_points, commit) -> list[str]:
     "new", in step order."""
     def job_on_a_copy(name):
         shutil.copytree(tmp_path / "base", tmp_path / name)
-        return LifelongJob(majority_config(), kb_open(tmp_path / name))
+        return LifelongJob(majority_config(), KnowledgeBase.open(tmp_path / name))
 
     def manifest(name):
         index = tmp_path / name / "index.json"
@@ -459,7 +460,7 @@ def _crash_at_every_step(tmp_path, crash_points, commit) -> list[str]:
         else:
             crashed = False
         crash_points.arm(None)
-        store = kb_open(tmp_path / f"k{k}")
+        store = KnowledgeBase.open(tmp_path / f"k{k}")
         # the crashed handle holds what its store holds
         assert crashed_job.kb.fingerprint() == store.fingerprint(), k
         assert crashed_job.kb.kb_version == store.kb_version, k
@@ -543,7 +544,7 @@ def test_manifest_without_job_document_opens_idle(tmp_path):
     manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
     index.write_bytes(canonical_json_bytes(manifest))
 
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert reopened.fingerprint() == kb.fingerprint()
     job = LifelongJob(majority_config(), reopened)
     assert job.phase is Phase.IDLE
@@ -563,7 +564,7 @@ def test_manifest_whose_job_document_carries_a_history_opens_unchanged(tmp_path)
     manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
     index.write_bytes(canonical_json_bytes(manifest))
 
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert reopened.fingerprint() == kb.fingerprint()
     job = LifelongJob(majority_config(), reopened)
     assert job.phase is Phase.DEPLOYED
@@ -694,17 +695,16 @@ def test_plugin_learner_runs_full_pipeline(tmp_path):
     # update cycle, serialization, and the KB all work with the plugin
     snapshot2 = job.run_update_cycle(city_dataset([(9.0, "oslo", "a")] * 6))
     assert "oslo" in snapshot2.tasks
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert predict(reopened.lookup("oslo").model, (1.0,)) == "a"
 
 
 # -- config parsing ---------------------------------------------------------------------
 
 def test_parse_job_config_reference_fields():
-    schema = banded_schema()
+    schema = banded_schema((15.0, 25.0, 35.0))
     text = """
     {"learner": {"kind": "tree", "hyperparameters": {"max_depth": 2}},
-     "bucketing": {"band": [15.0, 25.0, 35.0]},
      "eval_policy": {"min_accuracy": 0.5, "min_eval_samples": 2},
      "transfer": {"min_samples": 5, "cap": 50},
      "trigger": {"unseen_threshold": 3},
@@ -725,3 +725,10 @@ def test_parse_job_config_defaults_bucketing_from_schema():
     schema = banded_schema((20.0, 30.0))
     cfg = parse_job_config('{"learner": {"kind": "majority"}}', schema)
     assert cfg.bucketing.edges == (None, (20.0, 30.0))
+
+
+def test_parse_job_config_refuses_a_bucketing_key():
+    # the schema owns the bucket edges: a job config cannot set them, not even to the schema's
+    text = json.dumps({"learner": {"kind": "majority"}, "bucketing": {"band": [20.0, 30.0]}})
+    with pytest.raises(ConfigError, match="job config: unknown key 'bucketing'"):
+        parse_job_config(text, banded_schema((20.0, 30.0)))

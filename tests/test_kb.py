@@ -26,9 +26,9 @@ from edgelearn.kb import (
     STATUS_DEPLOYABLE,
     STATUS_EVAL_FAILED,
     STATUS_TRAINED,
+    KnowledgeBase,
     TaskRecord,
     deserialize_snapshot,
-    kb_open,
     serialize_snapshot,
 )
 from edgelearn.learners import (
@@ -70,7 +70,7 @@ def make_fallback(label: str = "a"):
 # -- open / save ----------------------------------------------------------------
 
 def test_open_fresh_directory_empty(tmp_path):
-    kb = kb_open(tmp_path / "kb")
+    kb = KnowledgeBase.open(tmp_path / "kb")
     assert kb.kb_version == 0
     assert kb.records == {}
     assert kb.fallback is None
@@ -81,7 +81,7 @@ def test_save_load_round_trip_model_bytes(tmp_path):
     cities = ("athens", "tokyo", "oslo", "lima", "kota")
     for city in cities:
         kb.upsert_task(make_record(city))
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert set(reopened.records) == set(cities)
     assert reopened.kb_version == kb.kb_version
     for key in kb.records:
@@ -100,7 +100,7 @@ def test_flipped_bit_in_index_refuses_open(tmp_path):
     raw[pos + 15] ^= 0x01  # flip a bit inside the body
     index.write_bytes(bytes(raw))
     with pytest.raises(CorruptStoreError, match="index.json"):
-        kb_open(tmp_path / "kb")
+        KnowledgeBase.open(tmp_path / "kb")
 
 
 def test_a_manifest_laid_out_otherwise_opens_under_its_checksum(tmp_path):
@@ -109,7 +109,7 @@ def test_a_manifest_laid_out_otherwise_opens_under_its_checksum(tmp_path):
     index = tmp_path / "kb" / "index.json"
     # the checksum is of the body's canonical bytes, whatever the file's layout
     index.write_text(json.dumps(json.loads(index.read_bytes()), indent=2), encoding="utf-8")
-    assert kb_open(tmp_path / "kb").fingerprint() == kb.fingerprint()
+    assert KnowledgeBase.open(tmp_path / "kb").fingerprint() == kb.fingerprint()
 
 
 def _dir_digest(path: Path) -> str:
@@ -147,7 +147,7 @@ def test_crash_before_index_rename_keeps_previous_state(tmp_path, monkeypatch):
         kb.upsert_task(make_record("tokyo"))
     monkeypatch.setattr(kb_mod, "_replace_file", real_replace)
 
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert reopened.fingerprint() == committed
     assert set(reopened.records) == {"athens"}
 
@@ -170,7 +170,7 @@ def test_retry_after_crash_overwrites_the_stale_temp_manifest(tmp_path, monkeypa
     # retry with different content reuses the temp file name; the stale
     # bytes must be replaced or reopening would fail its checksum
     kb.upsert_task(make_record("athens", label="b"))
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert predict(reopened.lookup("athens").model, (0.0,)) == "b"
 
 
@@ -208,14 +208,14 @@ def test_a_failed_directory_fsync_after_the_manifest_rename_keeps_the_commit(
     monkeypatch.setattr(kb_mod, "_fsync_dir", real_fsync_dir)
 
     # the rename committed the manifest: the handle holds what is on disk
-    reopened = kb_open(kb_dir)
+    reopened = KnowledgeBase.open(kb_dir)
     assert sorted(kb.records) == sorted(reopened.records) == ["athens", "tokyo"]
     assert kb.kb_version == reopened.kb_version == 2
     assert kb.fingerprint() == reopened.fingerprint()
 
     # so the next commit builds on the committed store
     kb.upsert_task(make_record("tokyo", label="b"))
-    reopened = kb_open(kb_dir)
+    reopened = KnowledgeBase.open(kb_dir)
     assert reopened.kb_version == 3 and reopened.lookup("tokyo").version == 2
     assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
     assert sorted(p.name for p in kb_dir.iterdir()) == ["index.json"]
@@ -237,7 +237,7 @@ def test_manifest_of_another_format_refuses_open(tmp_path, fmt):
     error = (f"index.json is in retired format {fmt}: commit it once with an earlier release"
              if type(fmt) is int and fmt in (1, 2) else "format")
     with pytest.raises(CorruptStoreError, match=error):
-        kb_open(tmp_path / "kb")
+        KnowledgeBase.open(tmp_path / "kb")
 
 
 # -- commits write only what they change --------------------------------------------
@@ -291,6 +291,26 @@ def test_record_eval_and_save_replace_only_the_index(tmp_path, monkeypatch):
     assert serialized == []
 
 
+def test_a_record_entry_is_encoded_once_per_record(tmp_path, monkeypatch):
+    # a record owns its manifest entry: a commit re-encodes only the record
+    # that changed, and a save and the fingerprint re-encode none
+    kb = declared_kb(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    kb.upsert_task(make_record("tokyo"))
+    encoded, real = [], kb_mod._with_model
+
+    def counting(doc, model):
+        encoded.append(doc["key"])
+        return real(doc, model)
+
+    monkeypatch.setattr(kb_mod, "_with_model", counting)
+    kb.record_eval("athens", STATUS_DEPLOYABLE,
+                   EvalMetrics.from_counts(("a", "b"), ((3, 0), (0, 0))))
+    kb.save()
+    kb.fingerprint()
+    assert encoded == ["athens"]
+
+
 def test_an_idempotent_upsert_and_the_fingerprint_reuse_the_encoded_models(tmp_path, monkeypatch):
     kb = declared_kb(tmp_path / "kb")
     record = make_record("athens")
@@ -300,7 +320,8 @@ def test_an_idempotent_upsert_and_the_fingerprint_reuse_the_encoded_models(tmp_p
     assert kb.upsert_task(record) == kb.kb_version == 2
     fingerprint = kb.fingerprint()
     assert (written, serialized) == ([], [])
-    assert kb_open(tmp_path / "kb").fingerprint() == fingerprint  # a reopen encodes them
+    reopened = KnowledgeBase.open(tmp_path / "kb")
+    assert reopened.fingerprint() == fingerprint  # a reopen encodes them
 
 
 def test_upsert_writes_only_the_index_and_serializes_its_model_once(tmp_path, monkeypatch):
@@ -382,7 +403,7 @@ def test_transaction_commits_once_and_nested_blocks_join_it(tmp_path, monkeypatc
         assert written == []
     assert written == ["index.json"]
     assert kb.kb_version == 3
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert reopened.fingerprint() == kb.fingerprint()
     assert reopened.job == {"phase": "anything"}
 
@@ -404,10 +425,10 @@ def test_transaction_that_raises_writes_no_manifest_and_restores_memory(tmp_path
     assert kb.fingerprint() == before
     assert kb.job is None
     assert set(kb.records) == {"athens"}
-    assert kb_open(tmp_path / "kb").fingerprint() == before
+    assert KnowledgeBase.open(tmp_path / "kb").fingerprint() == before
     # the next commit encodes tokyo's new record, not the aborted one's
     kb.upsert_task(make_record("tokyo", label="b"))
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert set(reopened.records) == {"athens", "tokyo"}
     assert predict(reopened.lookup("tokyo").model, (0.0,)) == "b"
 
@@ -487,7 +508,7 @@ def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, 
         with kb.transaction():
             kb.job = {"phase": f"after step {i}"}
         assert index.read_bytes() == _manifest_from_scratch(kb), i
-        reopened = kb_open(tmp_path / "kb")
+        reopened = KnowledgeBase.open(tmp_path / "kb")
         reopened.save()
         assert index.read_bytes() == _manifest_from_scratch(kb), i
     assert set(kb.records) == {"athens", "tokyo", "zurich"}
@@ -496,20 +517,20 @@ def test_manifest_built_from_cached_entries_equals_the_whole_encoding(tmp_path, 
 def test_the_fingerprint_tells_apart_stores_of_other_bucket_edges(tmp_path):
     stores = {}
     for name, edges in (("low", (1.0, 2.0)), ("high", (5.0, 6.0))):
-        stores[name] = kb_open(tmp_path / name)
+        stores[name] = KnowledgeBase.open(tmp_path / name)
         stores[name].declare_shape(banded_schema(), BucketingConfig((None, edges)))
     low, high = stores["low"], stores["high"]
     assert low.schema_fingerprint == high.schema_fingerprint  # one schema
     assert (tmp_path / "low" / "index.json").read_bytes() != (
         tmp_path / "high" / "index.json").read_bytes()
     assert low.fingerprint() != high.fingerprint()
-    assert kb_open(tmp_path / "low").fingerprint() == low.fingerprint()
-    assert kb_open(tmp_path / "high").fingerprint() == high.fingerprint()
+    assert KnowledgeBase.open(tmp_path / "low").fingerprint() == low.fingerprint()
+    assert KnowledgeBase.open(tmp_path / "high").fingerprint() == high.fingerprint()
     # the job's phase stays out of it
     before = low.fingerprint()
     with low.transaction():
         low.job = {"phase": "trained"}
-    assert low.fingerprint() == kb_open(tmp_path / "low").fingerprint() == before
+    assert low.fingerprint() == KnowledgeBase.open(tmp_path / "low").fingerprint() == before
 
 
 def test_reopen_store_whose_manifest_carries_relations(tmp_path):
@@ -526,7 +547,7 @@ def test_reopen_store_whose_manifest_carries_relations(tmp_path):
     manifest["crc32"] = zlib.crc32(canonical_json_bytes(body))
     index.write_bytes(canonical_json_bytes(manifest))
 
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert reopened.records == kb.records
     assert reopened.kb_version == kb.kb_version
     assert reopened.fingerprint() == kb.fingerprint()
@@ -535,7 +556,7 @@ def test_reopen_store_whose_manifest_carries_relations(tmp_path):
 # -- upsert ----------------------------------------------------------------------
 
 def test_a_store_declares_one_shape_before_it_holds_a_model(tmp_path, monkeypatch):
-    kb, index = kb_open(tmp_path / "kb"), tmp_path / "kb" / "index.json"
+    kb, index = KnowledgeBase.open(tmp_path / "kb"), tmp_path / "kb" / "index.json"
     with pytest.raises(StoreError, match="index.json declares no shape"):
         kb.upsert_task(make_record("athens"))
     with pytest.raises(StoreError, match="index.json declares no shape"):
@@ -551,7 +572,7 @@ def test_a_store_declares_one_shape_before_it_holds_a_model(tmp_path, monkeypatc
         with pytest.raises(SchemaMismatchError, match="index.json declares the shape"):
             kb.declare_shape(schema, bucketing)
     assert written == [] and index.read_bytes() == raw
-    assert kb.shape == kb_open(tmp_path / "kb").shape == shape
+    assert kb.shape == KnowledgeBase.open(tmp_path / "kb").shape == shape
 
 
 def test_upsert_new_key(tmp_path):
@@ -612,7 +633,8 @@ def test_an_upsert_keyed_off_its_values_commits_nothing(tmp_path, first):
         kb.upsert_task(replace(make_record("s1"), key="s2"))
     assert (index.read_bytes() if index.exists() else None) == raw
     assert sorted(index.parent.iterdir()) == files and kb.kb_version == version
-    assert set(kb.records) == set(kb_open(tmp_path / "kb").records) == (set() if first else {"s0"})
+    reopened = KnowledgeBase.open(tmp_path / "kb")
+    assert set(kb.records) == set(reopened.records) == (set() if first else {"s0"})
 
 
 @pytest.mark.parametrize("parameters", [{"classes": ["b", "a"]}, {"n_features": 2}])
@@ -776,7 +798,7 @@ def test_a_snapshot_right_after_a_commit_encodes_no_model(tmp_path, monkeypatch)
     serialize_snapshot(kb.snapshot())
     assert serialized == []
     # a reopened store's commit encodes each model once, and its snapshot none
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     reopened.save()
     assert len(serialized) == 3
     assert serialize_snapshot(reopened.snapshot()) == serialize_snapshot(kb.snapshot())
@@ -904,6 +926,6 @@ def test_monotone_memory_over_random_operations(tmp_path, rng):
         assert keys_seen <= set(kb.records)
         keys_seen = set(kb.records)
         last_version = kb.kb_version
-    reopened = kb_open(tmp_path / "kb")
+    reopened = KnowledgeBase.open(tmp_path / "kb")
     assert set(reopened.records) == keys_seen
     assert reopened.kb_version == last_version

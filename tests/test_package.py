@@ -1,12 +1,17 @@
-"""Packaging: the library needs nothing beyond the Python standard library."""
+"""Packaging: the library needs nothing beyond the Python standard library, and
+the README's config examples parse."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import edgelearn
+from edgelearn.data import field_names, load_object, parse_schema
+from edgelearn.job import parse_job_config
+from edgelearn.sim import SimConfig
 
 
 def test_every_absolute_import_is_in_the_standard_library():
@@ -57,3 +62,12 @@ def test_json_is_decoded_only_by_its_two_readers():
                         and isinstance(node.value, ast.Name) and node.value.id == "json"):
                     decoders.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert decoders == {"learners.decode_json", "data.load_object"}
+
+
+def test_the_readmes_config_examples_parse():
+    # the sim config, the schema and the job config, in the README's order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sim, schema, job = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    job_config = parse_job_config(job, parse_schema(schema))
+    assert job_config.bucketing.edges == (None, (10.0, 20.0, 30.0))  # the schema's
+    assert load_object(sim, "sim config", (), field_names(SimConfig))["job"] == "job.json"

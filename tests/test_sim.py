@@ -10,7 +10,7 @@ import pytest
 from edgelearn.data import Sample
 from edgelearn.errors import ConfigError
 from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy
-from edgelearn.kb import kb_open, serialize_snapshot
+from edgelearn.kb import KnowledgeBase, serialize_snapshot
 from edgelearn.learners import EstimatorSpec
 from edgelearn.sim import MSG_UPLOAD_BATCH, LinkEvent, SimConfig, StreamEvent, start_sim
 from edgelearn.tasks import BucketingConfig
@@ -361,8 +361,8 @@ def test_offline_autonomy_prediction_log_and_kb_equal(tmp_path):
     outage = outage_sim.run_to_completion()
 
     assert online.edge_prediction_lines(0) == outage.edge_prediction_lines(0)
-    kb_on = kb_open(tmp_path / "kb_on")
-    kb_off = kb_open(tmp_path / "kb_off")
+    kb_on = KnowledgeBase.open(tmp_path / "kb_on")
+    kb_off = KnowledgeBase.open(tmp_path / "kb_off")
     assert kb_on.fingerprint() == kb_off.fingerprint()
 
     on_updates = [l for l in online.events if ",cloud,update_completed," in l]
