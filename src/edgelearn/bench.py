@@ -33,7 +33,7 @@ from .job import JobConfig, LifelongJob
 from .kb import DeploySnapshot, KnowledgeBase
 from .learners import (EstimatorSpec, EvalMetrics, decode_json, evaluate, fit, metrics_from_json,
                        metrics_to_json)
-from .tasks import BucketingConfig, TaskPartition, as_tasks, mine_tasks
+from .tasks import TaskPartition, as_tasks
 
 METHOD_CLOSED = "closed"
 METHOD_INCREMENTAL = "incremental"
@@ -189,14 +189,12 @@ def baseline_closed(
     test: Dataset | TaskPartition,
     learner: EstimatorSpec,
     seed: int,
-    bucketing: BucketingConfig | None = None,
 ) -> MethodResult:
     """One model fit on all training data, task structure ignored; scored
-    per task on the test set (or its task partition) for comparability."""
-    if bucketing is None:
-        bucketing = BucketingConfig.from_schema(train.schema)
+    per task on the test set, mined under its schema's bucket edges (or its
+    task partition), for comparability."""
     model = fit(learner, train, seed)
-    test = as_tasks(test, bucketing)
+    test = as_tasks(test)
     return MethodResult.from_metrics({key: evaluate(model, test.parts[key]) for key in test.keys})
 
 
@@ -253,13 +251,13 @@ def run_lifelong_bench(
     own holdout, deploy), then score every test sample through snapshot
     inference (unknown tasks route to similar or fallback). No test label
     reaches the gate."""
-    train, test = as_tasks(train, cfg.bucketing), as_tasks(test, cfg.bucketing)
+    train, test = as_tasks(train), as_tasks(test)
     if kb_path is None:
         with tempfile.TemporaryDirectory(prefix="edgelearn-bench-") as tmp:
             return run_lifelong_bench(train, test, cfg, tmp)
     snapshot = LifelongJob(cfg, KnowledgeBase.open(kb_path)).bootstrap(train)
 
-    runtime = EdgeRuntime(train.dataset.schema, cfg.bucketing)
+    runtime = EdgeRuntime(train.dataset.schema, train.bucketing)
     runtime.apply_snapshot(snapshot)
     classes = train.dataset.schema.label_classes
     per_task = {
@@ -281,9 +279,9 @@ def run_bench(
     improvements of the lifelong arm over the baselines. The lifelong arm's
     knowledge base lives under *work_dir* when given (a temp dir otherwise).
     Each set is mined into tasks once, and the arms share the partitions."""
-    test_parts = mine_tasks(test, cfg.bucketing)
-    closed = baseline_closed(train, test_parts, cfg.learner, cfg.seed, cfg.bucketing)
-    train_parts = mine_tasks(train, cfg.bucketing)
+    test_parts = as_tasks(test)
+    closed = baseline_closed(train, test_parts, cfg.learner, cfg.seed)
+    train_parts = as_tasks(train)
     empty = Dataset(train.schema)
     # training-backed tasks first; test-only tasks arrive as "future" tasks
     # scored with whatever model the stream has produced by then

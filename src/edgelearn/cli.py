@@ -253,6 +253,9 @@ def _cmd_sim(args) -> int:
     if _opt(args, "seed") is not None:
         cfg = replace(cfg, job=replace(cfg.job, seed=args.seed))
     kb, out_dir = _require(args, "kb"), Path(_require(args, "out_dir", flag="out-dir"))
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():  # refused before the run commits --kb
+        raise NotADirectoryError(f"--out-dir {out_dir}: {nearest} is not a directory")
     report = start_sim(cfg, kb).run_to_completion()
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(out_dir / "events.log", report.events_text().encode("utf-8"))

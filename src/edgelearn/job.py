@@ -11,8 +11,8 @@ and eval halves (each a :class:`TaskPartition`) to the train and eval stages.
 The job's phase, and nothing else, lives in the KB manifest's job document
 (:func:`job_phase`). Each stage, and each whole cycle, commits phase and KB
 in one KB transaction; one that raises changes neither. A stage that reads
-data first declares the KB's shape, its schema and the bucket edges the
-schema declares (:meth:`~edgelearn.kb.KnowledgeBase.declare_shape`).
+data mines it under its schema's bucket edges and first declares the KB's
+shape from that schema (:meth:`~edgelearn.kb.KnowledgeBase.declare_shape`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .kb import (
     TaskRecord,
 )
 from .learners import EstimatorSpec, EvalMetrics, evaluate, fit
-from .tasks import BucketingConfig, TaskPartition, as_tasks, sample_transfer
+from .tasks import TaskPartition, as_tasks, sample_transfer
 
 REASON_BELOW_THRESHOLD = "below-threshold"
 REASON_TOO_FEW_SAMPLES = "too-few-samples"
@@ -80,7 +80,6 @@ class TriggerPolicy:
 @dataclass(frozen=True)
 class JobConfig:
     learner: EstimatorSpec
-    bucketing: BucketingConfig
     eval_policy: EvalPolicy = EvalPolicy()
     transfer: TransferPolicy = TransferPolicy()
     trigger: TriggerPolicy = TriggerPolicy()
@@ -179,8 +178,8 @@ class LifelongJob:
         (a deploy that found nothing deployable); ends in the Evaluating phase."""
         self._require_phase(Phase.IDLE, Phase.DEPLOYED, Phase.DEPLOYING)
         cfg = self.cfg
-        partition = as_tasks(train, cfg.bucketing)
-        self.kb.declare_shape(partition.dataset.schema, cfg.bucketing)
+        partition = as_tasks(train)
+        self.kb.declare_shape(partition.dataset.schema)
 
         stored: list[TaskRecord] = []
         for key in partition.keys:
@@ -212,8 +211,8 @@ class LifelongJob:
         set but never gated. Ends in the Deploying phase."""
         self._require_phase(Phase.EVALUATING)
         cfg = self.cfg
-        partition = as_tasks(eval_set, cfg.bucketing)
-        self.kb.declare_shape(partition.dataset.schema, cfg.bucketing)
+        partition = as_tasks(eval_set)
+        self.kb.declare_shape(partition.dataset.schema)
         pending = sorted(
             key for key, rec in self.kb.records.items() if rec.status == STATUS_TRAINED
         )
@@ -262,7 +261,7 @@ class LifelongJob:
         return self._run_cycle(initial)
 
     def _run_cycle(self, data: Dataset | TaskPartition) -> DeploySnapshot:
-        tasks = as_tasks(data, self.cfg.bucketing)
+        tasks = as_tasks(data)
         train_part, eval_part = holdout_split(tasks, 0.8, self.cfg.seed)
         self.run_train(train_part)
         self.run_eval(eval_part if len(eval_part) > 0 else train_part)
@@ -298,21 +297,18 @@ def holdout_split(
 # ---------------------------------------------------------------------------
 
 def parse_job_config(config_text: str, schema: DatasetSchema) -> JobConfig:
-    """Parse a JSON job config against a schema.
+    """Parse a JSON job config. *schema* is not read: a stage buckets its
+    data under the edges of that data's schema.
 
-    Keys are :class:`JobConfig`'s fields but ``bucketing``; ``learner`` is
-    required. The ``learner`` object holds :class:`EstimatorSpec`'s fields,
-    and ``eval_policy``, ``transfer`` and ``trigger`` hold their policy's
-    fields; each dataclass supplies the defaults and checks the values. The
-    bucket edges are the schema's: ``bucketing`` is
-    :meth:`BucketingConfig.from_schema`, and a config key of that name is
-    refused as unknown.
+    Keys are :class:`JobConfig`'s fields; ``learner`` is required, and a
+    ``bucketing`` key is refused as unknown. The ``learner`` object holds
+    :class:`EstimatorSpec`'s fields, and ``eval_policy``, ``transfer`` and
+    ``trigger`` hold their policy's fields; each dataclass supplies the
+    defaults and checks the values.
     """
-    raw = load_object(config_text, "job config", ("learner",),
-                      tuple(name for name in field_names(JobConfig) if name != "bucketing"))
-    doc = {**raw, "bucketing": BucketingConfig.from_schema(schema)}
+    doc = load_object(config_text, "job config", ("learner",), field_names(JobConfig))
     for name, cls in (("learner", EstimatorSpec), ("eval_policy", EvalPolicy),
                       ("transfer", TransferPolicy), ("trigger", TriggerPolicy)):
-        if name in raw:
-            doc[name] = build(cls, raw[name], name)
+        if name in doc:
+            doc[name] = build(cls, doc[name], name)
     return JobConfig(**doc)

@@ -402,14 +402,14 @@ class KnowledgeBase:
             self._in_transaction = False
         _fsync_dir(self.path)
 
-    def declare_shape(self, schema: DatasetSchema, bucketing: BucketingConfig) -> None:
+    def declare_shape(self, schema: DatasetSchema) -> None:
         """Declare what the store holds: models of *schema*'s fingerprint,
-        classes and feature count, and tasks bucketed under *bucketing*. A
+        classes and feature count, and tasks bucketed under its edges. A
         store declares one shape: another raises SchemaMismatchError naming
         the manifest. One that declares none yet, which holds nothing, takes
         this one in a commit."""
         shape, gate = _shape(schema.fingerprint(), schema.label_classes, schema.n_features,
-                             bucketing.edges)
+                             BucketingConfig.from_schema(schema).edges)
         if self.shape is None:
             with self.transaction():
                 self.shape, self._gate = shape, gate

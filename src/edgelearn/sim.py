@@ -22,7 +22,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import (Dataset, DatasetSchema, Sample, _is_int, check_int, check_object, field_names,
+from .data import (Dataset, Sample, _is_int, check_int, check_object, field_names,
                    load_csv, load_object, parse_schema, read_text)
 from .edge import (
     DEFAULT_SIMILARITY_THRESHOLD,
@@ -34,6 +34,7 @@ from .edge import (
 from .errors import ConfigError, EdgeLearnError, NoModelError
 from .job import JobConfig, LifelongJob, parse_job_config
 from .kb import DeploySnapshot, KnowledgeBase
+from .tasks import BucketingConfig
 
 MSG_SNAPSHOT_PUSH = "snapshot_push"
 MSG_UPLOAD_BATCH = "upload_batch"
@@ -65,9 +66,12 @@ class StreamEvent:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulation: its edges, the job the cloud runs, and the data. The
+    edges and the job bucket under the schema of ``initial_data``, which
+    the streamed samples share."""
+
     edges: int
     job: JobConfig
-    schema: DatasetSchema
     initial_data: Dataset
     streams: tuple[StreamEvent, ...] = ()
     links: tuple[LinkEvent, ...] = ()
@@ -111,10 +115,6 @@ class SimReport:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    def edge_prediction_lines(self, edge_id: int) -> list[str]:
-        prefix = f"edge:{edge_id},predict,"
-        return [line for line in self.events if line.split(",", 1)[1].startswith(prefix)]
-
 
 class _EdgeNode:
     def __init__(self, edge_id: int, runtime: EdgeRuntime):
@@ -155,8 +155,8 @@ class Simulation:
             _EdgeNode(
                 i,
                 EdgeRuntime(
-                    cfg.schema,
-                    cfg.job.bucketing,
+                    cfg.initial_data.schema,
+                    BucketingConfig.from_schema(cfg.initial_data.schema),
                     similarity_threshold=cfg.similarity_threshold,
                     unseen_cap=cfg.unseen_cap,
                 ),
@@ -365,8 +365,9 @@ def start_sim(cfg: SimConfig, kb_path: str | Path) -> Simulation:
 def parse_sim_config(config_text: str, base_dir: str | Path) -> SimConfig:
     """Parse a JSON sim config; file paths inside resolve against *base_dir*.
 
-    Keys are :class:`SimConfig`'s fields; the dataclass supplies the defaults
-    and checks the values: ``edges``, ``max_ticks``, ``schema`` (path), ``job``
+    Keys are :class:`SimConfig`'s fields and ``schema``, the path of the
+    schema file the CSVs are read under; the dataclass supplies the defaults
+    and checks the values: ``edges``, ``max_ticks``, ``job``
     (path), ``initial_data`` (CSV path), ``streams`` [{tick, edge, data}],
     ``links`` [{tick, edge, state: up|down}], optional
     ``training_delay_ticks``, ``similarity_threshold``, ``unseen_cap``.
@@ -375,7 +376,7 @@ def parse_sim_config(config_text: str, base_dir: str | Path) -> SimConfig:
     raw = load_object(config_text, "sim config",
                       ("edges", "max_ticks", "schema", "job", "initial_data"), field_names(SimConfig))
     try:
-        schema = parse_schema(read_text(base / raw["schema"]))
+        schema = parse_schema(read_text(base / raw.pop("schema")))
         job = parse_job_config(read_text(base / raw["job"]), schema)
         initial = load_csv(base / raw["initial_data"], schema)
         streams = []
@@ -391,5 +392,5 @@ def parse_sim_config(config_text: str, base_dir: str | Path) -> SimConfig:
             links.append(LinkEvent(entry["tick"], entry["edge"], entry["state"] == "up"))
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad sim config: {exc}") from exc
-    return SimConfig(**{**raw, "schema": schema, "job": job, "initial_data": initial,
+    return SimConfig(**{**raw, "job": job, "initial_data": initial,
                         "streams": tuple(streams), "links": tuple(links)})

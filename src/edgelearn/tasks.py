@@ -291,12 +291,13 @@ def mine_tasks(dataset: Dataset, bucketing: BucketingConfig) -> TaskPartition:
     return TaskPartition(dataset, bucketing, parts, attrs_by_key)
 
 
-def as_tasks(data: Dataset | TaskPartition, bucketing: BucketingConfig) -> TaskPartition:
-    """The task partition of a stage's input: a dataset is mined, a
-    partition mined under *bucketing* is returned as it is."""
+def as_tasks(data: Dataset | TaskPartition) -> TaskPartition:
+    """The task partition of a stage's input, under its schema's bucket
+    edges: a dataset is mined, a partition mined under them is returned as
+    it is."""
     if isinstance(data, Dataset):
-        return mine_tasks(data, bucketing)
-    if data.bucketing != bucketing:
+        return mine_tasks(data, BucketingConfig.from_schema(data.schema))
+    if data.bucketing != BucketingConfig.from_schema(data.dataset.schema):
         raise SchemaMismatchError("task partition was mined under another bucketing")
     return data
 

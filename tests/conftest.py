@@ -12,7 +12,6 @@ import edgelearn.kb as kb_mod
 from edgelearn.data import AttributeKind, Dataset, DatasetSchema, Sample
 from edgelearn.kb import KnowledgeBase
 from edgelearn.learners import EstimatorSpec, ModelArtifact, TreeLearner, fit
-from edgelearn.tasks import BucketingConfig
 
 
 def city_schema(classes: tuple[str, ...] = ("a", "b")) -> DatasetSchema:
@@ -49,6 +48,12 @@ def city_dataset(rows, classes=("a", "b")) -> Dataset:
         schema,
         make_samples([((x,), (city,), y) for x, city, y in rows]),
     )
+
+
+def edge_prediction_lines(report, edge_id: int) -> list[str]:
+    """The predict events of edge *edge_id* in a sim report, in order."""
+    prefix = f"edge:{edge_id},predict,"
+    return [line for line in report.events if line.split(",", 1)[1].startswith(prefix)]
 
 
 def chain_tree_model(depth: int) -> ModelArtifact:
@@ -89,17 +94,13 @@ def rng() -> random.Random:
     return random.Random(1234)
 
 
-def default_bucketing(schema: DatasetSchema) -> BucketingConfig:
-    return BucketingConfig.from_schema(schema)
-
-
 def declared_kb(path, schema: DatasetSchema | None = None) -> KnowledgeBase:
     """The knowledge base at *path*, declaring the shape of *schema*
-    (default :func:`city_schema`) under its declared bucketing, as a job's
+    (default :func:`city_schema`) under its declared edges, as a job's
     first stage would."""
     schema = schema or city_schema()
     kb = KnowledgeBase.open(path)
-    kb.declare_shape(schema, default_bucketing(schema))
+    kb.declare_shape(schema)
     return kb
 
 

@@ -38,14 +38,14 @@ from edgelearn.reference import reference_text
 from edgelearn.sim import LinkEvent, SimConfig, StreamEvent, start_sim
 from edgelearn.tasks import (
     BucketingConfig,
+    as_tasks,
     bucket_attributes,
-    mine_tasks,
     rank_similar,
     task_key,
     task_similarity,
 )
 
-from conftest import city_dataset, city_schema, declared_kb
+from conftest import city_dataset, city_schema, declared_kb, edge_prediction_lines
 from test_learners import collect_splits, exhaustive_best_gini_split
 
 
@@ -111,7 +111,6 @@ def test_criterion_2_lifelong_guarantee(tmp_path):
     schema = city_schema(classes=("nochange", "cooler"))
     cfg = JobConfig(
         learner=EstimatorSpec("tree", {"max_depth": 4}),
-        bucketing=BucketingConfig((None,)),
         eval_policy=EvalPolicy(),
         transfer=TransferPolicy(min_samples=1, cap=1000),
         trigger=TriggerPolicy(unseen_threshold=10),
@@ -124,7 +123,7 @@ def test_criterion_2_lifelong_guarantee(tmp_path):
     feedback_rows = _site_rows(rng, "athens", 24.0, 10) + _site_rows(rng, "tokyo", 32.0, 20)
     feedback = tuple(Sample((x,), (c,), y) for x, c, y in feedback_rows)
     sim_cfg = SimConfig(
-        edges=1, job=cfg, schema=schema, initial_data=initial,
+        edges=1, job=cfg, initial_data=initial,
         streams=(StreamEvent(5, 0, feedback),), max_ticks=8,
     )
     sim = start_sim(sim_cfg, tmp_path / "kb")
@@ -135,7 +134,7 @@ def test_criterion_2_lifelong_guarantee(tmp_path):
     slice_rows = _site_rows(rng, "tokyo", 32.0, 200)
     slice_ds = Dataset(schema, tuple(Sample((x,), (c,), y) for x, c, y in slice_rows))
 
-    runtime = EdgeRuntime(schema, cfg.bucketing)
+    runtime = EdgeRuntime(schema, BucketingConfig.from_schema(schema))
     runtime.apply_snapshot(snapshot)
     routes = set()
     correct = 0
@@ -215,7 +214,7 @@ def _autonomy_scenario(outage: bool, schema, cfg) -> SimConfig:
     )
     links = (LinkEvent(1, 0, up=False), LinkEvent(51, 0, up=True)) if outage else ()
     return SimConfig(
-        edges=1, job=cfg, schema=schema, initial_data=initial,
+        edges=1, job=cfg, initial_data=initial,
         streams=streams, links=links, max_ticks=56,
     )
 
@@ -224,7 +223,6 @@ def test_criterion_4_offline_autonomy(tmp_path):
     schema = city_schema(classes=("nochange", "cooler"))
     cfg = JobConfig(
         learner=EstimatorSpec("tree", {"max_depth": 4}),
-        bucketing=BucketingConfig((None,)),
         transfer=TransferPolicy(min_samples=1, cap=1000),
         trigger=TriggerPolicy(unseen_threshold=10),
         seed=42,
@@ -236,8 +234,8 @@ def test_criterion_4_offline_autonomy(tmp_path):
         _autonomy_scenario(True, schema, cfg), tmp_path / "kb_outage"
     ).run_to_completion()
 
-    online_log = "\n".join(online.edge_prediction_lines(0)).encode()
-    outage_log = "\n".join(outage.edge_prediction_lines(0)).encode()
+    online_log = "\n".join(edge_prediction_lines(online, 0)).encode()
+    outage_log = "\n".join(edge_prediction_lines(outage, 0)).encode()
     logs_equal = online_log == outage_log
 
     kb_equal = (
@@ -255,7 +253,7 @@ def test_criterion_4_offline_autonomy(tmp_path):
     ok = logs_equal and kb_equal and exactly_once and down_ticks == 50
     _report(
         4, ok,
-        f"prediction_logs_equal={logs_equal} ({len(online.edge_prediction_lines(0))} lines) "
+        f"prediction_logs_equal={logs_equal} ({len(edge_prediction_lines(online, 0))} lines) "
         f"kb_hash_equal={kb_equal} updates=({on_updates},{off_updates}) "
         f"outage_ticks={down_ticks}",
     )
@@ -404,7 +402,6 @@ def test_criterion_7_gate_soundness(tmp_path):
         learner = EstimatorSpec("majority") if run % 5 else EstimatorSpec("tree", {"max_depth": 2})
         cfg = JobConfig(
             learner=learner,
-            bucketing=BucketingConfig((None,)),
             eval_policy=EvalPolicy(
                 min_accuracy=rng.random(),
                 min_eval_samples=rng.randint(1, 3),
@@ -497,7 +494,7 @@ def test_criterion_8_oracle_equivalences(tmp_path):
     data = gen_synthetic(small)
     train, test = split_dataset(data, 0.7, seed=42)
     result = run_bench(train, test, cfg)
-    parts = mine_tasks(test, cfg.bucketing)
+    parts = as_tasks(test)
     closed_model = fit(cfg.learner, train, cfg.seed)
     bench_mismatches = 0
     for key in parts.keys:

@@ -31,7 +31,7 @@ from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy, 
 from edgelearn.kb import serialize_snapshot
 from edgelearn.learners import EstimatorSpec, evaluate
 from edgelearn.reference import reference_text
-from edgelearn.tasks import BucketingConfig, mine_tasks
+from edgelearn.tasks import BucketingConfig, as_tasks
 
 from conftest import city_dataset
 
@@ -61,7 +61,6 @@ def site_spec(tasks, seed: int = 0) -> SyntheticSpec:
 def tree_config(seed: int = 0, **overrides) -> JobConfig:
     defaults = dict(
         learner=EstimatorSpec("tree", {"max_depth": 4}),
-        bucketing=BucketingConfig((None,)),
         eval_policy=EvalPolicy(),
         transfer=TransferPolicy(min_samples=1, cap=10_000),
         trigger=TriggerPolicy(unseen_threshold=10),
@@ -144,7 +143,7 @@ def test_closed_homogeneous_close_to_lifelong():
     data = gen_synthetic(spec)
     train, test = split_dataset(data, 0.7, seed=0)
     cfg = tree_config()
-    closed = baseline_closed(train, test, cfg.learner, cfg.seed, cfg.bucketing)
+    closed = baseline_closed(train, test, cfg.learner, cfg.seed)
     lifelong = run_lifelong_bench(train, test, cfg).result
     assert abs(closed.overall_accuracy - lifelong.overall_accuracy) <= 0.05
 
@@ -155,15 +154,14 @@ def test_closed_opposite_rules_near_half_with_majority():
     b = site_task("q", 27.0, n=500, classes=("cooler", "nochange"))
     data = gen_synthetic(site_spec([a, b], seed=6))
     train, test = split_dataset(data, 0.6, seed=1)
-    closed = baseline_closed(train, test, EstimatorSpec("majority"), 0, BucketingConfig((None,)))
+    closed = baseline_closed(train, test, EstimatorSpec("majority"), 0)
     assert abs(closed.overall_accuracy - 0.5) < 0.05
 
 
 def test_closed_empty_test_rejected():
     data = gen_synthetic(site_spec([site_task("s", 25.0, n=20)]))
     with pytest.raises(DataError):
-        baseline_closed(data, Dataset(SITE_SCHEMA), EstimatorSpec("majority"), 0,
-                        BucketingConfig((None,)))
+        baseline_closed(data, Dataset(SITE_SCHEMA), EstimatorSpec("majority"), 0)
 
 
 # -- incremental baseline -------------------------------------------------------------
@@ -172,7 +170,7 @@ def test_incremental_single_task_equals_closed():
     data = gen_synthetic(site_spec([site_task("s", 25.0, noise=0.05, n=400)], seed=4))
     train, test = split_dataset(data, 0.7, seed=0)
     cfg = tree_config()
-    closed = baseline_closed(train, test, cfg.learner, cfg.seed, cfg.bucketing)
+    closed = baseline_closed(train, test, cfg.learner, cfg.seed)
     inc = baseline_incremental([("s", train, test)], cfg.learner, cfg.seed)
     assert inc.overall_accuracy == closed.overall_accuracy
     assert inc.per_task.keys() == closed.per_task.keys()
@@ -182,10 +180,8 @@ def test_incremental_interference_on_contradictory_second_task():
     a = site_task("p", 27.0, n=400, classes=("nochange", "cooler"))
     b = site_task("q", 27.0, n=400, classes=("cooler", "nochange"))
     data = gen_synthetic(site_spec([a, b], seed=8))
-    bucketing = BucketingConfig((None,))
     train, test = split_dataset(data, 0.7, seed=2)
-    train_parts = mine_tasks(train, bucketing).parts
-    test_parts = mine_tasks(test, bucketing).parts
+    train_parts, test_parts = as_tasks(train).parts, as_tasks(test).parts
     stream = [(k, train_parts[k], test_parts[k]) for k in ("p", "q")]
     inc = baseline_incremental(stream, EstimatorSpec("tree", {"max_depth": 4}), 0)
     # task q is scored with the model trained only on p's opposite labeling
@@ -196,10 +192,8 @@ def test_incremental_interference_on_contradictory_second_task():
 def test_incremental_deterministic():
     data = gen_synthetic(site_spec(
         [site_task("p", 24.0, 0.1, 150), site_task("q", 30.0, 0.1, 150)], seed=3))
-    bucketing = BucketingConfig((None,))
     train, test = split_dataset(data, 0.7, seed=2)
-    train_parts = mine_tasks(train, bucketing).parts
-    test_parts = mine_tasks(test, bucketing).parts
+    train_parts, test_parts = as_tasks(train).parts, as_tasks(test).parts
     stream = [(k, train_parts[k], test_parts[k]) for k in sorted(train_parts)]
     r1 = baseline_incremental(stream, EstimatorSpec("tree"), 0)
     r2 = baseline_incremental(stream, EstimatorSpec("tree"), 0)
@@ -249,7 +243,7 @@ def test_lifelong_full_coverage_routes_known():
     cfg = tree_config()
     outcome = run_lifelong_bench(train, test, cfg)
     assert set(outcome.snapshot.tasks) == {"p", "q"}
-    runtime = EdgeRuntime(train.schema, cfg.bucketing)
+    runtime = EdgeRuntime(train.schema, BucketingConfig.from_schema(train.schema))
     runtime.apply_snapshot(outcome.snapshot)
     for sample in test.samples:
         assert runtime.infer(sample).route == "known"
@@ -276,7 +270,7 @@ def test_lifelong_per_task_matches_direct_evaluate_oracle():
          site_task("new", 27.0, 0.05, 100)], seed=8))
     cfg = tree_config()
     outcome = run_lifelong_bench(train_data, test_data, cfg)
-    parts = mine_tasks(test_data, cfg.bucketing)
+    parts = as_tasks(test_data)
     for key in parts.keys:
         if key in outcome.snapshot.tasks:
             model = outcome.snapshot.tasks[key].model

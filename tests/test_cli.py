@@ -1209,15 +1209,32 @@ def test_sim_run_on_a_used_kb_is_phase_error_exit_2(workdir, capsys):
     assert (workdir / "simkb" / "index.json").read_bytes() == index
 
 
-def test_sim_run_without_out_dir_is_exit_1_and_commits_nothing(workdir, capsys):
+def _two_tick_sim_args(workdir) -> list[str]:
+    """`sim run` of a two-tick sim on train.csv into ``simkb``, without --out-dir."""
     (workdir / "sim.json").write_text(json.dumps({
         "edges": 1, "max_ticks": 2, "schema": "schema.json", "job": "job.json",
         "initial_data": "train.csv",
     }), encoding="utf-8")
-    args = ["sim", "run", "--config", str(workdir / "sim.json"), "--kb", str(workdir / "simkb")]
+    return ["sim", "run", "--config", str(workdir / "sim.json"), "--kb", str(workdir / "simkb")]
+
+
+def test_sim_run_without_out_dir_is_exit_1_and_commits_nothing(workdir, capsys):
+    args = _two_tick_sim_args(workdir)
     assert cli_main(args) == 1
     assert "--out-dir" in capsys.readouterr().err
     assert not (workdir / "simkb" / "index.json").exists()
+    assert cli_main([*args, "--out-dir", str(workdir / "simout")]) == 0  # the retry runs
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_sim_run_into_an_out_dir_that_cannot_be_a_directory_is_exit_2_and_commits_nothing(
+        workdir, capsys, out_dir):
+    args = _two_tick_sim_args(workdir)
+    (workdir / "afile").write_text("not a directory\n", encoding="utf-8")
+    assert cli_main([*args, "--out-dir", str(workdir / out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out-dir {workdir / out_dir}: {workdir / 'afile'} is not a directory" in err
+    assert not (workdir / "simkb").exists()
     assert cli_main([*args, "--out-dir", str(workdir / "simout")]) == 0  # the retry runs
 
 

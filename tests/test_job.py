@@ -10,7 +10,7 @@ import zlib
 import pytest
 
 from edgelearn import bench, tasks as tasks_mod
-from edgelearn.data import Dataset
+from edgelearn.data import Dataset, field_names
 from edgelearn.errors import (ConfigError, LearnerError, NothingDeployableError, PhaseError,
                              SchemaMismatchError)
 from edgelearn.job import (
@@ -42,7 +42,6 @@ from test_kb import _watch_writes
 def majority_config(**overrides) -> JobConfig:
     defaults = dict(
         learner=EstimatorSpec("majority"),
-        bucketing=BucketingConfig((None,)),
         eval_policy=EvalPolicy(),
         transfer=TransferPolicy(min_samples=1, cap=100),
         trigger=TriggerPolicy(unseen_threshold=5),
@@ -107,10 +106,7 @@ def test_train_fallback_disabled(tmp_path):
 
 def test_train_small_task_augmented_by_transfer(tmp_path):
     schema = banded_schema()
-    cfg = majority_config(
-        bucketing=BucketingConfig.from_schema(schema),
-        transfer=TransferPolicy(min_samples=8, cap=100),
-    )
+    cfg = majority_config(transfer=TransferPolicy(min_samples=8, cap=100))
     kb = KnowledgeBase.open(tmp_path / "kb")
     job = LifelongJob(cfg, kb)
     rows = [((1.0,), ("p", 5.0), "a")] * 2 + [((2.0,), ("p", 25.0), "b")] * 8
@@ -624,8 +620,7 @@ def test_holdout_halves_are_the_partitions_re_mining_gives(rng):
 
 
 def test_stages_reject_a_partition_mined_under_another_bucketing(tmp_path):
-    cfg = majority_config(bucketing=BucketingConfig((None, (20.0, 30.0))))
-    job, kb = new_job(tmp_path, cfg)
+    job, kb = new_job(tmp_path)
     ds = Dataset(banded_schema(), make_samples(
         [((float(i),), ("athens", 10.0 * i), "ab"[i % 2]) for i in range(6)]))
     other = mine_tasks(ds, BucketingConfig((None, (25.0,))))
@@ -634,7 +629,7 @@ def test_stages_reject_a_partition_mined_under_another_bucketing(tmp_path):
         job.run_train(other)
     assert (job.phase, kb.fingerprint()) == before
 
-    job.run_train(mine_tasks(ds, cfg.bucketing))
+    job.run_train(mine_tasks(ds, BucketingConfig.from_schema(ds.schema)))
     before = job.phase, kb.fingerprint()
     with pytest.raises(SchemaMismatchError, match="another bucketing"):
         job.run_eval(other)
@@ -651,8 +646,8 @@ def test_each_dataset_is_mined_once(tmp_path, monkeypatch, rng):
         calls.append(len(dataset))
         return real(dataset, bucketing)
 
-    for module in (tasks_mod, bench):  # the job mines through tasks.as_tasks
-        monkeypatch.setattr(module, "mine_tasks", counting)
+    # the job and the bench mine through tasks.as_tasks
+    monkeypatch.setattr(tasks_mod, "mine_tasks", counting)
     job, _ = new_job(tmp_path)
     data = random_city_dataset(rng, 60, ["athens", "tokyo", "oslo"])
     job.bootstrap(data)
@@ -713,7 +708,7 @@ def test_parse_job_config_reference_fields():
     """
     cfg = parse_job_config(text, schema)
     assert cfg.learner.kind == "tree"
-    assert cfg.bucketing.edges == (None, (15.0, 25.0, 35.0))
+    assert "bucketing" not in field_names(JobConfig)  # a stage buckets under its data's schema
     assert cfg.eval_policy == EvalPolicy(0.5, 2)
     assert cfg.transfer == TransferPolicy(5, 50)
     assert cfg.trigger.unseen_threshold == 3
@@ -721,10 +716,13 @@ def test_parse_job_config_reference_fields():
     assert cfg.seed == 11
 
 
-def test_parse_job_config_defaults_bucketing_from_schema():
+def test_parse_job_config_defaults_bucketing_from_schema(tmp_path):
     schema = banded_schema((20.0, 30.0))
     cfg = parse_job_config('{"learner": {"kind": "majority"}}', schema)
-    assert cfg.bucketing.edges == (None, (20.0, 30.0))
+    job, kb = new_job(tmp_path, cfg)
+    job.run_train(Dataset(schema, make_samples(
+        [((0.0,), ("p", band), "a") for band in (10.0, 25.0, 35.0)])))
+    assert sorted(kb.records) == ["p|0", "p|1", "p|2"]  # the schema's edges
 
 
 def test_parse_job_config_refuses_a_bucketing_key():

@@ -518,7 +518,7 @@ def test_the_fingerprint_tells_apart_stores_of_other_bucket_edges(tmp_path):
     stores = {}
     for name, edges in (("low", (1.0, 2.0)), ("high", (5.0, 6.0))):
         stores[name] = KnowledgeBase.open(tmp_path / name)
-        stores[name].declare_shape(banded_schema(), BucketingConfig((None, edges)))
+        stores[name].declare_shape(banded_schema(edges))
     low, high = stores["low"], stores["high"]
     assert low.schema_fingerprint == high.schema_fingerprint  # one schema
     assert (tmp_path / "low" / "index.json").read_bytes() != (
@@ -562,15 +562,14 @@ def test_a_store_declares_one_shape_before_it_holds_a_model(tmp_path, monkeypatc
     with pytest.raises(StoreError, match="index.json declares no shape"):
         kb.set_fallback(make_fallback())
     assert not any((tmp_path / "kb").iterdir())
-    kb.declare_shape(city_schema(), BucketingConfig((None,)))
+    kb.declare_shape(city_schema())
     kb.upsert_task(make_record("athens"))
     raw, shape = index.read_bytes(), kb.shape
     written, _ = _watch_writes(monkeypatch)
-    kb.declare_shape(city_schema(), BucketingConfig((None,)))  # the same shape commits nothing
-    for schema, bucketing in ((city_schema(("a", "c")), BucketingConfig((None,))),
-                              (banded_schema(), BucketingConfig((None, (1.0,))))):
+    kb.declare_shape(city_schema())  # the same shape commits nothing
+    for schema in (city_schema(("a", "c")), banded_schema((1.0,))):
         with pytest.raises(SchemaMismatchError, match="index.json declares the shape"):
-            kb.declare_shape(schema, bucketing)
+            kb.declare_shape(schema)
     assert written == [] and index.read_bytes() == raw
     assert kb.shape == KnowledgeBase.open(tmp_path / "kb").shape == shape
 

@@ -22,10 +22,10 @@ from edgelearn.cli import cli_main
 from edgelearn.data import parse_schema
 from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import EdgeLearnError
-from edgelearn.job import parse_job_config
 from edgelearn.kb import KnowledgeBase, deserialize_snapshot, serialize_snapshot
 from edgelearn.learners import canonical_json_bytes
 from edgelearn.reference import reference_text
+from edgelearn.tasks import BucketingConfig
 
 # null, booleans, small ints, a fraction, a huge finite number, strings, and
 # empty and one-element lists and objects
@@ -50,8 +50,7 @@ def thermal5(tmp_path_factory):
     assert cli_main(["job", "eval", *base, "--data", str(data)]) == 0
     assert cli_main(["job", "deploy", *base, "--out", str(work / "snap.json")]) == 0
     schema = parse_schema((work / "thermal_schema.json").read_text(encoding="utf-8"))
-    cfg = parse_job_config((work / "thermal_job.json").read_text(encoding="utf-8"), schema)
-    return work, lambda: EdgeRuntime(schema, cfg.bucketing)
+    return work, lambda: EdgeRuntime(schema, BucketingConfig.from_schema(schema))
 
 
 def _paths(doc, prefix=()):

@@ -1,5 +1,6 @@
-"""Packaging: the library needs nothing beyond the Python standard library, and
-the README's config examples parse."""
+"""Packaging: the library needs nothing beyond the Python standard library, the
+README's config examples parse, and the benchmark under perfbench/ still binds
+to the library's names."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import edgelearn
 from edgelearn.data import field_names, load_object, parse_schema
 from edgelearn.job import parse_job_config
 from edgelearn.sim import SimConfig
+from edgelearn.tasks import BucketingConfig
 
 
 def test_every_absolute_import_is_in_the_standard_library():
@@ -68,6 +70,39 @@ def test_the_readmes_config_examples_parse():
     # the sim config, the schema and the job config, in the README's order
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     sim, schema, job = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
-    job_config = parse_job_config(job, parse_schema(schema))
-    assert job_config.bucketing.edges == (None, (10.0, 20.0, 30.0))  # the schema's
-    assert load_object(sim, "sim config", (), field_names(SimConfig))["job"] == "job.json"
+    schema = parse_schema(schema)
+    parse_job_config(job, schema)
+    assert BucketingConfig.from_schema(schema).edges == (None, (10.0, 20.0, 30.0))
+    # the sim config names its schema file beside SimConfig's fields
+    sim = load_object(sim, "sim config", ("schema",), field_names(SimConfig))
+    assert (sim["schema"], sim["job"]) == ("schema.json", "job.json")
+
+
+def test_the_benchmark_runs_one_traced_round_of_each_workload(tmp_path, monkeypatch):
+    # perfbench/ wraps library functions by name and calls them with fixed
+    # shapes; a rename or a changed signature fails here, not first in a bench run
+    harness = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(harness))
+    import scenarios
+    import spans
+    import workloads
+
+    tests = ast.parse((harness / "test_perfbench.py").read_text(encoding="utf-8"))
+    [tiny] = [node.value for node in tests.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["TINY"]]
+    for name, value in ast.literal_eval(tiny).items():  # the harness tests' sizes
+        monkeypatch.setattr(workloads, name, value)
+    tracer = spans.Tracer()
+    try:  # a failed install leaves what it patched for uninstall to restore
+        tracer.install()
+        for name, workload in scenarios.WORKLOADS.items():
+            (tmp_path / name).mkdir()
+            job = workload(1)
+            rnd = job.run(job.setup(tmp_path / name), None)
+            assert rnd.failed == 0 and rnd.attempted > 0, (name, rnd.outputs)
+    finally:
+        tracer.uninstall()
+    traced = {span.name for span in tracer.finished_spans()}
+    assert {"bench.run_bench", "tasks.mine_tasks", "learners.fit", "sim.tick",
+            "edge.infer"} <= traced
+    assert tracer.counts["kb.commits"] > 0 and tracer.counts["edge.route.known"] > 0

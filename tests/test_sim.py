@@ -13,15 +13,13 @@ from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy
 from edgelearn.kb import KnowledgeBase, serialize_snapshot
 from edgelearn.learners import EstimatorSpec
 from edgelearn.sim import MSG_UPLOAD_BATCH, LinkEvent, SimConfig, StreamEvent, start_sim
-from edgelearn.tasks import BucketingConfig
 
-from conftest import city_dataset, city_schema
+from conftest import city_dataset, edge_prediction_lines
 
 
 def sim_job_config(k: int = 10, seed: int = 5) -> JobConfig:
     return JobConfig(
         learner=EstimatorSpec("majority"),
-        bucketing=BucketingConfig((None,)),
         eval_policy=EvalPolicy(),
         transfer=TransferPolicy(min_samples=1, cap=1000),
         trigger=TriggerPolicy(unseen_threshold=k),
@@ -42,7 +40,6 @@ def basic_config(**overrides) -> SimConfig:
     defaults = dict(
         edges=1,
         job=sim_job_config(),
-        schema=city_schema(),
         initial_data=city_dataset([(float(i), "athens", "a") for i in range(30)]),
         streams=(),
         links=(),
@@ -211,7 +208,6 @@ def test_unknown_band_routes_similar_then_known_after_update(tmp_path):
     schema = banded_schema((10.0, 20.0, 30.0, 40.0))  # B=5 buckets
     job = JobConfig(
         learner=EstimatorSpec("majority"),
-        bucketing=BucketingConfig.from_schema(schema),
         transfer=TransferPolicy(min_samples=1, cap=1000),
         trigger=TriggerPolicy(unseen_threshold=10),
         seed=5,
@@ -224,7 +220,7 @@ def test_unknown_band_routes_similar_then_known_after_update(tmp_path):
     )
     probes = make_samples([((50.0 + i,), ("p", 25.0), None) for i in range(5)])
     cfg = SimConfig(
-        edges=1, job=job, schema=schema, initial_data=initial,
+        edges=1, job=job, initial_data=initial,
         streams=(StreamEvent(1, 0, neighbor_feedback), StreamEvent(3, 0, probes)),
         max_ticks=5,
     )
@@ -360,7 +356,7 @@ def test_offline_autonomy_prediction_log_and_kb_equal(tmp_path):
     outage_sim = start_sim(_autonomy_config(outage=True), tmp_path / "kb_off")
     outage = outage_sim.run_to_completion()
 
-    assert online.edge_prediction_lines(0) == outage.edge_prediction_lines(0)
+    assert edge_prediction_lines(online, 0) == edge_prediction_lines(outage, 0)
     kb_on = KnowledgeBase.open(tmp_path / "kb_on")
     kb_off = KnowledgeBase.open(tmp_path / "kb_off")
     assert kb_on.fingerprint() == kb_off.fingerprint()
