@@ -283,7 +283,7 @@ def run_bench(
     closed = baseline_closed(train, test_parts, cfg.learner, cfg.seed)
     train_parts = as_tasks(train)
     empty = Dataset(train.schema)
-    # training-backed tasks first; test-only tasks arrive as "future" tasks
+    # tasks with training rows first; test-only tasks arrive as "future" tasks
     # scored with whatever model the stream has produced by then
     stream_keys = train_parts.keys + sorted(set(test_parts.parts) - set(train_parts.parts))
     stream = [

@@ -41,7 +41,6 @@ ROUTE_FALLBACK = "fallback"
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.75
 DEFAULT_UNSEEN_CAP = 10_000
-TRIGGER_COUNT_THRESHOLD = "count-threshold"  # the feedback buffer reached the policy's threshold
 
 
 class Prediction(NamedTuple):

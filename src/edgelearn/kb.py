@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from hashlib import sha256
@@ -239,8 +239,14 @@ def _replace_synced(path: Path, data: bytes) -> None:
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Replace *path* with *data* so that a crash leaves the old or the new
-    bytes: fsync a temp file, rename it over *path*, fsync the directory."""
-    _replace_synced(path, data)
+    bytes: fsync a temp file, rename it over *path*, fsync the directory.
+    A write or rename that fails removes the temp file."""
+    try:
+        _replace_synced(path, data)
+    except BaseException:
+        with suppress(OSError):
+            path.with_name(path.name + ".tmp").unlink()
+        raise
     _fsync_dir(path.parent)
 
 

@@ -3,13 +3,15 @@ base on the cloud side, edge nodes running inference, and a message bus
 with link-failure injection.
 
 The simulation advances in discrete ticks; within a tick the order is
-fixed: (1) apply link schedule, (2) deliver queued cloud-to-edge messages
-to online edges, (3) replay scheduled samples through each edge's infer,
-(4) fire retrain triggers and deliver edge-to-cloud messages, (5) run due
-update cycles on the cloud and queue snapshot pushes. Messages to or from
-offline nodes stay queued in FIFO order and drain on reconnect; transport
-is at-least-once, and the GlobalManager deduplicates by message id so
-redelivery has no effect.
+fixed: (1) apply link schedule, (2) deliver queued snapshot pushes to
+online edges, (3) replay scheduled samples through each edge's infer,
+(4) fire retrain triggers and deliver uploads from online edges, (5) run
+due update cycles on the cloud and queue snapshot pushes. There is one
+message kind per direction: the cloud pushes a snapshot to each edge, and
+an edge sends one upload per trigger, which is its retrain request.
+Nothing is acknowledged. Messages to or from offline nodes stay queued in
+FIFO order and drain on reconnect; the GlobalManager deduplicates uploads
+by message id so a redelivery has no effect.
 
 Everything is deterministic given the config and the job seed: event logs
 from two runs of the same config are byte-identical.
@@ -27,7 +29,6 @@ from .data import (Dataset, Sample, _is_int, check_int, check_object, field_name
 from .edge import (
     DEFAULT_SIMILARITY_THRESHOLD,
     DEFAULT_UNSEEN_CAP,
-    TRIGGER_COUNT_THRESHOLD,
     EdgeRuntime,
     check_similarity_threshold,
 )
@@ -36,18 +37,15 @@ from .job import JobConfig, LifelongJob, parse_job_config
 from .kb import DeploySnapshot, KnowledgeBase
 from .tasks import BucketingConfig
 
-MSG_SNAPSHOT_PUSH = "snapshot_push"
-MSG_UPLOAD_BATCH = "upload_batch"
-MSG_TRIGGER_TRAIN = "trigger_train"
-MSG_ACK = "ack"
-
 
 @dataclass(frozen=True)
 class Message:
+    """A snapshot push (cloud to edge) or an upload (edge to cloud); each
+    queue holds one of the two."""
+
     id: int
-    kind: str
     source: str
-    payload: object = None
+    payload: object
 
 
 @dataclass(frozen=True)
@@ -136,11 +134,11 @@ class Simulation:
         self.events: list[str] = []
         self._next_message_id = 1
         self._processed_ids: set[int] = set()
-        self._pending_trains: list[tuple[int, int]] = []  # (ready, edge)
+        self._pending_trains: list[tuple[int, str]] = []  # (ready, uploading edge)
         self._labeled_pool: list[Sample] = []
         self._demand: Counter[str] = Counter()  # uploaded unknown requests per task key
         self._served: dict = {}  # the last pushed snapshot's tasks
-        self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0, "acked": 0}
+        self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0}
 
         self._links_by_tick: dict[int, list[LinkEvent]] = {}
         for ev in sorted(cfg.links, key=lambda e: (e.tick, e.edge_id)):
@@ -175,7 +173,6 @@ class Simulation:
         for edge in self.edges:
             if edge.link_up:
                 self._deliver_to_edge(edge)
-                self._deliver_to_cloud(edge)  # bootstrap acks settle before tick 0
 
     # -- logging ---------------------------------------------------------------
 
@@ -184,11 +181,10 @@ class Simulation:
 
     # -- message plumbing --------------------------------------------------------
 
-    def _send(self, kind: str, source: str, payload=None) -> Message:
-        msg = Message(self._next_message_id, kind, source, payload)
+    def _send(self, source: str, payload) -> Message:
+        msg = Message(self._next_message_id, source, payload)
         self._next_message_id += 1
-        if kind != MSG_ACK:
-            self.stats["sent"] += 1
+        self.stats["sent"] += 1
         return msg
 
     def _apply_link(self, edge_id: int, up: bool) -> None:
@@ -201,7 +197,7 @@ class Simulation:
     def _push_snapshot(self, snapshot: DeploySnapshot) -> None:
         self._served = snapshot.tasks
         for edge in self.edges:
-            msg = self._send(MSG_SNAPSHOT_PUSH, "cloud", snapshot)
+            msg = self._send("cloud", snapshot)
             edge.from_cloud.append(msg)
             self._log("cloud", "push_queued", f"to={edge.name} id={msg.id} "
                                               f"version={snapshot.snapshot_version}")
@@ -209,49 +205,32 @@ class Simulation:
     def _deliver_to_edge(self, edge: _EdgeNode) -> None:
         while edge.from_cloud:
             msg = edge.from_cloud.popleft()
-            if msg.kind == MSG_SNAPSHOT_PUSH:
-                self.stats["delivered"] += 1
-                result = edge.runtime.apply_snapshot(msg.payload)
-                version = msg.payload.snapshot_version
-                self._log(edge.name, "snapshot_" + ("applied" if result == "applied" else "rejected"),
-                          f"id={msg.id} version={version}")
-                ack = self._send(MSG_ACK, edge.name, msg.id)
-                edge.to_cloud.append(ack)
-            elif msg.kind == MSG_ACK:
-                self.stats["acked"] += 1
-                self._log(edge.name, "ack_received", f"of={msg.payload}")
+            self.stats["delivered"] += 1
+            result = edge.runtime.apply_snapshot(msg.payload)
+            self._log(edge.name, "snapshot_" + ("applied" if result == "applied" else "rejected"),
+                      f"id={msg.id} version={msg.payload.snapshot_version}")
 
     def _deliver_to_cloud(self, edge: _EdgeNode) -> None:
         while edge.to_cloud:
-            msg = edge.to_cloud.popleft()
-            if msg.kind == MSG_ACK:
-                self.stats["acked"] += 1
-                self._log("cloud", "ack_received", f"of={msg.payload}")
-                continue
             self.stats["delivered"] += 1
-            self._receive_at_cloud(msg)
-            ack = self._send(MSG_ACK, "cloud", msg.id)
-            edge.from_cloud.append(ack)
+            self._receive_at_cloud(edge.to_cloud.popleft())
 
     def _receive_at_cloud(self, msg: Message) -> None:
-        """Idempotent handler: duplicate deliveries are dropped by id."""
+        """Idempotent handler: duplicate deliveries are dropped by id. An
+        upload is its edge's retrain request: the update cycle is due
+        ``training_delay_ticks`` after it arrives."""
         if msg.id in self._processed_ids:
             self.stats["duplicates_dropped"] += 1
-            self._log("cloud", "duplicate_dropped", f"id={msg.id} kind={msg.kind}")
+            self._log("cloud", "duplicate_dropped", f"id={msg.id} from={msg.source}")
             return
         self._processed_ids.add(msg.id)
-        if msg.kind == MSG_UPLOAD_BATCH:
-            labeled, demand = msg.payload
-            self._labeled_pool.extend(labeled)
-            self._demand.update(demand)
-            self._log("cloud", "upload_received", f"id={msg.id} from={msg.source} "
-                      f"labeled={len(labeled)} unseen={sum(demand.values())}")
-        elif msg.kind == MSG_TRIGGER_TRAIN:
-            edge_id, reason = msg.payload
-            ready = self.now + self.cfg.training_delay_ticks
-            self._pending_trains.append((ready, edge_id))
-            self._log("cloud", "trigger_received",
-                      f"id={msg.id} from=edge:{edge_id} reason={reason} ready={ready}")
+        labeled, demand = msg.payload
+        self._labeled_pool.extend(labeled)
+        self._demand.update(demand)
+        ready = self.now + self.cfg.training_delay_ticks
+        self._pending_trains.append((ready, msg.source))
+        self._log("cloud", "upload_received", f"id={msg.id} from={msg.source} "
+                  f"labeled={len(labeled)} ready={ready} unseen={sum(demand.values())}")
 
     # -- the tick loop -------------------------------------------------------------
 
@@ -289,22 +268,18 @@ class Simulation:
             batch = edge.runtime.fire_trigger(self.cfg.job.trigger)
             if batch is not None:
                 labeled, demand = batch
-                upload = self._send(MSG_UPLOAD_BATCH, edge.name, batch)
-                trigger = self._send(MSG_TRIGGER_TRAIN, edge.name,
-                                     (edge.id, TRIGGER_COUNT_THRESHOLD))
+                upload = self._send(edge.name, batch)
                 edge.to_cloud.append(upload)
-                edge.to_cloud.append(trigger)
-                self._log(edge.name, "trigger",
-                          f"labeled={len(labeled)} unseen={sum(demand.values())} "
-                          f"upload_id={upload.id} trigger_id={trigger.id}")
+                self._log(edge.name, "trigger", f"labeled={len(labeled)} "
+                          f"unseen={sum(demand.values())} upload_id={upload.id}")
             if edge.link_up:
                 self._deliver_to_cloud(edge)
 
         due = [p for p in self._pending_trains if p[0] <= self.now]
         self._pending_trains = [p for p in self._pending_trains if p[0] > self.now]
-        for _, edge_id in due:
+        for _, source in due:
             if not self._labeled_pool:
-                self._log("cloud", "update_skipped", f"from=edge:{edge_id} reason=empty-pool")
+                self._log("cloud", "update_skipped", f"from={source} reason=empty-pool")
                 continue
             batch = self.cfg.initial_data.derive(self._labeled_pool)  # each edge validated them
             self._labeled_pool = []

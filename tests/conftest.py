@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import edgelearn.kb as kb_mod
-from edgelearn.data import AttributeKind, Dataset, DatasetSchema, Sample
+from edgelearn.data import AttributeKind, Dataset, DatasetSchema, Sample, write_csv
 from edgelearn.kb import KnowledgeBase
 from edgelearn.learners import EstimatorSpec, ModelArtifact, TreeLearner, fit
 
@@ -150,3 +152,39 @@ def crash_points(monkeypatch) -> CrashPoints:
     monkeypatch.setattr(kb_mod, "_replace_file", replace_file)
     monkeypatch.setattr(kb_mod, "_write_synced", write_synced)
     return points
+
+
+@pytest.fixture
+def sim_dir(tmp_path) -> Path:
+    """The pinned two-edge sim: athens bootstraps, oslo streams in labeled
+    and triggers an update cycle, and edge 1 goes down and comes back."""
+    (tmp_path / "schema.json").write_text(json.dumps({
+        "features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
+        "attributes": [{"name": "city", "kind": "categorical"}],
+    }), encoding="utf-8")
+    (tmp_path / "job.json").write_text(json.dumps({
+        "learner": {"kind": "tree"}, "transfer": {"min_samples": 1, "cap": 1000},
+        "trigger": {"unseen_threshold": 10}, "seed": 5,
+    }), encoding="utf-8")
+    write_csv(city_dataset([(float(i), "athens", "ab"[i >= 15]) for i in range(30)]),
+              tmp_path / "initial.csv")
+    write_csv(city_dataset([(i / 2, "oslo", "ba"[i >= 6]) for i in range(12)]),
+              tmp_path / "oslo.csv")
+    write_csv(city_dataset([(float(i), "athens", None) for i in range(0, 30, 4)]),
+              tmp_path / "athens.csv")
+    (tmp_path / "sim.json").write_text(json.dumps({
+        "edges": 2, "max_ticks": 6, "schema": "schema.json", "job": "job.json",
+        "initial_data": "initial.csv",
+        "streams": [{"tick": 1, "edge": 0, "data": "oslo.csv"},
+                    {"tick": 2, "edge": 1, "data": "athens.csv"},
+                    {"tick": 4, "edge": 1, "data": "oslo.csv"}],
+        "links": [{"tick": 1, "edge": 1, "state": "down"},
+                  {"tick": 3, "edge": 1, "state": "up"}],
+    }), encoding="utf-8")
+    return tmp_path
+
+
+def sim_args(work: Path, out: str) -> list[str]:
+    """``sim run`` of :func:`sim_dir`'s config into ``work/out``."""
+    return ["sim", "run", "--config", str(work / "sim.json"), "--kb", str(work / f"{out}kb"),
+            "--out-dir", str(work / out)]

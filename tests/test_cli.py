@@ -541,6 +541,28 @@ def test_failed_snapshot_write_leaves_the_job_deploying(workdir, capsys):
     assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
 
 
+@pytest.mark.parametrize("command", ["job deploy", "job update", "edge infer", "edge status"])
+def test_an_out_write_that_fails_leaves_no_temp_file_exit_2(workdir, capsys, command):
+    # --out names a directory: the rename over it fails after the temp file is written
+    base = ["--kb", str(workdir / "kb"), "--schema", str(workdir / "schema.json"),
+            "--config", str(workdir / "job.json")]
+    assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
+    assert cli_main(["job", "eval", *base, "--data", str(workdir / "test.csv")]) == 0
+    if command != "job deploy":
+        assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
+    edge = ["--schema", str(workdir / "schema.json"), "--snapshot", str(workdir / "snap.json"),
+            "--data", str(workdir / "test.csv")]
+    argv = {"job deploy": ["job", "deploy", *base],
+            "job update": ["job", "update", *base, "--data", str(workdir / "train.csv")],
+            "edge infer": ["edge", "infer", *edge],
+            "edge status": ["edge", "status", *edge]}[command]
+    (workdir / "out").mkdir()
+    index = (workdir / "kb" / "index.json").read_bytes()
+    assert cli_main([*argv, "--out", str(workdir / "out")]) == 2
+    assert sorted(workdir.rglob("*.tmp")) == []
+    assert (workdir / "kb" / "index.json").read_bytes() == index
+
+
 def test_job_train_after_a_deploy_with_nothing_deployable(workdir, capsys):
     strict = json.loads(JOB_TEXT)
     strict.update(eval_policy={"min_accuracy": 0.999}, fallback_enabled=False)

@@ -23,7 +23,7 @@ from edgelearn.cli import cli_main
 from edgelearn.data import Dataset, load_csv, parse_schema, split_dataset, write_csv
 from edgelearn.reference import reference_text
 
-from conftest import city_dataset, make_samples
+from conftest import make_samples, sim_args
 
 PINS = {
     "summary.json": "0f7f5264538a2d70a5852d4cfa66a72634e44ee9a8b70c3e29af5ae97a8f14c8",
@@ -32,9 +32,11 @@ PINS = {
     "snap.json": "b9aa7ac5d50d35762cd7b402e11033914da096337526d934de7f7628cdc21539",
     "index.json": "a14ac5867fc2fbf458f19158cc4b5900874758a207cbab59f566b41ca3bde172",
     "predictions.csv": "53a43afc4d4b5b13eec5aa74b9f0d3beea82ec712b8acf1f3ce5104110564ba3",
-    "events.log": "f89ee132bd104d64507fe0e3ea186cfe7ecf07f1c7b542feccffc936998486bc",
-    "report.json": "b16da8202aada636a8d142ca7bd79c9c697212b995a5af2683066c0baa4a8c83",
+    "events.log": "7ffd68939661199cbd789f6b98cf5ecc51d9afb4bfb70add1da0a452e2d47d0f",
+    "report.json": "3b81536299eeb637e21fe053e1c51ce1ca51b9f87821d4d73154a83080a331ba",
     "routes.csv": "e1fa93db7ec4a4db96c065c69f7bacc2ae6027cd7565b19425141d03999d995e",
+    # what the sim's edges served and its cloud learned, whatever messages carried it
+    "sim outcome": "6bca117d3844bf93aff247c929a79bf2431bc32f70cdd59831fd209d8205a674",
 }
 
 
@@ -137,43 +139,8 @@ def test_edge_predictions_on_every_route_are_pinned(tmp_path, capsys):
     assert _digest(tmp_path / "routes.csv") == PINS["routes.csv"]
 
 
-@pytest.fixture
-def sim_dir(tmp_path) -> Path:
-    """A small two-edge sim: athens bootstraps, oslo streams in labeled and
-    triggers an update cycle, and edge 1 goes down and comes back."""
-    (tmp_path / "schema.json").write_text(json.dumps({
-        "features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
-        "attributes": [{"name": "city", "kind": "categorical"}],
-    }), encoding="utf-8")
-    (tmp_path / "job.json").write_text(json.dumps({
-        "learner": {"kind": "tree"}, "transfer": {"min_samples": 1, "cap": 1000},
-        "trigger": {"unseen_threshold": 10}, "seed": 5,
-    }), encoding="utf-8")
-    write_csv(city_dataset([(float(i), "athens", "ab"[i >= 15]) for i in range(30)]),
-              tmp_path / "initial.csv")
-    write_csv(city_dataset([(i / 2, "oslo", "ba"[i >= 6]) for i in range(12)]),
-              tmp_path / "oslo.csv")
-    write_csv(city_dataset([(float(i), "athens", None) for i in range(0, 30, 4)]),
-              tmp_path / "athens.csv")
-    (tmp_path / "sim.json").write_text(json.dumps({
-        "edges": 2, "max_ticks": 6, "schema": "schema.json", "job": "job.json",
-        "initial_data": "initial.csv",
-        "streams": [{"tick": 1, "edge": 0, "data": "oslo.csv"},
-                    {"tick": 2, "edge": 1, "data": "athens.csv"},
-                    {"tick": 4, "edge": 1, "data": "oslo.csv"}],
-        "links": [{"tick": 1, "edge": 1, "state": "down"},
-                  {"tick": 3, "edge": 1, "state": "up"}],
-    }), encoding="utf-8")
-    return tmp_path
-
-
-def _sim_args(work: Path, out: str) -> list[str]:
-    return ["sim", "run", "--config", str(work / "sim.json"), "--kb", str(work / f"{out}kb"),
-            "--out-dir", str(work / out)]
-
-
 def test_sim_outputs_are_pinned(sim_dir, capsys):
-    _run(*_sim_args(sim_dir, "out"))
+    _run(*sim_args(sim_dir, "out"))
     for name in ("events.log", "report.json"):
         assert _digest(sim_dir / "out" / name) == PINS[name], name
 
@@ -182,7 +149,20 @@ def test_sim_outputs_do_not_depend_on_the_hash_seed(sim_dir):
     src = str(Path(edgelearn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONHASHSEED": "12345",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-m", "edgelearn", *_sim_args(sim_dir, "out2")],
+    subprocess.run([sys.executable, "-m", "edgelearn", *sim_args(sim_dir, "out2")],
                    env=env, check=True, capture_output=True, timeout=60)
     for name in ("events.log", "report.json"):
         assert _digest(sim_dir / "out2" / name) == PINS[name], name
+
+
+def test_sim_outcomes_apart_from_the_message_protocol_are_pinned(sim_dir, capsys):
+    # the predict, no_model and update_* lines and the report apart from
+    # message_stats: a change to how messages travel leaves these alone
+    _run(*sim_args(sim_dir, "out"))
+    lines = [line for line in (sim_dir / "out" / "events.log").read_text(encoding="utf-8").splitlines()
+             if line.split(",", 3)[2].startswith(("predict", "no_model", "update_"))]
+    report = json.loads((sim_dir / "out" / "report.json").read_text(encoding="utf-8"))
+    outcome = {key: report[key] for key in ("per_edge", "kb_summary", "unknown_demand")}
+    text = "\n".join(lines) + "\n" + json.dumps(outcome, sort_keys=True)
+    assert any(",update_completed," in line for line in lines)
+    assert sha256(text.encode("utf-8")).hexdigest() == PINS["sim outcome"]

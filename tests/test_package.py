@@ -1,6 +1,6 @@
 """Packaging: the library needs nothing beyond the Python standard library, the
-README's config examples parse, and the benchmark under perfbench/ still binds
-to the library's names."""
+README's config examples parse and its event list covers the sim's events, and
+the benchmark under perfbench/ still binds to the library's names."""
 
 from __future__ import annotations
 
@@ -10,10 +10,13 @@ import sys
 from pathlib import Path
 
 import edgelearn
+from edgelearn.cli import cli_main
 from edgelearn.data import field_names, load_object, parse_schema
 from edgelearn.job import parse_job_config
 from edgelearn.sim import SimConfig
 from edgelearn.tasks import BucketingConfig
+
+from conftest import sim_args
 
 
 def test_every_absolute_import_is_in_the_standard_library():
@@ -76,6 +79,16 @@ def test_the_readmes_config_examples_parse():
     # the sim config names its schema file beside SimConfig's fields
     sim = load_object(sim, "sim config", ("schema",), field_names(SimConfig))
     assert (sim["schema"], sim["job"]) == ("schema.json", "job.json")
+
+
+def test_the_readme_lists_every_event_kind_the_sim_logs(sim_dir, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Simulation\n", 1)[1].split("\n## ", 1)[0]
+    assert cli_main(sim_args(sim_dir, "out")) == 0
+    lines = (sim_dir / "out" / "events.log").read_text(encoding="utf-8").splitlines()
+    logged = {line.split(",", 3)[2] for line in lines}
+    assert {"bootstrap", "trigger", "upload_received", "update_completed"} <= logged
+    assert logged - set(re.findall(r"`(\w+)`", section)) == set()
 
 
 def test_the_benchmark_runs_one_traced_round_of_each_workload(tmp_path, monkeypatch):

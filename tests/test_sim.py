@@ -12,7 +12,7 @@ from edgelearn.errors import ConfigError
 from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy
 from edgelearn.kb import KnowledgeBase, serialize_snapshot
 from edgelearn.learners import EstimatorSpec
-from edgelearn.sim import MSG_UPLOAD_BATCH, LinkEvent, SimConfig, StreamEvent, start_sim
+from edgelearn.sim import LinkEvent, SimConfig, StreamEvent, start_sim
 
 from conftest import city_dataset, edge_prediction_lines
 
@@ -126,7 +126,7 @@ def test_offline_edge_keeps_inferring_and_queues_uploads(tmp_path):
     predict_lines = [l for l in events if ",edge:0,predict," in l]
     assert len(predict_lines) == 12
     assert not any(",cloud," in l for l in events)
-    assert len(sim.edges[0].to_cloud) == 2  # upload + trigger queued
+    assert len(sim.edges[0].to_cloud) == 1  # the upload, its retrain request, queued
     assert sim.kb.lookup("tokyo") is None
 
 
@@ -177,9 +177,8 @@ def test_duplicate_upload_delivery_has_no_effect(tmp_path, monkeypatch):
         uploads = []
         receive = sim._receive_at_cloud
 
-        def recording(msg):
-            if msg.kind == MSG_UPLOAD_BATCH:
-                uploads.append(msg)
+        def recording(msg):  # every message the cloud receives is an upload
+            uploads.append(msg)
             receive(msg)
 
         monkeypatch.setattr(sim, "_receive_at_cloud", recording)
@@ -291,15 +290,28 @@ def test_unknown_city_lands_in_final_kb(tmp_path):
 
 
 def test_message_conservation_all_acked_when_online(tmp_path):
-    cfg = basic_config(
+    # every message sent is delivered or still queued at the end
+    online = basic_config(
         streams=(StreamEvent(1, 0, labeled("tokyo", "b", 12)),),
-        max_ticks=6,  # quiet tail so every ack drains
+        max_ticks=6,  # quiet tail so every message drains
     )
-    report = start_sim(cfg, tmp_path / "kb").run_to_completion()
-    stats = report.message_stats
-    assert stats["sent"] == stats["acked"]
+    stats = start_sim(online, tmp_path / "kb").run_to_completion().message_stats
+    assert stats["sent"] == stats["delivered"]
     assert stats["queued_at_end"] == 0
-    assert stats["delivered"] == stats["sent"]
+    # edge 0 goes down for good: its upload and the push of edge 1's update stay queued
+    outage = basic_config(
+        edges=2,
+        streams=(StreamEvent(1, 0, labeled("tokyo", "b", 12)),
+                 StreamEvent(1, 1, labeled("oslo", "a", 12))),
+        links=(LinkEvent(1, 0, up=False),),
+        max_ticks=6,
+    )
+    report = start_sim(outage, tmp_path / "kb_outage").run_to_completion()
+    stats = report.message_stats
+    assert stats["sent"] == stats["delivered"] + stats["queued_at_end"]
+    assert stats["queued_at_end"] > 0
+    assert report.per_edge["edge:0"]["queued_to_cloud"] == 1
+    assert report.per_edge["edge:0"]["queued_from_cloud"] == 1
 
 
 def test_report_lists_uploaded_unknown_demand_the_last_snapshot_does_not_serve(
@@ -322,8 +334,7 @@ def test_report_lists_uploaded_unknown_demand_the_last_snapshot_does_not_serve(
     receive = sim._receive_at_cloud
 
     def recording(msg):
-        if msg.kind == MSG_UPLOAD_BATCH:
-            uploaded.update(msg.payload[1])
+        uploaded.update(msg.payload[1])
         receive(msg)
 
     monkeypatch.setattr(sim, "_receive_at_cloud", recording)
