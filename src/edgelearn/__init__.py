@@ -8,7 +8,6 @@ compares the lifelong pipeline against closed and incremental baselines.
 """
 
 from .data import (
-    AttributeKind,
     Dataset,
     DatasetSchema,
     Sample,

@@ -116,11 +116,30 @@ def _opt(args, name: str):
     return getattr(args, name, None)
 
 
-def _require(args, name: str, flag: str | None = None):
+def _require(args, name: str):
     value = _opt(args, name)
     if value is None:
-        raise _UsageError(f"missing required flag --{flag or name}")
+        raise _UsageError(f"missing required flag --{name.replace('_', '-')}")
     return value
+
+
+def _out_path(args, name: str, required: bool = True, directory: bool = False) -> Path | None:
+    """Output flag --*name*'s path (None if absent and not *required*), refused
+    (exit 2) before any work if no write there can succeed: a *directory* whose
+    nearest existing path is a file, a file that is a directory or whose parent is not."""
+    value = _require(args, name) if required else _opt(args, name)
+    if value is None:
+        return None
+    flag, path = "--" + name.replace("_", "-"), Path(value)
+    if directory:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise NotADirectoryError(f"{flag} {path}: {nearest} is not a directory")
+    elif path.is_dir():
+        raise IsADirectoryError(f"{flag} {path}: is a directory")
+    elif not path.parent.is_dir():
+        raise NotADirectoryError(f"{flag} {path}: {path.parent} is not a directory")
+    return path
 
 
 def _load_config(args) -> tuple:
@@ -175,6 +194,7 @@ def _cmd_job(args) -> int:
     if args.action not in ("train", "eval", "deploy", "update"):
         raise _UsageError("job needs an action: train | eval | deploy | update")
     schema, cfg = _load_config(args)
+    out = _out_path(args, "out") if args.action in ("deploy", "update") else None
     job = LifelongJob(cfg, KnowledgeBase.open(_require(args, "kb")))
     if args.action == "train":
         records = job.run_train(load_csv(_require(args, "data"), schema))
@@ -190,7 +210,6 @@ def _cmd_job(args) -> int:
         if report.fallback_metrics is not None:
             print(f"  fallback: acc={report.fallback_metrics.accuracy:.4f}")
     else:  # deploy | update; a failed --out write rolls the stage back
-        out = Path(_require(args, "out"))
         with job.kb.transaction():
             if args.action == "deploy":
                 snapshot = job.run_deploy()
@@ -205,7 +224,7 @@ def _cmd_job(args) -> int:
 def _cmd_edge(args) -> int:
     if args.action not in ("infer", "status"):
         raise _UsageError("edge needs an action: infer | status")
-    out = Path(_require(args, "out")) if args.action == "infer" else _opt(args, "out")
+    out = _out_path(args, "out", required=args.action == "infer")
     schema = parse_schema(read_text(_require(args, "schema")))
     runtime = EdgeRuntime(schema, BucketingConfig.from_schema(schema),
                           similarity_threshold=args.similarity_threshold)
@@ -240,7 +259,7 @@ def _cmd_edge(args) -> int:
     else:
         text = runtime.status_json()
         if out:
-            atomic_write_bytes(Path(out), (text + "\n").encode("utf-8"))
+            atomic_write_bytes(out, (text + "\n").encode("utf-8"))
         print(text)
     return 0
 
@@ -252,10 +271,7 @@ def _cmd_sim(args) -> int:
     cfg = parse_sim_config(read_text(config_path), config_path.parent)
     if _opt(args, "seed") is not None:
         cfg = replace(cfg, job=replace(cfg.job, seed=args.seed))
-    kb, out_dir = _require(args, "kb"), Path(_require(args, "out_dir", flag="out-dir"))
-    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not nearest.is_dir():  # refused before the run commits --kb
-        raise NotADirectoryError(f"--out-dir {out_dir}: {nearest} is not a directory")
+    kb, out_dir = _require(args, "kb"), _out_path(args, "out_dir", directory=True)
     report = start_sim(cfg, kb).run_to_completion()
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(out_dir / "events.log", report.events_text().encode("utf-8"))
@@ -270,20 +286,18 @@ def _cmd_bench(args) -> int:
         spec = bench_mod.parse_synthetic_spec(read_text(_require(args, "config")))
         if _opt(args, "seed") is not None:
             spec = replace(spec, seed=args.seed)
-        out = Path(_require(args, "out"))
+        out, schema_out = _out_path(args, "out"), _out_path(args, "schema_out", required=False)
         dataset = bench_mod.gen_synthetic(spec)
         write_csv(dataset, out)
         print(f"generated {len(dataset)} samples over {len(spec.tasks)} tasks to {out}")
-        if _opt(args, "schema_out"):
-            Path(args.schema_out).write_text(
-                schema_to_json(spec.schema) + "\n", encoding="utf-8"
-            )
+        if schema_out:
+            schema_out.write_text(schema_to_json(spec.schema) + "\n", encoding="utf-8")
         return 0
     if args.action == "run":
         schema, cfg = _load_config(args)
+        out_dir = _out_path(args, "out_dir", directory=True)
         train = load_csv(_require(args, "train"), schema)
         test = load_csv(_require(args, "test"), schema)
-        out_dir = _require(args, "out_dir", flag="out-dir")
         result = bench_mod.run_bench(train, test, cfg, work_dir=out_dir)
         files = bench_mod.emit_report(result, out_dir)
         print(bench_mod.format_report_text(result), end="")

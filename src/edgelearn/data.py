@@ -3,8 +3,8 @@
 A dataset row carries three things: a numeric feature vector (model input),
 an optional label, and a tuple of task attributes (the situational context
 that later identifies which task the row belongs to). Schemas pin column
-names, the label's class list, and per-attribute kinds. All objects here are
-immutable after construction and safe to share across threads.
+names, the label's class list, and attribute bucket edges. All objects here
+are immutable after construction and safe to share across threads.
 
 A CSV file is parsed by one column plan built from the schema (see
 ``_column_plan``); :meth:`DatasetSchema.validate_sample` owns the sample rules.
@@ -31,10 +31,6 @@ from .errors import ConfigError, DataError, EdgeLearnError, SchemaError
 AttrValue = str | float
 FeatureVector = tuple[float, ...]
 TaskAttrValues = tuple[AttrValue, ...]
-
-CATEGORICAL = "categorical"
-NUMERIC = "numeric"
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -64,19 +60,11 @@ def bucket_edges(edges, where: str = "bucket edges") -> tuple[float, ...]:
     return tuple(float(e) for e in edges)
 
 
-@dataclass(frozen=True)
-class AttributeKind:
-    """Kind of one attribute column: categorical, or numeric with bucket edges."""
-
-    kind: str
-    edges: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in (CATEGORICAL, NUMERIC):
-            raise SchemaError(f"unknown attribute kind {self.kind!r}")
-        if self.kind == CATEGORICAL and self.edges:
-            raise SchemaError("categorical attribute cannot declare bucket edges")
-        bucket_edges(self.edges)
+def _attribute_edges(columns, edges) -> tuple[tuple[float, ...] | None, ...]:
+    """The *edges* of attribute *columns* as :func:`bucket_edges` returns them;
+    None, a categorical column, stays."""
+    return tuple(None if e is None else bucket_edges(e, f"attribute {name!r}: bucket edges")
+                 for name, e in zip(columns, edges))
 
 
 @dataclass(frozen=True)
@@ -85,17 +73,22 @@ class DatasetSchema:
 
     ``label_classes`` is the label column's ordered class list: labels are
     classes only, and no class is ``""``, which a CSV label cell leaves
-    empty for an unlabeled row. ``attribute_kinds`` is parallel to
-    ``attribute_columns``.
+    empty for an unlabeled row. ``attribute_edges`` is parallel to
+    ``attribute_columns``: a numeric column's bucket edges, checked and held
+    as floats (m edges give m+1 buckets), or ``None`` for a categorical one.
     """
 
     feature_columns: tuple[str, ...]
     label_column: str
     label_classes: tuple[str, ...]
     attribute_columns: tuple[str, ...] = ()
-    attribute_kinds: tuple[AttributeKind, ...] = ()
+    attribute_edges: tuple[tuple[float, ...] | None, ...] = ()
 
     def __post_init__(self):
+        if len(self.attribute_columns) != len(self.attribute_edges):
+            raise SchemaError("attribute_edges must be parallel to attribute_columns")
+        object.__setattr__(self, "attribute_edges",
+                           _attribute_edges(self.attribute_columns, self.attribute_edges))
         names = list(self.feature_columns) + [self.label_column] + list(self.attribute_columns)
         seen = set()
         for name in names:
@@ -113,8 +106,6 @@ class DatasetSchema:
         if "" in self.label_classes:
             raise SchemaError(f"empty class name in label column {self.label_column!r}: "
                               f"an empty label cell means the row is unlabeled")
-        if len(self.attribute_columns) != len(self.attribute_kinds):
-            raise SchemaError("attribute_kinds must be parallel to attribute_columns")
 
     @property
     def n_features(self) -> int:
@@ -143,8 +134,8 @@ class DatasetSchema:
             raise DataError(
                 f"expected {self.n_attributes} attributes, got {len(sample.attributes)}"
             )
-        for col, kind, v in zip(self.attribute_columns, self.attribute_kinds, sample.attributes):
-            if kind.kind == CATEGORICAL:
+        for col, edges, v in zip(self.attribute_columns, self.attribute_edges, sample.attributes):
+            if edges is None:
                 if not isinstance(v, str) or not v:
                     raise DataError(f"attribute {col!r} needs a non-empty string, got {v!r}")
             else:
@@ -282,38 +273,37 @@ def parse_schema(config_text: str) -> DatasetSchema:
     if not classes:
         raise SchemaError(f"empty class list for label column {label_name!r}")
 
-    attr_names: list[str] = []
-    attr_kinds: list[AttributeKind] = []
     attributes = raw.get("attributes", [])
     if not isinstance(attributes, list):
         raise SchemaError("'attributes' must be a list")
+    names, attr_edges = [], []
     for entry in attributes:
         entry = check_object(entry, "attribute", ("name", "kind"), ("edges",), SchemaError)
-        name = entry["name"]
-        try:
-            attr_kinds.append(AttributeKind(entry["kind"], bucket_edges(entry.get("edges", []))))
-        except SchemaError as exc:
-            raise SchemaError(f"attribute {name!r}: {exc}") from exc
-        attr_names.append(name)
+        name, kind, edges = entry["name"], entry["kind"], entry.get("edges", [])
+        names.append(name)
+        if kind == "numeric" or (kind == "categorical" and edges == []):
+            attr_edges.append(edges if kind == "numeric" else None)
+            continue
+        _attribute_edges(names, [*attr_edges, edges])  # bad edges so far are named first
+        fault = ("categorical attribute cannot declare bucket edges" if kind == "categorical"
+                 else f"unknown attribute kind {kind!r}")
+        raise SchemaError(f"attribute {name!r}: {fault}")
 
     return DatasetSchema(
         feature_columns=tuple(features),
         label_column=label_name,
         label_classes=tuple(classes),
-        attribute_columns=tuple(attr_names),
-        attribute_kinds=tuple(attr_kinds),
+        attribute_columns=tuple(names),
+        attribute_edges=tuple(attr_edges),
     )
 
 
 def schema_to_json(schema: DatasetSchema) -> str:
     """Inverse of :func:`parse_schema`."""
     label = {"name": schema.label_column, "classes": list(schema.label_classes)}
-    attrs = []
-    for name, kind in zip(schema.attribute_columns, schema.attribute_kinds):
-        entry: dict = {"name": name, "kind": kind.kind}
-        if kind.kind == NUMERIC:
-            entry["edges"] = list(kind.edges)
-        attrs.append(entry)
+    attrs = [{"name": name, "kind": "categorical"} if edges is None
+             else {"name": name, "kind": "numeric", "edges": list(edges)}
+             for name, edges in zip(schema.attribute_columns, schema.attribute_edges)]
     doc = {"features": list(schema.feature_columns), "label": label, "attributes": attrs}
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -328,8 +318,8 @@ def _column_plan(schema: DatasetSchema) -> list[tuple[str, type]]:
     return (
         [(name, float) for name in schema.feature_columns]
         + [(schema.label_column, str)]
-        + [(name, str if kind.kind == CATEGORICAL else float)
-           for name, kind in zip(schema.attribute_columns, schema.attribute_kinds)]
+        + [(name, str if edges is None else float)
+           for name, edges in zip(schema.attribute_columns, schema.attribute_edges)]
     )
 
 
@@ -385,11 +375,11 @@ def _samples_by_column(schema: DatasetSchema, cells, rows) -> tuple[Sample, ...]
         return None
     k = schema.n_features
     features, labels, attributes = columns[:k], columns[k], columns[k + 1:]
-    numeric = features + [c for c, kind in zip(attributes, schema.attribute_kinds)
-                          if kind.kind == NUMERIC]
+    numeric = features + [c for c, edges in zip(attributes, schema.attribute_edges)
+                          if edges is not None]
     if (not all(all(map(math.isfinite, column)) for column in numeric)
-            or any("" in c for c, kind in zip(attributes, schema.attribute_kinds)
-                   if kind.kind == CATEGORICAL)
+            or any("" in c for c, edges in zip(attributes, schema.attribute_edges)
+                   if edges is None)
             or not {"", *schema.label_classes}.issuperset(labels)):
         return None
     labels = [label or None for label in labels]  # no class is "": it is an unlabeled row

@@ -415,7 +415,7 @@ class KnowledgeBase:
         the manifest. One that declares none yet, which holds nothing, takes
         this one in a commit."""
         shape, gate = _shape(schema.fingerprint(), schema.label_classes, schema.n_features,
-                             BucketingConfig.from_schema(schema).edges)
+                             schema.attribute_edges)
         if self.shape is None:
             with self.transaction():
                 self.shape, self._gate = shape, gate

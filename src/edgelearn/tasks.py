@@ -2,7 +2,7 @@
 
 A *task* is identified by the tuple of bucketed attribute values of its
 samples: categorical attributes pass through, numeric attributes map to a
-bucket index against a configured edge list. :func:`bucket_values` and
+bucket index against the schema's bucket edges. :func:`bucket_values` and
 :func:`values_key` hold the bucketing and key rules on plain tuples, for
 callers that need no :class:`BucketedAttributes`. Mining groups a dataset
 into one sub-dataset per task key; attribute-based similarity relates
@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .data import NUMERIC, Dataset, DatasetSchema, TaskAttrValues, bucket_edges
+from .data import Dataset, DatasetSchema, TaskAttrValues, bucket_edges
 from .errors import DataError, SchemaError, SchemaMismatchError
 
 KEY_SEPARATOR = "|"
@@ -45,13 +45,8 @@ class BucketingConfig:
 
     @classmethod
     def from_schema(cls, schema: DatasetSchema) -> "BucketingConfig":
-        """Default bucketing: edges declared on the schema's numeric attributes."""
-        return cls(
-            tuple(
-                kind.edges if kind.kind == NUMERIC else None
-                for kind in schema.attribute_kinds
-            )
-        )
+        """The bucketing of *schema*: its attribute columns' bucket edges."""
+        return cls(schema.attribute_edges)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import edgelearn.kb as kb_mod
-from edgelearn.data import AttributeKind, Dataset, DatasetSchema, Sample, write_csv
+from edgelearn.data import Dataset, DatasetSchema, Sample, write_csv
 from edgelearn.kb import KnowledgeBase
 from edgelearn.learners import EstimatorSpec, ModelArtifact, TreeLearner, fit
 
@@ -23,7 +23,7 @@ def city_schema(classes: tuple[str, ...] = ("a", "b")) -> DatasetSchema:
         label_column="y",
         label_classes=classes,
         attribute_columns=("city",),
-        attribute_kinds=(AttributeKind("categorical"),),
+        attribute_edges=(None,),
     )
 
 
@@ -34,7 +34,7 @@ def banded_schema(edges: tuple[float, ...] = (20.0, 30.0)) -> DatasetSchema:
         label_column="y",
         label_classes=("a", "b"),
         attribute_columns=("city", "band"),
-        attribute_kinds=(AttributeKind("categorical"), AttributeKind("numeric", edges)),
+        attribute_edges=(None, edges),
     )
 
 

@@ -541,9 +541,12 @@ def test_failed_snapshot_write_leaves_the_job_deploying(workdir, capsys):
     assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
 
 
-@pytest.mark.parametrize("command", ["job deploy", "job update", "edge infer", "edge status"])
-def test_an_out_write_that_fails_leaves_no_temp_file_exit_2(workdir, capsys, command):
-    # --out names a directory: the rename over it fails after the temp file is written
+@pytest.mark.parametrize("command", ["job deploy", "job update", "edge infer", "edge status",
+                                     "bench run"])
+def test_an_out_write_that_fails_leaves_no_temp_file_exit_2(
+        workdir, capsys, monkeypatch, command):
+    # --out names a directory (bench run: --out-dir names a file): it is
+    # refused before the stage runs, so nothing is written and no temp file left
     base = ["--kb", str(workdir / "kb"), "--schema", str(workdir / "schema.json"),
             "--config", str(workdir / "job.json")]
     assert cli_main(["job", "train", *base, "--data", str(workdir / "train.csv")]) == 0
@@ -552,15 +555,47 @@ def test_an_out_write_that_fails_leaves_no_temp_file_exit_2(workdir, capsys, com
         assert cli_main(["job", "deploy", *base, "--out", str(workdir / "snap.json")]) == 0
     edge = ["--schema", str(workdir / "schema.json"), "--snapshot", str(workdir / "snap.json"),
             "--data", str(workdir / "test.csv")]
-    argv = {"job deploy": ["job", "deploy", *base],
-            "job update": ["job", "update", *base, "--data", str(workdir / "train.csv")],
-            "edge infer": ["edge", "infer", *edge],
-            "edge status": ["edge", "status", *edge]}[command]
-    (workdir / "out").mkdir()
+    argv, stage = {
+        "job deploy": (["job", "deploy", *base, "--out"], "job.LifelongJob.run_deploy"),
+        "job update": (["job", "update", *base, "--data", str(workdir / "train.csv"), "--out"],
+                       "job.LifelongJob.run_update_cycle"),
+        "edge infer": (["edge", "infer", *edge, "--out"], "edge.EdgeRuntime.infer"),
+        "edge status": (["edge", "status", *edge, "--out"], "edge.EdgeRuntime.infer"),
+        "bench run": (["bench", "run", *base[2:], "--train", str(workdir / "train.csv"),
+                       "--test", str(workdir / "test.csv"), "--out-dir"], "bench.run_bench"),
+    }[command]
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{command} ran its stage before it checked its output path")
+    monkeypatch.setattr(f"edgelearn.{stage}", refused)
+    if command == "bench run":
+        (workdir / "out").write_text("a file\n", encoding="utf-8")
+    else:
+        (workdir / "out").mkdir()
     index = (workdir / "kb" / "index.json").read_bytes()
-    assert cli_main([*argv, "--out", str(workdir / "out")]) == 2
+    assert cli_main([*argv, str(workdir / "out")]) == 2
+    assert f"{argv[-1]} {workdir / 'out'}: " in capsys.readouterr().err
     assert sorted(workdir.rglob("*.tmp")) == []
     assert (workdir / "kb" / "index.json").read_bytes() == index
+
+
+@pytest.mark.parametrize("flag", ["--out", "--schema-out"])
+@pytest.mark.parametrize("target", ["a directory", "under a file"])
+def test_bench_gen_refuses_an_output_path_it_cannot_write_before_any_work(
+        tmp_path, capsys, monkeypatch, flag, target):
+    def refused(spec):
+        raise AssertionError("bench gen generated data before it checked its output paths")
+    monkeypatch.setattr("edgelearn.bench.gen_synthetic", refused)
+    spec = tmp_path / "synth.json"
+    spec.write_text(reference_text("thermal5_synthetic.json"), encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("a file\n", encoding="utf-8")
+    bad = tmp_path / ("adir" if target == "a directory" else "afile/x")
+    paths = {"--out": tmp_path / "data.csv", "--schema-out": tmp_path / "schema.json", flag: bad}
+    argv = ["bench", "gen", "--config", str(spec)]
+    assert cli_main([*argv, *(str(x) for kv in paths.items() for x in kv)]) == 2
+    assert f"{flag} {bad}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "synth.json"]
 
 
 def test_job_train_after_a_deploy_with_nothing_deployable(workdir, capsys):

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import csv
+import json
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from edgelearn import data
 from edgelearn.bench import baseline_incremental
 from edgelearn.data import (
-    AttributeKind,
     Dataset,
     DatasetSchema,
     Sample,
@@ -26,6 +27,7 @@ from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import DataError, SchemaError
 from edgelearn.job import holdout_split
 from edgelearn.learners import EstimatorSpec
+from edgelearn.reference import reference_text
 from edgelearn.tasks import BucketingConfig, mine_tasks, sample_transfer
 
 from conftest import banded_schema, city_dataset, city_schema, make_samples
@@ -104,6 +106,64 @@ def test_schema_json_round_trip():
     assert parse_schema(schema_to_json(schema)) == schema
 
 
+@pytest.mark.parametrize("entry, outcome", [
+    # outcome: the column's attribute_edges, or the error after "attribute 'band': "
+    ({"kind": "ordinal"}, "unknown attribute kind 'ordinal'"),
+    ({"kind": "categorical", "edges": [10]}, "categorical attribute cannot declare bucket edges"),
+    ({"kind": "categorical", "edges": []}, None),
+    ({"kind": "categorical"}, None),
+    ({"kind": "numeric"}, ()),
+    ({"kind": "numeric", "edges": "10,20"}, "bucket edges must be a list, got '10,20'"),
+    ({"kind": "numeric", "edges": [10, 1e999]}, "bucket edges: inf is not a finite number"),
+    ({"kind": "numeric", "edges": [20, 10]}, "bucket edges [20, 10] are not strictly increasing"),
+    ({"kind": "numeric", "edges": [10, 20.5]}, (10.0, 20.5)),
+    # bad edges are named before an unknown kind or a categorical column with edges
+    ({"kind": "ordinal", "edges": [20, 10]}, "bucket edges [20, 10] are not strictly increasing"),
+    ({"kind": "categorical", "edges": 10}, "bucket edges must be a list, got 10"),
+], ids=["unknown-kind", "categorical-with-edges", "categorical-empty-edges", "categorical",
+        "numeric-no-edges", "non-list-edges", "non-finite-edge", "non-increasing-edges",
+        "int-edges-to-floats", "bad-edges-before-unknown-kind", "bad-edges-before-categorical"])
+def test_parse_schema_and_the_schema_check_each_attribute_column_alike(entry, outcome):
+    text = json.dumps({"features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
+                       "attributes": [{"name": "band", **entry}]})
+    builds = [lambda: parse_schema(text)]
+    if entry["kind"] == "numeric" or outcome is None:  # the cases edges-or-None can hold
+        edges = entry.get("edges", []) if entry["kind"] == "numeric" else None
+        builds.append(lambda: DatasetSchema(("x",), "y", ("a", "b"), ("band",), (edges,)))
+    for build in builds:
+        if isinstance(outcome, str):
+            with pytest.raises(SchemaError, match=f"^attribute 'band': {re.escape(outcome)}$"):
+                build()
+        else:
+            built = build().attribute_edges
+            assert built == (outcome,) and repr(built) == repr((outcome,))  # floats, not ints
+
+
+def test_parse_schema_names_the_first_column_at_fault():
+    text = json.dumps({"features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
+                       "attributes": [{"name": "band", "kind": "numeric", "edges": [2, 1]},
+                                      {"name": "site", "kind": "ordinal"}]})
+    with pytest.raises(SchemaError, match=r"^attribute 'band': bucket edges \[2, 1\]"):
+        parse_schema(text)
+
+
+def test_schema_to_json_writes_edges_as_floats_and_categorical_columns_without_edges():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    schema = parse_schema(re.findall(r"```json\n(.*?)```", text, re.DOTALL)[1])
+    assert schema_to_json(schema) == json.dumps({
+        "features": ["air_temp", "humidity"],
+        "label": {"name": "preference", "classes": ["warmer", "nochange", "cooler"]},
+        "attributes": [{"name": "site", "kind": "categorical"},
+                       {"name": "outdoor_band", "kind": "numeric", "edges": [10.0, 20.0, 30.0]}],
+    }, indent=2, sort_keys=True)
+    thermal = parse_schema(reference_text("thermal_schema.json"))
+    assert schema_to_json(thermal) == json.dumps({
+        "features": ["air_temp", "humidity"],
+        "label": {"name": "preference", "classes": ["warmer", "nochange", "cooler"]},
+        "attributes": [{"name": "site", "kind": "categorical"}],
+    }, indent=2, sort_keys=True)
+
+
 def test_schema_fingerprint_covers_features_and_label_only():
     a = city_schema()
     b = DatasetSchema(
@@ -111,7 +171,7 @@ def test_schema_fingerprint_covers_features_and_label_only():
         label_column="y",
         label_classes=("a", "b"),
         attribute_columns=("site",),
-        attribute_kinds=(AttributeKind("categorical"),),
+        attribute_edges=(None,),
     )
     c = DatasetSchema(feature_columns=("x2",), label_column="y", label_classes=("a", "b"))
     assert a.fingerprint() == b.fingerprint()
@@ -354,12 +414,12 @@ def reference_load_csv(path, schema):
 
 def _random_csv_case(rng):
     """A random schema and CSV text for it, with faults injected at random."""
-    kinds = [rng.choice([AttributeKind("categorical"), AttributeKind("numeric", (0.0,))])
-             for _ in range(rng.randint(0, 2))]
+    attr_edges = [rng.choice([None, (0.0,)]) for _ in range(rng.randint(0, 2))]
     schema = DatasetSchema(
         feature_columns=tuple(f"f{j}" for j in range(rng.randint(1, 3))),
         label_column="y", label_classes=("a", "b", "c"),
-        attribute_columns=tuple(f"a{j}" for j in range(len(kinds))), attribute_kinds=kinds,
+        attribute_columns=tuple(f"a{j}" for j in range(len(attr_edges))),
+        attribute_edges=attr_edges,
     )
     header = [name for name, _ in data._column_plan(schema)]
     rng.shuffle(header)
@@ -374,8 +434,7 @@ def _random_csv_case(rng):
             return rng.choice(["nan", "inf", "-inf", "1e999", "foo", "", "zzz", "1,5"])
         if name == "y":
             return rng.choice(["a", "b", "c", ""])
-        kind = dict(zip(schema.attribute_columns, kinds)).get(name)
-        if kind is not None and kind.kind == "categorical":
+        if dict(zip(schema.attribute_columns, attr_edges)).get(name, ()) is None:  # categorical
             return "" if rng.random() < rate else rng.choice(["athens", "tokyo", " oslo"])
         return rng.choice([repr(rng.uniform(-50, 50)), "-0.0", "3", " 2.5 ", "1e3"])
 

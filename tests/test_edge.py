@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from edgelearn import edge, learners, tasks
-from edgelearn.data import AttributeKind, DatasetSchema, Sample
+from edgelearn.data import DatasetSchema, Sample
 from edgelearn.edge import (
     ROUTE_FALLBACK,
     ROUTE_KNOWN,
@@ -577,22 +577,21 @@ def test_task_index_routes_exactly_like_a_full_scan():
     outcomes = {ROUTE_KNOWN: 0, ROUTE_SIMILAR: 0, ROUTE_FALLBACK: 0, "no-model": 0}
     ties = cross_group = drops = 0
     for _ in range(40):
-        kinds = [AttributeKind("categorical")] * rng.randint(1, 3) + [
-            AttributeKind("numeric", tuple(sorted(rng.sample(
-                (-1.0, 0.0, 1.0, 2.0, 2.5, 3.0), rng.randint(0, 4)))))
+        attr_edges = [None] * rng.randint(1, 3) + [
+            tuple(sorted(rng.sample((-1.0, 0.0, 1.0, 2.0, 2.5, 3.0), rng.randint(0, 4))))
             for _ in range(rng.randint(1, 2))
         ]
-        rng.shuffle(kinds)
+        rng.shuffle(attr_edges)
         schema = DatasetSchema(
             feature_columns=("x",), label_column="y", label_classes=("a", "b"),
-            attribute_columns=tuple(f"c{i}" for i in range(len(kinds))),
-            attribute_kinds=tuple(kinds),
+            attribute_columns=tuple(f"c{i}" for i in range(len(attr_edges))),
+            attribute_edges=tuple(attr_edges),
         )
         bucketing = BucketingConfig.from_schema(schema)
 
         def raw(categories):
-            return tuple(rng.choice(categories) if kind.kind == "categorical"
-                         else rng.choice(NUMBERS + kind.edges) for kind in kinds)
+            return tuple(rng.choice(categories) if edges is None
+                         else rng.choice(NUMBERS + edges) for edges in attr_edges)
 
         entries, task_raws = {}, []
         for _ in range(rng.randint(0, 12)):

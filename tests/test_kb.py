@@ -28,6 +28,7 @@ from edgelearn.kb import (
     STATUS_TRAINED,
     KnowledgeBase,
     TaskRecord,
+    atomic_write_bytes,
     deserialize_snapshot,
     serialize_snapshot,
 )
@@ -187,6 +188,25 @@ def test_failed_save_does_not_mutate_memory(tmp_path, monkeypatch):
         kb.upsert_task(make_record("tokyo"))
     assert kb.kb_version == version
     assert "tokyo" not in kb.records
+
+
+@pytest.mark.parametrize("step", ["_replace_file", "_write_synced"])
+def test_an_atomic_write_that_fails_removes_its_temp_file_and_keeps_the_old_bytes(
+        tmp_path, monkeypatch, step):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old")
+    real_write = kb_mod._write_synced
+
+    def failing(*args):
+        if step == "_write_synced":
+            real_write(*args)  # the temp file is on disk when the step fails
+        raise OSError(f"injected: {step}")
+
+    monkeypatch.setattr(kb_mod, step, failing)
+    with pytest.raises(OSError, match=f"injected: {step}"):
+        atomic_write_bytes(path, b"new bytes")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    assert path.read_bytes() == b"old"
 
 
 def test_a_failed_directory_fsync_after_the_manifest_rename_keeps_the_commit(

@@ -69,6 +69,18 @@ def test_json_is_decoded_only_by_its_two_readers():
     assert decoders == {"learners.decode_json", "data.load_object"}
 
 
+def test_an_attribute_kind_is_spelled_only_by_the_schema_codec():
+    # in memory an attribute column is its bucket edges or None (categorical);
+    # the kind names belong to the schema config's reader and writer alone
+    spellers = set()  # "module.top-level name" of each "categorical"/"numeric" literal
+    for path in sorted(Path(edgelearn.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and node.value in ("categorical", "numeric"):
+                    spellers.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert spellers == {"data.parse_schema", "data.schema_to_json"}
+
+
 def test_the_readmes_config_examples_parse():
     # the sim config, the schema and the job config, in the README's order
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
