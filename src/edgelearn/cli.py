@@ -138,7 +138,7 @@ def _out_path(args, name: str, required: bool = True, directory: bool = False) -
     elif path.is_dir():
         raise IsADirectoryError(f"{flag} {path}: is a directory")
     elif not path.parent.is_dir():
-        raise NotADirectoryError(f"{flag} {path}: {path.parent} is not a directory")
+        raise NotADirectoryError(f"{flag} {path}: {path.parent} is not an existing directory")
     return path
 
 

@@ -280,11 +280,12 @@ def parse_schema(config_text: str) -> DatasetSchema:
     for entry in attributes:
         entry = check_object(entry, "attribute", ("name", "kind"), ("edges",), SchemaError)
         name, kind, edges = entry["name"], entry["kind"], entry.get("edges", [])
-        names.append(name)
-        if kind == "numeric" or (kind == "categorical" and edges == []):
+        if edges is not None and (kind == "numeric" or (kind == "categorical" and edges == [])):
+            names.append(name)
             attr_edges.append(edges if kind == "numeric" else None)
             continue
-        _attribute_edges(names, [*attr_edges, edges])  # bad edges so far are named first
+        _attribute_edges(names, attr_edges)  # bad edges so far are named first
+        bucket_edges(edges, f"attribute {name!r}: bucket edges")  # an explicit null too
         fault = ("categorical attribute cannot declare bucket edges" if kind == "categorical"
                  else f"unknown attribute kind {kind!r}")
         raise SchemaError(f"attribute {name!r}: {fault}")

@@ -580,7 +580,7 @@ def test_an_out_write_that_fails_leaves_no_temp_file_exit_2(
 
 
 @pytest.mark.parametrize("flag", ["--out", "--schema-out"])
-@pytest.mark.parametrize("target", ["a directory", "under a file"])
+@pytest.mark.parametrize("target", ["a directory", "under a file", "under a missing directory"])
 def test_bench_gen_refuses_an_output_path_it_cannot_write_before_any_work(
         tmp_path, capsys, monkeypatch, flag, target):
     def refused(spec):
@@ -590,11 +590,15 @@ def test_bench_gen_refuses_an_output_path_it_cannot_write_before_any_work(
     spec.write_text(reference_text("thermal5_synthetic.json"), encoding="utf-8")
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("a file\n", encoding="utf-8")
-    bad = tmp_path / ("adir" if target == "a directory" else "afile/x")
+    bad = tmp_path / {"a directory": "adir", "under a file": "afile/x",
+                      "under a missing directory": "missing/x"}[target]
     paths = {"--out": tmp_path / "data.csv", "--schema-out": tmp_path / "schema.json", flag: bad}
     argv = ["bench", "gen", "--config", str(spec)]
     assert cli_main([*argv, *(str(x) for kv in paths.items() for x in kv)]) == 2
-    assert f"{flag} {bad}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{flag} {bad}: " in err
+    if target == "under a missing directory":
+        assert f"{tmp_path / 'missing'} is not an existing directory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "synth.json"]
 
 

@@ -120,14 +120,20 @@ def test_schema_json_round_trip():
     # bad edges are named before an unknown kind or a categorical column with edges
     ({"kind": "ordinal", "edges": [20, 10]}, "bucket edges [20, 10] are not strictly increasing"),
     ({"kind": "categorical", "edges": 10}, "bucket edges must be a list, got 10"),
+    # an explicit null is not a list: it never reads as a categorical column
+    ({"kind": "numeric", "edges": None}, "bucket edges must be a list, got None"),
+    ({"kind": "categorical", "edges": None}, "bucket edges must be a list, got None"),
+    ({"kind": "ordinal", "edges": None}, "bucket edges must be a list, got None"),
 ], ids=["unknown-kind", "categorical-with-edges", "categorical-empty-edges", "categorical",
         "numeric-no-edges", "non-list-edges", "non-finite-edge", "non-increasing-edges",
-        "int-edges-to-floats", "bad-edges-before-unknown-kind", "bad-edges-before-categorical"])
+        "int-edges-to-floats", "bad-edges-before-unknown-kind", "bad-edges-before-categorical",
+        "numeric-null-edges", "categorical-null-edges", "unknown-kind-null-edges"])
 def test_parse_schema_and_the_schema_check_each_attribute_column_alike(entry, outcome):
     text = json.dumps({"features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
                        "attributes": [{"name": "band", **entry}]})
     builds = [lambda: parse_schema(text)]
-    if entry["kind"] == "numeric" or outcome is None:  # the cases edges-or-None can hold
+    if entry.get("edges", []) is not None and (entry["kind"] == "numeric" or outcome is None):
+        # the cases edges-or-None can hold
         edges = entry.get("edges", []) if entry["kind"] == "numeric" else None
         builds.append(lambda: DatasetSchema(("x",), "y", ("a", "b"), ("band",), (edges,)))
     for build in builds:
@@ -139,11 +145,17 @@ def test_parse_schema_and_the_schema_check_each_attribute_column_alike(entry, ou
             assert built == (outcome,) and repr(built) == repr((outcome,))  # floats, not ints
 
 
-def test_parse_schema_names_the_first_column_at_fault():
+@pytest.mark.parametrize("second, fault", [
+    ({"name": "site", "kind": "ordinal"}, r"^attribute 'band': bucket edges \[2, 1\]"),
+    # a later column that is not an attribute object is named first: a numeric
+    # column's edges are checked when the schema is built, after every entry is read
+    ({"name": "site"}, r"^attribute: missing key 'kind'$"),
+], ids=["bad-kind", "bad-object"])
+def test_parse_schema_names_the_first_column_at_fault(second, fault):
     text = json.dumps({"features": ["x"], "label": {"name": "y", "classes": ["a", "b"]},
                        "attributes": [{"name": "band", "kind": "numeric", "edges": [2, 1]},
-                                      {"name": "site", "kind": "ordinal"}]})
-    with pytest.raises(SchemaError, match=r"^attribute 'band': bucket edges \[2, 1\]"):
+                                      second]})
+    with pytest.raises(SchemaError, match=fault):
         parse_schema(text)
 
 
