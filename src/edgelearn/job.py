@@ -262,23 +262,21 @@ class LifelongJob:
 
     def _run_cycle(self, data: Dataset | TaskPartition) -> DeploySnapshot:
         tasks = as_tasks(data)
-        train_part, eval_part = holdout_split(tasks, 0.8, self.cfg.seed)
+        train_part, eval_part = holdout_split(tasks, self.cfg.seed)
         self.run_train(train_part)
         self.run_eval(eval_part if len(eval_part) > 0 else train_part)
         return self.run_deploy()
 
 
-def holdout_split(
-    partition: TaskPartition, train_fraction: float, seed: int
-) -> tuple[TaskPartition, TaskPartition]:
-    """Split each task, so (for ``train_fraction >= 0.5``) every key lands
-    in the training half. Each half is what mining its ``dataset`` (tasks in
-    key order) would give; keys with no eval rows are absent from the eval
-    half. Deterministic: each task's seed derives from *seed* and its key."""
+def holdout_split(partition: TaskPartition, seed: int) -> tuple[TaskPartition, TaskPartition]:
+    """Split each task 80/20, so every key lands in the training half. Each
+    half is what mining its ``dataset`` (tasks in key order) would give; keys
+    with no eval rows are absent from the eval half. Deterministic: each
+    task's seed derives from *seed* and its key."""
     halves: tuple[dict, dict] = ({}, {})
     for key in partition.keys:
         derived = (seed * 1000003 + zlib.crc32(key.encode("utf-8"))) & 0x7FFFFFFF
-        for half, rows in zip(halves, split_dataset(partition.parts[key], train_fraction, derived)):
+        for half, rows in zip(halves, split_dataset(partition.parts[key], 0.8, derived)):
             if len(rows) > 0:
                 half[key] = rows
     return tuple(

@@ -7,12 +7,12 @@ greedy gini split search). All three classify into the schema's classes,
 and all are deterministic: fitting the same spec on the same data with
 the same seed produces byte-identical serialized artifacts.
 
-A learner kind provides ``fit`` and ``predict`` over a JSON-serializable
-parameter payload; serialization then comes for free. Register a new one
-with :func:`register_learner`. A model predicts through its learner's
-``predictor(params)``, built once per artifact and where it is decoded, as
-it checks what ``predict`` reads: ``predict`` bound to the parameters, or a
-compiled walk that returns the same (the tree's). Its canonical bytes
+A learner kind provides ``fit``, which returns a JSON-serializable parameter
+payload, and ``predictor(params)``, which checks a payload and builds the
+model's callable from a feature vector to a class name (the tree compiles
+its nodes); serialization then comes for free. Register a new one with
+:func:`register_learner`. A model's predictor is built once per artifact,
+where it is decoded or when it first predicts, and its canonical bytes
 (:attr:`ModelArtifact.canonical`) are encoded once per artifact too. Models
 are written in model format 2; format 1, which nested its trees, is retired.
 """
@@ -23,7 +23,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, compress, filterfalse, islice
 from operator import ne
 from typing import Callable
@@ -193,8 +193,8 @@ class EvalMetrics:
 # ---------------------------------------------------------------------------
 
 class Learner:
-    """Base plugin contract. Subclasses implement fit/predict over a
-    JSON-serializable parameter dict."""
+    """Base plugin contract. Subclasses implement ``fit``, which returns a
+    JSON-serializable parameter dict, and ``predictor`` over such a dict."""
 
     kind: str = ""
     hyperparameter_defaults: dict = {}
@@ -202,13 +202,10 @@ class Learner:
     def fit(self, spec: EstimatorSpec, train: Dataset, seed: int) -> dict:
         raise NotImplementedError
 
-    def predict(self, params: dict, features: FeatureVector):
-        raise NotImplementedError
-
     def predictor(self, params: dict) -> Callable[[FeatureVector], str]:
-        """``predict`` over *params*, built once per model. An override may return a faster
-        walk, and raise LearnerError for *params* that ``predict`` would misread."""
-        return partial(self.predict, params)
+        """The model of *params*: a callable from a feature vector to a class name, built
+        once per model. Raises LearnerError for *params* it would trip over or misread."""
+        raise NotImplementedError
 
 
 _REGISTRY: dict[str, Learner] = {}
@@ -217,6 +214,8 @@ _REGISTRY: dict[str, Learner] = {}
 def register_learner(learner: Learner) -> None:
     if not learner.kind:
         raise LearnerError("learner must declare a kind identifier")
+    if type(learner).predictor is Learner.predictor:
+        raise LearnerError(f"learner kind {learner.kind!r} does not implement predictor(params)")
     _REGISTRY[learner.kind] = learner
 
 
@@ -246,14 +245,12 @@ class MajorityLearner(Learner):
         best = max(range(len(classes)), key=lambda i: (counts[i], -i))
         return {"label_index": best}
 
-    def predict(self, params, features):
-        return params["classes"][params["label_index"]]
-
     def predictor(self, params):
         index, n_classes = params.get("label_index"), len(params["classes"])
         if not (_is_int(index) and 0 <= index < n_classes):
             raise LearnerError(f"label_index {index!r} is not an integer in [0, {n_classes})")
-        return super().predictor(params)
+        label = params["classes"][index]
+        return lambda features: label
 
 
 def _softmax(scores: list[float]) -> list[float]:
@@ -322,17 +319,10 @@ class LogisticLearner(Learner):
 
         return {"weights": weights, "bias": bias, "loss_history": history}
 
-    def predict(self, params, features):
-        scores = [
-            sum(wc[j] * features[j] for j in range(len(features))) + bc
-            for wc, bc in zip(params["weights"], params["bias"])
-        ]
-        proba = _softmax(scores)
-        best = max(range(len(proba)), key=lambda i: (proba[i], -i))
-        return params["classes"][best]
-
     def predictor(self, params):
-        k, f = len(params["classes"]), params["n_features"]
+        """The most probable class (ties to the lowest index) under the softmax of the
+        class scores ``weights · features + bias``."""
+        classes, k, f = params["classes"], len(params["classes"]), params["n_features"]
         weights, bias = params.get("weights"), params.get("bias")
         if not (isinstance(weights, list) and len(weights) == k and all(
                 isinstance(row, list) and len(row) == f and all(map(_is_finite_number, row))
@@ -340,7 +330,15 @@ class LogisticLearner(Learner):
             raise LearnerError(f"weights are not {k} lists of {f} numbers")
         if not (isinstance(bias, list) and len(bias) == k and all(map(_is_finite_number, bias))):
             raise LearnerError(f"bias is not a list of {k} numbers")
-        return super().predictor(params)
+
+        def classify(features):
+            scores = [
+                sum(wc[j] * features[j] for j in range(len(features))) + bc
+                for wc, bc in zip(weights, bias)
+            ]
+            proba = _softmax(scores)
+            return classes[max(range(k), key=lambda i: (proba[i], -i))]
+        return classify
 
 
 class _Gini:
@@ -534,15 +532,8 @@ class TreeLearner(Learner):
 
     # -- inference ----------------------------------------------------------
 
-    def predict(self, params, features):
-        tree, i = params["tree"], 0
-        while type(tree[i]) is list:
-            feature, threshold, right = tree[i]
-            i = i + 1 if features[feature] < threshold else right
-        return params["classes"][tree[i]]
-
     def predictor(self, params):
-        """``predict`` over the tree compiled, in one pass from the last node, into nested
+        """A walk of the flat tree compiled, in one pass from the last node, into nested
         ``(feature, threshold, left, right)`` tuples with class names at the leaves. The pass
         checks each node (an index is an int, not a bool): every walk moves on to a leaf."""
         tree, k, f = params.get("tree"), len(params["classes"]), params["n_features"]
@@ -696,8 +687,8 @@ def model_to_json(model: ModelArtifact) -> dict:
 
 
 def model_from_json(payload) -> ModelArtifact:
-    """Inverse of :func:`model_to_json`; checks the payload, down to what
-    ``predict`` reads, by building the model's ``predictor``: a model from
+    """Inverse of :func:`model_to_json`; checks the payload, down to what a
+    prediction reads, by building the model's ``predictor``: a model from
     outside the program is checked where it enters."""
     if not isinstance(payload, dict):
         raise SerializationError("corrupt model payload: not an object")
@@ -720,7 +711,7 @@ def model_from_json(payload) -> ModelArtifact:
             raise SerializationError(f"corrupt model payload: {name} {value!r} is not a string")
     if kind not in _REGISTRY:
         raise UnknownLearnerError(f"unknown learner kind {kind!r} in model payload")
-    params = payload["parameters"]  # predict reads the two keys fit injects
+    params = payload["parameters"]  # every predictor reads the two keys fit injects
     if not isinstance(params, dict):
         raise SerializationError(f"corrupt model payload: parameters {params!r} is not an object")
     n_features, classes = params.get("n_features"), params.get("classes")

@@ -280,7 +280,7 @@ def test_each_sample_is_checked_once_where_it_enters(tmp_path, validate_calls):
     assert partition.keys == ["athens|0", "athens|1"]
     transfer = sample_transfer("athens|1", partition, min_samples=10, cap=100)
     assert transfer.provenance == (("athens|0", 12),)
-    holdout_split(partition, 0.8, 0)
+    holdout_split(partition, 0)
     stream = [(key, partition.parts[key], partition.parts[key]) for key in partition.keys]
     baseline_incremental(stream, EstimatorSpec("majority"), 0)
     assert validate_calls == []

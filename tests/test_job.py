@@ -10,9 +10,10 @@ import zlib
 import pytest
 
 from edgelearn import bench, tasks as tasks_mod
-from edgelearn.data import Dataset, field_names
-from edgelearn.errors import (ConfigError, LearnerError, NothingDeployableError, PhaseError,
-                             SchemaMismatchError)
+from edgelearn.cli import cli_main
+from edgelearn.data import Dataset, field_names, schema_to_json, write_csv
+from edgelearn.errors import (ConfigError, CorruptStoreError, LearnerError,
+                             NothingDeployableError, PhaseError, SchemaMismatchError)
 from edgelearn.job import (
     EvalPolicy,
     JobConfig,
@@ -23,7 +24,7 @@ from edgelearn.job import (
     holdout_split,
     parse_job_config,
 )
-from edgelearn.kb import STATUS_DEPLOYABLE, STATUS_EVAL_FAILED, KnowledgeBase
+from edgelearn.kb import STATUS_DEPLOYABLE, STATUS_EVAL_FAILED, KnowledgeBase, serialize_snapshot
 from edgelearn.learners import (
     EstimatorSpec,
     Learner,
@@ -402,8 +403,9 @@ class _FailsOnLabelB(Learner):
             raise LearnerError("injected fit failure")
         return {"label": train.samples[0].label}
 
-    def predict(self, params, features):
-        return params["label"]
+    def predictor(self, params):
+        label = params["label"]
+        return lambda features: label
 
 
 def test_learner_error_mid_train_leaves_phase_and_kb_unchanged(tmp_path):
@@ -577,7 +579,7 @@ def test_holdout_split_keeps_every_key_in_train(rng):
             rows.append((rng.random(), city, rng.choice("ab")))
     ds = city_dataset(rows)
     bucketing = BucketingConfig((None,))
-    train, evals = holdout_split(mine_tasks(ds, bucketing), 0.8, seed=3)
+    train, evals = holdout_split(mine_tasks(ds, bucketing), seed=3)
     train_keys = set(mine_tasks(train.dataset, bucketing).parts)
     assert train_keys == {"a1", "b2", "c3", "d4"}
     assert len(train.dataset) + len(evals.dataset) == len(ds)
@@ -586,8 +588,8 @@ def test_holdout_split_keeps_every_key_in_train(rng):
 def test_holdout_split_deterministic():
     ds = two_city_data(10)
     bucketing = BucketingConfig((None,))
-    assert holdout_split(mine_tasks(ds, bucketing), 0.8, 5) == holdout_split(
-        mine_tasks(ds, bucketing), 0.8, 5)
+    assert holdout_split(mine_tasks(ds, bucketing), 5) == holdout_split(
+        mine_tasks(ds, bucketing), 5)
 
 
 def test_holdout_halves_are_the_partitions_re_mining_gives(rng):
@@ -603,7 +605,7 @@ def test_holdout_halves_are_the_partitions_re_mining_gives(rng):
         rng.shuffle(rows)
         ds = Dataset(schema, make_samples(rows))
         partition = mine_tasks(ds, bucketing)
-        train, evals = holdout_split(partition, 0.8, case)
+        train, evals = holdout_split(partition, case)
         assert train == mine_tasks(train.dataset, bucketing)
         assert set(train.parts) == set(partition.parts)
         if len(evals.dataset) == 0:
@@ -672,16 +674,21 @@ class _FirstLabelLearner(Learner):
     def fit(self, spec, train, seed):
         return {"label": train.samples[0].label}
 
-    def predict(self, params, features):
-        return params["label"]
+    def predictor(self, params):
+        label = params["label"]
+        if label not in params["classes"]:
+            raise LearnerError(f"label {label!r} is not one of the classes")
+        return lambda features: label
+
+
+def _first_label_job(tmp_path) -> LifelongJob:
+    register_learner(_FirstLabelLearner())
+    _, kb = new_job(tmp_path)
+    return LifelongJob(majority_config(learner=EstimatorSpec("first-label")), kb)
 
 
 def test_plugin_learner_runs_full_pipeline(tmp_path):
-    register_learner(_FirstLabelLearner())
-    cfg = majority_config(learner=EstimatorSpec("first-label"))
-    job, kb = new_job(tmp_path)
-    job.cfg = cfg
-    job = LifelongJob(cfg, kb)
+    job = _first_label_job(tmp_path)
     data = two_city_data(8)
     snapshot = job.bootstrap(data)
     assert set(snapshot.tasks) == {"athens", "tokyo"}
@@ -692,6 +699,39 @@ def test_plugin_learner_runs_full_pipeline(tmp_path):
     assert "oslo" in snapshot2.tasks
     reopened = KnowledgeBase.open(tmp_path / "kb")
     assert predict(reopened.lookup("oslo").model, (1.0,)) == "a"
+
+
+def test_a_store_holding_a_plugin_model_its_predictor_refuses_fails_to_open(tmp_path):
+    _first_label_job(tmp_path).bootstrap(two_city_data(8))
+    index = tmp_path / "kb" / "index.json"
+    manifest = json.loads(index.read_text(encoding="utf-8"))
+    entry = next(entry for entry in manifest["body"]["tasks"] if entry["key"] == "athens")
+    entry["model"]["parameters"]["label"] = "z"
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
+    index.write_bytes(canonical_json_bytes(manifest))
+    with pytest.raises(CorruptStoreError) as raised:
+        KnowledgeBase.open(tmp_path / "kb")
+    assert str(index) in str(raised.value)
+    assert "task 'athens': corrupt model payload: label 'z' is not one of the classes" in str(
+        raised.value)
+
+
+def test_edge_infer_refuses_a_snapshot_holding_a_plugin_model_its_predictor_refuses(
+        tmp_path, capsys):
+    data = two_city_data(8)
+    doc = json.loads(serialize_snapshot(_first_label_job(tmp_path).bootstrap(data)))
+    doc["tasks"]["athens"]["model"]["parameters"]["label"] = "z"
+    snap, schema, csv, out = (tmp_path / name for name in
+                              ("snap.json", "schema.json", "data.csv", "preds.csv"))
+    snap.write_bytes(canonical_json_bytes(doc))
+    schema.write_text(schema_to_json(data.schema), encoding="utf-8")
+    write_csv(data, csv)
+    assert cli_main(["edge", "infer", "--snapshot", str(snap), "--schema", str(schema),
+                     "--data", str(csv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"snapshot file {snap}: corrupt model payload: label 'z' is not one of the "
+            f"classes") in err
+    assert "Traceback" not in err and not out.exists()
 
 
 # -- config parsing ---------------------------------------------------------------------

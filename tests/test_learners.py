@@ -22,6 +22,7 @@ from edgelearn.errors import (
 from edgelearn.learners import (
     EstimatorSpec,
     EvalMetrics,
+    Learner,
     canonical_json_bytes,
     deserialize_model,
     evaluate,
@@ -30,9 +31,10 @@ from edgelearn.learners import (
     model_from_json,
     model_to_json,
     predict,
+    register_learner,
     serialize_model,
 )
-from edgelearn.learners import _Gini
+from edgelearn.learners import _REGISTRY, _Gini
 
 from conftest import (chain_tree_model, city_dataset, city_schema, count_tree_compiles,
                       make_samples)
@@ -95,6 +97,27 @@ def collect_splits(tree, rows, splits):
     splits += [(at, node[0], node[1]) for at, node, _ in nodes if type(node) is list]
 
 
+def reference_walk(params: dict, features) -> str:
+    """The class the flat tree of *params* gives *features*: from node 0, a split
+    ``[feature, threshold, right]`` goes to the next node when the feature is
+    ``< threshold`` and to node ``right`` otherwise, down to a leaf's class index."""
+    tree, i = params["tree"], 0
+    while type(tree[i]) is list:
+        feature, threshold, right = tree[i]
+        i = i + 1 if features[feature] < threshold else right
+    return params["classes"][tree[i]]
+
+
+def reference_logistic(params: dict, features) -> str:
+    """The most probable class of softmax(weights · features + bias), in that
+    float order, ties to the lowest class index."""
+    scores = [sum(w * x for w, x in zip(row, features)) + b
+              for row, b in zip(params["weights"], params["bias"])]
+    exps = [math.exp(s - max(scores)) for s in scores]
+    proba = [e / sum(exps) for e in exps]
+    return params["classes"][proba.index(max(proba))]
+
+
 RETIRED = ("model format 1 is retired: rewrite it once with an earlier release (any commit "
            "or deploy writes model format 2)")
 
@@ -143,6 +166,28 @@ def test_spec_bad_values_rejected():
         EstimatorSpec("logistic", {"epochs": 0})
     with pytest.raises(LearnerError, match="l2"):
         EstimatorSpec("logistic", {"l2": -0.1})
+
+
+class _FitAndPredictOnly(Learner):
+    """A plugin that implements ``predict`` in place of ``predictor``."""
+
+    kind = "fit-and-predict-only"
+
+    def fit(self, spec, train, seed):
+        return {}
+
+    def predict(self, params, features):
+        return params["classes"][0]
+
+
+def test_a_learner_without_a_predictor_is_refused_where_it_is_registered():
+    before = dict(_REGISTRY)
+    with pytest.raises(LearnerError, match="^learner kind 'fit-and-predict-only' does not "
+                                           r"implement predictor\(params\)$"):
+        register_learner(_FitAndPredictOnly())
+    assert _REGISTRY == before
+    with pytest.raises(LearnerError, match="unknown learner kind 'fit-and-predict-only'"):
+        get_learner("fit-and-predict-only")
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +480,9 @@ LOGISTIC_CORPUS_SHA256 = "2469a100f8ab72b4b1a85bfa08ee224c09f2455f7a8098411ad44f
 LOGISTIC_CORPUS_FORMAT_2_SHA256 = "ff9e1a1bd7c0e186f33d7a90e5f8d7b054f0668bc63551bd7ba04fa93a2ff518"
 
 
-def test_logistic_corpus_bytes_are_pinned():
+def logistic_corpus():
+    """120 logistic fits, each with the dataset it was fit on."""
     rng = random.Random(2027)
-    format_1, format_2 = hashlib.sha256(), hashlib.sha256()
     for trial in range(120):
         n_features, classes = rng.choice([1, 2, 3]), "abcde"[: rng.choice([2, 3, 5])]
         names = ", ".join(f'"f{j}"' for j in range(n_features))
@@ -447,7 +492,13 @@ def test_logistic_corpus_bytes_are_pinned():
                 for _ in range(rng.randint(1, 30))]
         hp = {"epochs": rng.randint(1, 25), "l2": rng.choice([0.0, 0.01, 0.5]),
               "learning_rate": rng.choice([0.05, 0.5, 4.0, 64.0])}
-        model = fit(EstimatorSpec("logistic", hp), Dataset(schema, make_samples(rows)), seed=0)
+        ds = Dataset(schema, make_samples(rows))
+        yield fit(EstimatorSpec("logistic", hp), ds, seed=0), ds
+
+
+def test_logistic_corpus_bytes_are_pinned():
+    format_1, format_2 = hashlib.sha256(), hashlib.sha256()
+    for model, _ in logistic_corpus():
         format_1.update(canonical_json_bytes(format_1_payload(model)))
         format_2.update(serialize_model(model))
     assert (format_1.hexdigest(), format_2.hexdigest()) == (
@@ -607,7 +658,7 @@ def split_thresholds(tree: list) -> set:
 
 @pytest.mark.parametrize("corpus", [tree_corpus, tie_free_tree_corpus])
 def test_the_compiled_tree_walk_predicts_what_the_reference_walk_does(corpus):
-    tree_learner, rng = get_learner("tree"), random.Random(7)
+    rng = random.Random(7)
     for model, _ in corpus():
         # every threshold and the doubles either side of it, signed zeros, infinities, NaN
         values = [0.0, -0.0, math.inf, -math.inf, math.nan]
@@ -619,17 +670,21 @@ def test_the_compiled_tree_walk_predicts_what_the_reference_walk_does(corpus):
         for copy in (model, deserialize_model(serialize_model(model))):
             compiled = copy.predictor
             for x in vectors:
-                assert compiled(x) == tree_learner.predict(copy.parameters, x), (x, copy)
+                assert compiled(x) == reference_walk(copy.parameters, x), (x, copy)
 
 
-def test_logistic_and_majority_take_the_default_predictor():
-    (_, ds), models = _tree_depth_2(), _models()
-    for kind in ("majority", "logistic"):
-        learner, model = get_learner(kind), models[kind]
-        bound = model.predictor  # Learner.predictor's, once the parameters are checked
-        assert (bound.func, bound.args) == (learner.predict, (model.parameters,))
-        assert [bound(s.features) for s in ds.samples] == [
-            learner.predict(model.parameters, s.features) for s in ds.samples]
+def test_logistic_and_majority_predict_what_the_reference_formulas_give():
+    rng = random.Random(11)
+    for model, ds in logistic_corpus():
+        classes, n = model.classes, model.parameters["n_features"]
+        counts = [sum(s.label == c for s in ds.samples) for c in classes]
+        majority = fit(EstimatorSpec("majority"), ds, seed=0)
+        vectors = [s.features for s in ds.samples]
+        vectors += [tuple(rng.uniform(-50, 50) for _ in range(n)) for _ in range(10)]
+        for copy in (model, deserialize_model(serialize_model(model))):
+            assert [predict(copy, x) for x in vectors] == [
+                reference_logistic(copy.parameters, x) for x in vectors]
+        assert {predict(majority, x) for x in vectors} == {classes[counts.index(max(counts))]}
 
 
 def test_a_model_compiles_its_predictor_once(monkeypatch):
@@ -639,7 +694,7 @@ def test_a_model_compiles_its_predictor_once(monkeypatch):
     assert model.predictor is model.predictor
     evaluate(model, ds)
     assert [predict(model, s.features) for s in ds.samples] == [
-        get_learner("tree").predict(model.parameters, s.features) for s in ds.samples]
+        reference_walk(model.parameters, s.features) for s in ds.samples]
     assert compiled == [model.parameters]
     copy = deserialize_model(serialize_model(model))  # a decoded one, once, at decode
     assert len(compiled) == 2 and compiled[1] is copy.parameters
@@ -652,9 +707,8 @@ def test_a_tree_deeper_than_the_recursion_limit_compiles_and_predicts():
     model = chain_tree_model(depth)
     copy = deserialize_model(serialize_model(model))
     assert copy == model
-    tree_learner = get_learner("tree")
     for x in (-1.0, 0.0, 7.0, 8.0, depth - 1.0, float(depth), math.inf, math.nan):
-        assert predict(copy, (x,)) == predict(model, (x,)) == tree_learner.predict(
+        assert predict(copy, (x,)) == predict(model, (x,)) == reference_walk(
             model.parameters, (x,))
 
 

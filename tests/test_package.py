@@ -37,6 +37,18 @@ def test_every_absolute_import_is_in_the_standard_library():
     assert outside == {}
 
 
+def test_the_library_and_the_benchmark_parse_at_the_declared_python_floor():
+    # nothing runs the oldest Python that pyproject.toml admits: its grammar is checked instead
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    [floor] = re.findall(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.MULTILINE)
+    paths = sorted((root / "src" / "edgelearn").glob("*.py")) + sorted(
+        (root / "perfbench").glob("*.py"))
+    assert len(paths) > 13  # both directories
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(floor)))
+
+
 def test_every_imported_name_is_used():
     unused = []  # "file:line name" of each imported name its module never reads
     for path in sorted(Path(edgelearn.__file__).parent.glob("*.py")):
