@@ -34,7 +34,7 @@ from .kb import (
     KnowledgeBase,
     TaskRecord,
 )
-from .learners import EstimatorSpec, EvalMetrics, evaluate, fit
+from .learners import EstimatorSpec, EvalMetrics, ModelArtifact, evaluate, fit, get_learner
 from .tasks import TaskPartition, as_tasks, sample_transfer
 
 REASON_BELOW_THRESHOLD = "below-threshold"
@@ -174,19 +174,31 @@ class LifelongJob:
     def run_train(self, train: Dataset | TaskPartition) -> list[TaskRecord]:
         """Fit one model per task (sample transfer topping up small tasks),
         fit the fallback on the full set, and upsert everything; a dataset
-        is mined into tasks first. Starts from Idle, Deployed, or Deploying
-        (a deploy that found nothing deployable); ends in the Evaluating phase."""
+        is mined into tasks first; fits of one row set share a model. Starts
+        from Idle, Deployed, or Deploying (a deploy that found nothing
+        deployable); ends in the Evaluating phase."""
         self._require_phase(Phase.IDLE, Phase.DEPLOYED, Phase.DEPLOYING)
         cfg = self.cfg
         partition = as_tasks(train)
         self.kb.declare_shape(partition.dataset.schema)
+
+        models: dict[frozenset, ModelArtifact] = {}
+        order_invariant = get_learner(cfg.learner.kind).order_invariant
+
+        def fit_parts(keys: frozenset, rows: Dataset) -> ModelArtifact:
+            """The model of *rows*, the parts of *keys*: parts are disjoint and whole,
+            so the keys name the rows, and a fit that ignores their order runs once."""
+            if not order_invariant or keys not in models:
+                models[keys] = fit(cfg.learner, rows, cfg.seed)
+            return models[keys]
 
         stored: list[TaskRecord] = []
         for key in partition.keys:
             transfer = sample_transfer(
                 key, partition, cfg.transfer.min_samples, cfg.transfer.cap
             )
-            artifact = fit(cfg.learner, transfer.dataset, cfg.seed)
+            donors = (donor for donor, _ in transfer.provenance)
+            artifact = fit_parts(frozenset((key, *donors)), transfer.dataset)
             record = TaskRecord(
                 key=key,
                 attributes=partition.attributes[key],
@@ -198,7 +210,7 @@ class LifelongJob:
             stored.append(self.kb.lookup(key))
 
         if cfg.fallback_enabled:
-            self.kb.set_fallback(fit(cfg.learner, partition.dataset, cfg.seed))
+            self.kb.set_fallback(fit_parts(frozenset(partition.parts), partition.dataset))
 
         self._transition(Phase.EVALUATING)
         return stored

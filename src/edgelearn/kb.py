@@ -146,16 +146,22 @@ def _record_from_json(doc: dict, attributes: BucketedAttributes,
 
 def _shape(schema_fingerprint, classes, n_features, edges) -> tuple[dict, tuple]:
     """A store's shape document and its gate, ``((fingerprint, classes,
-    n_features), bucket counts)``; ValueError if the parts are not a shape."""
+    n_features), bucket counts)``; ValueError if the parts are not a shape.
+    *edges* are checked already, as a schema or :func:`_decode_shape` holds them."""
     check_int("shape n_features", n_features, 1)
     if not (isinstance(schema_fingerprint, str) and isinstance(classes, (list, tuple))
             and all(isinstance(c, str) for c in classes)):
         raise ValueError(f"shape of fingerprint {schema_fingerprint!r} and classes {classes!r}")
-    edges = tuple(e if e is None else bucket_edges(e) for e in edges)
     doc = {"schema_fingerprint": schema_fingerprint, "classes": list(classes),
            "n_features": n_features, "edges": [e if e is None else list(e) for e in edges]}
     return doc, ((schema_fingerprint, tuple(classes), n_features),
                  BucketingConfig(edges).bucket_counts)
+
+
+def _decode_shape(doc: dict) -> tuple[dict, tuple]:
+    """:func:`_shape` of a manifest's shape document, whose bucket edges enter here."""
+    return _shape(**{**doc, "edges": tuple(e if e is None else bucket_edges(e)
+                                           for e in doc["edges"])})
 
 
 def _with_model(doc: dict, model: ModelArtifact) -> bytes:
@@ -329,7 +335,7 @@ class KnowledgeBase:
             kb.kb_version = body["kb_version"]
             check_int("kb_version", kb.kb_version, 0)
             shape = body["shape"]
-            kb.shape, kb._gate = (None, None) if shape is None else _shape(**shape)
+            kb.shape, kb._gate = (None, None) if shape is None else _decode_shape(shape)
             tasks, fallback = body["tasks"], body["fallback"]
             fallback = None if fallback is None else _inline_model(fallback, None)
             if kb._gate is None and (tasks or fallback is not None):

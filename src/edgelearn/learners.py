@@ -194,10 +194,13 @@ class EvalMetrics:
 
 class Learner:
     """Base plugin contract. Subclasses implement ``fit``, which returns a
-    JSON-serializable parameter dict, and ``predictor`` over such a dict."""
+    JSON-serializable parameter dict, and ``predictor`` over such a dict.
+    ``order_invariant`` declares that ``fit`` returns the same parameters for
+    the same rows in any order, so a job fits each distinct row set once."""
 
     kind: str = ""
     hyperparameter_defaults: dict = {}
+    order_invariant: bool = False
 
     def fit(self, spec: EstimatorSpec, train: Dataset, seed: int) -> dict:
         raise NotImplementedError
@@ -214,8 +217,9 @@ _REGISTRY: dict[str, Learner] = {}
 def register_learner(learner: Learner) -> None:
     if not learner.kind:
         raise LearnerError("learner must declare a kind identifier")
-    if type(learner).predictor is Learner.predictor:
-        raise LearnerError(f"learner kind {learner.kind!r} does not implement predictor(params)")
+    for method, signature in (("fit", "fit(spec, train, seed)"), ("predictor", "predictor(params)")):
+        if getattr(type(learner), method) is getattr(Learner, method):
+            raise LearnerError(f"learner kind {learner.kind!r} does not implement {signature}")
     _REGISTRY[learner.kind] = learner
 
 
@@ -236,6 +240,7 @@ class MajorityLearner(Learner):
 
     kind = "majority"
     hyperparameter_defaults: dict = {}
+    order_invariant = True
 
     def fit(self, spec, train, seed):
         classes = train.schema.label_classes
@@ -464,10 +469,13 @@ class TreeLearner(Learner):
     flat list of nodes in preorder, as in scikit-learn and Treelite: a leaf is its class
     index, and a split ``[feature, threshold, right]`` sends rows whose feature is
     ``< threshold`` to the next node and the others to node ``right``.
+    Row order does not matter (``order_invariant``): cuts fall between distinct
+    values, scores are exact, and 0.0 and -0.0 give one threshold.
     """
 
     kind = "tree"
     hyperparameter_defaults = {"max_depth": 4, "min_leaf": 1}
+    order_invariant = True
 
     def fit(self, spec, train, seed):
         hp = spec.resolved()

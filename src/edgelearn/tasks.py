@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .data import Dataset, DatasetSchema, TaskAttrValues, bucket_edges
+from .data import Dataset, DatasetSchema, TaskAttrValues
 from .errors import DataError, SchemaError, SchemaMismatchError
 
 KEY_SEPARATOR = "|"
@@ -28,15 +28,11 @@ class BucketingConfig:
     """Per-attribute-column bucket edges; ``None`` marks a categorical column.
 
     A numeric column with m edges has m+1 buckets. An empty edge tuple is a
-    single bucket (every value maps to bucket 0).
+    single bucket (every value maps to bucket 0). The edges are not checked
+    here: they are a schema's, or a store's, checked where they entered.
     """
 
     edges: tuple[tuple[float, ...] | None, ...]
-
-    def __post_init__(self):
-        for col_edges in self.edges:
-            if col_edges is not None:
-                bucket_edges(col_edges)
 
     @property
     def bucket_counts(self) -> tuple[int, ...]:
@@ -292,7 +288,7 @@ def as_tasks(data: Dataset | TaskPartition) -> TaskPartition:
     it is."""
     if isinstance(data, Dataset):
         return mine_tasks(data, BucketingConfig.from_schema(data.schema))
-    if data.bucketing != BucketingConfig.from_schema(data.dataset.schema):
+    if data.bucketing.edges != data.dataset.schema.attribute_edges:
         raise SchemaMismatchError("task partition was mined under another bucketing")
     return data
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import shutil
 import zlib
 
 import pytest
 
-from edgelearn import bench, tasks as tasks_mod
+from edgelearn import bench, data as data_mod, job as job_mod, kb as kb_mod, tasks as tasks_mod
 from edgelearn.cli import cli_main
 from edgelearn.data import Dataset, field_names, schema_to_json, write_csv
 from edgelearn.errors import (ConfigError, CorruptStoreError, LearnerError,
@@ -31,6 +32,7 @@ from edgelearn.learners import (
     canonical_json_bytes,
     fit,
     predict,
+    TreeLearner,
     register_learner,
     serialize_model,
 )
@@ -661,6 +663,79 @@ def test_each_dataset_is_mined_once(tmp_path, monkeypatch, rng):
     test = random_city_dataset(rng, 30, ["athens", "tokyo", "lima"])
     bench.run_bench(data, test, majority_config(), tmp_path / "bench")
     assert sorted(calls) == [30, 60]
+
+
+# -- one fit per distinct training set -----------------------------------------------------
+
+def _banded_batch(rng, rows_per_band=(10, 10, 10, 10)) -> Dataset:
+    """Four tasks of one site, a band each: every pair is similar, so a task
+    below ``min_samples`` borrows from the others, nearest band first."""
+    rows = [((rng.uniform(0, 10),), ("p", band), rng.choice("ab"))
+            for band, n in zip((5.0, 15.0, 25.0, 35.0), rows_per_band) for _ in range(n)]
+    return Dataset(banded_schema((10.0, 20.0, 30.0)), make_samples(rows))
+
+
+def _counted_cycle(tmp_path, monkeypatch, name, learner, rows_per_band=(10, 10, 10, 10)):
+    """Bootstrap a store, then run one update cycle (min_samples 30) on a
+    batch of *rows_per_band*; returns the training-set sizes of the update
+    cycle's fits, the store and the snapshot bytes."""
+    rng = random.Random(35)
+    cfg = majority_config(learner=learner, transfer=TransferPolicy(min_samples=30, cap=1000))
+    job = LifelongJob(cfg, KnowledgeBase.open(tmp_path / name))
+    job.bootstrap(_banded_batch(rng))
+    fits = []
+    monkeypatch.setattr(job_mod, "fit", lambda spec, train, seed: fits.append(len(train))
+                        or fit(spec, train, seed))
+    snapshot = job.run_update_cycle(_banded_batch(rng, rows_per_band))
+    monkeypatch.setattr(job_mod, "fit", fit)
+    return fits, job.kb, serialize_snapshot(snapshot)
+
+
+@pytest.mark.parametrize("rows_per_band, fits", [
+    # 8 training rows a band: each task borrows the three others, as the fallback
+    ((10, 10, 10, 10), [32]),
+    # band 2 has 32 and lends to all: bands 0 and 1 borrow {1 or 0, 2}, band 3 {2}
+    ((10, 10, 40, 10), [48, 32, 40, 56]),
+    # bands 1 and 3 need none: 0 and 2 borrow band 1, so no two fits share a row set
+    ((10, 40, 10, 40), [40, 32, 40, 32, 80]),
+])
+def test_an_update_cycle_fits_each_distinct_training_set_once(tmp_path, monkeypatch,
+                                                              rows_per_band, fits):
+    memo = _counted_cycle(tmp_path, monkeypatch, "memo", EstimatorSpec("tree"), rows_per_band)
+    assert memo[0] == fits
+    models = [record.model for record in memo[1].records.values()] + [memo[1].fallback]
+    assert len({id(model) for model in models}) == len(fits)  # one object per fit
+
+    monkeypatch.setattr(TreeLearner, "order_invariant", False)  # fit per task
+    per_task = _counted_cycle(tmp_path, monkeypatch, "per-task", EstimatorSpec("tree"),
+                              rows_per_band)
+    assert len(per_task[0]) == 5 and set(per_task[0]) == set(fits)
+    assert per_task[1].fingerprint() == memo[1].fingerprint()
+    assert (tmp_path / "per-task" / "index.json").read_bytes() == (
+        tmp_path / "memo" / "index.json").read_bytes()
+    assert per_task[2] == memo[2]
+
+
+def test_a_learner_not_declaring_order_invariance_fits_once_per_task(tmp_path, monkeypatch):
+    fits, kb, _ = _counted_cycle(tmp_path, monkeypatch, "kb",
+                                 EstimatorSpec("logistic", {"epochs": 3}))
+    assert fits == [32] * 5
+    assert len({id(record.model) for record in kb.records.values()} | {id(kb.fallback)}) == 5
+
+
+def test_a_job_stage_checks_no_bucket_edges_the_store_opens_with_them_checked(
+        tmp_path, monkeypatch):
+    data = _banded_batch(random.Random(3))  # its schema checked its edges
+    calls = []
+    real = kb_mod.bucket_edges
+    monkeypatch.setattr(kb_mod, "bucket_edges", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(data_mod, "bucket_edges", kb_mod.bucket_edges)
+    job, kb = new_job(tmp_path)
+    job.bootstrap(data)
+    job.run_update_cycle(data)
+    assert calls == []
+    assert KnowledgeBase.open(tmp_path / "kb").shape == kb.shape
+    assert calls == [([10.0, 20.0, 30.0],)]  # the manifest's, where they enter
 
 
 # -- pluggable learner through the full pipeline --------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import edgelearn.kb as kb_mod
+from edgelearn.cli import cli_main
 import edgelearn.learners as learners_mod
 from edgelearn.errors import (
     CorruptStoreError,
@@ -571,6 +572,38 @@ def test_reopen_store_whose_manifest_carries_relations(tmp_path):
     assert reopened.records == kb.records
     assert reopened.kb_version == kb.kb_version
     assert reopened.fingerprint() == kb.fingerprint()
+
+
+@pytest.mark.parametrize("edges, fault", [
+    ([30.0, 20.0], "not strictly increasing"),
+    (["a"], "'a' is not a finite number"),
+    ("ab", "must be a list"),
+    (5, "must be a list, got 5"),
+])
+def test_a_manifest_whose_bucket_edges_are_not_edges_fails_to_open(tmp_path, capsys, edges,
+                                                                    fault):
+    declared_kb(tmp_path / "kb", banded_schema())
+    index = tmp_path / "kb" / "index.json"
+    manifest = json.loads(index.read_text(encoding="utf-8"))
+    manifest["body"]["shape"]["edges"][-1] = edges
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
+    index.write_bytes(canonical_json_bytes(manifest))
+    with pytest.raises(CorruptStoreError, match=f"index.json: bad body: .*{fault}"):
+        KnowledgeBase.open(tmp_path / "kb")
+    assert cli_main(["kb", "show", "--kb", str(tmp_path / "kb")]) == 2
+    assert "index.json" in capsys.readouterr().err
+
+
+def test_a_manifest_writing_its_bucket_edges_as_integers_opens_to_the_same_shape(tmp_path):
+    kb = declared_kb(tmp_path / "kb", banded_schema())
+    index = tmp_path / "kb" / "index.json"
+    manifest = json.loads(index.read_text(encoding="utf-8"))
+    manifest["body"]["shape"]["edges"][-1] = [20, 30]
+    manifest["crc32"] = zlib.crc32(canonical_json_bytes(manifest["body"]))
+    index.write_bytes(canonical_json_bytes(manifest))
+    reopened = KnowledgeBase.open(tmp_path / "kb")
+    assert reopened.shape == kb.shape and reopened.fingerprint() == kb.fingerprint()
+    reopened.declare_shape(banded_schema())  # the same shape: commits nothing
 
 
 # -- upsert ----------------------------------------------------------------------

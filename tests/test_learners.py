@@ -190,6 +190,92 @@ def test_a_learner_without_a_predictor_is_refused_where_it_is_registered():
         get_learner("fit-and-predict-only")
 
 
+class _PredictorOnly(Learner):
+    """A plugin that builds a predictor but fits nothing."""
+
+    kind = "predictor-only"
+
+    def predictor(self, params):
+        return lambda features: params["classes"][0]
+
+
+def test_a_learner_without_fit_is_refused_where_it_is_registered():
+    before = dict(_REGISTRY)
+    with pytest.raises(LearnerError, match="^learner kind 'predictor-only' does not "
+                                           r"implement fit\(spec, train, seed\)$"):
+        register_learner(_PredictorOnly())
+    assert _REGISTRY == before
+    with pytest.raises(LearnerError, match="unknown learner kind 'predictor-only'"):
+        get_learner("predictor-only")
+
+
+# -- order invariance ------------------------------------------------------------
+
+# signed zeros, subnormals either side of them and the least normal double
+_SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -1.5, 1.5)
+
+
+def order_probe_dataset(rng):
+    """A small random training set whose columns tie on a grid, repeat signed
+    zeros and subnormals, or hold distinct values; its label often flips at
+    zero of the first column, so cuts fall between the zeros and their
+    neighbours."""
+    n_features = rng.choice([1, 2, 3])
+    names = ", ".join(f'"f{j}"' for j in range(n_features))
+    schema = parse_schema('{"features": [%s], "label": {"name": "y", "classes": '
+                          '["a", "b", "c"]}}' % names)
+    draws = []
+    for _ in range(n_features):
+        grid = rng.choice([0.5, 1.0, 2.5])
+        draws.append(rng.choice([
+            lambda: round(rng.uniform(-5, 5) / grid) * grid,
+            lambda: rng.choice(_SPECIAL_VALUES),
+            lambda: rng.uniform(-5, 5),
+        ]))
+    by_sign = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randint(1, 40)):
+        x = tuple(draw() for draw in draws)
+        if by_sign and rng.random() < 0.9:
+            label = "a" if math.copysign(1.0, x[0]) < 0 else "b"
+        else:
+            label = rng.choice("abc")
+        rows.append((x, (), label))
+    return Dataset(schema, make_samples(rows))
+
+
+def test_a_learner_declaring_order_invariance_fits_shuffled_rows_to_the_same_bytes():
+    # a job fits such a learner once per distinct row set, in whichever order
+    # the first task to hold that set lists its rows
+    kinds = sorted(kind for kind, learner in _REGISTRY.items() if learner.order_invariant)
+    assert {"majority", "tree"} <= set(kinds)
+    rng, splits = random.Random(35), 0
+    for trial in range(300):
+        ds = order_probe_dataset(rng)
+        for kind in kinds:
+            hp = ({"max_depth": rng.randint(1, 5), "min_leaf": rng.randint(1, 4)}
+                  if kind == "tree" else {})
+            model = fit(EstimatorSpec(kind, hp), ds, seed=0)
+            splits += sum(type(node) is list for node in model.parameters.get("tree", ()))
+            for _ in range(2):
+                rows = list(ds.samples)
+                rng.shuffle(rows)
+                shuffled = fit(EstimatorSpec(kind, hp), ds.derive(rows), seed=0)
+                assert shuffled.canonical == model.canonical, (kind, hp, rows)
+    assert splits > 300, splits
+
+
+def test_logistic_does_not_declare_order_invariance_and_is_not():
+    # its full-batch gradient sums floats in row order
+    assert not get_learner("logistic").order_invariant
+    rng, spec, differ = random.Random(36), EstimatorSpec("logistic", {"epochs": 5}), 0
+    for trial in range(10):
+        ds = order_probe_dataset(rng)
+        rows = list(reversed(ds.samples))
+        differ += fit(spec, ds.derive(rows), 0).canonical != fit(spec, ds, 0).canonical
+    assert differ > 0
+
+
 # ---------------------------------------------------------------------------
 # Majority
 # ---------------------------------------------------------------------------
