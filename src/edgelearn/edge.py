@@ -5,15 +5,16 @@ Inference never talks to the cloud. A sample whose bucketed attribute
 values are a task's in the active snapshot routes to that task's model;
 otherwise it is an unknown task and falls back to (a) the most similar
 snapshot task at or above the similarity threshold, else (b) the global
-fallback model. Applying a snapshot checks it, binds each model's
-:attr:`~edgelearn.learners.ModelArtifact.predictor` (compiled once per
-artifact) and builds a :class:`~edgelearn.tasks.TaskIndex` at the edge's
-threshold. Per request, the known route is one dict probe on the bucketed
-values and a predictor call; finding (a) scores those values, building no
-query object, against only the tasks that can reach it (at the default
-threshold, those sharing the sample's categorical values). Unknown requests
-are counted per task key, up to ``unseen_cap`` keys, for upload; labeled
-feedback accumulates until the trigger policy fires a retrain request.
+fallback model. Applying a snapshot checks, binds (each model's
+:attr:`~edgelearn.learners.ModelArtifact.predictor`, compiled once per
+artifact) and indexes in a :class:`~edgelearn.tasks.TaskIndex` only the
+entries whose model or attributes object the active snapshot lacks: all of
+a decoded one. Per request, the known route is one dict probe on the
+bucketed values and a predictor call; finding (a) scores those values,
+building no query object, against only the tasks that can reach it (at the
+default threshold, those sharing the sample's categorical values). Unknown
+requests are counted per task key, up to ``unseen_cap`` keys, for upload;
+labeled feedback accumulates until the trigger policy fires a retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
 drains, and snapshot swaps never observe partial state. Snapshots,
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .data import DatasetSchema, Sample, _is_finite_number, check_int
 from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
@@ -89,7 +90,7 @@ class EdgeRuntime:
         self.unseen_cap = unseen_cap  # distinct keys in self._demand
         self.active: DeploySnapshot | None = None
         # self.active's TaskIndex, {values: (key, predictor)}, {key: predictor}, fallback predictor
-        self._routes: tuple[TaskIndex | None, dict, dict, Callable | None] = (None, {}, {}, None)
+        self._routes = (TaskIndex({}, self._bucket_counts, similarity_threshold), {}, {}, None)
         self._demand: dict[tuple, int] = {}  # unknown values -> requests since the last drain
         self._feedback: list[Sample] = []
         self.counters = {
@@ -110,25 +111,38 @@ class EdgeRuntime:
         another schema fingerprint (or none, unless it holds no model), holding
         a model not of this edge's schema, classes and feature count, or a task
         not bucketed as this edge buckets or not keyed by its values, raises
-        SchemaMismatchError and is not applied; routing trusts what passes."""
+        SchemaMismatchError and is not applied; routing trusts what passes. An
+        entry is checked again only if its model or attributes object is new."""
         what, declared = f"snapshot v{snapshot.snapshot_version}", snapshot.schema_fingerprint
         if declared != self._shape[0] and (
                 declared is not None or snapshot.tasks or snapshot.fallback is not None):
             raise SchemaMismatchError(f"{what} declares schema {declared!r}, not {self._shape[0]}")
-        attributes, predictors = {}, {}
-        for key, entry in snapshot.tasks.items():
-            check_model(entry.model, self._shape, what)
-            attributes[key], predictors[key] = entry.attributes, entry.model.predictor
+        with self._lock:  # the active snapshot and its routes, read in one step
+            active, (index, known, predictors, _) = self.active, self._routes
+        old, tasks = {} if active is None else active.tasks, snapshot.tasks
+        known, bound, added = dict(known), {}, {}
+        for key, entry in tasks.items():  # reuse by identity only: both types are frozen
+            was = old.get(key)
+            if was is None or entry.model is not was.model:
+                check_model(entry.model, self._shape, what)
+                bound[key] = entry.model.predictor
+            if was is None or entry.attributes is not was.attributes:
+                added[key] = entry.attributes
+        dropped = {k: old[k].attributes.values for k in old.keys() - tasks | (added.keys() & old)}
         if snapshot.fallback is not None:
             check_model(snapshot.fallback, self._shape, what)
         fallback = None if snapshot.fallback is None else snapshot.fallback.predictor
         try:  # task_categories checks each key is its values' key: no two share a values entry
-            index = TaskIndex(attributes, self._bucket_counts, self.similarity_threshold)
+            index = index.with_tasks(added, dropped)
         except SchemaMismatchError as exc:
             raise SchemaMismatchError(f"{what} was not bucketed as this edge buckets: "
                                       f"{exc}") from None
+        for values in dropped.values():
+            del known[values]
         # the index checked each value is a str or an int, so each values tuple hashes
-        known = {attrs.values: (key, predictors[key]) for key, attrs in attributes.items()}
+        for key in added.keys() | bound.keys():
+            known[tasks[key].attributes.values] = (key, bound.get(key, predictors.get(key)))
+        predictors = dict(known.values())
         with self._lock:
             if (
                 self.active is not None

@@ -459,8 +459,10 @@ class KnowledgeBase:
         self._require_shape()
         existing = self.records.get(record.key)
         if existing is not None:
-            if (replace(record, version=existing.version).entry == existing.entry
-                    and record.attributes == existing.attributes):  # bucket counts included
+            # equal entries (which hold no bucket counts) imply equal status and model bytes
+            if (record.status == existing.status and record.attributes == existing.attributes
+                    and record.model.canonical == existing.model.canonical
+                    and replace(record, version=existing.version).entry == existing.entry):
                 return self.kb_version
             version = existing.version + 1
         else:

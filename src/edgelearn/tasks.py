@@ -186,7 +186,7 @@ class TaskIndex:
     order, only the groups within reach, building no query object; with the
     query's own group alone that is one dict probe. Results equal a scan of
     every task in key order with :func:`task_similarity`. Nothing in an index
-    changes after it is built.
+    changes after it is built; :meth:`with_tasks` derives another from it.
     """
 
     def __init__(self, tasks: dict[str, BucketedAttributes], bucket_counts: tuple[int, ...],
@@ -206,9 +206,23 @@ class TaskIndex:
                 break
             self._reach = m
         self._groups: dict[tuple, list[tuple[str, tuple]]] = {}  # categories -> (key, values)
-        for key in sorted(tasks):
-            cats = task_categories(key, tasks[key], bucket_counts)
-            self._groups.setdefault(cats, []).append((key, tasks[key].values))
+        self._groups = self.with_tasks(tasks, {})._groups
+
+    def with_tasks(self, added: dict[str, BucketedAttributes], dropped: dict) -> "TaskIndex":
+        """A new index of this one's tasks less *dropped* ({key: its values}) plus *added*,
+        checked as the constructor checks its tasks; copies only the groups that change."""
+        index, out, groups = object.__new__(TaskIndex), set(dropped), dict(self._groups)
+        vars(index).update(vars(self), _groups=groups)
+        edits: dict[tuple, list] = {self._categories_of(values): [] for values in dropped.values()}
+        for key in sorted(added):
+            cats = task_categories(key, added[key], self._bucket_counts)
+            edits.setdefault(cats, []).append((key, added[key].values))
+        for cats, members in edits.items():  # the groups that change, each a new list
+            if cats in groups:  # merge in the kept members; a new group's are in key order
+                members = sorted(members + [m for m in groups.pop(cats) if m[0] not in out])
+            if members:  # no group is empty
+                groups[cats] = members
+        return index
 
     def nearest(self, values: tuple[str | int, ...]) -> tuple[str, float] | None:
         """(key, similarity) of the most similar task to the bucketed

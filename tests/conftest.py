@@ -12,6 +12,7 @@ import pytest
 
 import edgelearn.kb as kb_mod
 from edgelearn.data import Dataset, DatasetSchema, Sample, write_csv
+from edgelearn.edge import EdgeRuntime
 from edgelearn.kb import KnowledgeBase
 from edgelearn.learners import EstimatorSpec, ModelArtifact, TreeLearner, fit
 
@@ -81,6 +82,20 @@ def count_tree_compiles(monkeypatch) -> list[dict]:
 
     monkeypatch.setattr(TreeLearner, "predictor", counting)
     return compiled
+
+
+def routes(runtime) -> tuple:
+    """What *runtime* routes by: its index's groups, its value table, its
+    predictor per key and its fallback predictor."""
+    index, known, predictors, fallback = runtime._routes
+    return index._groups, known, predictors, fallback
+
+
+def fresh_routes(runtime) -> tuple:
+    """:func:`routes` of a new runtime like *runtime* that applies its active snapshot."""
+    fresh = EdgeRuntime(runtime.schema, runtime.bucketing, runtime.similarity_threshold)
+    fresh.apply_snapshot(runtime.active)
+    return routes(fresh)
 
 
 def random_city_dataset(rng: random.Random, n: int, cities, classes=("a", "b")) -> Dataset:

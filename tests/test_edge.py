@@ -35,7 +35,7 @@ from edgelearn.tasks import (
 )
 
 from conftest import (banded_schema, chain_tree_model, city_dataset, city_schema,
-                      count_tree_compiles)
+                      count_tree_compiles, fresh_routes, routes)
 
 
 def constant_model(label: str, classes=("a", "b")):
@@ -524,6 +524,109 @@ def test_a_snapshot_whose_key_is_not_its_values_key_is_not_applied():
     assert runtime.infer(Sample((1.0,), ("s001", 25.0))).route == ROUTE_FALLBACK
 
 
+def _banded_runtime():
+    """A runtime of four band buckets holding two tasks and a fallback."""
+    schema = banded_schema((10.0, 20.0, 30.0))
+    runtime = EdgeRuntime(schema, BucketingConfig.from_schema(schema))
+    own = snapshot_of(1, {"p|1": (constant_model("a"), BucketedAttributes(("p", 1), (0, 4))),
+                          "q|2": (constant_model("b"), BucketedAttributes(("q", 2), (0, 4)))},
+                      fallback=constant_model("b"))
+    assert runtime.apply_snapshot(own) == "applied"
+    return runtime, own
+
+
+def _count_checks(monkeypatch) -> tuple[list, list]:
+    """The models ``check_model`` and the keys ``task_categories`` check from now on."""
+    checked, categorized = [], []
+    real_check, real_categories = edge.check_model, tasks.task_categories
+    monkeypatch.setattr(edge, "check_model",
+                        lambda model, *args: checked.append(model) or real_check(model, *args))
+    monkeypatch.setattr(tasks, "task_categories",
+                        lambda key, *args: categorized.append(key) or real_categories(key, *args))
+    return checked, categorized
+
+
+def test_a_swap_refuses_what_a_fresh_apply_refuses_and_keeps_its_state():
+    runtime, own = _banded_runtime()
+    held, before = runtime._routes, repr(routes(runtime))  # every table, deeply
+    model, attrs = own.tasks["p|1"].model, own.tasks["p|1"].attributes
+    for key, entry in (
+        # an applied key's values, equal but not identical: reuse is by identity only
+        ("p|1", SnapshotEntry(model, BucketedAttributes(("p", True), (0, 4)))),
+        ("p|1", SnapshotEntry(model, BucketedAttributes(("p", 1.0), (0, 4)))),
+        # a retrained model of another schema, under the applied attributes object
+        ("p|1", SnapshotEntry(constant_model("warm", classes=("warm", "cold")), attrs)),
+        # a key that is not its values' key
+        ("p|1", SnapshotEntry(model, BucketedAttributes(("p", 2), (0, 4)))),
+        ("r|1", SnapshotEntry(model, attrs)),
+    ):
+        foreign = replace(own, snapshot_version=2, tasks={**own.tasks, key: entry})
+        fresh = EdgeRuntime(runtime.schema, runtime.bucketing)
+        with pytest.raises(SchemaMismatchError) as first:
+            fresh.apply_snapshot(foreign)
+        with pytest.raises(SchemaMismatchError) as swapped:
+            runtime.apply_snapshot(foreign)
+        assert str(swapped.value) == str(first.value), key
+        assert runtime.active is own and runtime._routes is held
+        assert repr(routes(runtime)) == before
+    # a stale snapshot is refused with no state change, however it differs
+    for stale in (own, replace(own, tasks={"p|1": own.tasks["p|1"]}, fallback=None)):
+        assert runtime.apply_snapshot(stale) == "rejected-stale"
+        assert runtime.active is own and runtime._routes is held
+
+
+def test_a_decoded_snapshot_is_checked_in_full(monkeypatch):
+    runtime, own = _banded_runtime()
+    checked, categorized = _count_checks(monkeypatch)
+    decoded = deserialize_snapshot(serialize_snapshot(replace(own, snapshot_version=2)))
+    assert runtime.apply_snapshot(decoded) == "applied"
+    assert len(checked) == 3 and categorized == ["p|1", "q|2"]  # both tasks and the fallback
+    assert routes(runtime) == fresh_routes(runtime)
+    # a decoded copy of the applied snapshot, its values re-typed, is refused as on a first apply
+    payload = serialize_snapshot(replace(own, snapshot_version=3)).replace(
+        b'"values":["p",1]', b'"values":["p",true]')
+    with pytest.raises(SchemaMismatchError, match="'p\\|1' has values \\('p', True\\)"):
+        runtime.apply_snapshot(deserialize_snapshot(payload))
+    assert runtime.active is decoded
+
+
+def test_a_swap_checks_binds_and_indexes_only_what_changed(monkeypatch):
+    checked, categorized = _count_checks(monkeypatch)
+    compiled = count_tree_compiles(monkeypatch)
+
+    def tree(city, labels):
+        ds = city_dataset([(float(i), city, label) for i, label in enumerate(labels)])
+        return fit(EstimatorSpec("tree"), ds, seed=0)
+
+    runtime = city_runtime()
+
+    def swap(snapshot):
+        """The models checked, keys categorized and trees compiled by applying *snapshot*."""
+        checked.clear(), categorized.clear(), compiled.clear()
+        assert runtime.apply_snapshot(snapshot) == "applied"
+        work = [id(model) for model in checked], list(categorized), list(compiled)
+        assert routes(runtime) == fresh_routes(runtime)
+        return work
+
+    fallback = tree("any", "abab")
+    first = snapshot_of(1, {city: (tree(city, "aabb"), BucketedAttributes((city,), (0,)))
+                            for city in ("tokyo", "athens", "oslo")}, fallback=fallback)
+    models = [entry.model for entry in first.tasks.values()] + [fallback]
+    assert swap(first) == ([id(model) for model in models], ["athens", "oslo", "tokyo"],
+                           [model.parameters for model in models])
+    retrained = tree("athens", "abbb")  # under the applied attributes object
+    second = replace(first, snapshot_version=2, tasks={
+        **first.tasks, "athens": SnapshotEntry(retrained, first.tasks["athens"].attributes)})
+    assert swap(second) == ([id(retrained), id(fallback)], [], [retrained.parameters])
+    lima = tree("lima", "bbaa")
+    third = replace(second, snapshot_version=3, tasks={
+        **second.tasks, "lima": SnapshotEntry(lima, BucketedAttributes(("lima",), (0,)))})
+    assert swap(third) == ([id(lima), id(fallback)], ["lima"], [lima.parameters])
+    dropped = {key: entry for key, entry in third.tasks.items() if key != "oslo"}
+    assert swap(replace(third, snapshot_version=4, tasks=dropped)) == ([id(fallback)], [], [])
+    assert runtime.infer(Sample((0.0,), ("oslo",))).route == ROUTE_FALLBACK
+
+
 def test_status_document_fields():
     runtime = city_runtime(city_snapshot(version=2, fallback_label="b"))
     runtime.infer(Sample((0.0,), ("athens",)))
@@ -704,3 +807,56 @@ def test_snapshot_swaps_under_concurrent_infer_route_within_one_snapshot():
                               else "b")
     assert runtime.counters["inferences"] == len(seen)  # no counter update was lost
     assert runtime.counters["known_hits"] == sum(p.route == ROUTE_KNOWN for _, p in seen)
+
+
+def test_interleaved_swaps_from_two_threads_leave_the_newest_snapshot_s_routes():
+    # each swap diffs against the active snapshot and routes it read in one
+    # locked step; read apart, a swap could patch one snapshot's routes with
+    # a diff against another's, and the routes would be no snapshot's
+    schema = banded_schema((10.0, 20.0, 30.0))
+    bucketing = BucketingConfig.from_schema(schema)
+    rng = random.Random(7)
+    models = [constant_model("ab"[i % 2]) for i in range(4)]
+    cells = [(site, band) for site in "pqrs" for band in range(4)]
+    tasks_now, fallback, snapshots = {}, models[0], []
+    for version in range(1, 301):
+        tasks_now = dict(tasks_now)
+        for _ in range(rng.randint(1, 3)):
+            site, band = rng.choice(cells)
+            key, op = f"{site}|{band}", rng.random()
+            if key in tasks_now and op < 0.3:
+                del tasks_now[key]
+            elif key in tasks_now and op < 0.6:  # retrained: a new model object, same attributes
+                tasks_now[key] = SnapshotEntry(constant_model("ab"[band % 2]),
+                                               tasks_now[key].attributes)
+            else:  # new or re-mined: a new attributes object
+                tasks_now[key] = SnapshotEntry(rng.choice(models),
+                                               BucketedAttributes((site, band), (0, 4)))
+        if rng.random() < 0.2:
+            fallback = rng.choice(models)
+        fingerprint = models[0].schema_fingerprint
+        snapshots.append(DeploySnapshot(version, fingerprint, tasks_now, fallback))
+    runtime = EdgeRuntime(schema, bucketing)
+    results, errors = [], []
+
+    def worker(mine):
+        try:
+            results.extend(runtime.apply_snapshot(snapshot) for snapshot in mine)
+        except Exception as exc:  # pragma: no cover - failure diagnostics
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(snapshots[parity::2],))
+                   for parity in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(results) == len(snapshots)
+    assert runtime.active is snapshots[-1]
+    assert routes(runtime) == fresh_routes(runtime)

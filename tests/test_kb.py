@@ -653,6 +653,44 @@ def test_upsert_byte_identical_is_idempotent(tmp_path):
         kb.upsert_task(replace(record, attributes=BucketedAttributes(("athens",), (2,))))
 
 
+def test_upsert_bumps_on_any_changed_entry_byte_and_encodes_only_the_stored_entry(
+    tmp_path, monkeypatch
+):
+    # the no-op is decided as the stored bytes would decide it, but a record
+    # that differs in a field compared without encoding encodes one entry:
+    # the one its commit stores
+    encoded, real = [], kb_mod._with_model
+
+    def counting(doc, model):
+        encoded.append(doc["key"])
+        return real(doc, model)
+
+    monkeypatch.setattr(kb_mod, "_with_model", counting)
+    kb = declared_kb(tmp_path / "kb")
+    kb.upsert_task(make_record("athens"))
+    same = make_record("athens")  # its own objects, refit to the same bytes
+    assert same.model is not kb.lookup("athens").model
+    encoded.clear()
+    assert kb.upsert_task(same) == 1 and kb.lookup("athens").version == 1
+    for changed in (
+        make_record("athens", label="b"),  # a model byte
+        replace(same, status=STATUS_EVAL_FAILED),
+        make_record("athens", status=STATUS_EVAL_FAILED, n=4),  # the sample count
+    ):
+        version, before = kb.kb_version, kb.lookup("athens").version
+        encoded.clear()
+        assert kb.upsert_task(changed) == version + 1
+        assert kb.lookup("athens").version == before + 1
+        assert encoded == ["athens"]  # the stored record's, at commit
+    # equal in Python but not in the entry: true is not 1, so it bumps
+    kb.upsert_task(one := make_record("athens", n=1))
+    version = kb.kb_version
+    assert kb.upsert_task(replace(one, samples=True)) == version + 1
+    # a bucket count is never a no-op: the gate refuses it
+    with pytest.raises(SchemaMismatchError, match="under bucket counts \\(2,\\)"):
+        kb.upsert_task(replace(one, attributes=BucketedAttributes(("athens",), (2,))))
+
+
 def test_upsert_schema_mismatch_rejected(tmp_path):
     kb = declared_kb(tmp_path / "kb")
     kb.upsert_task(make_record("athens"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from edgelearn.kb import KnowledgeBase, serialize_snapshot
 from edgelearn.learners import EstimatorSpec
 from edgelearn.sim import LinkEvent, SimConfig, StreamEvent, start_sim
 
-from conftest import city_dataset, edge_prediction_lines
+from conftest import city_dataset, edge_prediction_lines, fresh_routes, routes
 
 
 def sim_job_config(k: int = 10, seed: int = 5) -> JobConfig:
@@ -232,6 +233,39 @@ def test_unknown_band_routes_similar_then_known_after_update(tmp_path):
     assert all("label=a" in l for l in tick1)  # neighbor model's knowledge
     assert len(tick3) == 5 and all("route=known" in l for l in tick3)
     assert all("label=b" in l for l in tick3)  # its own model after the update
+
+
+def test_each_edge_routes_as_a_fresh_apply_of_its_snapshot_after_every_tick(tmp_path):
+    # swaps that keep, retrain, add and drop tasks, and one edge that takes a
+    # backlog of snapshots on reconnect: each leaves the routes a first apply
+    # of the same snapshot builds, the same predictor objects included
+    cities = ("athens", "oslo", "lima", "kyiv")
+    streams = tuple(
+        StreamEvent(tick, tick % 2, tuple(
+            Sample((float(i),), (cities[tick % 4],), "ab"[tick % 3 == 0 and i % 2])
+            for i in range(12)) + unlabeled("tokyo", 2))
+        for tick in range(12))
+    cfg = basic_config(
+        edges=2, streams=streams, max_ticks=15,
+        job=replace(sim_job_config(), eval_policy=EvalPolicy(min_accuracy=0.7)),
+        links=(LinkEvent(3, 1, up=False), LinkEvent(8, 1, up=True)),
+    )
+    sim = start_sim(cfg, tmp_path / "kb")
+    seen, last = Counter(), [edge.runtime.active for edge in sim.edges]
+    while sim.now < cfg.max_ticks:
+        sim.tick()
+        for edge in sim.edges:
+            runtime = edge.runtime
+            assert routes(runtime) == fresh_routes(runtime), (sim.now, edge.name)
+            old, new = last[edge.id].tasks, runtime.active.tasks
+            if old is not new:  # a swap: count the entries it kept, those it did not, and drops
+                for key, entry in new.items():
+                    was = old.get(key)
+                    seen["kept" if was is not None and was.model is entry.model
+                         and was.attributes is entry.attributes else "new"] += 1
+                seen["dropped"] += len(old.keys() - new.keys())
+            last[edge.id] = runtime.active
+    assert min(seen[kind] for kind in ("kept", "new", "dropped")) > 0, seen
 
 
 def test_update_snapshot_broadcast_to_all_edges(tmp_path):

@@ -294,6 +294,55 @@ def test_task_index_nearest_is_a_scan_at_any_number_of_categorical_columns(count
             assert index.nearest(query) == (ranked[0] if ranked else None), (query, threshold)
 
 
+@pytest.mark.parametrize("counts", [(), (1,), (0,), (1, 0), (0, 3), (3, 0, 1), (0, 0, 2)])
+def test_task_index_with_tasks_is_the_index_of_the_changed_set(counts, rng):
+    # zero-attribute schemas, single-bucket columns and groups left empty
+    def values():
+        return tuple(rng.choice("pqr") if c == 0 else rng.randrange(c) for c in counts)
+
+    universe = {}
+    for _ in range(12):
+        attrs = BucketedAttributes(values(), counts)
+        universe[task_key(attrs)] = attrs
+    emptied = 0
+    for threshold in (0.5, 1.0):
+        for _ in range(40):
+            before = {key: a for key, a in universe.items() if rng.random() < 0.5}
+            after = {key: a for key, a in universe.items() if rng.random() < 0.5}
+            # a key both sides hold is kept, or re-mined as an equal new object
+            added = {key: BucketedAttributes(a.values, counts) for key, a in after.items()
+                     if key not in before or rng.random() < 0.3}
+            dropped = {key: a.values for key, a in before.items()
+                       if key not in after or key in added}
+            index = TaskIndex(before, counts, threshold)
+            groups = {cats: list(members) for cats, members in index._groups.items()}
+            changed = index.with_tasks(added, dropped)
+            fresh = TaskIndex(after, counts, threshold)
+            assert changed._groups == fresh._groups, (before, after)
+            assert index._groups == groups  # the old index is left as it was
+            emptied += bool(index._groups.keys() - changed._groups.keys())
+            for _ in range(10):
+                query = values()
+                assert changed.nearest(query) == fresh.nearest(query)
+                assert changed.best_similarity(query) == fresh.best_similarity(query)
+    assert emptied > 0 or len(universe) == 1
+
+
+def test_task_index_with_tasks_refuses_what_the_constructor_refuses():
+    counts = (0, 4)
+    index = TaskIndex({"p|1": BucketedAttributes(("p", 1), counts)}, counts, 0.75)
+    groups = dict(index._groups)
+    for key, attrs in (("q|9", BucketedAttributes(("q", 9), counts)),
+                       ("q|1", BucketedAttributes(("q", True), counts)),
+                       ("p|2", BucketedAttributes(("p", 1), counts))):
+        with pytest.raises(SchemaMismatchError) as fresh:
+            TaskIndex({key: attrs}, counts, 0.75)
+        with pytest.raises(SchemaMismatchError) as changed:
+            index.with_tasks({key: attrs}, {})
+        assert str(changed.value) == str(fresh.value)
+        assert index._groups == groups
+
+
 # -- sample transfer -----------------------------------------------------------------
 
 def _banded_partition(rows):
