@@ -9,8 +9,9 @@ fallback model. Applying a snapshot checks, binds (each model's
 :attr:`~edgelearn.learners.ModelArtifact.predictor`, compiled once per
 artifact) and indexes in a :class:`~edgelearn.tasks.TaskIndex` only the
 entries whose model or attributes object the active snapshot lacks: all of
-a decoded one. Per request, the known route is one dict probe on the
-bucketed values and a predictor call; finding (a) scores those values,
+a decoded one. Per request, the bucketing runs a per-column plan the edge
+works out once, and the known route is one dict probe on the bucketed
+values and a predictor call; finding (a) scores those values,
 building no query object, against only the tasks that can reach it (at the
 default threshold, those sharing the sample's categorical values). Unknown
 requests are counted per task key, up to ``unseen_cap`` keys, for upload;
@@ -34,7 +35,7 @@ from .errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from .job import TriggerPolicy
 from .kb import DeploySnapshot
 from .learners import check_model
-from .tasks import BucketingConfig, TaskIndex, bucket_values, values_key
+from .tasks import BucketingConfig, TaskIndex, values_key
 
 ROUTE_KNOWN = "known"
 ROUTE_SIMILAR = "similar"
@@ -42,12 +43,13 @@ ROUTE_FALLBACK = "fallback"
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.75
 DEFAULT_UNSEEN_CAP = 10_000
+_new_tuple = tuple.__new__  # _new_tuple(Prediction, fields) is Prediction(*fields)
 
 
 class Prediction(NamedTuple):
-    """One inference result and how it was routed. Immutable: a named
-    tuple, which every request builds and which costs less than a frozen
-    dataclass to build."""
+    """One inference result and how it was routed. Immutable: a named tuple,
+    which ``infer`` builds with ``tuple.__new__``: the generated ``__new__``'s
+    Python frame costs more than the rest of building one per request."""
 
     label: str
     route: str
@@ -84,6 +86,7 @@ class EdgeRuntime:
         self.schema = schema
         self._shape = (schema.fingerprint(), schema.label_classes, schema.n_features)
         self.bucketing = bucketing
+        self._bucket = bucketing.bucket  # the bucketing plan, worked out once
         self._n_features = schema.n_features
         self._bucket_counts = bucketing.bucket_counts
         self.similarity_threshold = similarity_threshold  # fixed: each index is built at it
@@ -171,7 +174,7 @@ class EdgeRuntime:
             raise DataError(
                 f"expected {self._n_features} features, got {len(sample.features)}"
             )
-        values = bucket_values(sample.attributes, self.bucketing)
+        values = self._bucket(sample.attributes)
         with self._lock:
             self.counters["inferences"] += 1
             snapshot, (index, known, predictors, fallback) = self.active, self._routes
@@ -191,8 +194,8 @@ class EdgeRuntime:
         # a snapshot and its routes are immutable: predict and route outside the lock
         if hit is not None:
             key, model_predict = hit
-            return Prediction(model_predict(sample.features), ROUTE_KNOWN, key, None,
-                              snapshot.snapshot_version)
+            return _new_tuple(Prediction, (model_predict(sample.features), ROUTE_KNOWN, key, None,
+                                           snapshot.snapshot_version))
         if (nearest := index.nearest(values)) is not None:
             task, sim = nearest
             model_predict, route = predictors[task], ROUTE_SIMILAR
@@ -206,9 +209,8 @@ class EdgeRuntime:
                 f"no model for unknown task {values_key(values)!r}: best similarity {best_sim} "
                 f"below threshold {self.similarity_threshold} and no fallback"
             )
-        return Prediction(
-            model_predict(sample.features), route, task, sim, snapshot.snapshot_version
-        )
+        return _new_tuple(Prediction, (
+            model_predict(sample.features), route, task, sim, snapshot.snapshot_version))
 
     # -- feedback and upload ------------------------------------------------------
 

@@ -451,10 +451,10 @@ class KnowledgeBase:
         """Insert or supersede a task record; returns the new kb_version.
 
         Re-upserting byte-identical content is a no-op (version unchanged).
-        An existing key gets its record version incremented, and the
-        superseded model is no longer stored. A record the store gate
-        refuses raises SchemaMismatchError: the store would not open. A store
-        that declares no shape raises StoreError.
+        An existing key gets its record version incremented and keeps an equal
+        attributes object, and the superseded model is no longer stored. A
+        record the store gate refuses raises SchemaMismatchError: the store
+        would not open. A store that declares no shape raises StoreError.
         """
         self._require_shape()
         existing = self.records.get(record.key)
@@ -469,6 +469,9 @@ class KnowledgeBase:
             version = 1
         with self.transaction():
             self._admit(record.model, record.key, record)
+            if existing is not None and record.attributes == existing.attributes:
+                # equal past the gate (no bools, floats): an edge's swap reuses the key's route
+                record = replace(record, attributes=existing.attributes)
             self.records[record.key] = replace(record, version=version)
             self.kb_version += 1
         return self.kb_version

@@ -4,16 +4,20 @@ A *task* is identified by the tuple of bucketed attribute values of its
 samples: categorical attributes pass through, numeric attributes map to a
 bucket index against the schema's bucket edges. :func:`bucket_values` and
 :func:`values_key` hold the bucketing and key rules on plain tuples, for
-callers that need no :class:`BucketedAttributes`. Mining groups a dataset
-into one sub-dataset per task key; attribute-based similarity relates
-tasks to each other; sample transfer tops up small tasks from their
-nearest neighbours without touching the learner contract.
+callers that need no :class:`BucketedAttributes`; the bucketing runs a plan
+worked out once per config (:attr:`BucketingConfig.bucket`). Mining groups
+a dataset into one sub-dataset per task key, bucketing each distinct raw
+attribute tuple once; attribute-based similarity relates tasks to each
+other; sample transfer tops up small tasks from their nearest neighbours
+without touching the learner contract.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .data import Dataset, DatasetSchema, TaskAttrValues
@@ -44,6 +48,30 @@ class BucketingConfig:
         """The bucketing of *schema*: its attribute columns' bucket edges."""
         return cls(schema.attribute_edges)
 
+    @cached_property
+    def bucket(self) -> Callable[[TaskAttrValues], tuple[str | int, ...]]:
+        """:func:`bucket_values` under this bucketing, its plan (each column's position
+        and edges, None if categorical, and the tuple length) worked out once; a call
+        checks the columns in order and buckets the numeric ones in place."""
+        plan, n = tuple(enumerate(self.edges)), len(self.edges)
+
+        def bucket(attrs: TaskAttrValues) -> tuple[str | int, ...]:
+            if len(attrs) != n:
+                raise SchemaMismatchError(f"expected {n} attributes, got {len(attrs)}")
+            values = list(attrs)
+            for i, col_edges in plan:
+                v = values[i]
+                if col_edges is None:
+                    if not isinstance(v, str):
+                        raise DataError(f"categorical attribute needs a string, got {v!r}")
+                elif isinstance(v, str):
+                    raise DataError(f"numeric attribute needs a number, got {v!r}")
+                else:
+                    values[i] = bisect_right(col_edges, v) if v == v else 0  # edges increase
+            return tuple(values)
+
+        return bucket
+
 
 @dataclass(frozen=True)
 class BucketedAttributes:
@@ -63,23 +91,11 @@ def bucket_values(attrs: TaskAttrValues, bucketing: BucketingConfig) -> tuple[st
     """Map raw attribute values to their bucketed values.
 
     Numeric value v with edges e becomes ``count(e_i <= v)`` (0 for NaN);
-    edges are the left-inclusive boundaries of the next bucket.
+    edges are the left-inclusive boundaries of the next bucket. Runs
+    *bucketing*'s plan (:attr:`BucketingConfig.bucket`), built on first use;
+    a hot caller binds that once instead.
     """
-    if len(attrs) != len(bucketing.edges):
-        raise SchemaMismatchError(
-            f"expected {len(bucketing.edges)} attributes, got {len(attrs)}"
-        )
-    values: list[str | int] = []
-    for v, col_edges in zip(attrs, bucketing.edges):
-        if col_edges is None:
-            if not isinstance(v, str):
-                raise DataError(f"categorical attribute needs a string, got {v!r}")
-            values.append(v)
-        else:
-            if isinstance(v, str):
-                raise DataError(f"numeric attribute needs a number, got {v!r}")
-            values.append(bisect_right(col_edges, v) if v == v else 0)  # edges increase
-    return tuple(values)
+    return bucketing.bucket(attrs)
 
 
 def bucket_attributes(attrs: TaskAttrValues, bucketing: BucketingConfig) -> BucketedAttributes:
@@ -284,13 +300,16 @@ def mine_tasks(dataset: Dataset, bucketing: BucketingConfig) -> TaskPartition:
     dataset.require_labeled()
     groups: dict[str, list] = {}
     attrs_by_key: dict[str, BucketedAttributes] = {}
-    counts = bucketing.bucket_counts
+    key_of: dict[tuple, str] = {}  # raw attributes -> key: equal raw tuples bucket alike
+    bucket, counts = bucketing.bucket, bucketing.bucket_counts
     for sample in dataset.samples:
-        values = bucket_values(sample.attributes, bucketing)
-        key = values_key(values)
-        if key not in groups:
-            groups[key] = []
-            attrs_by_key[key] = BucketedAttributes(values, counts)
+        key = key_of.get(sample.attributes)
+        if key is None:
+            values = bucket(sample.attributes)
+            key = key_of[sample.attributes] = values_key(values)
+            if key not in groups:
+                groups[key] = []
+                attrs_by_key[key] = BucketedAttributes(values, counts)
         groups[key].append(sample)
     parts = {key: dataset.derive(rows) for key, rows in groups.items()}
     return TaskPartition(dataset, bucketing, parts, attrs_by_key)

@@ -20,6 +20,7 @@ from edgelearn.edge import (
     ROUTE_KNOWN,
     ROUTE_SIMILAR,
     EdgeRuntime,
+    Prediction,
 )
 from edgelearn.errors import ConfigError, DataError, NoModelError, SchemaMismatchError
 from edgelearn.job import TriggerPolicy
@@ -148,6 +149,29 @@ def test_prediction_is_immutable():
     for field in ("label", "route", "task_key", "similarity", "snapshot_version"):
         with pytest.raises(AttributeError):
             setattr(pred, field, None)
+
+
+def test_each_route_returns_the_prediction_its_fields_build():
+    schema = banded_schema((10.0, 20.0, 30.0, 40.0))
+    bucketing = BucketingConfig.from_schema(schema)
+    attrs = bucket_attributes(("p", 15.0), bucketing)  # bucket 1 of 5
+    runtime = EdgeRuntime(schema, bucketing)
+    runtime.apply_snapshot(snapshot_of(3, {"p|1": (constant_model("a"), attrs)},
+                                       fallback=constant_model("b")))
+    for attributes, fields in (
+        (("p", 12.0), ("a", ROUTE_KNOWN, "p|1", None, 3)),
+        (("p", 25.0), ("a", ROUTE_SIMILAR, "p|1", 0.875, 3)),  # (1 + 0.75) / 2
+        (("q", 12.0), ("b", ROUTE_FALLBACK, None, None, 3)),
+    ):
+        pred, built = runtime.infer(Sample((1.0,), attributes)), Prediction(*fields)
+        assert type(pred) is Prediction
+        assert pred == built and hash(pred) == hash(built) and tuple(pred) == fields
+        assert pred._asdict() == built._asdict() == dict(zip(Prediction._fields, fields))
+        assert pred._replace(label="z") == built._replace(label="z") == ("z", *fields[1:])
+        assert type(pred._replace(label="z")) is Prediction
+        assert repr(pred) == repr(built) == (
+            f"Prediction(label={fields[0]!r}, route={fields[1]!r}, task_key={fields[2]!r}, "
+            f"similarity={fields[3]!r}, snapshot_version=3)")
 
 
 def test_infer_known_route():

@@ -13,6 +13,7 @@ import pytest
 from edgelearn import bench, data as data_mod, job as job_mod, kb as kb_mod, tasks as tasks_mod
 from edgelearn.cli import cli_main
 from edgelearn.data import Dataset, field_names, schema_to_json, write_csv
+from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import (ConfigError, CorruptStoreError, LearnerError,
                              NothingDeployableError, PhaseError, SchemaMismatchError)
 from edgelearn.job import (
@@ -38,7 +39,9 @@ from edgelearn.learners import (
 )
 from edgelearn.tasks import BucketingConfig, mine_tasks
 
-from conftest import banded_schema, city_dataset, make_samples, random_city_dataset
+from conftest import (banded_schema, city_dataset, fresh_routes, make_samples,
+                      random_city_dataset, routes)
+from test_edge import _count_checks
 from test_kb import _watch_writes
 
 
@@ -311,6 +314,30 @@ def test_update_cycle_isolation_of_untouched_tasks(tmp_path):
     assert kb.lookup("athens").version == 2
     assert kb.lookup("tokyo") == tokyo_before
 
+
+def test_an_update_that_only_retrains_known_tasks_reaches_an_edge_as_new_models_only(
+        tmp_path, monkeypatch):
+    rng = random.Random(36)
+    job = LifelongJob(majority_config(learner=EstimatorSpec("tree")),
+                      KnowledgeBase.open(tmp_path / "kb"))
+    first = job.bootstrap(_banded_batch(rng))
+    schema = banded_schema((10.0, 20.0, 30.0))
+    runtime = EdgeRuntime(schema, BucketingConfig.from_schema(schema))
+    assert runtime.apply_snapshot(first) == "applied"
+    second = job.run_update_cycle(_banded_batch(rng))  # the same four tasks, new rows
+    assert second.tasks.keys() == first.tasks.keys() and len(first.tasks) == 4
+    retrained = [key for key in first.tasks if second.tasks[key].model is not first.tasks[key].model]
+    assert retrained  # at least one model is new
+    for key, entry in second.tasks.items():
+        assert entry.attributes is first.tasks[key].attributes
+        assert job.kb.lookup(key).attributes is entry.attributes
+
+    checked, categorized = _count_checks(monkeypatch)
+    assert runtime.apply_snapshot(second) == "applied"
+    assert categorized == []  # no key is re-indexed
+    assert [id(model) for model in checked] == (
+        [id(second.tasks[key].model) for key in retrained] + [id(second.fallback)])
+    assert routes(runtime) == fresh_routes(runtime)
 
 def test_update_cycle_knowledge_growth_every_key(tmp_path, rng):
     job, kb = new_job(tmp_path)

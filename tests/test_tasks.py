@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 
 import pytest
 
-from edgelearn.data import Dataset
+from edgelearn.data import Dataset, DatasetSchema, Sample
+from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import DataError, SchemaMismatchError
+from edgelearn.kb import DeploySnapshot
+from edgelearn.learners import EstimatorSpec, fit
 from edgelearn.tasks import (
     BucketedAttributes,
     BucketingConfig,
@@ -106,6 +111,98 @@ def test_bucket_values_and_values_key_match_the_dataclass_path(rng):
         assert errors[0] == errors[1]
 
 
+def oracle_bucket_values(attrs, bucketing):
+    """The bucketing written out column by column, reading the config on every call."""
+    if len(attrs) != len(bucketing.edges):
+        raise SchemaMismatchError(
+            f"expected {len(bucketing.edges)} attributes, got {len(attrs)}"
+        )
+    values = []
+    for v, col_edges in zip(attrs, bucketing.edges):
+        if col_edges is None:
+            if not isinstance(v, str):
+                raise DataError(f"categorical attribute needs a string, got {v!r}")
+            values.append(v)
+        else:
+            if isinstance(v, str):
+                raise DataError(f"numeric attribute needs a number, got {v!r}")
+            values.append(bisect_right(col_edges, v) if v == v else 0)
+    return tuple(values)
+
+
+def outcome(bucket, attrs):
+    """The values *bucket* gives *attrs*, each with its type, or its exception's type and text."""
+    try:
+        values = bucket(attrs)
+    except Exception as exc:  # whatever it raises, the oracle must raise too
+        return type(exc), str(exc)
+    return tuple((v, type(v)) for v in values)
+
+
+def attribute_schema(edges) -> DatasetSchema:
+    """One feature and an attribute column per entry of *edges*."""
+    return DatasetSchema(feature_columns=("x",), label_column="y", label_classes=("a", "b"),
+                         attribute_columns=tuple(f"c{i}" for i in range(len(edges))),
+                         attribute_edges=tuple(edges))
+
+
+def unchecked_dataset(schema, attribute_tuples) -> Dataset:
+    """One labeled row per attribute tuple, built without the schema's checks."""
+    return Dataset(schema).derive(Sample((float(i),), attrs, "ab"[i % 2])
+                                  for i, attrs in enumerate(attribute_tuples))
+
+
+def test_the_bucketing_plan_gives_the_column_by_column_values_and_errors(rng):
+    b = BucketingConfig((None, (10.0, 20.0, 30.0), (), None))
+    schema = attribute_schema(b.edges)
+    cats = ["ath", "a|b", "a\\b", "|", "\\|", "", "x\\", type("Tag", (str,), {})("t|g")]
+    nums = [10.0, 20.0, 30.0, 9.5, 31.0, -math.inf, math.inf, math.nan, 0, -0.0, 25, True, False]
+
+    def pools(edges):
+        """A column's well-typed values and its badly typed ones."""
+        return (cats, [1, 1.0, math.nan, True, None, b"ath"]) if edges is None else (
+            nums, ["1", "", "a|b"])
+
+    tuples = []
+    for _ in range(400):  # mostly well typed, some columns of the other kind
+        tuples.append(tuple(rng.choice(fine + bad if rng.random() < 0.15 else fine)
+                            for fine, bad in map(pools, b.edges)))
+    good = ("ath", 25, 1.0, "|")
+    for n in (0, 1, 3, 5):  # wrong lengths, with and without bad columns
+        tuples += [good[:n] + ("x",) * (n - 4), (1,) * n]
+    for width in (1, 2):  # a bad value in each column, and in each pair of columns
+        for columns in itertools.combinations(range(4), width):
+            for pick in range(3):
+                attrs = list(good)
+                for i in columns:
+                    bad = pools(b.edges[i])[1]
+                    attrs[i] = bad[pick % len(bad)]
+                tuples.append(tuple(attrs))
+
+    fallback = fit(EstimatorSpec("majority"), Dataset(schema, (Sample((0.0,), good, "a"),)), 0)
+    runtime = EdgeRuntime(schema, b)
+    runtime.apply_snapshot(DeploySnapshot(1, fallback.schema_fingerprint, {}, fallback))
+    failures = 0
+    for attrs in tuples:
+        expected = outcome(lambda a: oracle_bucket_values(a, b), attrs)
+        assert outcome(lambda a: bucket_values(a, b), attrs) == expected, attrs
+        assert outcome(b.bucket, attrs) == expected, attrs
+        assert outcome(lambda a: bucket_attributes(a, b).values, attrs) == expected, attrs
+        mined = outcome(lambda a: next(iter(mine_tasks(unchecked_dataset(schema, [a]), b)
+                                            .attributes.values())).values, attrs)
+        assert mined == expected, attrs
+        before = runtime.status()
+        served = outcome(lambda a: runtime.infer(Sample((0.5,), a)), attrs)
+        if isinstance(expected[0], type):  # an error: same type and text, no counter moved
+            failures += 1
+            assert served == expected and runtime.status() == before, attrs
+        else:
+            key = values_key(tuple(v for v, _ in expected))
+            assert runtime.status()["unknown_demand"][key] == before["unknown_demand"].get(key, 0) + 1
+            assert runtime.status()["counters"]["inferences"] == before["counters"]["inferences"] + 1
+    assert 60 < failures < len(tuples) - 200  # both outcomes are well covered
+
+
 # -- mining ----------------------------------------------------------------------
 
 def test_mine_tasks_groups_by_city():
@@ -165,6 +262,41 @@ def test_mine_tasks_matches_brute_force_grouping(rng):
         for group in expected.values()
     )
     assert actual_groups == expected_groups
+
+
+@pytest.mark.parametrize("edges", [
+    (),                                   # zero attributes: one implicit task
+    (None,),
+    ((),),                                # B = 1: every number is bucket 0
+    (None, (10.0, 20.0, 30.0)),
+    ((0.0, 1.0), None, ()),
+    ((-1.0, 0.0, 1.0), (2.0,), None, None),
+])
+def test_mine_tasks_gives_the_per_row_partition(rng, edges):
+    # equal raw values as other objects (1 and 1.0, 0.0 and -0.0, an edge as int and float),
+    # several raw tuples per bucket, and many rows per raw tuple
+    numbers = [1, 1.0, 0.0, -0.0, 0, 10, 10.0, 15.5, 12, -1, -1.0, 0.5, 2, 2.0, 35.0, 1e9]
+    strings = ["p", "q", "p|q", "p\\", "\\|"]
+    raw = [tuple(rng.choice(strings) if e is None else rng.choice(numbers) for e in edges)
+           for _ in range(12)]
+    schema = attribute_schema(edges)
+    b = BucketingConfig.from_schema(schema)
+    for n in (1, 7, 200):
+        dataset = Dataset(schema, make_samples(
+            ((rng.random(),), rng.choice(raw), rng.choice("ab")) for _ in range(n)))
+        groups, attributes = {}, {}
+        for sample in dataset.samples:  # the oracle: bucket every row
+            values = oracle_bucket_values(sample.attributes, b)
+            groups.setdefault(values_key(values), []).append(sample)
+            attributes.setdefault(values_key(values), values)
+        partition = mine_tasks(dataset, b)
+        assert list(partition.parts) == list(groups)  # keys in order of first occurrence
+        for key, rows in groups.items():
+            assert len(partition.parts[key]) == len(rows)
+            assert all(x is y for x, y in zip(partition.parts[key].samples, rows))
+            got = partition.attributes[key]
+            assert got.bucket_counts == b.bucket_counts
+            assert [(v, type(v)) for v in got.values] == [(v, type(v)) for v in attributes[key]]
 
 
 def test_mine_tasks_idempotent_on_parts(rng):
