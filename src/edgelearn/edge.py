@@ -13,9 +13,11 @@ a decoded one. Per request, the bucketing runs a per-column plan the edge
 works out once, and the known route is one dict probe on the bucketed
 values and a predictor call; finding (a) scores those values,
 building no query object, against only the tasks that can reach it (at the
-default threshold, those sharing the sample's categorical values). Unknown
-requests are counted per task key, up to ``unseen_cap`` keys, for upload;
-labeled feedback accumulates until the trigger policy fires a retrain request.
+default threshold, those sharing the sample's categorical values), with a
+scorer worked out once per bucket counts: a table lookup per numeric column.
+Unknown requests are counted per task key (one probe), up to ``unseen_cap``
+keys, for upload; labeled feedback accumulates until the trigger policy
+fires a retrain request.
 
 All state transitions are guarded by one lock: concurrent infer calls,
 drains, and snapshot swaps never observe partial state. Snapshots,
@@ -186,8 +188,9 @@ class EdgeRuntime:
                 self.counters["known_hits"] += 1
             else:  # unknown task: count its demand for upload
                 self.counters["unknown_hits"] += 1
-                if values in self._demand or len(self._demand) < self.unseen_cap:
-                    self._demand[values] = self._demand.get(values, 0) + 1
+                n = self._demand.get(values, 0)  # a counted key's count is at least 1
+                if n or len(self._demand) < self.unseen_cap:
+                    self._demand[values] = n + 1
                 else:  # a new key past the cap
                     self.counters["unseen_dropped"] += 1
 

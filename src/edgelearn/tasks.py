@@ -8,8 +8,9 @@ callers that need no :class:`BucketedAttributes`; the bucketing runs a plan
 worked out once per config (:attr:`BucketingConfig.bucket`). Mining groups
 a dataset into one sub-dataset per task key, bucketing each distinct raw
 attribute tuple once; attribute-based similarity relates tasks to each
-other; sample transfer tops up small tasks from their nearest neighbours
-without touching the learner contract.
+other, scored by a plan worked out once per bucket counts
+(:func:`similarity_scorer`); sample transfer tops up small tasks from their
+nearest neighbours without touching the learner contract.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 
 from .data import Dataset, DatasetSchema, TaskAttrValues
@@ -124,28 +125,47 @@ def task_similarity(a: BucketedAttributes, b: BucketedAttributes) -> float:
     Categorical columns score 1 on equality, else 0. Numeric columns with B
     buckets score ``max(0, 1 - |i-j|/(B-1))`` (B=1 scores 1). Symmetric,
     bounded in [0,1], and 1 exactly on equal tuples. A zero-attribute schema
-    scores 1 (single implicit task).
+    scores 1 (single implicit task). Both tuples must hold what
+    :func:`task_categories` accepts of a task, or SchemaMismatchError.
     """
-    if len(a.values) != len(b.values) or a.bucket_counts != b.bucket_counts:
+    counts = a.bucket_counts
+    if len(a.values) != len(b.values) or counts != b.bucket_counts:
         raise SchemaMismatchError("bucketed attributes come from different schemas")
-    if any(c == 0 and type(x) != type(y) for x, y, c in zip(a.values, b.values, a.bucket_counts)):
-        raise SchemaMismatchError("mixed categorical/numeric column")
-    return values_similarity(a.values, b.values, a.bucket_counts)
+    for x, y, c in zip(a.values, b.values, counts):  # a plain loop costs less than all()
+        if not (type(x) is type(y) is str if c == 0 else
+                type(x) is type(y) is int and 0 <= x < c and 0 <= y < c):
+            if any(k == 0 and type(u) != type(v) for u, v, k in zip(a.values, b.values, counts)):
+                raise SchemaMismatchError("mixed categorical/numeric column")
+            raise SchemaMismatchError(f"values {a.values!r} and {b.values!r} were not both "
+                                      f"bucketed under bucket counts {counts!r}")
+    return similarity_scorer(counts)(a.values, b.values)
+
+
+@cache
+def similarity_scorer(bucket_counts: tuple[int, ...]) -> Callable[[tuple, tuple], float]:
+    """:func:`values_similarity` under *bucket_counts*, planned once per counts: a
+    numeric column of B buckets is a table of the score at each bucket distance, as
+    :func:`task_similarity` computes it, summed in column order into the same float."""
+    n = len(bucket_counts)
+    if not n:
+        return lambda a, b: 1.0
+    plan = tuple((i, None if count == 0 else tuple(
+        1.0 if count == 1 else max(0.0, 1.0 - d / (count - 1)) for d in range(count)))
+        for i, count in enumerate(bucket_counts))
+
+    def score(a: tuple, b: tuple) -> float:
+        total = 0.0
+        for i, table in plan:  # indexing: about twice as fast as zipping three tuples
+            total += (1.0 if a[i] == b[i] else 0.0) if table is None else table[abs(a[i] - b[i])]
+        return total / n
+
+    return score
 
 
 def values_similarity(a: tuple, b: tuple, bucket_counts: tuple[int, ...]) -> float:
-    """:func:`task_similarity` of values bucketed under *bucket_counts*, unchecked."""
-    if not a:
-        return 1.0
-    total = 0.0
-    for va, vb, count in zip(a, b, bucket_counts):
-        if count == 0:
-            total += 1.0 if va == vb else 0.0
-        elif count == 1:
-            total += 1.0
-        else:
-            total += max(0.0, 1.0 - abs(int(va) - int(vb)) / (count - 1))
-    return total / len(a)
+    """:func:`task_similarity` of values bucketed under *bucket_counts*, unchecked: each
+    numeric column must hold an int in ``[0, B)``. A hot caller binds the scorer."""
+    return similarity_scorer(bucket_counts)(a, b)
 
 
 def rank_similar(
@@ -191,23 +211,25 @@ class TaskIndex:
     Every task must pass :func:`task_categories` under *bucket_counts*, or
     the constructor raises SchemaMismatchError naming the first that does
     not. Lookups trust the tasks; a query must be bucketed under the same
-    counts.
+    counts (as :attr:`BucketingConfig.bucket` buckets).
 
     A categorical mismatch scores exactly 0 and every column at most 1, so
     a task whose categorical values differ from the query's in m of n
     columns scores at most ``(n-m)/n`` (exactly so in floats: rounded
     addition and division are monotone). The constructor works out once the
-    most mismatches (the reach) that can still meet *threshold*; a lookup
-    scores, with :func:`values_similarity` on the request's values and in key
-    order, only the groups within reach, building no query object; with the
-    query's own group alone that is one dict probe. Results equal a scan of
-    every task in key order with :func:`task_similarity`. Nothing in an index
-    changes after it is built; :meth:`with_tasks` derives another from it.
+    most mismatches (the reach) that can still meet *threshold* and binds the
+    counts' :func:`similarity_scorer`; a lookup scores, with it on the
+    request's values and in key order, only the groups within reach, building
+    no query object; with the query's own group alone that is one dict probe.
+    Results equal a scan of every task in key order with
+    :func:`task_similarity`. Nothing in an index changes after it is built;
+    :meth:`with_tasks` derives another from it, with the same scorer.
     """
 
     def __init__(self, tasks: dict[str, BucketedAttributes], bucket_counts: tuple[int, ...],
                  threshold: float):
         self._bucket_counts = bucket_counts
+        self._score = similarity_scorer(bucket_counts)  # with_tasks copies it over
         categorical = tuple(i for i, count in enumerate(bucket_counts) if count == 0)
         if len(categorical) == 1:  # a query's categorical values, with no per-request list
             self._categories_of = lambda values, i=categorical[0]: (values[i],)
@@ -258,9 +280,9 @@ class TaskIndex:
             )
         if not members:
             return None
-        best_key, best_sim = None, 0.0
+        best_key, best_sim, score = None, 0.0, self._score
         for key, task_values in members:
-            sim = values_similarity(values, task_values, self._bucket_counts)
+            sim = score(values, task_values)
             if sim > best_sim:
                 best_key, best_sim = key, sim
         if best_key is not None and best_sim >= self._threshold:
@@ -270,8 +292,8 @@ class TaskIndex:
     def best_similarity(self, values: tuple[str | int, ...]) -> float:
         """The highest similarity of any task to the bucketed *values*, 0.0
         with no tasks: what an error message reports, not a route."""
-        return max((values_similarity(values, other, self._bucket_counts)
-                    for members in self._groups.values() for _, other in members), default=0.0)
+        return max((self._score(values, other) for members in self._groups.values()
+                    for _, other in members), default=0.0)
 
 
 @dataclass(frozen=True)

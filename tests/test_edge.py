@@ -651,6 +651,29 @@ def test_a_swap_checks_binds_and_indexes_only_what_changed(monkeypatch):
     assert runtime.infer(Sample((0.0,), ("oslo",))).route == ROUTE_FALLBACK
 
 
+def test_the_similarity_plan_is_built_once_per_runtime_not_per_swap(monkeypatch):
+    built, build = [], tasks.similarity_scorer.__wrapped__  # the builder, uncached
+    monkeypatch.setattr(tasks, "similarity_scorer", lambda counts: built.append(counts) or
+                        build(counts))
+    runtime, snapshot = _banded_runtime()
+    scorer, rng = runtime._routes[0]._score, random.Random(5)
+    unused = [(site, band) for site in "pqr" for band in range(4)
+              if tasks.values_key((site, band)) not in snapshot.tasks]
+    for version in range(2, 12):  # each swap drops a key, re-mines one and adds two
+        entries = dict(snapshot.tasks)
+        unused.append(entries.pop(rng.choice(sorted(entries))).attributes.values)
+        key = rng.choice(sorted(entries))
+        entries[key] = SnapshotEntry(entries[key].model,
+                                     BucketedAttributes(entries[key].attributes.values, (0, 4)))
+        for values in (unused.pop(rng.randrange(len(unused))) for _ in range(2)):
+            entries[tasks.values_key(values)] = SnapshotEntry(
+                constant_model("ab"[values[1] % 2]), BucketedAttributes(values, (0, 4)))
+        snapshot = replace(snapshot, snapshot_version=version, tasks=entries)
+        assert runtime.apply_snapshot(snapshot) == "applied"
+        assert runtime._routes[0]._score is scorer
+    assert built == [(0, 4)] and not unused
+
+
 def test_status_document_fields():
     runtime = city_runtime(city_snapshot(version=2, fallback_label="b"))
     runtime.infer(Sample((0.0,), ("athens",)))

@@ -373,6 +373,15 @@ def test_similarity_schema_mismatch_rejected():
             task_similarity(a, b)
     with pytest.raises(SchemaMismatchError, match="mixed categorical/numeric"):
         task_similarity(a, BucketedAttributes((1,), (0,)))
+    with pytest.raises(SchemaMismatchError, match="mixed categorical/numeric"):  # over a bad bucket
+        task_similarity(BucketedAttributes(("c", 5), (0, 3)), BucketedAttributes((1, 2), (0, 3)))
+    # a numeric value task_categories refuses of a task, on either side
+    ok = BucketedAttributes(("c", 2), (0, 3))
+    for value in (1.0, True, "1", -1, 3):
+        odd = BucketedAttributes(("c", value), (0, 3))
+        for x, y in ((ok, odd), (odd, ok)):
+            with pytest.raises(SchemaMismatchError, match="not both bucketed under"):
+                task_similarity(x, y)
 
 
 def _reference_similarity(a, b):
@@ -396,19 +405,22 @@ def test_values_similarity_is_task_similarity_bit_for_bit(rng):
     for _ in range(3000):
         counts = tuple(rng.choice((0, 0, 1, 2, 3, 5, 7)) for _ in range(rng.randint(0, 5)))
 
-        def values():
-            return tuple(rng.choice("pqr") if c == 0 else rng.randrange(c) for c in counts)
+        def values(end=None):  # end 0 or 1: each numeric column at that end of its range
+            return tuple(rng.choice("pqr") if c == 0 else rng.randrange(c) if end is None
+                         else end * (c - 1) for c in counts)
 
-        a, b = BucketedAttributes(values(), counts), BucketedAttributes(values(), counts)
+        ends = rng.choice(((None, None), (0, 1), (1, 0)))  # (0, 1): every distance is B - 1
+        a, b = (BucketedAttributes(values(end), counts) for end in ends)
         expected = _reference_similarity(a, b).hex()
         assert task_similarity(a, b).hex() == expected, (a, b)
         assert values_similarity(a.values, b.values, counts).hex() == expected, (a, b)
+        assert TaskIndex({}, counts, 0.5)._score(a.values, b.values).hex() == expected, (a, b)
         kinds = {0: "categorical", 1: "single-bucket"}
         seen.update([kinds.get(count, "numeric") for count in counts] or ["zero-attribute"])
     assert set(seen) == {"categorical", "single-bucket", "numeric", "zero-attribute"}
 
 
-@pytest.mark.parametrize("counts", [(3, 4), (), (0, 3), (3, 0), (0, 0, 2), (0, 2, 0, 0)])
+@pytest.mark.parametrize("counts", [(3, 4), (), (0, 3), (3, 0), (0, 0, 2), (0, 2, 0, 0), (1, 0, 3)])
 def test_task_index_nearest_is_a_scan_at_any_number_of_categorical_columns(counts, rng):
     def values():
         return tuple(rng.choice("pqr") if c == 0 else rng.randrange(c) for c in counts)
@@ -423,7 +435,13 @@ def test_task_index_nearest_is_a_scan_at_any_number_of_categorical_columns(count
             query = values()
             ranked = [(key, sim) for key, sim in rank_similar(BucketedAttributes(query, counts),
                                                                tasks) if sim >= threshold]
-            assert index.nearest(query) == (ranked[0] if ranked else None), (query, threshold)
+            nearest = index.nearest(query)
+            assert nearest == (ranked[0] if ranked else None), (query, threshold)
+            reference = {key: _reference_similarity(BucketedAttributes(query, counts), attrs)
+                         for key, attrs in tasks.items()}
+            if nearest is not None:
+                assert nearest[1].hex() == reference[nearest[0]].hex()
+            assert index.best_similarity(query).hex() == max(reference.values()).hex()
 
 
 @pytest.mark.parametrize("counts", [(), (1,), (0,), (1, 0), (0, 3), (3, 0, 1), (0, 0, 2)])
