@@ -9,9 +9,8 @@ online edges, (3) replay scheduled samples through each edge's infer,
 due update cycles on the cloud and queue snapshot pushes. There is one
 message kind per direction: the cloud pushes a snapshot to each edge, and
 an edge sends one upload per trigger, which is its retrain request.
-Nothing is acknowledged. Messages to or from offline nodes stay queued in
-FIFO order and drain on reconnect; the GlobalManager deduplicates uploads
-by message id so a redelivery has no effect.
+Nothing is acknowledged or resent. Messages to or from offline nodes stay
+queued in FIFO order and drain on reconnect, each delivered once.
 
 Everything is deterministic given the config and the job seed: event logs
 from two runs of the same config are byte-identical.
@@ -133,12 +132,11 @@ class Simulation:
         self.now = 0
         self.events: list[str] = []
         self._next_message_id = 1
-        self._processed_ids: set[int] = set()
         self._pending_trains: list[tuple[int, str]] = []  # (ready, uploading edge)
         self._labeled_pool: list[Sample] = []
         self._demand: Counter[str] = Counter()  # uploaded unknown requests per task key
         self._served: dict = {}  # the last pushed snapshot's tasks
-        self.stats = {"sent": 0, "delivered": 0, "duplicates_dropped": 0}
+        self.stats = {"sent": 0, "delivered": 0}
 
         self._links_by_tick: dict[int, list[LinkEvent]] = {}
         for ev in sorted(cfg.links, key=lambda e: (e.tick, e.edge_id)):
@@ -216,14 +214,8 @@ class Simulation:
             self._receive_at_cloud(edge.to_cloud.popleft())
 
     def _receive_at_cloud(self, msg: Message) -> None:
-        """Idempotent handler: duplicate deliveries are dropped by id. An
-        upload is its edge's retrain request: the update cycle is due
+        """An upload is its edge's retrain request: the update cycle is due
         ``training_delay_ticks`` after it arrives."""
-        if msg.id in self._processed_ids:
-            self.stats["duplicates_dropped"] += 1
-            self._log("cloud", "duplicate_dropped", f"id={msg.id} from={msg.source}")
-            return
-        self._processed_ids.add(msg.id)
         labeled, demand = msg.payload
         self._labeled_pool.extend(labeled)
         self._demand.update(demand)

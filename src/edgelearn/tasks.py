@@ -2,15 +2,14 @@
 
 A *task* is identified by the tuple of bucketed attribute values of its
 samples: categorical attributes pass through, numeric attributes map to a
-bucket index against the schema's bucket edges. :func:`bucket_values` and
-:func:`values_key` hold the bucketing and key rules on plain tuples, for
-callers that need no :class:`BucketedAttributes`; the bucketing runs a plan
-worked out once per config (:attr:`BucketingConfig.bucket`). Mining groups
-a dataset into one sub-dataset per task key, bucketing each distinct raw
-attribute tuple once; attribute-based similarity relates tasks to each
-other, scored by a plan worked out once per bucket counts
-(:func:`similarity_scorer`); sample transfer tops up small tasks from their
-nearest neighbours without touching the learner contract.
+bucket index against the schema's bucket edges. :attr:`BucketingConfig.bucket`
+and :func:`values_key` hold the bucketing and key rules on plain tuples; the
+bucketing runs a plan worked out once per config. Mining groups a dataset
+into one sub-dataset per task key, bucketing each distinct raw attribute
+tuple once, and is where a task's values are checked; attribute-based
+similarity relates tasks to each other, scored by a plan worked out once per
+bucket counts (:func:`similarity_scorer`); sample transfer tops up small
+tasks from their nearest neighbours without touching the learner contract.
 """
 
 from __future__ import annotations
@@ -51,8 +50,9 @@ class BucketingConfig:
 
     @cached_property
     def bucket(self) -> Callable[[TaskAttrValues], tuple[str | int, ...]]:
-        """:func:`bucket_values` under this bucketing, its plan (each column's position
-        and edges, None if categorical, and the tuple length) worked out once; a call
+        """Map raw attribute values to bucketed values: a string stays, a number v with
+        edges e becomes ``count(e_i <= v)`` (0 for NaN). The plan (each column's position
+        and edges, None if categorical, and the tuple length) is worked out once; a call
         checks the columns in order and buckets the numeric ones in place."""
         plan, n = tuple(enumerate(self.edges)), len(self.edges)
 
@@ -88,20 +88,9 @@ class BucketedAttributes:
             raise SchemaError("values and bucket_counts must be parallel")
 
 
-def bucket_values(attrs: TaskAttrValues, bucketing: BucketingConfig) -> tuple[str | int, ...]:
-    """Map raw attribute values to their bucketed values.
-
-    Numeric value v with edges e becomes ``count(e_i <= v)`` (0 for NaN);
-    edges are the left-inclusive boundaries of the next bucket. Runs
-    *bucketing*'s plan (:attr:`BucketingConfig.bucket`), built on first use;
-    a hot caller binds that once instead.
-    """
-    return bucketing.bucket(attrs)
-
-
 def bucket_attributes(attrs: TaskAttrValues, bucketing: BucketingConfig) -> BucketedAttributes:
-    """:func:`bucket_values` of *attrs* with *bucketing*'s bucket counts."""
-    return BucketedAttributes(bucket_values(attrs, bucketing), bucketing.bucket_counts)
+    """*bucketing*'s bucketed values of *attrs*, with its bucket counts."""
+    return BucketedAttributes(bucketing.bucket(attrs), bucketing.bucket_counts)
 
 
 def values_key(values: tuple[str | int, ...]) -> str:
@@ -129,23 +118,31 @@ def task_similarity(a: BucketedAttributes, b: BucketedAttributes) -> float:
     :func:`task_categories` accepts of a task, or SchemaMismatchError.
     """
     counts = a.bucket_counts
-    if len(a.values) != len(b.values) or counts != b.bucket_counts:
+    if counts != b.bucket_counts:  # each values tuple is as long as its counts
         raise SchemaMismatchError("bucketed attributes come from different schemas")
-    for x, y, c in zip(a.values, b.values, counts):  # a plain loop costs less than all()
-        if not (type(x) is type(y) is str if c == 0 else
-                type(x) is type(y) is int and 0 <= x < c and 0 <= y < c):
-            if any(k == 0 and type(u) != type(v) for u, v, k in zip(a.values, b.values, counts)):
-                raise SchemaMismatchError("mixed categorical/numeric column")
-            raise SchemaMismatchError(f"values {a.values!r} and {b.values!r} were not both "
-                                      f"bucketed under bucket counts {counts!r}")
+    if not (_bucketed(a.values, counts) and _bucketed(b.values, counts)):
+        if any(k == 0 and type(u) != type(v) for u, v, k in zip(a.values, b.values, counts)):
+            raise SchemaMismatchError("mixed categorical/numeric column")
+        raise SchemaMismatchError(f"values {a.values!r} and {b.values!r} were not both "
+                                  f"bucketed under bucket counts {counts!r}")
     return similarity_scorer(counts)(a.values, b.values)
+
+
+def _bucketed(values: tuple, counts: tuple[int, ...]) -> bool:
+    """Whether *values* hold what bucketing under the parallel *counts* gives: a str in
+    each categorical column (count 0), an int, not a bool, in ``[0, count)`` in the rest."""
+    for v, count in zip(values, counts):  # a plain loop costs less than all()
+        if not (type(v) is str if count == 0 else type(v) is int and 0 <= v < count):
+            return False
+    return True
 
 
 @cache
 def similarity_scorer(bucket_counts: tuple[int, ...]) -> Callable[[tuple, tuple], float]:
-    """:func:`values_similarity` under *bucket_counts*, planned once per counts: a
-    numeric column of B buckets is a table of the score at each bucket distance, as
-    :func:`task_similarity` computes it, summed in column order into the same float."""
+    """:func:`task_similarity` of values tuples bucketed under *bucket_counts*, unchecked
+    (each numeric column must hold an int in ``[0, B)``), planned once per counts: a
+    numeric column of B buckets is a table of the score at each bucket distance, by
+    :func:`task_similarity`'s formula, summed in column order into the same float."""
     n = len(bucket_counts)
     if not n:
         return lambda a, b: 1.0
@@ -162,26 +159,6 @@ def similarity_scorer(bucket_counts: tuple[int, ...]) -> Callable[[tuple, tuple]
     return score
 
 
-def values_similarity(a: tuple, b: tuple, bucket_counts: tuple[int, ...]) -> float:
-    """:func:`task_similarity` of values bucketed under *bucket_counts*, unchecked: each
-    numeric column must hold an int in ``[0, B)``. A hot caller binds the scorer."""
-    return similarity_scorer(bucket_counts)(a, b)
-
-
-def rank_similar(
-    query: BucketedAttributes, tasks: dict[str, BucketedAttributes]
-) -> list[tuple[str, float]]:
-    """(key, similarity) of every task scoring above 0 against *query*,
-    most similar first, ties to the smaller key. Scores tasks in key order."""
-    scored = []
-    for key in sorted(tasks):
-        sim = task_similarity(query, tasks[key])
-        if sim > 0.0:
-            scored.append((-sim, key))
-    scored.sort()
-    return [(key, -neg) for neg, key in scored]
-
-
 def task_categories(key: str, attrs: BucketedAttributes,
                     bucket_counts: tuple[int, ...]) -> tuple[str, ...]:
     """The categorical values of task *key*, if its *attrs* were bucketed
@@ -189,15 +166,10 @@ def task_categories(key: str, attrs: BucketedAttributes,
     column and an integer, not a bool, in ``[0, count)`` in each numeric
     one) and *key* is their :func:`values_key`. Otherwise
     SchemaMismatchError naming the task and the key of its values."""
-    cats = []
-    for v, count in zip(attrs.values, bucket_counts):
-        if count == 0 and type(v) is str:
-            cats.append(v)
-        elif count == 0 or type(v) is not int or not 0 <= v < count:
-            break
-    else:
-        if attrs.bucket_counts == bucket_counts and key == values_key(attrs.values):
-            return tuple(cats)
+    values = attrs.values
+    if (attrs.bucket_counts == bucket_counts and _bucketed(values, bucket_counts)
+            and key == values_key(values)):
+        return tuple(v for v, count in zip(values, bucket_counts) if count == 0)
     raise SchemaMismatchError(
         f"task {key!r} has values {attrs.values!r}, whose key is {values_key(attrs.values)!r}, "
         f"under bucket counts {attrs.bucket_counts!r}; expected the values of its key "
@@ -221,7 +193,7 @@ class TaskIndex:
     counts' :func:`similarity_scorer`; a lookup scores, with it on the
     request's values and in key order, only the groups within reach, building
     no query object; with the query's own group alone that is one dict probe.
-    Results equal a scan of every task in key order with
+    Results equal a scan of every task in key order with the checked
     :func:`task_similarity`. Nothing in an index changes after it is built;
     :meth:`with_tasks` derives another from it, with the same scorer.
     """
@@ -368,7 +340,8 @@ def sample_transfer(
     Donors are visited whole-task in descending similarity (ties by key);
     tasks with similarity 0 never donate. ``cap`` bounds the total borrowed
     sample count; a donor that would exceed it is skipped along with all
-    later donors (borrowing is whole-task only).
+    later donors (borrowing is whole-task only). Scores with the unchecked
+    :func:`similarity_scorer`: mining checked every task's values.
     """
     if target_key not in partition.parts:
         raise DataError(f"unknown task key {target_key!r}")
@@ -376,11 +349,14 @@ def sample_transfer(
     if len(target) >= min_samples:
         return TransferResult(target)
 
-    others = {key: attrs for key, attrs in partition.attributes.items() if key != target_key}
+    score = similarity_scorer(partition.bucketing.bucket_counts)
+    query = partition.attributes[target_key].values
+    ranked = sorted((-sim, key) for key, attrs in partition.attributes.items()
+                    if key != target_key and (sim := score(query, attrs.values)) > 0.0)
     samples = list(target.samples)
     provenance: list[tuple[str, int]] = []
     borrowed = 0
-    for key, _ in rank_similar(partition.attributes[target_key], others):
+    for _, key in ranked:
         if len(samples) >= min_samples:
             break
         part = partition.parts[key]

@@ -15,6 +15,7 @@ from edgelearn.data import Dataset, DatasetSchema, Sample, write_csv
 from edgelearn.edge import EdgeRuntime
 from edgelearn.kb import KnowledgeBase
 from edgelearn.learners import EstimatorSpec, ModelArtifact, TreeLearner, fit
+from edgelearn.tasks import BucketedAttributes, task_similarity
 
 
 def city_schema(classes: tuple[str, ...] = ("a", "b")) -> DatasetSchema:
@@ -37,6 +38,20 @@ def banded_schema(edges: tuple[float, ...] = (20.0, 30.0)) -> DatasetSchema:
         attribute_columns=("city", "band"),
         attribute_edges=(None, edges),
     )
+
+
+def rank_similar(query: BucketedAttributes,
+                 tasks: dict[str, BucketedAttributes]) -> list[tuple[str, float]]:
+    """(key, similarity) of every task scoring above 0 against *query* by the checked
+    :func:`task_similarity`, most similar first, ties to the smaller key: the oracle
+    of sample transfer's donor order and of the edge's routes."""
+    scored = []
+    for key in sorted(tasks):
+        sim = task_similarity(query, tasks[key])
+        if sim > 0.0:
+            scored.append((-sim, key))
+    scored.sort()
+    return [(key, -neg) for neg, key in scored]
 
 
 def make_samples(rows) -> tuple[Sample, ...]:

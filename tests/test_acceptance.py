@@ -40,12 +40,13 @@ from edgelearn.tasks import (
     BucketingConfig,
     as_tasks,
     bucket_attributes,
-    rank_similar,
+    sample_transfer,
     task_key,
     task_similarity,
 )
 
-from conftest import city_dataset, city_schema, declared_kb, edge_prediction_lines
+from conftest import (banded_schema, city_dataset, city_schema, declared_kb,
+                      edge_prediction_lines, make_samples)
 from test_learners import collect_splits, exhaustive_best_gini_split
 
 
@@ -246,7 +247,7 @@ def test_criterion_4_offline_autonomy(tmp_path):
     off_updates = sum(1 for l in outage.events if ",cloud,update_completed," in l)
     exactly_once = (
         on_updates == off_updates == 1
-        and outage.message_stats["duplicates_dropped"] == 0
+        and outage.message_stats["delivered"] == outage.message_stats["sent"]
     )
     down_ticks = 51 - 1
 
@@ -465,25 +466,24 @@ def test_criterion_8_oracle_equivalences(tmp_path):
             if oracle is None or (feature, threshold) != (oracle[0], oracle[1]):
                 split_mismatches += 1
 
-    # (b) the top k of rank_similar match brute force on 100 random task sets
-    edges = (10.0, 20.0, 30.0)
-    bucketing = BucketingConfig((None, edges))
+    # (b) the top k donors of sample transfer match brute force on 100 random task sets
+    schema = banded_schema((10.0, 20.0, 30.0))
     query_mismatches = 0
     for trial in range(100):
-        stored = {}
-        for _ in range(rng.randint(2, 8)):
-            attrs = bucket_attributes(
-                (rng.choice("pqr"), rng.uniform(0, 40.0)), bucketing
-            )
-            stored[task_key(attrs)] = attrs
-        query = bucket_attributes((rng.choice("pqr"), rng.uniform(0, 40.0)), bucketing)
+        rows = [((0.0,), (rng.choice("pqr"), rng.uniform(0, 40.0)), "a")
+                for _ in range(rng.randint(3, 9))]
+        partition = as_tasks(Dataset(schema, make_samples(rows)))
+        query = bucket_attributes(rows[0][1], partition.bucketing)
         k = rng.randint(1, 5)
-        got = rank_similar(query, stored)[:k]
+        # more rows wanted than there are, and a cap no donor set reaches: every donor
+        donors = sample_transfer(task_key(query), partition, len(rows) + 1, len(rows))
+        got = [key for key, _ in donors.provenance][:k]
         brute = sorted(
-            ((task_similarity(query, attrs), key) for key, attrs in stored.items()),
+            ((task_similarity(query, attrs), key)
+             for key, attrs in partition.attributes.items() if key != task_key(query)),
             key=lambda t: (-t[0], t[1]),
         )
-        expected = [(key, sim) for sim, key in brute if sim > 0.0][:k]
+        expected = [key for sim, key in brute if sim > 0.0][:k]
         if got != expected:
             query_mismatches += 1
 
@@ -513,6 +513,6 @@ def test_criterion_8_oracle_equivalences(tmp_path):
     _report(
         8, ok,
         f"tree_splits={split_checks - split_mismatches}/{split_checks} "
-        f"rank_similar_queries={100 - query_mismatches}/100 "
+        f"donor_order_queries={100 - query_mismatches}/100 "
         f"bench_vs_evaluate_mismatches={bench_mismatches}",
     )

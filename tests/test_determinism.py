@@ -33,7 +33,7 @@ PINS = {
     "index.json": "a14ac5867fc2fbf458f19158cc4b5900874758a207cbab59f566b41ca3bde172",
     "predictions.csv": "53a43afc4d4b5b13eec5aa74b9f0d3beea82ec712b8acf1f3ce5104110564ba3",
     "events.log": "7ffd68939661199cbd789f6b98cf5ecc51d9afb4bfb70add1da0a452e2d47d0f",
-    "report.json": "3b81536299eeb637e21fe053e1c51ce1ca51b9f87821d4d73154a83080a331ba",
+    "report.json": "632965be6ce9a2ccc9783939d237cce05d1dbd0aad7b2876367af3d6915c4a31",
     "routes.csv": "e1fa93db7ec4a4db96c065c69f7bacc2ae6027cd7565b19425141d03999d995e",
     # what the sim's edges served and its cloud learned, whatever messages carried it
     "sim outcome": "6bca117d3844bf93aff247c929a79bf2431bc32f70cdd59831fd209d8205a674",

@@ -30,13 +30,12 @@ from edgelearn.tasks import (
     BucketedAttributes,
     BucketingConfig,
     bucket_attributes,
-    rank_similar,
     task_key,
     task_similarity,
 )
 
 from conftest import (banded_schema, chain_tree_model, city_dataset, city_schema,
-                      count_tree_compiles, fresh_routes, routes)
+                      count_tree_compiles, fresh_routes, rank_similar, routes)
 
 
 def constant_model(label: str, classes=("a", "b")):

@@ -421,6 +421,22 @@ def test_failed_bootstrap_leaves_job_idle_and_kb_empty(tmp_path):
     assert job.phase is Phase.DEPLOYED
 
 
+def test_a_str_subclass_city_is_refused_at_the_store_gate_naming_its_task(tmp_path):
+    # a sample may hold a str subclass; transfer scores it as the string it equals, and
+    # the store gate, which takes only a str of a task's values, refuses the task
+    tag = type("Tag", (str,), {})
+    rows = [(float(i), "athens", "ab"[i % 2]) for i in range(5)]
+    rows += [(float(i), tag("tokyo"), "ab"[i % 2]) for i in range(5)]
+    cfg = majority_config(transfer=TransferPolicy(min_samples=30, cap=100))
+    job, kb = new_job(tmp_path, cfg)
+    with pytest.raises(SchemaMismatchError, match="^task 'tokyo' has values"):
+        job.bootstrap(city_dataset(rows))
+    for store in (kb, KnowledgeBase.open(tmp_path / "kb")):
+        assert LifelongJob(cfg, store).phase is Phase.IDLE
+        assert store.kb_version == 0
+        assert store.records == {}
+
+
 class _FailsOnLabelB(Learner):
     """Test-only plugin: raises while fitting any task that has a "b" label."""
 

@@ -9,7 +9,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from edgelearn.data import Dataset, DatasetSchema, Sample
+from edgelearn.data import Dataset, DatasetSchema, Sample, load_csv, write_csv
 from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import DataError, SchemaMismatchError
 from edgelearn.kb import DeploySnapshot
@@ -19,17 +19,16 @@ from edgelearn.tasks import (
     BucketingConfig,
     TaskIndex,
     bucket_attributes,
-    bucket_values,
     mine_tasks,
-    rank_similar,
     sample_transfer,
+    similarity_scorer,
+    task_categories,
     task_key,
     task_similarity,
     values_key,
-    values_similarity,
 )
 
-from conftest import banded_schema, city_dataset, city_schema, make_samples
+from conftest import banded_schema, city_dataset, city_schema, make_samples, rank_similar
 
 
 # -- bucketing -----------------------------------------------------------------
@@ -99,14 +98,14 @@ def test_bucket_values_and_values_key_match_the_dataclass_path(rng):
     for _ in range(500):
         attrs = (rng.choice(cats), rng.choice(nums + [rng.uniform(0, 40)]),
                  rng.choice(nums), rng.choice(cats))
-        values = bucket_values(attrs, b)
+        values = b.bucket(attrs)
         assert bucket_attributes(attrs, b) == BucketedAttributes(values, b.bucket_counts)
         assert task_key(bucket_attributes(attrs, b)) == values_key(values)
     for bad in [("c", 1.0, 1.0), ("c", "1", 1.0, "d"), ("c", 1.0, 1.0, 2), (1, 1.0, 1.0, "d")]:
         errors = []
-        for bucket in (bucket_attributes, bucket_values):
+        for bucket in (lambda a: bucket_attributes(a, b), b.bucket):
             with pytest.raises((DataError, SchemaMismatchError)) as caught:
-                bucket(bad, b)
+                bucket(bad)
             errors.append((caught.type, str(caught.value)))
         assert errors[0] == errors[1]
 
@@ -185,7 +184,6 @@ def test_the_bucketing_plan_gives_the_column_by_column_values_and_errors(rng):
     failures = 0
     for attrs in tuples:
         expected = outcome(lambda a: oracle_bucket_values(a, b), attrs)
-        assert outcome(lambda a: bucket_values(a, b), attrs) == expected, attrs
         assert outcome(b.bucket, attrs) == expected, attrs
         assert outcome(lambda a: bucket_attributes(a, b).values, attrs) == expected, attrs
         mined = outcome(lambda a: next(iter(mine_tasks(unchecked_dataset(schema, [a]), b)
@@ -272,7 +270,7 @@ def test_mine_tasks_matches_brute_force_grouping(rng):
     ((0.0, 1.0), None, ()),
     ((-1.0, 0.0, 1.0), (2.0,), None, None),
 ])
-def test_mine_tasks_gives_the_per_row_partition(rng, edges):
+def test_mine_tasks_gives_the_per_row_partition(rng, edges, tmp_path):
     # equal raw values as other objects (1 and 1.0, 0.0 and -0.0, an edge as int and float),
     # several raw tuples per bucket, and many rows per raw tuple
     numbers = [1, 1.0, 0.0, -0.0, 0, 10, 10.0, 15.5, 12, -1, -1.0, 0.5, 2, 2.0, 35.0, 1e9]
@@ -297,6 +295,12 @@ def test_mine_tasks_gives_the_per_row_partition(rng, edges):
             got = partition.attributes[key]
             assert got.bucket_counts == b.bucket_counts
             assert [(v, type(v)) for v in got.values] == [(v, type(v)) for v in attributes[key]]
+        # what a loaded file mines is what the store gate and the unchecked scorer accept
+        write_csv(dataset, tmp_path / "rows.csv")
+        loaded = mine_tasks(load_csv(tmp_path / "rows.csv", schema), b)
+        assert set(loaded.parts) == set(groups)
+        for key, attrs in loaded.attributes.items():
+            task_categories(key, attrs, b.bucket_counts)
 
 
 def test_mine_tasks_idempotent_on_parts(rng):
@@ -386,7 +390,7 @@ def test_similarity_schema_mismatch_rejected():
 
 def _reference_similarity(a, b):
     """task_similarity as one loop over the columns: the float operations, in
-    their order, that values_similarity must repeat."""
+    their order, that similarity_scorer must repeat."""
     if not a.values:
         return 1.0
     total = 0.0
@@ -413,7 +417,7 @@ def test_values_similarity_is_task_similarity_bit_for_bit(rng):
         a, b = (BucketedAttributes(values(end), counts) for end in ends)
         expected = _reference_similarity(a, b).hex()
         assert task_similarity(a, b).hex() == expected, (a, b)
-        assert values_similarity(a.values, b.values, counts).hex() == expected, (a, b)
+        assert similarity_scorer(counts)(a.values, b.values).hex() == expected, (a, b)
         assert TaskIndex({}, counts, 0.5)._score(a.values, b.values).hex() == expected, (a, b)
         kinds = {0: "categorical", 1: "single-bucket"}
         seen.update([kinds.get(count, "numeric") for count in counts] or ["zero-attribute"])
@@ -579,3 +583,49 @@ def test_transfer_unknown_key_rejected():
     partition = _banded_partition([((1.0,), ("p", 5.0), "a")])
     with pytest.raises(DataError, match="unknown task key"):
         sample_transfer("nope", partition, 5, 10)
+
+
+def _oracle_transfer(target_key, partition, min_samples, cap):
+    """The provenance of a transfer to *target_key*, from :func:`rank_similar`'s ranking
+    of every other task cut at the two stop rules, and which rule stopped it."""
+    size = len(partition.parts[target_key])
+    if size >= min_samples:
+        return (), "no transfer"
+    others = {key: attrs for key, attrs in partition.attributes.items() if key != target_key}
+    provenance = []
+    for key, _ in rank_similar(partition.attributes[target_key], others):
+        if size >= min_samples:
+            return tuple(provenance), "min_samples"
+        if sum(n for _, n in provenance) + len(partition.parts[key]) > cap:
+            return tuple(provenance), "cap"
+        provenance.append((key, len(partition.parts[key])))
+        size += len(partition.parts[key])
+    return tuple(provenance), "donors exhausted"
+
+
+def test_transfer_donors_are_the_oracle_ranking_cut_at_its_stop_rules(rng):
+    # zero-attribute schemas, B = 1 columns, several categorical columns; few raw values
+    # per column, so many donors tie on similarity and the smaller key must go first
+    numbers = (0.0, 7.0, 12.0, 18.0, 25.0)
+    seen = Counter()
+    for edges in [(), ((),), (None,), (None, None, (10.0,)), ((), None, (5.0, 10.0, 20.0)),
+                  (None, None, None), ((5.0, 15.0), (10.0,), ())]:
+        schema = attribute_schema(edges)
+        bucketing = BucketingConfig.from_schema(schema)
+        for _ in range(25):
+            raw = [tuple(rng.choice("pqr") if e is None else rng.choice(numbers) for e in edges)
+                   for _ in range(rng.randint(1, 12))]
+            rows = [((rng.random(),), rng.choice(raw), rng.choice("ab"))
+                    for _ in range(rng.randint(1, 60))]
+            partition = mine_tasks(Dataset(schema, make_samples(rows)), bucketing)
+            for key in partition.keys:
+                min_samples, cap = rng.randint(1, 40), rng.randint(0, 40)
+                expected, stop = _oracle_transfer(key, partition, min_samples, cap)
+                result = sample_transfer(key, partition, min_samples, cap)
+                assert result.provenance == expected, (edges, key, min_samples, cap)
+                donated = [s for donor, _ in expected for s in partition.parts[donor].samples]
+                assert result.dataset.samples == partition.parts[key].samples + tuple(donated)
+                sims = [task_similarity(partition.attributes[key], partition.attributes[donor])
+                        for donor, _ in expected]
+                seen.update([stop] + ["tie"] * sum(a == b for a, b in zip(sims, sims[1:])))
+    assert {"min_samples", "cap", "donors exhausted", "no transfer", "tie"} <= set(seen), seen
