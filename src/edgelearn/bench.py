@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import tempfile
 from bisect import bisect_right
@@ -74,6 +75,8 @@ class SyntheticSpec:
                 lo, hi = bounds
                 if not lo < hi:
                     raise ConfigError(f"task {i}: empty feature range [{lo},{hi}]")
+                if not math.isfinite(hi - lo):
+                    raise ConfigError(f"task {i}: feature range [{lo},{hi}] is too wide")
             if not all(map(_is_finite_number, task.thresholds)):
                 raise ConfigError(f"task {i}: thresholds must be numbers")
             if any(a >= b for a, b in zip(task.thresholds, task.thresholds[1:])):
@@ -105,19 +108,27 @@ def rule_label(task: SyntheticTask, x0: float) -> str:
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministically generate the dataset: per task, uniform features in
     the declared ranges, rule labels, and independent label flips (to a
-    uniformly chosen other class) at the configured noise rate."""
+    uniformly chosen other class) at the configured noise rate. The spec
+    checks all but the attribute tuple a task's rows share, so only each
+    task's first row is checked, with the ``Dataset`` constructor's error."""
     rng = random.Random(spec.seed)
-    classes = spec.schema.label_classes
+    schema = spec.schema
     samples = []
     for task in spec.tasks:
+        others = {c: [o for o in schema.label_classes if o != c] for c in task.region_classes}
+        first = len(samples)
         for _ in range(task.n_samples):
             features = tuple(rng.uniform(lo, hi) for lo, hi in task.ranges)
             label = rule_label(task, features[0])
             if rng.random() < task.noise:
-                others = [c for c in classes if c != label]
-                label = others[rng.randrange(len(others))]
+                flips = others[label]
+                label = flips[rng.randrange(len(flips))]
             samples.append(Sample(features, task.attributes, label))
-    return Dataset(spec.schema, tuple(samples))
+        try:
+            schema.validate_sample(samples[first])
+        except DataError as exc:
+            raise DataError(f"sample {first}: {exc}") from exc
+    return Dataset(schema).derive(samples)
 
 
 def parse_synthetic_spec(config_text: str) -> SyntheticSpec:

@@ -17,6 +17,7 @@ an empty label cell means the row is unlabeled.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -415,26 +416,37 @@ def _raise_first_bad_row(path: Path, schema: DatasetSchema, cells, rows) -> NoRe
     raise AssertionError(f"{path}: a column check failed, but every row passes")
 
 
-def _format_value(v: str | float | None) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    return repr(float(v))  # repr round-trips doubles exactly
+def _csv_text(value: str | None, lone: bool) -> str:
+    """A string cell as ``csv.writer`` writes it: None is an empty cell, a
+    value holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted by the writer itself,
+    as is an empty cell that is a row's *lone* cell; any other value is itself."""
+    text = "" if value is None else value
+    if set(text).isdisjoint(',"\r\n') and (text or not lone):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset as CSV: features, then label, then attributes."""
-    schema = dataset.schema
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in _column_plan(schema)])
-        for s in dataset.samples:
-            row = [_format_value(v) for v in s.features]
-            row.append(_format_value(s.label))
-            row.extend(_format_value(v) for v in s.attributes)
-            writer.writerow(row)
+    """Write a dataset as CSV (features, label, attributes) in the bytes
+    ``csv.writer`` writes row by row. A Dataset's samples are schema-valid (they
+    came through the constructor or :meth:`Dataset.derive`), so each column has
+    one type and one call formats it: numbers as ``repr(float(v))``, which
+    round-trips, strings per distinct value (:func:`_csv_text`)."""
+    plan = _column_plan(dataset.schema)
+    samples = dataset.samples
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow([name for name, _ in plan])
+        if not samples:
+            return
+        columns = [*zip(*(s.features for s in samples)), [s.label for s in samples],
+                   *zip(*(s.attributes for s in samples))]
+        lone = len(plan) == 1
+        cells = [map(repr, map(float, column)) if parse is float
+                 else map({v: _csv_text(v, lone) for v in set(column)}.__getitem__, column)
+                 for column, (_, parse) in zip(columns, plan)]
+        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

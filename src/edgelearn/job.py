@@ -4,9 +4,10 @@ back in so the next cycle knows one more task.
 
 Raw training data is never retained in the KB; retraining an existing task
 uses only the newly arrived data (augmented by sample transfer within the
-new batch). The fallback model is refit on each cycle's pooled training
-data. A cycle mines its batch into tasks once and hands the per-task train
-and eval halves (each a :class:`TaskPartition`) to the train and eval stages.
+new batch). The fallback model is fit on a cycle's pooled training data
+and replaces the incumbent only if fit on at least as many rows. A cycle
+mines its batch into tasks once and hands the per-task train and eval
+halves (each a :class:`TaskPartition`) to the train and eval stages.
 
 The job's phase, and nothing else, lives in the KB manifest's job document
 (:func:`job_phase`). Each stage, and each whole cycle, commits phase and KB
@@ -173,10 +174,10 @@ class LifelongJob:
     @_one_commit
     def run_train(self, train: Dataset | TaskPartition) -> list[TaskRecord]:
         """Fit one model per task (sample transfer topping up small tasks),
-        fit the fallback on the full set, and upsert everything; a dataset
-        is mined into tasks first; fits of one row set share a model. Starts
-        from Idle, Deployed, or Deploying (a deploy that found nothing
-        deployable); ends in the Evaluating phase."""
+        fit the fallback on the full set unless the incumbent was fit on more
+        rows, and upsert everything; a dataset is mined into tasks first; fits
+        of one row set share a model. Starts from Idle, Deployed, or Deploying
+        (a deploy that found nothing deployable); ends in the Evaluating phase."""
         self._require_phase(Phase.IDLE, Phase.DEPLOYED, Phase.DEPLOYING)
         cfg = self.cfg
         partition = as_tasks(train)
@@ -209,7 +210,8 @@ class LifelongJob:
             self.kb.upsert_task(record)
             stored.append(self.kb.lookup(key))
 
-        if cfg.fallback_enabled:
+        kept = 0 if self.kb.fallback is None else self.kb.fallback.trained_on.count
+        if cfg.fallback_enabled and len(partition.dataset) >= kept:
             self.kb.set_fallback(fit_parts(frozenset(partition.parts), partition.dataset))
 
         self._transition(Phase.EVALUATING)

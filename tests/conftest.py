@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import random
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import edgelearn.kb as kb_mod
-from edgelearn.data import Dataset, DatasetSchema, Sample, write_csv
+from edgelearn.bench import SyntheticSpec, rule_label
+from edgelearn.data import Dataset, DatasetSchema, Sample, _column_plan, write_csv
 from edgelearn.edge import EdgeRuntime
 from edgelearn.kb import KnowledgeBase
 from edgelearn.learners import EstimatorSpec, ModelArtifact, TreeLearner, fit
@@ -52,6 +54,38 @@ def rank_similar(query: BucketedAttributes,
             scored.append((-sim, key))
     scored.sort()
     return [(key, -neg) for neg, key in scored]
+
+
+def reference_write_csv(dataset: Dataset, path: Path) -> None:
+    """``write_csv`` as one ``csv.writer`` row per sample, each cell formatted
+    on its own: the oracle of the column-at-a-time writer's bytes."""
+    def text(value) -> str:
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else repr(float(value))
+
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([name for name, _ in _column_plan(dataset.schema)])
+        for s in dataset.samples:
+            writer.writerow([*map(text, s.features), text(s.label), *map(text, s.attributes)])
+
+
+def reference_gen_synthetic(spec: SyntheticSpec) -> Dataset:
+    """``gen_synthetic`` with the other classes listed on every flip and every
+    row checked by the :class:`Dataset` constructor: the generator's oracle."""
+    rng = random.Random(spec.seed)
+    classes = spec.schema.label_classes
+    samples = []
+    for task in spec.tasks:
+        for _ in range(task.n_samples):
+            features = tuple(rng.uniform(lo, hi) for lo, hi in task.ranges)
+            label = rule_label(task, features[0])
+            if rng.random() < task.noise:
+                others = [c for c in classes if c != label]
+                label = others[rng.randrange(len(others))]
+            samples.append(Sample(features, task.attributes, label))
+    return Dataset(spec.schema, tuple(samples))
 
 
 def make_samples(rows) -> tuple[Sample, ...]:

@@ -24,7 +24,7 @@ from edgelearn.bench import (
     run_bench,
     run_lifelong_bench,
 )
-from edgelearn.data import Dataset, parse_schema, split_dataset
+from edgelearn.data import Dataset, DatasetSchema, parse_schema, split_dataset
 from edgelearn.edge import EdgeRuntime
 from edgelearn.errors import ConfigError, DataError
 from edgelearn.job import EvalPolicy, JobConfig, TransferPolicy, TriggerPolicy, parse_job_config
@@ -33,7 +33,7 @@ from edgelearn.learners import EstimatorSpec, evaluate
 from edgelearn.reference import reference_text
 from edgelearn.tasks import BucketingConfig, as_tasks
 
-from conftest import city_dataset
+from conftest import city_dataset, reference_gen_synthetic
 
 SITE_SCHEMA = parse_schema("""
 {"features": ["temp"],
@@ -119,6 +119,71 @@ def test_synthetic_spec_validation():
     with pytest.raises(ConfigError, match="not declared"):
         site_spec([SyntheticTask(("s",), ((15.0, 40.0),), (20.0,),
                                  ("nochange", "hotter"), 0.0, 10)])
+    # a width past the largest float would make inf features
+    with pytest.raises(ConfigError, match=r"task 1: feature range \[-1e\+308,1e\+308\] is too"):
+        site_spec([site_task("s", 25.0), SyntheticTask(("t",), ((-1e308, 1e308),), (0.0,),
+                                                       ("nochange", "cooler"), 0.0, 10)])
+
+
+def _random_synthetic_spec(rng, n_tasks: int) -> SyntheticSpec:
+    """A random spec: 1-3 features, 0-2 attributes of either kind, 2-3
+    classes, and *n_tasks* tasks of 0-2 thresholds, noise 0 to 0.49 and 1-200 rows."""
+    edges = [rng.choice([None, (0.0,)]) for _ in range(rng.randint(0, 2))]
+    schema = DatasetSchema(
+        feature_columns=tuple(f"f{j}" for j in range(rng.randint(1, 3))),
+        label_column="y", label_classes=("a", "b", "c")[:rng.randint(2, 3)],
+        attribute_columns=tuple(f"a{j}" for j in range(len(edges))),
+        attribute_edges=edges,
+    )
+    tasks = []
+    for _ in range(n_tasks):
+        ranges = []
+        for _ in schema.feature_columns:
+            lo = rng.uniform(-50.0, 50.0)
+            ranges.append((lo, lo + rng.uniform(0.5, 30.0)))
+        lo0, hi0 = ranges[0]
+        thresholds = sorted({lo0 + (hi0 - lo0) * rng.uniform(0.05, 0.95)
+                             for _ in range(rng.randint(0, 2))})
+        tasks.append(SyntheticTask(
+            attributes=tuple(rng.choice(["athens", "oslo"]) if e is None
+                             else rng.choice([rng.uniform(-9.0, 9.0), rng.randint(-3, 3)])
+                             for e in edges),
+            ranges=tuple(ranges),
+            thresholds=tuple(thresholds),
+            region_classes=tuple(rng.choice(schema.label_classes)
+                                 for _ in range(len(thresholds) + 1)),
+            noise=rng.choice([0.0, 0.49, rng.uniform(0.0, 0.49)]),
+            n_samples=rng.randint(1, 200),
+        ))
+    return SyntheticSpec(schema=schema, tasks=tuple(tasks), seed=rng.randrange(1000))
+
+
+def test_gen_synthetic_equals_the_generator_that_checks_every_row():
+    rng = random.Random(40)
+    for _ in range(150):
+        spec = _random_synthetic_spec(rng, rng.randint(1, 4))
+        got, want = gen_synthetic(spec), reference_gen_synthetic(spec)
+        assert got == want and repr(got.samples) == repr(want.samples)
+
+
+@pytest.mark.parametrize("numeric, bad", [
+    (False, ""), (False, 3.0), (False, None), (False, True),
+    (True, ""), (True, "x"), (True, float("nan")), (True, float("inf")), (True, True),
+])
+def test_gen_synthetic_names_the_first_row_of_a_task_with_a_bad_attribute(numeric, bad):
+    rng = random.Random(41)
+    spec = _random_synthetic_spec(rng, 4)
+    while not spec.schema.n_attributes or (spec.schema.attribute_edges[0] is not None) != numeric:
+        spec = _random_synthetic_spec(rng, 4)
+    third = replace(spec.tasks[2], attributes=(bad, *spec.tasks[2].attributes[1:]))
+    spec = replace(spec, tasks=(*spec.tasks[:2], third, spec.tasks[3]))
+    with pytest.raises(DataError) as want:
+        reference_gen_synthetic(spec)
+    with pytest.raises(DataError) as got:
+        gen_synthetic(spec)
+    assert str(got.value) == str(want.value)
+    first = spec.tasks[0].n_samples + spec.tasks[1].n_samples
+    assert str(got.value).startswith(f"sample {first}: attribute 'a0' needs")
 
 
 def test_parse_synthetic_spec_round_trip_fields():

@@ -452,6 +452,7 @@ SPEC = {
     ("task.noise", "0.1", "task 0: noise must be"),
     ("task.attributes", "s1", "task 0: 'attributes' must be a list"),
     ("task.classes", "ab", "task 0: 'classes' must be a list"),
+    ("task.ranges", [[-1e308, 1e308]], "task 0: feature range [-1e+308,1e+308] is too wide"),
 ])
 def test_mistyped_synthetic_spec_is_config_error_exit_2(tmp_path, capsys, field, value, named):
     doc = json.loads(json.dumps(SPEC))

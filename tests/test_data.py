@@ -30,7 +30,8 @@ from edgelearn.learners import EstimatorSpec
 from edgelearn.reference import reference_text
 from edgelearn.tasks import BucketingConfig, mine_tasks, sample_transfer
 
-from conftest import banded_schema, city_dataset, city_schema, make_samples
+from conftest import (banded_schema, city_dataset, city_schema, make_samples,
+                      reference_write_csv)
 
 
 THERMAL_CONFIG = """
@@ -503,6 +504,79 @@ def test_csv_round_trip_exact(tmp_path, rng):
     path = tmp_path / "rt.csv"
     write_csv(ds, path)
     assert load_csv(path, schema) == ds
+
+
+# every character 1-127, a two-byte one and NEL, which str.splitlines (not
+# csv) reads as a line break; the characters csv.writer quotes come up more often
+CSV_CHARS = [chr(c) for c in range(1, 128)] + ["\u00e9", "\x85"] + list(',"\r\n') * 8
+EXTREME_NUMBERS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _random_text(rng) -> str:
+    return "".join(rng.choice(CSV_CHARS) for _ in range(rng.randint(1, 4)))
+
+
+def _random_number(rng) -> float:
+    return rng.choice([rng.uniform(-1e3, 1e3), rng.randint(-5, 5), rng.choice(EXTREME_NUMBERS)])
+
+
+def _random_written_dataset(rng) -> Dataset:
+    """A random dataset: 1-3 features, 0-3 attributes of either kind, random
+    class names and categorical values, some rows unlabeled."""
+    classes = set()
+    while len(classes) < 2:
+        classes.add(_random_text(rng))
+    edges = [rng.choice([None, (0.0,)]) for _ in range(rng.randint(0, 3))]
+    schema = DatasetSchema(
+        feature_columns=tuple(f"f{j}" for j in range(rng.randint(1, 3))),
+        label_column="y", label_classes=tuple(sorted(classes)),
+        attribute_columns=tuple(f"a{j}" for j in range(len(edges))),
+        attribute_edges=edges,
+    )
+    cities = [_random_text(rng) for _ in range(rng.randint(1, 4))]
+    samples = [Sample(tuple(_random_number(rng) for _ in schema.feature_columns),
+                      tuple(rng.choice(cities) if e is None else _random_number(rng)
+                            for e in edges),
+                      rng.choice([*schema.label_classes, None]))
+               for _ in range(rng.choice([0, 1, rng.randint(2, 30), rng.randint(2, 30)]))]
+    return Dataset(schema, tuple(samples))
+
+
+def _assert_writes_like_the_oracle(tmp_path, dataset: Dataset) -> bytes:
+    write_csv(dataset, tmp_path / "got.csv")
+    reference_write_csv(dataset, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    return got
+
+
+def test_write_csv_writes_the_bytes_of_a_row_by_row_csv_writer(tmp_path):
+    rng = random.Random(40)
+    seen = Counter()
+    for _ in range(400):
+        dataset = _random_written_dataset(rng)
+        text = _assert_writes_like_the_oracle(tmp_path, dataset).decode("utf-8")
+        assert load_csv(tmp_path / "got.csv", dataset.schema) == dataset
+        seen.update({"rows": len(dataset), "empty": not dataset.samples,
+                     "single": len(dataset) == 1, "no attributes": dataset.schema.n_attributes == 0,
+                     "quoted": '"' in text.partition("\r\n")[2],
+                     "unlabeled": any(s.label is None for s in dataset.samples)})
+    assert all(seen[k] >= 50 for k in ("empty", "single", "no attributes", "quoted", "unlabeled"))
+
+
+def test_write_csv_edge_shapes_match_the_oracle(tmp_path):
+    one = Dataset(city_schema(), make_samples([((-0.0,), ("a,b",), None)]))
+    assert _assert_writes_like_the_oracle(tmp_path, one) == b'x,y,city\r\n-0.0,,"a,b"\r\n'
+    empty = Dataset(banded_schema(), ())
+    assert _assert_writes_like_the_oracle(tmp_path, empty).count(b"\r\n") == 1
+    # a schema of the label alone, which the constructor refuses: built here
+    # to check that a lone empty cell is written "" as csv.writer writes it
+    label_only = object.__new__(DatasetSchema)
+    for name, value in dict(feature_columns=(), label_column="y", label_classes=("a", "b"),
+                            attribute_columns=(), attribute_edges=()).items():
+        object.__setattr__(label_only, name, value)
+    rows = Dataset(label_only, tuple(Sample((), (), y) for y in ("a", None, "b", None)))
+    assert _assert_writes_like_the_oracle(tmp_path, rows) == b'y\r\na\r\n""\r\nb\r\n""\r\n'
 
 
 # -- split -------------------------------------------------------------------------

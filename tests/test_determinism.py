@@ -32,11 +32,11 @@ PINS = {
     "snap.json": "b9aa7ac5d50d35762cd7b402e11033914da096337526d934de7f7628cdc21539",
     "index.json": "a14ac5867fc2fbf458f19158cc4b5900874758a207cbab59f566b41ca3bde172",
     "predictions.csv": "53a43afc4d4b5b13eec5aa74b9f0d3beea82ec712b8acf1f3ce5104110564ba3",
-    "events.log": "7ffd68939661199cbd789f6b98cf5ecc51d9afb4bfb70add1da0a452e2d47d0f",
-    "report.json": "632965be6ce9a2ccc9783939d237cce05d1dbd0aad7b2876367af3d6915c4a31",
+    "events.log": "f1a8cfc12e081d87d95070898f12b9b5dfa7e4b6ea401f992541a3f2d54565d6",
+    "report.json": "53081964e2afaf06478c31748b0dd2a8ac69e6a1025b7e4e47c63fb2dd3ea60e",
     "routes.csv": "e1fa93db7ec4a4db96c065c69f7bacc2ae6027cd7565b19425141d03999d995e",
     # what the sim's edges served and its cloud learned, whatever messages carried it
-    "sim outcome": "6bca117d3844bf93aff247c929a79bf2431bc32f70cdd59831fd209d8205a674",
+    "sim outcome": "20a750da5a38faaac6a3b9c71959fe3bf832a2dfaa2e9ccaee2edc27034b71c2",
 }
 
 

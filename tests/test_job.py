@@ -103,6 +103,21 @@ def test_single_task_fallback_trained_on_same_data(tmp_path):
     assert serialize_model(record.model) == serialize_model(kb.fallback)
 
 
+def test_an_update_on_fewer_rows_keeps_the_bootstrap_fallback(tmp_path):
+    job, kb = new_job(tmp_path, majority_config(learner=EstimatorSpec("tree")))
+    job.bootstrap(two_city_data(10))
+    bootstrapped = kb.fallback
+    assert bootstrapped.trained_on.count == 16  # the training half
+    job.run_update_cycle(city_dataset([(0.0, "new", "b")]))
+    assert "new" in kb.records
+    assert kb.fallback is bootstrapped  # not refit on the update's one row
+    reopened = KnowledgeBase.open(tmp_path / "kb")
+    assert serialize_model(reopened.fallback) == serialize_model(bootstrapped)
+    # a batch of as many training rows replaces it
+    job.run_update_cycle(city_dataset([(float(i), "new", "ab"[i % 2]) for i in range(20)]))
+    assert kb.fallback is not bootstrapped and kb.fallback.trained_on.count == 16
+
+
 def test_train_fallback_disabled(tmp_path):
     job, kb = new_job(tmp_path, majority_config(fallback_enabled=False))
     job.run_train(two_city_data())
